@@ -43,6 +43,8 @@ __all__ = [
     "decode_permutations",
     "permutation_code_dtype",
     "compact_position_dtype",
+    "compact_footrule_dtype",
+    "workspace_buffer",
     "prefix_permutation_codes",
     "inverse_permutation",
     "permutation_positions",
@@ -434,21 +436,34 @@ def kendall_tau(perm_a: Sequence[int], perm_b: Sequence[int]) -> int:
     return discordant
 
 
-def permutation_positions(perms: np.ndarray) -> np.ndarray:
+def permutation_positions(
+    perms: np.ndarray, *, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Row-wise inverse of a permutation matrix: ``pos[i, site] = rank``.
 
     This is the representation in which Spearman footrule is a plain
     elementwise computation; indexes cache it so batched footrule never
-    re-inverts the stored permutations.
+    re-inverts the stored permutations.  ``out`` receives the ranks in
+    place — any ``(n, k)`` integer array wide enough for ``k - 1``, in any
+    memory order — so a caller that wants the compact column-major layout
+    of :func:`footrule_matrix_batch` scatters straight into it instead of
+    casting and transposing an ``int64`` temporary.
     """
     perms = np.asarray(perms)
     if perms.ndim == 1:
         perms = perms.reshape(1, -1)
     n, k = perms.shape
-    positions = np.empty_like(perms)
+    if out is None:
+        out = np.empty_like(perms)
+    elif out.shape != perms.shape:
+        raise ValueError(
+            f"out has shape {out.shape}, permutations {perms.shape}"
+        )
+    elif not _integer_dtype_holds(out.dtype, k - 1):
+        raise ValueError(f"out dtype {out.dtype} cannot hold ranks below {k}")
     rows = np.arange(n)[:, None]
-    positions[rows, perms] = np.arange(k)[None, :]
-    return positions
+    out[rows, perms] = np.arange(k, dtype=out.dtype)[None, :]
+    return out
 
 
 def footrule_matrix(perms: np.ndarray, query_perm: Sequence[int]) -> np.ndarray:
@@ -458,17 +473,19 @@ def footrule_matrix(perms: np.ndarray, query_perm: Sequence[int]) -> np.ndarray:
     return np.abs(positions - query_positions).sum(axis=1)
 
 
-#: Cap on the ``queries x points x sites`` intermediate of one batched
-#: footrule chunk (~4 MB per uint8 scratch buffer at the default).
-_FOOTRULE_CHUNK_ELEMENTS = 4_194_304
+def _integer_dtype_holds(dtype: np.dtype, bound: int) -> bool:
+    """Whether ``dtype`` is an integer dtype representing ``0..bound``."""
+    return dtype.kind in "iu" and np.iinfo(dtype).max >= bound
 
 
 def compact_position_dtype(k: int) -> np.dtype:
     """Narrowest unsigned dtype holding ranks ``0..k-1``.
 
-    ``uint8`` covers every width the code engine packs (``k <= 20``) with
-    room to spare; indexes cache their rank-position matrix in this dtype
-    so batched footrule never touches anything wider than it must.
+    ``uint8`` through ``k = 256`` (every width the code engine packs is
+    ``k <= 20``), ``uint16`` through ``k = 65536``, ``int64`` beyond.
+    Indexes cache their rank-position matrix in this dtype, laid out
+    column-major, so each site's ranks are one contiguous narrow row of
+    :func:`footrule_matrix_batch` and nothing is re-cast per query.
     """
     if k <= 1 << 8:
         return np.dtype(np.uint8)
@@ -477,15 +494,33 @@ def compact_position_dtype(k: int) -> np.dtype:
     return np.dtype(np.int64)
 
 
-def _workspace_buffer(workspace, key, shape, dtype):
-    """A reusable scratch array: fresh when no workspace dict is passed."""
+def compact_footrule_dtype(k: int) -> np.dtype:
+    """Narrowest unsigned dtype holding every footrule on ``k`` sites.
+
+    Total displacement never exceeds ``floor(k^2 / 2)`` (reached by the
+    reversal), so ``uint8`` serves ``k <= 22``, ``uint16`` ``k <= 362``,
+    ``uint32`` / ``uint64`` beyond.  This is the accumulator — and the
+    natural ``out=`` dtype — of :func:`footrule_matrix_batch`.
+    """
+    return np.min_scalar_type(k * k // 2)
+
+
+def workspace_buffer(
+    workspace: Optional[dict], key: str, shape: Tuple[int, ...], dtype
+) -> np.ndarray:
+    """A reusable C-ordered scratch array; fresh when ``workspace`` is None.
+
+    The dict keeps one flat grow-only buffer per key and hands out a
+    reshaped prefix, so alternating call shapes (a 20-query chunk, then a
+    single query) reuse one allocation instead of replacing it each time.
+    """
     if workspace is None:
         return np.empty(shape, dtype)
-    buffer = workspace.get(key)
-    if buffer is None or buffer.shape != shape or buffer.dtype != dtype:
-        buffer = np.empty(shape, dtype)
-        workspace[key] = buffer
-    return buffer
+    size = math.prod(shape)
+    flat = workspace.get(key)
+    if flat is None or flat.dtype != dtype or flat.size < size:
+        flat = workspace[key] = np.empty(size, dtype)
+    return flat[:size].reshape(shape)
 
 
 def footrule_matrix_batch(
@@ -494,21 +529,38 @@ def footrule_matrix_batch(
     *,
     positions: Optional[np.ndarray] = None,
     workspace: Optional[dict] = None,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Footrule of every stored permutation against every query permutation.
 
     Returns the ``(len(query_perms), len(perms))`` matrix whose entry
-    ``(q, i)`` is ``spearman_footrule(perms[i], query_perms[q])``.  The
-    computation is chunked over queries so the three-dimensional
-    intermediate stays below ``_FOOTRULE_CHUNK_ELEMENTS`` entries; pass a
-    precomputed ``positions = permutation_positions(perms)`` to skip
-    re-inverting the stored permutations on every call (``perms`` may
-    then be ``None`` — the code-backed index stores only positions).
-    Ranks travel in the narrowest unsigned dtype
-    (:func:`compact_position_dtype`), with ``|a - b|`` computed as
-    ``max - min`` so unsigned subtraction can never wrap; passing a
-    ``workspace`` dict reuses the chunk scratch buffers across calls
-    instead of reallocating them per batch.
+    ``(q, i)`` is ``spearman_footrule(perms[i], query_perms[q])``.
+
+    **Kernel.**  One pass per site over *column-contiguous* rank
+    positions: ``|pos[:, s] - q[s]|`` as a signed narrow subtract and
+    ``abs``, added into a narrow unsigned accumulator row — three
+    contiguous SIMD passes per site, no ``(q, n, k)`` intermediate and
+    no short-axis reduction.  Ranks are ``< k`` and a footrule is at most
+    ``floor(k^2 / 2)``, which fixes the widths: differences are the
+    narrowest signed dtype holding ``k - 1`` (``int8`` through
+    ``k = 128``, ``int16`` through 32768), the accumulator is
+    :func:`compact_footrule_dtype` (``uint8`` through ``k = 22``,
+    ``uint16`` through 362).
+
+    **Layout.**  Pass a precomputed ``positions =
+    permutation_positions(perms)`` to skip re-inverting the stored
+    permutations on every call (``perms`` may then be ``None`` — the
+    code-backed index stores only positions).  A column-major
+    (``flags.f_contiguous``) matrix of :func:`compact_position_dtype` is
+    consumed in place; anything else — C order, a strided slice, a wider
+    dtype — costs one transposing copy per call.
+
+    **Output.**  Without ``out`` the result is a fresh ``int64`` matrix.
+    ``out`` may be any ``(q, n)`` integer array whose dtype holds
+    ``floor(k^2 / 2)`` (else ``ValueError``); rows of the accumulator
+    dtype are accumulated in place, wider ones are filled by one
+    widening copy per query.  ``workspace`` is a dict that keeps the
+    scratch buffers alive across calls.
     """
     if positions is None:
         if perms is None:
@@ -517,28 +569,52 @@ def footrule_matrix_batch(
     query_positions = permutation_positions(query_perms)
     n, k = positions.shape
     n_queries = query_positions.shape[0]
-    # Ranks are < k, so a narrow unsigned dtype quarters (uint16) or
-    # eighths (uint8) the memory traffic of the dominating broadcast; a
-    # row sum is at most floor(k^2 / 2), so int32 is a safe accumulator
-    # exactly while that bound fits it (it does for every uint8 width
-    # and all but the last sliver of the uint16 range).
+    if query_positions.shape[1] != k:
+        raise ValueError(
+            f"queries rank {query_positions.shape[1]} sites, stored "
+            f"permutations {k}"
+        )
+    accumulator = compact_footrule_dtype(k)
+    if out is None:
+        out = np.empty((n_queries, n), dtype=np.int64)
+    elif out.shape != (n_queries, n):
+        raise ValueError(
+            f"out has shape {out.shape}, expected {(n_queries, n)}"
+        )
+    elif not _integer_dtype_holds(out.dtype, k * k // 2):
+        raise ValueError(
+            f"out dtype {out.dtype} cannot hold footrules up to {k * k // 2}"
+        )
+    if n == 0 or n_queries == 0:
+        return out
     compact = compact_position_dtype(k)
-    accumulator = (
-        np.int32 if k * k // 2 <= np.iinfo(np.int32).max else np.int64
-    )
-    positions = positions.astype(compact, copy=False)
-    query_positions = query_positions.astype(compact, copy=False)
-    out = np.empty((n_queries, n), dtype=np.int64)
-    rows = max(1, min(n_queries, _FOOTRULE_CHUNK_ELEMENTS // max(1, n * k)))
-    hi = _workspace_buffer(workspace, "footrule_hi", (rows, n, k), compact)
-    lo = _workspace_buffer(workspace, "footrule_lo", (rows, n, k), compact)
-    for start in range(0, n_queries, rows):
-        stop = min(start + rows, n_queries)
-        r = stop - start
-        stored = positions[None, :, :]
-        batch = query_positions[start:stop, None, :]
-        np.maximum(stored, batch, out=hi[:r])
-        np.minimum(stored, batch, out=lo[:r])
-        np.subtract(hi[:r], lo[:r], out=hi[:r])
-        out[start:stop] = hi[:r].sum(axis=2, dtype=accumulator)
+    signed = np.min_scalar_type(-k)  # holds every difference, +-(k - 1)
+    columns = positions.T
+    if positions.dtype != compact or not columns.flags.c_contiguous:
+        columns = workspace_buffer(
+            workspace, "footrule_columns", (k, n), compact
+        )
+        np.copyto(columns, positions.T, casting="unsafe")
+    if signed.itemsize == compact.itemsize:
+        # Ranks fit the signed twin of their own width: subtract in it
+        # directly.  Wider differences (k in 129..256, 32769..65536) cast
+        # on the way in.
+        columns = columns.view(signed)
+    query_positions = query_positions.astype(signed, copy=False)
+    diff = workspace_buffer(workspace, "footrule_diff", (n,), signed)
+    magnitude = diff.view(np.dtype(f"u{signed.itemsize}"))
+    in_place = out.dtype == accumulator
+    if not in_place:
+        row = workspace_buffer(workspace, "footrule_row", (n,), accumulator)
+    for q in range(n_queries):
+        if in_place:
+            row = out[q]
+        row.fill(0)
+        ranks = query_positions[q]
+        for s in range(k):
+            np.subtract(columns[s], ranks[s], out=diff, dtype=signed)
+            np.abs(diff, out=diff)
+            np.add(row, magnitude, out=row)
+        if not in_place:
+            out[q] = row
     return out

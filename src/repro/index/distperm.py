@@ -10,9 +10,15 @@ space, Corollary 8).
 
 The in-memory representation is the code engine's: one ``uint64`` Lehmer
 rank per element (:func:`~repro.core.permutation.encode_permutations`,
-exact through ``k = 20``) plus a ``uint8`` rank-position matrix feeding
-the batched footrule kernel through a reused scratch workspace; the
-``(n, k)`` row matrix exists only on demand (:attr:`permutations`).
+exact through ``k = 20``) plus an ``(n, k)`` ``uint8`` rank-position
+matrix held **column-major**, so each site's ranks are one contiguous row
+of the byte-wide footrule kernel
+(:func:`~repro.core.permutation.footrule_matrix_batch`); build, restore,
+:meth:`DistPermIndex.add_points` and the mmap block loop all keep that
+layout.  Footrules stay in the narrowest unsigned dtype that holds
+``floor(k^2 / 2)`` (``uint8`` through ``k = 22``) from the kernel's
+``out=`` buffer through candidate selection; the ``(n, k)`` row matrix
+exists only on demand (:attr:`permutations`).
 
 Search with permutations is *approximate*: candidates are visited in order
 of Spearman footrule between their stored permutation and the query's, and
@@ -36,12 +42,14 @@ import numpy as np
 from repro.core.bitpack import PackedPermutationStore
 from repro.core.entropy import EntropyReport, entropy_report
 from repro.core.permutation import (
+    compact_footrule_dtype,
     compact_position_dtype,
     decode_permutations,
     encode_permutations,
     footrule_matrix_batch,
     permutation_positions,
     permutations_from_distances,
+    workspace_buffer,
 )
 from repro.core.storage import MappedCodeStore, StorageReport, storage_report
 from repro.index.base import Budget, Index, Neighbor, NeighborArrays
@@ -58,23 +66,49 @@ from repro.metrics.base import Metric
 __all__ = ["DistPermIndex"]
 
 
+def _column_major_positions(
+    perms: np.ndarray, workspace: Optional[dict] = None
+) -> np.ndarray:
+    """Compact rank positions of ``perms``, each site's column contiguous.
+
+    The layout ``footrule_matrix_batch`` consumes without copying:
+    ``(n, k)`` in :func:`compact_position_dtype`, column-major.  With a
+    ``workspace`` the block is scratch (the mmap loop's per-block target).
+    """
+    n, k = perms.shape
+    columns = workspace_buffer(
+        workspace, "positions", (k, n), compact_position_dtype(k)
+    )
+    return permutation_positions(perms, out=columns.T)
+
+
 def _budget_candidates(footrules: np.ndarray, budget: int) -> np.ndarray:
     """Candidate set of one query: the ``budget`` best footrule ranks.
 
     Matches the prefix of a *stable* argsort exactly: every index whose
-    footrule is strictly below the partition boundary, then the
-    lowest-numbered indices at the boundary value until the budget is
-    filled.  ``np.argpartition`` keeps this O(n) instead of O(n log n).
+    footrule is strictly below the boundary (the ``budget``-th smallest
+    value), then the lowest-numbered indices at the boundary until the
+    budget is filled.  One- and two-byte rows — every ``k <= 362`` — find
+    the boundary by counting, O(n + k^2); wider rows by
+    ``np.argpartition``.
     """
     n = footrules.shape[0]
     if budget <= 0:
         return np.empty(0, dtype=np.int64)
     if budget >= n:
         return np.arange(n)
-    part = np.argpartition(footrules, budget - 1)[:budget]
-    boundary = footrules[part].max()
-    strict = np.flatnonzero(footrules < boundary)
-    at_boundary = np.flatnonzero(footrules == boundary)
+    if footrules.dtype.kind == "u" and footrules.dtype.itemsize <= 2:
+        at_or_below = np.cumsum(np.bincount(footrules))
+        # Kept in the row's own dtype so the comparisons below stay
+        # byte-wide instead of promoting the whole row to int64.
+        boundary = footrules.dtype.type(np.searchsorted(at_or_below, budget))
+    else:
+        part = np.argpartition(footrules, budget - 1)[:budget]
+        boundary = footrules[part].max()
+    reach = np.flatnonzero(footrules <= boundary)
+    values = footrules[reach]
+    strict = reach[values < boundary]
+    at_boundary = reach[values == boundary]
     return np.concatenate([strict, at_boundary[: budget - strict.shape[0]]])
 
 
@@ -179,27 +213,22 @@ class DistPermIndex(Index):
         """Derive the cached row-wise inverse of the stored permutations.
 
         The inverse feeds batched footrule against any query set without
-        re-inverting, held in the narrowest unsigned dtype
-        (``uint8`` through ``k = 256``) so ``footrule_matrix_batch``
-        never re-casts or re-derives it.  Shared by :meth:`_build` and
-        the ``load_distperm`` loader, so a deserialized index can never
-        lag behind the build-time caches.
+        re-inverting: ``(n, k)`` in the narrowest unsigned dtype
+        (``uint8`` through ``k = 256``) and column-major, so
+        ``footrule_matrix_batch`` never re-casts, re-derives or
+        transposes it.  Shared by :meth:`_build` and the
+        ``load_distperm`` loader, so a deserialized index can never lag
+        behind the build-time caches.
         """
         if perms is None:
             # Restore path: invert only the (small) distinct-permutation
-            # table, cast it narrow, then gather per element — the full
+            # table, then gather each site's row per element — the full
             # (n, k) row matrix is never materialized.
-            k = self.table.shape[1]
-            table_positions = permutation_positions(self.table).astype(
-                compact_position_dtype(k)
-            )
-            self._perm_positions = table_positions[self.ids]
+            table_columns = _column_major_positions(self.table).T
+            self._perm_positions = np.take(table_columns, self.ids, axis=1).T
         else:
-            k = perms.shape[1]
-            self._perm_positions = permutation_positions(perms).astype(
-                compact_position_dtype(k), copy=False
-            )
-        # Scratch buffers footrule_matrix_batch reuses across queries.
+            self._perm_positions = _column_major_positions(perms)
+        # Scratch buffers the footrule path reuses across queries.
         self._footrule_workspace: dict = {}
 
     @property
@@ -267,12 +296,12 @@ class DistPermIndex(Index):
         )
         self.ids = np.searchsorted(self.table_codes, self.codes)
         self.table = decode_permutations(self.table_codes, self.n_sites)
-        self._perm_positions = np.concatenate([
-            self._perm_positions,
-            permutation_positions(new_perms).astype(
-                self._perm_positions.dtype, copy=False
-            ),
-        ])
+        # Appending along the transposed (site-major) view keeps every
+        # site's column contiguous, as a fresh build lays it out.
+        self._perm_positions = np.concatenate(
+            [self._perm_positions.T, _column_major_positions(new_perms).T],
+            axis=1,
+        ).T
         self._footrule_workspace = {}
         # The site evaluations are construction work: move them from the
         # query account to the build account, as __init__ does.
@@ -328,47 +357,59 @@ class DistPermIndex(Index):
     def _footrules_matrix(self, query_perms: np.ndarray) -> np.ndarray:
         """Footrule of every query row against every stored permutation.
 
-        RAM backing feeds the resident rank-position cache to
-        ``footrule_matrix_batch`` in one call.  With mmap backing, the
-        matrix is assembled column-block by column-block over the mapped
-        code store — each block is decoded (through the LRU), inverted to
-        positions, scored, and written into its output columns.  Footrule
+        The result is in :func:`compact_footrule_dtype` (``uint8`` through
+        ``k = 22``) and lives in the reused workspace: it is valid until
+        the next footrule call on this index.  RAM backing feeds the
+        resident column-major rank positions to ``footrule_matrix_batch``
+        in one call.  With mmap backing, the matrix is assembled
+        column-block by column-block over the mapped code store — each
+        block is decoded (through the LRU), inverted to column-major
+        positions, and scored straight into its output columns.  Footrule
         is per-column-independent integer math, so the assembled matrix
         is byte-identical to the one-shot RAM result.
         """
+        workspace = self._footrule_workspace
+        k = self.n_sites
+        out = workspace_buffer(
+            workspace,
+            "footrules",
+            (query_perms.shape[0], len(self.points)),
+            compact_footrule_dtype(k),
+        )
         if self.backing != "mmap":
             return footrule_matrix_batch(
                 None,
                 query_perms,
                 positions=self._perm_positions,
-                workspace=self._footrule_workspace,
+                workspace=workspace,
+                out=out,
             )
-        store = self._code_store
-        k = self.n_sites
-        pos_dtype = compact_position_dtype(k)
-        out = np.empty((query_perms.shape[0], store.count), dtype=np.int64)
-        for start, stop, codes in store.iter_blocks():
-            positions = permutation_positions(
-                decode_permutations(codes, k)
-            ).astype(pos_dtype, copy=False)
-            out[:, start:stop] = footrule_matrix_batch(
+        for start, stop, codes in self._code_store.iter_blocks():
+            footrule_matrix_batch(
                 None,
                 query_perms,
-                positions=positions,
-                workspace=self._footrule_workspace,
+                positions=_column_major_positions(
+                    decode_permutations(codes, k), workspace
+                ),
+                workspace=workspace,
+                out=out[:, start:stop],
             )
         return out
+
+    def _footrule_row(self, query: Any) -> np.ndarray:
+        """One query's footrule to every stored permutation."""
+        query_perm = self.query_permutation(query)
+        return self._footrules_matrix(query_perm.reshape(1, -1))[0]
 
     def candidate_order(self, query: Any) -> np.ndarray:
         """Database indices ordered by footrule to the query's permutation.
 
         This is the proximity-preserving order: elements whose permutation
         agrees with the query's are likely close, so they are evaluated
-        first.
+        first.  The stable sort runs on the narrow footrule dtype (a
+        radix sort for one- and two-byte rows).
         """
-        query_perm = self.query_permutation(query)
-        footrules = self._footrules_matrix(query_perm.reshape(1, -1))[0]
-        return np.argsort(footrules, kind="stable")
+        return np.argsort(self._footrule_row(query), kind="stable")
 
     def _range_impl(self, query: Any, radius: float) -> List[Neighbor]:
         # Exact by exhaustive verification; the permutation order does not
@@ -408,12 +449,13 @@ class DistPermIndex(Index):
         return self._scan_in_order(query, k, self._clamp_budget(k, budget))
 
     def _scan_in_order(self, query: Any, k: int, budget: int) -> List[Neighbor]:
-        # scan_knn's heap breaks ties exactly as sorted(Neighbor), so the
-        # budget-limited and exact paths agree wherever their candidate
-        # sets do.
-        order = self.candidate_order(query)
+        # scan_knn's heap breaks ties exactly as sorted(Neighbor) whatever
+        # the visit order, so the budget-limited and exact paths agree
+        # wherever their candidate *sets* do: select the set, skip the
+        # full sort candidate_order pays.
+        candidates = _budget_candidates(self._footrule_row(query), budget)
         return scan_knn(self.metric, query, self.points, k,
-                        indices=order[:budget])
+                        indices=candidates)
 
     # ------------------------------------------------------------------
     # Batched query path: one ``to_sites`` call for the whole query set,
@@ -491,8 +533,8 @@ class DistPermIndex(Index):
         dist_parts: List[np.ndarray] = []
         index_parts: List[np.ndarray] = []
         counts = np.zeros(len(queries), dtype=np.int64)
-        # Chunking here bounds the (queries x n) footrule *output*;
-        # footrule_matrix_batch additionally bounds its 3-d intermediate.
+        # Chunking bounds the (queries x n) footrule matrix; the kernel
+        # itself needs only length-n scratch rows.
         for start, stop in query_chunks(len(queries), n):
             footrules = self._footrules_matrix(query_perms[start:stop])
             for offset, row in enumerate(footrules):

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from repro.core.permutation import (
+    compact_footrule_dtype,
     count_distinct_permutations,
     distance_permutations,
+    footrule_matrix_batch,
+    spearman_footrule,
 )
 from repro.index import (
     AESA,
@@ -17,6 +20,8 @@ from repro.index import (
     PivotIndex,
     VPTree,
 )
+from repro.index.batching import scan_knn
+from repro.index.distperm import _budget_candidates
 from repro.index.pivots import select_pivots
 from repro.metrics import EuclideanDistance
 
@@ -224,6 +229,114 @@ class TestDistPermIndex:
             DistPermIndex(database, EuclideanDistance(), n_sites=0)
 
 
+def _stable_prefix(footrules: np.ndarray, budget: int) -> np.ndarray:
+    """Reference for ``_budget_candidates``: the stable-argsort prefix,
+    strictly-below-boundary entries by index, then boundary ties by index
+    (everything, in index order, once the budget covers the row)."""
+    if budget >= footrules.shape[0]:
+        return np.arange(footrules.shape[0])
+    prefix = np.argsort(footrules, kind="stable")[: max(budget, 0)]
+    if prefix.size == 0:
+        return prefix
+    boundary = footrules[prefix[-1]]
+    values = footrules[prefix]
+    return np.concatenate(
+        [np.sort(prefix[values < boundary]), prefix[values == boundary]]
+    )
+
+
+class TestBudgetCandidates:
+    """Counting selection (1- and 2-byte rows) and argpartition (wider)
+    must both return the exact stable-argsort prefix."""
+
+    ROWS = {
+        "random": lambda rng, top: rng.integers(0, top + 1, size=500),
+        "few_values": lambda rng, top: rng.integers(0, 3, size=500) * (top // 2),
+        "all_equal": lambda rng, top: np.full(500, top),
+        "all_zero": lambda rng, top: np.zeros(500, dtype=np.int64),
+        "descending": lambda rng, top: np.linspace(top, 0, 500).astype(np.int64),
+        "one_low": lambda rng, top: np.r_[np.full(499, top), 0],
+    }
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.int64])
+    @pytest.mark.parametrize("shape", sorted(ROWS))
+    def test_matches_stable_argsort_prefix(self, dtype, shape):
+        top = min(np.iinfo(dtype).max, 70_000)
+        row = self.ROWS[shape](np.random.default_rng(5), top).astype(dtype)
+        for budget in (-3, 0, 1, 2, 17, 250, 499, 500, 501, 10_000):
+            got = _budget_candidates(row, budget)
+            np.testing.assert_array_equal(
+                got, _stable_prefix(row, budget), err_msg=f"budget={budget}"
+            )
+            assert got.dtype.kind == "i"
+
+    def test_per_row_budgets_of_zero_stay_empty(self, database, queries):
+        index = DistPermIndex(database, EuclideanDistance(), n_sites=8,
+                              rng=np.random.default_rng(31))
+        budgets = np.array([0, 40, 0, 7] + [0] * (len(queries) - 4))
+        arrays = index.knn_approx_batch_arrays(queries, 5, budget=budgets)
+        np.testing.assert_array_equal(
+            np.diff(arrays.offsets), np.minimum(budgets, 5)
+        )
+
+
+class TestDistPermNarrowFootrules:
+    """Every consumer of the narrow footrule rows agrees with int64 math."""
+
+    @pytest.fixture(scope="class")
+    def index(self, database):
+        return DistPermIndex(database, EuclideanDistance(), n_sites=12,
+                             rng=np.random.default_rng(32))
+
+    def _reference(self, index, queries):
+        """int64 footrules straight from the scalar definition."""
+        stored = index.permutations
+        return np.array([
+            [spearman_footrule(p, q) for p in stored]
+            for q in index.query_permutations(queries)
+        ])
+
+    def test_footrules_matrix_is_narrow_and_exact(self, index, queries):
+        footrules = index._footrules_matrix(index.query_permutations(queries))
+        assert footrules.dtype == compact_footrule_dtype(12) == np.uint8
+        np.testing.assert_array_equal(
+            footrules, self._reference(index, queries)
+        )
+
+    def test_candidate_order_is_full_stable_order(self, index, queries):
+        reference = self._reference(index, queries[:3])
+        for query, row in zip(queries[:3], reference):
+            np.testing.assert_array_equal(
+                index.candidate_order(query), np.argsort(row, kind="stable")
+            )
+
+    def test_single_query_scan_equals_sorted_prefix_scan(self, index, queries):
+        for budget in (5, 60, len(index.points)):
+            for query in queries[:4]:
+                order = index.candidate_order(query)[:budget]
+                expected = scan_knn(
+                    EuclideanDistance(), query, index.points, 5, indices=order
+                )
+                assert index.knn_approx(query, 5, budget=budget) == sorted(expected)
+
+    @pytest.mark.parametrize("limit", [0, 1, 25, 399, 400, 1000])
+    def test_query_footrules_columns_are_byte_identical(
+        self, index, queries, limit
+    ):
+        wide = footrule_matrix_batch(
+            index.permutations, index.query_permutations(queries)
+        )
+        assert wide.dtype == np.int64
+        kept = min(limit, wide.shape[1])
+        expected = (
+            np.sort(wide, axis=1)[:, :kept]
+            - wide.mean(axis=1, keepdims=True)
+        )
+        got = index.query_footrules(queries, limit)
+        assert got.dtype == np.float64
+        assert got.tobytes() == expected.tobytes()
+
+
 class TestDistPermAddPoints:
     """Incremental append must equal a fresh build over the same sites."""
 
@@ -236,6 +349,10 @@ class TestDistPermAddPoints:
             grown._perm_positions, fresh._perm_positions
         )
         assert grown._perm_positions.dtype == fresh._perm_positions.dtype
+        # Column-major on both: every site's ranks are one contiguous
+        # row of the footrule kernel (axis-0 concatenate would lose it).
+        assert grown._perm_positions.flags.f_contiguous
+        assert fresh._perm_positions.flags.f_contiguous
 
     def test_vectors_match_fresh_build(self, database):
         old, new = database[:300], database[300:]

@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.permutation import (
+    compact_footrule_dtype,
+    compact_position_dtype,
     count_distinct_permutations,
     distance_permutation,
     distance_permutations,
@@ -237,9 +239,182 @@ class TestDissimilarities:
             footrule_matrix_batch(perms, query_perms),
         )
 
+    def test_permutation_positions_fills_out_in_any_layout(self):
+        perms = np.array(
+            [np.random.default_rng(i).permutation(5) for i in range(9)]
+        )
+        expected = permutation_positions(perms)
+        column_major = np.empty((5, 9), dtype=np.uint8).T
+        assert permutation_positions(perms, out=column_major) is column_major
+        assert column_major.flags.f_contiguous
+        np.testing.assert_array_equal(column_major, expected)
+        with pytest.raises(ValueError):
+            permutation_positions(perms, out=np.empty((9, 4), dtype=np.uint8))
+        with pytest.raises(ValueError):
+            permutation_positions(perms, out=np.empty((9, 5), dtype=np.float64))
+        wide = np.stack([np.arange(300), np.arange(300)[::-1]])
+        with pytest.raises(ValueError):
+            permutation_positions(wide, out=np.empty((2, 300), dtype=np.uint8))
+
     def test_permutation_positions_inverts_rows(self):
         perms = np.array([[2, 0, 1], [0, 1, 2]])
         positions = permutation_positions(perms)
         np.testing.assert_array_equal(positions, [[1, 2, 0], [0, 1, 2]])
         for row_perm, row_pos in zip(perms, positions):
             assert tuple(row_pos) == inverse_permutation(tuple(row_perm))
+
+
+#: Site counts on both sides of every width boundary of the kernel:
+#: uint8 accumulator through k = 22 (floor(22^2 / 2) = 242), int8
+#: differences through 128, uint8 positions through 256, uint16
+#: accumulator through 362 (floor(362^2 / 2) = 65522).
+_WIDTH_BOUNDARY_SITES = (
+    1, 2, 12, 15, 16, 22, 23, 127, 128, 129, 255, 256, 257, 361, 362, 363,
+)
+
+
+def _boundary_case(k: int):
+    """Stored and query permutations whose pairs include identity x
+    reversal — the footrule maximum ``floor(k^2 / 2)``, the overflow canary
+    for both the difference and the accumulator dtype."""
+    rng = np.random.default_rng(k)
+    identity = np.arange(k)
+    perms = np.stack(
+        [identity, identity[::-1]] + [rng.permutation(k) for _ in range(5)]
+    )
+    query_perms = np.stack(
+        [identity[::-1], identity] + [rng.permutation(k) for _ in range(2)]
+    )
+    expected = np.array(
+        [[spearman_footrule(p, q) for p in perms] for q in query_perms]
+    )
+    assert expected[0, 0] == expected[1, 1] == k * k // 2
+    return perms, query_perms, expected
+
+
+class TestFootruleKernelWidths:
+    @pytest.mark.parametrize("k", _WIDTH_BOUNDARY_SITES)
+    def test_matches_scalar_footrule(self, k):
+        perms, query_perms, expected = _boundary_case(k)
+        result = footrule_matrix_batch(perms, query_perms)
+        assert result.dtype == np.int64
+        np.testing.assert_array_equal(result, expected)
+
+    @pytest.mark.parametrize("k", _WIDTH_BOUNDARY_SITES)
+    def test_positions_layouts_agree(self, k):
+        perms, query_perms, expected = _boundary_case(k)
+        compact = permutation_positions(perms).astype(
+            compact_position_dtype(k)
+        )
+        padded = np.zeros((2 * len(perms), k + 3), dtype=compact.dtype)
+        padded[::2, 1 : k + 1] = compact
+        layouts = {
+            "c_ordered": np.ascontiguousarray(compact),
+            "f_ordered": np.asfortranarray(compact),
+            "strided_slice": padded[::2, 1 : k + 1],
+            "wide_dtype": permutation_positions(perms),
+        }
+        workspace: dict = {}
+        for name, positions in layouts.items():
+            np.testing.assert_array_equal(
+                footrule_matrix_batch(
+                    None, query_perms, positions=positions,
+                    workspace=workspace,
+                ),
+                expected,
+                err_msg=name,
+            )
+
+    @pytest.mark.parametrize("k", _WIDTH_BOUNDARY_SITES)
+    def test_out_of_every_accepted_dtype(self, k):
+        perms, query_perms, expected = _boundary_case(k)
+        bound = k * k // 2
+        assert np.iinfo(compact_footrule_dtype(k)).max >= bound
+        for dtype in (np.uint8, np.int8, np.uint16, np.int16, np.uint32,
+                      np.int32, np.uint64, np.int64):
+            out = np.empty(expected.shape, dtype=dtype)
+            if np.iinfo(dtype).max < bound:
+                with pytest.raises(ValueError):
+                    footrule_matrix_batch(perms, query_perms, out=out)
+                continue
+            assert footrule_matrix_batch(perms, query_perms, out=out) is out
+            np.testing.assert_array_equal(out, expected, err_msg=str(dtype))
+
+    def test_accumulator_dtype_boundaries(self):
+        assert compact_footrule_dtype(22) == np.uint8
+        assert compact_footrule_dtype(23) == np.uint16
+        assert compact_footrule_dtype(362) == np.uint16
+        assert compact_footrule_dtype(363) == np.uint32
+
+    def test_out_writes_through_a_column_block_view(self):
+        """The mmap block loop's shape: ``out`` is a column slice of a
+        wider matrix, in the accumulator dtype (accumulated in place)."""
+        perms, query_perms, expected = _boundary_case(12)
+        full = np.full((len(query_perms), len(perms) + 4), 255, np.uint8)
+        footrule_matrix_batch(perms, query_perms, out=full[:, 2:-2])
+        np.testing.assert_array_equal(full[:, 2:-2], expected)
+        assert (full[:, :2] == 255).all() and (full[:, -2:] == 255).all()
+
+    def test_out_shape_and_kind_are_validated(self):
+        perms, query_perms, expected = _boundary_case(6)
+        with pytest.raises(ValueError):
+            footrule_matrix_batch(
+                perms, query_perms, out=np.empty(expected.shape[::-1], np.int64)
+            )
+        with pytest.raises(ValueError):
+            footrule_matrix_batch(
+                perms, query_perms, out=np.empty(expected.shape, np.float64)
+            )
+
+    def test_site_count_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            footrule_matrix_batch(np.arange(5)[None, :], np.arange(4)[None, :])
+
+    def test_empty_database_and_empty_query_set(self):
+        perms, query_perms, _ = _boundary_case(12)
+        no_points = footrule_matrix_batch(perms[:0], query_perms)
+        assert no_points.shape == (len(query_perms), 0)
+        no_queries = footrule_matrix_batch(perms, query_perms[:0])
+        assert no_queries.shape == (0, len(perms))
+        assert no_points.dtype == no_queries.dtype == np.int64
+
+    def test_workspace_is_reused_across_call_shapes(self):
+        perms, query_perms, expected = _boundary_case(12)
+        workspace: dict = {}
+        for rows in (4, 1, 3):
+            np.testing.assert_array_equal(
+                footrule_matrix_batch(
+                    perms, query_perms[:rows], workspace=workspace
+                ),
+                expected[:rows],
+            )
+        assert "footrule_hi" not in workspace and "footrule_lo" not in workspace
+
+
+#: Permutations of ``S_k`` by total displacement ``sum |pi(i) - i|`` at
+#: displacements 0, 2, 4, ... (OEIS A062869; the weighted-Motzkin-path
+#: counts of arXiv 1606.05538).  Constants — an oracle our own code did
+#: not compute.
+_TOTAL_DISPLACEMENT_COUNTS = {
+    1: (1,),
+    2: (1, 1),
+    3: (1, 2, 3),
+    4: (1, 3, 7, 9, 4),
+    5: (1, 4, 12, 24, 35, 24, 20),
+    6: (1, 5, 18, 46, 93, 137, 148, 136, 100, 36),
+    7: (1, 6, 25, 76, 187, 366, 591, 744, 884, 832, 716, 360, 252),
+}
+
+
+class TestFootruleDisplacementOracle:
+    @pytest.mark.parametrize("k", sorted(_TOTAL_DISPLACEMENT_COUNTS))
+    def test_histogram_over_symmetric_group(self, k):
+        counts = _TOTAL_DISPLACEMENT_COUNTS[k]
+        assert sum(counts) == math.factorial(k)
+        everything = np.array(list(itertools.permutations(range(k))))
+        footrules = footrule_matrix_batch(everything, np.arange(k)[None, :])[0]
+        assert (footrules % 2 == 0).all()
+        assert footrules.max() == k * k // 2 == 2 * (len(counts) - 1)
+        np.testing.assert_array_equal(
+            np.bincount(footrules // 2, minlength=len(counts)), counts
+        )

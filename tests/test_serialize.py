@@ -144,6 +144,10 @@ class TestBatchedRoundTrip:
             loaded._perm_positions, index._perm_positions
         )
         assert loaded._perm_positions.dtype == index._perm_positions.dtype
+        # Built and restored positions are both column-major: the
+        # footrule kernel reads each site's column without a transpose.
+        assert index._perm_positions.flags.f_contiguous
+        assert loaded._perm_positions.flags.f_contiguous
         assert loaded._requested_sites == index.n_sites
         assert hasattr(loaded, "_site_strategy")
         assert hasattr(loaded, "_rng")
@@ -470,6 +474,9 @@ class TestV3Sharded:
             )
         assert payload_format(path) == 3
         with load_sharded(path, points, EuclideanDistance()) as ram:
+            assert all(
+                s._perm_positions.flags.f_contiguous for s in ram.shards
+            )
             assert self._signatures(
                 ram.knn_approx_batch(queries, 5, budget=60)
             ) == fresh
