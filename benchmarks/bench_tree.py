@@ -11,9 +11,16 @@
 batched-query throughput of the four tree *indexes* (BK, VP, GH, List of
 Clusters) on their array-backed substrate, versus looping the
 single-query API — the paper's classic baselines on the dictionary
-Levenshtein workload and an 8-d Euclidean workload.  Results go to
-``BENCH_trees.json``; the full run asserts that at least two tree
-indexes hold a >= 10x batched-query speedup on the dictionary workload.
+Levenshtein workload and an 8-d Euclidean workload.  BK, VP and GH have
+one traversal (a single query is a batch of one row), so their looped
+column measures what one call amortises over a batch; List of Clusters
+keeps a scalar scan, so its columns compare two traversals.  Results go
+to ``BENCH_trees.json``; the full run asserts that one batch call is
+never slower than the loop, and that the looped single-query throughput
+of BK/VP/GH has not fallen below what their deleted scalar traversals
+reached on the same box (``*_looped_qps_parent``) — reported but not
+enforced on the four radius-1 dictionary cells where the scalar
+traversal was at parity or ahead (``SCALAR_AT_PARITY``).
 
     PYTHONPATH=src python benchmarks/bench_tree.py            # full
     PYTHONPATH=src python benchmarks/bench_tree.py --smoke    # CI sizes
@@ -115,11 +122,35 @@ def test_prefix_metric_achieves_bound(benchmark, results_dir):
 # Standalone tree-index benchmark (python benchmarks/bench_tree.py).
 # ----------------------------------------------------------------------
 
-#: Acceptance floor: at least this many tree indexes must beat the
-#: looped single-query fallback by REQUIRED_SPEEDUP on the dictionary
-#: Levenshtein workload in full mode.
-REQUIRED_SPEEDUP = 10.0
-REQUIRED_INDEXES = 2
+#: Looped single-query q/s (range, kNN) of the scalar traversals BK, VP
+#: and GH had until a single query became a batch of one — measured at
+#: commit 6ad1b35 on the box that recorded the committed
+#: ``BENCH_trees.json``.  The full run fails when today's looped figure
+#: falls below them: deleting those traversals must not cost
+#: single-query throughput.  Re-measure at that commit before
+#: re-recording on another box.
+PARENT_LOOPED_QPS = {
+    ("dictionary-levenshtein", "bktree"): (307.8, 25.1),
+    ("dictionary-levenshtein", "vptree"): (106.8, 36.8),
+    ("dictionary-levenshtein", "ghtree"): (49.2, 32.6),
+    ("euclidean-8d", "vptree"): (107.2, 61.5),
+    ("euclidean-8d", "ghtree"): (38.8, 38.7),
+}
+
+#: Cells where that comparison is reported but not enforced, because the
+#: scalar traversal was at parity or ahead there when it was deleted
+#: (commit 6ad1b35, 100 queries, scalar time / batch-of-one time: BK
+#: range 0.72, GH range 0.83, GH kNN 0.97, VP range 1.02).  A radius-1
+#: dictionary query meets ~50 strings per level, and the string
+#: kernels' per-call set-up cancels what vectorising so few saves.  The
+#: traversals went anyway: every other cell, and these at radius >= 2,
+#: are 1.5-10x faster as a batch of one.
+SCALAR_AT_PARITY = {
+    ("dictionary-levenshtein", "bktree", "range"),
+    ("dictionary-levenshtein", "ghtree", "range"),
+    ("dictionary-levenshtein", "ghtree", "knn"),
+    ("dictionary-levenshtein", "vptree", "range"),
+}
 
 
 def _timed(fn):
@@ -140,7 +171,7 @@ def _looped_seconds(run_one, queries, sample_size):
     return elapsed * len(queries) / len(sample)
 
 
-def _bench_index(name, factory, queries, radius, k, loop_sample):
+def _bench_index(name, factory, queries, radius, k, loop_sample, parent):
     index, t_build = _timed(factory)
 
     index.reset_stats()
@@ -173,6 +204,10 @@ def _bench_index(name, factory, queries, radius, k, loop_sample):
         "knn_looped_qps": round(n_queries / t_knn_loop, 1),
         "knn_speedup": round(t_knn_loop / t_knn_batch, 1),
     }
+    if parent is not None:
+        result["range_looped_qps_parent"], result["knn_looped_qps_parent"] = (
+            parent
+        )
     print(
         f"  {name:12s} build {t_build * 1e3:8.1f} ms | "
         f"range {result['range_looped_qps']:8.1f} -> "
@@ -207,7 +242,10 @@ def run_dictionary_workload(n, n_queries, loop_sample, rng):
         ),
     }
     results = [
-        _bench_index(name, factory, queries, 1, 10, loop_sample)
+        _bench_index(
+            name, factory, queries, 1, 10, loop_sample,
+            PARENT_LOOPED_QPS.get(("dictionary-levenshtein", name)),
+        )
         for name, factory in factories.items()
     ]
     return {"dataset": "dictionary-levenshtein", "n": n, "indexes": results}
@@ -231,10 +269,37 @@ def run_euclidean_workload(n, n_queries, loop_sample, rng):
         ),
     }
     results = [
-        _bench_index(name, factory, queries, 0.45, 10, loop_sample)
+        _bench_index(
+            name, factory, queries, 0.45, 10, loop_sample,
+            PARENT_LOOPED_QPS.get(("euclidean-8d", name)),
+        )
         for name, factory in factories.items()
     ]
     return {"dataset": "euclidean-8d", "n": n, "indexes": results}
+
+
+def _guard_failures(workloads):
+    """Rows of a full run that break what the bench guards."""
+    failures = []
+    for workload in workloads:
+        for row in workload["indexes"]:
+            cell = f"{workload['dataset']} {row['index']}"
+            for op in ("range", "knn"):
+                looped = row[f"{op}_looped_qps"]
+                if row[f"{op}_batched_qps"] < looped:
+                    failures.append(
+                        f"{cell} {op}: one batch call "
+                        f"{row[f'{op}_batched_qps']} q/s < looped {looped}"
+                    )
+                parent = row.get(f"{op}_looped_qps_parent")
+                if parent is None:
+                    continue
+                verdict = f"{cell} {op}: looped {looped} q/s vs parent {parent}"
+                if (workload["dataset"], row["index"], op) in SCALAR_AT_PARITY:
+                    print(f"  not enforced (scalar was at parity): {verdict}")
+                elif looped < parent:
+                    failures.append(verdict)
+    return failures
 
 
 def main(argv=None):
@@ -245,7 +310,7 @@ def main(argv=None):
         "--smoke",
         action="store_true",
         help="tiny sizes for CI: exercises every tree's batched build "
-        "and query paths, skips the speedup assertion, writes no JSON "
+        "and query paths, skips the throughput guards, writes no JSON "
         "unless --output is given",
     )
     parser.add_argument(
@@ -284,20 +349,14 @@ def main(argv=None):
         print(f"wrote {output}")
 
     if not args.smoke:
-        winners = [
-            r["index"]
-            for r in workloads[0]["indexes"]
-            if max(r["range_speedup"], r["knn_speedup"]) >= REQUIRED_SPEEDUP
-        ]
-        if len(winners) < REQUIRED_INDEXES:
-            print(
-                f"FAIL: only {winners} beat {REQUIRED_SPEEDUP}x on the "
-                f"dictionary workload (need {REQUIRED_INDEXES})"
-            )
+        failures = _guard_failures(workloads)
+        if failures:
+            print("FAIL:\n  " + "\n  ".join(failures))
             return 1
         print(
-            f"OK: {winners} hold >= {REQUIRED_SPEEDUP}x batched-query "
-            "speedup on the dictionary workload"
+            "OK: one batch call >= the single-query loop on every row; "
+            "BK/VP/GH looped q/s >= the deleted scalar traversals' on "
+            "every enforced cell"
         )
     return 0
 

@@ -733,7 +733,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         from repro.index.base import Index
 
         probe = index.shards[0] if sharded else index
-        if type(probe)._knn_approx_impl is Index._knn_approx_impl:
+        if type(probe)._knn_approx_batch_impl is Index._knn_approx_batch_impl:
             print(f"note: index {args.index!r} has no budgeted mode; "
                   "--budget is ignored and the search is exact",
                   file=sys.stderr)

@@ -1,34 +1,41 @@
 """Common index interface: exact range / kNN queries with cost accounting.
 
-Two query surfaces are exposed:
+Two query surfaces are exposed, and an index implements each operation
+on **one** of them:
 
 **Single-query** — :meth:`Index.range_query`, :meth:`Index.knn_query`, and
-:meth:`Index.knn_approx` answer one query at a time; subclasses implement
-``_range_impl`` / ``_knn_impl`` (and optionally ``_knn_approx_impl``).
+:meth:`Index.knn_approx` answer one query at a time, through the
+``_range_impl`` / ``_knn_impl`` hooks.
 
 **Batched** — :meth:`Index.range_batch`, :meth:`Index.knn_batch`, and
-:meth:`Index.knn_approx_batch` answer a whole query set in one call.  The
-generic fallbacks simply loop the single-query implementations, so every
-index supports the batch API out of the box; vectorized subclasses
-(:class:`~repro.index.linear.LinearScan`,
-:class:`~repro.index.distperm.DistPermIndex`,
-:class:`~repro.index.aesa.AESA`) override the ``_*_batch_impl`` hooks to
-amortize metric evaluations into a few
-:meth:`~repro.metrics.base.Metric.batch_distances` calls.  Batched calls
-are answer-for-answer identical to the single-query API — same neighbor
-sets, same ``(distance, index)`` tie-breaking — and keep
+:meth:`Index.knn_approx_batch` answer a whole query set in one call,
+through the ``_range_batch_impl`` / ``_knn_batch_impl`` /
+``_knn_approx_batch_impl`` hooks.
+
+The rule for subclasses: implement a hook only where you have a
+traversal; the other surface is derived.  A per-query hook defaults to
+the batch hook with one row, a batch hook defaults to looping the
+per-query hook, and ``_knn_approx_batch_impl`` defaults to the exact
+``_knn_batch_impl`` (budget ignored).  Every concrete subclass must
+define at least one hook of ``range`` and one of ``knn`` — checked when
+the class is created, so the two defaults can never call each other.
+Whichever side an index implements, both surfaces return the same
+neighbor sets with the same ``(distance, index)`` tie-breaking and keep
 :class:`SearchStats` accounting correct with one entry per query, so
 distance-evaluation costs reported by experiments do not depend on which
 surface drove the search.
 
-One caveat bounds that equivalence: vectorized metrics may compute a
-distance through a different floating-point formula than the scalar path
-(the Euclidean dot-product identity), so batched distances can differ in
-the last ulp.  Candidate *sets* and tie-breaking on equal computed
-distances are unaffected, but two distinct points at *exactly* equal true
-distance can resolve to either equidistant neighbor depending on the
-surface.  Discrete metrics (strings, trees, matrices) share one code path
-and are bit-identical.
+An index with one traversal answers a single query and a batch row from
+the same code, so the two surfaces agree bit for bit.  A last-ulp
+caveat remains only between *different* traversals — an index with
+vectorized kernels against the scalar :class:`~repro.index.linear.LinearScan`
+oracle, or the two hooks of an index that keeps both: vectorized metrics
+may compute a distance through a different floating-point formula than
+``metric.distance`` (the Euclidean dot-product identity).  Candidate
+*sets* and tie-breaking on equal computed distances are unaffected, but
+two distinct points at *exactly* equal true distance can resolve to
+either equidistant neighbor.  Discrete metrics (strings, trees, matrices)
+share one code path and are bit-identical.
 """
 
 from __future__ import annotations
@@ -182,11 +189,19 @@ class NeighborArrays:
 Budget = Union[None, int, np.ndarray]
 
 
-def _row_budget(budget: Budget, row: int) -> Optional[int]:
-    """The scalar budget for one query of a (possibly per-query) budget."""
-    if isinstance(budget, np.ndarray):
-        return int(budget[row])
-    return budget
+def _per_query_budgets(budget: np.ndarray, n_queries: int) -> np.ndarray:
+    """Validate a per-query budget array before any work is charged."""
+    if (
+        budget.shape != (n_queries,)
+        or budget.dtype.kind not in "iu"
+        or (budget < 0).any()
+    ):
+        raise ValueError(
+            "a per-query budget must be a nonnegative integer array with "
+            f"one entry per query (shape ({n_queries},)), got shape "
+            f"{budget.shape} dtype {budget.dtype}"
+        )
+    return budget.astype(np.int64, copy=False)
 
 
 @dataclass
@@ -226,12 +241,34 @@ class SearchStats:
 class Index(ABC):
     """Base class for proximity-search indexes.
 
-    Subclasses implement :meth:`_range_impl` and may override
-    :meth:`_knn_impl`; the public methods validate arguments and keep the
-    distance-evaluation accounts.  ``self.metric`` is a
-    :class:`~repro.metrics.base.CountingMetric` wrapping the supplied
-    metric, so every evaluation anywhere in the index is counted.
+    Subclasses implement :meth:`_build` and, per operation, the hook of
+    the surface they have a traversal for — ``_range_impl`` *or*
+    ``_range_batch_impl``, ``_knn_impl`` *or* ``_knn_batch_impl`` — and
+    inherit the other surface from the defaults below.  A budgeted index
+    also overrides ``_knn_approx_batch_impl``.  The public methods
+    validate arguments and keep the distance-evaluation accounts.
+    ``self.metric`` is a :class:`~repro.metrics.base.CountingMetric`
+    wrapping the supplied metric, so every evaluation anywhere in the
+    index is counted.
     """
+
+    #: (per-query hook, batch hook) of each exact operation: the two
+    #: defaults derive each from the other, so a concrete class must
+    #: override at least one of every pair.
+    _HOOK_PAIRS = (
+        ("_range_impl", "_range_batch_impl"),
+        ("_knn_impl", "_knn_batch_impl"),
+    )
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if getattr(cls._build, "__isabstractmethod__", False):
+            return  # still abstract: a later subclass supplies the hooks
+        for pair in Index._HOOK_PAIRS:
+            if all(getattr(cls, name) is getattr(Index, name) for name in pair):
+                raise TypeError(
+                    f"{cls.__name__} must override {pair[0]} or {pair[1]}"
+                )
 
     def __init__(self, points: Sequence[Any], metric: Metric):
         if len(points) == 0:
@@ -247,41 +284,18 @@ class Index(ABC):
     def _build(self) -> None:
         """Construct the index; metric evaluations are charged to build."""
 
-    @abstractmethod
+    # ------------------------------------------------------------------
+    # Implementation hooks.  Results need not be sorted (the public
+    # methods sort and cut); batch hooks return :class:`NeighborArrays`.
+    # ------------------------------------------------------------------
+
     def _range_impl(self, query: Any, radius: float) -> List[Neighbor]:
-        """Return all points within ``radius`` of ``query`` (inclusive)."""
+        """All points within ``radius`` of ``query`` (inclusive)."""
+        return self._range_batch_impl([query], radius).row_list(0)
 
     def _knn_impl(self, query: Any, k: int) -> List[Neighbor]:
-        """Default kNN: one infinite-radius range scan, sorted, cut at ``k``.
-
-        No radius shrinking happens here — the fallback evaluates every
-        candidate the range implementation visits at infinite radius.
-        Subclasses with real pruning (the tree indexes track the running
-        k-th distance level by level) override this.
-        """
-        results = self._range_impl(query, float("inf"))
-        results.sort()
-        return results[:k]
-
-    def _knn_approx_impl(
-        self, query: Any, k: int, budget: Optional[int]
-    ) -> List[Neighbor]:
-        """Default approximate kNN: exact search, ``budget`` ignored.
-
-        Budget-aware indexes (the permutation index) override this with a
-        real recall-versus-evaluations trade-off.
-        """
-        return self._knn_impl(query, k)
-
-    # ------------------------------------------------------------------
-    # Batched implementation hooks.  Each returns a
-    # :class:`NeighborArrays` (rows need not be sorted; the public
-    # methods sort and cut).  The fallbacks loop the single-query
-    # implementations; vectorized subclasses override them with
-    # column-native kernels.  A hook returning per-query ``Neighbor``
-    # lists is coerced at the boundary, so legacy overrides keep
-    # working.
-    # ------------------------------------------------------------------
+        """The ``k`` nearest points to ``query``."""
+        return self._knn_batch_impl([query], k).row_list(0)
 
     def _range_batch_impl(
         self, queries: Sequence[Any], radius: float
@@ -300,19 +314,12 @@ class Index(ABC):
     def _knn_approx_batch_impl(
         self, queries: Sequence[Any], k: int, budget: Budget
     ) -> NeighborArrays:
-        return NeighborArrays.from_lists(
-            [
-                self._knn_approx_impl(query, k, _row_budget(budget, q))
-                for q, query in enumerate(queries)
-            ]
-        )
+        """Default approximate kNN: exact search, ``budget`` ignored.
 
-    @staticmethod
-    def _as_arrays(result) -> NeighborArrays:
-        """Coerce a batch hook's return value to columns."""
-        if isinstance(result, NeighborArrays):
-            return result
-        return NeighborArrays.from_lists(result)
+        Budget-aware indexes (the permutation index) override this with a
+        real recall-versus-evaluations trade-off.
+        """
+        return self._knn_batch_impl(queries, k)
 
     # ------------------------------------------------------------------
     # Public single-query API.
@@ -349,15 +356,18 @@ class Index(ABC):
         """Return (approximately) the ``k`` nearest elements under a budget.
 
         ``budget`` caps the number of true distance evaluations spent on
-        candidates.  The base implementation is exact and ignores the
-        budget; indexes with a genuine approximate mode (the permutation
-        index) override :meth:`_knn_approx_impl`.
+        candidates.  An index without a budgeted mode answers exactly,
+        as :meth:`knn_query` does; one with a genuine approximate mode
+        (the permutation index) answers as a batch of one.
         """
+        if type(self)._knn_approx_batch_impl is Index._knn_approx_batch_impl:
+            return self.knn_query(query, k)
         if k < 1:
             raise ValueError("k must be >= 1")
         k = min(k, len(self.points))
         before = self.metric.count
-        results = sorted(self._knn_approx_impl(query, k, budget))[:k]
+        rows = self._knn_approx_batch_impl([query], k, budget)
+        results = sorted(rows.row_list(0))[:k]
         self.stats.query_distances += self.metric.count - before
         self.stats.queries += 1
         return results
@@ -375,9 +385,7 @@ class Index(ABC):
         if radius < 0:
             raise ValueError("radius must be nonnegative")
         before = self.metric.count
-        arrays = self._as_arrays(
-            self._range_batch_impl(queries, radius)
-        ).sorted_rows()
+        arrays = self._range_batch_impl(queries, radius).sorted_rows()
         self.stats.query_distances += self.metric.count - before
         self.stats.queries += arrays.n_queries
         return arrays
@@ -390,11 +398,7 @@ class Index(ABC):
             raise ValueError("k must be >= 1")
         k = min(k, len(self.points))
         before = self.metric.count
-        arrays = (
-            self._as_arrays(self._knn_batch_impl(queries, k))
-            .sorted_rows()
-            .trim(k)
-        )
+        arrays = self._knn_batch_impl(queries, k).sorted_rows().trim(k)
         self.stats.query_distances += self.metric.count - before
         self.stats.queries += arrays.n_queries
         return arrays
@@ -405,15 +409,18 @@ class Index(ABC):
         """Batched approximate kNN as columns under an evaluation budget.
 
         ``budget`` may be a scalar cap shared by every query or a
-        per-query int array (one entry per query); the sharded
-        global-footrule split drives the latter.
+        per-query int array (one nonnegative entry per query, else
+        ``ValueError``); the sharded global-footrule split drives the
+        latter.  Indexes without a budgeted mode ignore it either way.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
+        if isinstance(budget, np.ndarray):
+            budget = _per_query_budgets(budget, len(queries))
         k = min(k, len(self.points))
         before = self.metric.count
         arrays = (
-            self._as_arrays(self._knn_approx_batch_impl(queries, k, budget))
+            self._knn_approx_batch_impl(queries, k, budget)
             .sorted_rows()
             .trim(k)
         )

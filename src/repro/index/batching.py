@@ -4,8 +4,8 @@ The batched query path works on full query-to-database distance matrices:
 one :meth:`~repro.metrics.base.Metric.batch_distances` call per chunk of
 queries instead of one Python-level metric call per (query, point) pair.
 Top-k extraction uses ``np.argpartition`` with an explicit boundary-tie
-repair so that results are *identical* to the single-query API, which
-keeps the ``k`` smallest ``(distance, index)`` pairs lexicographically.
+repair so that results are *identical* to a scalar scan, which keeps the
+``k`` smallest ``(distance, index)`` pairs lexicographically.
 
 Chunking bounds peak memory: a chunk never materializes more than about
 ``_TARGET_CHUNK_ELEMENTS`` matrix entries, so a million-point database
@@ -18,7 +18,7 @@ evaluates such a frontier by grouping pairs on whichever side has fewer
 distinct members — one ``batch_distances`` call per group, so vectorized
 metric kernels fire while the evaluation count charged to
 :class:`~repro.metrics.base.CountingMetric` stays exactly one per pair,
-matching the scalar single-query traversal.  :class:`BatchKnnState`
+whatever else rides in the batch.  :class:`BatchKnnState`
 carries the per-query bounded heaps and pruning radii such a traversal
 maintains, with the same ``(-distance, -index)`` tie-breaking as
 :func:`scan_knn`.
@@ -109,8 +109,9 @@ def scan_knn(
     smallest ``(distance, index)`` pairs regardless of visit order, so
     ties break exactly as in the ``sorted(Neighbor)`` order of the public
     API.  ``indices`` restricts (and orders) the candidates scanned; the
-    default scans the whole database.  This is the single home of the
-    scalar scan idiom shared by the linear and permutation indexes.
+    default scans the whole database.  This is the scalar reference scan:
+    :class:`~repro.index.linear.LinearScan`'s oracle path, and what tests
+    replay a candidate list through.
     """
     heap: List[tuple] = []
     if indices is None:
@@ -302,8 +303,8 @@ def frontier_distances(
     points across every query; deep fragmented levels share each query
     across many nodes) and every group becomes one
     :meth:`~repro.metrics.base.Metric.batch_distances` call, so the
-    evaluation count stays exactly the number of pairs — the accounting
-    of the scalar single-query traversal — while vectorized kernels do
+    evaluation count stays exactly the number of pairs — a query is
+    charged the same alone or in any batch — while vectorized kernels do
     the work.
     """
     query_ids = np.asarray(query_ids, dtype=np.int64)
@@ -335,7 +336,7 @@ class BatchKnnState:
     a level, then prunes the next level with the post-level radii.  The
     heaps are the same ``(-distance, -index)`` bounded max-heaps as
     :func:`scan_knn`, so final contents are independent of offer order
-    and tie-break identically to the single-query path.
+    and tie-break identically to the scalar scan.
     """
 
     def __init__(self, n_queries: int, k: int):

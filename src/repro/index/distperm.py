@@ -20,13 +20,22 @@ layout.  Footrules stay in the narrowest unsigned dtype that holds
 ``out=`` buffer through candidate selection; the ``(n, k)`` row matrix
 exists only on demand (:attr:`permutations`).
 
-Search with permutations is *approximate*: candidates are visited in order
-of Spearman footrule between their stored permutation and the query's, and
-a budget caps how many true distances are evaluated.  ``knn_query`` /
-``range_query`` remain exact by evaluating every candidate (permutations
-admit no correct exclusion bound); the interesting trade-off is
-:meth:`knn_approx`'s recall-vs-budget curve, exercised by the search
-benchmark.
+Search with permutations is *approximate*: candidates are ranked by
+Spearman footrule between their stored permutation and the query's, and
+a budget caps how many true distances are evaluated — the ``budget``
+best-ranked candidates, so ``budget = n`` is the exact answer and smaller
+budgets trade recall for distance evaluations (the regime in which the
+permutation index competes with LAESA at a fraction of the storage).
+``knn_query`` / ``range_query`` remain exact by evaluating every
+candidate (permutations admit no correct exclusion bound); the
+interesting trade-off is :meth:`~repro.index.base.Index.knn_approx`'s
+recall-vs-budget curve, exercised by the search benchmark.
+
+There is one query path, the batched one: one ``to_sites`` call for the
+whole query set, a chunked footrule matrix, counting-based candidate
+selection, and one ``batch_distances`` call per query for verification.
+A single query is a batch of one row, so both surfaces return the same
+bits.
 
 This is also the measurement instrument for Tables 2 and 3:
 :meth:`unique_permutations` is the census the paper computes with
@@ -52,12 +61,11 @@ from repro.core.permutation import (
     workspace_buffer,
 )
 from repro.core.storage import MappedCodeStore, StorageReport, storage_report
-from repro.index.base import Budget, Index, Neighbor, NeighborArrays
+from repro.index.base import Budget, Index, NeighborArrays
 from repro.index.batching import (
     exhaustive_knn_batch,
     exhaustive_range_batch,
     query_chunks,
-    scan_knn,
     take_points,
 )
 from repro.index.pivots import select_pivots
@@ -396,11 +404,6 @@ class DistPermIndex(Index):
             )
         return out
 
-    def _footrule_row(self, query: Any) -> np.ndarray:
-        """One query's footrule to every stored permutation."""
-        query_perm = self.query_permutation(query)
-        return self._footrules_matrix(query_perm.reshape(1, -1))[0]
-
     def candidate_order(self, query: Any) -> np.ndarray:
         """Database indices ordered by footrule to the query's permutation.
 
@@ -409,59 +412,19 @@ class DistPermIndex(Index):
         first.  The stable sort runs on the narrow footrule dtype (a
         radix sort for one- and two-byte rows).
         """
-        return np.argsort(self._footrule_row(query), kind="stable")
-
-    def _range_impl(self, query: Any, radius: float) -> List[Neighbor]:
-        # Exact by exhaustive verification; the permutation order does not
-        # change the result set, only the (irrelevant) evaluation order.
-        results = []
-        for i, point in enumerate(self.points):
-            d = self.metric.distance(query, point)
-            if d <= radius:
-                results.append(Neighbor(d, i))
-        return results
-
-    def _knn_impl(self, query: Any, k: int) -> List[Neighbor]:
-        # Exact kNN must verify every candidate (permutations admit no
-        # exclusion bound), so the proximity-preserving order is
-        # irrelevant here: scan in index order without spending the k
-        # site evaluations a query permutation would cost.
-        return scan_knn(self.metric, query, self.points, k)
-
-    def knn_approx(
-        self, query: Any, k: int, budget: Optional[int] = None
-    ) -> List[Neighbor]:
-        """Approximate kNN: evaluate only ``budget`` best-ranked candidates.
-
-        With ``budget = n`` this equals the exact answer; smaller budgets
-        trade recall for distance evaluations — the regime in which the
-        permutation index competes with LAESA at a fraction of the storage.
-        """
-        return super().knn_approx(query, k, budget=budget)
+        footrules = self._footrules_matrix(
+            self.query_permutation(query).reshape(1, -1)
+        )[0]
+        return np.argsort(footrules, kind="stable")
 
     def _clamp_budget(self, k: int, budget: Optional[int]) -> int:
         n = len(self.points)
         return n if budget is None else max(k, min(budget, n))
 
-    def _knn_approx_impl(
-        self, query: Any, k: int, budget: Optional[int]
-    ) -> List[Neighbor]:
-        return self._scan_in_order(query, k, self._clamp_budget(k, budget))
-
-    def _scan_in_order(self, query: Any, k: int, budget: int) -> List[Neighbor]:
-        # scan_knn's heap breaks ties exactly as sorted(Neighbor) whatever
-        # the visit order, so the budget-limited and exact paths agree
-        # wherever their candidate *sets* do: select the set, skip the
-        # full sort candidate_order pays.
-        candidates = _budget_candidates(self._footrule_row(query), budget)
-        return scan_knn(self.metric, query, self.points, k,
-                        indices=candidates)
-
-    # ------------------------------------------------------------------
-    # Batched query path: one ``to_sites`` call for the whole query set,
-    # a chunked footrule matrix, argpartition-based candidate selection,
-    # and one ``batch_distances`` call per query for verification.
-    # ------------------------------------------------------------------
+    # Exact search must verify every candidate (permutations admit no
+    # exclusion bound), so the proximity-preserving order is irrelevant
+    # there: scan exhaustively without spending the k site evaluations a
+    # query permutation would cost.
 
     def _range_batch_impl(
         self, queries: Sequence[Any], radius: float
@@ -522,9 +485,7 @@ class DistPermIndex(Index):
             # Per-query budgets (the sharded global split): spent as
             # allocated — zero-budget rows stay empty, with no k floor,
             # so the global candidate total matches the requested budget.
-            row_budgets = np.minimum(
-                np.asarray(budget, dtype=np.int64), n
-            )
+            row_budgets = np.minimum(budget, n)
             if not row_budgets.any():
                 return NeighborArrays.empty(len(queries))
         else:

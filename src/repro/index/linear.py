@@ -32,6 +32,12 @@ class LinearScan(Index):
     def _build(self) -> None:
         pass  # nothing to precompute
 
+    # Both surfaces keep a traversal although the matrix path is faster
+    # even for one row: the scalar metric.distance loop below is the
+    # reference every exactness test compares the other indexes (and this
+    # class's own batch path) against, and a reference must not share
+    # kernels with what it checks.
+
     def _range_impl(self, query: Any, radius: float) -> List[Neighbor]:
         results = []
         for i, point in enumerate(self.points):

@@ -138,7 +138,14 @@ class ListOfClusters(Index):
 
     # ------------------------------------------------------------------
     # Single-query scan: the same cluster-by-cluster algorithm the
-    # batched path vectorizes, with scalar metric calls.
+    # batched path vectorizes, with scalar metric calls.  Both stay
+    # because each wins one side of a measured crossing
+    # (benchmarks/bench_batch.py --single): this scan is 5-14x faster at
+    # a batch of one — the batched scan sets up arrays for every cluster
+    # it passes, whatever the batch size — and the batched scan 2-7x
+    # faster at 256 rows, crossing between 8 and 64 rows (64 and 256 for
+    # dictionary range search).  The surface the caller used selects the
+    # path.
     # ------------------------------------------------------------------
 
     def _range_impl(self, query: Any, radius: float) -> List[Neighbor]:
@@ -297,9 +304,3 @@ class ListOfClusters(Index):
             eps = PRUNE_SAFETY * (1.0 + bounds)
             active = active[~(d_center + bounds < self._radii[c] - eps)]
         return state.results()
-
-    def _knn_approx_batch_impl(
-        self, queries: Sequence[Any], k: int, budget: Optional[int]
-    ) -> NeighborArrays:
-        # Exact search; the budget is ignored, as in the single-query path.
-        return self._knn_batch_impl(queries, k)

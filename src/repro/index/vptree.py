@@ -11,18 +11,19 @@ each node computes its whole split vector in one
 :meth:`~repro.metrics.base.Metric.batch_distances` call, so degenerate
 tie-heavy chains neither recurse past the interpreter limit nor pay a
 Python-level metric call per pair.  Queries run level-synchronously over
-an explicit ``(query, node)`` frontier; the batched implementations
-evaluate each level's frontier with a few grouped
-:func:`~repro.index.batching.frontier_distances` calls and apply the ball
-bounds vectorized, keeping answers and distance-evaluation counts
-identical to the single-query path.
+an explicit ``(query, node)`` frontier: each level's frontier is
+evaluated with a few grouped
+:func:`~repro.index.batching.frontier_distances` calls and the ball
+bounds apply vectorized.  This is the only traversal — a single query is
+a batch of one row — and a row's answer and evaluation count do not
+depend on the rest of the batch.
 
 kNN traversal is level-synchronous rather than best-first: the
 pruning radius converges once per level instead of once per node, so
-a single kNN query evaluates some 25-60% more distances than the
-classic bound-ordered descent did — the price of a batched traversal
-whose answers *and* evaluation counts are identical on both query
-surfaces.  Range queries visit the same node set either way.
+a kNN query evaluates some 25-60% more distances than the classic
+bound-ordered descent did — the price of a traversal whose every level
+is a handful of vectorized calls.  Range queries visit the same node set
+either way.
 """
 
 from __future__ import annotations
@@ -31,14 +32,11 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.index.base import Index, Neighbor, NeighborArrays
+from repro.index.base import Index, NeighborArrays
 from repro.index.batching import (
     PRUNE_SAFETY,
     BatchKnnState,
     frontier_distances,
-    heap_neighbors,
-    heap_radius,
-    offer,
     rows_from_pairs,
     take_points,
 )
@@ -111,68 +109,7 @@ class VPTree(Index):
         self._outside = np.asarray(outside, dtype=np.int64)
 
     # ------------------------------------------------------------------
-    # Single-query traversal: level-synchronous, scalar metric calls.
-    # ------------------------------------------------------------------
-
-    def _range_impl(self, query: Any, radius: float) -> List[Neighbor]:
-        results: List[Neighbor] = []
-        frontier = [0]
-        while frontier:
-            next_frontier: List[int] = []
-            for node in frontier:
-                d = self.metric.distance(
-                    query, self.points[self._vantage[node]]
-                )
-                if d <= radius:
-                    results.append(Neighbor(d, int(self._vantage[node])))
-                # Inside holds points with d(v, x) <= node radius:
-                # reachable only if d(q, v) - radius <= node radius;
-                # outside holds points with d(v, x) > node radius.  The
-                # stored radii come from the vectorized build, so the
-                # bounds carry PRUNE_SAFETY slack against ulp drift.
-                eps = PRUNE_SAFETY * (1.0 + radius)
-                if (
-                    self._inside[node] >= 0
-                    and d - radius <= self._radius[node] + eps
-                ):
-                    next_frontier.append(int(self._inside[node]))
-                if (
-                    self._outside[node] >= 0
-                    and d + radius > self._radius[node] - eps
-                ):
-                    next_frontier.append(int(self._outside[node]))
-            frontier = next_frontier
-        return results
-
-    def _knn_impl(self, query: Any, k: int) -> List[Neighbor]:
-        heap: List[tuple] = []
-        frontier = [0]
-        while frontier:
-            distances = [
-                self.metric.distance(query, self.points[self._vantage[node]])
-                for node in frontier
-            ]
-            for node, d in zip(frontier, distances):
-                offer(heap, k, d, int(self._vantage[node]))
-            r = heap_radius(heap, k)
-            eps = PRUNE_SAFETY * (1.0 + r)
-            next_frontier: List[int] = []
-            for node, d in zip(frontier, distances):
-                if (
-                    self._inside[node] >= 0
-                    and d - r <= self._radius[node] + eps
-                ):
-                    next_frontier.append(int(self._inside[node]))
-                if (
-                    self._outside[node] >= 0
-                    and d + r > self._radius[node] - eps
-                ):
-                    next_frontier.append(int(self._outside[node]))
-            frontier = next_frontier
-        return heap_neighbors(heap)
-
-    # ------------------------------------------------------------------
-    # Batched traversal.
+    # Traversal: level-synchronous over a (query, node) frontier.
     # ------------------------------------------------------------------
 
     def _surviving_children(
@@ -182,6 +119,11 @@ class VPTree(Index):
         distances: np.ndarray,
         bounds: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray]:
+        # Inside holds points with d(v, x) <= node radius: reachable
+        # only if d(q, v) - bound <= node radius; outside holds points
+        # with d(v, x) > node radius.  Ball radii are medians of a
+        # build-time distance row that the query-time kernel may not
+        # reproduce to the last ulp, hence the PRUNE_SAFETY slack.
         node_radius = self._radius[nodes]
         eps = PRUNE_SAFETY * (1.0 + bounds)
         inside_ok = (self._inside[nodes] >= 0) & (
@@ -247,9 +189,3 @@ class VPTree(Index):
                 query_ids, nodes, distances, state.radii[query_ids]
             )
         return state.results()
-
-    def _knn_approx_batch_impl(
-        self, queries: Sequence[Any], k: int, budget: Optional[int]
-    ) -> NeighborArrays:
-        # Exact search; the budget is ignored, as in the single-query path.
-        return self._knn_batch_impl(queries, k)
