@@ -5,12 +5,19 @@ and costs:
 
 - **mmap-vs-RAM throughput** — ``knn_approx`` batches against the same
   version-3 payload loaded both ways, across a size ladder.  Each
-  measurement runs in its own subprocess so ``ru_maxrss`` is the peak
-  RSS of exactly that configuration.
+  measurement runs in its own subprocess and reads its own ``VmHWM``,
+  the peak RSS of exactly that configuration (``ru_maxrss`` would be
+  floored by the parent's footprint at ``fork``).
 - **Bounded decoded residency** — every mmap measurement loads a
   dataset whose decoded code section is at least **4x** the decoded-
   block LRU budget and asserts the store's peak decoded residency
   stayed within the budget.
+- **What the LRU buys** — one more point at the largest size whose
+  decoded section *fits* the LRU, so the timed batch is served from
+  cache hits, next to the per-block cost of a miss (word-window unpack
+  + range check), of a hit (a dict lookup), and of the Lehmer unrank
+  into rank positions that follows either way: the LRU caches codes,
+  not positions, so a hit skips only the first of the two decode stages.
 - **Streaming census** — a disk-resident ASCII database censused chunk
   by chunk (:func:`repro.parallel.census.streaming_census`) must
   produce counts identical to the in-memory sharded census.
@@ -30,7 +37,6 @@ import hashlib
 import json
 import os
 import platform
-import resource
 import subprocess
 import sys
 import tempfile
@@ -38,10 +44,12 @@ import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path[:0] = [str(REPO_ROOT / "src"), str(REPO_ROOT)]
 
 import numpy as np  # noqa: E402
 
+from benchmarks.e2e.machine import peak_rss_mb  # noqa: E402
+from repro.core.permutation import decode_positions  # noqa: E402
 from repro.datasets.io import iter_vector_chunks, save_vectors  # noqa: E402
 from repro.index import DistPermIndex  # noqa: E402
 from repro.index.serialize import load_distperm, save_distperm  # noqa: E402
@@ -53,6 +61,8 @@ DIM = 8
 KNN = 10
 BUDGET = 200
 N_QUERIES = 64
+#: Timed batch calls per measurement (after one warm-up); the median counts.
+TIMED_CALLS = 15
 SEED = 20080408
 #: Decoded code section must be at least this multiple of the LRU budget.
 RESIDENCY_FACTOR = 4
@@ -82,12 +92,53 @@ def _build_payload(points: np.ndarray, path: Path) -> None:
     save_distperm(path, index)
 
 
+def _ratio(a, b):
+    return round(a / b, 3) if a and b else None
+
+
 def _queries(rng: np.random.Generator) -> np.ndarray:
     return rng.random((N_QUERIES, DIM))
 
 
+def _median_us(fn, items) -> float:
+    times = []
+    for item in items:
+        start = time.perf_counter()
+        fn(item)
+        times.append(time.perf_counter() - start)
+    return round(float(np.median(times)) * 1e6, 2)
+
+
+def _block_costs(store) -> dict:
+    """Median per-block cost of an LRU miss, of a hit, and of the unrank
+    into rank positions that a query pays after either."""
+    blocks = range(store.n_blocks)
+    store.clear_cache()
+    miss_us = _median_us(store.codes_block, blocks)
+    hit_us = _median_us(store.codes_block, blocks)
+    unrank_us = _median_us(
+        lambda codes: decode_positions(codes, store.k),
+        [store.codes_block(block) for block in blocks],
+    )
+    per_code = 1e3 / min(store.block_elements, store.count)
+    return {
+        "block_elements": store.block_elements,
+        "miss_us_per_block": miss_us,
+        "hit_us_per_block": hit_us,
+        "unrank_us_per_block": unrank_us,
+        "miss_ns_per_code": round(miss_us * per_code, 2),
+        "hit_ns_per_code": round(hit_us * per_code, 3),
+        "unrank_ns_per_code": round(unrank_us * per_code, 2),
+    }
+
+
 def _measure_inprocess(points, payload, backing, cache_bytes):
-    """Load ``payload`` under ``backing``, query it, and report."""
+    """Load ``payload`` under ``backing``, query it, and report.
+
+    A ``cache_bytes`` that holds the whole decoded section marks the
+    cache-fit point: the eviction guard is replaced by a hits guard and
+    the per-block costs are probed.
+    """
     kwargs = {}
     if backing == "mmap":
         kwargs = {"backing": "mmap", "cache_bytes": cache_bytes}
@@ -95,15 +146,19 @@ def _measure_inprocess(points, payload, backing, cache_bytes):
     try:
         queries = _queries(np.random.default_rng(SEED + 1))
         index.knn_approx_batch_arrays(queries, KNN, budget=BUDGET)  # warm
-        start = time.perf_counter()
-        arrays = index.knn_approx_batch_arrays(queries, KNN, budget=BUDGET)
-        elapsed = time.perf_counter() - start
+        times = []
+        for _ in range(TIMED_CALLS):
+            start = time.perf_counter()
+            arrays = index.knn_approx_batch_arrays(queries, KNN, budget=BUDGET)
+            times.append(time.perf_counter() - start)
+        elapsed = float(np.median(times))
         result = {
             "backing": backing,
             "elapsed_s": round(elapsed, 6),
+            "timed_calls": TIMED_CALLS,
             "qps": round(N_QUERIES / elapsed, 2) if elapsed > 0 else None,
             "digest": _digest(arrays),
-            "ru_maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+            "peak_rss_kb": round(peak_rss_mb(os.getpid()) * 1024),
         }
         store = getattr(index, "code_store", None)
         if store is not None:
@@ -117,7 +172,14 @@ def _measure_inprocess(points, payload, backing, cache_bytes):
                     f"peak decoded residency {store.peak_cache_bytes} "
                     f"exceeds the {store.cache_bytes}-byte budget"
                 )
-            if store.decoded_bytes_total() < RESIDENCY_FACTOR * cache_bytes:
+            if store.decoded_bytes_total() <= cache_bytes:
+                if store.cache_hits < store.n_blocks:
+                    raise AssertionError(
+                        f"a fitting cache served {store.cache_hits} hits "
+                        f"over {store.n_blocks} blocks"
+                    )
+                result["block_costs"] = _block_costs(store)
+            elif store.decoded_bytes_total() < RESIDENCY_FACTOR * cache_bytes:
                 raise AssertionError(
                     f"decoded section {store.decoded_bytes_total()}B is "
                     f"not >= {RESIDENCY_FACTOR}x the {cache_bytes}B budget "
@@ -169,15 +231,13 @@ def bench_throughput_curve(sizes, workdir, *, subprocesses):
         _build_payload(points, payload)
         cache_bytes = _cache_budget(n)
         if subprocesses:
-            points_path = workdir / f"points-{n}.npy"
-            np.save(points_path, points)
-            ram = _measure_subprocess(points_path, payload, "ram", cache_bytes)
-            mapped = _measure_subprocess(
-                points_path, payload, "mmap", cache_bytes
-            )
+            source = workdir / f"points-{n}.npy"
+            np.save(source, points)
+            measure = _measure_subprocess
         else:
-            ram = _measure_inprocess(points, payload, "ram", cache_bytes)
-            mapped = _measure_inprocess(points, payload, "mmap", cache_bytes)
+            source, measure = points, _measure_inprocess
+        ram = measure(source, payload, "ram", cache_bytes)
+        mapped = measure(source, payload, "mmap", cache_bytes)
         if mapped["digest"] != ram["digest"]:
             raise AssertionError(
                 f"n={n}: mmap answers diverge from the RAM path"
@@ -189,12 +249,24 @@ def bench_throughput_curve(sizes, workdir, *, subprocesses):
             "answers_identical": True,
             "ram": ram,
             "mmap": mapped,
-            "mmap_vs_ram_qps": (
-                round(mapped["qps"] / ram["qps"], 3)
-                if ram["qps"] and mapped["qps"] else None
-            ),
+            "mmap_vs_ram_qps": _ratio(mapped["qps"], ram["qps"]),
         })
-    return curve
+    # The cache-fit point: the largest payload again, LRU as large as
+    # its decoded section, against the two measurements just taken.
+    fitted = measure(source, payload, "mmap", n * 8)
+    if fitted["digest"] != ram["digest"]:
+        raise AssertionError(
+            f"n={n}: cache-fit mmap answers diverge from the RAM path"
+        )
+    cache_fit = {
+        "n": n,
+        "cache_bytes": n * 8,
+        "answers_identical": True,
+        "mmap": fitted,
+        "fit_vs_ram_qps": _ratio(fitted["qps"], ram["qps"]),
+        "fit_vs_evicting_qps": _ratio(fitted["qps"], mapped["qps"]),
+    }
+    return curve, cache_fit
 
 
 def bench_streaming_census(n, workdir):
@@ -263,7 +335,7 @@ def main(argv=None):
     try:
         with tempfile.TemporaryDirectory(prefix="bench-outofcore-") as tmp:
             workdir = Path(tmp)
-            curve = bench_throughput_curve(
+            curve, cache_fit = bench_throughput_curve(
                 sizes, workdir, subprocesses=not args.smoke
             )
             census = bench_streaming_census(census_n, workdir)
@@ -286,6 +358,7 @@ def main(argv=None):
         "budget": BUDGET,
         "residency_factor": RESIDENCY_FACTOR,
         "throughput_curve": curve,
+        "cache_fit": cache_fit,
         "streaming_census": census,
     }
     output = args.output
@@ -299,12 +372,22 @@ def main(argv=None):
         mapped = point["mmap"]
         print(
             f"n={point['n']}: ram {point['ram']['qps']} q/s "
-            f"(rss {point['ram']['ru_maxrss_kb']} KiB) | "
+            f"(rss {point['ram']['peak_rss_kb']} KiB) | "
             f"mmap {mapped['qps']} q/s "
-            f"(rss {mapped['ru_maxrss_kb']} KiB, decoded peak "
+            f"(rss {mapped['peak_rss_kb']} KiB, decoded peak "
             f"{mapped['peak_cache_bytes']}/{mapped['cache_bytes']} B), "
             f"answers identical"
         )
+    fitted, costs = cache_fit["mmap"], cache_fit["mmap"]["block_costs"]
+    print(
+        f"cache fits, n={cache_fit['n']}: mmap {fitted['qps']} q/s "
+        f"({fitted['cache_hits']} hits / {fitted['cache_misses']} misses; "
+        f"{cache_fit['fit_vs_evicting_qps']}x the evicting run, "
+        f"{cache_fit['fit_vs_ram_qps']}x RAM); per {costs['block_elements']}"
+        f"-code block: miss {costs['miss_us_per_block']} us, hit "
+        f"{costs['hit_us_per_block']} us, unrank after either "
+        f"{costs['unrank_us_per_block']} us"
+    )
     print(
         f"census n={census['n']}: streamed {census['streamed_s']}s vs "
         f"in-memory {census['inmemory_s']}s, counts identical"

@@ -942,7 +942,9 @@ def _cmd_bench_serve(args: argparse.Namespace) -> int:
         if payload["p50_s"] is not None:
             print(f"latency: p50 {payload['p50_s'] * 1e3:.2f} ms, "
                   f"p99 {payload['p99_s'] * 1e3:.2f} ms, "
-                  f"p999 {payload['p999_s'] * 1e3:.2f} ms")
+                  f"p999 {payload['p999_s'] * 1e3:.2f} ms "
+                  f"(from each request's due time; generator lateness "
+                  f"p99 {payload['lateness_p99_s'] * 1e3:.2f} ms)")
     return 0
 
 

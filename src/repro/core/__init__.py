@@ -57,6 +57,7 @@ from repro.core.permutation import (
     MAX_CODE_SITES,
     count_distinct_permutations,
     decode_permutations,
+    decode_positions,
     distance_permutation,
     distance_permutations,
     distinct_permutations,
@@ -98,6 +99,7 @@ __all__ = [
     "StorageReport",
     "StreamingCensus",
     "decode_permutations",
+    "decode_positions",
     "encode_permutations",
     "permutation_code_dtype",
     "prefix_permutation_codes",

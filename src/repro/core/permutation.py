@@ -41,6 +41,7 @@ __all__ = [
     "distinct_permutations",
     "encode_permutations",
     "decode_permutations",
+    "decode_positions",
     "permutation_code_dtype",
     "compact_position_dtype",
     "compact_footrule_dtype",
@@ -240,6 +241,71 @@ def encode_permutations(
     return codes
 
 
+def _checked_codes(codes: np.ndarray, k: int) -> np.ndarray:
+    """``codes`` as a 1-d array, validated against ``0 .. k!-1``.
+
+    Shared front door of :func:`decode_permutations` and
+    :func:`decode_positions`: fixed-width codes cannot span
+    ``k > MAX_CODE_SITES``, nothing is negative, nothing reaches ``k!``.
+    """
+    codes = np.asarray(codes)
+    if codes.ndim != 1:
+        raise ValueError(f"expected a 1-d code array, got shape {codes.shape}")
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    top = math.factorial(k)
+    if codes.dtype == np.dtype(object):
+        if any(not 0 <= c < top for c in codes):
+            raise ValueError(f"object codes out of range for k={k}")
+        return codes
+    if k > MAX_CODE_SITES:
+        raise ValueError(
+            f"fixed-width codes cannot span k={k} > {MAX_CODE_SITES} "
+            f"(pass an object array of Python ints)"
+        )
+    if codes.shape[0]:
+        if np.issubdtype(codes.dtype, np.signedinteger) and codes.min() < 0:
+            raise ValueError("codes must be nonnegative")
+        if int(codes.max()) >= top:
+            raise ValueError(f"code {int(codes.max())} out of range for k={k}")
+    return codes
+
+
+def _unrank_rows(codes: np.ndarray, k: int) -> np.ndarray:
+    """Lehmer unrank of fixed-width ``codes`` as a ``(k, n)`` ``uint8`` matrix.
+
+    Row ``r`` holds, for every code, the site at rank ``r`` — the
+    transpose of :func:`decode_permutations`' result, one contiguous byte
+    row per rank.  Factorial-base digits come from a scalar
+    ``floor_divide`` and a multiply-subtract in the narrowest word holding
+    ``k!`` (``uint32`` through ``k = 12``, ``uint64`` through 20); the
+    right-to-left unrank is ``k - 1`` byte-wide passes over the rows
+    below the current one.  ``codes`` must already be range-checked and
+    ``1 <= k <= MAX_CODE_SITES``.
+    """
+    n = codes.shape[0]
+    word = np.uint32 if k <= 12 else np.uint64
+    rem = codes.astype(word)
+    quotient = np.empty(n, dtype=word)
+    rows = np.empty((k, n), dtype=np.uint8)
+    for i in range(k - 1):
+        radix = word(math.factorial(k - 1 - i))
+        np.floor_divide(rem, radix, out=quotient)
+        rows[i] = quotient
+        quotient *= radix
+        rem -= quotient
+    rows[k - 1] = 0
+    # Lehmer digits -> permutation: walking right to left, every later
+    # value >= the current digit shifts up by one (the vacated slot).
+    bump = np.empty((k - 1, n), dtype=np.bool_)
+    for i in range(k - 2, -1, -1):
+        tail = rows[i + 1 :]
+        shifted = bump[i:]
+        np.greater_equal(tail, rows[i], out=shifted)
+        np.add(tail, shifted.view(np.uint8), out=tail)
+    return rows
+
+
 def decode_permutations(codes: np.ndarray, k: int) -> np.ndarray:
     """Batch Lehmer unrank: the ``(n, k)`` matrix behind a code array.
 
@@ -250,53 +316,73 @@ def decode_permutations(codes: np.ndarray, k: int) -> np.ndarray:
     an ``object`` array: a ``uint64`` (or any fixed-width) array cannot
     represent every rank at such widths, so feeding one raises
     ``ValueError`` rather than decoding a silently truncated code space.
+    Fixed-width codes go through the narrow kernel :func:`decode_positions`
+    shares (:func:`_unrank_rows`) and are widened to ``int64`` on the way
+    out.
     """
-    codes = np.asarray(codes)
-    if codes.ndim != 1:
-        raise ValueError(f"expected a 1-d code array, got shape {codes.shape}")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    codes = _checked_codes(codes, k)
     n = codes.shape[0]
-    use_uint64 = codes.dtype != np.dtype(object)
-    if use_uint64 and k > MAX_CODE_SITES:
-        raise ValueError(
-            f"fixed-width codes cannot span k={k} > {MAX_CODE_SITES} "
-            f"(pass an object array of Python ints)"
-        )
-    if k == 0:
-        if n and codes.max() != 0:
-            raise ValueError("the empty permutation has code 0")
-        return np.empty((n, 0), dtype=np.int64)
-    if n == 0:
-        return np.empty((0, k), dtype=np.int64)
-    if use_uint64:
-        if np.issubdtype(codes.dtype, np.signedinteger) and codes.min() < 0:
-            raise ValueError("codes must be nonnegative")
-        rem = codes.astype(np.uint64)
-        top = math.factorial(k)
-        if top <= np.iinfo(np.uint64).max and int(rem.max()) >= top:
-            raise ValueError(f"code {int(rem.max())} out of range for k={k}")
-        digits = np.empty((n, k), dtype=np.int64)
-        for i in range(k):
-            quotient = np.uint64(math.factorial(k - 1 - i))
-            digits[:, i] = rem // quotient
-            rem = rem % quotient
-    else:
-        rem = codes.astype(object)
-        if any(not 0 <= c < math.factorial(k) for c in rem):
-            raise ValueError(f"object codes out of range for k={k}")
-        digits = np.empty((n, k), dtype=np.int64)
-        for i in range(k):
-            quotient = math.factorial(k - 1 - i)
-            digits[:, i] = (rem // quotient).astype(np.int64)
-            rem = rem % quotient
-    # Lehmer digits -> permutation: walking right to left, every later
-    # value >= the current digit shifts up by one (the vacated slot).
-    perms = digits
+    if n == 0 or k == 0:
+        return np.empty((n, k), dtype=np.int64)
+    if codes.dtype != np.dtype(object):
+        return _unrank_rows(codes, k).T.astype(np.int64, order="C")
+    rem = codes
+    perms = np.empty((n, k), dtype=np.int64)
+    for i in range(k):
+        quotient = math.factorial(k - 1 - i)
+        perms[:, i] = (rem // quotient).astype(np.int64)
+        rem = rem % quotient
     for i in range(k - 2, -1, -1):
         tail = perms[:, i + 1 :]
         tail += tail >= perms[:, i : i + 1]
     return perms
+
+
+def decode_positions(
+    codes: np.ndarray, k: int, *, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Rank positions straight from codes: ``pos[i, site] = rank``.
+
+    Equal to ``permutation_positions(decode_permutations(codes, k))`` with
+    the same range errors, but for fixed-width codes nothing ``(n, k)``
+    and wide is built on the way: the byte rows of :func:`_unrank_rows`
+    are inverted by one flat scatter per rank into the layout
+    :func:`footrule_matrix_batch` consumes in place.
+
+    **Layout contract.**  The result is ``(n, k)`` and *column-major*:
+    ``result.T`` is a C-contiguous ``(k, n)`` matrix whose row ``s`` is
+    site ``s``'s rank in every decoded permutation.  Without ``out`` it
+    is allocated in :func:`compact_position_dtype`.  ``out`` must have
+    shape ``(n, k)``, an integer dtype holding ``k - 1`` and that same
+    column-major layout (``out.T.flags.c_contiguous``) — a C-ordered or
+    strided target raises ``ValueError`` instead of being filled through
+    a hidden copy.
+    """
+    codes = _checked_codes(codes, k)
+    n = codes.shape[0]
+    if out is None:
+        out = np.empty((k, n), dtype=compact_position_dtype(k)).T
+    elif out.shape != (n, k):
+        raise ValueError(f"out has shape {out.shape}, expected {(n, k)}")
+    elif not _integer_dtype_holds(out.dtype, k - 1):
+        raise ValueError(f"out dtype {out.dtype} cannot hold ranks below {k}")
+    elif not out.T.flags.c_contiguous:
+        raise ValueError(
+            "out must be column-major: out.T a C-contiguous (k, n) matrix"
+        )
+    if n == 0 or k == 0:
+        return out
+    if codes.dtype == np.dtype(object):
+        return permutation_positions(decode_permutations(codes, k), out=out)
+    # Rank r of code i lands at flat offset site * n + i of the (k, n)
+    # column matrix.
+    target = out.T.reshape(-1)
+    offsets = _unrank_rows(codes, k).astype(np.intp)
+    offsets *= n
+    offsets += np.arange(n)
+    for rank in range(k):
+        target[offsets[rank]] = rank
+    return out
 
 
 def prefix_permutation_codes(

@@ -26,9 +26,11 @@ from typing import Iterator, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.core.bitpack import bits_for_count, unpack_ids
 from repro.core.counting import euclidean_permutation_count
 
 __all__ = [
+    "PayloadCorruptError",
     "bits_for_count",
     "bits_full_permutation",
     "bits_laesa_element",
@@ -37,15 +39,6 @@ __all__ = [
     "storage_report",
     "MappedCodeStore",
 ]
-
-
-def bits_for_count(count: int) -> int:
-    """Bits needed to index one of ``count`` distinct values."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if count == 1:
-        return 0
-    return math.ceil(math.log2(count))
 
 
 def bits_full_permutation(k: int) -> int:
@@ -126,6 +119,34 @@ def storage_report(n: int, k: int, realized_permutations: int) -> StorageReport:
     )
 
 
+class PayloadCorruptError(ValueError):
+    """A saved payload failed decode validation: bit rot, truncation, or
+    a wrong-width pack.
+
+    ``shard`` names the payload's shard key (``"s3"``; ``None`` for an
+    unsharded payload) and ``byte_offset`` locates the damage inside the
+    shard's packed code stream: the first byte whose decoded code failed
+    validation for a bit flip, the (short) buffer length for a
+    truncation, and 0 for a header-level mismatch such as a wrong pack
+    width.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        *,
+        shard: Optional[str] = None,
+        byte_offset: int = 0,
+    ):
+        where = shard if shard is not None else "unsharded payload"
+        super().__init__(
+            f"corrupt payload [{where}, byte offset {byte_offset}]: "
+            f"{message}"
+        )
+        self.shard = shard
+        self.byte_offset = byte_offset
+
+
 class MappedCodeStore:
     """Lazily decoded view of a bit-packed code section on disk.
 
@@ -134,9 +155,17 @@ class MappedCodeStore:
     page-aligned by the writer) and decodes them on demand in fixed-size
     blocks of ``block_elements`` codes each.  Decoded uint64 blocks live
     in an LRU capped at ``cache_bytes``: eviction happens *before* insert,
-    so peak decoded residency never exceeds the budget plus one block.
+    so peak decoded residency never exceeds the budget.
 
-    Corrupt pages surface as :class:`~repro.index.serialize.PayloadCorruptError`
+    A miss is one :func:`~repro.core.bitpack.unpack_ids` call on the
+    block's slice of the map — read in place, no intermediate copy — plus
+    a range check against ``k!``.  The LRU holds *codes*: turning them
+    into rank positions (:func:`~repro.core.permutation.decode_positions`)
+    is the caller's per-scan work whether the block was a hit or a miss,
+    which is why :class:`~repro.index.distperm.DistPermIndex` walks
+    :meth:`iter_blocks` once per query batch rather than once per query.
+
+    Corrupt pages surface as :class:`PayloadCorruptError`
     with the same shard / byte-offset contract as the eager v2 loader:
     a short section raises at construction, and a block whose codes decode
     outside ``[0, k!)`` raises on first touch.
@@ -184,8 +213,6 @@ class MappedCodeStore:
         file_size = os.stat(self.path).st_size
         available = max(0, min(int(nbytes), file_size - self.offset))
         if available < needed:
-            from repro.index.serialize import PayloadCorruptError
-
             raise PayloadCorruptError(
                 f"packed code stream truncated (have {available} bytes, "
                 f"need {needed})",
@@ -242,28 +269,23 @@ class MappedCodeStore:
         start, stop = self.block_range(block)
         first_byte = start * self.bit_width // 8
         last_byte = (stop * self.bit_width + 7) // 8
-        chunk = self._packed[first_byte:last_byte]
-
-        from repro.core.bitpack import unpack_ids
-        from repro.index.serialize import PayloadCorruptError
-
         try:
-            codes = unpack_ids(chunk.tobytes(), self.bit_width, stop - start)
+            codes = unpack_ids(
+                self._packed[first_byte:last_byte], self.bit_width, stop - start
+            )
         except ValueError as exc:  # pragma: no cover - guarded at __init__
             raise PayloadCorruptError(
                 f"packed code stream truncated ({exc})",
                 shard=self.shard,
                 byte_offset=last_byte,
             ) from exc
-        if self._max_code is not None:
-            bad = np.nonzero(codes >= self._max_code)[0]
-            if bad.size:
-                element = start + int(bad[0])
-                raise PayloadCorruptError(
-                    f"element {element} decodes outside [0, {self.k}!)",
-                    shard=self.shard,
-                    byte_offset=element * self.bit_width // 8,
-                )
+        if self._max_code is not None and codes.max() >= self._max_code:
+            element = start + int(np.argmax(codes >= self._max_code))
+            raise PayloadCorruptError(
+                f"element {element} decodes outside [0, {self.k}!)",
+                shard=self.shard,
+                byte_offset=element * self.bit_width // 8,
+            )
         codes.setflags(write=False)
 
         new_bytes = codes.nbytes

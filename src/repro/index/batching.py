@@ -8,8 +8,11 @@ repair so that results are *identical* to a scalar scan, which keeps the
 ``k`` smallest ``(distance, index)`` pairs lexicographically.
 
 Chunking bounds peak memory: a chunk never materializes more than about
-``_TARGET_CHUNK_ELEMENTS`` matrix entries, so a million-point database
-queried with a hundred thousand queries still runs in bounded space.
+``_TARGET_CHUNK_BYTES`` of query-by-point matrix, so a million-point
+database queried with a hundred thousand queries still runs in bounded
+space.  The budget is in bytes, so a caller whose matrix is narrower than
+``float64`` (the ``uint8`` footrule matrix of the permutation index) gets
+proportionally more rows per chunk for the same memory.
 
 The tree indexes (BK, VP, GH, List of Clusters) have a different shape of
 batch work: a *sparse frontier* of surviving (query, vantage) pairs per
@@ -129,16 +132,22 @@ def scan_knn(
 #: ever admits extra candidates; results stay exact.
 PRUNE_SAFETY = 1e-9
 
-#: Upper bound on the number of distance-matrix entries materialized per
-#: chunk of queries (~32 MB of float64 at the default).
-_TARGET_CHUNK_ELEMENTS = 4_194_304
+#: Upper bound on the bytes of query-by-point matrix materialized per
+#: chunk of queries: 32 MiB, i.e. 4 Mi ``float64`` distances.
+_TARGET_CHUNK_BYTES = 1 << 25
 
 
 def query_chunks(
-    n_queries: int, n_points: int
+    n_queries: int, n_points: int, itemsize: int = 8
 ) -> Iterator[Tuple[int, int]]:
-    """Yield ``(start, stop)`` query ranges bounding matrix-chunk memory."""
-    rows = max(1, _TARGET_CHUNK_ELEMENTS // max(1, n_points))
+    """Yield ``(start, stop)`` query ranges bounding matrix-chunk memory.
+
+    A chunk's ``rows x n_points`` matrix of ``itemsize``-byte entries
+    stays within ``_TARGET_CHUNK_BYTES`` (one row at least).  The default
+    ``itemsize`` is a ``float64`` distance; pass the matrix dtype's own
+    when it is narrower.
+    """
+    rows = max(1, _TARGET_CHUNK_BYTES // (max(1, n_points) * itemsize))
     for start in range(0, n_queries, rows):
         yield start, min(start + rows, n_queries)
 

@@ -35,7 +35,15 @@ There is one query path, the batched one: one ``to_sites`` call for the
 whole query set, a chunked footrule matrix, counting-based candidate
 selection, and one ``batch_distances`` call per query for verification.
 A single query is a batch of one row, so both surfaces return the same
-bits.
+bits.  Chunks are sized in bytes of the footrule matrix (32 MiB, see
+:func:`~repro.index.batching.query_chunks`), so at one byte per entry a
+chunk is 167 queries against 200k points.  That matters most with
+``backing="mmap"``, where the stored codes stay bit-packed on disk and
+every chunk walks the mapped blocks once — unpack, Lehmer-unrank into a
+reused column-major positions block
+(:func:`~repro.core.permutation.decode_positions`), score all of the
+chunk's queries against it — so the decode cost is per block per chunk,
+not per query.
 
 This is also the measurement instrument for Tables 2 and 3:
 :meth:`unique_permutations` is the census the paper computes with
@@ -54,6 +62,7 @@ from repro.core.permutation import (
     compact_footrule_dtype,
     compact_position_dtype,
     decode_permutations,
+    decode_positions,
     encode_permutations,
     footrule_matrix_batch,
     permutation_positions,
@@ -74,19 +83,14 @@ from repro.metrics.base import Metric
 __all__ = ["DistPermIndex"]
 
 
-def _column_major_positions(
-    perms: np.ndarray, workspace: Optional[dict] = None
-) -> np.ndarray:
+def _column_major_positions(perms: np.ndarray) -> np.ndarray:
     """Compact rank positions of ``perms``, each site's column contiguous.
 
     The layout ``footrule_matrix_batch`` consumes without copying:
-    ``(n, k)`` in :func:`compact_position_dtype`, column-major.  With a
-    ``workspace`` the block is scratch (the mmap loop's per-block target).
+    ``(n, k)`` in :func:`compact_position_dtype`, column-major.
     """
     n, k = perms.shape
-    columns = workspace_buffer(
-        workspace, "positions", (k, n), compact_position_dtype(k)
-    )
+    columns = np.empty((k, n), dtype=compact_position_dtype(k))
     return permutation_positions(perms, out=columns.T)
 
 
@@ -371,10 +375,15 @@ class DistPermIndex(Index):
         resident column-major rank positions to ``footrule_matrix_batch``
         in one call.  With mmap backing, the matrix is assembled
         column-block by column-block over the mapped code store — each
-        block is decoded (through the LRU), inverted to column-major
-        positions, and scored straight into its output columns.  Footrule
-        is per-column-independent integer math, so the assembled matrix
-        is byte-identical to the one-shot RAM result.
+        block's codes come out of the store once per call (through the
+        LRU), ``decode_positions`` unranks them straight into a reused
+        column-major workspace block, and the kernel scores that block
+        against *every* query row into its output columns.  So a block
+        is decoded once per chunk of :meth:`_query_chunks`, which at the
+        footrule dtype's byte width is once per batch of up to
+        ``32 MiB / n`` queries.  Footrule is per-column-independent
+        integer math, so the assembled matrix is byte-identical to the
+        one-shot RAM result.
         """
         workspace = self._footrule_workspace
         k = self.n_sites
@@ -393,16 +402,31 @@ class DistPermIndex(Index):
                 out=out,
             )
         for start, stop, codes in self._code_store.iter_blocks():
+            columns = workspace_buffer(
+                workspace,
+                "positions",
+                (k, stop - start),
+                compact_position_dtype(k),
+            )
             footrule_matrix_batch(
                 None,
                 query_perms,
-                positions=_column_major_positions(
-                    decode_permutations(codes, k), workspace
-                ),
+                positions=decode_positions(codes, k, out=columns.T),
                 workspace=workspace,
                 out=out[:, start:stop],
             )
         return out
+
+    def _query_chunks(self, n_queries: int):
+        """Query ranges whose footrule matrix stays within the chunk
+        budget of :func:`~repro.index.batching.query_chunks`, counted at
+        the footrule dtype's width (one byte per entry through ``k = 22``).
+        """
+        return query_chunks(
+            n_queries,
+            len(self.points),
+            compact_footrule_dtype(self.n_sites).itemsize,
+        )
 
     def candidate_order(self, query: Any) -> np.ndarray:
         """Database indices ordered by footrule to the query's permutation.
@@ -463,7 +487,7 @@ class DistPermIndex(Index):
         if limit == 0 or len(queries) == 0:
             return out
         query_perms = self.query_permutations(queries)
-        for start, stop in query_chunks(len(queries), n):
+        for start, stop in self._query_chunks(len(queries)):
             footrules = self._footrules_matrix(query_perms[start:stop])
             means = footrules.mean(axis=1, keepdims=True)
             if limit >= n:
@@ -496,7 +520,7 @@ class DistPermIndex(Index):
         counts = np.zeros(len(queries), dtype=np.int64)
         # Chunking bounds the (queries x n) footrule matrix; the kernel
         # itself needs only length-n scratch rows.
-        for start, stop in query_chunks(len(queries), n):
+        for start, stop in self._query_chunks(len(queries)):
             footrules = self._footrules_matrix(query_perms[start:stop])
             for offset, row in enumerate(footrules):
                 q = start + offset

@@ -38,7 +38,11 @@ import numpy as np
 
 from repro.core.bitpack import pack_ids, unpack_ids
 from repro.core.permutation import decode_permutations, encode_permutations
-from repro.core.storage import MappedCodeStore, bits_full_permutation
+from repro.core.storage import (
+    MappedCodeStore,
+    PayloadCorruptError,
+    bits_full_permutation,
+)
 from repro.index.distperm import DistPermIndex
 from repro.index.sharded import ShardedIndex
 from repro.metrics.base import Metric
@@ -69,34 +73,6 @@ _DEFAULT_VERSION = 3
 
 def _align(n: int, page: int = _V3_PAGE) -> int:
     return (n + page - 1) // page * page
-
-
-class PayloadCorruptError(ValueError):
-    """A saved payload failed decode validation: bit rot, truncation, or
-    a wrong-width pack.
-
-    ``shard`` names the payload's shard key (``"s3"``; ``None`` for an
-    unsharded payload) and ``byte_offset`` locates the damage inside the
-    shard's packed code stream: the first byte whose decoded code failed
-    validation for a bit flip, the (short) buffer length for a
-    truncation, and 0 for a header-level mismatch such as a wrong pack
-    width.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        shard: Optional[str] = None,
-        byte_offset: int = 0,
-    ):
-        where = shard if shard is not None else "unsharded payload"
-        super().__init__(
-            f"corrupt payload [{where}, byte offset {byte_offset}]: "
-            f"{message}"
-        )
-        self.shard = shard
-        self.byte_offset = byte_offset
 
 
 # ---------------------------------------------------------------------------
@@ -442,9 +418,7 @@ def _restore_distperm(
                 f"{expected_width}-bit Corollary-8 width for k={k}",
                 shard=shard,
             )
-        packed = np.asarray(
-            payload["codes_packed"], dtype=np.uint8
-        ).tobytes()
+        packed = np.ascontiguousarray(payload["codes_packed"], dtype=np.uint8)
         try:
             index.codes = unpack_ids(packed, bit_width, count)
         except ValueError as exc:

@@ -12,7 +12,13 @@ passes the service's capacity — which is the number we want.
 connection with one asyncio task per arrival (requests multiplex on the
 socket by id) and returns a :class:`LoadReport`: achieved qps, rejected
 and errored counts, degraded responses, and end-to-end latency
-percentiles over every completed request.  Inter-arrival gaps are drawn
+percentiles over every completed request.  A request's latency runs
+from the instant it was **due** on the arrival schedule, not from when
+its task first got to run: a stalled server (or event loop) delays the
+arrivals behind the stall, and that wait is exactly what an open loop
+exists to expose.  How late the generator itself sent each request is
+kept beside it (``lateness_s``), so a latency tail made by the driver
+can be told from one made by the service.  Inter-arrival gaps are drawn
 from a seeded generator, so a sweep's points differ only in the knob
 under study.
 """
@@ -41,7 +47,11 @@ class LoadReport:
     rejected: int = 0
     errored: int = 0
     degraded: int = 0
+    #: Reply time minus the request's due time, answered requests.
     latencies_s: List[float] = field(default_factory=list)
+    #: Send time minus due time, every request sent: the generator's own
+    #: share of the latencies above.
+    lateness_s: List[float] = field(default_factory=list)
 
     @property
     def achieved_qps(self) -> float:
@@ -53,6 +63,12 @@ class LoadReport:
         if not self.latencies_s:
             return None
         return float(np.percentile(np.asarray(self.latencies_s), q))
+
+    @property
+    def lateness_p99_s(self) -> Optional[float]:
+        if not self.lateness_s:
+            return None
+        return float(np.percentile(np.asarray(self.lateness_s), 99.0))
 
     def to_dict(self) -> dict:
         return {
@@ -67,6 +83,7 @@ class LoadReport:
             "p50_s": self.percentile_s(50.0),
             "p99_s": self.percentile_s(99.0),
             "p999_s": self.percentile_s(99.9),
+            "lateness_p99_s": self.lateness_p99_s,
         }
 
 
@@ -108,12 +125,12 @@ async def run_open_loop(
     report = LoadReport(offered_qps=qps, duration_s=duration_s)
     loop = asyncio.get_event_loop()
 
-    async def _one(client: AsyncClient, row: int) -> None:
+    async def _one(client: AsyncClient, row: int, due: float) -> None:
         if isinstance(queries, np.ndarray):
             payload = queries[row : row + 1]
         else:
             payload = [queries[row]]
-        started = loop.time()
+        report.lateness_s.append(loop.time() - due)
         try:
             if op == "knn":
                 result = await client.knn(payload, k)
@@ -129,7 +146,7 @@ async def run_open_loop(
         except (ServerError, ConnectionError):
             report.errored += 1
             return
-        report.latencies_s.append(loop.time() - started)
+        report.latencies_s.append(loop.time() - due)
         report.answered += 1
         if result.degraded:
             report.degraded += 1
@@ -150,7 +167,7 @@ async def run_open_loop(
                 await asyncio.sleep(delay)
             row = int(rng.integers(0, n_pool))
             client = clients[i % connections]
-            tasks.append(asyncio.ensure_future(_one(client, row)))
+            tasks.append(asyncio.ensure_future(_one(client, row, next_at)))
             report.sent += 1
             i += 1
         if tasks:

@@ -67,6 +67,99 @@ class TestPackUnpack:
         assert list(unpack_ids(pack_ids(ids, 41), 41, 3)) == ids
 
 
+def _bitspread_pack(ids, bit_width):
+    """The packer this module shipped before the word-window kernel:
+    spread every id into a bit matrix, ``packbits`` it.  Kept here only
+    as the oracle — payloads already on disk were written by it."""
+    ids = np.asarray(ids, dtype=np.uint64)
+    positions = np.arange(bit_width, dtype=np.uint64)
+    bits = ((ids[:, None] >> positions[None, :]) & 1).astype(np.uint8)
+    return np.packbits(bits.ravel(), bitorder="little").tobytes()
+
+
+def _bitspread_unpack(data, bit_width, count):
+    """The matching ``unpackbits`` + shift-sum reader (oracle only)."""
+    bits = np.unpackbits(
+        np.frombuffer(data, dtype=np.uint8), bitorder="little"
+    )[: count * bit_width]
+    bits = bits.reshape(count, bit_width).astype(np.uint64)
+    positions = np.arange(bit_width, dtype=np.uint64)
+    return (bits << positions[None, :]).sum(axis=1, dtype=np.uint64)
+
+
+#: Counts on both sides of a group of 8 and of a default 8192-code block.
+_COUNTS = (0, 1, 7, 8, 9, 8191, 8192, 8193)
+
+
+class TestWordWindowKernels:
+    """``pack_ids`` / ``unpack_ids`` against the bit-spread routines they
+    replaced, for every width and on both sides of every boundary."""
+
+    @staticmethod
+    def _ids(rng, bit_width, count):
+        if count == 0:
+            return np.zeros(0, dtype=np.uint64)
+        top = (1 << bit_width) - 1
+        ids = rng.integers(0, top, size=count, dtype=np.uint64, endpoint=True)
+        ids[0] = top  # every bit of a field set at least once
+        ids[-1] = top
+        return ids
+
+    @pytest.mark.parametrize("bit_width", range(65))
+    def test_pack_is_byte_identical_to_bitspread(self, rng, bit_width):
+        for count in _COUNTS:
+            ids = self._ids(rng, bit_width, count)
+            assert pack_ids(ids, bit_width) == _bitspread_pack(
+                ids, bit_width
+            ), (bit_width, count)
+
+    @pytest.mark.parametrize("bit_width", range(65))
+    def test_unpack_matches_bitspread(self, rng, bit_width):
+        for count in _COUNTS:
+            ids = self._ids(rng, bit_width, count)
+            data = _bitspread_pack(ids, bit_width)
+            got = unpack_ids(data, bit_width, count)
+            assert got.dtype == np.uint64 and got.shape == (count,)
+            np.testing.assert_array_equal(got, ids)
+            np.testing.assert_array_equal(
+                got, _bitspread_unpack(data, bit_width, count)
+            )
+
+    @pytest.mark.parametrize("bit_width", [1, 7, 8, 13, 29, 57, 58, 63, 64])
+    def test_unpack_reads_any_buffer_in_place(self, rng, tmp_path, bit_width):
+        """bytes, memoryview, and an unaligned slice of an ``np.memmap``
+        with foreign bytes on both sides of the section."""
+        for count in (9, 8193):
+            ids = self._ids(rng, bit_width, count)
+            data = pack_ids(ids, bit_width)
+            path = tmp_path / f"packed_{bit_width}_{count}.bin"
+            path.write_bytes(b"\xff" * 3 + data + b"\xff" * 5)
+            mapped = np.memmap(path, dtype=np.uint8, mode="r")
+            for buffer in (
+                data,
+                memoryview(data),
+                bytearray(data),
+                np.frombuffer(data, dtype=np.uint8),
+                mapped[3 : 3 + len(data)],
+                mapped[3:],  # trailing garbage past the last field
+            ):
+                np.testing.assert_array_equal(
+                    unpack_ids(buffer, bit_width, count), ids
+                )
+            del mapped
+
+    def test_unpack_result_is_writable_and_detached(self):
+        data = bytearray(pack_ids([5, 6, 7], 3))
+        got = unpack_ids(data, 3, 3)
+        data[0] = 0
+        assert list(got) == [5, 6, 7]
+        got[0] = 1  # callers own the result
+
+    def test_short_buffer_names_the_shortfall(self):
+        with pytest.raises(ValueError, match="need 29"):
+            unpack_ids(b"\x00\x00\x00", 29, 1)
+
+
 class TestPackedStore:
     @pytest.fixture
     def perms(self, rng):

@@ -28,10 +28,13 @@ from repro.datasets.io import (
     save_strings,
     save_vectors,
 )
-from repro.index import DistPermIndex, ShardedIndex
+from repro.index import DistPermIndex, ShardedIndex, batching
 from repro.index.serialize import (
     PayloadCorruptError,
+    load_distperm,
     load_sharded,
+    read_shard_payload,
+    save_distperm,
     save_sharded,
 )
 from repro.metrics import EuclideanDistance, LevenshteinDistance
@@ -341,6 +344,154 @@ class TestResidentMmapWorkers:
             assert got == expected
         finally:
             loaded.close()
+
+
+def _smash(path, offset, length=10):
+    """Overwrite ``length`` bytes at ``offset`` with ones (bit rot)."""
+    blob = bytearray(path.read_bytes())
+    blob[offset : offset + length] = b"\xff" * length
+    path.write_bytes(bytes(blob))
+
+
+def _columns(rows):
+    return (rows.distances.tobytes(), rows.indices.tobytes(),
+            rows.offsets.tobytes())
+
+
+class TestDecodeOnceScan:
+    """The mmap query loop: each block unpacked and unranked once per
+    chunk of queries, same answers as RAM, same corruption contract."""
+
+    K = 6  # 6! = 720 -> 10-bit codes: element e starts at byte e * 10 / 8
+    BLOCK = 64
+
+    def _saved(self, tmp_path, rng, n=1000):
+        points = rng.random((n, 4))
+        index = DistPermIndex(
+            points, EuclideanDistance(), n_sites=self.K,
+            site_strategy="first",
+        )
+        path = tmp_path / "index.rpc"
+        save_distperm(path, index)
+        return points, path
+
+    def _mapped(self, path, points, **kwargs):
+        kwargs.setdefault("block_elements", self.BLOCK)
+        kwargs.setdefault("cache_bytes", 2 * self.BLOCK * 8)
+        return load_distperm(
+            path, points, EuclideanDistance(), backing="mmap", **kwargs
+        )
+
+    def test_flipped_page_raises_on_first_touch_by_a_batch(
+        self, tmp_path, rng
+    ):
+        points, path = self._saved(tmp_path, rng, n=600)
+        clean = self._mapped(path, points)
+        section = clean.code_store.offset
+        clean.close()
+        # Elements 320..327 (block 5) become 1023 >= 6!: byte 400 onward.
+        _smash(path, section + 400)
+        with pytest.raises(PayloadCorruptError) as at_load:
+            load_distperm(path, points, EuclideanDistance(), backing="ram")
+        assert (at_load.value.shard, at_load.value.byte_offset) == (None, 400)
+        # The probe's block is intact, so the mapped load succeeds; the
+        # damage surfaces when a batch first decodes its block.
+        mapped = self._mapped(path, points)
+        try:
+            with pytest.raises(PayloadCorruptError) as on_touch:
+                mapped.knn_approx_batch_arrays(points[:3], 2, 50)
+            error = on_touch.value
+            assert (error.shard, error.byte_offset) == (None, 400)
+            assert "element 320 decodes outside [0, 6!)" in str(error)
+            assert str(error).startswith(
+                "corrupt payload [unsharded payload, byte offset 400]"
+            )
+        finally:
+            mapped.close()
+
+    def test_flipped_page_in_a_resident_worker_names_its_shard(
+        self, tmp_path, rng
+    ):
+        points = rng.random((600, 4))
+        metric = EuclideanDistance()
+        factory = partial(
+            DistPermIndex, n_sites=self.K, site_strategy="first"
+        )
+        path = tmp_path / "sharded.rpc"
+        with ShardedIndex(points, metric, factory, n_shards=2) as index:
+            save_sharded(path, index)
+        section = read_shard_payload(path, 1, backing="mmap")["codes_section"]
+        _smash(path, int(section["offset"]) + 200)  # element 160, block 2
+        loaded = load_sharded(
+            path, points, metric, resident=True, backing="mmap",
+            cache_bytes=2 * self.BLOCK * 8, block_elements=self.BLOCK,
+        )
+        try:
+            with pytest.raises(RuntimeError) as excinfo:
+                loaded.knn_approx_batch_arrays(points[:3], 2, 50)
+            text = str(excinfo.value)
+            assert "PayloadCorruptError" in text
+            assert "corrupt payload [s1, byte offset 200]" in text
+            assert "element 160 decodes outside [0, 6!)" in text
+        finally:
+            loaded.close()
+
+    @pytest.mark.parametrize("batch, chunks", [(4, 1), (8, 2), (5, 2), (20, 5)])
+    def test_answers_equal_ram_on_both_sides_of_the_row_limit(
+        self, tmp_path, rng, monkeypatch, batch, chunks
+    ):
+        n = 1000  # 15 full blocks + one of 40 elements
+        points, path = self._saved(tmp_path, rng, n=n)
+        queries = rng.random((batch, 4))
+        # 4 one-byte footrule rows of n entries per chunk.
+        monkeypatch.setattr(batching, "_TARGET_CHUNK_BYTES", 4 * n)
+        ram = load_distperm(path, points, EuclideanDistance(), backing="ram")
+        assert len(list(ram._query_chunks(batch))) == chunks
+        mapped = self._mapped(path, points)
+        store = mapped.code_store
+        try:
+            assert store.n_blocks == 16
+            assert store.block_range(15) == (960, 1000)
+            store.clear_cache()  # the load-time probe left block 0 behind
+            misses = store.cache_misses
+            got = mapped.knn_approx_batch_arrays(queries, 3, 40)
+            # Two blocks fit the LRU, sixteen are scanned: every block is
+            # decoded exactly once per chunk, never once per query.
+            assert store.cache_misses - misses == 16 * chunks
+            assert _columns(got) == _columns(
+                ram.knn_approx_batch_arrays(queries, 3, 40)
+            )
+            np.testing.assert_array_equal(
+                mapped.query_footrules(queries, 25),
+                ram.query_footrules(queries, 25),
+            )
+            assert 0 < store.peak_cache_bytes <= store.cache_bytes
+        finally:
+            mapped.close()
+
+
+#: Rows per chunk at n = 200k by footrule / distance entry width: the
+#: 32 MiB budget counted in bytes (8 is the float64 default).
+_ROWS_AT_200K = {1: 167, 2: 83, 8: 20}
+
+
+class TestQueryChunkBudget:
+    @pytest.mark.parametrize("itemsize, rows", sorted(_ROWS_AT_200K.items()))
+    def test_rows_per_chunk_at_200k(self, itemsize, rows):
+        chunks = list(batching.query_chunks(1000, 200_000, itemsize))
+        assert chunks[0] == (0, rows)
+        assert chunks[-1][1] == 1000
+        assert len(chunks) == -(-1000 // rows)
+
+    def test_default_is_a_float64_matrix(self):
+        assert list(batching.query_chunks(80, 200_000)) == [
+            (0, 20), (20, 40), (40, 60), (60, 80),
+        ]
+        assert list(batching.query_chunks(80, 200_000, 1)) == [(0, 80)]
+
+    def test_one_row_at_least(self):
+        assert list(batching.query_chunks(2, 10**9)) == [(0, 1), (1, 2)]
+        assert list(batching.query_chunks(0, 10)) == []
 
 
 class TestReplyByteStats:

@@ -14,6 +14,7 @@ from repro.core.permutation import (
     compact_footrule_dtype,
     compact_position_dtype,
     count_distinct_permutations,
+    decode_positions,
     distance_permutation,
     distance_permutations,
     distinct_permutations,
@@ -415,6 +416,21 @@ class TestFootruleDisplacementOracle:
         footrules = footrule_matrix_batch(everything, np.arange(k)[None, :])[0]
         assert (footrules % 2 == 0).all()
         assert footrules.max() == k * k // 2 == 2 * (len(counts) - 1)
+        np.testing.assert_array_equal(
+            np.bincount(footrules // 2, minlength=len(counts)), counts
+        )
+
+    @pytest.mark.parametrize("k", sorted(_TOTAL_DISPLACEMENT_COUNTS))
+    def test_histogram_from_decoded_positions(self, k):
+        """Same oracle through the code path: ``arange(k!)`` enumerates
+        ``S_k``, ``decode_positions`` hands the kernel its columns."""
+        counts = _TOTAL_DISPLACEMENT_COUNTS[k]
+        positions = decode_positions(
+            np.arange(math.factorial(k), dtype=np.uint64), k
+        )
+        footrules = footrule_matrix_batch(
+            None, np.arange(k)[None, :], positions=positions
+        )[0]
         np.testing.assert_array_equal(
             np.bincount(footrules // 2, minlength=len(counts)), counts
         )

@@ -20,9 +20,11 @@ from repro.core.estimate import StreamingCensus
 from repro.core.permutation import (
     MAX_CODE_SITES,
     decode_permutations,
+    decode_positions,
     distance_permutations,
     encode_permutations,
     permutation_code_dtype,
+    permutation_positions,
     permutation_rank,
     permutation_unrank,
     permutations_from_distances,
@@ -132,6 +134,131 @@ class TestCodecRoundTrip:
         rank = permutation_rank(reverse)
         assert rank == math.factorial(k) - 1
         assert permutation_unrank(rank, k) == reverse
+
+
+def _fixed_code_positions(k):
+    """Codes ``{0, 1, k! - 1}`` with their rank positions, as constants:
+    rank 0 is the identity, rank 1 swaps the last two sites, rank
+    ``k! - 1`` is the reversal — and each is its own inverse."""
+    identity = list(range(k))
+    cases = {0: identity, math.factorial(k) - 1: identity[::-1]}
+    if k >= 2:
+        cases[1] = identity[:-2] + [k - 1, k - 2]
+    return cases
+
+
+#: ``12! < 2**32 <= 13!``: the digit kernel switches from uint32 to
+#: uint64 words between these two widths.
+_WORD_BOUNDARY = (12, 13)
+
+
+class TestDecodePositions:
+    """``decode_positions`` == ``permutation_positions(decode_permutations(.))``
+    at every fixed-width ``k``, with the same errors, in the column-major
+    layout the footrule kernel reads in place."""
+
+    @pytest.mark.parametrize(
+        "k",
+        [
+            pytest.param(
+                k, id=f"k{k}-word-boundary" if k in _WORD_BOUNDARY else f"k{k}"
+            )
+            for k in range(1, MAX_CODE_SITES + 1)
+        ],
+    )
+    def test_equals_decode_then_invert(self, rng, k):
+        top = math.factorial(k)
+        codes = np.concatenate([
+            np.array(sorted({0, min(1, top - 1), top - 1}), dtype=np.uint64),
+            rng.integers(0, top, size=300, dtype=np.uint64),
+        ])
+        got = decode_positions(codes, k)
+        want = permutation_positions(decode_permutations(codes, k))
+        assert got.shape == (codes.shape[0], k)
+        assert got.dtype == np.uint8
+        assert got.T.flags.c_contiguous
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("k", range(1, MAX_CODE_SITES + 1))
+    def test_fixed_codes_decode_to_constants(self, k):
+        cases = _fixed_code_positions(k)
+        codes = np.array(list(cases), dtype=np.uint64)
+        np.testing.assert_array_equal(
+            decode_positions(codes, k), np.array(list(cases.values()))
+        )
+        np.testing.assert_array_equal(
+            decode_permutations(codes, k), np.array(list(cases.values()))
+        )
+
+    @pytest.mark.parametrize("k", [1, 4, *_WORD_BOUNDARY, MAX_CODE_SITES])
+    def test_out_of_range_codes_raise(self, k):
+        too_big = np.array([0, math.factorial(k)], dtype=np.uint64)
+        negative = np.array([0, -1], dtype=np.int64)
+        for decode in (decode_positions, decode_permutations):
+            with pytest.raises(ValueError, match="out of range"):
+                decode(too_big, k)
+            with pytest.raises(ValueError, match="nonnegative"):
+                decode(negative, k)
+
+    def test_rejects_fixed_width_codes_past_the_window(self):
+        with pytest.raises(ValueError, match="fixed-width"):
+            decode_positions(
+                np.arange(4, dtype=np.uint64), MAX_CODE_SITES + 1
+            )
+        with pytest.raises(ValueError, match="1-d"):
+            decode_positions(np.zeros((2, 2), dtype=np.uint64), 3)
+
+    def test_object_codes_fall_back_to_the_row_path(self, rng):
+        k = MAX_CODE_SITES + 1
+        codes = encode_permutations(_random_perms(rng, 8, k))
+        got = decode_positions(codes, k)
+        assert got.T.flags.c_contiguous
+        np.testing.assert_array_equal(
+            got, permutation_positions(decode_permutations(codes, k))
+        )
+
+    @pytest.mark.parametrize("k", [0, 1, 5, 13])
+    def test_empty_input(self, k):
+        got = decode_positions(np.empty(0, dtype=np.uint64), k)
+        assert got.shape == (0, k)
+        assert decode_permutations(np.empty(0, dtype=np.uint64), k).shape == (
+            0, k,
+        )
+
+    def test_out_is_filled_in_place(self, rng):
+        k = 12
+        codes = rng.integers(0, math.factorial(k), size=50, dtype=np.uint64)
+        want = permutation_positions(decode_permutations(codes, k))
+        # A prefix of a larger flat scratch, as the index workspace hands out.
+        scratch = np.full(k * 64, 255, dtype=np.uint8)
+        columns = scratch[: k * 50].reshape(k, 50)
+        got = decode_positions(codes, k, out=columns.T)
+        assert np.shares_memory(got, scratch)
+        np.testing.assert_array_equal(columns.T, want)
+        assert (scratch[k * 50 :] == 255).all()
+        # A wider integer dtype is fine as long as the layout is right.
+        wide = np.empty((k, 50), dtype=np.int32).T
+        np.testing.assert_array_equal(
+            decode_positions(codes, k, out=wide), want
+        )
+
+    def test_out_of_the_wrong_shape_dtype_or_order_is_rejected(self, rng):
+        k = 6
+        codes = rng.integers(0, math.factorial(k), size=10, dtype=np.uint64)
+        with pytest.raises(ValueError, match="shape"):
+            decode_positions(codes, k, out=np.empty((k, 9), np.uint8).T)
+        with pytest.raises(ValueError, match="shape"):
+            decode_positions(codes, k, out=np.empty((k, 10), np.uint8))
+        with pytest.raises(ValueError, match="dtype"):
+            decode_positions(codes, k, out=np.empty((k, 10), np.float32).T)
+        with pytest.raises(ValueError, match="dtype"):
+            decode_positions(codes, k, out=np.empty((k, 10), np.bool_).T)
+        with pytest.raises(ValueError, match="column-major"):
+            decode_positions(codes, k, out=np.empty((10, k), np.uint8))
+        with pytest.raises(ValueError, match="column-major"):
+            decode_positions(
+                codes, k, out=np.empty((k, 20), np.uint8)[:, ::2].T
+            )
 
 
 class TestCodeCensusEquivalence:

@@ -40,6 +40,7 @@ from repro.serve.client import (
     ServerError,
     SyncClient,
 )
+from repro.serve.loadgen import run_open_loop
 from repro.serve.server import QueryServer, serve_in_thread
 
 # ----------------------------------------------------------------------
@@ -804,3 +805,66 @@ class TestServerSharded:
         assert index.knn_batch_arrays(words[:3], 2).n_queries == 3
         index.close()
         index.close()
+
+
+# ----------------------------------------------------------------------
+# Open-loop load generator.
+# ----------------------------------------------------------------------
+
+
+class TestOpenLoopLoadgen:
+    def test_latency_runs_from_due_time_across_a_stall(self, sock):
+        """A stall delays the arrivals behind it; their wait must count.
+
+        The fake server shares the generator's event loop and blocks it
+        once, so ~80 of the ~300 scheduled arrivals come due while
+        nothing can be sent.  Timed from task start (the old stamp) only
+        the one request in flight sees the stall, and p99 misses it.
+        """
+        stall_s = 0.4
+        seen = []
+        answer = (
+            np.array([0.0]),
+            np.array([0], dtype=np.int64),
+            np.array([0, 1], dtype=np.int64),
+        )
+
+        async def handle(reader, writer):
+            try:
+                while True:
+                    header = await reader.readexactly(4)
+                    request = protocol.decode_request(
+                        await reader.readexactly(protocol.frame_length(header))
+                    )
+                    seen.append(request.request_id)
+                    if len(seen) == 20:
+                        time.sleep(stall_s)
+                    writer.write(protocol.encode_response(
+                        request.request_id, protocol.STATUS_OK, arrays=answer
+                    ))
+                    await writer.drain()
+            except asyncio.IncompleteReadError:
+                pass
+            finally:
+                writer.close()
+
+        async def main():
+            server = await asyncio.start_unix_server(handle, path=sock)
+            try:
+                return await run_open_loop(
+                    unix_path=sock, queries=np.zeros((4, 2)), op="knn", k=1,
+                    qps=200.0, duration_s=1.5, seed=3,
+                )
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        report = asyncio.run(main())
+        assert report.sent == report.answered == len(seen) > 100
+        assert len(report.lateness_s) == report.sent
+        assert report.percentile_s(99.0) >= 0.8 * stall_s
+        # The generator could not send on time either, and says so.
+        assert 0.5 * stall_s <= report.lateness_p99_s <= report.percentile_s(99.9)
+        assert report.to_dict()["lateness_p99_s"] == report.lateness_p99_s
+        # Outside the stall, requests are sent when due.
+        assert np.median(report.lateness_s) < 0.05
