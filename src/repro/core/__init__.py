@@ -67,6 +67,7 @@ from repro.core.permutation import (
     permutation_code_dtype,
     permutation_rank,
     permutation_unrank,
+    prefix_codes_from_distances,
     prefix_permutation_codes,
     spearman_footrule,
     spearman_rho,
@@ -102,6 +103,7 @@ __all__ = [
     "decode_positions",
     "encode_permutations",
     "permutation_code_dtype",
+    "prefix_codes_from_distances",
     "prefix_permutation_codes",
     "chao1_estimate",
     "sampled_census_estimate",

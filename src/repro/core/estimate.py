@@ -119,7 +119,7 @@ class StreamingCensus:
         The code hot path: shard workers and benchmarks encode once and
         feed the 1-D array straight in.  ``coding`` names the code family
         (``"lehmer"`` from :func:`encode_permutations`, ``"prefix"`` from
-        :func:`~repro.core.permutation.prefix_permutation_codes`) so
+        :func:`~repro.core.permutation.prefix_codes_from_distances`) so
         incompatible censuses refuse to merge.
         """
         codes = np.asarray(codes)
@@ -175,7 +175,9 @@ class StreamingCensus:
 
         A true k-way merge: every partial's sorted ``(code, count)`` run
         is concatenated once and collapsed with a single mergesort pass,
-        instead of pairwise re-merging census by census.
+        instead of pairwise re-merging census by census.  A lone
+        non-empty partial (every serial census) is already sorted and
+        collapsed, so its run is copied, never aliased.
         """
         out = cls()
         code_runs, count_runs = [], []
@@ -186,7 +188,10 @@ class StreamingCensus:
             out._check_key(census._k, census._coding)
             code_runs.append(census._codes)
             count_runs.append(census._counts)
-        if code_runs:
+        if len(code_runs) == 1:
+            out._codes = code_runs[0].copy()
+            out._counts = count_runs[0].copy()
+        elif code_runs:
             codes = np.concatenate(code_runs)
             counts = np.concatenate(count_runs)
             order = np.argsort(codes, kind="stable")

@@ -16,11 +16,13 @@ The codec half of this module packs permutations into integer *codes*:
 Lehmer rank/unrank kernels (one ``uint64`` per permutation for
 ``k <= MAX_CODE_SITES``, since ``20! < 2**64``; exact arbitrary-precision
 Python ints in an object array beyond that), and
-:func:`prefix_permutation_codes` derives, from a single full-width
-argsort, an injective code for the distance permutation of *every* site
-prefix at once.  Codes are what the census, the sharded drivers, and the
-serialized index payloads operate on — dedup, merge, and IPC become flat
-1-D integer operations instead of row-matrix ones.
+:func:`prefix_codes_from_distances` derives, with no sort at all, an
+injective code for the distance permutation of *every* site prefix at
+once, straight from the distance columns
+(:func:`prefix_permutation_codes` is the same kernel fed with a
+permutation's ranks).  Codes are what the census, the sharded drivers,
+and the serialized index payloads operate on — dedup, merge, and IPC
+become flat 1-D integer operations instead of row-matrix ones.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ __all__ = [
     "compact_position_dtype",
     "compact_footrule_dtype",
     "workspace_buffer",
+    "prefix_codes_from_distances",
     "prefix_permutation_codes",
     "inverse_permutation",
     "permutation_positions",
@@ -124,11 +127,6 @@ def inverse_permutation(perm: Sequence[int]) -> Tuple[int, ...]:
     return tuple(inv)
 
 
-#: ``np.bitwise_count`` (numpy >= 2.0) drives the O(n k) bitmask kernels;
-#: older numpy falls back to a column-loop with O(n k^2 / 2) comparisons.
-_HAVE_BITWISE_COUNT = hasattr(np, "bitwise_count")
-
-
 def permutation_code_dtype(k: int) -> np.dtype:
     """The dtype :func:`encode_permutations` emits for width ``k``.
 
@@ -144,16 +142,15 @@ def _earlier_smaller_counts(
 ) -> np.ndarray:
     """``C[r, i] = #{j < i : block[r, j] < block[r, i]}``, no per-row loops.
 
-    The workhorse of both code kernels.  With ``np.bitwise_count`` a
-    running per-row bitmask of seen values makes this ``k`` passes of
-    O(n) work: the count is the popcount of the mask below the current
-    value.  ``values_below`` bounds the entries (exclusive); beyond 64 —
-    or on numpy without ``bitwise_count`` — the column-at-a-time
-    comparison loop takes over.
+    The Lehmer digits of :func:`encode_permutations`' arbitrary-precision
+    path.  A running per-row bitmask of seen values makes this ``k``
+    passes of O(n) work: the count is the popcount of the mask below the
+    current value.  ``values_below`` bounds the entries (exclusive);
+    beyond 64 the column-at-a-time comparison loop takes over.
     """
     n, k = block.shape
     counts = np.empty_like(block)
-    if _HAVE_BITWISE_COUNT and values_below <= 64:
+    if values_below <= 64:
         seen = np.zeros(n, dtype=np.uint64)
         one = np.uint64(1)
         for i in range(k):
@@ -214,7 +211,7 @@ def encode_permutations(
         raise ValueError(f"permutation entries must lie in 0..{k - 1}")
     # Lehmer digit i = perm[i] - #{j < i : perm[j] < perm[i]}, folded
     # into the factorial-base rank by a Horner sweep over the columns.
-    if use_uint64 and _HAVE_BITWISE_COUNT:
+    if use_uint64:
         # Fused digit + Horner pass: a running per-row bitmask of seen
         # values turns the digit into one popcount, k O(n) passes total.
         seen = np.zeros(n, dtype=np.uint64)
@@ -229,12 +226,6 @@ def encode_permutations(
             seen |= bit
         return codes
     digits = block - _earlier_smaller_counts(block, k)
-    if use_uint64:
-        codes = np.zeros(n, dtype=np.uint64)
-        for i in range(k):
-            codes *= np.uint64(k - i)
-            codes += digits[:, i].astype(np.uint64)
-        return codes
     codes = np.zeros(n, dtype=object)
     for i in range(k):
         codes = codes * (k - i) + digits[:, i].astype(object)
@@ -385,63 +376,115 @@ def decode_positions(
     return out
 
 
-def prefix_permutation_codes(
-    perms: np.ndarray, ks: Sequence[int]
+#: Distance bytes one row block of :func:`prefix_codes_from_distances`
+#: spans: the block's site columns (copied column-contiguous when the
+#: input is not) stay cache-resident across the ``k(k-1)/2`` compare
+#: passes that re-read them.
+_CODE_BLOCK_BYTES = 1 << 20
+
+
+def prefix_codes_from_distances(
+    distances: np.ndarray, ks: Sequence[int]
 ) -> Dict[int, np.ndarray]:
     """Codes of the distance permutation of every requested site prefix.
 
-    ``perms`` is the full ``(n, k_max)`` matrix from one stable argsort of
-    all site distances.  Because the permutation of the first ``j`` sites
-    is the *restriction* of the full permutation to values ``< j`` (stable
-    tie-breaking survives restriction), every prefix census falls out of
-    this single sort: no per-prefix re-argsort, no per-prefix re-encode.
+    ``distances`` is the ``(n, k_max)`` matrix of site distances, any
+    real dtype, any memory order.  Returns ``{j: codes}`` for each ``j``
+    in ``ks``, where two points get equal codes at ``j`` iff their
+    first-``j``-sites distance permutations are equal.  The codes are
+    mixed-radix *insertion* codes — the digit of site ``m`` is its rank
+    among sites ``0..m``,
 
-    Returns ``{j: codes}`` for each ``j`` in ``ks``, where two points get
-    equal codes at ``j`` iff their first-``j``-sites permutations are
-    equal.  The codes are mixed-radix *insertion* codes — the digit for
-    site ``m`` is its rank among sites ``0..m`` — which extend from one
-    prefix to the next by a single multiply-add; they are injective per
-    width but are **not** the lexicographic Lehmer ranks of
-    :func:`encode_permutations` (censuses keyed on the two code families
-    must not be merged; :class:`~repro.core.estimate.StreamingCensus`
-    enforces this).
+        ``digit_m = #{s < m : d[s] <= d[m]}``,
+
+    read straight off the distance columns (``<=`` against a
+    lower-indexed site *is* the paper's lower-index tie-break, so no
+    stable sort is needed to apply it).  A digit is ``m`` whole-column
+    ``less_equal`` + ``uint8`` add passes, ``k(k-1)/2`` in all, and a
+    code extends from one prefix to the next by a single multiply-add in
+    the narrowest word holding ``j!``.  The result equals
+    ``prefix_permutation_codes(permutations_from_distances(distances),
+    ks)`` bit for bit: ``uint64`` arrays while ``max(ks) <=
+    MAX_CODE_SITES``, ``object`` arrays of exact Python ints beyond.
+    Column-major input in a narrow dtype is consumed in place; anything
+    else costs one transposing copy per row block.
+
+    Insertion codes are injective per width but are **not** the
+    lexicographic Lehmer ranks of :func:`encode_permutations` (censuses
+    keyed on the two code families must not be merged;
+    :class:`~repro.core.estimate.StreamingCensus` enforces this).  NaN
+    distances have no rank and raise ``ValueError``; ``±inf`` order and
+    tie like any other value.
+    """
+    distances = np.asarray(distances)
+    if distances.ndim != 2:
+        raise ValueError(
+            f"expected (n, k) distance matrix, got {distances.shape}"
+        )
+    n, k_max = distances.shape
+    widths = sorted({int(j) for j in ks})
+    if widths and not 0 <= widths[0] <= widths[-1] <= k_max:
+        raise ValueError(f"prefix widths must lie in [0, {k_max}]")
+    if not widths:
+        return {}
+    top = widths[-1]
+    dtype = np.uint64 if top <= MAX_CODE_SITES else object
+    out = {j: np.zeros(n, dtype=dtype) for j in widths}
+    if top <= 1 or n == 0:
+        return out
+    floats = distances.dtype.kind == "f"
+    rows = max(1, _CODE_BLOCK_BYTES // (top * distances.itemsize))
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        columns = distances[start:stop, :top].T
+        if columns.strides[1] != columns.itemsize:
+            columns = np.ascontiguousarray(columns)
+        if floats and np.isnan(columns.min()):
+            raise ValueError("NaN distances have no rank")
+        digit = np.empty(stop - start, dtype=compact_position_dtype(top))
+        below = np.empty(stop - start, dtype=np.bool_)
+        running = np.zeros(stop - start, dtype=np.uint8)
+        for m in range(1, top):
+            column = columns[m]
+            np.less_equal(columns[0], column, out=digit)
+            for s in range(1, m):
+                np.less_equal(columns[s], column, out=below)
+                np.add(digit, below.view(np.uint8), out=digit)
+            if dtype is object:
+                running = running * (m + 1) + digit.astype(object)
+            else:
+                word = np.min_scalar_type(math.factorial(m + 1) - 1)
+                running = running.astype(word, copy=False)
+                running *= word.type(m + 1)
+                running += digit
+            if m + 1 in out:
+                out[m + 1][start:stop] = running
+    return out
+
+
+def prefix_permutation_codes(
+    perms: np.ndarray, ks: Sequence[int]
+) -> Dict[int, np.ndarray]:
+    """:func:`prefix_codes_from_distances`, from the permutations instead.
+
+    ``perms`` is the full ``(n, k_max)`` matrix of distance permutations.
+    The permutation of the first ``j`` sites is the *restriction* of the
+    full permutation to values ``< j`` (stable tie-breaking survives
+    restriction), and a site's rank in the full permutation orders the
+    sites exactly as its distance did — so the ranks
+    (:func:`permutation_positions`, as narrow columns) go through the
+    distance kernel unchanged and yield the same codes.  Callers that
+    still hold the distances skip the argsort and this inversion by
+    calling :func:`prefix_codes_from_distances` directly.
     """
     perms = np.asarray(perms)
     if perms.ndim != 2:
         raise ValueError(f"expected (n, k) permutation matrix, got {perms.shape}")
     n, k_max = perms.shape
-    widths = sorted({int(j) for j in ks})
-    if widths and not 0 <= widths[0] <= widths[-1] <= k_max:
-        raise ValueError(f"prefix widths must lie in [0, {k_max}]")
-    out: Dict[int, np.ndarray] = {}
-    if not widths:
-        return out
-    top = widths[-1]
-    use_uint64 = top <= MAX_CODE_SITES
-    running = np.zeros(n, dtype=np.uint64 if use_uint64 else object)
-    for j in widths:
-        if j <= 1:
-            out[j] = running.copy()
-    if top <= 1:
-        return out
-    positions = np.ascontiguousarray(
-        permutation_positions(perms)[:, :top], dtype=np.int64
+    ranks = np.empty((k_max, n), dtype=compact_position_dtype(k_max)).T
+    return prefix_codes_from_distances(
+        permutation_positions(perms, out=ranks), ks
     )
-    # digits[:, m] = rank of site m among sites 0..m by distance =
-    # #{s < m : pos[s] < pos[m]}; positions are ranks in the *full*
-    # ordering, so they are bounded by k_max, not the prefix width.
-    digits = _earlier_smaller_counts(positions, k_max)
-    wanted = set(widths)
-    for m in range(2, top + 1):
-        if use_uint64:
-            running = running * np.uint64(m) + digits[:, m - 1].astype(
-                np.uint64
-            )
-        else:
-            running = running * m + digits[:, m - 1].astype(object)
-        if m in wanted:
-            out[m] = running if m == top else running.copy()
-    return out
 
 
 def permutation_rank(perm: Sequence[int]) -> int:

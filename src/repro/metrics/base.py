@@ -103,6 +103,21 @@ class Metric(ABC):
         """
         return self.matrix(points, sites)
 
+    def to_sites_compact(
+        self, points: Sequence[Any], sites: Sequence[Any]
+    ) -> np.ndarray:
+        """:meth:`to_sites` for callers that only *rank* the distances.
+
+        Entry for entry the values of :meth:`to_sites`, but in whatever
+        real dtype and memory order the metric's kernel produces them —
+        the census compares site columns with each other and never does
+        arithmetic on them, so a metric whose kernel emits narrow
+        integer columns (edit distance: one byte per entry, one
+        contiguous row per site) overrides this to skip the ``float64``
+        row-major matrix.  The default is :meth:`to_sites` itself.
+        """
+        return self.to_sites(points, sites)
+
     def pairwise(self, xs: Sequence[Any]) -> np.ndarray:
         """Return the symmetric all-pairs distance matrix of ``xs``.
 
@@ -182,6 +197,12 @@ class CountingMetric(Metric):
     def to_sites(self, points: Sequence[Any], sites: Sequence[Any]) -> np.ndarray:
         self.count += len(points) * len(sites)
         return self.inner.to_sites(points, sites)
+
+    def to_sites_compact(
+        self, points: Sequence[Any], sites: Sequence[Any]
+    ) -> np.ndarray:
+        self.count += len(points) * len(sites)
+        return self.inner.to_sites_compact(points, sites)
 
     def pairwise(self, xs: Sequence[Any]) -> np.ndarray:
         n = len(xs)

@@ -19,9 +19,11 @@ Two kernels cover the length spectrum:
   carry dies without propagating), and the upper bit regenerates the
   ``+1`` horizontal boundary delta for the slot above (its ``Ph`` bit is
   recomputed to 1 every column).  One guard bit is *not* enough: a carry
-  landing on it suppresses that column's boundary delta.  Scores are
-  accumulated in matching packed ``W``-bit counters, so score extraction
-  is two mask-shift-add ops per column instead of per-slot bookkeeping.
+  landing on it suppresses that column's boundary delta.  The per-text
+  driver accumulates scores in matching packed ``W``-bit counters (two
+  mask-shift-add ops per column); the lock-step driver keeps no score at
+  all and reads each distance off the final column's vertical deltas
+  with two popcounts.
 - :class:`_BlockedChunk` — longer patterns get ⌈m/64⌉ words each
   (Hyyrö's blocked variant), with the horizontal delta carried across
   word boundaries per column and the ``Eq |= hin_negative`` correction
@@ -35,6 +37,11 @@ every text advances together in ascending length order, column ``j``
 updating only the suffix of texts longer than ``j``, so the numpy call
 count scales with the *longest* text rather than total text characters
 and the expensive per-collection build lands on the tiny site side.
+Its text side is a layout too (:class:`TextColumns`: length order plus a
+column-major matrix of narrow symbol ids), built once per collection, so
+a call does no sort, no gather and no remap of the text matrix — it
+composes one ``len(text alphabet)``-row ``Peq`` table per chunk and
+gathers each column from it with a contiguous byte row.
 
 Both layouts end-align each pattern at the top bit of its slot/top word.
 The dead low bits act as a phantom prefix of never-matching characters
@@ -44,12 +51,13 @@ true distance unchanged while the final score sits at a *uniform* bit
 position — the key to vectorizing mixed-length collections.
 
 The per-collection state (dense alphabet remap, chunk layouts, packed
-``Peq`` match tables) is built once and cached on the
-:class:`EncodedStrings` instance itself, so it lives exactly as long as
-the encoding-LRU entry and repeated ``to_sites``/census/index calls over
-one dataset never rebuild it.  Collections whose alphabet exceeds
-:data:`DENSE_ALPHABET_MAX` distinct symbols report themselves ineligible
-and the caller falls back to the Wagner–Fischer kernel.
+``Peq`` match tables; the lock-step text columns) is built once and
+cached on the :class:`EncodedStrings` instance itself, so it lives
+exactly as long as the encoding-LRU entry and repeated
+``to_sites``/census/index calls over one dataset never rebuild it.
+Collections whose alphabet exceeds :data:`DENSE_ALPHABET_MAX` distinct
+symbols report themselves ineligible and the caller falls back to the
+Wagner–Fischer kernel.
 """
 
 from __future__ import annotations
@@ -62,7 +70,9 @@ __all__ = [
     "DENSE_ALPHABET_MAX",
     "PACKED_MAX_LEN",
     "MyersPatterns",
+    "TextColumns",
     "myers_patterns",
+    "text_columns",
     "myers_eligible",
     "myers_matrix_into",
     "myers_lockstep_eligible",
@@ -87,10 +97,11 @@ PACKED_MAX_LEN = 30
 #: Columns between early-exit checks in the bounded kernels.
 _PRUNE_EVERY = 16
 
-#: Text rows per lock-step block: keeps the ~9 live state buffers of
+#: Text rows per lock-step block: keeps the 8 live state buffers of
 #: :meth:`_PackedChunk.distances_lockstep` inside the L2 cache (measurably
-#: faster per character than one pass over a 10k-text batch) and lets
-#: blocks of short texts stop at their own maximum length.
+#: faster per character than one pass over a 10k-text batch; re-measured
+#: on the 200k dictionary: 2048 / 4096 / 8192 rows -> 55 / 49 / 53 ms) and
+#: lets blocks of short texts stop at their own maximum length.
 _LOCKSTEP_BLOCK_TEXTS = 4096
 
 #: Code points below this use a presence-bitmap alphabet + lookup-table
@@ -145,6 +156,20 @@ def _scatter_or(flat_index: np.ndarray, bits: np.ndarray, size: int) -> np.ndarr
         flat_index, weights=(bits >> _U32).astype(np.float64), minlength=size
     )
     return (hi.astype(np.uint64) << _U32) | lo.astype(np.uint64)
+
+
+def _distinct_codes(flat_codes: np.ndarray) -> np.ndarray:
+    """Sorted distinct code points of a flat code array.
+
+    A presence bitmap below :data:`_LUT_MAX_CODE` (O(chars), sort-free —
+    every text alphabet), ``np.unique`` for exotic collections.
+    """
+    max_code = int(flat_codes.max()) if flat_codes.size else 0
+    if max_code >= _LUT_MAX_CODE:
+        return np.unique(flat_codes)
+    present = np.zeros(max_code + 1, dtype=bool)
+    present[flat_codes] = True
+    return np.flatnonzero(present).astype(flat_codes.dtype)
 
 
 class _PackedChunk:
@@ -271,63 +296,60 @@ class _PackedChunk:
         self._unpack_scores(score, out)
 
     #: State buffers one lock-step call needs (rows of the scratch pool).
-    LOCKSTEP_BUFFERS = 10
+    LOCKSTEP_BUFFERS = 8
 
     def distances_lockstep(
         self,
+        peq: np.ndarray,
         tsyms: np.ndarray,
         tlen: np.ndarray,
         out: np.ndarray,
-        rows: np.ndarray,
-        tcols: np.ndarray,
-        scratch: Optional[np.ndarray] = None,
+        scratch: np.ndarray,
     ) -> None:
         """Distances from every pattern to a whole length-sorted text batch.
 
-        ``tsyms`` / ``tlen`` are the remapped code matrix and lengths of
-        the texts in *ascending length order*; all texts advance in lock
-        step, column ``j`` updating the contiguous suffix of texts longer
-        than ``j``, so finished texts simply stop being touched and their
-        packed scores are already final.  Results land in
-        ``out[rows, tcols]``.  Requires ``tlen.max() <= self.capacity``
-        (the packed score counters must hold any text length).
+        ``tsyms`` is the batch's slice of a :class:`TextColumns` symbol
+        matrix — row ``j`` holds character ``j`` of every text, texts in
+        *ascending length order* — ``tlen`` the matching lengths, and
+        ``peq`` this chunk's match table re-indexed by those text symbol
+        ids.  All texts advance in lock step, column ``j`` updating the
+        contiguous suffix of texts longer than ``j``, so finished texts
+        simply stop being touched and keep the vertical deltas of their
+        own last column.  Nothing is scored per column: the deltas of a
+        DP column sum to its bottom cell, so once per batch
 
-        ``scratch`` — an optional ``(LOCKSTEP_BUFFERS, >= n_t, n_words)``
-        uint64 pool reused across blocks: one allocation instead of nine
-        per call keeps cold runs from spending more time page-faulting
-        fresh buffers than computing.
+            ``d = len(text) + popcount(VP & slot) - popcount(VN & slot)``
+
+        (phantom rows carry delta 0; a text of length 0 reads the initial
+        ``VP``, i.e. the pattern length).  ``out[r, t]`` receives pattern
+        ``r`` of the chunk against text ``t`` of the batch, in ``out``'s
+        own unsigned dtype — the sum wraps mod ``2**bits`` on the way and
+        lands exact because the distance itself fits.
+
+        ``scratch`` is a ``(LOCKSTEP_BUFFERS, >= n_t, n_words)`` uint64
+        pool reused across batches: one allocation instead of eight per
+        call keeps cold runs from spending more time page-faulting fresh
+        buffers than computing.
         """
         n_t = tlen.shape[0]
         nw = self.n_words
-        if (
-            scratch is None
-            or scratch.shape[1] < n_t
-            or scratch.shape[2] != nw
-        ):
-            scratch = np.empty(
-                (self.LOCKSTEP_BUFFERS, n_t, nw), dtype=np.uint64
-            )
-        VP, VN, score, Eq, Xv, Xh, Ph, t, end, valid = scratch[:, :n_t, :]
-        # Materialized (not broadcast) masks: broadcasting a (nw,) row
+        VP, VN, Eq, Xv, Xh, Ph, t, valid = scratch[:, :n_t, :]
+        # Materialized (not broadcast) mask: broadcasting a (nw,) row
         # against the (n_t, nw) state costs several times a same-shape op
-        # at these sizes, and the masks enter three ops per column.
+        # at these sizes.
         np.copyto(VP, self.valid)
         VN[:] = 0
-        np.copyto(score, self.score_init)
-        np.copyto(end, self.end_mask)
         np.copyto(valid, self.valid)
-        # The score temp reuses Eq: each column's last read of Eq comes
-        # before the first score-temp write.
-        sc = Eq
-        peq = self.peq
-        shift = np.uint64(self.width - 1)
-        for j in range(int(tlen[-1]) if n_t else 0):
-            s = int(np.searchsorted(tlen, j + 1))
+        columns = int(tlen[-1])
+        first_active = np.searchsorted(tlen, np.arange(1, columns + 1))
+        for j in range(columns):
+            s = first_active[j]
             eq = Eq[s:]
-            np.take(peq, tsyms[s:, j], axis=0, out=eq)
+            # mode="clip" skips take's bounce buffer; ids are in range
+            # by construction.
+            np.take(peq, tsyms[j, s:], axis=0, out=eq, mode="clip")
             vp, vn, xv = VP[s:], VN[s:], Xv[s:]
-            xh, ph, tt, scv, sco = Xh[s:], Ph[s:], t[s:], sc[s:], score[s:]
-            endv, validv = end[s:], valid[s:]
+            xh, ph, tt = Xh[s:], Ph[s:], t[s:]
             np.bitwise_or(eq, vn, out=xv)
             np.bitwise_and(eq, vp, out=xh)
             np.add(xh, vp, out=xh)
@@ -337,27 +359,26 @@ class _PackedChunk:
             np.invert(ph, out=ph)
             np.bitwise_or(ph, vn, out=ph)
             np.bitwise_and(vp, xh, out=xh)  # xh now holds Mh
-            np.bitwise_and(ph, endv, out=scv)
-            np.right_shift(scv, shift, out=scv)
-            np.add(sco, scv, out=sco)
-            np.bitwise_and(xh, endv, out=scv)
-            np.right_shift(scv, shift, out=scv)
-            np.subtract(sco, scv, out=sco)
             np.left_shift(ph, _U1, out=ph)
             np.left_shift(xh, _U1, out=xh)
             np.bitwise_or(xv, ph, out=tt)
             np.invert(tt, out=tt)
             np.bitwise_or(tt, xh, out=tt)
             np.bitwise_and(ph, xv, out=vn)
-            np.bitwise_and(tt, validv, out=vp)
-        cap = np.uint64(self.capacity)
+            np.bitwise_and(tt, valid[s:], out=vp)
+        base = tlen.astype(out.dtype)[:, None]
+        slot_bits = np.uint64(self.capacity)
         for sl in range(self.per_word):
             a = sl * nw
             if a >= self.n:
                 break
             b = min(a + nw, self.n)
-            vals = (score >> np.uint64(sl * self.width)) & cap
-            out[np.ix_(rows[a:b], tcols)] = vals[:, : b - a].T
+            slot = slot_bits << np.uint64(sl * self.width)
+            np.bitwise_and(VP, slot, out=Xv)
+            np.bitwise_and(VN, slot, out=Xh)
+            vals = base + np.bitwise_count(Xv)
+            vals -= np.bitwise_count(Xh)
+            out[a:b] = vals[:, : b - a].T
 
 
 class _BlockedChunk:
@@ -486,22 +507,18 @@ class MyersPatterns:
             if codes.size
             else np.empty(0, dtype=codes.dtype)
         )
-        max_code = int(flat_codes.max()) if flat_codes.size else 0
+        alphabet = _distinct_codes(flat_codes)
+        max_code = int(alphabet[-1]) if alphabet.size else 0
         if max_code < _LUT_MAX_CODE:
-            # Presence bitmap + lookup table: O(chars) alphabet discovery
-            # and remapping, no sorts (the common case — text alphabets).
-            # One sentinel zero entry past the top code lets remapping be
-            # a branch-free clip + take: any foreign code at or above the
-            # table clamps onto the sentinel and maps to symbol 0.
-            present = np.zeros(max_code + 1, dtype=bool)
-            present[flat_codes] = True
-            alphabet = np.flatnonzero(present).astype(codes.dtype)
+            # Lookup-table remap with one sentinel zero entry past the
+            # top code, so remapping is a branch-free clip + take: any
+            # foreign code at or above the table clamps onto the
+            # sentinel and maps to symbol 0.
             self._lut = np.zeros(max_code + 2, dtype=np.int32)
             self._lut[alphabet] = np.arange(
                 1, alphabet.shape[0] + 1, dtype=np.int32
             )
         else:
-            alphabet = np.unique(flat_codes)
             self._lut = None
         self.alphabet = alphabet
         self.n_syms = int(alphabet.shape[0])
@@ -637,6 +654,56 @@ class MyersPatterns:
         return self.remap_codes(text_codes)
 
 
+class TextColumns:
+    """The cached text-side layout of the lock-step driver.
+
+    ``order`` sorts the collection by ascending length, ``lengths`` are
+    the lengths in that order, ``alphabet`` the collection's own sorted
+    distinct code points, and ``symbols`` the ``(max_length, n)``
+    C-contiguous matrix of alphabet indices in the narrowest unsigned
+    dtype: row ``j`` is character ``j`` of every text in length order —
+    the contiguous row a lock-step column gathers ``Peq`` with.  Padding
+    cells (never read: column ``j`` only touches texts longer than ``j``)
+    index code point 0, which therefore may sit in ``alphabet`` without
+    occurring in any string.
+    """
+
+    def __init__(self, encoded) -> None:
+        codes, lengths = encoded.codes, encoded.lengths
+        # Radix-sorting a narrow key is ~8x faster than int64 for the
+        # short strings every workload has.
+        key = (
+            lengths.astype(np.int16)
+            if encoded.max_length < (1 << 15)
+            else lengths
+        )
+        self.order = np.argsort(key, kind="stable")
+        self.lengths = lengths[self.order]
+        self.alphabet = _distinct_codes(codes.reshape(-1))
+        n_syms = self.alphabet.shape[0]
+        dtype = np.min_scalar_type(max(n_syms - 1, 0))
+        if n_syms and int(self.alphabet[-1]) < _LUT_MAX_CODE:
+            lut = np.zeros(int(self.alphabet[-1]) + 1, dtype=dtype)
+            lut[self.alphabet] = np.arange(n_syms, dtype=dtype)
+            ids = lut[codes]
+        else:
+            ids = np.searchsorted(self.alphabet, codes).astype(dtype)
+        self.symbols = np.ascontiguousarray(ids[self.order].T)
+
+
+def text_columns(encoded) -> TextColumns:
+    """The (cached) lock-step text layout of an encoded collection.
+
+    Attached to the :class:`EncodedStrings` instance beside ``myers``:
+    built on the first lock-step call that has the collection on its
+    text side, dropped with the encoding-LRU entry.
+    """
+    layout = encoded.text_columns
+    if layout is None:
+        layout = encoded.text_columns = TextColumns(encoded)
+    return layout
+
+
 def myers_patterns(encoded) -> MyersPatterns:
     """The (cached) bit-parallel layout of an encoded collection.
 
@@ -709,22 +776,16 @@ def myers_matrix_into(
             out[rows, j] = scratch[: hi - lo]
 
 
-def myers_lockstep_eligible(patterns_encoded, texts_encoded) -> bool:
-    """Whether the text-lock-step driver applies to this pair.
+def myers_lockstep_eligible(patterns_encoded) -> bool:
+    """Whether the text-lock-step driver applies to this pattern side.
 
-    Requires a Myers-eligible, all-packed pattern layout whose ``W``-bit
-    score counters can hold the longest text (scores reach the text
-    length when patterns and texts share no characters).
+    Requires a Myers-eligible, all-packed pattern layout; the texts may
+    be anything (distances come from popcounts of the final column, so no
+    packed counter has to hold a text length).
     """
     layout = myers_patterns(patterns_encoded)
-    if not layout.eligible:
-        return False
-    max_text = (
-        int(texts_encoded.lengths.max()) if len(texts_encoded) else 0
-    )
-    return all(
-        chunk.kind == "packed" and max_text <= chunk.capacity
-        for chunk in layout.chunks
+    return layout.eligible and all(
+        chunk.kind == "packed" for chunk in layout.chunks
     )
 
 
@@ -738,8 +799,14 @@ def myers_matrix_lockstep_into(
     batch (points).  Texts advance together in ascending length order
     with a shrinking active suffix, so numpy-call overhead scales with
     the longest text while element work stays ``Σ len(text) · words``,
-    and the one-time layout build lands on the tiny pattern side.
-    Unbounded only; callers gate on :func:`myers_lockstep_eligible`.
+    and the one-time layout build lands on the tiny pattern side.  The
+    text side's own layout (:func:`text_columns`) is cached with its
+    encoding; per call only a ``len(text alphabet)``-row match table is
+    composed per chunk.  Distances are produced pattern-major in the
+    narrowest unsigned dtype holding the longest string and scattered
+    back to the caller's text order once per pattern row; ``out`` may be
+    any integer array (or view) wide enough for that.  Unbounded only;
+    callers gate on :func:`myers_lockstep_eligible`.
     """
     layout = myers_patterns(patterns_encoded)
     if not layout.eligible:
@@ -747,18 +814,18 @@ def myers_matrix_lockstep_into(
     order = layout.order
     if layout.n_empty:
         out[order[: layout.n_empty]] = texts_encoded.lengths
-    if len(texts_encoded) == 0 or not layout.chunks:
+    n_texts = len(texts_encoded)
+    if n_texts == 0 or not layout.chunks:
         return
-    # Radix-sorting a narrow key is ~8x faster than int64 for the short
-    # strings every workload has; lengths rarely exceed 16 bits.
-    tl = texts_encoded.lengths
-    sort_key = tl.astype(np.int16) if texts_encoded.max_length < (1 << 15) else tl
-    torder = np.argsort(sort_key, kind="stable")
-    tlen = tl[torder]
-    tsyms = layout.remap_codes(texts_encoded.codes[torder])
-    n_texts = tlen.shape[0]
+    texts = text_columns(texts_encoded)
+    table = layout.remap_codes(texts.alphabet)
+    longest = max(patterns_encoded.max_length, texts_encoded.max_length)
     blk = min(_LOCKSTEP_BLOCK_TEXTS, n_texts)
     for chunk, (lo, hi) in zip(layout.chunks, layout.chunk_bounds):
+        peq = chunk.peq[table]
+        sorted_out = np.empty(
+            (hi - lo, n_texts), dtype=np.min_scalar_type(longest)
+        )
         # One scratch pool per chunk, reused across every block: fresh
         # per-block buffers would spend more cold time page-faulting
         # than computing.
@@ -769,13 +836,14 @@ def myers_matrix_lockstep_into(
         for start in range(0, n_texts, _LOCKSTEP_BLOCK_TEXTS):
             stop = min(start + _LOCKSTEP_BLOCK_TEXTS, n_texts)
             chunk.distances_lockstep(
-                tsyms[start:stop],
-                tlen[start:stop],
-                out,
-                order[lo:hi],
-                torder[start:stop],
+                peq,
+                texts.symbols[:, start:stop],
+                texts.lengths[start:stop],
+                sorted_out[:, start:stop],
                 scratch,
             )
+        for row, distances in zip(order[lo:hi], sorted_out):
+            out[row][texts.order] = distances
 
 
 def _blocked_for_band(layout, lo, hi) -> _BlockedChunk:

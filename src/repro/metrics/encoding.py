@@ -45,6 +45,7 @@ __all__ = [
     "encode_strings",
     "clear_encoding_cache",
     "levenshtein_matrix",
+    "levenshtein_matrix_compact",
     "levenshtein_kernel_plan",
     "hamming_matrix",
     "lcp_matrix",
@@ -87,9 +88,17 @@ _MYERS_COL_OVERHEAD_CELLS = 1 << 13
 _MYERS_WORD_CELLS = 4
 _MYERS_BUILD_CELLS = 32
 
-#: Extra per-text-character charge of the lock-step Myers driver (sorting
-#: the text batch, one full-matrix remap, and the per-column ``Peq``
-#: gather), in the same cell-equivalent currency.
+#: Extra per-text-character charge of the lock-step Myers driver, in the
+#: same cell-equivalent currency: the per-column ``Peq`` gather, the
+#: once-per-block popcount scoring and the un-permuting scatter (the text
+#: layout itself is cached with the encoding).  Re-fitted against the
+#: score-free driver by planner regret over dictionary and 25-symbol gene
+#: shapes, 1..5000 texts x 1..100 sites, cached and fresh layouts: 2, 4
+#: and 8 choose alike bar one shape (0.81 vs 0.90 ms total regret), 16
+#: already sends close calls to the wrong orientation (1.7 ms) and 32
+#: misplans every big batch (73 ms) — 8 stands.  Against the per-text
+#: driver it never decides: the column overhead is three orders of
+#: magnitude larger, so that crossing sits between one text and two.
 _MYERS_LOCKSTEP_CHAR_CELLS = 8
 
 
@@ -101,17 +110,21 @@ class EncodedStrings:
     holds the true lengths.  Instances are immutable and reusable across
     every kernel call that touches the same collection.  ``myers`` lazily
     holds the collection's bit-parallel layout
-    (:class:`repro.metrics.bitparallel.MyersPatterns`), so the expensive
-    ``Peq`` tables share the encoding cache's LRU lifetime.
+    (:class:`repro.metrics.bitparallel.MyersPatterns`) and
+    ``text_columns`` its lock-step text layout
+    (:class:`repro.metrics.bitparallel.TextColumns`), so the expensive
+    ``Peq`` tables and the length-sorted symbol columns share the
+    encoding cache's LRU lifetime.
     """
 
-    __slots__ = ("codes", "lengths", "total_chars", "myers")
+    __slots__ = ("codes", "lengths", "total_chars", "myers", "text_columns")
 
     def __init__(self, codes: np.ndarray, lengths: np.ndarray):
         self.codes = codes
         self.lengths = lengths
         self.total_chars = int(lengths.sum()) if lengths.size else 0
         self.myers = None
+        self.text_columns = None
 
     @classmethod
     def from_strings(cls, strings: Sequence[str]) -> "EncodedStrings":
@@ -314,10 +327,11 @@ def _myers_cost_mode(
 
     The per-text driver pays the column overhead for every text
     character; the lock-step driver pays it only ``max_text_length``
-    times (all texts share each column) plus a small per-character batch
-    overhead, which is why it wins the few-sites-vs-many-points shape by
-    an order of magnitude.  Lock-step has no bounded variant and needs a
-    packed-only pattern layout, so it is only priced when applicable.
+    times (all texts share each column) plus a small per-character
+    gather-and-score overhead, which is why it wins the
+    few-sites-vs-many-points shape by an order of magnitude.  Lock-step
+    has no bounded variant and needs a packed-only pattern layout — any
+    text length will do — so it is only priced when applicable.
     """
     words = _myers_words_estimate(patterns.lengths)
     cost = texts.total_chars * (
@@ -458,6 +472,56 @@ def _wf_matrix_into(
                 )
 
 
+def levenshtein_matrix_compact(
+    xs: EncodedStrings,
+    ys: EncodedStrings,
+    max_distance: Optional[int] = None,
+    kernel: Optional[str] = None,
+) -> np.ndarray:
+    """:func:`levenshtein_matrix` in the kernel's own dtype and layout.
+
+    Same values, same arguments; what differs is the container.  The
+    lock-step Myers driver — every few-sites-vs-many-points call —
+    produces its distances site-major in the narrowest unsigned dtype
+    holding the longest string, and this function hands that matrix back
+    as is (transposed as a view when the sites are ``ys``, i.e.
+    column-major): one byte per distance for any dictionary, each site's
+    distances one contiguous row.  Every other plan yields the C-ordered
+    ``int64`` matrix.  For consumers that only compare or rank distances
+    — or that convert once, to their own dtype.
+    """
+    if len(xs) == 0 or len(ys) == 0:
+        return np.empty((len(xs), len(ys)), dtype=np.int64)
+    bounded = max_distance is not None
+    name, side = levenshtein_kernel_plan(
+        xs, ys, kernel=kernel, bounded=bounded
+    )
+    if name == "myers":
+        patterns, texts = (ys, xs) if side == "x" else (xs, ys)
+        _, mode = _myers_cost_mode(texts, patterns, bounded)
+        if mode == "lockstep" and bitparallel.myers_lockstep_eligible(
+            patterns
+        ):
+            out = np.empty(
+                (len(patterns), len(texts)),
+                dtype=np.min_scalar_type(
+                    max(xs.max_length, ys.max_length)
+                ),
+            )
+            bitparallel.myers_matrix_lockstep_into(patterns, texts, out)
+            return out.T if side == "x" else out
+    out = np.empty((len(xs), len(ys)), dtype=np.int64)
+    if name == "myers":
+        bitparallel.myers_matrix_into(
+            patterns, texts, out.T if side == "x" else out, max_distance
+        )
+    elif side == "x":
+        _wf_matrix_into(xs, ys, out, max_distance)
+    else:
+        _wf_matrix_into(ys, xs, out.T, max_distance)
+    return out
+
+
 def levenshtein_matrix(
     xs: EncodedStrings,
     ys: EncodedStrings,
@@ -476,33 +540,13 @@ def levenshtein_matrix(
     be reported as any lower bound that also exceeds it (length-gap
     prefilters and mid-DP early exits in both kernels); entries at or
     under the bound are exact either way.
+
+    Always a C-ordered ``int64`` matrix;
+    :func:`levenshtein_matrix_compact` skips that widening.
     """
-    out = np.empty((len(xs), len(ys)), dtype=np.int64)
-    if len(xs) == 0 or len(ys) == 0:
-        return out
-    bounded = max_distance is not None
-    name, side = levenshtein_kernel_plan(
-        xs, ys, kernel=kernel, bounded=bounded
-    )
-    if name == "myers":
-        if side == "x":
-            patterns, texts, target = ys, xs, out.T
-        else:
-            patterns, texts, target = xs, ys, out
-        _, mode = _myers_cost_mode(texts, patterns, bounded)
-        if mode == "lockstep" and bitparallel.myers_lockstep_eligible(
-            patterns, texts
-        ):
-            bitparallel.myers_matrix_lockstep_into(patterns, texts, target)
-        else:
-            bitparallel.myers_matrix_into(
-                patterns, texts, target, max_distance
-            )
-    elif side == "x":
-        _wf_matrix_into(xs, ys, out, max_distance)
-    else:
-        _wf_matrix_into(ys, xs, out.T, max_distance)
-    return out
+    return levenshtein_matrix_compact(
+        xs, ys, max_distance=max_distance, kernel=kernel
+    ).astype(np.int64, order="C", copy=False)
 
 
 def hamming_matrix(xs: EncodedStrings, ys: EncodedStrings) -> np.ndarray:

@@ -15,7 +15,7 @@ non-string inputs.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from typing import Any, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from repro.metrics.encoding import (
     encode_strings,
     hamming_matrix,
     levenshtein_matrix,
+    levenshtein_matrix_compact,
     prefix_distance_matrix,
 )
 
@@ -234,12 +235,19 @@ class StringMetric(Metric):
         except TypeError:
             return None
 
-    def matrix(self, xs: Sequence[Any], ys: Sequence[Any]) -> np.ndarray:
+    def _encode_both(
+        self, xs: Sequence[Any], ys: Sequence[Any]
+    ) -> Optional[Tuple[EncodedStrings, EncodedStrings]]:
+        """Both collections encoded, or ``None`` when either cannot be."""
         xs_encoded = self.encode(xs)
         ys_encoded = self.encode(ys) if xs_encoded is not None else None
-        if xs_encoded is None or ys_encoded is None:
+        return None if ys_encoded is None else (xs_encoded, ys_encoded)
+
+    def matrix(self, xs: Sequence[Any], ys: Sequence[Any]) -> np.ndarray:
+        encoded = self._encode_both(xs, ys)
+        if encoded is None:
             return super().matrix(xs, ys)
-        return self.matrix_encoded(xs_encoded, ys_encoded)
+        return self.matrix_encoded(*encoded)
 
 
 class LevenshteinDistance(StringMetric):
@@ -253,26 +261,29 @@ class LevenshteinDistance(StringMetric):
     def matrix_encoded(
         self, xs_encoded: EncodedStrings, ys_encoded: EncodedStrings
     ) -> np.ndarray:
-        return levenshtein_matrix(xs_encoded, ys_encoded).astype(np.float64)
+        return levenshtein_matrix_compact(xs_encoded, ys_encoded).astype(
+            np.float64, order="C"
+        )
+
+    def to_sites_compact(
+        self, points: Sequence[Any], sites: Sequence[Any]
+    ) -> np.ndarray:
+        encoded = self._encode_both(points, sites)
+        if encoded is None:
+            return self.to_sites(points, sites)
+        return levenshtein_matrix_compact(*encoded)
 
     def batch_distances_within(
         self, queries: Sequence[Any], points: Sequence[Any], radius: float
     ) -> np.ndarray:
-        queries_encoded = self.encode(queries)
-        points_encoded = (
-            self.encode(points) if queries_encoded is not None else None
-        )
-        if (
-            queries_encoded is None
-            or points_encoded is None
-            or not np.isfinite(radius)
-        ):
+        encoded = self._encode_both(queries, points)
+        if encoded is None or not np.isfinite(radius):
             return self.batch_distances(queries, points)
         # Distances are integers, so d <= radius iff d <= floor(radius);
         # pruned entries surface as integer lower bounds > floor(radius),
         # hence > radius.
         return levenshtein_matrix(
-            queries_encoded, points_encoded, max_distance=int(radius)
+            *encoded, max_distance=int(radius)
         ).astype(np.float64)
 
 

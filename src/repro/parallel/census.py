@@ -9,13 +9,17 @@ paper's counting results), not by the shard size.
 
 :func:`sharded_census` splits the database into row shards, computes one
 ``shard x sites`` distance matrix per shard (through the batched metric
-kernels), argsorts it **once**, and derives the census of every requested
-prefix length from that single sort via
-:func:`~repro.core.permutation.prefix_permutation_codes` — the incremental
-prefix census: the permutation of the first ``j`` sites is the restriction
-of the full permutation to values ``< j``, so one encoded pass yields the
-``(code, count)`` run at every ``j`` instead of re-argsorting per prefix.
-Partial censuses merge in shard order.  Shards run through any
+kernels, in their own narrow column layout:
+:meth:`~repro.metrics.base.Metric.to_sites_compact`), and derives the
+census of every requested prefix length from it with **no sort at all**
+via :func:`~repro.core.permutation.prefix_codes_from_distances` — the
+incremental prefix census: the permutation of the first ``j`` sites is
+the restriction of the full permutation to values ``< j``, and the
+insertion digit of site ``m`` is ``#{s < m : d[s] <= d[m]}``, so
+whole-column compares yield the ``(code, count)`` run at every ``j``
+without ever materialising a permutation.  Only the ``--dump`` path
+(``collect_permutations=True``) argsorts.  Partial censuses merge in
+shard order.  Shards run through any
 :class:`~repro.parallel.executor.Executor`; the database ships to pool
 workers zero-copy via :class:`~repro.parallel.sharedmem.SharedDataset`,
 and everything shipping *back* is 1-D code arrays — 8 bytes per point
@@ -36,7 +40,7 @@ from repro.core.permutation import (
     decode_permutations,
     encode_permutations,
     permutations_from_distances,
-    prefix_permutation_codes,
+    prefix_codes_from_distances,
 )
 from repro.metrics.base import Metric
 from repro.parallel.executor import Executor, get_executor
@@ -75,24 +79,26 @@ def _census_task(
 ) -> Tuple[Dict[int, StreamingCensus], Optional[Tuple[str, np.ndarray]]]:
     """Partial census of one row shard, for every prefix length in ``ks``.
 
-    One ``shard x len(sites)`` distance matrix and **one** argsort serve
-    every prefix length: a site-prefix permutation is the restriction of
-    the full permutation to values below the prefix width (not a column
-    prefix of it), so :func:`prefix_permutation_codes` extends one code
-    per point across all widths from the single full sort.  Only 1-D
-    ``(code, count)`` runs travel back; the ``--dump`` payload ships as
-    one Lehmer code per point (matrix fallback past ``MAX_CODE_SITES``).
+    One ``shard x len(sites)`` distance matrix serves every prefix
+    length, unsorted: a site-prefix permutation is the restriction of
+    the full permutation to values below the prefix width, so
+    :func:`prefix_codes_from_distances` extends one insertion code per
+    point across all widths straight from the distance columns.  Only
+    1-D ``(code, count)`` runs travel back; the ``--dump`` payload — the
+    one consumer of the permutations themselves, hence of an argsort —
+    ships as one Lehmer code per point (matrix fallback past
+    ``MAX_CODE_SITES``).
     """
     points = dataset.resolve()[start:stop]
-    distances = metric.to_sites(points, sites)
-    perms = permutations_from_distances(distances)
+    distances = metric.to_sites_compact(points, sites)
     censuses: Dict[int, StreamingCensus] = {}
-    for k, codes in prefix_permutation_codes(perms, ks).items():
+    for k, codes in prefix_codes_from_distances(distances, ks).items():
         census = StreamingCensus()
         census.update_codes(codes, k, coding="prefix")
         censuses[k] = census
     payload = None
     if collect:
+        perms = permutations_from_distances(distances)
         if len(sites) <= MAX_CODE_SITES:
             payload = ("codes", encode_permutations(perms))
         else:

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.metrics import LevenshteinDistance, levenshtein
 from repro.metrics import bitparallel
 from repro.metrics.encoding import (
+    _myers_cost_mode,
     clear_encoding_cache,
     encode_strings,
     levenshtein_kernel_plan,
@@ -135,11 +136,18 @@ class TestFallbacks:
             )
 
     def test_packed_capacity_overflow_falls_back_to_blocked(self):
-        # W = 8 slots cap the packed score counter at 255; a 300-char text
-        # must reroute the band through a throwaway blocked chunk.
+        # W = 8 slots cap the per-text driver's packed score counter at
+        # 255; a 300-char text must reroute the band through a throwaway
+        # blocked chunk.  (The planner itself sends this shape to the
+        # lock-step driver, which keeps no counter.)
         xs = ["ab", "ba", "abab"]
         ys = ["a" * 300, "ab" * 150, ""]
         assert np.array_equal(forced_myers(xs, ys), dp_matrix(xs, ys))
+        out = np.empty((3, 3), dtype=np.int64)
+        bitparallel.myers_matrix_into(
+            encode_strings(xs), encode_strings(ys), out
+        )
+        assert np.array_equal(out, dp_matrix(xs, ys))
 
 
 class TestBounded:
@@ -193,7 +201,7 @@ class TestLockstepDriver:
         sites, points = self._pair()
         ps = encode_strings(sites)
         ts = encode_strings(points)
-        assert bitparallel.myers_lockstep_eligible(ps, ts)
+        assert bitparallel.myers_lockstep_eligible(ps)
         lock = np.empty((len(sites), len(points)), dtype=np.int64)
         bitparallel.myers_matrix_lockstep_into(ps, ts, lock)
         per_text = np.empty_like(lock)
@@ -214,11 +222,7 @@ class TestLockstepDriver:
         # Blocked patterns (length > PACKED_MAX_LEN) have no lock-step.
         long_sites = encode_strings(["x" * 70])
         texts = encode_strings(["xy", "yx"])
-        assert not bitparallel.myers_lockstep_eligible(long_sites, texts)
-        # Texts beyond the packed counter capacity are rejected too.
-        small = encode_strings(["ab", "ba"])
-        giant = encode_strings(["a" * 300])
-        assert not bitparallel.myers_lockstep_eligible(small, giant)
+        assert not bitparallel.myers_lockstep_eligible(long_sites)
         out = np.empty((1, 2), dtype=np.int64)
         with pytest.raises(ValueError):
             bitparallel.myers_matrix_lockstep_into(
@@ -237,6 +241,174 @@ class TestLockstepDriver:
             encode_strings(sites), encode_strings(points), out
         )
         assert np.array_equal(out, dp_matrix(sites, points))
+        for sites, points in ((["", ""], ["a", ""]), (["ab"], ["", ""])):
+            out = np.empty((len(sites), len(points)), dtype=np.int64)
+            bitparallel.myers_matrix_lockstep_into(
+                encode_strings(sites), encode_strings(points), out
+            )
+            assert np.array_equal(out, dp_matrix(sites, points))
+
+    def test_text_longer_than_any_packed_counter(self):
+        # Distances come from popcounts of the last column, so a text may
+        # outgrow the W-bit score slots the per-text driver needs.
+        sites = ["ab", "ba", "abab", "c"]
+        points = ["a" * 300, "ab" * 150, "", "abab"]
+        ps, ts = encode_strings(sites), encode_strings(points)
+        assert bitparallel.myers_lockstep_eligible(ps)
+        assert _myers_cost_mode(ts, ps, False)[1] == "lockstep"
+        out = np.empty((4, 4), dtype=np.uint16)
+        bitparallel.myers_matrix_lockstep_into(ps, ts, out)
+        assert np.array_equal(out, dp_matrix(sites, points))
+        assert np.array_equal(
+            levenshtein_matrix(ts, ps), dp_matrix(points, sites)
+        )
+
+    @pytest.mark.parametrize("alphabet_size", [3, 200, 300, 700])
+    def test_random_alphabets_and_foreign_text_symbols(self, alphabet_size):
+        # Sites draw from the first 40 symbols at most (a dense pattern
+        # alphabet); texts from all of them, so most text symbols are
+        # foreign to the patterns, and past 256 distinct text symbols the
+        # cached symbol matrix needs a wider dtype.
+        rng = np.random.default_rng(alphabet_size)
+        symbols = [chr(0x3B1 + i) for i in range(alphabet_size)]
+        site_symbols = symbols[: min(alphabet_size, 40)]
+        sites = [
+            "".join(rng.choice(site_symbols, size=n))
+            for n in rng.integers(1, 31, size=14)
+        ] + ["", symbols[-1] * 30]
+        points = [
+            "".join(rng.choice(symbols, size=n))
+            for n in rng.integers(0, 25, size=150)
+        ] + ["", sites[0], sites[0][::-1]]
+        ps, ts = encode_strings(sites), encode_strings(points)
+        lock = np.empty((len(sites), len(points)), dtype=np.int64)
+        bitparallel.myers_matrix_lockstep_into(ps, ts, lock)
+        per_text = np.empty_like(lock)
+        bitparallel.myers_matrix_into(ps, ts, per_text)
+        assert np.array_equal(lock, per_text)
+        assert np.array_equal(lock, dp_matrix(sites, points))
+        wide = alphabet_size > 256
+        assert ts.text_columns.symbols.dtype == (np.uint16 if wide else np.uint8)
+
+    @pytest.mark.parametrize("site_length", range(1, 31))
+    def test_every_packed_site_length(self, site_length):
+        rng = np.random.default_rng(site_length)
+        letters = np.array(list("abc"))
+        sites = ["".join(rng.choice(letters, size=site_length)), "b"]
+        points = [
+            "".join(rng.choice(letters, size=n))
+            for n in rng.integers(0, 40, size=40)
+        ]
+        out = np.empty((2, 40), dtype=np.int64)
+        bitparallel.myers_matrix_lockstep_into(
+            encode_strings(sites), encode_strings(points), out
+        )
+        assert np.array_equal(out, dp_matrix(sites, points))
+
+    def test_more_texts_than_one_block(self):
+        # > 4096 texts: several lock-step blocks, a ragged last one, and
+        # the per-row un-permute across all of them, into a transposed
+        # view of a narrow matrix.
+        rng = np.random.default_rng(4097)
+        letters = np.array(list("abcd"))
+        n = 2 * bitparallel._LOCKSTEP_BLOCK_TEXTS + 37
+        sites = ["abca", "dd", "", "abcdabcd", "c"]
+        points = [
+            "".join(rng.choice(letters, size=size))
+            for size in rng.integers(0, 9, size=n)
+        ]
+        out = np.empty((n, len(sites)), dtype=np.uint8)
+        ps, ts = encode_strings(sites), encode_strings(points)
+        bitparallel.myers_matrix_lockstep_into(ps, ts, out.T)
+        per_text = np.empty((len(sites), n), dtype=np.int64)
+        bitparallel.myers_matrix_into(ps, ts, per_text)
+        assert np.array_equal(out.T, per_text)
+        sample = rng.choice(n, size=400, replace=False)
+        assert np.array_equal(
+            out[sample], dp_matrix([points[i] for i in sample], sites)
+        )
+
+    def test_code_points_beyond_the_lookup_table(self):
+        # Plane-16 private-use code points sit above the 2**20 LUT limit:
+        # the text alphabet comes from np.unique + searchsorted instead.
+        high = [chr(0x10FFF0 + i) for i in range(6)]
+        sites = ["ab" + high[0], high[1] * 3, "b"]
+        points = [high[0] + "a", "ab", high[2] + high[1] * 2, ""]
+        out = np.empty((3, 4), dtype=np.int64)
+        bitparallel.myers_matrix_lockstep_into(
+            encode_strings(sites), encode_strings(points), out
+        )
+        assert np.array_equal(out, dp_matrix(sites, points))
+
+
+class TestTextColumns:
+    def test_layout_shape_and_content(self):
+        points = ["abc", "", "ca", "b"]
+        layout = bitparallel.text_columns(encode_strings(points))
+        assert layout.order.tolist() == [1, 3, 2, 0]  # stable by length
+        assert layout.lengths.tolist() == [0, 1, 2, 3]
+        # NUL pads the code matrix, so it joins the alphabet unread.
+        assert layout.alphabet.tolist() == [0, ord("a"), ord("b"), ord("c")]
+        assert layout.symbols.dtype == np.uint8
+        assert layout.symbols.shape == (3, 4)
+        assert layout.symbols.flags.c_contiguous
+        # Row j is character j of every text in length order; padding
+        # cells are never read.
+        assert layout.symbols[0, 1:].tolist() == [2, 3, 1]
+        assert layout.symbols[1, 2:].tolist() == [1, 2]
+        assert layout.symbols[2, 3:].tolist() == [3]
+
+    def test_built_once_per_encoding_and_dropped_with_it(self):
+        import gc
+        import weakref
+
+        clear_encoding_cache()
+        rng = np.random.default_rng(11)
+        letters = np.array(list("abdeglmpt"))
+        points = [
+            "".join(rng.choice(letters, size=n))
+            for n in rng.integers(1, 9, size=2000)
+        ]
+        metric = LevenshteinDistance()
+        first = metric.to_sites(points, ["alpa", "beat"])
+        encoded = encode_strings(points)
+        layout = encoded.text_columns
+        assert layout is not None
+        # New sites, fresh list object: the encoding cache hits and the
+        # text layout rides along — same object, no rebuild.
+        second = metric.to_sites(list(points), ["gama", "delt", "x"])
+        assert encode_strings(points).text_columns is layout
+        assert np.array_equal(first, dp_matrix(points, ["alpa", "beat"]))
+        assert np.array_equal(second, dp_matrix(points, ["gama", "delt", "x"]))
+        alive = weakref.ref(layout)
+        del layout, encoded
+        clear_encoding_cache()
+        gc.collect()
+        assert alive() is None
+
+    def test_compact_hook_equals_to_sites(self):
+        rng = np.random.default_rng(5)
+        letters = np.array(list("abcde"))
+        points = [
+            "".join(rng.choice(letters, size=n))
+            for n in rng.integers(0, 14, size=500)
+        ]
+        sites = points[:7]
+        metric = LevenshteinDistance()
+        full = metric.to_sites(points, sites)
+        compact = metric.to_sites_compact(points, sites)
+        assert full.dtype == np.float64 and full.flags.c_contiguous
+        assert compact.dtype == np.uint8 and compact.shape == (500, 7)
+        # One contiguous byte row per site.
+        assert compact.T.flags.c_contiguous
+        assert np.array_equal(compact, full)
+        assert np.array_equal(full, dp_matrix(points, sites))
+        # A single query stays on the per-text driver: int64, same values.
+        single = metric.to_sites_compact(points[:1], sites)
+        assert np.array_equal(single, full[:1])
+        # Non-string input has no encoded kernel: the hook is to_sites.
+        mixed = metric.to_sites_compact([("a", "b")], [("a",)])
+        assert mixed.dtype == np.float64 and mixed[0, 0] == 1.0
 
 
 class TestLayoutCache:

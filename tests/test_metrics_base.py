@@ -39,6 +39,13 @@ class TestDefaultBatchMethods:
         out = metric.to_sites(list("abcd"), list("xy"))
         assert out.shape == (4, 2)
 
+    def test_to_sites_compact_defaults_to_to_sites(self):
+        metric = _Discrete()
+        np.testing.assert_array_equal(
+            metric.to_sites_compact(list("abcd"), list("ay")),
+            metric.to_sites(list("abcd"), list("ay")),
+        )
+
     def test_callable(self):
         assert _Discrete()("a", "b") == 1.0
 
@@ -117,6 +124,11 @@ class TestCountingMetric:
         counter = CountingMetric(_Discrete())
         counter.to_sites(list("abcd"), list("xyz"))
         assert counter.count == 12
+
+    def test_counts_to_sites_compact(self):
+        counter = CountingMetric(_Discrete())
+        out = counter.to_sites_compact(list("abcd"), list("xyz"))
+        assert counter.count == 12 and out.shape == (4, 3)
 
     def test_counts_batch_distances(self):
         counter = CountingMetric(_Discrete())

@@ -237,6 +237,27 @@ class TestStreamingCensusMerge:
         )
         assert merged.chao1() == whole.chao1()
 
+    def test_merged_single_partial_is_a_copy(self, rng):
+        # One non-empty partial (every serial census) is already sorted
+        # and collapsed: merged() copies its run — equal, never aliased —
+        # with or without empty partials around it.
+        part = StreamingCensus()
+        part.update(permutations_from_distances(rng.random((300, 4))))
+        codes, counts = part.codes.copy(), part.counts.copy()
+        for partials in ([part], [StreamingCensus(), part, StreamingCensus()]):
+            merged = StreamingCensus.merged(partials)
+            assert (merged.k, merged.coding, merged.total) == (4, "lehmer", 300)
+            np.testing.assert_array_equal(merged.codes, codes)
+            np.testing.assert_array_equal(merged.counts, counts)
+            assert not np.shares_memory(merged.codes, part.codes)
+            assert not np.shares_memory(merged.counts, part.counts)
+            merged.counts[:] = -1
+            merged.codes[:] = 0
+            merged.update(permutations_from_distances(rng.random((50, 4))))
+            np.testing.assert_array_equal(part.codes, codes)
+            np.testing.assert_array_equal(part.counts, counts)
+            assert part.total == 300
+
     def test_merge_in_place_returns_self(self):
         a, b = StreamingCensus(), StreamingCensus()
         a.update(np.array([[0, 1], [1, 0]]))
