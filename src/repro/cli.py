@@ -30,10 +30,15 @@ one call and the report shows queries per second alongside the
 literature's distance-evaluations-per-query cost (``--no-batch`` loops
 the single-query API instead, for comparison).
 
-The census and search subcommands (and the table generators) take the
-library-wide ``--shards`` / ``--workers`` flags: the database splits
-into shards served by a process pool (:mod:`repro.parallel`), with
-answers and censuses identical to the serial run for every setting.
+The census subcommand and the table generators take the library-wide
+``--shards`` / ``--workers`` flags (:mod:`repro.parallel`): the database
+splits into shards whose partial censuses a ``--workers``-sized task
+pool computes and merges exactly.  ``search`` and ``serve`` take the
+same two flags plus the resilience flags (one shared engine-options
+group): there ``--workers N`` (any N > 0) and ``--resident`` are two
+spellings of one switch — serve every shard from its own supervised,
+pinned worker process — and without either the shards run in-process.
+Answers and censuses are identical to the serial run for every setting.
 """
 
 from __future__ import annotations
@@ -65,10 +70,39 @@ _INDEXES = ("aesa", "distperm", "iaesa", "laesa", "linear", "vptree")
 def _add_parallel_flags(parser: argparse.ArgumentParser) -> None:
     """The library-wide multi-core flags (see :mod:`repro.parallel`)."""
     parser.add_argument("--workers", type=int, default=None,
-                        help="process-pool size (default: serial; results "
-                             "are identical for every worker count)")
+                        help="run on worker processes (default: in-process; "
+                             "results are identical either way).  Census "
+                             "and table commands size their task pool with "
+                             "it; search/serve run one pinned worker per "
+                             "shard for any N > 0")
     parser.add_argument("--shards", type=int, default=None,
                         help="database shards (default: worker count)")
+
+
+def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
+    """The query-engine flags of ``search`` and ``serve``.
+
+    ``--workers/--shards`` plus the resilience flags of the pinned
+    worker pool; any resilience flag selects the pool, as ``--workers
+    N`` does.
+    """
+    _add_parallel_flags(parser)
+    parser.add_argument("--resident", action="store_true",
+                        help="serve each shard from its own supervised "
+                             "pinned worker process (same engine as "
+                             "--workers N; requires --shards/--workers)")
+    parser.add_argument("--deadline", type=float, default=None,
+                        help="per-query fan-out deadline in seconds "
+                             "(pinned workers; default: unbounded)")
+    parser.add_argument("--retries", type=int, default=None,
+                        help="extra attempts a failed shard gets on a "
+                             "respawned worker (pinned workers; default 1)")
+    parser.add_argument("--on-partial", choices=("raise", "degrade"),
+                        default=None,
+                        help="when retries/deadline run out: 'raise' keeps "
+                             "exact answers, 'degrade' merges the "
+                             "surviving shards and flags the answer "
+                             "partial (pinned workers; default raise)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -179,23 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="decoded-block LRU budget per mapped code "
                              "store, in bytes (with --mmap; default "
                              "16 MiB)")
-    _add_parallel_flags(search)
-    search.add_argument("--resident", action="store_true",
-                        help="serve shards from supervised pinned worker "
-                             "processes (crash recovery; requires "
-                             "--shards/--workers)")
-    search.add_argument("--deadline", type=float, default=None,
-                        help="per-query fan-out deadline in seconds "
-                             "(resident mode; default: unbounded)")
-    search.add_argument("--retries", type=int, default=None,
-                        help="extra attempts a failed shard gets on a "
-                             "respawned worker (resident mode; default 1)")
-    search.add_argument("--on-partial", choices=("raise", "degrade"),
-                        default=None,
-                        help="when retries/deadline run out: 'raise' keeps "
-                             "exact answers, 'degrade' merges the "
-                             "surviving shards (resident mode; "
-                             "default raise)")
+    _add_engine_flags(search)
 
     serve = commands.add_parser(
         "serve",
@@ -230,21 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--no-adaptive", action="store_true",
                        help="freeze the window at --max-wait-ms instead "
                             "of adapting to load")
-    _add_parallel_flags(serve)
-    serve.add_argument("--resident", action="store_true",
-                       help="serve shards from supervised pinned worker "
-                            "processes (crash recovery; requires "
-                            "--shards/--workers)")
-    serve.add_argument("--deadline", type=float, default=None,
-                       help="per-query fan-out deadline in seconds "
-                            "(resident mode)")
-    serve.add_argument("--retries", type=int, default=None,
-                       help="extra attempts a failed shard gets "
-                            "(resident mode; default 1)")
-    serve.add_argument("--on-partial", choices=("raise", "degrade"),
-                       default=None,
-                       help="shard loss policy under resident serving; "
-                            "'degrade' flags partial answers on the wire")
+    _add_engine_flags(serve)
 
     bench_serve = commands.add_parser(
         "bench-serve",
@@ -297,6 +301,61 @@ def _parallel_flags_error(args: argparse.Namespace) -> Optional[str]:
     if args.shards is not None and args.shards < 1:
         return "--shards must be >= 1"
     return None
+
+
+def _is_sharded(args: argparse.Namespace) -> bool:
+    return args.workers is not None or args.shards is not None
+
+
+def _wants_pool(args: argparse.Namespace) -> bool:
+    """Whether the engine flags select the pinned worker pool."""
+    return bool(
+        args.resident
+        or args.workers
+        or args.deadline is not None
+        or args.retries is not None
+        or args.on_partial is not None
+    )
+
+
+def _engine_flags_error(args: argparse.Namespace) -> Optional[str]:
+    """Validate the engine-options group; an error message or None."""
+    error = _parallel_flags_error(args)
+    if error:
+        return error
+    if _wants_pool(args) and not _is_sharded(args):
+        return ("--resident/--deadline/--retries/--on-partial need "
+                "sharded execution; add --shards (or --workers)")
+    if args.deadline is not None and args.deadline <= 0:
+        return "--deadline must be > 0"
+    if args.retries is not None and args.retries < 0:
+        return "--retries must be >= 0"
+    return None
+
+
+def _sharded_index(args: argparse.Namespace, points, metric, *,
+                   load_path=None, backing="ram", cache_bytes=None):
+    """Build (or load) the ``ShardedIndex`` the engine flags describe."""
+    from repro.index import ShardedIndex
+    from repro.parallel.workerpool import QueryPolicy
+
+    engine = dict(
+        workers=args.workers,
+        resident=_wants_pool(args),
+        policy=QueryPolicy(
+            deadline=args.deadline,
+            retries=args.retries if args.retries is not None else 1,
+            on_partial=args.on_partial if args.on_partial else "raise",
+        ),
+    )
+    if load_path is not None:
+        from repro.index.serialize import load_sharded
+
+        return load_sharded(load_path, points, metric, backing=backing,
+                            cache_bytes=cache_bytes, **engine)
+    n_shards = args.shards if args.shards is not None else args.workers
+    return ShardedIndex(points, metric, _index_factory(args),
+                        n_shards=max(1, n_shards or 1), **engine)
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
@@ -577,9 +636,12 @@ def _sharded_inner(points, metric, name: str = "linear", sites: int = 8,
     raise ValueError(f"no factory for index {name!r} (update _INDEXES?)")
 
 
-def _build_search_index(name: str, points, metric, args: argparse.Namespace):
-    return _sharded_inner(points, metric, name, sites=args.sites,
-                          pivots=args.pivots, seed=args.seed)
+def _index_factory(args: argparse.Namespace):
+    """``_sharded_inner`` bound to the index flags (picklable)."""
+    from functools import partial
+
+    return partial(_sharded_inner, name=args.index, sites=args.sites,
+                   pivots=args.pivots, seed=args.seed)
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
@@ -628,29 +690,12 @@ def _cmd_search(args: argparse.Namespace) -> int:
     if args.index == "laesa" and args.pivots < 1:
         print("error: --pivots must be >= 1", file=sys.stderr)
         return 1
-    error = _parallel_flags_error(args)
+    error = _engine_flags_error(args)
     if error:
         print(f"error: {error}", file=sys.stderr)
         return 1
     metric = _METRICS[args.metric]()
-    resilience_flags = (
-        args.deadline is not None
-        or args.retries is not None
-        or args.on_partial is not None
-    )
-    resident = args.resident or resilience_flags
-    sharded = args.workers is not None or args.shards is not None
-    if resident and not sharded:
-        print("error: --resident/--deadline/--retries/--on-partial need "
-              "sharded execution; add --shards (or --workers)",
-              file=sys.stderr)
-        return 1
-    if args.deadline is not None and args.deadline <= 0:
-        print("error: --deadline must be > 0", file=sys.stderr)
-        return 1
-    if args.retries is not None and args.retries < 0:
-        print("error: --retries must be >= 0", file=sys.stderr)
-        return 1
+    sharded = _is_sharded(args)
     if (args.save_index or args.load_index) and args.index != "distperm":
         print("error: --save-index/--load-index support --index distperm "
               "payloads only", file=sys.stderr)
@@ -665,28 +710,10 @@ def _cmd_search(args: argparse.Namespace) -> int:
         return 1
     backing = "mmap" if args.mmap else "ram"
     if sharded:
-        from functools import partial
-
-        from repro.index import ShardedIndex
-        from repro.parallel.workerpool import QueryPolicy
-
-        n_shards = (
-            args.shards
-            if args.shards is not None
-            else max(1, args.workers or 1)
-        )
-        policy = QueryPolicy(
-            deadline=args.deadline,
-            retries=args.retries if args.retries is not None else 1,
-            on_partial=args.on_partial if args.on_partial else "raise",
-        )
         if args.load_index:
-            from repro.index.serialize import load_sharded
-
             try:
-                index = load_sharded(
-                    args.load_index, points, metric,
-                    workers=args.workers, resident=resident, policy=policy,
+                index = _sharded_index(
+                    args, points, metric, load_path=args.load_index,
                     backing=backing, cache_bytes=args.cache_bytes,
                 )
             except (OSError, ValueError) as error:
@@ -694,16 +721,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
                       file=sys.stderr)
                 return 1
         else:
-            index = ShardedIndex(
-                points,
-                metric,
-                partial(_sharded_inner, name=args.index, sites=args.sites,
-                        pivots=args.pivots, seed=args.seed),
-                n_shards=n_shards,
-                workers=args.workers,
-                resident=resident,
-                policy=policy,
-            )
+            index = _sharded_index(args, points, metric)
         if args.save_index:
             from repro.index.serialize import save_sharded
 
@@ -723,7 +741,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
                       file=sys.stderr)
                 return 1
         else:
-            index = _build_search_index(args.index, points, metric, args)
+            index = _index_factory(args)(points, metric)
         if args.save_index:
             from repro.index.serialize import save_distperm
 
@@ -761,10 +779,10 @@ def _cmd_search(args: argparse.Namespace) -> int:
         "knn-approx": f"k={min(args.k, len(points))} budget={args.budget}",
     }[args.mode]
     surface = "looped single-query" if args.no_batch else "batched"
-    if sharded and resident:
-        layout = f", {index.n_shards} shards x resident workers"
+    if sharded and _wants_pool(args):
+        layout = f", {index.n_shards} shards x pinned workers"
     elif sharded:
-        layout = f", {index.n_shards} shards x {args.workers or 'serial'} workers"
+        layout = f", {index.n_shards} shards in-process"
     else:
         layout = ""
     print(f"database: {args.input} ({len(points)} elements, "
@@ -819,51 +837,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if len(points) == 0:
         print("error: empty database", file=sys.stderr)
         return 1
-    error = _parallel_flags_error(args)
+    error = _engine_flags_error(args)
     if error:
         print(f"error: {error}", file=sys.stderr)
         return 1
     metric = _METRICS[args.metric]()
-    resilience_flags = (
-        args.deadline is not None
-        or args.retries is not None
-        or args.on_partial is not None
-    )
-    resident = args.resident or resilience_flags
-    sharded = args.workers is not None or args.shards is not None
-    if resident and not sharded:
-        print("error: --resident/--deadline/--retries/--on-partial need "
-              "sharded execution; add --shards (or --workers)",
-              file=sys.stderr)
-        return 1
-    if sharded:
-        from functools import partial
-
-        from repro.index import ShardedIndex
-        from repro.parallel.workerpool import QueryPolicy
-
-        n_shards = (
-            args.shards
-            if args.shards is not None
-            else max(1, args.workers or 1)
-        )
-        policy = QueryPolicy(
-            deadline=args.deadline,
-            retries=args.retries if args.retries is not None else 1,
-            on_partial=args.on_partial if args.on_partial else "raise",
-        )
-        index = ShardedIndex(
-            points,
-            metric,
-            partial(_sharded_inner, name=args.index, sites=args.sites,
-                    pivots=args.pivots, seed=args.seed),
-            n_shards=n_shards,
-            workers=args.workers,
-            resident=resident,
-            policy=policy,
-        )
+    if _is_sharded(args):
+        index = _sharded_index(args, points, metric)
     else:
-        index = _build_search_index(args.index, points, metric, args)
+        index = _index_factory(args)(points, metric)
     config = BatchConfig(
         max_batch=args.max_batch,
         max_wait_ms=args.max_wait_ms,

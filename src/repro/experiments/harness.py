@@ -152,11 +152,11 @@ class QueryWorkloadReport:
     measures are distance evaluations per query (hardware-independent)
     and queries per second (wall clock).  ``degraded`` /
     ``shards_answered`` mirror the index's resilience stats after the
-    workload (resident sharded execution only — ``shards_answered`` is
+    workload (pooled sharded execution only — ``shards_answered`` is
     ``None`` elsewhere): whether any answer in this workload was merged
     from fewer than all shards, and how many shards the last fan-out
     heard from.  ``reply_bytes`` totals the result-payload bytes shipped
-    from resident workers over the workload (0 when no worker wire was
+    from the pinned workers over the workload (0 when no worker wire was
     involved) and ``shard_reply_bytes`` is the last fan-out's per-shard
     breakdown, ``None`` per shard that never replied.
     """
@@ -217,9 +217,11 @@ def run_query_workload(
     indexes of the same type, or of ``inner_factory``; the rebuild cost
     is not part of the report).  Exact answers are identical either way;
     the wrapper's pool and shared memory are released before returning.
-    ``resident`` / ``policy`` select and configure the supervised
-    worker runtime for the wrapper (see
-    :mod:`repro.parallel.workerpool`); after the workload, inspect
+    A positive ``workers`` or ``resident=True`` (two spellings of one
+    switch) runs the wrapper on the supervised pinned-worker pool, one
+    process per shard (see :mod:`repro.parallel.workerpool`) — the
+    factory must then be picklable — and ``policy`` configures its
+    deadlines and retries; after the workload, inspect
     ``index.stats.degraded`` / ``shards_answered`` for whether any
     answer was partial.
     """
@@ -230,7 +232,7 @@ def run_query_workload(
     ) and not isinstance(index, ShardedIndex):
         raise ValueError(
             "resident/policy require sharded execution: pass shards= "
-            "(or workers=), or a ShardedIndex built with resident=True"
+            "(or workers=), or a pooled ShardedIndex"
         )
     wrapped: Optional[ShardedIndex] = None
     if (shards is not None or workers is not None) and not isinstance(

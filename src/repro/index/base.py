@@ -48,7 +48,13 @@ import numpy as np
 
 from repro.metrics.base import CountingMetric, Metric
 
-__all__ = ["Neighbor", "NeighborArrays", "SearchStats", "Index"]
+__all__ = [
+    "Neighbor",
+    "NeighborArrays",
+    "csr_columns_error",
+    "SearchStats",
+    "Index",
+]
 
 
 @dataclass(frozen=True, order=True)
@@ -183,6 +189,39 @@ class NeighborArrays:
         return cls(distances, indices, np.concatenate(pieces))
 
 
+def csr_columns_error(
+    arrays: Sequence[np.ndarray], n_queries: Optional[int] = None
+) -> Optional[str]:
+    """Why ``arrays`` is not a :class:`NeighborArrays` column triple.
+
+    The one column contract both byte boundaries (worker pipes, query
+    socket) check before trusting a reply: three 1-d arrays — float64
+    distances, int64 indices, int64 CSR offsets starting at 0, never
+    decreasing, ending at the column length, with ``n_queries + 1``
+    entries when the receiver knows how many rows it asked for.
+    Returns ``None`` for a well-formed triple, else a short reason.
+    """
+    if len(arrays) != 3 or any(a.ndim != 1 for a in arrays):
+        return "expected three 1-d columns"
+    distances, indices, offsets = arrays
+    if (distances.dtype, indices.dtype, offsets.dtype) != (
+        np.float64, np.int64, np.int64
+    ):
+        return "columns must be float64 distances, int64 indices and offsets"
+    if indices.shape[0] != distances.shape[0]:
+        return "distance and index columns differ in length"
+    if n_queries is not None and offsets.shape[0] != n_queries + 1:
+        return f"offsets must have {n_queries + 1} entries"
+    if (
+        offsets.shape[0] < 1
+        or offsets[0] != 0
+        or offsets[-1] != distances.shape[0]
+        or bool(np.any(np.diff(offsets) < 0))
+    ):
+        return "offsets must rise monotonically from 0 to the column length"
+    return None
+
+
 #: An approximate-kNN budget: one scalar cap for the whole batch, or a
 #: per-query int array (the sharded global-footrule split allocates one
 #: candidate budget per query per shard).
@@ -209,9 +248,9 @@ class SearchStats:
     """Distance evaluations spent building and querying an index.
 
     The fields past ``queries`` report on *resilience* and worker IPC
-    and are populated only by sharded resident-mode queries
-    (:class:`~repro.index.sharded.ShardedIndex` over a supervised worker
-    pool): ``shards_answered`` counts the shards whose answers made the
+    and are populated by every pooled sharded query
+    (:class:`~repro.index.sharded.ShardedIndex` over its supervised
+    worker pool): ``shards_answered`` counts the shards whose answers made the
     most recent merge, ``degraded`` is ``True`` when any query since the
     last :meth:`~Index.reset_stats` returned without all shards (a
     partial answer under ``on_partial="degrade"``), and
@@ -227,10 +266,10 @@ class SearchStats:
     degraded: bool = False
     shard_latencies_s: Optional[Tuple[Optional[float], ...]] = None
     #: Total bytes of worker replies (inline pickles plus shared-memory
-    #: payloads) received since the last reset; resident mode only.
+    #: payloads) received since the last reset; pooled execution only.
     reply_bytes: int = 0
     #: The most recent fan-out's per-shard reply sizes in bytes (``None``
-    #: entries for shards that never answered); resident mode only.
+    #: entries for shards that never answered); pooled execution only.
     shard_reply_bytes: Optional[Tuple[Optional[int], ...]] = None
 
     @property

@@ -478,8 +478,8 @@ class DistPermIndex(Index):
         rank candidates by how unusually close they sit in their own
         shard's permutation space.  Costs one ``to_sites`` call
         (``n_sites`` evaluations per query) — the same site distances a
-        subsequent :meth:`knn_approx_batch` pays again, so serial,
-        stateless, and resident execution charge identically.
+        subsequent :meth:`knn_approx_batch` pays again, so in-process
+        and pooled execution charge identically.
         """
         n = len(self.points)
         limit = max(0, min(int(limit), n))

@@ -578,7 +578,7 @@ def read_shard_payload(
 ) -> Dict[str, Any]:
     """Read one shard's payload dict back out of a sharded payload file.
 
-    The re-load primitive behind resident-worker respawns: a worker
+    The load primitive behind pinned-worker (re)spawns: a worker
     that must rebuild shard ``shard`` reads only that shard's packed
     codes, never the other shards or the database.  The file's member
     table (zip central directory for v2, v3 header) is parsed once and
@@ -655,17 +655,19 @@ def load_sharded(
     ``points`` must be the database the index was built on; each shard is
     restored against its own contiguous slice (with the same probe check
     as :func:`load_distperm`) and no build distances are recomputed.
-    ``workers`` selects the loaded index's execution backend, independent
-    of how the saved index ran; ``resident`` / ``policy`` / ``faults`` /
-    ``budget_split`` configure the supervised worker runtime and the
-    ``knn_approx`` budget division exactly as on
-    :class:`~repro.index.sharded.ShardedIndex` — resident workers of a
-    disk-backed index reload their shard from this payload file on every
-    respawn.  Corrupt shard data raises :class:`PayloadCorruptError`
+    ``workers`` / ``resident`` select the loaded index's engine,
+    independent of how the saved index ran: a positive ``workers`` or
+    ``resident=True`` (two spellings of one switch) serves it from one
+    pinned worker per shard, spawned lazily on the first query;
+    ``policy`` / ``faults`` / ``budget_split`` configure that runtime
+    and the ``knn_approx`` budget division exactly as on
+    :class:`~repro.index.sharded.ShardedIndex`.  The workers of a
+    disk-backed index load their shard from this payload file on every
+    (re)spawn.  Corrupt shard data raises :class:`PayloadCorruptError`
     naming the shard key and byte offset.
 
     ``backing="mmap"`` (version-3 payloads only) maps every shard's code
-    section instead of decoding it, and resident workers inherit the
+    section instead of decoding it, and the pinned workers inherit the
     mode — a respawned worker re-maps its shard instead of re-reading
     it.  ``cache_bytes`` / ``block_elements`` tune each shard's
     decoded-block LRU.
@@ -723,8 +725,6 @@ def load_sharded(
     index.points = points
     index.metric = CountingMetric(metric)
     index.stats = SearchStats()
-    index._inner_factory = DistPermIndex
-    index._requested_shards = n_shards
     index._init_runtime(workers, resident, policy, faults, budget_split)
     index._payload_path = os.fspath(path)
     index._payload_backing = backing

@@ -38,32 +38,26 @@ boundary — inline for small replies, via one-shot shared-memory
 segments for large ones — so no pickled ``Neighbor`` list ever crosses
 the query path.
 
-Execution runs through :mod:`repro.parallel`: the serial backend builds
-and queries shards in order in-process (zero overhead, the reference
-semantics), while a process pool builds shards from a zero-copy
-shared-memory view of the database and serves queries from per-worker
-shard replicas, published once as shared-memory payloads rather than
-re-shipped per call.  Results are deterministic — identical across
-``workers`` settings — because the fan-out/merge is ordered by shard.
+Execution has two engines, chosen by one derived predicate
+(``pooled = resident or not serial_workers(workers)``).  *In-process*
+builds and queries the shards in order in the owner — zero overhead,
+the reference semantics.  *Pooled* is the supervised worker runtime
+(:mod:`repro.parallel.workerpool`): one pinned process per shard builds
+its shard from a zero-copy shared-memory view of the database, holds it
+resident, and answers under the index's
+:class:`~repro.parallel.workerpool.QueryPolicy` (deadlines, crash
+detection, respawn-and-retry, visible partial answers).  ``workers=N``
+and ``resident=True`` are two spellings of it: the pool is one process
+per shard, so ``workers`` sizes nothing here.  Both engines run each
+per-shard op through one dispatch (``workerpool._run_shard_op``) and
+merge in shard order, so answers are identical across engines.
 
-``resident=True`` selects a third query engine: the supervised
-worker-pool runtime (:mod:`repro.parallel.workerpool`).  One pinned
-process per shard holds that shard resident — bounding memory to one
-shard copy per worker, where the stateless pool can replicate up to
-``S`` shards into each — and the fan-out enforces the index's
-:class:`~repro.parallel.workerpool.QueryPolicy`: per-query deadlines,
-crash detection, respawn-and-retry, and (under
-``on_partial="degrade"``) honest partial answers merged from the
-surviving shards, with :class:`~repro.index.base.SearchStats` carrying
-``shards_answered`` / ``degraded`` / per-shard latencies.  Builds still
-use ``workers``; residency is a query-path property.
-
-Two practical notes: inner factories must be picklable for pool
-execution (a class, ``functools.partial``, or module-level function, not
-a lambda) and deterministic (seed any randomness inside the factory, do
-not share a mutable generator across shards, or serial and pool builds
-will diverge); and nesting a ``ShardedIndex`` inside a ``ShardedIndex``
-is unsupported.
+Inner factories of a pooled index are shipped to its workers: they must
+be picklable (a class, ``functools.partial``, or module-level function,
+not a lambda — checked before any process is spawned) and deterministic
+(seed randomness inside the factory, or the owner's mirror, a respawned
+worker and the in-process engine diverge).  Nesting a ``ShardedIndex``
+inside a ``ShardedIndex`` is unsupported.
 """
 
 from __future__ import annotations
@@ -79,15 +73,15 @@ from repro.index.base import Budget, Index, NeighborArrays
 from repro.index.linear import LinearScan
 from repro.metrics.base import Metric
 from repro.parallel.census import shard_ranges
-from repro.parallel.executor import Executor, get_executor, serial_workers
+from repro.parallel.executor import serial_workers
 from repro.parallel.faults import FaultSpec
 from repro.parallel.sharedmem import SharedDataset
 from repro.parallel.workerpool import (
     BuildShardSource,
     FileShardSource,
     QueryPolicy,
-    ShmShardSource,
     WorkerPool,
+    _run_shard_op,
 )
 
 __all__ = ["ShardedIndex", "shard_index"]
@@ -104,85 +98,26 @@ def _combine(a: Optional[float], b: Optional[float]) -> Optional[float]:
     return a + b
 
 
-def _run_shard_op(
-    shard: Index, op: str, queries: Sequence[Any], arg: Any, budget: Budget
-) -> Any:
-    """Run one batched op on one shard, returning its column result.
-
-    The single dispatch shared by all three engines (serial loop,
-    stateless pool task, resident worker), so every engine produces the
-    same per-shard columns: :class:`~repro.index.base.NeighborArrays`
-    for the query ops, the footrule matrix for ``"footrules"`` (whose
-    per-shard candidate limit rides the budget slot).
-    """
-    if op == "range":
-        return shard.range_batch_arrays(queries, arg)
-    if op == "knn":
-        return shard.knn_batch_arrays(queries, arg)
-    if op == "footrules":
-        return shard.query_footrules(queries, budget)
-    return shard.knn_approx_batch_arrays(queries, arg, budget=budget)
-
-
-def _build_shard_task(
-    dataset: SharedDataset,
-    start: int,
-    stop: int,
-    factory: InnerFactory,
-    metric: Metric,
-) -> Tuple[type, dict]:
-    """Build one shard's inner index in a worker; return its state.
-
-    The shard's points come from the shared dataset (sliced in place);
-    the returned state omits them so only the index payload travels back
-    — the parent reattaches its own shard view.
-    """
-    points = dataset.resolve()[start:stop]
-    index = factory(points, metric)
-    state = dict(index.__dict__)
-    state.pop("points")
-    return type(index), state
-
-
-def _query_shard_task(
-    payload: SharedDataset,
-    op: str,
-    queries_dataset: SharedDataset,
-    arg: Any,
-    budget: Budget,
-) -> Tuple[Any, int]:
-    """Answer one shard's slice of a batched op in a stateless worker.
-
-    The shard index is unpickled from its shared-memory payload once per
-    worker process (cached), so repeated batches pay no per-call
-    shipping.  Returns shard-local result columns plus the
-    distance-evaluation delta, measured by the shard's own counter.
-    """
-    shard: Index = payload.resolve()
-    queries = queries_dataset.resolve()
-    before = shard.metric.count
-    results = _run_shard_op(shard, op, queries, arg, budget)
-    return results, shard.metric.count - before
-
-
 class ShardedIndex(Index):
     """Partition any database across per-shard inner indexes.
 
     ``inner_factory(points, metric) -> Index`` builds each shard's index
     (default: :class:`~repro.index.linear.LinearScan`); ``n_shards``
-    bounds the shard count (capped at ``len(points)``); ``workers``
-    follows the library-wide convention (``None``/``0``/``"serial"`` for
-    in-process execution, a positive integer for a process pool used for
-    both builds and queries).  Close the index (or use it as a context
-    manager) when a pool is attached, to release worker processes and
-    shared-memory payloads.
+    bounds the shard count (capped at ``len(points)``).
 
-    ``resident=True`` serves queries from one supervised, pinned worker
-    process per shard (see :mod:`repro.parallel.workerpool`); ``policy``
-    is the :class:`~repro.parallel.workerpool.QueryPolicy` those
-    fan-outs enforce (default: unbounded deadline, one retry, exact
-    answers) and ``faults`` injects deterministic worker failures for
-    tests and benches (default: read from ``REPRO_FAULTS``).
+    ``workers`` and ``resident`` are two spellings of one switch: serial
+    ``workers`` (``None``/``0``/``"serial"``) with ``resident=False``
+    runs in-process; a positive ``workers`` or ``resident=True`` runs
+    one supervised, pinned worker process per shard (see
+    :mod:`repro.parallel.workerpool`), whatever the value of
+    ``workers``, and ``inner_factory`` must then be picklable
+    (``TypeError`` otherwise).  ``policy`` is the
+    :class:`~repro.parallel.workerpool.QueryPolicy` pooled fan-outs
+    enforce (default: unbounded deadline, one retry, exact answers) and
+    ``faults`` injects deterministic worker failures for tests and
+    benches (default: read from ``REPRO_FAULTS``).  Close a pooled index
+    (or use it as a context manager) to release its workers and
+    shared-memory payloads.
 
     ``budget_split`` picks how a ``knn_approx`` budget is divided across
     shards: ``"proportional"`` gives each shard a share proportional to
@@ -207,15 +142,11 @@ class ShardedIndex(Index):
         faults: Optional[Sequence[FaultSpec]] = None,
         budget_split: str = "auto",
     ):
+        self._init_runtime(workers, resident, policy, faults, budget_split)
         if n_shards < 1:
             raise ValueError(f"need n_shards >= 1, got {n_shards}")
-        # First, before anything can fail: close() may run on any
-        # partially-built state, and under the query service it can be
-        # reached from the drain path and teardown concurrently.
-        self._close_lock = threading.Lock()
         self._inner_factory = inner_factory
         self._requested_shards = n_shards
-        self._init_runtime(workers, resident, policy, faults, budget_split)
         try:
             super().__init__(points, metric)
         except BaseException:
@@ -230,7 +161,14 @@ class ShardedIndex(Index):
         budget_split="auto",
     ) -> None:
         """Set the execution-state attributes (also used by the loader)."""
-        serial_workers(workers)  # validate the spec early
+        # What close() reads comes first, before any check can raise:
+        # close() may run on a half-initialized object, and under the
+        # query service the drain path and teardown reach it concurrently.
+        self._close_lock = threading.Lock()
+        self._worker_pool: Optional[WorkerPool] = None
+        self._points_payload: Optional[SharedDataset] = None
+        #: The one engine switch: pinned worker pool, or in-process.
+        self._pooled = not serial_workers(workers) or bool(resident)
         if policy is not None and not isinstance(policy, QueryPolicy):
             raise TypeError(
                 f"policy must be a QueryPolicy, got {type(policy).__name__}"
@@ -240,19 +178,13 @@ class ShardedIndex(Index):
                 "budget_split must be 'auto', 'proportional', or "
                 f"'global', got {budget_split!r}"
             )
-        self._workers = workers
-        self._resident = bool(resident)
         self._policy = policy if policy is not None else QueryPolicy()
         self._faults = faults
         self._budget_split = budget_split
-        self._executor: Optional[Executor] = None
-        self._query_payloads: Optional[List[SharedDataset]] = None
-        self._worker_pool: Optional[WorkerPool] = None
-        self._points_payload: Optional[SharedDataset] = None
-        #: Set by the loader for disk-backed indexes; resident workers
-        #: then reload shard state from this payload file on respawn.
+        #: Set by the loader for disk-backed indexes; pooled workers
+        #: then load shard state from this payload file on every spawn.
         self._payload_path: Optional[str] = None
-        #: How loaded shards (and their resident workers) hold the
+        #: How loaded shards (and their pinned workers) hold the
         #: packed code section: decoded in RAM or memory-mapped.
         self._payload_backing: str = "ram"
         self._payload_cache_bytes: Optional[int] = None
@@ -266,34 +198,13 @@ class ShardedIndex(Index):
         ranges = shard_ranges(len(self.points), self._requested_shards)
         self.shard_offsets = [start for start, _ in ranges] + [len(self.points)]
         raw_metric = self.metric.inner
-        if serial_workers(self._workers):
-            # Serial builds also cover resident indexes with serial
-            # workers: their pinned pool spawns lazily on first query,
-            # loading from the shards built (and published) here.
+        if self._pooled:
+            self._build_resident(ranges, raw_metric)
+        else:
             self.shards: List[Index] = [
                 self._inner_factory(self.points[start:stop], raw_metric)
                 for start, stop in ranges
             ]
-        elif self._resident:
-            self._build_resident(ranges, raw_metric)
-        else:
-            dataset = SharedDataset.publish(self.points)
-            try:
-                built = self._get_executor().map(
-                    _build_shard_task,
-                    [
-                        (dataset, start, stop, self._inner_factory, raw_metric)
-                        for start, stop in ranges
-                    ],
-                )
-            finally:
-                dataset.unlink()
-            self.shards = []
-            for (start, stop), (cls, state) in zip(ranges, built):
-                shard = cls.__new__(cls)
-                shard.__dict__.update(state)
-                shard.points = self.points[start:stop]
-                self.shards.append(shard)
         # Charge aggregate shard build cost to this index's own counter,
         # which Index.__init__ is about to read into stats.
         self.metric.count += sum(s.stats.build_distances for s in self.shards)
@@ -309,10 +220,9 @@ class ShardedIndex(Index):
     def _build_resident(
         self, ranges: Sequence[Tuple[int, int]], raw_metric: Metric
     ) -> None:
-        """Build the shards inside their pinned workers (resident mode).
+        """Build the shards inside their pinned workers (pooled engine).
 
-        Residency extends to the build path when a process pool is
-        requested: each worker constructs its own shard from a zero-copy
+        Each worker constructs its own shard from a zero-copy
         publication of the database and ships the finished structure
         back through the supervised ``"state"`` op — so a worker that
         crashes mid-build is respawned (deterministically rebuilding its
@@ -323,8 +233,17 @@ class ShardedIndex(Index):
         budget planning and serialization; workers keep theirs resident
         for queries.
         """
-        if self._points_payload is None:
-            self._points_payload = SharedDataset.publish(self.points)
+        try:
+            pickle.dumps(self._inner_factory)
+        except (pickle.PicklingError, AttributeError, TypeError) as error:
+            raise TypeError(
+                f"inner_factory {self._inner_factory!r} cannot be pickled "
+                f"({error}); a pooled ShardedIndex (workers=N or "
+                "resident=True) ships its factory to the shard workers, "
+                "so it must be a class, a functools.partial, or a "
+                "module-level function, not a lambda or a local function"
+            ) from error
+        self._points_payload = SharedDataset.publish(self.points)
         sources = [
             BuildShardSource(
                 self._points_payload, start, stop,
@@ -352,45 +271,37 @@ class ShardedIndex(Index):
     # Fan-out execution.
     # ------------------------------------------------------------------
 
-    def _get_executor(self) -> Executor:
-        if self._executor is None:
-            self._executor = get_executor(self._workers)
-        return self._executor
-
     def _ensure_worker_pool(self) -> WorkerPool:
-        """Spawn the pinned worker-per-shard pool on first resident query.
+        """The pinned pool; spawned here for a loaded index's first query.
 
-        Each worker gets a *source* it can reload its shard from on
-        every (re)spawn: the owner's shared-memory publication of the
-        built shard, or — for disk-backed indexes restored by
-        ``load_sharded`` — the Corollary-8 payload file plus a
-        shared-memory view of the full point set (so respawns reread
-        only the packed codes, never the database).
+        A fresh pooled index got its pool at build.  A ``load_sharded``
+        one gives each worker a *source* to load its shard from on every
+        (re)spawn: the Corollary-8 payload file plus a shared-memory
+        view of the point set, so respawns reread (or re-map) only the
+        packed codes, never the database.
         """
         if self._worker_pool is None:
-            if self._payload_path is not None:
-                if self._points_payload is None:
-                    self._points_payload = SharedDataset.publish(self.points)
-                raw_metric = self.metric.inner
-                sources: List[Any] = [
-                    FileShardSource(
-                        self._payload_path,
-                        s,
-                        self._points_payload,
-                        self.shard_offsets[s],
-                        self.shard_offsets[s + 1],
-                        raw_metric,
-                        backing=self._payload_backing,
-                        cache_bytes=self._payload_cache_bytes,
-                        block_elements=self._payload_block_elements,
-                    )
-                    for s in range(self.n_shards)
-                ]
-            else:
-                sources = [
-                    ShmShardSource(payload)
-                    for payload in self._publish_shards()
-                ]
+            if self._payload_path is None:
+                raise RuntimeError(
+                    "this ShardedIndex is closed; its worker pool is gone"
+                )
+            if self._points_payload is None:
+                self._points_payload = SharedDataset.publish(self.points)
+            raw_metric = self.metric.inner
+            sources = [
+                FileShardSource(
+                    self._payload_path,
+                    s,
+                    self._points_payload,
+                    self.shard_offsets[s],
+                    self.shard_offsets[s + 1],
+                    raw_metric,
+                    backing=self._payload_backing,
+                    cache_bytes=self._payload_cache_bytes,
+                    block_elements=self._payload_block_elements,
+                )
+                for s in range(self.n_shards)
+            ]
             self._worker_pool = WorkerPool(sources, faults=self._faults)
         return self._worker_pool
 
@@ -427,60 +338,31 @@ class ShardedIndex(Index):
 
         Returns ``(per_shard, latencies, reply_bytes)``.  ``per_shard``
         holds shard-local column results — ``None`` for shards masked
-        out by ``active`` and, in resident degrade mode, shards that
+        out by ``active`` and, in pooled degrade mode, shards that
         failed past the policy's bounds.  ``latencies`` / ``reply_bytes``
-        are per-shard lists in resident mode and ``None`` for the
-        in-process engines (which have no wire).  Evaluation deltas from
+        are per-shard lists from the pool and ``None`` for the
+        in-process engine (which has no wire).  Evaluation deltas from
         every shard are charged to this index's counter.
         """
-        n = self.n_shards
         if active is None:
-            active = [True] * n
-        if self._resident:
+            active = [True] * self.n_shards
+        if self._pooled:
             pool = self._ensure_worker_pool()
             per_shard, deltas, latencies, reply_bytes = pool.query(
                 op, queries, arg, budgets, self._policy, active=active
             )
             self.metric.count += sum(deltas)
             return per_shard, latencies, reply_bytes
-        if serial_workers(self._workers):
-            per_shard = []
-            for s, shard in enumerate(self.shards):
-                if not active[s]:
-                    per_shard.append(None)
-                    continue
-                before = shard.metric.count
-                per_shard.append(
-                    _run_shard_op(shard, op, queries, arg, budgets[s])
-                )
-                self.metric.count += shard.metric.count - before
-            return per_shard, None, None
-        payloads = self._publish_shards()
-        # Per-call payload: ephemeral, so workers copy-and-close
-        # instead of caching — repeated batches cannot grow worker
-        # memory (the shard replicas above are the only cached state).
-        queries_dataset = SharedDataset.publish(
-            queries if hasattr(queries, "dtype") else list(queries),
-            ephemeral=True,
-        )
-        try:
-            answers = self._get_executor().map(
-                _query_shard_task,
-                [
-                    (payloads[s], op, queries_dataset, arg, budgets[s])
-                    for s in range(n)
-                    if active[s]
-                ],
+        per_shard = []
+        for s, shard in enumerate(self.shards):
+            if not active[s]:
+                per_shard.append(None)
+                continue
+            before = shard.metric.count
+            per_shard.append(
+                _run_shard_op(shard, op, queries, arg, budgets[s])
             )
-        finally:
-            queries_dataset.unlink()
-        per_shard = [None] * n
-        answer = iter(answers)
-        for s in range(n):
-            if active[s]:
-                results, delta = next(answer)
-                per_shard[s] = results
-                self.metric.count += delta
+            self.metric.count += shard.metric.count - before
         return per_shard, None, None
 
     def _note_resident(
@@ -489,7 +371,7 @@ class ShardedIndex(Index):
         latencies: Sequence[Optional[float]],
         reply_bytes: Sequence[Optional[int]],
     ) -> None:
-        """Record resilience and IPC observability from a resident fan-out.
+        """Record resilience and IPC observability from a pooled fan-out.
 
         Shards that failed past the policy's retry/deadline bounds are
         ``None`` in ``per_shard`` (possible only under
@@ -685,23 +567,6 @@ class ShardedIndex(Index):
             self._note_resident(per_shard, latencies, reply_bytes)
         return self._merge_columns(per_shard, n_queries)
 
-    def _publish_shards(self) -> List[SharedDataset]:
-        """Publish each built shard once for pool workers to replicate.
-
-        Publication is resumable: payloads append to the tracked list as
-        they are created, so if one publish fails (``/dev/shm`` full,
-        say) the ones already made stay reachable through ``close()``
-        instead of leaking behind a local variable, and a retry picks up
-        where the failure left off.
-        """
-        if self._query_payloads is None:
-            self._query_payloads = []
-        while len(self._query_payloads) < len(self.shards):
-            self._query_payloads.append(
-                SharedDataset.publish(self.shards[len(self._query_payloads)])
-            )
-        return self._query_payloads
-
     # ------------------------------------------------------------------
     # Index implementation hooks: the fan-out is batched, and the base
     # class answers a single query as a batch of one.
@@ -737,54 +602,31 @@ class ShardedIndex(Index):
         """Release workers and shared-memory payloads (idempotent).
 
         Safe on partially-built indexes: a constructor that failed
-        mid-build calls this before re-raising, at which point any
-        subset of the runtime attributes may exist — hence the
-        ``getattr`` reads rather than attribute access.
-
-        Re-entrant by construction: every resource is detached from the
-        instance before it is released (a second close sees ``None``),
-        calls are serialized by a lock (the query service's drain path
-        closes from the event-loop thread while test teardown or
-        ``__del__`` may close from another), and each stage runs under
+        mid-build calls this before re-raising.  Re-entrant by
+        construction: every resource is detached from the instance
+        before it is released (a second close sees ``None``), calls are
+        serialized by a lock (the query service's drain path closes from
+        the event-loop thread while test teardown or ``__del__`` may
+        close from another), and the payload is unlinked under
         ``try/finally`` — a worker pool that fails to shut down cannot
         leave shared-memory segments stranded behind it.
         """
-        lock = getattr(self, "_close_lock", None)
-        if lock is not None:
-            lock.acquire()
-        try:
-            pool = getattr(self, "_worker_pool", None)
-            payloads = getattr(self, "_query_payloads", None)
-            points_payload = getattr(self, "_points_payload", None)
-            executor = getattr(self, "_executor", None)
-            self._worker_pool = None
-            self._query_payloads = None
-            self._points_payload = None
-            self._executor = None
+        with self._close_lock:
+            pool, self._worker_pool = self._worker_pool, None
+            payload, self._points_payload = self._points_payload, None
             try:
                 if pool is not None:
                     pool.close()
             finally:
-                try:
-                    if payloads is not None:
-                        for payload in payloads:
-                            payload.unlink()
-                finally:
-                    try:
-                        if points_payload is not None:
-                            points_payload.unlink()
-                    finally:
-                        if executor is not None:
-                            executor.close()
+                if payload is not None:
+                    payload.unlink()
             # Loaded mmap-backed shards hold open file mappings; release
-            # them with the rest of the runtime.
-            for shard in getattr(self, "shards", []) or []:
+            # them with the rest of the runtime.  (A failed build has no
+            # ``shards`` yet.)
+            for shard in getattr(self, "shards", ()):
                 shard_close = getattr(shard, "close", None)
                 if callable(shard_close):
                     shard_close()
-        finally:
-            if lock is not None:
-                lock.release()
 
     def __enter__(self) -> "ShardedIndex":
         return self
@@ -800,9 +642,10 @@ class ShardedIndex(Index):
 
     def __repr__(self) -> str:
         inner = type(self.shards[0]).__name__ if self.shards else "?"
+        engine = "pool" if self._pooled else "in-process"
         return (
             f"ShardedIndex(n={len(self.points)}, shards={self.n_shards}, "
-            f"inner={inner}, workers={self._workers!r})"
+            f"inner={inner}, engine={engine})"
         )
 
 
@@ -824,9 +667,9 @@ def shard_index(
     more than ``(points, metric)`` — pivot counts, site counts, seeds —
     should pass an explicit ``inner_factory`` (e.g. a
     ``functools.partial``) to control those parameters per shard.
-    ``resident`` / ``policy`` / ``faults`` / ``budget_split`` select and
-    configure the supervised worker runtime and the ``knn_approx``
-    budget division exactly as on :class:`ShardedIndex`.
+    ``workers`` / ``resident`` (two spellings of the pooled engine, which
+    needs a picklable factory), ``policy`` / ``faults`` and
+    ``budget_split`` mean exactly what they do on :class:`ShardedIndex`.
     """
     factory = inner_factory if inner_factory is not None else type(index)
     return ShardedIndex(

@@ -1,7 +1,10 @@
 """Executor abstraction: one API, a deterministic serial backend and a
 process-pool backend.
 
-Everything above the metrics layer parallelizes through this seam: a
+The census and trial loops (Tables 2-3, ``repro census``) parallelize
+through this seam — queries do not: a sharded index runs on the pinned
+worker pool of :mod:`repro.parallel.workerpool` and takes from here
+only :func:`serial_workers`, the meaning of ``workers=``.  A
 caller splits its work into an *ordered* list of tasks and calls
 :meth:`Executor.map`, which always returns results in task order.  The
 serial backend runs tasks inline in submission order — the reference
@@ -12,7 +15,8 @@ every worker count.
 
 Worker-count convention, used by every ``workers=`` parameter in the
 library: ``None``, ``0``, or ``"serial"`` select the serial backend;
-a positive integer selects a process pool of that size.  Task functions
+a positive integer selects a process pool — of that size here, of one
+pinned worker per shard on a ``ShardedIndex``.  Task functions
 and arguments must be picklable for the pool backend (module-level
 functions, classes, ``functools.partial`` — not lambdas); big arrays
 ship zero-copy through :mod:`repro.parallel.sharedmem` descriptors

@@ -16,6 +16,11 @@ descriptors:
   anything else falls back to one pickled blob in shared memory (still
   shipped once, not per task).
 
+Two things are published: the *database* (long-lived; read in place by
+the pinned shard workers and the census tasks) and large worker
+*replies* (one-shot segments, :func:`consume_array`).  Queries ride the
+worker pipes; built shards live only inside their worker.
+
 Descriptors are picklable and resolve through a per-process attachment
 cache, so a worker maps each segment a single time no matter how many
 tasks touch it.  The publishing process owns the segments: call
@@ -163,13 +168,10 @@ def _attach(name: str, dtype: str, shape: Tuple[int, ...]) -> np.ndarray:
 def _read_once(name: str, dtype: str, shape: Tuple[int, ...]) -> np.ndarray:
     """Copy a segment's contents out and close the mapping immediately.
 
-    For ephemeral payloads: the per-process caches are never touched, so
-    the worker holds no reference once the call returns and the owner's
-    ``unlink`` genuinely frees the memory everywhere.
+    For one-shot reply segments (:func:`consume_array`): the per-process
+    caches are never touched, so the reader holds no mapping once the
+    call returns and the unlink that follows genuinely frees the memory.
     """
-    cached = _ATTACHED.get(name)
-    if cached is not None:  # already mapped long-lived: just view it
-        return cached[1]
     try:
         shm = shared_memory.SharedMemory(name=name, track=False)
     except TypeError:  # track= is 3.13+; see _attach for older behavior
@@ -330,19 +332,12 @@ class SharedDataset:
     worker), or ``"pickle"`` (arbitrary objects as one shared blob).
     Resolution is cached per process, so the decode/unpickle cost is paid
     once per worker, not once per task.
-
-    ``ephemeral=True`` marks short-lived payloads (per-call query sets):
-    workers materialize them with a copy-and-close read that touches no
-    per-process cache, so the segment really is gone — from every
-    process — once the owner unlinks it.  Long-lived payloads (the
-    database, built shard replicas) stay cached and mapped.
     """
 
     def __init__(self, kind: str, arrays: Sequence[SharedArray],
-                 _local: Any = None, ephemeral: bool = False):
+                 _local: Any = None):
         self.kind = kind
         self.arrays = list(arrays)
-        self.ephemeral = ephemeral
         self._local = _local
 
     @classmethod
@@ -358,11 +353,9 @@ class SharedDataset:
         return cls("local", [], points)
 
     @classmethod
-    def publish(cls, points: Any, ephemeral: bool = False) -> "SharedDataset":
+    def publish(cls, points: Any) -> "SharedDataset":
         if isinstance(points, np.ndarray):
-            return cls(
-                "array", [SharedArray.publish(points)], points, ephemeral
-            )
+            return cls("array", [SharedArray.publish(points)], points)
         if isinstance(points, (list, tuple)) and points and all(
             isinstance(p, str) for p in points
         ):
@@ -376,13 +369,12 @@ class SharedDataset:
                     SharedArray.publish(encoded.lengths),
                 ],
                 points,
-                ephemeral,
             )
         blob = np.frombuffer(
             pickle.dumps(points, protocol=pickle.HIGHEST_PROTOCOL),
             dtype=np.uint8,
         )
-        return cls("pickle", [SharedArray.publish(blob)], points, ephemeral)
+        return cls("pickle", [SharedArray.publish(blob)], points)
 
     def _materialize(self, arrays: Sequence[np.ndarray]) -> Any:
         if self.kind == "array":
@@ -400,12 +392,6 @@ class SharedDataset:
         (or per-worker reconstruction) elsewhere."""
         if self._local is not None:
             return self._local
-        if self.ephemeral:
-            # Copy-and-close read: nothing enters the per-process caches,
-            # no mapping outlives this call.
-            return self._materialize(
-                [_read_once(a.name, a.dtype, a.shape) for a in self.arrays]
-            )
         token = self.arrays[0].name
         cached = _RESOLVED.get(token)
         if cached is not None:
@@ -431,7 +417,7 @@ class SharedDataset:
                 "a local (unpublished) SharedDataset cannot be shipped to "
                 "workers; use SharedDataset.publish() for pool execution"
             )
-        return (SharedDataset, (self.kind, self.arrays, None, self.ephemeral))
+        return (SharedDataset, (self.kind, self.arrays))
 
     def __repr__(self) -> str:
         return f"SharedDataset(kind={self.kind!r}, segments={len(self.arrays)})"

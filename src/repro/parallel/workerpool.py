@@ -1,14 +1,12 @@
 """Supervised shard-resident worker runtime: pinned processes, deadlines,
 crash recovery.
 
-The stateless process pool (:mod:`repro.parallel.executor`) replicates
-shard state into whichever worker happens to pick a task up — up to S
-replicas per worker — and a single SIGKILL'd child turns every future
-``map`` into a ``BrokenProcessPool``.  This module is the long-lived
-alternative: one **pinned** worker process per shard, each holding
-exactly one shard resident (bounding memory to one shard copy per
-worker), fed over a private duplex pipe and watched by a supervisor in
-the owner process.
+The one multi-process engine of :class:`~repro.index.sharded.ShardedIndex`:
+one **pinned** worker process per shard, each holding exactly one shard
+resident (bounding memory to one shard copy per worker), fed over a
+private duplex pipe and watched by a supervisor in the owner process.
+(The order-preserving task pool of :mod:`repro.parallel.executor` stays
+for the census/trial ``map`` seam; it serves no queries.)
 
 Supervision is part of the query path, not a side thread: every fan-out
 waits on each pending worker's pipe *and* its ``Process.sentinel``
@@ -17,10 +15,12 @@ detected the moment the kernel reaps it, a hung worker is detected when
 the :class:`QueryPolicy` deadline expires, and a corrupt reply is
 detected by wire validation.  Any failure retires the worker
 (SIGKILL + reap), respawns it with bounded exponential backoff —
-reloading shard state from the owner's shared-memory publication
-(:class:`ShmShardSource`) or the Corollary-8 serialized payload on disk
-(:class:`FileShardSource`) — and then either *retries* the request on
-the fresh worker or *degrades* to the surviving shards, per the policy:
+rebuilding the shard from the owner's shared-memory publication of the
+database (:class:`BuildShardSource`, fresh indexes) or re-reading /
+re-mapping the Corollary-8 serialized payload on disk
+(:class:`FileShardSource`, loaded indexes) — and then either *retries*
+the request on the fresh worker or *degrades* to the surviving shards,
+per the policy:
 
 - ``on_partial="raise"`` keeps exact-answer semantics: retry up to
   ``retries`` times, then raise :class:`ShardTimeoutError` /
@@ -31,24 +31,26 @@ the fresh worker or *degrades* to the surviving shards, per the policy:
   (:class:`~repro.index.base.SearchStats` carries ``degraded`` /
   ``shards_answered`` / per-shard latencies upstream).
 
-Replies are columnar: a worker answers every query op with the
-``(distances, indices, offsets)`` arrays of a
+Every op runs through :func:`_run_shard_op`, the dispatch the in-process
+engine also calls.  Replies are columnar: a worker answers every query
+op with the ``(distances, indices, offsets)`` arrays of a
 :class:`~repro.index.base.NeighborArrays` — never a pickled
 ``Neighbor`` list — sent inline through the pipe when small and as
 one-shot shared-memory segments (descriptors on the pipe, payload in
 ``/dev/shm``) past ``_INLINE_REPLY_BYTES``; the supervisor validates
-each op's exact shape contract (:func:`_validate_arrays`) and accounts
-the shipped bytes per shard into ``SearchStats.reply_bytes``.  Two
-non-query ops ride the same wire: ``"footrules"`` ships the per-query
-centered footrule matrix that feeds ``ShardedIndex``'s global budget
-split — the supervisor merges every shard's centered values into one
-ranking and allocates each shard exactly its share of the global
-top-``budget``, which is also how a dead shard's budget share flows to
-the survivors under ``on_partial="degrade"`` — and ``"state"`` ships a
-freshly built shard's pickled state back to the owner, so
-``resident=True`` builds happen *in* the pinned workers
-(:class:`BuildShardSource` rebuilds the same shard deterministically on
-respawn).
+each op's exact shape contract (:func:`_validate_arrays`; the column
+check is shared with the query socket, the codec deliberately is not —
+see :mod:`repro.serve.protocol`) and accounts the shipped bytes per
+shard into ``SearchStats.reply_bytes``.  Two non-query ops ride the
+same wire:
+``"footrules"`` ships the per-query centered footrule matrix that feeds
+``ShardedIndex``'s global budget split — the supervisor merges every
+shard's centered values into one ranking and allocates each shard
+exactly its share of the global top-``budget``, which is also how a dead
+shard's budget share flows to the survivors under
+``on_partial="degrade"`` — and ``"state"`` ships a freshly built shard's
+pickled state back to the owner, so a pooled index builds its shards
+*in* the pinned workers.
 
 Heartbeats ride the same wire: :meth:`WorkerPool.ping` round-trips a
 tiny message through every worker, and :meth:`WorkerPool.check`
@@ -89,7 +91,6 @@ __all__ = [
     "ShardFaultError",
     "ShardCrashError",
     "ShardTimeoutError",
-    "ShmShardSource",
     "FileShardSource",
     "BuildShardSource",
     "WorkerPool",
@@ -169,36 +170,20 @@ def _validate_arrays(
 ) -> Optional[Any]:
     """Check a decoded payload against the op's shape contract.
 
-    Query ops must ship exactly the three result columns (float64
-    distances, int64 indices, and a monotone int64 offsets vector of
-    ``n_queries + 1`` entries closing over the columns); ``footrules``
-    ships one float64 matrix with a row per query (centered footrule
-    values, ascending within each row); ``state`` ships one
-    uint8 blob.  Returns the materialized result (``NeighborArrays``,
-    the matrix, or the blob) or ``None`` on any mismatch — the caller
-    treats ``None`` as a corrupt reply.
+    Query ops must ship the three result columns
+    (:func:`~repro.index.base.csr_columns_error`, ``n_queries`` known);
+    ``footrules`` one float64 matrix with a row per query (centered
+    footrule values, ascending within each row); ``state`` one uint8
+    blob.  Returns the materialized result (``NeighborArrays``, the
+    matrix, or the blob) or ``None`` on any mismatch — the caller treats
+    ``None`` as a corrupt reply.
     """
-    from repro.index.base import NeighborArrays
+    from repro.index.base import NeighborArrays, csr_columns_error
 
     if op in ("range", "knn", "knn-approx"):
-        if len(arrays) != 3:
+        if csr_columns_error(arrays, n_queries) is not None:
             return None
-        distances, indices, offsets = arrays
-        if (
-            distances.dtype != np.float64
-            or distances.ndim != 1
-            or indices.dtype != np.int64
-            or indices.ndim != 1
-            or offsets.dtype != np.int64
-            or offsets.ndim != 1
-            or offsets.shape[0] != n_queries + 1
-            or indices.shape[0] != distances.shape[0]
-            or offsets[0] != 0
-            or offsets[-1] != distances.shape[0]
-            or bool(np.any(np.diff(offsets) < 0))
-        ):
-            return None
-        return NeighborArrays(distances, indices, offsets)
+        return NeighborArrays(*arrays)
     if op == "footrules":
         if len(arrays) != 1:
             return None
@@ -270,22 +255,6 @@ class ShardTimeoutError(ShardFaultError):
     """A shard missed the query deadline and retries/time ran out."""
 
 
-class ShmShardSource:
-    """Load a worker's shard from the owner's shared-memory publication.
-
-    ``payload`` is the :class:`SharedDataset` the owner published for
-    the shard (a pickled index blob); the worker resolves it once and
-    keeps the index resident.  Respawns resolve the same publication —
-    the owner keeps it alive for the pool's lifetime.
-    """
-
-    def __init__(self, payload: SharedDataset):
-        self.payload = payload
-
-    def load(self):
-        return self.payload.resolve()
-
-
 class FileShardSource:
     """Load a worker's shard from a saved Corollary-8 payload on disk.
 
@@ -328,7 +297,7 @@ class FileShardSource:
         from repro.index.serialize import read_shard_payload, restore_shard
 
         payload = read_shard_payload(
-            self.path, self.shard, backing=getattr(self, "backing", "ram")
+            self.path, self.shard, backing=self.backing
         )
         points = self.dataset.resolve()[self.start : self.stop]
         return restore_shard(
@@ -336,22 +305,24 @@ class FileShardSource:
             points,
             self.metric,
             shard=self.shard,
-            cache_bytes=getattr(self, "cache_bytes", None),
-            block_elements=getattr(self, "block_elements", None),
+            cache_bytes=self.cache_bytes,
+            block_elements=self.block_elements,
         )
 
 
 class BuildShardSource:
     """Build a worker's shard from scratch inside the worker itself.
 
-    For resident builds: the owner publishes the *raw* point set once
-    and each worker constructs its own slice's index in-process, so the
-    shard builds run concurrently instead of serially in the owner.  The
+    For freshly built pooled indexes: the owner publishes the *raw*
+    point set once and each worker constructs its own slice's index
+    in-process, so the shard builds run concurrently instead of serially
+    in the owner.  The
     owner collects the finished structures over the wire with the
     ``"state"`` op (one pickled ``(class, state-dict)`` blob per shard,
     shipped like any other array reply); a respawned worker rebuilds the
     same shard from the same publication, which is why inner factories
-    must be deterministic.
+    must be deterministic — and recovery costs one shard build
+    (:class:`FileShardSource` is the fast-recovery configuration).
     """
 
     def __init__(
@@ -371,6 +342,36 @@ class BuildShardSource:
     def load(self):
         points = self.dataset.resolve()[self.start : self.stop]
         return self.factory(points, self.metric)
+
+
+def _run_shard_op(
+    shard: Any, op: str, queries: Sequence[Any], arg: Any, budget: Any
+) -> Any:
+    """Run one batched op on one shard, returning its column result.
+
+    The single dispatch of both engines (``ShardedIndex``'s in-process
+    loop and every pinned worker): :class:`~repro.index.base.NeighborArrays`
+    for the query ops, the footrule matrix for ``"footrules"`` (whose
+    per-shard candidate limit rides the budget slot).
+    """
+    if op == "range":
+        return shard.range_batch_arrays(queries, arg)
+    if op == "knn":
+        return shard.knn_batch_arrays(queries, arg)
+    if op == "knn-approx":
+        return shard.knn_approx_batch_arrays(queries, arg, budget=budget)
+    if op == "footrules":
+        return shard.query_footrules(queries, budget)
+    raise ValueError(f"unknown shard op {op!r}")
+
+
+def _state_blob(index: Any) -> np.ndarray:
+    """A built shard minus its points, pickled into a uint8 array."""
+    state = {
+        key: value for key, value in index.__dict__.items() if key != "points"
+    }
+    blob = pickle.dumps((type(index), state), protocol=pickle.HIGHEST_PROTOCOL)
+    return np.frombuffer(blob, dtype=np.uint8)
 
 
 def _worker_main(conn, shard_id, source, fault_specs, generation) -> None:
@@ -425,32 +426,15 @@ def _worker_main(conn, shard_id, source, fault_specs, generation) -> None:
         before = index.metric.count
         payload = None
         try:
-            if op == "range":
-                rows = index.range_batch_arrays(queries, arg)
-                arrays = (rows.distances, rows.indices, rows.offsets)
-            elif op == "knn":
-                rows = index.knn_batch_arrays(queries, arg)
-                arrays = (rows.distances, rows.indices, rows.offsets)
-            elif op == "knn-approx":
-                rows = index.knn_approx_batch_arrays(
-                    queries, arg, budget=budget
-                )
-                arrays = (rows.distances, rows.indices, rows.offsets)
-            elif op == "footrules":
-                # The per-shard limit rides the budgets slot.
-                arrays = (index.query_footrules(queries, budget),)
-            elif op == "state":
-                state = {
-                    key: value
-                    for key, value in index.__dict__.items()
-                    if key != "points"
-                }
-                blob = pickle.dumps(
-                    (type(index), state), protocol=pickle.HIGHEST_PROTOCOL
-                )
-                arrays = (np.frombuffer(blob, dtype=np.uint8),)
+            if op == "state":
+                arrays = (_state_blob(index),)
             else:
-                raise ValueError(f"unknown worker op {op!r}")
+                result = _run_shard_op(index, op, queries, arg, budget)
+                arrays = (
+                    (result,)
+                    if op == "footrules"
+                    else (result.distances, result.indices, result.offsets)
+                )
             payload, reply_bytes = _ship_arrays(arrays)
             reply = (
                 request_id, "ok", payload,
@@ -500,7 +484,6 @@ class WorkerPool:
         sources: Sequence[Any],
         *,
         faults: Optional[Sequence[FaultSpec]] = None,
-        context=None,
     ):
         if not sources:
             raise ValueError("need at least one shard source")
@@ -508,7 +491,7 @@ class WorkerPool:
         self._faults = (
             tuple(faults) if faults is not None else faults_from_env()
         )
-        self._context = context if context is not None else _default_context()
+        self._context = _default_context()
         self._request_ids = itertools.count(1)
         self._workers: List[Optional[_Worker]] = [None] * len(self._sources)
         self._generations = [0] * len(self._sources)
@@ -678,7 +661,7 @@ class WorkerPool:
         policy raises instead, after respawning the failed worker so the
         pool stays serviceable).  Query-op results come back as
         :class:`~repro.index.base.NeighborArrays` columns, ``footrules``
-        as one int64 matrix, ``state`` as one uint8 blob; every reply
+        as one float64 matrix, ``state`` as one uint8 blob; every reply
         crosses the process boundary as arrays (inline or through a
         one-shot shared-memory segment), never as pickled ``Neighbor``
         lists.  ``reply_bytes`` is each shard's payload size.

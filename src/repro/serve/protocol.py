@@ -34,7 +34,12 @@ Response statuses:
 Array sections are self-describing — count, then per array a dtype
 tag, an ndim, the shape, and the raw bytes — and bounded by
 ``MAX_FRAME_BYTES`` on read, so a corrupt length prefix cannot make the
-server allocate unbounded memory.
+server allocate unbounded memory.  An ``OK`` payload is held to the
+column contract the worker pipes enforce
+(:func:`repro.index.base.csr_columns_error`).  The *check* is shared,
+the codec is not: the pipe carries pickled query objects and
+shared-memory descriptors between our own processes, this socket must
+never unpickle — one function for both would branch on its caller.
 """
 
 from __future__ import annotations
@@ -44,6 +49,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+
+from repro.index.base import csr_columns_error
 
 __all__ = [
     "MAX_FRAME_BYTES",
@@ -418,15 +425,11 @@ def decode_response(payload: bytes) -> Response:
     offset = _RESP_HEAD.size
     if status == STATUS_OK:
         arrays, offset = _unpack_arrays(payload, offset)
-        if (
-            len(arrays) != 3
-            or arrays[0].dtype != np.float64
-            or arrays[1].dtype != np.int64
-            or arrays[2].dtype != np.int64
-            or any(a.ndim != 1 for a in arrays)
-            or arrays[0].shape[0] != arrays[1].shape[0]
-        ):
-            raise ProtocolError("OK response payload is not result columns")
+        problem = csr_columns_error(arrays)
+        if problem is not None:
+            raise ProtocolError(
+                f"OK response payload is not result columns: {problem}"
+            )
         return Response(
             request_id=request_id, status=status, flags=flags, arrays=arrays
         )

@@ -19,8 +19,8 @@ frames whole.
 :meth:`install_signal_handlers`) stops accepting connections, makes the
 batcher reject new work, flushes every admitted window — zero accepted
 requests are dropped — then closes client connections and, if the
-index exposes ``close()`` (sharded indexes with pools or resident
-workers), closes that too.  Health probes (``PING``) keep answering
+index exposes ``close()`` (sharded indexes with their pinned worker
+pool), closes that too.  Health probes (``PING``) keep answering
 during the drain and report ``draining=True`` so load balancers can
 move traffic away.
 

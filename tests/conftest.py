@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import time
+
 import numpy as np
 import pytest
 
@@ -10,6 +14,33 @@ from repro.metrics import (
     CityblockDistance,
     EuclideanDistance,
 )
+
+
+def _repro_segments():
+    try:
+        return {f for f in os.listdir("/dev/shm") if f.startswith("repro-")}
+    except OSError:  # pragma: no cover - non-tmpfs platforms
+        return set()
+
+
+def _live_children():
+    return [p for p in multiprocessing.active_children() if p.is_alive()]
+
+
+@pytest.fixture
+def leak_check():
+    """Fail the test if it leaks worker processes or shm segments."""
+    segments = _repro_segments()
+    children = {p.pid for p in _live_children()}
+    yield
+    deadline = time.monotonic() + 5.0
+    while time.monotonic() < deadline:
+        leaked = [p for p in _live_children() if p.pid not in children]
+        if not leaked and not (_repro_segments() - segments):
+            break
+        time.sleep(0.05)
+    assert not [p for p in _live_children() if p.pid not in children]
+    assert _repro_segments() <= segments
 
 
 @pytest.fixture

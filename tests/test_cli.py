@@ -285,7 +285,14 @@ class TestParallelFlags:
             line for line in text.splitlines() if line.startswith("query")
         ]
         assert answers(plain) == answers(sharded)
-        assert "3 shards" in sharded
+        # --workers N is the pooled engine, whatever N.
+        assert "3 shards x pinned workers" in sharded
+        assert "all 3 shards answered" in sharded
+        assert main(argv + ["--shards", "3"]) == 0
+        in_process = capsys.readouterr().out
+        assert answers(plain) == answers(in_process)
+        assert "3 shards in-process" in in_process
+        assert "shards answered" not in in_process
 
 
 class TestResilienceFlags:
@@ -306,17 +313,29 @@ class TestResilienceFlags:
             line for line in text.splitlines() if line.startswith("query")
         ]
         assert answers(plain) == answers(resident)
-        assert "resident workers" in resident
+        assert "3 shards x pinned workers" in resident
         assert "all 3 shards answered" in resident
 
-    def test_resilience_flags_require_shards(self, tmp_path, capsys, rng):
+    @pytest.mark.parametrize("command", ["search", "serve"])
+    def test_bad_engine_flags_rejected_alike(
+        self, command, tmp_path, capsys, rng
+    ):
+        """One engine-options group: search and serve share one validator,
+        so the same bad flag gets the same message and exit code."""
         path = tmp_path / "vectors.txt"
         save_vectors(path, rng.random((30, 2)))
-        base = ["search", "--input", str(path), "--kind", "vectors",
-                "--metric", "l2", "--index", "linear", "--n-queries", "3"]
-        assert main(base + ["--resident"]) == 1
-        assert "--shards" in capsys.readouterr().err
-        assert main(base + ["--shards", "2", "--deadline", "0"]) == 1
-        assert "--deadline must be > 0" in capsys.readouterr().err
-        assert main(base + ["--shards", "2", "--retries", "-1"]) == 1
-        assert "--retries must be >= 0" in capsys.readouterr().err
+        base = [command, "--input", str(path), "--kind", "vectors",
+                "--metric", "l2", "--index", "linear"]
+        if command == "serve":
+            base += ["--unix-socket", str(tmp_path / "never-bound.sock")]
+        for flags, message in (
+            (["--resident"], "--resident/--deadline/--retries/--on-partial "
+                             "need sharded execution"),
+            (["--shards", "2", "--deadline", "0"], "--deadline must be > 0"),
+            (["--shards", "2", "--deadline", "-1"], "--deadline must be > 0"),
+            (["--shards", "2", "--retries", "-1"], "--retries must be >= 0"),
+            (["--shards", "0"], "--shards must be >= 1"),
+            (["--workers", "-1"], "--workers must be >= 0"),
+        ):
+            assert main(base + flags) == 1, flags
+            assert f"error: {message}" in capsys.readouterr().err, flags

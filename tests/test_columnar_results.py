@@ -10,9 +10,10 @@ operation, the ``*_batch_arrays`` columns must decode to exactly the
 API agrees row for row).  On top of that, this module pins the sharded
 merge's ``(distance, index)`` tie-break order, the global-footrule
 budget split (including its degrade-mode budget redistribution, checked
-against the committed ``BENCH_resilience.json`` curve), the resident
+against the committed ``BENCH_resilience.json`` curve), the pooled
 build path, and the ``reply_bytes`` observability of the array-reply
-IPC format.
+IPC format — each pooled case under both spellings of the one
+multi-process engine (``workers=N`` / ``resident=True``).
 """
 
 from __future__ import annotations
@@ -61,6 +62,13 @@ INDEX_FACTORIES = {
         pts, m, bucket_size=12, rng=np.random.default_rng(5)
     ),
 }
+
+
+#: Both spellings of ShardedIndex's one pooled engine.
+POOLED = pytest.mark.parametrize(
+    "pooled", [{"resident": True}, {"workers": 2}],
+    ids=["resident", "workers"],
+)
 
 
 def _signature(neighbors):
@@ -271,7 +279,8 @@ class TestGlobalBudgetSplit:
             stacked = np.stack([allocations[s] for s in (0, 1, 2)])
             assert np.any(stacked != budget // 3)
 
-    def test_serial_and_resident_agree(self, split_setup):
+    @POOLED
+    def test_in_process_and_pooled_agree(self, split_setup, pooled):
         words, queries = split_setup
         metric = LevenshteinDistance()
         with ShardedIndex(
@@ -282,11 +291,11 @@ class TestGlobalBudgetSplit:
                 serial.knn_approx_batch(queries, 5, budget=80)
             )
         with ShardedIndex(
-            words, metric, self.INNER, n_shards=3, workers=2,
-            resident=True, budget_split="global",
-        ) as resident:
+            words, metric, self.INNER, n_shards=3, budget_split="global",
+            **pooled,
+        ) as index:
             got = _signature_rows(
-                resident.knn_approx_batch(queries, 5, budget=80)
+                index.knn_approx_batch(queries, 5, budget=80)
             )
         assert got == expected
 
@@ -335,7 +344,10 @@ class TestDegradeBudgetRedistribution:
             # budget (it fell to 0.4874 at budget 2000 without it).
             assert point["degraded_fraction"] >= 0.5
 
-    def test_redistribution_beats_unredistributed_baseline(self, split_setup):
+    @POOLED
+    def test_redistribution_beats_unredistributed_baseline(
+        self, split_setup, pooled
+    ):
         words, queries = split_setup
         metric = LevenshteinDistance()
         k, budget, n_shards = 10, 120, 3
@@ -354,8 +366,8 @@ class TestDegradeBudgetRedistribution:
         for split in ("proportional", "global"):
             with ShardedIndex(
                 words, metric, self.INNER, n_shards=n_shards,
-                resident=True, policy=policy, faults=list(faults),
-                budget_split=split,
+                policy=policy, faults=list(faults),
+                budget_split=split, **pooled,
             ) as index:
                 rows = index.knn_approx_batch(queries, k, budget=budget)
                 assert index.stats.degraded
@@ -369,9 +381,10 @@ class TestDegradeBudgetRedistribution:
 
 
 class TestResidentBuild:
-    """Resident workers build their own shards (no stateless executor)."""
+    """The pinned workers of a pooled index build their own shards."""
 
-    def test_resident_build_matches_serial(self, split_setup):
+    @POOLED
+    def test_resident_build_matches_serial(self, split_setup, pooled):
         words, queries = split_setup
         metric = LevenshteinDistance()
         inner = partial(DistPermIndex, n_sites=8, site_strategy="first")
@@ -381,23 +394,25 @@ class TestResidentBuild:
             expected = _signature_rows(serial.knn_batch(queries, 5))
             expected_build = serial.stats.build_distances
         with ShardedIndex(
-            words, metric, inner, n_shards=3, workers=2, resident=True
+            words, metric, inner, n_shards=3, **pooled
         ) as resident:
             assert resident.stats.build_distances == expected_build
             got = _signature_rows(resident.knn_batch(queries, 5))
         assert got == expected
 
-    def test_respawn_rebuilds_from_build_source(self, split_setup):
+    @POOLED
+    def test_respawn_rebuilds_from_build_source(self, split_setup, pooled):
         """A killed worker rebuilds its shard deterministically."""
         words, queries = split_setup
         metric = LevenshteinDistance()
         faults = [FaultSpec("kill", shard=1, request=1, generation=0)]
         with ShardedIndex(
-            words, metric, LinearScan, n_shards=3, workers=2,
-            resident=True, faults=faults,
+            words, metric, LinearScan, n_shards=3, faults=faults, **pooled
         ) as faulted:
+            assert faulted._worker_pool.respawns == 0
             first = _signature_rows(faulted.knn_batch(queries, 5))
             second = _signature_rows(faulted.knn_batch(queries, 5))
+            assert faulted._worker_pool.respawns == 1
         with ShardedIndex(
             words, metric, LinearScan, n_shards=3, workers=None
         ) as serial:
@@ -409,14 +424,14 @@ class TestResidentBuild:
 class TestReplyBytesObservability:
     """The array-reply wire is visible (and cheaper than pickled lists)."""
 
-    def test_stats_and_report_carry_reply_bytes(self, split_setup):
+    @POOLED
+    def test_stats_and_report_carry_reply_bytes(self, split_setup, pooled):
         from repro.experiments.harness import run_query_workload
 
         words, queries = split_setup
         metric = LevenshteinDistance()
         with ShardedIndex(
-            words, metric, LinearScan, n_shards=3, workers=2,
-            resident=True,
+            words, metric, LinearScan, n_shards=3, **pooled
         ) as index:
             rows = index.knn_batch(queries, 5)
             stats = index.stats

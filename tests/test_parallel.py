@@ -143,24 +143,6 @@ class TestSharedMemory:
         encoded = EncodedStrings.from_strings(words)
         assert decode_strings(encoded.codes, encoded.lengths) == words
 
-    def test_ephemeral_payload_not_cached(self):
-        import pickle
-
-        from repro.parallel import sharedmem
-
-        words = ["one", "two", "three"]
-        dataset = SharedDataset.publish(words, ephemeral=True)
-        try:
-            # Simulate the worker side: the owner shortcut is pickled away.
-            remote = pickle.loads(pickle.dumps(dataset))
-            assert remote.ephemeral
-            assert remote.resolve() == words
-            token = dataset.arrays[0].name
-            assert token not in sharedmem._RESOLVED
-            assert token not in sharedmem._ATTACHED
-        finally:
-            dataset.unlink()
-
     def test_local_dataset_never_touches_shared_memory(self):
         words = ["serial", "only"]
         dataset = SharedDataset.local(words)

@@ -18,20 +18,28 @@ the suite has no async plugin and does not need one.
 from __future__ import annotations
 
 import asyncio
-import multiprocessing
 import os
 import struct
 import subprocess
 import time
+from functools import partial
 from multiprocessing import resource_tracker, shared_memory
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.index import DistPermIndex, LinearScan, ShardedIndex, VPTree
 from repro.metrics import EuclideanDistance, LevenshteinDistance
+from repro.metrics.base import CountingMetric
 from repro.parallel.faults import FaultSpec
-from repro.parallel.workerpool import QueryPolicy
+from repro.parallel.sharedmem import SharedDataset
+from repro.parallel.workerpool import (
+    BuildShardSource,
+    QueryPolicy,
+    ShardCrashError,
+    WorkerPool,
+)
 from repro.serve import protocol
 from repro.serve.batcher import BatchConfig, MicroBatcher, RejectedError
 from repro.serve.client import (
@@ -79,26 +87,6 @@ def _repro_segments():
         return set()
 
 
-def _live_children():
-    return [p for p in multiprocessing.active_children() if p.is_alive()]
-
-
-@pytest.fixture
-def leak_check():
-    """Fail the test if it leaks worker processes or shm segments."""
-    segments = _repro_segments()
-    children = {p.pid for p in _live_children()}
-    yield
-    deadline = time.monotonic() + 5.0
-    while time.monotonic() < deadline:
-        leaked = [p for p in _live_children() if p.pid not in children]
-        if not leaked and not (_repro_segments() - segments):
-            break
-        time.sleep(0.05)
-    assert not [p for p in _live_children() if p.pid not in children]
-    assert _repro_segments() <= segments
-
-
 def assert_rows_equal(got, want, *, exact=True):
     """Columns identical; ``exact=False`` allows last-ulp distance slack.
 
@@ -129,6 +117,66 @@ def _payload(frame: bytes) -> bytes:
     """Strip a frame's length prefix, checking it for consistency."""
     assert protocol.frame_length(frame[:4]) == len(frame) - 4
     return frame[4:]
+
+
+#: Two-query answers that each break the CSR column contract one way.
+_D3 = np.array([0.5, 1.5, 2.5])
+_I3 = np.array([3, 1, 2], dtype=np.int64)
+HOSTILE_COLUMNS = {
+    "offsets-not-from-0": (_D3, _I3, np.array([1, 2, 3], dtype=np.int64)),
+    "offsets-decrease": (_D3, _I3, np.array([0, 4, 3], dtype=np.int64)),
+    "offsets-do-not-close": (_D3, _I3, np.array([0, 1, 2], dtype=np.int64)),
+    "2-d-column": (
+        _D3.reshape(3, 1), _I3, np.array([0, 2, 3], dtype=np.int64)
+    ),
+}
+
+
+class _HostileShard:
+    """A shard whose ``knn`` reply is the given columns, whatever is asked."""
+
+    def __init__(self, points, metric, columns):
+        self.metric = CountingMetric(metric)
+        self.columns = columns
+
+    def knn_batch_arrays(self, queries, k):
+        distances, indices, offsets = self.columns
+        return SimpleNamespace(
+            distances=distances, indices=indices, offsets=offsets
+        )
+
+
+@pytest.mark.parametrize("name", HOSTILE_COLUMNS)
+class TestHostileColumns:
+    """One column check on both byte boundaries: socket and worker pipe."""
+
+    def test_socket_frame_is_a_protocol_error(self, name):
+        frame = protocol.encode_response(
+            1, protocol.STATUS_OK, arrays=HOSTILE_COLUMNS[name]
+        )
+        with pytest.raises(protocol.ProtocolError, match="result columns"):
+            protocol.decode_response(_payload(frame))
+
+    def test_worker_reply_is_a_retried_shard_fault(
+        self, name, vectors, vec_queries, leak_check
+    ):
+        with SharedDataset.publish(vectors) as dataset:
+            source = BuildShardSource(
+                dataset, 0, len(vectors),
+                partial(_HostileShard, columns=HOSTILE_COLUMNS[name]),
+                EuclideanDistance(),
+            )
+            with WorkerPool([source]) as pool:
+                with pytest.raises(
+                    ShardCrashError, match="malformed knn reply payload"
+                ):
+                    pool.query(
+                        "knn", vec_queries[:2], 2, [None],
+                        QueryPolicy(retries=1, backoff=0.0),
+                    )
+                # Failed, respawned, retried, failed again, respawned.
+                assert pool.respawns == 2
+                assert pool.ping() == [True]
 
 
 class TestProtocol:

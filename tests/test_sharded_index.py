@@ -8,7 +8,10 @@ indexes, across ``workers in {serial, 1, 4}`` x ``shards in {1, 4}``.
 Discrete metrics are compared bit-for-bit; Euclidean by rounded
 signature (the documented last-ulp caveat of the vectorized kernels).
 Budgeted ``knn_approx`` must be deterministic across worker counts for a
-fixed shard layout.
+fixed shard layout.  The index has two engines — in-process and the
+pinned worker pool, spelled ``workers=N`` or ``resident=True`` — and
+:class:`TestEngineEquivalence` holds every op byte-identical across all
+three spellings, on fresh and on loaded (RAM- and mmap-backed) indexes.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from repro.index import (
 )
 from repro.index.serialize import load_sharded, save_sharded
 from repro.metrics import EuclideanDistance, LevenshteinDistance
+from repro.parallel.workerpool import WorkerPool
 
 WORKER_GRID = [None, 1, 4]
 SHARD_GRID = [1, 4]
@@ -119,6 +123,89 @@ class TestExactInvariance:
             ) as index:
                 assert index.knn_batch(queries, 4) == knn_ref
                 assert index.range_batch(queries, 1.0) == range_ref
+
+
+#: The three spellings of ShardedIndex's two engines.
+ENGINES = {
+    "in-process": {},
+    "workers": {"workers": 2},
+    "resident": {"resident": True},
+}
+
+
+@pytest.fixture(scope="module")
+def engine_reference(tmp_path_factory, string_setup):
+    """Saved payload + in-process reference columns per budget split."""
+    words, queries, metric = string_setup
+    factory = partial(DistPermIndex, n_sites=5, site_strategy="first")
+    path = tmp_path_factory.mktemp("engines") / "sharded.bin"
+    reference = {}
+    for split in ("proportional", "global"):
+        with ShardedIndex(
+            words, metric, factory, n_shards=3, budget_split=split
+        ) as index:
+            reference[split] = _engine_columns(index, queries)
+            save_sharded(path, index)
+    return words, queries, metric, factory, path, reference
+
+
+def _engine_columns(index, queries):
+    """Every op's columns as bytes, plus the evaluations it charged."""
+    out = {}
+    for op, run in (
+        ("range", lambda: index.range_batch_arrays(queries, 2.0)),
+        ("knn", lambda: index.knn_batch_arrays(queries, 4)),
+        ("knn-approx", lambda: index.knn_approx_batch_arrays(queries, 4, 30)),
+    ):
+        index.reset_stats()
+        rows = run()
+        out[op] = (
+            rows.distances.tobytes(),
+            rows.indices.tobytes(),
+            rows.offsets.tobytes(),
+            index.stats.query_distances,
+        )
+    return out
+
+
+class TestEngineEquivalence:
+    """{in-process, workers=2, resident=True} x {fresh, ram, mmap}."""
+
+    @pytest.mark.parametrize("split", ["proportional", "global"])
+    @pytest.mark.parametrize("source", ["fresh", "ram", "mmap"])
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_every_op_byte_identical(
+        self, engine_reference, engine, source, split, leak_check
+    ):
+        words, queries, metric, factory, path, reference = engine_reference
+        if source == "fresh":
+            index = ShardedIndex(
+                words, metric, factory, n_shards=3, budget_split=split,
+                **ENGINES[engine],
+            )
+        else:
+            index = load_sharded(
+                path, words, metric, backing=source, budget_split=split,
+                **ENGINES[engine],
+            )
+        with index:
+            assert _engine_columns(index, queries) == reference[split]
+            stats = index.stats
+            if engine == "in-process":
+                assert index._worker_pool is None
+                assert stats.shard_latencies_s is None
+                assert stats.reply_bytes == 0
+            else:
+                # Both pooled spellings are the one supervised engine.
+                assert isinstance(index._worker_pool, WorkerPool)
+                assert index._worker_pool.n_shards == 3
+                assert len(stats.shard_latencies_s) == 3
+                assert all(lat > 0 for lat in stats.shard_latencies_s)
+                assert stats.reply_bytes > 0
+                assert stats.shards_answered == 3
+            shown = "in-process" if engine == "in-process" else "pool"
+            assert f"engine={shown})" in repr(index)
+        # leak_check: close() left no repro-* segment and no live child.
 
 
 class TestBudgetedInvariance:

@@ -10,11 +10,13 @@ identical to the unsharded index, recovery well under two seconds) and
 *visible* under ``on_partial="degrade"`` (``stats.degraded``,
 ``shards_answered == S-1``, return within the deadline) — with no hung
 call, orphan process, or leaked ``/dev/shm`` segment either way.
+``workers=N`` and ``resident=True`` are two spellings of this one
+engine, so every fault scenario runs under both (the ``pooled``
+fixture).
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import subprocess
 import time
@@ -34,10 +36,10 @@ from repro.parallel.sharedmem import (
     sweep_stale_segments,
 )
 from repro.parallel.workerpool import (
+    BuildShardSource,
     QueryPolicy,
     ShardCrashError,
     ShardTimeoutError,
-    ShmShardSource,
     WorkerPool,
 )
 
@@ -53,27 +55,12 @@ def _repro_segments():
         return set()
 
 
-def _live_children():
-    return [p for p in multiprocessing.active_children() if p.is_alive()]
-
-
-@pytest.fixture
-def leak_check():
-    """Fail the test if it leaks worker processes or shm segments."""
-    segments = _repro_segments()
-    children = {p.pid for p in _live_children()}
-    yield
-    deadline = time.monotonic() + 5.0
-    while time.monotonic() < deadline:
-        leaked = [
-            p for p in _live_children()
-            if p.pid not in children
-        ]
-        if not leaked and not (_repro_segments() - segments):
-            break
-        time.sleep(0.05)
-    assert not [p for p in _live_children() if p.pid not in children]
-    assert _repro_segments() <= segments
+@pytest.fixture(
+    params=[{"resident": True}, {"workers": 2}], ids=["resident", "workers"]
+)
+def pooled(request):
+    """Both spellings of the one pooled engine."""
+    return request.param
 
 
 @pytest.fixture(scope="module")
@@ -188,12 +175,12 @@ class TestResidentEquivalence:
 class TestKillRecovery:
     """The ISSUE acceptance scenario: SIGKILL one pinned worker mid-batch."""
 
-    def test_raise_mode_transparent_retry(self, string_setup, leak_check):
+    def test_raise_mode_transparent_retry(self, string_setup, pooled, leak_check):
         words, queries, metric = string_setup
         oracle = LinearScan(words, metric)
         expected = oracle.knn_batch(queries, 5)
         with ShardedIndex(
-            words, metric, LinearScan, n_shards=3, resident=True,
+            words, metric, LinearScan, n_shards=3, **pooled,
             policy=QueryPolicy(retries=1),
             faults=[FaultSpec("kill", shard=1, request=1)],
         ) as index:
@@ -209,13 +196,13 @@ class TestKillRecovery:
             assert index.knn_batch(queries, 5) == expected
             assert index._worker_pool.respawns == 1
 
-    def test_degrade_mode_partial_answer(self, string_setup, leak_check):
+    def test_degrade_mode_partial_answer(self, string_setup, pooled, leak_check):
         words, queries, metric = string_setup
         oracle = LinearScan(words, metric)
         expected = oracle.knn_batch(queries, 5)
         ranked = oracle.knn_batch(queries, len(words))
         with ShardedIndex(
-            words, metric, LinearScan, n_shards=3, resident=True,
+            words, metric, LinearScan, n_shards=3, **pooled,
             policy=QueryPolicy(deadline=10.0, retries=0, on_partial="degrade"),
             faults=[FaultSpec("kill", shard=1, request=1)],
         ) as index:
@@ -240,10 +227,10 @@ class TestKillRecovery:
             assert index.stats.shards_answered == 3
             assert index.stats.degraded is True
 
-    def test_raise_mode_exhausted_retries(self, string_setup, leak_check):
+    def test_raise_mode_exhausted_retries(self, string_setup, pooled, leak_check):
         words, queries, metric = string_setup
         with ShardedIndex(
-            words, metric, LinearScan, n_shards=3, resident=True,
+            words, metric, LinearScan, n_shards=3, **pooled,
             policy=QueryPolicy(retries=0),
             faults=[FaultSpec("kill", shard=2, request=1)],
         ) as index:
@@ -255,14 +242,14 @@ class TestKillRecovery:
             assert index.knn_batch(queries, 5) == oracle.knn_batch(queries, 5)
 
     def test_kill_on_respawn_generation_refires(
-        self, string_setup, leak_check
+        self, string_setup, pooled, leak_check
     ):
         # Two kills, generations 0 and 1: the first retry dies too, the
         # second retry answers.
         words, queries, metric = string_setup
         oracle = LinearScan(words, metric)
         with ShardedIndex(
-            words, metric, LinearScan, n_shards=2, resident=True,
+            words, metric, LinearScan, n_shards=2, **pooled,
             policy=QueryPolicy(retries=2, backoff=0.01),
             faults=[
                 FaultSpec("kill", shard=0, request=1),
@@ -274,10 +261,10 @@ class TestKillRecovery:
 
 
 class TestDeadlines:
-    def test_stall_raises_timeout(self, string_setup, leak_check):
+    def test_stall_raises_timeout(self, string_setup, pooled, leak_check):
         words, queries, metric = string_setup
         with ShardedIndex(
-            words, metric, LinearScan, n_shards=2, resident=True,
+            words, metric, LinearScan, n_shards=2, **pooled,
             policy=QueryPolicy(deadline=0.4, retries=0),
             faults=[FaultSpec("stall", shard=0, request=1, stall_s=HANG)],
         ) as index:
@@ -290,10 +277,10 @@ class TestDeadlines:
             oracle = LinearScan(words, metric)
             assert index.knn_batch(queries, 4) == oracle.knn_batch(queries, 4)
 
-    def test_stall_degrades_within_deadline(self, string_setup, leak_check):
+    def test_stall_degrades_within_deadline(self, string_setup, pooled, leak_check):
         words, queries, metric = string_setup
         with ShardedIndex(
-            words, metric, LinearScan, n_shards=2, resident=True,
+            words, metric, LinearScan, n_shards=2, **pooled,
             policy=QueryPolicy(deadline=0.4, retries=0, on_partial="degrade"),
             faults=[FaultSpec("stall", shard=1, request=1, stall_s=HANG)],
         ) as index:
@@ -305,11 +292,11 @@ class TestDeadlines:
 
 
 class TestCorruptReplies:
-    def test_corrupt_reply_retried(self, string_setup, leak_check):
+    def test_corrupt_reply_retried(self, string_setup, pooled, leak_check):
         words, queries, metric = string_setup
         oracle = LinearScan(words, metric)
         with ShardedIndex(
-            words, metric, LinearScan, n_shards=2, resident=True,
+            words, metric, LinearScan, n_shards=2, **pooled,
             policy=QueryPolicy(retries=1),
             faults=[FaultSpec("corrupt", shard=0, request=1)],
         ) as index:
@@ -318,11 +305,11 @@ class TestCorruptReplies:
             assert index.stats.degraded is False
 
     def test_corrupt_reply_beyond_retries_raises(
-        self, string_setup, leak_check
+        self, string_setup, pooled, leak_check
     ):
         words, queries, metric = string_setup
         with ShardedIndex(
-            words, metric, LinearScan, n_shards=2, resident=True,
+            words, metric, LinearScan, n_shards=2, **pooled,
             policy=QueryPolicy(retries=0),
             faults=[FaultSpec("corrupt", shard=1, request=1)],
         ) as index:
@@ -336,19 +323,18 @@ class TestWorkerPoolDirect:
     def _pool(self, vector_setup, n_shards=2, **kwargs):
         points, _, metric = vector_setup
         offsets = np.linspace(0, len(points), n_shards + 1, dtype=int)
-        payloads = [
-            SharedDataset.publish(
-                LinearScan(points[a:b], metric)
-            )
-            for a, b in zip(offsets, offsets[1:])
-        ]
+        dataset = SharedDataset.publish(points)
         pool = WorkerPool(
-            [ShmShardSource(p) for p in payloads], **kwargs
+            [
+                BuildShardSource(dataset, int(a), int(b), LinearScan, metric)
+                for a, b in zip(offsets, offsets[1:])
+            ],
+            **kwargs,
         )
-        return pool, payloads
+        return pool, dataset
 
     def test_ping_and_check_revive(self, vector_setup, leak_check):
-        pool, payloads = self._pool(vector_setup)
+        pool, dataset = self._pool(vector_setup)
         try:
             assert pool.ping() == [True, True]
             victim = pool._workers[1].process
@@ -360,12 +346,11 @@ class TestWorkerPoolDirect:
             assert pool.respawns == 1
         finally:
             pool.close()
-            for payload in payloads:
-                payload.unlink()
+            dataset.unlink()
 
     def test_ping_drains_stale_replies(self, vector_setup, leak_check):
         points, queries, _ = vector_setup
-        pool, payloads = self._pool(vector_setup)
+        pool, dataset = self._pool(vector_setup)
         try:
             # An abandoned request leaves its reply in the pipe; the
             # next heartbeat must drain past it, not misread it.
@@ -374,14 +359,13 @@ class TestWorkerPoolDirect:
             assert pool.ping() == [True, True]
         finally:
             pool.close()
-            for payload in payloads:
-                payload.unlink()
+            dataset.unlink()
 
     def test_application_error_propagates_without_retry(
         self, vector_setup, leak_check
     ):
         _, queries, _ = vector_setup
-        pool, payloads = self._pool(vector_setup)
+        pool, dataset = self._pool(vector_setup)
         try:
             with pytest.raises(RuntimeError, match="raised in its worker"):
                 # radius validation happens inside the worker's index.
@@ -391,28 +375,26 @@ class TestWorkerPoolDirect:
             assert pool.respawns == 0  # deterministic errors do not retry
         finally:
             pool.close()
-            for payload in payloads:
-                payload.unlink()
+            dataset.unlink()
 
     def test_close_idempotent_and_query_after_close(
         self, vector_setup, leak_check
     ):
         _, queries, _ = vector_setup
-        pool, payloads = self._pool(vector_setup)
+        pool, dataset = self._pool(vector_setup)
         pool.close()
         pool.close()
         with pytest.raises(RuntimeError, match="closed"):
             pool.query("knn", queries, 2, [None, None], QueryPolicy())
         with pytest.raises(RuntimeError, match="closed"):
             pool.ping()
-        for payload in payloads:
-            payload.unlink()
+        dataset.unlink()
 
     def test_close_kills_stalled_worker_promptly(
         self, vector_setup, leak_check
     ):
         _, queries, _ = vector_setup
-        pool, payloads = self._pool(
+        pool, dataset = self._pool(
             vector_setup,
             faults=[FaultSpec("stall", shard=0, request=1, stall_s=HANG)],
         )
@@ -426,8 +408,7 @@ class TestWorkerPoolDirect:
             start = time.perf_counter()
             pool.close()
             assert time.perf_counter() - start < 10.0
-            for payload in payloads:
-                payload.unlink()
+            dataset.unlink()
 
 
 class TestFaultsFromEnvironment:
@@ -444,22 +425,20 @@ class TestFaultsFromEnvironment:
             assert index.knn_batch(queries, 4) == oracle.knn_batch(queries, 4)
             assert index._worker_pool.respawns == 1
 
-    def test_bad_env_faults_raise_early(self, string_setup, monkeypatch):
+    def test_bad_env_faults_raise_early(
+        self, string_setup, monkeypatch, leak_check
+    ):
+        # A fresh pooled index spawns its pool at build, so a malformed
+        # REPRO_FAULTS fails the constructor, before any worker starts.
         words, _, metric = string_setup
         monkeypatch.setenv("REPRO_FAULTS", "kill:shard=0")
-        index = ShardedIndex(
-            words, metric, LinearScan, n_shards=2, resident=True
-        )
-        try:
-            with pytest.raises(ValueError, match="request"):
-                index.knn_batch(words[:2], 2)
-        finally:
-            index.close()
+        with pytest.raises(ValueError, match="request"):
+            ShardedIndex(words, metric, LinearScan, n_shards=2, resident=True)
 
 
 class TestFileBackedResident:
     def test_loaded_index_recovers_from_payload_file(
-        self, tmp_path, string_setup, leak_check
+        self, tmp_path, string_setup, pooled, leak_check
     ):
         from functools import partial
 
@@ -471,7 +450,7 @@ class TestFileBackedResident:
             path = tmp_path / "sharded.npz"
             save_sharded(path, index)
         loaded = load_sharded(
-            path, words, metric, resident=True,
+            path, words, metric, **pooled,
             policy=QueryPolicy(retries=1),
             faults=[FaultSpec("kill", shard=2, request=1)],
         )
@@ -495,54 +474,79 @@ class TestLifecycle:
         index.close()
         index.close()
 
-    def test_unqueried_resident_close(self, string_setup, leak_check):
+    def test_unqueried_pooled_close(
+        self, tmp_path, string_setup, pooled, leak_check
+    ):
+        from functools import partial
+
         words, _, metric = string_setup
+        factory = partial(DistPermIndex, n_sites=4, site_strategy="first")
+        # A fresh pooled index spawns at build: its workers built it.
+        index = ShardedIndex(words, metric, factory, n_shards=2, **pooled)
+        try:
+            assert index._worker_pool is not None
+            assert index._worker_pool.ping() == [True, True]
+            path = tmp_path / "sharded.bin"
+            save_sharded(path, index)
+        finally:
+            index.close()
+        # A loaded one spawns lazily, on its first query.
+        loaded = load_sharded(path, words, metric, **pooled)
+        try:
+            assert loaded._worker_pool is None
+            loaded.knn_batch(words[:2], 2)
+            assert loaded._worker_pool is not None
+        finally:
+            loaded.close()
+
+    def test_closed_fresh_pooled_index_refuses_queries(self, string_setup):
+        words, queries, metric = string_setup
         index = ShardedIndex(
             words, metric, LinearScan, n_shards=2, resident=True
         )
-        index.close()  # no pool was ever spawned
-
-    def test_publish_failure_is_resumable(
-        self, string_setup, monkeypatch, leak_check
-    ):
-        words, _, metric = string_setup
-        index = ShardedIndex(words, metric, LinearScan, n_shards=3)
-        try:
-            import repro.index.sharded as sharded_module
-
-            real_publish = SharedDataset.publish
-            calls = []
-
-            def publish_then_fail(points, ephemeral=False):
-                calls.append(1)
-                if len(calls) == 2:
-                    raise OSError("no space on /dev/shm")
-                return real_publish(points, ephemeral)
-
-            monkeypatch.setattr(
-                sharded_module.SharedDataset, "publish", publish_then_fail
-            )
-            with pytest.raises(OSError):
-                index._publish_shards()
-            # The first shard's payload stayed tracked, not leaked...
-            assert len(index._query_payloads) == 1
-            # ...and a retry resumes from there instead of re-publishing.
-            assert len(index._publish_shards()) == 3
-            assert len(calls) == 4
-        finally:
-            index.close()
+        index.close()
+        with pytest.raises(RuntimeError, match="closed"):
+            index.knn_batch(queries, 3)
 
     @pytest.mark.parametrize("workers,shards", [(1, 2), (2, 2), (2, 4)])
     def test_failed_build_leaves_no_orphans(
         self, vector_setup, workers, shards, leak_check
     ):
+        # The factory runs inside the pinned workers, so a raising
+        # factory is a worker that dies on load, twice (one respawn):
+        # its traceback goes to the worker's stderr, the owner sees a
+        # crashed shard.
         points, _, metric = vector_setup
-        with pytest.raises(ValueError, match="injected build failure"):
+        with pytest.raises(ShardCrashError):
             ShardedIndex(
                 points, metric, _failing_factory,
                 n_shards=shards, workers=workers,
             )
         # leak_check asserts: no live children, no new /dev/shm segments.
+
+    @pytest.mark.parametrize(
+        "spelling", [{"resident": True}, {"workers": 2}],
+        ids=["resident", "workers"],
+    )
+    def test_unpicklable_factory_fails_before_any_spawn(
+        self, vector_setup, spelling, leak_check, monkeypatch
+    ):
+        points, _, metric = vector_setup
+        spawned = []
+        monkeypatch.setattr(
+            WorkerPool, "_spawn", lambda self, shard: spawned.append(shard)
+        )
+        with pytest.raises(TypeError, match="inner_factory.*lambda") as info:
+            ShardedIndex(
+                points, metric, lambda p, m: LinearScan(p, m),
+                n_shards=2, **spelling,
+            )
+        assert "functools.partial" in str(info.value)
+        assert spawned == []
+        # The in-process engine never pickles anything.
+        ShardedIndex(
+            points, metric, lambda p, m: LinearScan(p, m), n_shards=2
+        ).close()
 
 
 def _failing_factory(points, metric):
