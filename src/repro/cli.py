@@ -210,8 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "of decoding it into RAM (out-of-core "
                              "queries)")
     search.add_argument("--cache-bytes", type=int, default=None,
-                        help="decoded-block LRU budget per mapped code "
-                             "store, in bytes (with --mmap; default "
+                        help="decoded-position cache budget per mapped "
+                             "code store, in bytes (with --mmap; default "
                              "16 MiB)")
     _add_engine_flags(search)
 

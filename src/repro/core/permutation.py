@@ -679,10 +679,12 @@ def footrule_matrix_batch(
     **Layout.**  Pass a precomputed ``positions =
     permutation_positions(perms)`` to skip re-inverting the stored
     permutations on every call (``perms`` may then be ``None`` — the
-    code-backed index stores only positions).  A column-major
-    (``flags.f_contiguous``) matrix of :func:`compact_position_dtype` is
-    consumed in place; anything else — C order, a strided slice, a wider
-    dtype — costs one transposing copy per call.
+    code-backed index stores only positions).  A matrix of
+    :func:`compact_position_dtype` whose columns are each contiguous is
+    consumed in place: a column-major (``flags.f_contiguous``) matrix, or
+    a row range of one — a tile cut out of a wider ``(k, width)``
+    workspace, its rows further apart than they are long.  Anything
+    else — C order, a wider dtype — costs one transposing copy per call.
 
     **Output.**  Without ``out`` the result is a fresh ``int64`` matrix.
     ``out`` may be any ``(q, n)`` integer array whose dtype holds
@@ -719,7 +721,7 @@ def footrule_matrix_batch(
     compact = compact_position_dtype(k)
     signed = np.min_scalar_type(-k)  # holds every difference, +-(k - 1)
     columns = positions.T
-    if positions.dtype != compact or not columns.flags.c_contiguous:
+    if positions.dtype != compact or columns.strides[1] != compact.itemsize:
         columns = workspace_buffer(
             workspace, "footrule_columns", (k, n), compact
         )

@@ -11,7 +11,10 @@ naive permutation encoding's ``O(k log k)``.
 Corollary-8 packed code section of a version-3 payload
 (:mod:`repro.index.serialize`), memory-mapped and decoded lazily in
 aligned blocks, so the bit bound is the query-time working set instead
-of merely the on-disk size.
+of merely the on-disk size.  It caches what a footrule scan reads —
+decoded rank *positions*, ``k`` bytes per element against
+``cache_bytes`` — and retains the blocks that fit instead of evicting by
+recency; the class docstring says why.
 """
 
 from __future__ import annotations
@@ -19,15 +22,15 @@ from __future__ import annotations
 import math
 import mmap as _mmap
 import os
-from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional, Tuple, Union
+from typing import Dict, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.core.bitpack import bits_for_count, unpack_ids
 from repro.core.counting import euclidean_permutation_count
+from repro.core.permutation import compact_position_dtype, decode_positions
 
 __all__ = [
     "PayloadCorruptError",
@@ -153,22 +156,37 @@ class MappedCodeStore:
     The store memory-maps ``nbytes`` of packed ``bit_width``-bit Lehmer
     codes starting at ``offset`` in ``path`` (a version-3 payload section,
     page-aligned by the writer) and decodes them on demand in fixed-size
-    blocks of ``block_elements`` codes each.  Decoded uint64 blocks live
-    in an LRU capped at ``cache_bytes``: eviction happens *before* insert,
-    so peak decoded residency never exceeds the budget.
+    blocks of ``block_elements`` codes each.
 
-    A miss is one :func:`~repro.core.bitpack.unpack_ids` call on the
-    block's slice of the map — read in place, no intermediate copy — plus
-    a range check against ``k!``.  The LRU holds *codes*: turning them
-    into rank positions (:func:`~repro.core.permutation.decode_positions`)
-    is the caller's per-scan work whether the block was a hit or a miss,
-    which is why :class:`~repro.index.distperm.DistPermIndex` walks
-    :meth:`iter_blocks` once per query batch rather than once per query.
+    Decoding has two stages and two entry points.  :meth:`codes_block`
+    (and :meth:`iter_blocks` / :meth:`element` on top of it) is the first
+    stage alone and caches nothing: one
+    :func:`~repro.core.bitpack.unpack_ids` call on the block's slice of
+    the map — read in place, no intermediate copy — plus a range check
+    against ``k!``; the census, ``packed()`` and the load-time probe read
+    codes once and are done.  :meth:`positions_block` adds the Lehmer
+    unrank (:func:`~repro.core.permutation.decode_positions`) and is what
+    :class:`~repro.index.distperm.DistPermIndex` scans: a ``(k, length)``
+    matrix of rank positions, one contiguous row per site, in
+    :func:`~repro.core.permutation.compact_position_dtype`.
+
+    The cache holds *position* blocks, up to ``cache_bytes`` of them
+    (``k`` bytes per element through ``k = 256``), so a hit skips both
+    stages.  It is retain-first: a decoded block is kept if it still fits
+    the budget and nothing is ever evicted.  Every query chunk walks all
+    blocks in order, which is the worst case for a recency order — once
+    the section outgrows the budget an LRU evicts each block just before
+    the scan comes back to it and scores no hits at all — whereas the
+    retained prefix is hit on every scan, and the residency bound
+    ``peak_cache_bytes <= cache_bytes`` holds by construction.  A block
+    larger than the whole budget is decoded and served like any other
+    miss, just never kept.
 
     Corrupt pages surface as :class:`PayloadCorruptError`
     with the same shard / byte-offset contract as the eager v2 loader:
     a short section raises at construction, and a block whose codes decode
-    outside ``[0, k!)`` raises on first touch.
+    outside ``[0, k!)`` raises on first touch — through either entry
+    point, before anything of it is cached.
     """
 
     def __init__(
@@ -193,12 +211,8 @@ class MappedCodeStore:
             # bit width: start_elem * bit_width is divisible by 8 when
             # block_elements is a multiple of 8.
             raise ValueError("block_elements must be a positive multiple of 8")
-        if cache_bytes < block_elements * 8:
-            raise ValueError(
-                f"cache_bytes={cache_bytes} cannot hold one decoded block "
-                f"({block_elements * 8} bytes); raise cache_bytes or shrink "
-                f"block_elements"
-            )
+        if cache_bytes < 0:
+            raise ValueError("cache_bytes must be >= 0")
         self.path = os.fspath(path)
         self.offset = int(offset)
         self.bit_width = int(bit_width)
@@ -225,7 +239,7 @@ class MappedCodeStore:
         self._packed: Optional[np.ndarray] = np.frombuffer(
             self._mmap, dtype=np.uint8, count=needed, offset=self.offset
         )
-        self._blocks: "OrderedDict[int, np.ndarray]" = OrderedDict()
+        self._blocks: Dict[int, np.ndarray] = {}
         self.current_cache_bytes = 0
         self.peak_cache_bytes = 0
         self.cache_hits = 0
@@ -251,21 +265,16 @@ class MappedCodeStore:
         return start, min(start + self.block_elements, self.count)
 
     def decoded_bytes_total(self) -> int:
-        """Bytes the fully decoded uint64 code table would occupy."""
-        return self.count * 8
+        """Bytes the fully decoded section — every block's rank
+        positions — would occupy: what ``cache_bytes`` is a share of."""
+        return self.count * self.k * compact_position_dtype(self.k).itemsize
 
     # -- decoding -----------------------------------------------------
 
     def codes_block(self, block: int) -> np.ndarray:
-        """Decoded uint64 codes for ``block`` (cached, read-only)."""
+        """Decoded, range-checked uint64 codes of ``block`` (not cached)."""
         if self._closed:
             raise ValueError("MappedCodeStore is closed")
-        cached = self._blocks.get(block)
-        if cached is not None:
-            self.cache_hits += 1
-            self._blocks.move_to_end(block)
-            return cached
-        self.cache_misses += 1
         start, stop = self.block_range(block)
         first_byte = start * self.bit_width // 8
         last_byte = (stop * self.bit_width + 7) // 8
@@ -286,16 +295,31 @@ class MappedCodeStore:
                 shard=self.shard,
                 byte_offset=element * self.bit_width // 8,
             )
-        codes.setflags(write=False)
-
-        new_bytes = codes.nbytes
-        while self._blocks and self.current_cache_bytes + new_bytes > self.cache_bytes:
-            _, evicted = self._blocks.popitem(last=False)
-            self.current_cache_bytes -= evicted.nbytes
-        self._blocks[block] = codes
-        self.current_cache_bytes += new_bytes
-        self.peak_cache_bytes = max(self.peak_cache_bytes, self.current_cache_bytes)
         return codes
+
+    def positions_block(self, block: int) -> np.ndarray:
+        """Rank positions of ``block``: ``(k, length)``, read-only.
+
+        Row ``s`` is site ``s``'s rank in each of the block's
+        permutations — a column range of the layout
+        :func:`~repro.core.permutation.footrule_matrix_batch` scans.
+        Served from the cache when the block was retained; otherwise
+        unpacked, checked and unranked, and retained if it still fits.
+        """
+        cached = self._blocks.get(block)
+        if cached is not None:
+            self.cache_hits += 1
+            return cached
+        self.cache_misses += 1
+        positions = decode_positions(self.codes_block(block), self.k).T
+        positions.setflags(write=False)
+        if self.current_cache_bytes + positions.nbytes <= self.cache_bytes:
+            self._blocks[block] = positions
+            self.current_cache_bytes += positions.nbytes
+            self.peak_cache_bytes = max(
+                self.peak_cache_bytes, self.current_cache_bytes
+            )
+        return positions
 
     def iter_blocks(self) -> Iterator[Tuple[int, int, np.ndarray]]:
         """Yield ``(start, stop, codes)`` for every block, in order."""
@@ -305,7 +329,7 @@ class MappedCodeStore:
             yield start, stop, self.codes_block(block)
 
     def element(self, index: int) -> int:
-        """Single decoded code, pulling (and caching) its block."""
+        """Single decoded code (unpacks and checks its block)."""
         if index < 0 or index >= self.count:
             raise IndexError(f"element {index} out of range [0, {self.count})")
         block, within = divmod(index, self.block_elements)
@@ -343,7 +367,7 @@ class MappedCodeStore:
             pass
 
     def clear_cache(self) -> None:
-        """Drop all decoded blocks (keeps the mapping open)."""
+        """Drop all retained blocks (keeps the mapping open)."""
         self._blocks.clear()
         self.current_cache_bytes = 0
 

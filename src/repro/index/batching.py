@@ -5,7 +5,8 @@ one :meth:`~repro.metrics.base.Metric.batch_distances` call per chunk of
 queries instead of one Python-level metric call per (query, point) pair.
 Top-k extraction uses ``np.argpartition`` with an explicit boundary-tie
 repair so that results are *identical* to a scalar scan, which keeps the
-``k`` smallest ``(distance, index)`` pairs lexicographically.
+``k`` smallest ``(distance, index)`` pairs lexicographically; the sort
+touches only the entries at or under the k-th value, never the whole row.
 
 Chunking bounds peak memory: a chunk never materializes more than about
 ``_TARGET_CHUNK_BYTES`` of query-by-point matrix, so a million-point
@@ -159,24 +160,31 @@ def take_points(points: Sequence[Any], indices: np.ndarray) -> Sequence[Any]:
     return [points[int(i)] for i in indices]
 
 
-def smallest_k_indices(values: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the ``k`` lexicographically smallest ``(value, index)``.
+def smallest_k_indices(
+    values: np.ndarray, k: int, ids: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Positions of the ``k`` lexicographically smallest ``(value, id)``.
 
-    ``np.argpartition`` alone breaks ties at the k-th value arbitrarily;
-    the repair step collects *every* entry at or below the partition
-    boundary and resolves ties by lower index, matching the
-    ``sorted(Neighbor)`` order of the single-query API exactly.  The
-    result is sorted by ``(value, index)``.
+    ``ids`` names each entry (the candidate ids of a refine step, in
+    whatever order they were gathered); by default an entry's id is its
+    position.  ``np.argpartition`` alone breaks ties at the k-th value
+    arbitrarily; the repair step collects *every* entry at or below the
+    partition boundary and sorts only that set, ties resolved by lower
+    id, matching the ``sorted(Neighbor)`` order of the single-query API
+    — and ``np.lexsort((ids, values))[:k]`` — exactly.  The result
+    indexes ``values`` and is sorted by ``(value, id)``.
     """
     n = values.shape[0]
     if k >= n:
-        candidates = np.arange(n)
+        reach = np.arange(n)
     else:
         part = np.argpartition(values, k - 1)[:k]
         boundary = values[part].max()
-        candidates = np.flatnonzero(values <= boundary)
-    order = np.lexsort((candidates, values[candidates]))[:k]
-    return candidates[order]
+        # "Not above" rather than "at or below": NaNs sort last in both
+        # lexsort and argpartition, and this keeps them reachable.
+        reach = np.flatnonzero(~(values > boundary))
+    tiebreak = reach if ids is None else ids[reach]
+    return reach[np.lexsort((tiebreak, values[reach]))[:k]]
 
 
 def rows_from_pairs(

@@ -31,19 +31,34 @@ candidate (permutations admit no correct exclusion bound); the
 interesting trade-off is :meth:`~repro.index.base.Index.knn_approx`'s
 recall-vs-budget curve, exercised by the search benchmark.
 
-There is one query path, the batched one: one ``to_sites`` call for the
-whole query set, a chunked footrule matrix, counting-based candidate
-selection, and one ``batch_distances`` call per query for verification.
-A single query is a batch of one row, so both surfaces return the same
-bits.  Chunks are sized in bytes of the footrule matrix (32 MiB, see
-:func:`~repro.index.batching.query_chunks`), so at one byte per entry a
-chunk is 167 queries against 200k points.  That matters most with
-``backing="mmap"``, where the stored codes stay bit-packed on disk and
-every chunk walks the mapped blocks once — unpack, Lehmer-unrank into a
-reused column-major positions block
-(:func:`~repro.core.permutation.decode_positions`), score all of the
-chunk's queries against it — so the decode cost is per block per chunk,
-not per query.
+There is one query path, the batched one, and it is one loop — scan,
+select, refine — whatever holds the codes:
+
+*Scan.*  One ``to_sites`` call for the whole query set, then the
+footrule matrix of a chunk of queries, filled tile by tile
+(:meth:`DistPermIndex._position_tiles`).  A tile is a ``(k, width)``
+block of rank positions, one contiguous row per site.  With RAM backing
+the resident matrix is the only tile.  With ``backing="mmap"`` the
+codes stay bit-packed on disk and a tile is several blocks of the
+mapped store (:class:`~repro.core.storage.MappedCodeStore`) copied side
+by side into a reused workspace — about 1 MiB of positions, so the
+byte-wide kernel runs on rows of tens of kilobytes instead of paying
+numpy's call overhead on every 8 KiB block — each block either a hit in
+the store's cache of decoded *positions* or unpacked and Lehmer-unranked
+on the spot (:func:`~repro.core.permutation.decode_positions`).  Chunks
+are sized in bytes of the footrule matrix (32 MiB, see
+:func:`~repro.index.batching.query_chunks`; 167 queries against 200k
+points at one byte per entry) and every chunk walks all blocks once, so
+the decode cost is per block per chunk, not per query, and nothing at
+all for the blocks the cache retained.
+
+*Select.*  :func:`_budget_candidates` finds each row's budget boundary
+without counting the row: a strided sample guesses it and byte-wide
+compares settle it exactly.  *Refine.*  One ``batch_distances`` call per
+query over its candidates, then a top-``k`` that sorts only the entries
+at or under the k-th distance
+(:func:`~repro.index.batching.smallest_k_indices`).  A single query is a
+batch of one row, so both surfaces return the same bits.
 
 This is also the measurement instrument for Tables 2 and 3:
 :meth:`unique_permutations` is the census the paper computes with
@@ -52,7 +67,7 @@ This is also the measurement instrument for Tables 2 and 3:
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Set, Tuple
+from typing import Any, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -62,7 +77,6 @@ from repro.core.permutation import (
     compact_footrule_dtype,
     compact_position_dtype,
     decode_permutations,
-    decode_positions,
     encode_permutations,
     footrule_matrix_batch,
     permutation_positions,
@@ -75,6 +89,7 @@ from repro.index.batching import (
     exhaustive_knn_batch,
     exhaustive_range_batch,
     query_chunks,
+    smallest_k_indices,
     take_points,
 )
 from repro.index.pivots import select_pivots
@@ -94,34 +109,83 @@ def _column_major_positions(perms: np.ndarray) -> np.ndarray:
     return permutation_positions(perms, out=columns.T)
 
 
+#: Bytes of rank positions one mmap tile spans (:meth:`DistPermIndex.
+#: _position_tiles`): ten 8192-element blocks at ``k = 12``, so the
+#: footrule kernel's rows are ~80 KB — long enough to amortise numpy's
+#: per-call overhead, short enough that a tile, the kernel's scratch row
+#: and an output row stay in L2 together.
+_TILE_BYTES = 1 << 20
+
+#: Entries :func:`_budget_candidates` samples to guess a row's boundary.
+_BOUNDARY_SAMPLE = 4096
+
+
 def _budget_candidates(footrules: np.ndarray, budget: int) -> np.ndarray:
     """Candidate set of one query: the ``budget`` best footrule ranks.
 
     Matches the prefix of a *stable* argsort exactly: every index whose
     footrule is strictly below the boundary (the ``budget``-th smallest
     value), then the lowest-numbered indices at the boundary until the
-    budget is filled.  One- and two-byte rows — every ``k <= 362`` — find
-    the boundary by counting, O(n + k^2); wider rows by
-    ``np.argpartition``.
+    budget is filled.
+
+    The boundary ``b`` is the value with ``count(row < b) < budget <=
+    count(row <= b)``.  One- and two-byte rows — every ``k <= 362`` —
+    never histogram or sort the row to find it: a strided sample's
+    histogram *guesses* it, and byte-wide compares with
+    ``np.count_nonzero`` *settle* it, stepping the guess by one until the
+    invariant holds (two or three probes when the sample is
+    representative; the sample decides only how many, never the
+    result).  Wider rows take it from ``np.partition``, which the same
+    probes then merely confirm.  A footrule takes at most
+    ``floor(k^2 / 2) + 1`` values and the budget sits in the thin lower
+    tail of their distribution, which shapes the collection: the
+    strictly-below mask is sparse (fewer than ``budget`` set bytes — the
+    case ``np.flatnonzero`` scans fastest), while boundary ties are dense
+    but wanted only from the front, so they are read off a prefix of the
+    row sized from their density and doubled on a shortfall.
     """
     n = footrules.shape[0]
     if budget <= 0:
         return np.empty(0, dtype=np.int64)
     if budget >= n:
         return np.arange(n)
-    if footrules.dtype.kind == "u" and footrules.dtype.itemsize <= 2:
-        at_or_below = np.cumsum(np.bincount(footrules))
-        # Kept in the row's own dtype so the comparisons below stay
-        # byte-wide instead of promoting the whole row to int64.
-        boundary = footrules.dtype.type(np.searchsorted(at_or_below, budget))
+    # Compared as the row's own scalar type so every probe stays a
+    # byte-wide SIMD compare instead of promoting the row.
+    scalar = footrules.dtype.type
+    if footrules.dtype.kind != "u" or footrules.dtype.itemsize > 2:
+        boundary = np.partition(footrules, budget - 1)[budget - 1]
     else:
-        part = np.argpartition(footrules, budget - 1)[:budget]
-        boundary = footrules[part].max()
-    reach = np.flatnonzero(footrules <= boundary)
-    values = footrules[reach]
-    strict = reach[values < boundary]
-    at_boundary = reach[values == boundary]
-    return np.concatenate([strict, at_boundary[: budget - strict.shape[0]]])
+        sample = footrules[:: max(1, n // _BOUNDARY_SAMPLE)]
+        sampled = np.cumsum(np.bincount(sample))
+        boundary = int(np.searchsorted(sampled, budget * sample.shape[0] / n))
+    below = footrules < scalar(boundary)
+    n_below = np.count_nonzero(below)
+    reach = footrules <= scalar(boundary)
+    n_reach = np.count_nonzero(reach)
+    # At most one of the two loops runs.  count(row < 0) = 0 < budget
+    # stops the descent; at the dtype's maximum the reach is the whole
+    # row (n > budget), which stops the ascent.
+    while n_below >= budget:
+        boundary -= 1
+        reach, n_reach = below, n_below
+        below = footrules < scalar(boundary)
+        n_below = np.count_nonzero(below)
+    while n_reach < budget:
+        boundary += 1
+        below, n_below = reach, n_reach
+        reach = footrules <= scalar(boundary)
+        n_reach = np.count_nonzero(reach)
+    strict = np.flatnonzero(below)
+    wanted = budget - n_below
+    # Ties fill (n_reach - n_below) / n of the row; a prefix holding
+    # twice the wanted number on average rarely comes up short.
+    stop = 2 * wanted * n // (n_reach - n_below) + 64
+    while True:
+        ties = np.flatnonzero(footrules[:stop] == scalar(boundary))
+        if ties.shape[0] >= wanted or stop >= n:
+            break
+        stop *= 2
+    return np.concatenate([strict, ties[:wanted]])
 
 
 class DistPermIndex(Index):
@@ -366,52 +430,65 @@ class DistPermIndex(Index):
             return entropy_report(ids)
         return entropy_report(self.ids)
 
+    def _position_tiles(self) -> Iterator[Tuple[int, int, np.ndarray]]:
+        """Yield ``(start, stop, columns)`` covering every stored element.
+
+        ``columns`` is a ``(k, stop - start)`` matrix of rank positions
+        whose rows are contiguous — the footrule kernel's layout — valid
+        until the next tile is drawn.  RAM backing yields the resident
+        matrix whole.  mmap backing packs as many store blocks as fit
+        ``_TILE_BYTES`` (one at least) side by side into the reused
+        workspace; each comes out of the store's position cache or is
+        decoded on the spot, which is where a corrupt page raises.
+        """
+        if self.backing != "mmap":
+            yield 0, len(self.points), self._perm_positions.T
+            return
+        store = self._code_store
+        k = self.n_sites
+        dtype = compact_position_dtype(k)
+        block = store.block_elements
+        span = block * max(1, _TILE_BYTES // (k * dtype.itemsize * block))
+        buffer = workspace_buffer(
+            self._footrule_workspace,
+            "positions",
+            (k, min(span, store.count)),
+            dtype,
+        )
+        store.advise("sequential")
+        for start in range(0, store.count, span):
+            stop = min(start + span, store.count)
+            tile = buffer[:, : stop - start]
+            for lo in range(start, stop, block):
+                positions = store.positions_block(lo // block)
+                tile[:, lo - start : lo - start + positions.shape[1]] = positions
+            yield start, stop, tile
+
     def _footrules_matrix(self, query_perms: np.ndarray) -> np.ndarray:
         """Footrule of every query row against every stored permutation.
 
         The result is in :func:`compact_footrule_dtype` (``uint8`` through
         ``k = 22``) and lives in the reused workspace: it is valid until
-        the next footrule call on this index.  RAM backing feeds the
-        resident column-major rank positions to ``footrule_matrix_batch``
-        in one call.  With mmap backing, the matrix is assembled
-        column-block by column-block over the mapped code store — each
-        block's codes come out of the store once per call (through the
-        LRU), ``decode_positions`` unranks them straight into a reused
-        column-major workspace block, and the kernel scores that block
-        against *every* query row into its output columns.  So a block
-        is decoded once per chunk of :meth:`_query_chunks`, which at the
-        footrule dtype's byte width is once per batch of up to
-        ``32 MiB / n`` queries.  Footrule is per-column-independent
-        integer math, so the assembled matrix is byte-identical to the
-        one-shot RAM result.
+        the next footrule call on this index.  Each tile of
+        :meth:`_position_tiles` is scored against *every* query row into
+        its own columns of the matrix, so with mmap backing a block is
+        fetched once per chunk of :meth:`_query_chunks` — once per batch
+        of up to ``32 MiB / n`` queries at the footrule dtype's byte
+        width.  Footrule is per-column-independent integer math, so the
+        matrix is byte-identical however the columns were tiled.
         """
         workspace = self._footrule_workspace
-        k = self.n_sites
         out = workspace_buffer(
             workspace,
             "footrules",
             (query_perms.shape[0], len(self.points)),
-            compact_footrule_dtype(k),
+            compact_footrule_dtype(self.n_sites),
         )
-        if self.backing != "mmap":
-            return footrule_matrix_batch(
-                None,
-                query_perms,
-                positions=self._perm_positions,
-                workspace=workspace,
-                out=out,
-            )
-        for start, stop, codes in self._code_store.iter_blocks():
-            columns = workspace_buffer(
-                workspace,
-                "positions",
-                (k, stop - start),
-                compact_position_dtype(k),
-            )
+        for start, stop, columns in self._position_tiles():
             footrule_matrix_batch(
                 None,
                 query_perms,
-                positions=decode_positions(codes, k, out=columns.T),
+                positions=columns.T,
                 workspace=workspace,
                 out=out[:, start:stop],
             )
@@ -487,17 +564,17 @@ class DistPermIndex(Index):
         if limit == 0 or len(queries) == 0:
             return out
         query_perms = self.query_permutations(queries)
+        values = np.arange(self.n_sites**2 // 2 + 1)
         for start, stop in self._query_chunks(len(queries)):
             footrules = self._footrules_matrix(query_perms[start:stop])
-            means = footrules.mean(axis=1, keepdims=True)
-            if limit >= n:
-                block = np.sort(footrules, axis=1)
-            else:
-                block = np.sort(
-                    np.partition(footrules, limit - 1, axis=1)[:, :limit],
-                    axis=1,
-                )
-            out[start:stop] = block - means
+            for q, row in enumerate(footrules, start):
+                # A footrule takes one of floor(k^2 / 2) + 1 values, so
+                # the row's histogram gives its smallest entries in order
+                # and its exact mean without sorting it.
+                counts = np.bincount(row, minlength=values.shape[0])
+                taken = np.diff(np.minimum(np.cumsum(counts), limit), prepend=0)
+                out[q] = np.repeat(values, taken)
+                out[q] -= counts @ values / n
         return out
 
     def _knn_approx_batch_impl(
@@ -531,7 +608,7 @@ class DistPermIndex(Index):
                 distances = self.metric.batch_distances(
                     [queries[q]], take_points(self.points, candidates)
                 )[0]
-                order = np.lexsort((candidates, distances))[:k]
+                order = smallest_k_indices(distances, k, candidates)
                 dist_parts.append(distances[order])
                 index_parts.append(candidates[order])
                 counts[q] = order.shape[0]

@@ -37,7 +37,11 @@ from typing import Any, Dict, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.bitpack import pack_ids, unpack_ids
-from repro.core.permutation import decode_permutations, encode_permutations
+from repro.core.permutation import (
+    compact_position_dtype,
+    decode_permutations,
+    encode_permutations,
+)
 from repro.core.storage import (
     MappedCodeStore,
     PayloadCorruptError,
@@ -362,7 +366,8 @@ def _restore_distperm(
     index.sites = [points[i] for i in site_indices]
     if "codes_section" in payload:
         # mmap backing: the packed section stays on disk; queries decode
-        # it block by block through a budgeted LRU (MappedCodeStore).
+        # it block by block through a budgeted position cache
+        # (MappedCodeStore).
         bit_width = int(payload["bit_width"])
         expected_width = bits_full_permutation(k)
         if bit_width != expected_width:
@@ -373,9 +378,12 @@ def _restore_distperm(
             )
         section = payload["codes_section"]
         if block_elements is None and cache_bytes is not None:
-            # A tight budget must still hold one decoded block: shrink
-            # the block instead of rejecting the budget.
-            block_elements = max(8, min(8192, int(cache_bytes) // 64 * 8))
+            # A tight budget should still retain whole blocks — k
+            # position bytes per element — so shrink the block to fit it.
+            row_bytes = k * compact_position_dtype(k).itemsize
+            block_elements = max(
+                8, min(8192, int(cache_bytes) // row_bytes // 8 * 8)
+            )
         store_kwargs: Dict[str, int] = {}
         if block_elements is not None:
             store_kwargs["block_elements"] = int(block_elements)
@@ -395,9 +403,9 @@ def _restore_distperm(
         index._code_store = store
         index._footrule_workspace = {}
         if site_indices:
-            # Same probe as the RAM path; element() decodes (and
-            # validates) the probe's block, so a damaged first block
-            # fails at load time rather than first query.
+            # Same probe as the RAM path; element() unpacks and
+            # validates the probe's block (caching nothing), so damage
+            # there fails at load time rather than first query.
             probe = site_indices[0]
             derived = index.query_permutation(points[probe])
             stored = decode_permutations(
@@ -503,7 +511,7 @@ def load_distperm(
 
     ``backing="mmap"`` (version-3 payloads only) maps the packed code
     section instead of decoding it into RAM; ``cache_bytes`` /
-    ``block_elements`` tune the decoded-block LRU
+    ``block_elements`` tune the decoded-position cache
     (:class:`~repro.core.storage.MappedCodeStore`).
     """
     if backing not in ("ram", "mmap"):
@@ -670,7 +678,7 @@ def load_sharded(
     section instead of decoding it, and the pinned workers inherit the
     mode — a respawned worker re-maps its shard instead of re-reading
     it.  ``cache_bytes`` / ``block_elements`` tune each shard's
-    decoded-block LRU.
+    decoded-position cache.
     """
     if backing not in ("ram", "mmap"):
         raise ValueError(f"backing must be 'ram' or 'mmap', got {backing!r}")

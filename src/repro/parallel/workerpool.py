@@ -268,7 +268,7 @@ class FileShardSource:
     With ``backing="mmap"`` (version-3 payloads) the worker maps its
     shard's code section instead of decoding it: respawn recovery skips
     the unpack entirely and the worker's resident footprint is the
-    decoded-block LRU (``cache_bytes``), not the shard.
+    decoded-position cache (``cache_bytes``), not the shard.
     """
 
     def __init__(

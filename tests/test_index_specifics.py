@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.permutation import (
     compact_footrule_dtype,
@@ -20,10 +24,11 @@ from repro.index import (
     PivotIndex,
     VPTree,
 )
-from repro.index.batching import scan_knn
+from repro.index import distperm
+from repro.index.batching import scan_knn, smallest_k_indices, take_points
 from repro.index.distperm import _budget_candidates
 from repro.index.pivots import select_pivots
-from repro.metrics import EuclideanDistance
+from repro.metrics import EuclideanDistance, LevenshteinDistance
 
 
 @pytest.fixture(scope="module")
@@ -245,9 +250,70 @@ def _stable_prefix(footrules: np.ndarray, budget: int) -> np.ndarray:
     )
 
 
+def _property_row(shape, rng, n, dtype, stride):
+    """Rows that put the budget boundary everywhere a guess can miss."""
+    top = min(np.iinfo(dtype).max, 70_000)
+    if shape == "spread":
+        row = rng.integers(0, top + 1, size=n)
+    elif shape == "few_values":
+        row = rng.integers(0, 4, size=n) + rng.integers(0, top - 2)
+    elif shape == "all_equal":
+        row = np.full(n, rng.integers(0, top + 1))
+    elif shape == "boundary_at_zero":
+        row = np.where(rng.random(n) < 0.8, 0, rng.integers(0, top + 1, size=n))
+    elif shape == "boundary_at_max":
+        row = np.where(rng.random(n) < 0.8, top, rng.integers(0, top + 1, size=n))
+    else:  # "sample_lies": the strided sample sees only the extreme value
+        seen, rest = (0, top) if shape == "sample_lies_low" else (top, 0)
+        row = np.full(n, rest)
+        row[::stride] = seen
+    return row.astype(dtype)
+
+
 class TestBudgetCandidates:
-    """Counting selection (1- and 2-byte rows) and argpartition (wider)
-    must both return the exact stable-argsort prefix."""
+    """Guess-and-settle selection (1- and 2-byte rows) and argpartition
+    (wider) must both return the exact stable-argsort prefix."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dtype=st.sampled_from([np.uint8, np.uint16, np.int64]),
+        shape=st.sampled_from([
+            "spread", "few_values", "all_equal", "boundary_at_zero",
+            "boundary_at_max", "sample_lies_low", "sample_lies_high",
+        ]),
+        sample=st.sampled_from([1, 5, 64, 4096]),
+        data=st.data(),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_is_the_stable_argsort_prefix_whatever_the_sample_says(
+        self, seed, dtype, shape, sample, data
+    ):
+        n = data.draw(st.integers(1, 600))
+        budget = data.draw(
+            st.sampled_from([0, 1, n - 1, n, n + 1]) | st.integers(0, n + 1)
+        )
+        # A sample of 1 leaves n below the stride; 4096 samples every
+        # entry of these rows, so the guess is exact; in between, the
+        # guess is off and the settle loop has to walk.
+        stride = max(1, n // sample)
+        row = _property_row(
+            shape, np.random.default_rng(seed), n, dtype, stride
+        )
+        with mock.patch.object(distperm, "_BOUNDARY_SAMPLE", sample):
+            got = _budget_candidates(row, budget)
+        np.testing.assert_array_equal(got, _stable_prefix(row, budget))
+        assert got.dtype.kind == "i"
+
+    def test_ties_come_from_a_prefix_that_grows_on_a_shortfall(self):
+        # All boundary ties sit at the far end of the row, so the prefix
+        # sized from their density finds none and has to double to n.
+        n = 50_000
+        row = np.full(n, 9, dtype=np.uint8)
+        row[:100] = 1
+        row[-600:] = 5
+        got = _budget_candidates(row, 110)
+        np.testing.assert_array_equal(got, _stable_prefix(row, 110))
+        np.testing.assert_array_equal(got[100:], np.arange(n - 600, n - 590))
 
     ROWS = {
         "random": lambda rng, top: rng.integers(0, top + 1, size=500),
@@ -278,6 +344,64 @@ class TestBudgetCandidates:
         np.testing.assert_array_equal(
             np.diff(arrays.offsets), np.minimum(budgets, 5)
         )
+
+
+class TestRefineTopK:
+    """``smallest_k_indices`` with an id tiebreak is the refine step's
+    ``np.lexsort((candidates, distances))[:k]`` without the full sort."""
+
+    @given(
+        values=st.lists(st.integers(0, 6), min_size=1, max_size=60),
+        k=st.integers(1, 70),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_full_lexsort(self, values, k, seed):
+        distances = np.asarray(values, dtype=np.float64) / 2
+        ids = np.random.default_rng(seed).permutation(10 * len(values))[
+            : len(values)
+        ]
+        np.testing.assert_array_equal(
+            smallest_k_indices(distances, k, ids),
+            np.lexsort((ids, distances))[:k],
+        )
+        np.testing.assert_array_equal(
+            smallest_k_indices(distances, k),
+            np.lexsort((np.arange(len(values)), distances))[:k],
+        )
+
+    def test_nan_distances_sort_last_as_in_lexsort(self):
+        distances = np.array([2.0, np.nan, 1.0, np.nan, 1.0, 3.0])
+        ids = np.array([5, 4, 3, 2, 1, 0])
+        for k in range(1, 8):
+            np.testing.assert_array_equal(
+                smallest_k_indices(distances, k, ids),
+                np.lexsort((ids, distances))[:k],
+            )
+
+    def test_levenshtein_candidates_where_ties_are_the_norm(self, small_words):
+        words = [w + s for s in ("", "s", "ed") for w in small_words]
+        metric = LevenshteinDistance()
+        index = DistPermIndex(words, metric, n_sites=5, site_strategy="first")
+        queries = ["helps", "wardens", "gen", "core", "xyzzy"]
+        footrules = index._footrules_matrix(index.query_permutations(queries))
+        for query, row in zip(queries, footrules.copy()):
+            candidates = _budget_candidates(row, 25)
+            # Gathered strict-then-ties: not sorted by id.
+            assert np.any(np.diff(candidates) < 0)
+            distances = metric.batch_distances(
+                [query], take_points(words, candidates)
+            )[0]
+            assert np.unique(distances).shape[0] < distances.shape[0] // 2
+            for k in (1, 3, 10, 24, 25, 26, 100):
+                order = smallest_k_indices(distances, k, candidates)
+                np.testing.assert_array_equal(
+                    order, np.lexsort((candidates, distances))[:k]
+                )
+            got = index.knn_approx(query, 10, budget=25)
+            order = np.lexsort((candidates, distances))[:10]
+            assert [n.index for n in got] == candidates[order].tolist()
+            assert [n.distance for n in got] == distances[order].tolist()
 
 
 class TestDistPermNarrowFootrules:
@@ -343,6 +467,17 @@ class TestDistPermNarrowFootrules:
         got = index.query_footrules(queries, limit)
         assert got.dtype == np.float64
         assert got.tobytes() == expected.tobytes()
+        # ... and to the partition + sort over the narrow matrix that the
+        # histogram read-off replaced.
+        narrow = index._footrules_matrix(index.query_permutations(queries))
+        if 0 < kept < narrow.shape[1]:
+            smallest = np.partition(narrow, kept - 1, axis=1)[:, :kept]
+        else:
+            smallest = narrow[:, :kept]
+        replaced = (
+            np.sort(smallest, axis=1) - narrow.mean(axis=1, keepdims=True)
+        )
+        assert got.tobytes() == replaced.tobytes()
 
 
 class TestDistPermAddPoints:

@@ -1,6 +1,7 @@
 """The out-of-core engine: mapped code stores and streaming censuses.
 
-Covers the :class:`MappedCodeStore` decode/LRU machinery in isolation,
+Covers the :class:`MappedCodeStore` decode / position-cache machinery in
+isolation, the tile loop of the mmap-backed index on top of it,
 the chunked dataset readers, :func:`streaming_census` exactness against
 the in-memory sharded census, mmap-backed sharded loads (including
 resident workers reading their shard sections via :class:`FileShardSource`),
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core.bitpack import PackedPermutationStore, pack_ids, unpack_ids
+from repro.core.permutation import decode_positions
 from repro.core.storage import MappedCodeStore, bits_full_permutation
 from repro.datasets.io import (
     count_rows,
@@ -28,7 +30,7 @@ from repro.datasets.io import (
     save_strings,
     save_vectors,
 )
-from repro.index import DistPermIndex, ShardedIndex, batching
+from repro.index import DistPermIndex, ShardedIndex, batching, distperm
 from repro.index.serialize import (
     PayloadCorruptError,
     load_distperm,
@@ -77,24 +79,54 @@ class TestMappedCodeStore:
             for start, stop, block in store.iter_blocks():
                 got[start:stop] = block
             np.testing.assert_array_equal(got, codes)
+            # The code path is the uncached first decode stage.
+            assert store.current_cache_bytes == 0
+            assert (store.cache_hits, store.cache_misses) == (0, 0)
+        finally:
+            store.close()
+
+    def test_positions_block_is_the_unranked_block(self, tmp_path, rng):
+        store, codes = self._store(
+            tmp_path, rng, block_elements=64, cache_bytes=1 << 16
+        )
+        try:
+            assert store.n_blocks == 7  # six full blocks and one of 16
+            for block in range(store.n_blocks):
+                start, stop = store.block_range(block)
+                positions = store.positions_block(block)
+                assert positions.shape == (self.K, stop - start)
+                assert positions.dtype == np.uint8
+                assert positions.flags.c_contiguous
+                assert not positions.flags.writeable
+                np.testing.assert_array_equal(
+                    positions.T, decode_positions(codes[start:stop], self.K)
+                )
         finally:
             store.close()
 
     def test_lru_peak_stays_under_budget(self, tmp_path, rng):
-        # 64-element blocks decode to 512 bytes; a 1024-byte budget
-        # holds two, while the whole store would need 3200 bytes.
+        # 64-element blocks decode to 64 * 6 = 384 position bytes; of the
+        # 2400 the whole store would need, a 1024-byte budget retains the
+        # first two blocks and then the 16-element tail, the only other
+        # one that still fits.  Nothing is evicted: the retained blocks
+        # hit on every later pass and the other four decode again.
         store, codes = self._store(
             tmp_path, rng, block_elements=64, cache_bytes=1024
         )
         try:
-            assert store.decoded_bytes_total() == 400 * 8
-            for block in range(store.n_blocks):
-                store.codes_block(block)
-            for block in range(store.n_blocks):
-                store.codes_block(block)
-            assert store.peak_cache_bytes <= 1024
-            assert store.current_cache_bytes <= 1024
-            assert store.cache_misses >= store.n_blocks
+            assert store.decoded_bytes_total() == 400 * self.K
+            retained = 2 * 384 + 16 * self.K
+            for passes in (1, 2, 3):
+                for block in range(store.n_blocks):
+                    store.positions_block(block)
+                assert store.current_cache_bytes == retained
+                assert store.peak_cache_bytes == retained <= store.cache_bytes
+                assert store.cache_hits == 3 * (passes - 1)
+                assert store.cache_misses == 7 + 4 * (passes - 1)
+            store.clear_cache()
+            assert store.current_cache_bytes == 0
+            store.positions_block(6)  # whichever comes first is retained
+            assert store.current_cache_bytes == 16 * self.K
         finally:
             store.close()
 
@@ -103,10 +135,13 @@ class TestMappedCodeStore:
             tmp_path, rng, block_elements=64, cache_bytes=1 << 16
         )
         try:
-            store.codes_block(0)
-            store.codes_block(0)
+            first = store.positions_block(0)
+            assert store.positions_block(0) is first
             assert store.cache_hits == 1
             assert store.cache_misses == 1
+            store.codes_block(0)  # codes neither count nor cache
+            assert (store.cache_hits, store.cache_misses) == (1, 1)
+            assert store.current_cache_bytes == first.nbytes
         finally:
             store.close()
 
@@ -117,6 +152,7 @@ class TestMappedCodeStore:
         try:
             for index in (0, 63, 64, 257, 399):
                 assert store.element(index) == int(codes[index])
+            assert store.current_cache_bytes == 0
         finally:
             store.close()
 
@@ -155,12 +191,17 @@ class TestMappedCodeStore:
         )
         try:
             store.codes_block(0)  # clean block decodes fine
-            with pytest.raises(PayloadCorruptError) as excinfo:
-                store.codes_block(2)
-            error = excinfo.value
-            assert error.shard == "s3"
-            assert 160 <= error.byte_offset <= 170
-            assert "decodes outside" in str(error)
+            store.positions_block(0)
+            # Same error through either decode stage, and on every touch:
+            # nothing of a corrupt block is ever cached.
+            for touch in (store.codes_block, store.positions_block) * 2:
+                with pytest.raises(PayloadCorruptError) as excinfo:
+                    touch(2)
+                error = excinfo.value
+                assert error.shard == "s3"
+                assert 160 <= error.byte_offset <= 170
+                assert "decodes outside" in str(error)
+            assert store.current_cache_bytes == 64 * self.K  # block 0 only
         finally:
             store.close()
 
@@ -177,8 +218,23 @@ class TestMappedCodeStore:
         with pytest.raises(ValueError, match="cache_bytes"):
             MappedCodeStore(
                 path, offset=0, nbytes=nbytes, bit_width=bit_width,
-                count=16, k=self.K, block_elements=64, cache_bytes=256,
+                count=16, k=self.K, block_elements=64, cache_bytes=-1,
             )
+        # A budget smaller than one block (16 * 6 = 96 position bytes) is
+        # not an error: the block is decoded and served, never retained.
+        store = MappedCodeStore(
+            path, offset=0, nbytes=nbytes, bit_width=bit_width,
+            count=16, k=self.K, block_elements=64, cache_bytes=95,
+        )
+        try:
+            for _ in range(2):
+                np.testing.assert_array_equal(
+                    store.positions_block(0).T, decode_positions(codes, self.K)
+                )
+            assert (store.cache_hits, store.cache_misses) == (0, 2)
+            assert store.peak_cache_bytes == 0
+        finally:
+            store.close()
 
     def test_advise_and_close_are_safe(self, tmp_path, rng):
         store, _ = self._store(tmp_path, rng)
@@ -359,11 +415,13 @@ def _columns(rows):
 
 
 class TestDecodeOnceScan:
-    """The mmap query loop: each block unpacked and unranked once per
-    chunk of queries, same answers as RAM, same corruption contract."""
+    """The mmap query loop: tiles of several store blocks, each block
+    decoded at most once per chunk of queries and a retained block once
+    per index lifetime; same answers as RAM, same corruption contract."""
 
     K = 6  # 6! = 720 -> 10-bit codes: element e starts at byte e * 10 / 8
     BLOCK = 64
+    BLOCK_BYTES = BLOCK * K  # one block of uint8 rank positions
 
     def _saved(self, tmp_path, rng, n=1000):
         points = rng.random((n, 4))
@@ -377,7 +435,7 @@ class TestDecodeOnceScan:
 
     def _mapped(self, path, points, **kwargs):
         kwargs.setdefault("block_elements", self.BLOCK)
-        kwargs.setdefault("cache_bytes", 2 * self.BLOCK * 8)
+        kwargs.setdefault("cache_bytes", 2 * self.BLOCK_BYTES)
         return load_distperm(
             path, points, EuclideanDistance(), backing="mmap", **kwargs
         )
@@ -406,6 +464,15 @@ class TestDecodeOnceScan:
             assert str(error).startswith(
                 "corrupt payload [unsharded payload, byte offset 400]"
             )
+            # Reached through the positions path, inside a tile: the two
+            # clean blocks before it were retained, the corrupt one never
+            # is, so the next batch trips over it again.
+            store = mapped.code_store
+            assert store.current_cache_bytes == 2 * self.BLOCK_BYTES
+            with pytest.raises(PayloadCorruptError, match="element 320"):
+                mapped.knn_approx_batch_arrays(points[:3], 2, 50)
+            with pytest.raises(PayloadCorruptError, match="element 320"):
+                store.positions_block(5)
         finally:
             mapped.close()
 
@@ -452,20 +519,76 @@ class TestDecodeOnceScan:
         try:
             assert store.n_blocks == 16
             assert store.block_range(15) == (960, 1000)
-            store.clear_cache()  # the load-time probe left block 0 behind
-            misses = store.cache_misses
-            got = mapped.knn_approx_batch_arrays(queries, 3, 40)
-            # Two blocks fit the LRU, sixteen are scanned: every block is
-            # decoded exactly once per chunk, never once per query.
-            assert store.cache_misses - misses == 16 * chunks
-            assert _columns(got) == _columns(
-                ram.knn_approx_batch_arrays(queries, 3, 40)
-            )
+            # The load-time probe read its block's codes and cached nothing.
+            assert store.current_cache_bytes == 0
+            assert (store.cache_hits, store.cache_misses) == (0, 0)
+            for batches in (1, 2):
+                got = mapped.knn_approx_batch_arrays(queries, 3, 40)
+                # Sixteen blocks are scanned once per chunk, never once
+                # per query.  The first two fit the cache and are decoded
+                # once in the index's lifetime; the other fourteen are
+                # decoded once per chunk.
+                scans = chunks * batches
+                assert store.cache_misses == 2 + 14 * scans
+                assert store.cache_hits == 2 * (scans - 1)
+                assert _columns(got) == _columns(
+                    ram.knn_approx_batch_arrays(queries, 3, 40)
+                )
             np.testing.assert_array_equal(
                 mapped.query_footrules(queries, 25),
                 ram.query_footrules(queries, 25),
             )
-            assert 0 < store.peak_cache_bytes <= store.cache_bytes
+            assert store.peak_cache_bytes == 2 * self.BLOCK_BYTES
+            assert store.peak_cache_bytes <= store.cache_bytes
+        finally:
+            mapped.close()
+
+    @pytest.mark.parametrize(
+        "n, tile_blocks, tiles",
+        [
+            (1000, 3, [(0, 192), (192, 384), (384, 576), (576, 768),
+                       (768, 960), (960, 1000)]),  # ragged block alone
+            (1000, 5, [(0, 320), (320, 640), (640, 960), (960, 1000)]),
+            (1000, 4, [(0, 256), (256, 512), (512, 768), (768, 1000)]),
+            (1000, 16, [(0, 1000)]),  # the whole store is one tile
+            (1000, 99, [(0, 1000)]),  # never wider than n
+            (1000, 0, [(s, min(s + 64, 1000)) for s in range(0, 1000, 64)]),
+            (640, 3, [(0, 192), (192, 384), (384, 576), (576, 640)]),
+            (40, 3, [(0, 40)]),  # n below one block
+        ],
+    )
+    def test_tiles_span_blocks_and_answers_equal_ram(
+        self, tmp_path, rng, monkeypatch, n, tile_blocks, tiles
+    ):
+        points, path = self._saved(tmp_path, rng, n=n)
+        queries = np.concatenate([rng.random((5, 4)), points[:2]])
+        # One byte short of the next block: a tile holds whole blocks
+        # only, and one block at least.
+        monkeypatch.setattr(
+            distperm, "_TILE_BYTES", (tile_blocks + 1) * self.BLOCK_BYTES - 1
+        )
+        ram = load_distperm(path, points, EuclideanDistance(), backing="ram")
+        mapped = self._mapped(path, points)
+        try:
+            resident = ram._perm_positions.T
+            seen = []
+            for start, stop, columns in mapped._position_tiles():
+                seen.append((start, stop))
+                assert columns.shape == (self.K, stop - start)
+                assert columns.strides[1] == columns.itemsize
+                np.testing.assert_array_equal(columns, resident[:, start:stop])
+            assert seen == tiles
+            [(start, stop, columns)] = ram._position_tiles()
+            assert (start, stop) == (0, n)
+            assert np.shares_memory(columns, ram._perm_positions)
+            np.testing.assert_array_equal(
+                mapped._footrules_matrix(ram.query_permutations(queries)),
+                ram._footrules_matrix(ram.query_permutations(queries)),
+            )
+            for budget in (1, 30, n - 1, n):
+                assert _columns(
+                    mapped.knn_approx_batch_arrays(queries, 3, budget)
+                ) == _columns(ram.knn_approx_batch_arrays(queries, 3, budget))
         finally:
             mapped.close()
 

@@ -356,6 +356,31 @@ class TestFootruleKernelWidths:
         np.testing.assert_array_equal(full[:, 2:-2], expected)
         assert (full[:, :2] == 255).all() and (full[:, -2:] == 255).all()
 
+    def test_tile_cut_from_a_wider_workspace_is_scanned_in_place(self):
+        """The tile loop's input: a column range of a ``(k, width)``
+        buffer — each site's ranks contiguous, rows further apart than
+        they are long — must not be re-laid-out by a hidden copy."""
+        perms, query_perms, expected = _boundary_case(12)
+        n, k = perms.shape
+        buffer = np.full((k, n + 7), 255, dtype=np.uint8)
+        tile = buffer[:, 3 : n + 3]
+        tile[...] = permutation_positions(perms).T
+        assert not tile.flags.c_contiguous
+        workspace: dict = {}
+        out = np.empty(expected.shape, dtype=np.uint8)
+        footrule_matrix_batch(
+            None, query_perms, positions=tile.T, workspace=workspace, out=out
+        )
+        np.testing.assert_array_equal(out, expected)
+        assert "footrule_columns" not in workspace
+        # A C-ordered matrix still pays the copy.
+        footrule_matrix_batch(
+            None, query_perms, positions=np.ascontiguousarray(tile.T),
+            workspace=workspace, out=out,
+        )
+        np.testing.assert_array_equal(out, expected)
+        assert "footrule_columns" in workspace
+
     def test_out_shape_and_kind_are_validated(self):
         perms, query_perms, expected = _boundary_case(6)
         with pytest.raises(ValueError):

@@ -339,10 +339,12 @@ class TestV3Payloads:
         )
         try:
             store = mapped.code_store
-            # Decoded total (400 codes x 8 bytes) dwarfs the budget.
-            assert store.decoded_bytes_total() >= 2048
+            # Decoded total (400 elements x 7 position bytes) exceeds the
+            # budget, and loading left nothing behind in the cache.
+            assert store.decoded_bytes_total() == 400 * 7 > 2048
+            assert store.current_cache_bytes == 0
             mapped.knn_approx_batch(rng.random((4, 3)), 5, budget=60)
-            assert store.peak_cache_bytes <= 2048
+            assert 0 < store.peak_cache_bytes <= 2048
             assert store.cache_misses > 0
         finally:
             mapped.close()
