@@ -16,9 +16,10 @@ and costs:
   hits — the fitting fraction of every scan.
 - **What the cache buys** — one more point at the largest size whose
   decoded section *fits* the budget, so after the warm-up the timed
-  batches decode nothing, next to the per-block price of a miss (word-
-  window unpack + range check + Lehmer unrank into rank positions), of
-  the unpack stage alone, and of a hit (a dict lookup): the cache holds
+  batches decode nothing, next to the per-code price of a miss (word-
+  window unpack + range check + Lehmer unrank into a tile) decoded as a
+  one-block run and as the full-tile run the scan decodes, of the unpack
+  stage alone, and of a hit (a copy into the tile): the cache holds
   positions, so a hit skips both decode stages and the mmap scan
   differs from the RAM scan only by copying blocks into tiles.
 - **Streaming census** — a disk-resident ASCII database censused chunk
@@ -52,8 +53,9 @@ sys.path[:0] = [str(REPO_ROOT / "src"), str(REPO_ROOT)]
 import numpy as np  # noqa: E402
 
 from benchmarks.e2e.machine import peak_rss_mb  # noqa: E402
+from repro.core.permutation import compact_position_dtype  # noqa: E402
 from repro.datasets.io import iter_vector_chunks, save_vectors  # noqa: E402
-from repro.index import DistPermIndex  # noqa: E402
+from repro.index import DistPermIndex, distperm  # noqa: E402
 from repro.index.serialize import load_distperm, save_distperm  # noqa: E402
 from repro.metrics import EuclideanDistance  # noqa: E402
 from repro.parallel.census import sharded_census, streaming_census  # noqa: E402
@@ -117,22 +119,57 @@ def _median_us(fn, items) -> float:
 
 
 def _block_costs(store) -> dict:
-    """Median per-block price of a position-cache miss (unpack + range
-    check + unrank), of its unpack stage alone, and of a hit."""
-    blocks = range(store.n_blocks)
+    """Median price of a position-cache miss (unpack + range check +
+    unrank into a tile) per code, decoded as a one-block run and as the
+    full-tile run the index's scan decodes, next to the unpack stage
+    alone and a hit (a copy out of the cache)."""
+    block = store.block_elements
+    tile_blocks = max(1, distperm._TILE_BYTES // (store.k * block))
+    tile = np.empty(
+        (store.k, min(tile_blocks * block, store.count)),
+        dtype=compact_position_dtype(store.k),
+    )
+    singles = [(b, b + 1) for b in range(store.n_blocks)]
+    runs = [
+        (first, min(first + tile_blocks, store.n_blocks))
+        for first in range(0, store.n_blocks, tile_blocks)
+    ]
+
+    def fill(blocks):
+        first, stop = blocks
+        width = min(stop * block, store.count) - first * block
+        store.positions_block(first, stop, out=tile[:, :width])
+        return width
+
+    def ns_per_code(ranges):
+        rates = []
+        for blocks in ranges:
+            start = time.perf_counter()
+            width = fill(blocks)
+            rates.append((time.perf_counter() - start) / width)
+        return round(float(np.median(rates)) * 1e9, 2)
+
+    # Misses are priced as the partial-cache scan pays them: decoded and
+    # never retained.
     store.clear_cache()
-    miss_us = _median_us(store.positions_block, blocks)
-    hit_us = _median_us(store.positions_block, blocks)
-    unpack_us = _median_us(store.codes_block, blocks)
-    per_code = 1e3 / min(store.block_elements, store.count)
+    budget, store.cache_bytes = store.cache_bytes, 0
+    try:
+        miss_ns = ns_per_code(singles)
+        run_miss_ns = ns_per_code(runs)
+    finally:
+        store.cache_bytes = budget
+    for blocks in runs:  # retain every block again
+        fill(blocks)
+    hit_ns = ns_per_code(singles)
+    unpack_us = _median_us(store.codes_block, range(store.n_blocks))
+    unpack_ns = unpack_us * 1e3 / min(block, store.count)
     return {
-        "block_elements": store.block_elements,
-        "miss_us_per_block": miss_us,
-        "unpack_us_per_block": unpack_us,
-        "hit_us_per_block": hit_us,
-        "miss_ns_per_code": round(miss_us * per_code, 2),
-        "unpack_ns_per_code": round(unpack_us * per_code, 2),
-        "hit_ns_per_code": round(hit_us * per_code, 3),
+        "block_elements": block,
+        "tile_blocks": tile_blocks,
+        "miss_ns_per_code": miss_ns,
+        "run_miss_ns_per_code": run_miss_ns,
+        "unpack_ns_per_code": round(unpack_ns, 2),
+        "hit_ns_per_code": hit_ns,
     }
 
 
@@ -413,10 +450,12 @@ def main(argv=None):
         f"cache fits, n={cache_fit['n']}: mmap {fitted['qps']} q/s "
         f"({fitted['cache_hits']} hits / {fitted['cache_misses']} misses; "
         f"{cache_fit['fit_vs_partial_qps']}x the partial-cache run, "
-        f"{cache_fit['fit_vs_ram_qps']}x RAM); per {costs['block_elements']}"
-        f"-code block: miss {costs['miss_us_per_block']} us (unpack "
-        f"{costs['unpack_us_per_block']} us of it), hit "
-        f"{costs['hit_us_per_block']} us"
+        f"{cache_fit['fit_vs_ram_qps']}x RAM); per code, a miss costs "
+        f"{costs['miss_ns_per_code']} ns as a {costs['block_elements']}"
+        f"-code block and {costs['run_miss_ns_per_code']} ns in a "
+        f"{costs['tile_blocks']}-block tile run (unpack alone "
+        f"{costs['unpack_ns_per_code']} ns), a hit "
+        f"{costs['hit_ns_per_code']} ns"
     )
     print(
         f"census n={census['n']}: streamed {census['streamed_s']}s vs "

@@ -27,6 +27,7 @@ become flat 1-D integer operations instead of row-matrix ones.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Any, Dict, Optional, Sequence, Set, Tuple
 
@@ -329,6 +330,39 @@ def decode_permutations(codes: np.ndarray, k: int) -> np.ndarray:
     return perms
 
 
+@functools.lru_cache(maxsize=None)
+def _merge_network(k: int) -> Tuple[Tuple[int, int], ...]:
+    """Batcher's odd-even merge sort as comparators ``(a, b)``, ``a < b``.
+
+    Built for the next power of two and pruned to the comparators whose
+    lanes both lie below ``k`` — the missing lanes act as ``+inf``
+    padding, which no comparator ever moves — so it sorts any ``k``
+    values: 19 comparators at ``k = 8``, 42 at ``k = 12``, 103 at 20.
+    """
+    width = 1 << max(0, k - 1).bit_length()
+    pairs = []
+    merge = 1
+    while merge < width:
+        step = merge
+        while step >= 1:
+            for j in range(step % merge, width - step, 2 * step):
+                for i in range(min(step, width - j - step)):
+                    a, b = i + j, i + j + step
+                    if a // (2 * merge) == b // (2 * merge) and b < k:
+                        pairs.append((a, b))
+            step //= 2
+        merge *= 2
+    return tuple(pairs)
+
+
+def _rows_contiguous(rows: np.ndarray) -> bool:
+    """Whether every row of 2-d ``rows`` is contiguous and no two overlap."""
+    k, n = rows.shape
+    return (n <= 1 or rows.strides[1] == rows.itemsize) and (
+        k <= 1 or rows.strides[0] >= n * rows.itemsize
+    )
+
+
 def decode_positions(
     codes: np.ndarray, k: int, *, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
@@ -336,18 +370,29 @@ def decode_positions(
 
     Equal to ``permutation_positions(decode_permutations(codes, k))`` with
     the same range errors, but for fixed-width codes nothing ``(n, k)``
-    and wide is built on the way: the byte rows of :func:`_unrank_rows`
-    are inverted by one flat scatter per rank into the layout
-    :func:`footrule_matrix_batch` consumes in place.
+    and wide is built and nothing is scattered.  Each rank row ``r`` of
+    :func:`_unrank_rows` becomes a row of keys ``site << b | r`` (``b``
+    bits per rank: ``uint8`` keys through ``k = 16``, ``uint16`` through
+    20), and a fixed sorting network — Batcher's odd-even merge sort,
+    42 comparators at ``k = 12`` — sorts every code's ``k`` keys at once,
+    each comparator one ``np.minimum`` and one ``np.maximum`` over whole
+    key rows (row references swap; nothing is copied).  Sorted row
+    ``s`` then holds site ``s``'s key in every column, and its low ``b``
+    bits are that site's rank, masked straight into ``out``.
 
     **Layout contract.**  The result is ``(n, k)`` and *column-major*:
-    ``result.T`` is a C-contiguous ``(k, n)`` matrix whose row ``s`` is
-    site ``s``'s rank in every decoded permutation.  Without ``out`` it
-    is allocated in :func:`compact_position_dtype`.  ``out`` must have
-    shape ``(n, k)``, an integer dtype holding ``k - 1`` and that same
-    column-major layout (``out.T.flags.c_contiguous``) — a C-ordered or
-    strided target raises ``ValueError`` instead of being filled through
-    a hidden copy.
+    ``result.T`` is a ``(k, n)`` matrix whose row ``s`` is site ``s``'s
+    rank in every decoded permutation.  Without ``out`` it is allocated
+    C-contiguous in :func:`compact_position_dtype`.  ``out`` must have
+    shape ``(n, k)``, an integer dtype holding ``k - 1``, and contiguous,
+    non-overlapping rows of ``out.T`` — a C-contiguous ``(k, n)`` matrix
+    or a column range of a wider one (a tile of a ``(k, width)``
+    workspace), rows further apart than they are long, the layout
+    :func:`footrule_matrix_batch` consumes in place; it is filled in
+    place and nothing outside it is written.  A C-ordered or
+    element-strided target raises ``ValueError`` instead of being
+    filled through a hidden copy.  Object codes (``k > MAX_CODE_SITES``)
+    take the row path through :func:`permutation_positions`.
     """
     codes = _checked_codes(codes, k)
     n = codes.shape[0]
@@ -357,22 +402,32 @@ def decode_positions(
         raise ValueError(f"out has shape {out.shape}, expected {(n, k)}")
     elif not _integer_dtype_holds(out.dtype, k - 1):
         raise ValueError(f"out dtype {out.dtype} cannot hold ranks below {k}")
-    elif not out.T.flags.c_contiguous:
+    elif not _rows_contiguous(out.T):
         raise ValueError(
-            "out must be column-major: out.T a C-contiguous (k, n) matrix"
+            "out must be column-major: each row of out.T contiguous, "
+            "rows not overlapping"
         )
     if n == 0 or k == 0:
         return out
     if codes.dtype == np.dtype(object):
         return permutation_positions(decode_permutations(codes, k), out=out)
-    # Rank r of code i lands at flat offset site * n + i of the (k, n)
-    # column matrix.
-    target = out.T.reshape(-1)
-    offsets = _unrank_rows(codes, k).astype(np.intp)
-    offsets *= n
-    offsets += np.arange(n)
-    for rank in range(k):
-        target[offsets[rank]] = rank
+    bits = (k - 1).bit_length()
+    keys = _unrank_rows(codes, k)
+    if 2 * bits > 8:
+        keys = keys.astype(np.uint16)
+    scalar = keys.dtype.type
+    # A multiply, not a shift: numpy has no SIMD loop for shifts.
+    np.multiply(keys, scalar(1 << bits), out=keys)
+    np.bitwise_or(keys, np.arange(k, dtype=keys.dtype)[:, None], out=keys)
+    lanes = list(keys)
+    spare = np.empty_like(lanes[0])
+    for a, b in _merge_network(k):
+        np.minimum(lanes[a], lanes[b], out=spare)
+        np.maximum(lanes[a], lanes[b], out=lanes[b])
+        lanes[a], spare = spare, lanes[a]
+    mask = scalar((1 << bits) - 1)
+    for site, lane in zip(out.T, lanes):
+        np.bitwise_and(lane, mask, out=site, casting="unsafe")
     return out
 
 

@@ -17,7 +17,11 @@ import numpy as np
 import pytest
 
 from repro.core.bitpack import PackedPermutationStore, pack_ids, unpack_ids
-from repro.core.permutation import decode_positions
+from repro.core.permutation import (
+    decode_permutations,
+    decode_positions,
+    permutation_positions,
+)
 from repro.core.storage import MappedCodeStore, bits_full_permutation
 from repro.datasets.io import (
     count_rows,
@@ -85,22 +89,103 @@ class TestMappedCodeStore:
         finally:
             store.close()
 
+    def _resident(self, codes):
+        """The RAM matrix: ``(k, n)`` rank positions by the row path."""
+        return permutation_positions(decode_permutations(codes, self.K)).T
+
     def test_positions_block_is_the_unranked_block(self, tmp_path, rng):
         store, codes = self._store(
             tmp_path, rng, block_elements=64, cache_bytes=1 << 16
         )
         try:
             assert store.n_blocks == 7  # six full blocks and one of 16
+            resident = self._resident(codes)
             for block in range(store.n_blocks):
                 start, stop = store.block_range(block)
                 positions = store.positions_block(block)
                 assert positions.shape == (self.K, stop - start)
                 assert positions.dtype == np.uint8
                 assert positions.flags.c_contiguous
-                assert not positions.flags.writeable
                 np.testing.assert_array_equal(
-                    positions.T, decode_positions(codes[start:stop], self.K)
+                    positions, resident[:, start:stop]
                 )
+            # Every block range, served from the cache, equals the same
+            # columns; a fresh matrix is the caller's to write.
+            for first in range(store.n_blocks):
+                for stop in range(first + 1, store.n_blocks + 1):
+                    positions = store.positions_block(first, stop)
+                    lo, hi = first * 64, min(stop * 64, 400)
+                    np.testing.assert_array_equal(
+                        positions, resident[:, lo:hi]
+                    )
+            positions[:] = 0
+            np.testing.assert_array_equal(
+                store.positions_block(0, 7), resident
+            )
+            with pytest.raises(IndexError):
+                store.positions_block(3, 8)
+            with pytest.raises(IndexError):
+                store.positions_block(3, 3)
+            narrow = np.empty((self.K, 64), np.uint8)
+            with pytest.raises(ValueError, match="shape"):
+                store.positions_block(0, 2, out=narrow)
+        finally:
+            store.close()
+
+    @pytest.mark.parametrize(
+        "count, cache_blocks, touched, first, stop, hits, misses",
+        [
+            # Blocks 1 and 4 retained: the range starts and ends on a
+            # hit, with one run of two misses between.
+            (400, (1, 4), (1, 4), 1, 5, 2, 2),
+            # Runs before, between and after the two retained blocks.
+            (400, (1, 4), (1, 4), 0, 7, 2, 5),
+            # A budget of two blocks plus the 16-element tail retains the
+            # ragged tail, whose run started on an uncached block.
+            (400, (0, 1, 6), (), 0, 7, 0, 7),
+            # A tile narrower than one block: the ragged tail alone.
+            (400, (), (), 6, 7, 0, 1),
+            # n below one block: the only block is ragged.
+            (40, (0,), (), 0, 1, 0, 1),
+        ],
+    )
+    def test_runs_decode_into_the_tile(
+        self, tmp_path, rng, count, cache_blocks, touched, first, stop,
+        hits, misses,
+    ):
+        widths = [min(64, count - 64 * block) for block in cache_blocks]
+        store, codes = self._store(
+            tmp_path, rng, count=count, block_elements=64,
+            cache_bytes=self.K * sum(widths),
+        )
+        try:
+            for block in touched:
+                store.positions_block(block)
+            before = (store.cache_hits, store.cache_misses)
+            lo, hi = first * 64, min(stop * 64, count)
+            want = self._resident(codes)[:, lo:hi]
+            # A tile cut out of a wider workspace: rows further apart than
+            # they are long, nothing outside the tile written.
+            workspace = np.full((self.K, 7 * 64 + 5), 77, dtype=np.uint8)
+            tile = workspace[:, : hi - lo]
+            assert store.positions_block(first, stop, out=tile) is tile
+            np.testing.assert_array_equal(tile, want)
+            assert (workspace[:, hi - lo :] == 77).all()
+            assert (store.cache_hits, store.cache_misses) == (
+                before[0] + hits, before[1] + misses,
+            )
+            assert sorted(store._blocks) == sorted(cache_blocks)
+            assert store.current_cache_bytes == self.K * sum(widths)
+            assert store.peak_cache_bytes <= store.cache_bytes
+            # Every later pass over the range hits exactly the retained
+            # blocks and decodes the rest again.
+            again = (store.cache_hits, store.cache_misses)
+            store.positions_block(first, stop, out=tile)
+            kept = sum(first <= b < stop for b in cache_blocks)
+            assert (store.cache_hits, store.cache_misses) == (
+                again[0] + kept, again[1] + (stop - first) - kept,
+            )
+            np.testing.assert_array_equal(tile, want)
         finally:
             store.close()
 
@@ -136,7 +221,10 @@ class TestMappedCodeStore:
         )
         try:
             first = store.positions_block(0)
-            assert store.positions_block(0) is first
+            first[:] = 0  # the caller's copy, not the cached block
+            second = store.positions_block(0)
+            assert second is not first
+            assert second.any()
             assert store.cache_hits == 1
             assert store.cache_misses == 1
             store.codes_block(0)  # codes neither count nor cache
@@ -202,6 +290,46 @@ class TestMappedCodeStore:
                 assert 160 <= error.byte_offset <= 170
                 assert "decodes outside" in str(error)
             assert store.current_cache_bytes == 64 * self.K  # block 0 only
+        finally:
+            store.close()
+
+    def test_corrupt_block_inside_a_run(self, tmp_path, rng):
+        store, codes = self._store(
+            tmp_path, rng, count=256, block_elements=64, cache_bytes=4096
+        )
+        store.close()
+        path = tmp_path / "codes.bin"
+        _smash(path, 64 + 160)  # elements 128.. of block 2 become 1023
+        bit_width = bits_full_permutation(self.K)
+        store = MappedCodeStore(
+            path, offset=64, nbytes=(256 * bit_width + 7) // 8,
+            bit_width=bit_width, count=256, k=self.K, block_elements=64,
+            cache_bytes=4096, shard="s3",
+        )
+        try:
+            tile = np.zeros((self.K, 256), dtype=np.uint8)
+            for hits, misses in ((0, 3), (2, 4)):
+                with pytest.raises(PayloadCorruptError) as excinfo:
+                    store.positions_block(0, 4, out=tile)
+                assert (excinfo.value.shard, excinfo.value.byte_offset) == (
+                    "s3", 160,
+                )
+                assert "element 128 decodes outside" in str(excinfo.value)
+                # The clean blocks in front of the bad element were
+                # decoded, counted and retained; the corrupt block and the
+                # one behind it were not.
+                assert (store.cache_hits, store.cache_misses) == (hits, misses)
+                assert sorted(store._blocks) == [0, 1]
+                np.testing.assert_array_equal(
+                    tile[:, :128],
+                    permutation_positions(
+                        decode_permutations(codes[:128], self.K)
+                    ).T,
+                )
+            np.testing.assert_array_equal(
+                store.positions_block(3).T,
+                decode_positions(codes[192:], self.K),
+            )
         finally:
             store.close()
 

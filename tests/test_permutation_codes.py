@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.core.estimate import StreamingCensus
 from repro.core.permutation import (
     MAX_CODE_SITES,
+    _merge_network,
     decode_permutations,
     decode_positions,
     distance_permutations,
@@ -242,6 +243,56 @@ class TestDecodePositions:
             decode_positions(codes, k, out=wide), want
         )
 
+    @pytest.mark.parametrize("k", range(1, MAX_CODE_SITES + 1))
+    def test_network_sorts_every_zero_one_input(self, k):
+        """0-1 principle: a comparator network sorts every input iff it
+        sorts every 0/1 input — all ``2**k`` of them, one per column."""
+        network = _merge_network(k)
+        assert len(network) == {8: 19, 12: 42}.get(k, len(network))
+        assert all(0 <= a < b < k for a, b in network)
+        columns = np.arange(1 << k, dtype=np.uint32)
+        lanes = [
+            ((columns >> lane) & 1).astype(np.uint8) for lane in range(k)
+        ]
+        for a, b in network:
+            lanes[a], lanes[b] = (
+                np.minimum(lanes[a], lanes[b]),
+                np.maximum(lanes[a], lanes[b]),
+            )
+        for lower, upper in zip(lanes, lanes[1:]):
+            assert (lower <= upper).all()
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 8191, 8192, 8193, 81_923])
+    def test_equals_decode_then_invert_at_block_widths(self, rng, n):
+        """Around one and ten 8192-code blocks, every fixed width: both
+        key widths (``uint8`` through ``k = 16``, ``uint16`` beyond), the
+        identity and the reversal included."""
+        for k in range(1, MAX_CODE_SITES + 1):
+            top = math.factorial(k)
+            codes = rng.integers(0, top, size=n, dtype=np.uint64)
+            codes[: min(n, 2)] = [top - 1, 0][: min(n, 2)]
+            got = decode_positions(codes, k)
+            assert got.shape == (n, k) and got.T.flags.c_contiguous
+            np.testing.assert_array_equal(
+                got, permutation_positions(decode_permutations(codes, k))
+            )
+
+    @pytest.mark.parametrize("k", [1, 8, 12, 16, 17, MAX_CODE_SITES])
+    def test_row_strided_out_is_filled_in_place(self, rng, k):
+        """``out.T`` as a column range of a wider ``(k, width)`` workspace,
+        the mmap tile layout: filled where it lies, nothing else written."""
+        n = 300
+        codes = rng.integers(0, math.factorial(k), size=n, dtype=np.uint64)
+        workspace = np.full((k, n + 50), 255, dtype=np.uint8)
+        tile = workspace[:, 20 : 20 + n]
+        got = decode_positions(codes, k, out=tile.T)
+        assert np.shares_memory(got, tile)
+        np.testing.assert_array_equal(
+            tile.T, permutation_positions(decode_permutations(codes, k))
+        )
+        assert (workspace[:, :20] == 255).all()
+        assert (workspace[:, 20 + n :] == 255).all()
+
     def test_out_of_the_wrong_shape_dtype_or_order_is_rejected(self, rng):
         k = 6
         codes = rng.integers(0, math.factorial(k), size=10, dtype=np.uint64)
@@ -259,6 +310,12 @@ class TestDecodePositions:
             decode_positions(
                 codes, k, out=np.empty((k, 20), np.uint8)[:, ::2].T
             )
+        # Contiguous rows that overlap: each starts 5 bytes after the last.
+        overlapping = np.lib.stride_tricks.as_strided(
+            np.empty(5 * k + 10, np.uint8), shape=(k, 10), strides=(5, 1)
+        )
+        with pytest.raises(ValueError, match="column-major"):
+            decode_positions(codes, k, out=overlapping.T)
 
 
 class TestCodeCensusEquivalence:
