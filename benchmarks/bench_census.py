@@ -2,12 +2,20 @@
 
 Measures the census hot path of Tables 2–3 — fold, merge, and the
 per-prefix census — with the code engine (`encode_permutations` +
-integer-keyed :class:`~repro.core.estimate.StreamingCensus`,
-`prefix_permutation_codes` one-sort prefix censuses) against the
+integer-keyed :class:`~repro.core.estimate.StreamingCensus`) against the
 representation it replaced: :class:`RowViewCensus` below, an in-file copy
 of the previous void-row-view ``StreamingCensus`` (np.unique over per-row
 byte views, Python-dict key merging), kept here so the baseline stays
 runnable and its numbers stay in ``BENCH_census.json``.
+
+The prefix row times the census of every width ``3..k`` from the
+metric's ``to_sites_compact`` columns the way ``sharded_census`` runs
+it: codes at the widest width only, one sort, and every narrower census
+by :meth:`~repro.core.estimate.StreamingCensus.restricted` (each width
+from the next wider).  Two baselines run beside it with equal distinct
+counts asserted: the row-view census per width, and
+:func:`_prefix_unique_per_width` below — codes at every width and one
+``np.unique`` per width, the previous code engine kept in-file.
 
 A third row times how the codes are *made*: the from-distances engine
 (:func:`~repro.core.permutation.prefix_codes_from_distances` over the
@@ -25,9 +33,10 @@ isolates census/merge/prefix work from the metric kernels measured by
     PYTHONPATH=src python benchmarks/bench_census.py --smoke    # CI sizes
 
 Whenever both engines run (always), the code engine must win the
-combined census+merge time and the from-distances engine must beat
-argsort + encode, or the bench exits nonzero; the full run additionally
-asserts the >= 5x floor on the dictionary workload.
+combined census+merge time, restriction must beat the per-width
+``np.unique`` loop, and the from-distances engine must beat argsort +
+encode, or the bench exits nonzero; the full run additionally asserts
+the >= 5x floor on the dictionary workload.
 """
 
 from __future__ import annotations
@@ -61,8 +70,9 @@ REQUIRED_SPEEDUP = 5.0
 MERGE_PARTS = 8
 #: Timing repeats (best-of).
 REPEATS = 3
-#: Best-of repeats for the code-making row: both sides take milliseconds,
-#: so a few more runs keep a scheduler hiccup out of the armed guard.
+#: Best-of repeats for the code-making and restriction rows: both sides
+#: take milliseconds, so a few more runs keep a scheduler hiccup out of
+#: the armed guards.
 ENGINE_REPEATS = 7
 
 
@@ -160,11 +170,26 @@ def _prefix_rowview(distances, ks):
     return out
 
 
-def _prefix_codes(perms, ks):
+def _prefix_unique_per_width(compact, ks):
+    """The previous prefix census, kept as the baseline: one code column
+    per width, one ``np.unique`` per width."""
     out = {}
-    for k, codes in prefix_permutation_codes(perms, ks).items():
+    for k, codes in prefix_codes_from_distances(compact, ks).items():
         census = StreamingCensus()
         census.update_codes(codes, k, coding="prefix")
+        out[k] = census.distinct
+    return out
+
+
+def _prefix_restricted(compact, ks):
+    top = max(ks)
+    census = StreamingCensus()
+    census.update_codes(
+        prefix_codes_from_distances(compact, [top])[top], top, coding="prefix"
+    )
+    out = {}
+    for k in sorted(ks, reverse=True):  # each from the next wider width
+        census = census.restricted(k)
         out[k] = census.distinct
     return out
 
@@ -219,10 +244,13 @@ def run_workload(name, points, metric, n_sites, rng):
     row_prefix, t_row_prefix = _best_of(
         lambda: _prefix_rowview(distances, prefix_ks)
     )
-    code_prefix, t_code_prefix = _best_of(
-        lambda: _prefix_codes(perms, prefix_ks)
+    unique_prefix, t_unique_prefix = _best_of(
+        lambda: _prefix_unique_per_width(compact, prefix_ks), ENGINE_REPEATS
     )
-    if row_prefix != code_prefix:
+    code_prefix, t_code_prefix = _best_of(
+        lambda: _prefix_restricted(compact, prefix_ks), ENGINE_REPEATS
+    )
+    if not row_prefix == unique_prefix == code_prefix:
         raise AssertionError(f"{name}: prefix censuses disagree")
 
     combined = (t_row + t_row_merge) / max(1e-12, t_code + t_code_merge)
@@ -243,6 +271,10 @@ def run_workload(name, points, metric, n_sites, rng):
         "prefix_rowview_s": round(t_row_prefix, 5),
         "prefix_code_s": round(t_code_prefix, 5),
         "prefix_speedup": round(t_row_prefix / max(1e-12, t_code_prefix), 2),
+        "prefix_unique_per_width_s": round(t_unique_prefix, 5),
+        "prefix_restrict_speedup": round(
+            t_unique_prefix / max(1e-12, t_code_prefix), 2
+        ),
         "codes_input": f"{compact.dtype.name} "
         f"{'column' if compact.flags.f_contiguous else 'row'}-major",
         "codes_argsort_encode_s": round(t_argsort_encode, 5),
@@ -256,7 +288,8 @@ def run_workload(name, points, metric, n_sites, rng):
         f"{t_code * 1e3:7.2f} ms codes ({result['census_speedup']}x), "
         f"merge {result['merge_speedup']}x, "
         f"census+merge {result['census_merge_speedup']}x, "
-        f"prefix {result['prefix_speedup']}x, "
+        f"prefix {result['prefix_speedup']}x "
+        f"({result['prefix_restrict_speedup']}x over per-width unique), "
         f"codes {t_argsort_encode * 1e3:.2f} ms argsort+encode -> "
         f"{t_from_distances * 1e3:.2f} ms from distances "
         f"({result['codes_speedup']}x) "
@@ -289,7 +322,7 @@ def main(argv=None):
         workloads = [
             run_workload(
                 "dictionary-en",
-                synthetic_dictionary("English", 600, rng=rng),
+                synthetic_dictionary("English", 2_000, rng=rng),
                 LevenshteinDistance(),
                 8,
                 rng,
@@ -337,6 +370,13 @@ def main(argv=None):
                 f"FAIL: {workload['dataset']} code-engine census+merge "
                 f"{workload['census_merge_speedup']}x is not faster than "
                 f"the row-view baseline"
+            )
+            return 1
+        if workload["prefix_restrict_speedup"] <= 1.0:
+            print(
+                f"FAIL: {workload['dataset']} prefix census by restriction "
+                f"{workload['prefix_restrict_speedup']}x is not faster than "
+                f"one np.unique per width"
             )
             return 1
         if workload["codes_speedup"] <= 1.0:

@@ -15,6 +15,7 @@ databases that do not fit in memory two standard tools apply:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
@@ -76,6 +77,12 @@ class StreamingCensus:
     only merge when built from the same code family (``"lehmer"`` for
     :meth:`update`, ``"prefix"`` for the sharded prefix-census driver);
     mixing either raises instead of silently conflating code spaces.
+
+    A ``"prefix"`` census of width ``k`` also holds every narrower one:
+    insertion codes are prefix-monotone, so :meth:`restricted` derives
+    the census of the first ``j <= k`` sites from the sorted run by one
+    floor division and one collapse — the prefix-census drivers sort
+    once, at the widest width, and restrict to the rest.
     """
 
     def __init__(self) -> None:
@@ -198,6 +205,49 @@ class StreamingCensus:
             out._codes, out._counts = _collapse_sorted(
                 codes[order], counts[order]
             )
+        return out
+
+    def restricted(self, j: int) -> "StreamingCensus":
+        """The census of the first ``j`` sites, derived without a sort.
+
+        Valid on a ``"prefix"`` census of width ``k >= j``.  Insertion
+        codes extend as ``code_{m+1} = code_m * (m + 1) + digit_m`` with
+        ``digit_m <= m``, so ``code_j = code_k // (k! / j!)`` exactly, and
+        floor division by a positive constant is monotone: the sorted
+        distinct codes stay sorted, and equal neighbours collapse in one
+        pass.  The result — codes, dtype, counts and total — is
+        byte-identical to the census folded directly from the same
+        :func:`~repro.core.permutation.prefix_codes_from_distances` call
+        at width ``j`` (``uint64`` codes through ``k = 20``, exact Python
+        ints beyond, kept at every narrower width).  A fresh census; this
+        one is not modified.  A census with no codes restricts to an empty
+        one; a ``"lehmer"`` census or ``j`` outside ``0..k`` raises.
+        """
+        j = int(j)
+        out = StreamingCensus()
+        if self._codes is None:
+            if j < 0:
+                raise ValueError(f"prefix width must be >= 0, got {j}")
+            return out
+        if self._coding != "prefix":
+            raise ValueError(
+                f"only prefix-coded censuses restrict; this one holds "
+                f"{self._coding!r} codes"
+            )
+        if not 0 <= j <= self._k:
+            raise ValueError(
+                f"cannot restrict a width-{self._k} census to width {j}"
+            )
+        out._k, out._coding, out._total = j, self._coding, self._total
+        if j == self._k:
+            out._codes, out._counts = self._codes.copy(), self._counts.copy()
+            return out
+        divisor = math.factorial(self._k) // math.factorial(j)
+        if self._codes.dtype != np.dtype(object):
+            divisor = np.uint64(divisor)
+        out._codes, out._counts = _collapse_sorted(
+            self._codes // divisor, self._counts
+        )
         return out
 
     @property

@@ -457,7 +457,10 @@ def prefix_codes_from_distances(
     stable sort is needed to apply it).  A digit is ``m`` whole-column
     ``less_equal`` + ``uint8`` add passes, ``k(k-1)/2`` in all, and a
     code extends from one prefix to the next by a single multiply-add in
-    the narrowest word holding ``j!``.  The result equals
+    the narrowest word holding ``j!`` — so codes are prefix-monotone,
+    ``codes[j] == codes[k] // (k! / j!)`` for ``j <= k`` (what
+    :meth:`~repro.core.estimate.StreamingCensus.restricted` relies on to
+    census every width from one sort of the widest).  The result equals
     ``prefix_permutation_codes(permutations_from_distances(distances),
     ks)`` bit for bit: ``uint64`` arrays while ``max(ks) <=
     MAX_CODE_SITES``, ``object`` arrays of exact Python ints beyond.

@@ -173,25 +173,56 @@ class EncodedStrings:
         )
 
 
-_ENCODE_CACHE: "OrderedDict[Tuple[str, ...], EncodedStrings]" = OrderedDict()
+class _ContentKey:
+    """A string collection's cache key: a snapshot of its contents, hashed
+    once.
+
+    A tuple re-hashes its items on every ``hash()``; this key pays that
+    once, when built.  Equality is by contents (hash first), so a list
+    mutated in place — even at equal length — keys differently from its
+    earlier snapshot and never reaches a stale encoding.
+    """
+
+    __slots__ = ("strings", "_hash")
+
+    def __init__(self, strings: Sequence[str]):
+        self.strings = tuple(strings)
+        self._hash = hash(self.strings)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, _ContentKey)
+            and self._hash == other._hash
+            and self.strings == other.strings
+        )
+
+
+#: ``key -> (key, encoding)``: a hit gets back the stored key to refresh.
+_ENCODE_CACHE: "OrderedDict[_ContentKey, Tuple[_ContentKey, EncodedStrings]]"
+_ENCODE_CACHE = OrderedDict()
 
 
 def encode_strings(strings: Sequence[str]) -> EncodedStrings:
     """Return the (cached) encoding of a string collection.
 
-    The cache key is the tuple of strings itself: hashing reuses each
+    The cache is keyed on the collection's contents: hashing reuses each
     string's cached hash and comparison short-circuits on object identity,
-    so repeat lookups of the same collection cost O(n) pointer work, not a
-    re-encode.  Uncached inputs are encoded transparently and enter the
-    LRU.
+    so a repeat lookup costs one snapshot, one hash and one compare — O(n)
+    pointer work, not a re-encode.  A hit refreshes its LRU slot through
+    the *stored* key, whose hash is cached and which matches by identity.
+    Uncached inputs are encoded transparently and enter the LRU.
     """
-    key = tuple(strings)
-    cached = _ENCODE_CACHE.get(key)
-    if cached is not None:
-        _ENCODE_CACHE.move_to_end(key)
+    key = _ContentKey(strings)
+    entry = _ENCODE_CACHE.get(key)
+    if entry is not None:
+        stored, cached = entry
+        _ENCODE_CACHE.move_to_end(stored)
         return cached
-    encoded = EncodedStrings.from_strings(key)
-    _ENCODE_CACHE[key] = encoded
+    encoded = EncodedStrings.from_strings(key.strings)
+    _ENCODE_CACHE[key] = (key, encoded)
     while len(_ENCODE_CACHE) > _CACHE_SIZE:
         _ENCODE_CACHE.popitem(last=False)
     return encoded

@@ -10,22 +10,26 @@ paper's counting results), not by the shard size.
 :func:`sharded_census` splits the database into row shards, computes one
 ``shard x sites`` distance matrix per shard (through the batched metric
 kernels, in their own narrow column layout:
-:meth:`~repro.metrics.base.Metric.to_sites_compact`), and derives the
-census of every requested prefix length from it with **no sort at all**
-via :func:`~repro.core.permutation.prefix_codes_from_distances` — the
-incremental prefix census: the permutation of the first ``j`` sites is
-the restriction of the full permutation to values ``< j``, and the
-insertion digit of site ``m`` is ``#{s < m : d[s] <= d[m]}``, so
-whole-column compares yield the ``(code, count)`` run at every ``j``
-without ever materialising a permutation.  Only the ``--dump`` path
-(``collect_permutations=True``) argsorts.  Partial censuses merge in
-shard order.  Shards run through any
+:meth:`~repro.metrics.base.Metric.to_sites_compact`), and reads one
+insertion code per point at the **widest** requested prefix straight off
+the distance columns via
+:func:`~repro.core.permutation.prefix_codes_from_distances` (the
+insertion digit of site ``m`` is ``#{s < m : d[s] <= d[m]}``; no
+permutation is materialised).  Each shard sorts those codes once and
+ships back **one** ``(code, count)`` run; the runs merge in shard order,
+and every narrower prefix census follows from the merged run by
+:meth:`~repro.core.estimate.StreamingCensus.restricted` — the permutation
+of the first ``j`` sites is the restriction of the full permutation to
+values ``< j``, and insertion codes are prefix-monotone, so ``code_j`` is
+an exact floor division of ``code_k`` and the sorted run stays sorted.
+One sort per census, whatever the number of widths.  Only the ``--dump``
+path (``collect_permutations=True``) argsorts.  Shards run through any
 :class:`~repro.parallel.executor.Executor`; the database ships to pool
 workers zero-copy via :class:`~repro.parallel.sharedmem.SharedDataset`,
-and everything shipping *back* is 1-D code arrays — 8 bytes per point
-(per prefix) instead of ``k`` ``int64`` columns, a ``k``-fold IPC saving
-on the ``--dump`` path.  Results are identical for every
-``workers``/``shards`` combination.
+and everything shipping *back* is 1-D code arrays — one run per shard,
+and on the ``--dump`` path 8 bytes per point instead of ``k`` ``int64``
+columns.  Results are identical for every ``workers``/``shards``
+combination.
 """
 
 from __future__ import annotations
@@ -74,28 +78,31 @@ def _census_task(
     stop: int,
     sites: Sequence[Any],
     metric: Metric,
-    ks: Sequence[int],
+    top: int,
     collect: bool,
-) -> Tuple[Dict[int, StreamingCensus], Optional[Tuple[str, np.ndarray]]]:
-    """Partial census of one row shard, for every prefix length in ``ks``.
+) -> Tuple[StreamingCensus, Optional[Tuple[str, np.ndarray]]]:
+    """Partial census of one row shard at the widest prefix length ``top``.
 
-    One ``shard x len(sites)`` distance matrix serves every prefix
-    length, unsorted: a site-prefix permutation is the restriction of
-    the full permutation to values below the prefix width, so
-    :func:`prefix_codes_from_distances` extends one insertion code per
-    point across all widths straight from the distance columns.  Only
-    1-D ``(code, count)`` runs travel back; the ``--dump`` payload — the
-    one consumer of the permutations themselves, hence of an argsort —
-    ships as one Lehmer code per point (matrix fallback past
+    :func:`prefix_codes_from_distances` reads one insertion code per
+    point off the ``shard x len(sites)`` distance columns, and one sort
+    folds them into the shard's census of the first ``top`` sites — the
+    one ``(code, count)`` run that travels back; every narrower width is
+    restricted from the merged run by the caller.  The ``--dump``
+    payload — the one consumer of the permutations themselves, hence of
+    an argsort — ships as one Lehmer code per point (matrix fallback past
     ``MAX_CODE_SITES``).
     """
-    points = dataset.resolve()[start:stop]
+    points = dataset.resolve()
+    # A list slice copies every reference; a serial census spans it all.
+    if (start, stop) != (0, len(points)):
+        points = points[start:stop]
     distances = metric.to_sites_compact(points, sites)
-    censuses: Dict[int, StreamingCensus] = {}
-    for k, codes in prefix_codes_from_distances(distances, ks).items():
-        census = StreamingCensus()
-        census.update_codes(codes, k, coding="prefix")
-        censuses[k] = census
+    census = StreamingCensus()
+    census.update_codes(
+        prefix_codes_from_distances(distances, [top])[top],
+        top,
+        coding="prefix",
+    )
     payload = None
     if collect:
         perms = permutations_from_distances(distances)
@@ -103,7 +110,23 @@ def _census_task(
             payload = ("codes", encode_permutations(perms))
         else:
             payload = ("perms", perms)
-    return censuses, payload
+    return census, payload
+
+
+def _restrictions(
+    widest: StreamingCensus, ks: Sequence[int]
+) -> Dict[int, StreamingCensus]:
+    """``{k: census of the first k sites}`` for every ``k`` in ``ks``.
+
+    Narrows one requested width at a time, each restriction dividing the
+    previous (already shorter) run: ``floor(floor(c / a) / b)`` is
+    ``floor(c / (a b))``, so the chain is exact.
+    """
+    by_width: Dict[int, StreamingCensus] = {}
+    census = widest
+    for k in sorted(set(ks), reverse=True):
+        census = by_width[k] = census.restricted(k)
+    return {k: by_width[k] for k in ks}
 
 
 def sharded_census(
@@ -133,11 +156,13 @@ def sharded_census(
     over one database publish once); its lifetime stays with the caller.
     ``shards`` defaults to the worker count (serial runs use one shard).
     Counts are exact and identical for every ``workers``/``shards``
-    combination.
+    combination: each shard ships one run at ``max(ks)``, the runs merge,
+    and every width in ``ks`` is restricted from the merged run.
     """
     ks = list(ks) if ks is not None else [len(sites)]
     if any(not 0 <= k <= len(sites) for k in ks):
         raise ValueError(f"prefix lengths must lie in [0, {len(sites)}]")
+    top = max(ks, default=0)
     own_executor = executor is None
     executor = executor if executor is not None else get_executor(workers)
     if shards is None:
@@ -156,7 +181,7 @@ def sharded_census(
         partials = executor.map(
             _census_task,
             [
-                (dataset, start, stop, list(sites), metric, ks,
+                (dataset, start, stop, list(sites), metric, top,
                  collect_permutations)
                 for start, stop in ranges
             ],
@@ -166,10 +191,9 @@ def sharded_census(
             dataset.unlink()
         if own_executor:
             executor.close()
-    censuses = {
-        k: StreamingCensus.merged(part[0][k] for part in partials)
-        for k in ks
-    }
+    censuses = _restrictions(
+        StreamingCensus.merged(part[0] for part in partials), ks
+    )
     permutations = None
     if collect_permutations:
         width = len(sites)
@@ -205,38 +229,34 @@ def streaming_census(
     file larger than RAM) and only one chunk — never the database — is
     resident at a time.  Each chunk runs through :func:`sharded_census`
     (so ``workers``/``shards`` parallelism applies within every chunk)
-    and the partial censuses merge in chunk order, which is exact:
-    the census is a multiset count, so any partition of the rows merges
-    to the same counts as the one-shot in-memory census.  Memory is
-    bounded by one chunk's distance matrix plus the census itself —
-    ``O(min(n, N_{d,p}(k)))`` distinct codes, per the paper's counting
-    results.
+    at the widest width ``max(ks)`` only, and those partial censuses
+    merge in chunk order, which is exact: the census is a multiset count,
+    so any partition of the rows merges to the same counts as the
+    one-shot in-memory census.  Every width in ``ks`` is restricted from
+    the merged census once, at the end.  Memory is bounded by one chunk's
+    distance matrix plus the census itself — ``O(min(n, N_{d,p}(k)))``
+    distinct codes, per the paper's counting results.
 
     One executor spans all chunks (spawning a pool per chunk would cost
     more than the census); pass ``executor`` to share it wider still.
     """
     ks = list(ks) if ks is not None else [len(sites)]
+    top = max(ks, default=0)
     own_executor = executor is None
     executor = executor if executor is not None else get_executor(workers)
-    merged: Optional[Dict[int, StreamingCensus]] = None
+    merged = StreamingCensus()
     try:
         for chunk in chunks:
             partial, _ = sharded_census(
                 chunk,
                 sites,
                 metric,
-                ks,
+                [top],
                 shards=shards,
                 executor=executor,
             )
-            if merged is None:
-                merged = partial
-            else:
-                for k in ks:
-                    merged[k].merge(partial[k])
+            merged.merge(partial[top])
     finally:
         if own_executor:
             executor.close()
-    if merged is None:
-        merged = {k: StreamingCensus() for k in ks}
-    return merged
+    return _restrictions(merged, ks)

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.core import permutation
 from repro.core.counting import max_permutations
+from repro.core.estimate import StreamingCensus
 from repro.core.permutation import (
     MAX_CODE_SITES,
     permutations_from_distances,
@@ -273,6 +274,103 @@ class TestPaperBoundOracle:
             assert censuses[j].total == n
 
 
+def _folded(codes, j):
+    """The census folded directly from one width's code column."""
+    census = StreamingCensus()
+    census.update_codes(codes, j, coding="prefix")
+    return census
+
+
+def _assert_same_census(got, want):
+    assert (got.k, got.coding, got.total) == (want.k, want.coding, want.total)
+    if want.codes is None:
+        assert got.codes is None and got.counts is None
+        return
+    assert got.codes.dtype == want.codes.dtype
+    assert got.counts.dtype == want.counts.dtype
+    np.testing.assert_array_equal(got.codes, want.codes)
+    np.testing.assert_array_equal(got.counts, want.counts)
+
+
+class TestRestriction:
+    """One sorted run at the widest width holds every narrower census:
+    :meth:`StreamingCensus.restricted` must equal the census folded from
+    the same code call at that width, byte for byte."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda k: st.tuples(
+        st.lists(
+            st.lists(
+                st.sampled_from([0.0, 1.0, 2.0, 3.0, np.inf, -np.inf]),
+                min_size=k, max_size=k,
+            ),
+            min_size=1, max_size=40,
+        ),
+        st.lists(st.integers(0, k), max_size=6),
+        st.none() | st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)),
+    )))
+    def test_property_equals_direct_census(self, case):
+        rows, ks, duplicate = case
+        distances = np.array(rows)
+        k = distances.shape[1]
+        if duplicate is not None:
+            target, source = duplicate
+            distances[:, target] = distances[:, source]
+        codes = prefix_codes_from_distances(distances, list(ks) + [k])
+        widest = _folded(codes[k], k)
+        for j in ks:
+            _assert_same_census(widest.restricted(j), _folded(codes[j], j))
+
+    @pytest.mark.parametrize("k", [21, 22])
+    def test_object_codes_at_top_widths(self, rng, k):
+        distances = rng.integers(0, 3, size=(300, k)).astype(np.float64)
+        ks = [0, 1, 2, 7, 12, 20, 21, k]
+        codes = prefix_codes_from_distances(distances, ks)
+        widest = _folded(codes[k], k)
+        assert widest.codes.dtype == object
+        for j in ks:
+            narrow = widest.restricted(j)
+            _assert_same_census(narrow, _folded(codes[j], j))
+            # ... and the same counts as a call that stays in uint64
+            if j <= MAX_CODE_SITES:
+                fitted = _folded(prefix_codes_from_distances(distances, [j])[j], j)
+                assert [int(c) for c in narrow.codes] == fitted.codes.tolist()
+                np.testing.assert_array_equal(narrow.counts, fitted.counts)
+
+    def test_merge_then_restrict_equals_restrict_then_merge(self, rng):
+        distances = rng.integers(0, 4, size=(1000, 9)).astype(np.uint8)
+        codes = prefix_codes_from_distances(distances, [9])[9]
+        cuts = [0, 1, 7, 300, 301, 1000]
+        parts = [_folded(codes[a:b], 9) for a, b in zip(cuts, cuts[1:])]
+        parts.insert(2, StreamingCensus())  # an empty shard
+        whole = StreamingCensus.merged(parts)
+        for j in range(10):
+            narrowed = [part.restricted(j) for part in parts]
+            _assert_same_census(
+                whole.restricted(j), StreamingCensus.merged(narrowed)
+            )
+            pairwise = StreamingCensus()
+            for part in narrowed:
+                pairwise.merge(part)
+            _assert_same_census(whole.restricted(j), pairwise)
+
+    def test_empty_database_shards_and_chunks(self, rng):
+        points = rng.random((90, 3))
+        sites = points[:5]
+        metric = EuclideanDistance()
+        ks = [1, 3, 5]
+        empty, _ = sharded_census(points[:0], sites, metric, ks, shards=3)
+        assert sorted(empty) == ks
+        assert all(empty[j].total == empty[j].distinct == 0 for j in ks)
+        whole, _ = sharded_census(points, sites, metric, ks)
+        chunks = [points[:0], points[:40], points[40:40], points[40:]]
+        streamed = streaming_census(iter(chunks), sites, metric, ks)
+        for j in ks:
+            _assert_same_census(streamed[j], whole[j])
+        assert sharded_census(points, sites, metric, [])[0] == {}
+        assert streaming_census(iter(chunks), sites, metric, []) == {}
+
+
 def _argsort_census(points, sites, metric, ks):
     """``{k: (codes, counts)}`` the parent's way: float64 ``to_sites``,
     one stable argsort, codes from the permutations, ``np.unique``."""
@@ -293,7 +391,8 @@ def _assert_census_equals(censuses, expected):
 
 
 class TestCensusAnswersIdentical:
-    """The sort-free write path changes no census, on any engine."""
+    """Codes from distances, one sort at the widest width and restriction
+    to the rest change no census, on any engine."""
 
     KS = list(range(3, 9))
 
@@ -338,7 +437,7 @@ class TestCensusAnswersIdentical:
         genes = mutation_cascade_sequences(400, rng=rng)
         sites = genes[::57][:6]
         metric = LevenshteinDistance()
-        ks = [2, 4, 6]
+        ks = [2, 4, 0, 6, 1, 4]  # trivial widths and a repeat, unsorted
         censuses, _ = sharded_census(genes, sites, metric, ks, shards=3)
         _assert_census_equals(censuses, _argsort_census(genes, sites, metric, ks))
 

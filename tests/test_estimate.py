@@ -109,6 +109,60 @@ class TestStreamingCensus:
         assert census.frequency_of_frequencies() == {3: 1}
 
 
+class TestRestricted:
+    def test_hand_computed_restriction(self):
+        # Width-3 insertion codes 0, 5, 3, 5; width 2 divides by 3!/2! = 3.
+        census = StreamingCensus()
+        census.update_codes(
+            np.array([0, 5, 3, 5], dtype=np.uint64), 3, coding="prefix"
+        )
+        narrow = census.restricted(2)
+        assert (narrow.k, narrow.coding, narrow.total) == (2, "prefix", 4)
+        assert narrow.codes.dtype == np.uint64
+        assert narrow.counts.dtype == np.int64
+        assert narrow.codes.tolist() == [0, 1]
+        assert narrow.counts.tolist() == [1, 3]
+        assert census.restricted(0).codes.tolist() == [0]
+        assert census.restricted(0).counts.tolist() == [4]
+
+    def test_rejects_lehmer_codes_and_wider_widths(self):
+        lehmer = StreamingCensus()
+        lehmer.update(np.array([[0, 1, 2], [2, 1, 0]]))
+        with pytest.raises(ValueError, match="prefix"):
+            lehmer.restricted(2)
+        prefix = StreamingCensus()
+        prefix.update_codes(
+            np.array([0, 5, 3], dtype=np.uint64), 3, coding="prefix"
+        )
+        with pytest.raises(ValueError, match="width"):
+            prefix.restricted(4)
+        with pytest.raises(ValueError, match="width"):
+            prefix.restricted(-1)
+
+    def test_census_without_codes_restricts_to_an_empty_one(self):
+        empty = StreamingCensus().restricted(3)
+        assert (empty.k, empty.coding, empty.total, empty.distinct) == (
+            None, None, 0, 0
+        )
+        with pytest.raises(ValueError):
+            StreamingCensus().restricted(-1)
+
+    def test_result_is_fresh_at_every_width(self):
+        census = StreamingCensus()
+        census.update_codes(
+            np.array([1, 5, 3, 5], dtype=np.uint64), 3, coding="prefix"
+        )
+        codes, counts = census.codes.copy(), census.counts.copy()
+        for j in (3, 2):
+            out = census.restricted(j)
+            assert not np.shares_memory(out.codes, census.codes)
+            assert not np.shares_memory(out.counts, census.counts)
+            out.codes[:] = 0
+            out.counts[:] = -1
+        np.testing.assert_array_equal(census.codes, codes)
+        np.testing.assert_array_equal(census.counts, counts)
+
+
 class TestChao1:
     def test_no_singletons_returns_observed(self):
         # Everything seen >= 3 times: the sample is saturated.

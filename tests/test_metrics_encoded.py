@@ -22,6 +22,7 @@ from repro.metrics import (
     PrefixDistance,
     levenshtein,
 )
+from repro.metrics import encoding
 from repro.metrics.base import Metric
 from repro.metrics.encoding import (
     EncodedStrings,
@@ -69,6 +70,27 @@ class TestEncodedStrings:
         first = encode_strings(words)
         assert encode_strings(words) is first
         assert encode_strings(list(words)) is first  # same contents
+
+    def test_cache_misses_a_list_mutated_in_place(self):
+        clear_encoding_cache()
+        words = ["alpha", "beta", "gamma"]
+        first = encode_strings(words)
+        words[1] = "bets"  # same length, same identity, new contents
+        second = encode_strings(words)
+        assert second is not first
+        assert [chr(c) for c in second.row(1)] == list("bets")
+        assert encode_strings(["alpha", "beta", "gamma"]) is first
+
+    def test_cache_hit_refreshes_the_lru_slot(self):
+        clear_encoding_cache()
+        oldest = encode_strings(["w0"])
+        second = encode_strings(["w1"])
+        for i in range(2, encoding._CACHE_SIZE):
+            encode_strings([f"w{i}"])
+        assert encode_strings(["w0"]) is oldest  # hit: now most recent
+        encode_strings(["overflow"])  # evicts the least recent, "w1"
+        assert encode_strings(["w0"]) is oldest
+        assert encode_strings(["w1"]) is not second
 
     def test_metric_encode_falls_back_to_none(self):
         metric = LevenshteinDistance()
