@@ -197,15 +197,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print the results of the first N queries")
     search.add_argument("--save-index", default=None, metavar="PATH",
                         help="after building, save the index payload to "
-                             "PATH as a v3 container (--index distperm "
-                             "only; with --load-index this converts a v2 "
-                             "payload to v3)")
+                             "PATH as a page-aligned container "
+                             "(--index distperm only)")
     search.add_argument("--load-index", default=None, metavar="PATH",
                         help="load the index payload from PATH instead of "
                              "building (--index distperm only; no build "
                              "distances are recomputed)")
     search.add_argument("--mmap", action="store_true",
-                        help="with --load-index on a v3 payload: "
+                        help="with --load-index: "
                              "memory-map the packed code section instead "
                              "of decoding it into RAM (out-of-core "
                              "queries)")

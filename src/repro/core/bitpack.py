@@ -23,9 +23,8 @@ spills its top bits into the byte after the window.  Nothing of size
 from __future__ import annotations
 
 import math
-import os
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -176,10 +175,9 @@ class PackedPermutationStore:
 
     table_codes: np.ndarray  # (N,) sorted codes of the distinct permutations
     k: int
-    packed: Union[bytes, np.ndarray]  # bytes in RAM, uint8 memmap on disk
+    packed: bytes
     bit_width: int
     count: int
-    backing: str = field(default="ram")
 
     @classmethod
     def from_permutations(cls, perms: np.ndarray) -> "PackedPermutationStore":
@@ -203,43 +201,6 @@ class PackedPermutationStore:
             packed=pack_ids(ids, bit_width),
             bit_width=bit_width,
             count=codes.shape[0],
-        )
-
-    @classmethod
-    def from_packed_file(
-        cls,
-        path: Union[str, "os.PathLike[str]"],
-        *,
-        table_codes: np.ndarray,
-        k: int,
-        bit_width: int,
-        count: int,
-        offset: int = 0,
-    ) -> "PackedPermutationStore":
-        """Map the packed-id section of a file instead of loading it.
-
-        The returned store has ``backing="mmap"``: ``packed`` is a
-        read-only uint8 ``np.memmap`` of the section, so random access
-        (:meth:`__getitem__`) and bulk decoding touch only the pages the
-        OS faults in.  The section layout is exactly :func:`pack_ids`
-        output at byte ``offset`` (version-3 payloads page-align it).
-        """
-        nbytes = (count * bit_width + 7) // 8
-        if os.stat(path).st_size < offset + nbytes:
-            raise ValueError(
-                f"file {os.fspath(path)} too short for {count} ids of "
-                f"{bit_width} bits at offset {offset}"
-            )
-        packed = np.memmap(
-            path, dtype=np.uint8, mode="r", offset=offset, shape=(nbytes,)
-        )
-        return cls(
-            table_codes=np.asarray(table_codes),
-            k=int(k),
-            packed=packed,
-            bit_width=int(bit_width),
-            count=int(count),
-            backing="mmap",
         )
 
     @property

@@ -8,7 +8,7 @@ into it needs ``ceil(log2 N)`` bits per element — ``Θ(d log k)`` in
 naive permutation encoding's ``O(k log k)``.
 
 :class:`MappedCodeStore` is the accounting made *operational*: the
-Corollary-8 packed code section of a version-3 payload
+Corollary-8 packed code section of a saved payload
 (:mod:`repro.index.serialize`), memory-mapped and decoded lazily in
 aligned blocks, so the bit bound is the query-time working set instead
 of merely the on-disk size.  It caches what a footrule scan reads —
@@ -155,7 +155,7 @@ class MappedCodeStore:
     """Lazily decoded view of a bit-packed code section on disk.
 
     The store memory-maps ``nbytes`` of packed ``bit_width``-bit Lehmer
-    codes starting at ``offset`` in ``path`` (a version-3 payload section,
+    codes starting at ``offset`` in ``path`` (a payload section,
     page-aligned by the writer) and decodes them on demand in fixed-size
     blocks of ``block_elements`` codes each.
 
@@ -189,12 +189,14 @@ class MappedCodeStore:
     miss, just never kept.  ``cache_misses`` counts decoded *blocks*
     whatever the runs, ``cache_hits`` blocks copied out of the cache.
 
-    Corrupt pages surface as :class:`PayloadCorruptError`
-    with the same shard / byte-offset contract as the eager v2 loader:
-    a short section raises at construction, and a block whose codes decode
-    outside ``[0, k!)`` raises on first touch — through either entry
-    point, before anything of it is cached; the clean blocks of a run in
-    front of it are decoded and retained first.
+    The store is the one reader of a packed code section: a RAM-backed
+    load streams every code out through :meth:`iter_blocks` and closes
+    it.  Corrupt pages surface as :class:`PayloadCorruptError` naming
+    the shard and byte offset: a short section raises at construction,
+    and a block whose codes decode outside ``[0, k!)`` raises on first
+    touch — through either entry point, before anything of it is cached;
+    the clean blocks of a run in front of it are decoded and retained
+    first.
     """
 
     def __init__(
@@ -210,8 +212,9 @@ class MappedCodeStore:
         cache_bytes: int = 1 << 24,
         shard: Optional[str] = None,
     ) -> None:
-        if bit_width < 1:
-            raise ValueError("bit_width must be >= 1")
+        if bit_width < 0:
+            # 0 is a one-site section: ceil(lg 1!) = 0 bits, every code 0.
+            raise ValueError("bit_width must be >= 0")
         if count < 0:
             raise ValueError("count must be >= 0")
         if block_elements < 8 or block_elements % 8:

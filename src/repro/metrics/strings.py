@@ -40,27 +40,9 @@ __all__ = [
     "HammingDistance",
 ]
 
-#: Strings longer than this use the numpy row-DP implementation.  Measured
-#: crossover (CPython 3.11, numpy 2.4, random equal-length 'acgt' pairs,
-#: best of 600 calls per length): Python DP 20 µs vs numpy 41 µs at
-#: length 8, 72 µs vs 77 µs at 16, 162 µs vs 119 µs at 24, 298 µs vs
-#: 150 µs at 32, 6.5 ms vs 0.84 ms at 160.  20 splits the measured 16–24
-#: crossover band (the seed's 32 left ~2x on the table at length 32).
-_NUMPY_THRESHOLD = 20
-
-#: Shorter side at or above this takes the scalar Myers path instead of
-#: the Wagner–Fischer DP.  Myers costs O(longer) int ops versus the DP's
-#: O(longer · shorter) cells; the re-measured crossover (same protocol as
-#: :data:`_NUMPY_THRESHOLD`: random equal-length 'acgt' pairs, best of
-#: 2000 calls) never materializes — Myers wins at every length: 0.6 µs
-#: vs 0.8 µs at length 1, 1.7 µs vs 4.6 µs at 4, 7.7 µs vs 61.7 µs at
-#: 16, 49 µs vs 946 µs (Python) / 260 µs (numpy) at 64 — so the
-#: threshold is 1 and the Python DP survives only as the sub-word
-#: fallback oracle.
-_MYERS_THRESHOLD = 1
-
 #: Beyond one 64-bit word the scalar path would need blocked carries;
-#: the batched kernels cover that shape, so scalar falls back to the DP.
+#: the batched kernels cover that shape, so scalar falls back to the
+#: numpy row DP.
 _MYERS_MAX_LEN = 64
 
 
@@ -99,7 +81,8 @@ def _levenshtein_myers(a: str, b: str) -> int:
 
 
 def _levenshtein_python(a: str, b: str) -> int:
-    """Classic two-row Wagner–Fischer DP; fast for short strings."""
+    """Classic two-row Wagner–Fischer DP: the reference the fast paths
+    are tested against."""
     if len(a) < len(b):
         a, b = b, a
     # b is the shorter string; the DP row has len(b) + 1 entries.
@@ -144,12 +127,11 @@ def _levenshtein_numpy(a: str, b: str) -> int:
 def levenshtein(a: str, b: str, max_distance: Optional[int] = None) -> int:
     """Return the Levenshtein edit distance between two strings.
 
-    Uses a pure-Python DP for very short strings, the scalar Myers
-    bit-vector DP when the shorter side fits one 64-bit word, and a
-    numpy-vectorized row DP beyond that, all computing the exact
-    unit-cost insert/delete/substitute distance.  The DP only ever sees
-    the middle of the strings: the common prefix and suffix are stripped
-    first, since an optimal edit script never touches them.
+    Uses the scalar Myers bit-vector DP when the shorter side fits one
+    64-bit word and a numpy-vectorized row DP beyond that, both computing
+    the exact unit-cost insert/delete/substitute distance.  The DP only
+    ever sees the middle of the strings: the common prefix and suffix are
+    stripped first, since an optimal edit script never touches them.
 
     ``max_distance`` enables the ``|len(a) - len(b)|`` lower-bound
     short-circuit: when the length gap alone exceeds the bound, that gap
@@ -176,14 +158,12 @@ def levenshtein(a: str, b: str, max_distance: Optional[int] = None) -> int:
     if not a or not b:
         # One side is a prefix+suffix of the other: the gap is the answer.
         return len(a) + len(b)
-    if min(len(a), len(b)) >= _MYERS_THRESHOLD:
-        if len(b) > len(a):
-            a, b = b, a
-        # b is now the shorter string — the Myers pattern.
-        if len(b) <= _MYERS_MAX_LEN:
-            return _levenshtein_myers(a, b)
-        return _levenshtein_numpy(a, b)
-    return _levenshtein_python(a, b)
+    if len(b) > len(a):
+        a, b = b, a
+    # b is now the shorter string — the Myers pattern.
+    if len(b) <= _MYERS_MAX_LEN:
+        return _levenshtein_myers(a, b)
+    return _levenshtein_numpy(a, b)
 
 
 def longest_common_prefix(a: str, b: str) -> int:

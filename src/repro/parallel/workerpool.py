@@ -265,10 +265,10 @@ class FileShardSource:
     ``[start:stop)`` from the owner's shared-memory publication of the
     full point set.
 
-    With ``backing="mmap"`` (version-3 payloads) the worker maps its
-    shard's code section instead of decoding it: respawn recovery skips
-    the unpack entirely and the worker's resident footprint is the
-    decoded-position cache (``cache_bytes``), not the shard.
+    With ``backing="mmap"`` the worker maps its shard's code section
+    instead of decoding it: respawn recovery skips the unpack entirely
+    and the worker's resident footprint is the decoded-position cache
+    (``cache_bytes``), not the shard.
     """
 
     def __init__(
@@ -294,17 +294,14 @@ class FileShardSource:
         self.block_elements = block_elements
 
     def load(self):
-        from repro.index.serialize import read_shard_payload, restore_shard
+        from repro.index.serialize import load_shard
 
-        payload = read_shard_payload(
-            self.path, self.shard, backing=self.backing
-        )
-        points = self.dataset.resolve()[self.start : self.stop]
-        return restore_shard(
-            payload,
-            points,
+        return load_shard(
+            self.path,
+            self.shard,
+            self.dataset.resolve()[self.start : self.stop],
             self.metric,
-            shard=self.shard,
+            backing=self.backing,
             cache_bytes=self.cache_bytes,
             block_elements=self.block_elements,
         )

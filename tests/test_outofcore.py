@@ -16,7 +16,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from repro.core.bitpack import PackedPermutationStore, pack_ids, unpack_ids
+from repro.core.bitpack import pack_ids
 from repro.core.permutation import (
     decode_permutations,
     decode_positions,
@@ -38,8 +38,8 @@ from repro.index import DistPermIndex, ShardedIndex, batching, distperm
 from repro.index.serialize import (
     PayloadCorruptError,
     load_distperm,
+    load_shard,
     load_sharded,
-    read_shard_payload,
     save_distperm,
     save_sharded,
 )
@@ -86,6 +86,23 @@ class TestMappedCodeStore:
             # The code path is the uncached first decode stage.
             assert store.current_cache_bytes == 0
             assert (store.cache_hits, store.cache_misses) == (0, 0)
+        finally:
+            store.close()
+
+    def test_zero_width_section_is_all_zero_codes(self, tmp_path):
+        """One site: ceil(lg 1!) = 0 bits per code, an empty section."""
+        path = tmp_path / "codes.bin"
+        path.write_bytes(b"\x00" * 64)
+        store = MappedCodeStore(
+            path, offset=64, nbytes=0, bit_width=0, count=20, k=1,
+            block_elements=8,
+        )
+        try:
+            assert [stop for _, stop, _ in store.iter_blocks()] == [8, 16, 20]
+            assert store.element(19) == 0
+            np.testing.assert_array_equal(
+                store.positions_block(0, 3), np.zeros((1, 20))
+            )
         finally:
             store.close()
 
@@ -375,38 +392,6 @@ class TestMappedCodeStore:
         store.close()  # idempotent
 
 
-class TestPackedStoreFromFile:
-    def test_mapped_ids_decode_identically(self, tmp_path, rng):
-        perms = np.argsort(rng.random((200, 5)), axis=1)
-        ram = PackedPermutationStore.from_permutations(perms)
-        path = tmp_path / "ids.bin"
-        offset = 32
-        with open(path, "wb") as handle:
-            handle.write(b"\x00" * offset)
-            handle.write(bytes(ram.packed))
-        mapped = PackedPermutationStore.from_packed_file(
-            path, table_codes=ram.table_codes, k=ram.k,
-            bit_width=ram.bit_width, count=ram.count, offset=offset,
-        )
-        assert mapped.backing == "mmap"
-        np.testing.assert_array_equal(
-            unpack_ids(bytes(mapped.packed), mapped.bit_width, mapped.count),
-            unpack_ids(bytes(ram.packed), ram.bit_width, ram.count),
-        )
-        assert mapped[17] == ram[17]
-
-    def test_short_file_rejected(self, tmp_path, rng):
-        perms = np.argsort(rng.random((50, 4)), axis=1)
-        ram = PackedPermutationStore.from_permutations(perms)
-        path = tmp_path / "ids.bin"
-        path.write_bytes(bytes(ram.packed)[:-4])
-        with pytest.raises(ValueError, match="too short"):
-            PackedPermutationStore.from_packed_file(
-                path, table_codes=ram.table_codes, k=ram.k,
-                bit_width=ram.bit_width, count=ram.count,
-            )
-
-
 class TestChunkedReaders:
     def test_vector_chunks_concatenate_to_whole_file(self, tmp_path, rng):
         vectors = rng.random((137, 4))
@@ -615,8 +600,10 @@ class TestDecodeOnceScan:
         path = tmp_path / "sharded.rpc"
         with ShardedIndex(points, metric, factory, n_shards=2) as index:
             save_sharded(path, index)
-        section = read_shard_payload(path, 1, backing="mmap")["codes_section"]
-        _smash(path, int(section["offset"]) + 200)  # element 160, block 2
+        shard = load_shard(path, 1, points[300:], metric, backing="mmap")
+        section = shard.code_store.offset
+        shard.close()
+        _smash(path, section + 200)  # element 160, block 2
         loaded = load_sharded(
             path, points, metric, resident=True, backing="mmap",
             cache_bytes=2 * self.BLOCK * 8, block_elements=self.BLOCK,

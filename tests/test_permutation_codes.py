@@ -9,6 +9,7 @@ code-backed indexes down to the Corollary-8 payload size.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -429,7 +430,7 @@ class TestCodeBackedSerialization:
             points, EuclideanDistance(), n_sites=6,
             rng=np.random.default_rng(3),
         )
-        path = tmp_path / "index.npz"
+        path = tmp_path / "index.rpc"
         save_distperm(path, index)
         loaded = load_distperm(path, points, EuclideanDistance())
         np.testing.assert_array_equal(loaded.codes, index.codes)
@@ -446,11 +447,13 @@ class TestCodeBackedSerialization:
             points, EuclideanDistance(), n_sites=k,
             rng=np.random.default_rng(5),
         )
-        path = tmp_path / "index.npz"
-        save_distperm(path, index, version=2)
+        path = tmp_path / "index.rpc"
+        save_distperm(path, index)
         bits = bits_full_permutation(k)
         assert bits == 29  # ceil(lg 12!)
-        with np.load(path) as data:
-            payload_bytes = data["codes_packed"].shape[0]
+        blob = path.read_bytes()
+        header_len = int.from_bytes(blob[8:16], "little")
+        header = json.loads(blob[16:16 + header_len].decode("ascii"))
+        payload_bytes = header["shards"][0]["codes"]["nbytes"]
         assert math.ceil(n * bits / 8) <= payload_bytes
         assert payload_bytes <= math.ceil(n * bits / 8) + 8

@@ -8,14 +8,17 @@ from functools import partial
 import numpy as np
 import pytest
 
+from repro.core.bitpack import pack_ids
+from repro.core.permutation import MAX_CODE_SITES
+from repro.core.storage import bits_full_permutation
 from repro.datasets import load_database
 from repro.index import DistPermIndex, ShardedIndex
 from repro.index.serialize import (
     PayloadCorruptError,
+    convert_v2_payload,
     load_distperm,
+    load_shard,
     load_sharded,
-    payload_format,
-    read_shard_payload,
     save_distperm,
     save_sharded,
 )
@@ -34,7 +37,7 @@ def built(rng):
 class TestRoundTrip:
     def test_payload_roundtrip(self, tmp_path, built):
         points, index = built
-        path = tmp_path / "index.npz"
+        path = tmp_path / "index.rpc"
         save_distperm(path, index)
         loaded = load_distperm(path, points, EuclideanDistance())
         assert loaded.site_indices == index.site_indices
@@ -43,7 +46,7 @@ class TestRoundTrip:
 
     def test_loaded_index_answers_queries(self, tmp_path, built, rng):
         points, index = built
-        path = tmp_path / "index.npz"
+        path = tmp_path / "index.rpc"
         save_distperm(path, index)
         loaded = load_distperm(path, points, EuclideanDistance())
         query = rng.random(3)
@@ -55,7 +58,7 @@ class TestRoundTrip:
 
     def test_loaded_candidate_order_matches(self, tmp_path, built, rng):
         points, index = built
-        path = tmp_path / "index.npz"
+        path = tmp_path / "index.rpc"
         save_distperm(path, index)
         loaded = load_distperm(path, points, EuclideanDistance())
         query = rng.random(3)
@@ -69,7 +72,7 @@ class TestRoundTrip:
             database.points, database.metric, n_sites=5,
             rng=np.random.default_rng(2),
         )
-        path = tmp_path / "dict.npz"
+        path = tmp_path / "dict.rpc"
         save_distperm(path, index)
         loaded = load_distperm(path, database.points, database.metric)
         assert loaded.unique_permutations() == index.unique_permutations()
@@ -91,7 +94,7 @@ class TestBatchedRoundTrip:
         ``knn_approx_batch`` on any deserialized index crashed with
         AttributeError inside the footrule path."""
         points, index = built
-        path = tmp_path / "index.npz"
+        path = tmp_path / "index.rpc"
         save_distperm(path, index)
         loaded = load_distperm(path, points, EuclideanDistance())
         queries = rng.random((6, 3))
@@ -101,7 +104,7 @@ class TestBatchedRoundTrip:
 
     def test_full_batched_api_roundtrip(self, tmp_path, built, rng):
         points, index = built
-        path = tmp_path / "index.npz"
+        path = tmp_path / "index.rpc"
         save_distperm(path, index)
         loaded = load_distperm(path, points, EuclideanDistance())
         queries = rng.random((5, 3))
@@ -121,7 +124,7 @@ class TestBatchedRoundTrip:
             database.points, database.metric, n_sites=5,
             rng=np.random.default_rng(3),
         )
-        path = tmp_path / "dict.npz"
+        path = tmp_path / "dict.rpc"
         save_distperm(path, index)
         loaded = load_distperm(path, database.points, database.metric)
         queries = [database.points[10], "hello", "zz"]
@@ -137,7 +140,7 @@ class TestBatchedRoundTrip:
         loaded index, so serialization can never again lag behind
         attributes added at build time."""
         points, index = built
-        path = tmp_path / "index.npz"
+        path = tmp_path / "index.rpc"
         save_distperm(path, index)
         loaded = load_distperm(path, points, EuclideanDistance())
         np.testing.assert_array_equal(
@@ -156,14 +159,14 @@ class TestBatchedRoundTrip:
 class TestValidation:
     def test_wrong_database_size_rejected(self, tmp_path, built):
         points, index = built
-        path = tmp_path / "index.npz"
+        path = tmp_path / "index.rpc"
         save_distperm(path, index)
         with pytest.raises(ValueError):
             load_distperm(path, points[:100], EuclideanDistance())
 
     def test_mismatched_database_rejected(self, tmp_path, built, rng):
         points, index = built
-        path = tmp_path / "index.npz"
+        path = tmp_path / "index.rpc"
         save_distperm(path, index)
         other = rng.random((400, 3))
         with pytest.raises(ValueError):
@@ -172,7 +175,7 @@ class TestValidation:
     def test_build_cost_not_paid_on_load(self, tmp_path, built):
         """Loading must not recompute the n x k distance matrix."""
         points, index = built
-        path = tmp_path / "index.npz"
+        path = tmp_path / "index.rpc"
         save_distperm(path, index)
         loaded = load_distperm(path, points, EuclideanDistance())
         # Only the single probe permutation was computed (k distances),
@@ -180,40 +183,86 @@ class TestValidation:
         assert loaded.metric.count == 0
 
 
-def _rewrite_npz(path, mutate):
-    """Load an ``.npz``, apply ``mutate(arrays)``, and save it back."""
-    with np.load(path) as data:
-        arrays = {key: data[key] for key in data.files}
-    mutate(arrays)
+def _legacy_arrays(index):
+    """One index's members of a version-2 ``.npz`` payload, by hand."""
+    k = index.n_sites
+    arrays = {
+        "site_indices": np.asarray(index.site_indices, dtype=np.int64),
+        "count": np.int64(len(index.points)),
+        "k": np.int64(k),
+    }
+    if k <= MAX_CODE_SITES:
+        bit_width = bits_full_permutation(k)
+        arrays["bit_width"] = np.int64(bit_width)
+        arrays["codes_packed"] = np.frombuffer(
+            pack_ids(index.codes, bit_width), dtype=np.uint8
+        )
+    else:
+        arrays["perm_matrix"] = index.permutations.astype(np.uint16)
+    return arrays
+
+
+def _save_legacy(path, index, mutate=None):
+    """Write ``index`` as a version-2 ``.npz``, after ``mutate(arrays)``."""
+    arrays = {"version": np.int64(2)}
+    if isinstance(index, ShardedIndex):
+        arrays["offsets"] = np.asarray(index.shard_offsets, dtype=np.int64)
+        for j, shard in enumerate(index.shards):
+            for key, value in _legacy_arrays(shard).items():
+                arrays[f"s{j}_{key}"] = value
+    else:
+        arrays.update(_legacy_arrays(index))
+    if mutate is not None:
+        mutate(arrays)
     np.savez_compressed(path, **arrays)
 
 
+def _converted(tmp_path, index, mutate=None):
+    """Convert a hand-built legacy payload of ``index``; the new path."""
+    legacy = tmp_path / "legacy.npz"
+    _save_legacy(legacy, index, mutate)
+    path = tmp_path / "converted.rpc"
+    convert_v2_payload(legacy, path)
+    return path
+
+
+def _load_errors(path, load):
+    """The :class:`PayloadCorruptError` of ``load(path, backing)`` under
+    each backing."""
+    errors = []
+    for backing in ("ram", "mmap"):
+        with pytest.raises(PayloadCorruptError) as excinfo:
+            load(path, backing)
+        errors.append(excinfo.value)
+    return errors
+
+
 class TestCorruptPayloads:
-    """Damaged v2 payloads must fail as :class:`PayloadCorruptError`
-    naming the shard key and byte offset, not as a bare numpy shape
-    error.  These tests rewrite npz members, so they pin ``version=2``."""
+    """Damaged legacy v2 payloads convert (the bytes are copied, not
+    decoded) and then fail to load as :class:`PayloadCorruptError`
+    naming the shard key and byte offset — under either backing, exactly
+    as the v2 loader failed, not as a bare numpy shape error."""
+
+    def _load(self, points):
+        return lambda path, backing: load_distperm(
+            path, points, EuclideanDistance(), backing=backing
+        )
 
     def test_truncated_stream(self, tmp_path, built):
         points, index = built
-        path = tmp_path / "index.npz"
-        save_distperm(path, index, version=2)
 
         def truncate(arrays):
             arrays["codes_packed"] = arrays["codes_packed"][:-3]
 
-        _rewrite_npz(path, truncate)
-        with pytest.raises(PayloadCorruptError) as excinfo:
-            load_distperm(path, points, EuclideanDistance())
-        error = excinfo.value
-        assert error.shard is None
-        assert error.byte_offset > 0  # the short buffer's length
-        assert "truncated" in str(error)
-        assert "byte offset" in str(error)
+        path = _converted(tmp_path, index, truncate)
+        for error in _load_errors(path, self._load(points)):
+            assert error.shard is None
+            assert error.byte_offset > 0  # the short buffer's length
+            assert "truncated" in str(error)
+            assert "byte offset" in str(error)
 
     def test_bit_flipped_stream(self, tmp_path, built):
         points, index = built
-        path = tmp_path / "index.npz"
-        save_distperm(path, index, version=2)
         # k=7: 13-bit codes against 7! = 5040, so an all-ones element
         # (8191) decodes out of range.  Smash a mid-stream byte run —
         # every element fully inside it becomes all-ones.
@@ -222,66 +271,113 @@ class TestCorruptPayloads:
             packed[160:166] = 0xFF
             arrays["codes_packed"] = packed
 
-        _rewrite_npz(path, flip)
-        with pytest.raises(PayloadCorruptError) as excinfo:
-            load_distperm(path, points, EuclideanDistance())
-        error = excinfo.value
-        assert error.shard is None
-        # The offset points into the smashed run (first bad element).
-        assert 150 <= error.byte_offset <= 170
-        assert "decodes outside" in str(error)
+        path = _converted(tmp_path, index, flip)
+        for error in _load_errors(path, self._load(points)):
+            assert error.shard is None
+            # The offset points into the smashed run (first bad element).
+            assert 150 <= error.byte_offset <= 170
+            assert "decodes outside" in str(error)
 
     def test_wrong_width_stream(self, tmp_path, built):
         points, index = built
-        path = tmp_path / "index.npz"
-        save_distperm(path, index, version=2)
 
         def widen(arrays):
             arrays["bit_width"] = np.int64(int(arrays["bit_width"]) + 3)
 
-        _rewrite_npz(path, widen)
-        with pytest.raises(PayloadCorruptError) as excinfo:
-            load_distperm(path, points, EuclideanDistance())
-        error = excinfo.value
-        assert error.byte_offset == 0  # header-level damage
-        assert "width" in str(error)
+        path = _converted(tmp_path, index, widen)
+        for error in _load_errors(path, self._load(points)):
+            assert error.byte_offset == 0  # header-level damage
+            assert "width" in str(error)
 
     def test_sharded_error_names_the_shard(self, tmp_path, built):
         points, _ = built
         factory = partial(DistPermIndex, n_sites=5, site_strategy="first")
-        path = tmp_path / "sharded.npz"
         with ShardedIndex(
             points, EuclideanDistance(), factory, n_shards=3
         ) as index:
-            save_sharded(path, index, version=2)
 
-        def truncate_s1(arrays):
-            arrays["s1_codes_packed"] = arrays["s1_codes_packed"][:-2]
+            def truncate_s1(arrays):
+                arrays["s1_codes_packed"] = arrays["s1_codes_packed"][:-2]
 
-        _rewrite_npz(path, truncate_s1)
-        with pytest.raises(PayloadCorruptError) as excinfo:
-            load_sharded(path, points, EuclideanDistance())
-        assert excinfo.value.shard == "s1"
-        assert "[s1," in str(excinfo.value)
+            path = _converted(tmp_path, index, truncate_s1)
+        for error in _load_errors(
+            path,
+            lambda path, backing: load_sharded(
+                path, points, EuclideanDistance(), backing=backing
+            ),
+        ):
+            assert error.shard == "s1"
+            assert "[s1," in str(error)
+            assert "truncated" in str(error)
 
     def test_read_shard_payload_roundtrip(self, tmp_path, built):
+        """One shard of a converted legacy payload loads on its own."""
         points, _ = built
         factory = partial(DistPermIndex, n_sites=5, site_strategy="first")
-        path = tmp_path / "sharded.npz"
         with ShardedIndex(
             points, EuclideanDistance(), factory, n_shards=2
         ) as index:
-            save_sharded(path, index, version=2)
-            saved_count = int(len(index.shards[1].points))
-        payload = read_shard_payload(path, 1)
-        assert int(payload["count"]) == saved_count
+            path = _converted(tmp_path, index)
+            want = index.shards[1]
+            start = index.shard_offsets[1]
+        shard = load_shard(path, 1, points[start:], EuclideanDistance())
+        try:
+            assert len(shard.points) == len(want.points)
+            np.testing.assert_array_equal(
+                shard.permutations, want.permutations
+            )
+        finally:
+            shard.close()
         with pytest.raises(ValueError, match="no shard s7"):
-            read_shard_payload(path, 7)
+            load_shard(path, 7, points, EuclideanDistance())
+
+
+class TestV2Conversion:
+    """``convert_v2_payload`` turns a hand-built legacy ``.npz`` into a
+    container whose loads match the source index."""
+
+    def test_sharded_converts(self, tmp_path, built):
+        points, _ = built
+        factory = partial(DistPermIndex, n_sites=5, site_strategy="first")
+        with ShardedIndex(
+            points, EuclideanDistance(), factory, n_shards=3
+        ) as index:
+            path = _converted(tmp_path, index)
+            for backing in ("ram", "mmap"):
+                with load_sharded(
+                    path, points, EuclideanDistance(), backing=backing
+                ) as loaded:
+                    assert loaded.shard_offsets == index.shard_offsets
+                    for got, want in zip(loaded.shards, index.shards):
+                        assert got.backing == backing
+                        np.testing.assert_array_equal(
+                            got.permutations, want.permutations
+                        )
+
+    def test_perm_matrix_converts(self, tmp_path, rng):
+        """k = 21 is past the code window: the row-matrix section, which
+        loads RAM-backed only."""
+        points = rng.random((80, 3))
+        index = DistPermIndex(
+            points, EuclideanDistance(), n_sites=MAX_CODE_SITES + 1,
+            rng=np.random.default_rng(4),
+        )
+        path = _converted(tmp_path, index)
+        loaded = load_distperm(path, points, EuclideanDistance())
+        np.testing.assert_array_equal(loaded.permutations, index.permutations)
+        with pytest.raises(ValueError, match="RAM-backed only"):
+            load_distperm(path, points, EuclideanDistance(), backing="mmap")
+
+    def test_non_v2_npz_rejected(self, tmp_path):
+        path = tmp_path / "other.npz"
+        np.savez_compressed(path, version=np.int64(1))
+        with pytest.raises(ValueError, match="not a version-2 payload"):
+            convert_v2_payload(path, tmp_path / "out.rpc")
 
 
 class TestV3Payloads:
     """The v3 page-aligned container: round trips under both backings,
-    v2 compatibility, and corruption surfaced as PayloadCorruptError."""
+    legacy conversion, and corruption surfaced as PayloadCorruptError."""
 
     def _signatures(self, batches):
         return [
@@ -293,7 +389,6 @@ class TestV3Payloads:
         points, index = built
         path = tmp_path / "index.rpc"
         save_distperm(path, index)
-        assert payload_format(path) == 3
         with open(path, "rb") as handle:
             assert handle.read(8) == b"RPRMCOD3"
 
@@ -363,20 +458,39 @@ class TestV3Payloads:
             mapped.close()
 
     def test_v2_still_loads_ram_backed(self, tmp_path, built):
+        """A legacy k = 7 payload loads once converted, under either
+        backing."""
         points, index = built
-        path = tmp_path / "index.npz"
-        save_distperm(path, index, version=2)
-        assert payload_format(path) == 2
+        path = _converted(tmp_path, index)
         loaded = load_distperm(path, points, EuclideanDistance())
         assert loaded.backing == "ram"
+        np.testing.assert_array_equal(loaded.codes, index.codes)
         np.testing.assert_array_equal(loaded.permutations, index.permutations)
+        mapped = load_distperm(
+            path, points, EuclideanDistance(), backing="mmap"
+        )
+        try:
+            np.testing.assert_array_equal(
+                mapped.permutations, index.permutations
+            )
+        finally:
+            mapped.close()
 
     def test_v2_mmap_rejected(self, tmp_path, built):
+        """Every loader, under either backing, names the converter when
+        handed an ``.npz``."""
         points, index = built
-        path = tmp_path / "index.npz"
-        save_distperm(path, index, version=2)
-        with pytest.raises(ValueError, match="version=3"):
-            load_distperm(path, points, EuclideanDistance(), backing="mmap")
+        path = tmp_path / "legacy.npz"
+        _save_legacy(path, index)
+        for backing in ("ram", "mmap"):
+            with pytest.raises(ValueError, match="convert_v2_payload"):
+                load_distperm(
+                    path, points, EuclideanDistance(), backing=backing
+                )
+        with pytest.raises(ValueError, match="convert_v2_payload"):
+            load_sharded(path, points, EuclideanDistance())
+        with pytest.raises(ValueError, match="convert_v2_payload"):
+            load_shard(path, 0, points, EuclideanDistance())
 
     @pytest.mark.parametrize("backing", ["ram", "mmap"])
     def test_truncated_v3_code_section(self, tmp_path, built, backing):
@@ -474,7 +588,6 @@ class TestV3Sharded:
             fresh = self._signatures(
                 index.knn_approx_batch(queries, 5, budget=60)
             )
-        assert payload_format(path) == 3
         with load_sharded(path, points, EuclideanDistance()) as ram:
             assert all(
                 s._perm_positions.flags.f_contiguous for s in ram.shards
@@ -512,36 +625,112 @@ class TestV3Sharded:
         assert excinfo.value.shard == "s1"
         assert "[s1," in str(excinfo.value)
 
-    def test_read_shard_payload_v3(self, tmp_path, built):
+    def test_sharded_v3_truncated_middle_shard_names_s1(
+        self, tmp_path, built
+    ):
         points, _ = built
         path = tmp_path / "sharded.rpc"
-        with self._build(points, n_shards=2) as index:
+        with self._build(points) as index:
             save_sharded(path, index)
-            saved_count = int(len(index.shards[1].points))
-        payload = read_shard_payload(path, 1)
-        assert int(payload["count"]) == saved_count
-        assert "codes_packed" in payload
-        mapped = read_shard_payload(path, 1, backing="mmap")
-        assert int(mapped["count"]) == saved_count
-        section = mapped["codes_section"]
-        assert section["path"] == str(path)
-        assert section["nbytes"] > 0
-        with pytest.raises(ValueError, match="no shard s7"):
-            read_shard_payload(path, 7)
+        blob = path.read_bytes()
+        header_len = int.from_bytes(blob[8:16], "little")
+        header = json.loads(blob[16:16 + header_len].decode("ascii"))
+        section = header["shards"][1]["codes"]
+        short = section["nbytes"] - 20
+        section["nbytes"] = short
+        raw = json.dumps(header).encode("ascii")
+        assert len(raw) <= header_len
+        raw = raw + b" " * (header_len - len(raw))
+        path.write_bytes(blob[:16] + raw + blob[16 + header_len:])
+        for backing in ("ram", "mmap"):
+            with pytest.raises(PayloadCorruptError) as excinfo:
+                load_sharded(
+                    path, points, EuclideanDistance(), backing=backing
+                )
+            error = excinfo.value
+            assert (error.shard, error.byte_offset) == ("s1", short)
+            assert "[s1," in str(error)
+            assert "truncated" in str(error)
 
-    def test_member_table_cache_survives_rewrites(self, tmp_path, built):
-        """The offset-table cache keys on (path, size, mtime): a rewrite
-        with different contents must not serve stale offsets."""
+    def test_read_shard_payload_v3(self, tmp_path, built):
+        """``load_shard`` reads one shard of a v3 file under both
+        backings, and names a shard the file does not hold."""
         points, _ = built
         path = tmp_path / "sharded.rpc"
         with self._build(points, n_shards=2) as index:
             save_sharded(path, index)
-        first = read_shard_payload(path, 0)
+            want = index.shards[1]
+            start = index.shard_offsets[1]
+        for backing in ("ram", "mmap"):
+            shard = load_shard(
+                path, 1, points[start:], EuclideanDistance(), backing=backing
+            )
+            try:
+                assert shard.backing == backing
+                assert shard.site_indices == want.site_indices
+                np.testing.assert_array_equal(
+                    shard.permutations, want.permutations
+                )
+            finally:
+                shard.close()
+        with pytest.raises(ValueError, match="no shard s7"):
+            load_shard(path, 7, points, EuclideanDistance())
+
+    def test_load_shard_rereads_a_rewritten_file(self, tmp_path, built):
+        """Nothing about a payload file outlives a load: a rewrite with
+        other shard boundaries is read afresh (a stale header would
+        describe the wrong element count and fail the load)."""
+        points, _ = built
+        path = tmp_path / "sharded.rpc"
+        with self._build(points, n_shards=2) as index:
+            save_sharded(path, index)
+            first = len(index.shards[0].points)
         with self._build(points, n_shards=3) as index:
             save_sharded(path, index)
-        # Three shards now — shard 2 exists only in the rewritten file,
-        # and shard 0 shrank; stale cached offsets would miss both.
-        payload = read_shard_payload(path, 2)
-        assert int(payload["count"]) > 0
-        again = read_shard_payload(path, 0)
-        assert int(again["count"]) < int(first["count"])
+            offsets = index.shard_offsets
+        last = load_shard(path, 2, points[offsets[2]:], EuclideanDistance())
+        assert len(last.points) > 0
+        again = load_shard(path, 0, points[: offsets[1]], EuclideanDistance())
+        assert len(again.points) < first
+
+
+class TestLoadedEqualsFresh:
+    """Every payload shape loads into an index whose ``knn_approx``
+    columns equal the fresh index's — including k = 1, whose
+    ``ceil(lg 1!) = 0``-bit code section holds no bytes at all.  The
+    resident cell of the unsharded layout serves a one-shard payload, the
+    only way to put a single index behind a pinned worker."""
+
+    @pytest.mark.parametrize("engine", ["in-process", "resident"])
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("backing", ["ram", "mmap"])
+    @pytest.mark.parametrize("k", [1, 2, 12])
+    def test_knn_approx_columns(
+        self, tmp_path, rng, k, backing, shards, engine
+    ):
+        points = rng.random((120, 3))
+        queries = rng.random((5, 3))
+        metric = EuclideanDistance()
+        path = tmp_path / "payload.rpc"
+        factory = partial(DistPermIndex, n_sites=k, site_strategy="first")
+        if shards == 1 and engine == "in-process":
+            fresh = factory(points, metric)
+            want = fresh.knn_approx_batch_arrays(queries, 3, 30)
+            save_distperm(path, fresh)
+            loaded = load_distperm(path, points, metric, backing=backing)
+        else:
+            with ShardedIndex(points, metric, factory, n_shards=shards) as fresh:
+                want = fresh.knn_approx_batch_arrays(queries, 3, 30)
+                save_sharded(path, fresh)
+            loaded = load_sharded(
+                path, points, metric, backing=backing,
+                resident=engine == "resident",
+            )
+        try:
+            got = loaded.knn_approx_batch_arrays(queries, 3, 30)
+        finally:
+            loaded.close()
+        for name in ("distances", "indices", "offsets"):
+            np.testing.assert_array_equal(
+                getattr(got, name), getattr(want, name)
+            )

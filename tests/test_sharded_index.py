@@ -316,7 +316,7 @@ class TestShardedSerialization:
         with ShardedIndex(words, metric, factory, n_shards=3) as index:
             approx_ref = index.knn_approx_batch(queries, 3, budget=20)
             knn_ref = index.knn_batch(queries, 3)
-            path = tmp_path / "sharded.npz"
+            path = tmp_path / "sharded.rpc"
             save_sharded(path, index)
             site_ref = [shard.site_indices for shard in index.shards]
         for workers in (None, 2):
@@ -335,7 +335,7 @@ class TestShardedSerialization:
         words, _, metric = string_setup
         factory = partial(DistPermIndex, n_sites=4, site_strategy="first")
         with ShardedIndex(words, metric, factory, n_shards=2) as index:
-            path = tmp_path / "sharded.npz"
+            path = tmp_path / "sharded.rpc"
             save_sharded(path, index)
         with pytest.raises(ValueError):
             load_sharded(path, words[:-1], metric)
@@ -347,7 +347,7 @@ class TestShardedSerialization:
         points, _, metric = vector_setup
         with ShardedIndex(points, metric, LinearScan, n_shards=2) as index:
             with pytest.raises(TypeError):
-                save_sharded(tmp_path / "bad.npz", index)
+                save_sharded(tmp_path / "bad.rpc", index)
 
 
 class TestWorkloadRunner:

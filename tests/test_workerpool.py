@@ -447,7 +447,7 @@ class TestFileBackedResident:
         with ShardedIndex(words, metric, factory, n_shards=3) as index:
             expected = index.knn_batch(queries, 4)
             approx_ref = index.knn_approx_batch(queries, 3, budget=25)
-            path = tmp_path / "sharded.npz"
+            path = tmp_path / "sharded.rpc"
             save_sharded(path, index)
         loaded = load_sharded(
             path, words, metric, **pooled,
