@@ -15,6 +15,8 @@ from __future__ import annotations
 import numpy as np
 from conftest import write_result
 
+from repro.core.bitpack import bits_for_count, pack_ids, unpack_ids
+from repro.core.permutation import decode_permutations
 from repro.core.truncated import prefix_census_curve, prefix_storage_bits
 from repro.datasets.sisap import load_database
 from repro.datasets.vectors import uniform_vectors
@@ -29,18 +31,24 @@ def test_packed_storage_measured_bytes(benchmark, results_dir):
             database.points, database.metric, n_sites=12,
             rng=np.random.default_rng(0),
         )
-        store = index.packed()
-        return index, store
+        census = index.census()
+        bit_width = bits_for_count(census.distinct)
+        ids = np.searchsorted(census.codes, index.codes)
+        return index, census, bit_width, pack_ids(ids, bit_width)
 
-    index, store = benchmark.pedantic(run, rounds=1, iterations=1)
+    index, census, bit_width, packed = benchmark.pedantic(
+        run, rounds=1, iterations=1
+    )
     n = len(index.points)
     naive_bytes = n * 12  # one byte per permutation entry
     # Bit-packing must realize (close to) the theoretical payload.
-    theoretical_payload = (n * store.bit_width + 7) // 8
-    assert store.payload_bytes() == theoretical_payload
-    assert store.payload_bytes() < naive_bytes / 4
-    # Round-trip safety at full scale.
-    assert np.array_equal(store.permutations(), index.permutations)
+    assert len(packed) == (n * bit_width + 7) // 8
+    assert len(packed) < naive_bytes / 4
+    # Round-trip safety at full scale: table rows gathered by the ids.
+    table = decode_permutations(census.codes, 12)
+    ids = unpack_ids(packed, bit_width, n).astype(np.int64)
+    assert np.array_equal(table[ids], index.permutations)
+    total_bytes = len(packed) + 8 * census.distinct
     write_result(
         results_dir,
         "encoding_packed",
@@ -48,11 +56,11 @@ def test_packed_storage_measured_bytes(benchmark, results_dir):
             [
                 f"colors, n={n}, k=12: measured index payload",
                 f"  naive bytes (1 B/entry)      : {naive_bytes}",
-                f"  packed ids ({store.bit_width:>2} bits/elt)     : "
-                f"{store.payload_bytes()} B",
+                f"  packed ids ({bit_width:>2} bits/elt)     : "
+                f"{len(packed)} B",
                 f"  permutation table            : "
-                f"{store.table_codes.shape[0]} codes",
-                f"  total (ids + 8 B/table code) : {store.total_bytes()} B",
+                f"{census.distinct} codes",
+                f"  total (ids + 8 B/table code) : {total_bytes} B",
             ]
         ),
     )

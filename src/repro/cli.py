@@ -156,9 +156,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "identical to the whole-file run; "
                              "incompatible with --dump)")
     census.add_argument("--report-storage", action="store_true",
-                        help="print realized (measured) bytes/element of "
-                             "the code and table encodings next to the "
-                             "reported Corollary-8 bit bounds")
+                        help="print the bytes the packed code and table "
+                             "encodings occupy (what pack_ids writes, plus "
+                             "8 B per table code) next to the reported "
+                             "Corollary-8 bit bounds")
     _add_parallel_flags(census)
 
     search = commands.add_parser(
@@ -393,30 +394,36 @@ def _cmd_table3(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_census_streaming(args: argparse.Namespace) -> int:
-    """The out-of-core census: chunked disk reads, bounded memory.
+def _cmd_census(args: argparse.Namespace) -> int:
+    """The census of one database file, one driver for every flag set.
 
-    Reads the database twice — one cheap counting pass (to draw the same
-    site indices the in-memory build would draw, and fetch exactly those
-    rows) and one chunked census pass — but never holds more than
-    ``chunk_rows`` rows at once.  Counts are identical to the in-memory
-    run for every chunk size and ``workers``/``shards`` setting.
+    One site draw (the ``"random"`` strategy touches only ``len()`` and
+    the drawn indices, so a row-count proxy draws the same sites as the
+    loaded database), then :func:`~repro.parallel.census.sharded_census`
+    over the loaded rows — serial without ``--workers/--shards`` — or,
+    with ``--chunk-rows``, :func:`~repro.parallel.census.streaming_census`
+    over bounded chunks read from disk twice (one counting pass, one
+    census pass).  Counts are identical for every flag combination.
     """
     from repro.core.storage import storage_report
     from repro.datasets.io import (
         count_rows,
         iter_string_chunks,
         iter_vector_chunks,
+        load_strings,
+        load_vectors,
         read_string_rows,
         read_vector_rows,
+        save_permutations,
     )
     from repro.index.pivots import select_pivots
-    from repro.parallel.census import streaming_census
+    from repro.parallel.census import sharded_census, streaming_census
 
-    if args.chunk_rows < 1:
+    streamed = args.chunk_rows is not None
+    if streamed and args.chunk_rows < 1:
         print("error: --chunk-rows must be >= 1", file=sys.stderr)
         return 1
-    if args.dump:
+    if streamed and args.dump:
         print("error: --dump needs the in-memory census (it materializes "
               "every permutation); drop --chunk-rows", file=sys.stderr)
         return 1
@@ -424,8 +431,17 @@ def _cmd_census_streaming(args: argparse.Namespace) -> int:
     if error:
         print(f"error: {error}", file=sys.stderr)
         return 1
+    load, read_rows, iter_chunks = (
+        (load_vectors, read_vector_rows, iter_vector_chunks)
+        if args.kind == "vectors"
+        else (load_strings, read_string_rows, iter_string_chunks)
+    )
     try:
-        n = count_rows(args.input)
+        if streamed:
+            n = count_rows(args.input)
+        else:
+            points = load(args.input)
+            n = len(points)
     except OSError as error:
         print(f"error: cannot read {args.input}: {error}", file=sys.stderr)
         return 1
@@ -437,103 +453,30 @@ def _cmd_census_streaming(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 1
     metric = _METRICS[args.metric]()
-    # The "random" strategy touches only len() and drawn indices, so a
-    # row-count proxy draws the same sites as the in-memory build.
     site_indices = select_pivots(
         range(n), metric, args.sites, strategy="random",
         rng=np.random.default_rng(args.seed),
     )
-    if args.kind == "vectors":
-        sites = read_vector_rows(args.input, site_indices)
-        chunks = iter_vector_chunks(args.input, args.chunk_rows)
+    parallel = dict(workers=args.workers, shards=args.shards)
+    if streamed:
+        censuses = streaming_census(
+            iter_chunks(args.input, args.chunk_rows),
+            read_rows(args.input, site_indices), metric, [args.sites],
+            **parallel,
+        )
+        source = f", streamed {args.chunk_rows} rows/chunk"
     else:
-        sites = read_string_rows(args.input, site_indices)
-        chunks = iter_string_chunks(args.input, args.chunk_rows)
-    censuses = streaming_census(
-        chunks, sites, metric, [args.sites],
-        workers=args.workers, shards=args.shards,
-    )
-    distinct = censuses[args.sites].distinct
-    report = storage_report(
-        n=n, k=args.sites, realized_permutations=distinct
-    )
-    print(f"database: {args.input} ({n} elements, metric {metric.name}, "
-          f"streamed {args.chunk_rows} rows/chunk)")
-    print(f"sites (k={args.sites}): indices {site_indices}")
-    print(f"unique distance permutations: {distinct} "
-          f"(of k! = {math.factorial(args.sites)})")
-    print(f"bits/element: table={report.bits_permutation_table} "
-          f"naive={report.bits_naive_permutation} "
-          f"LAESA={report.bits_laesa}")
-    if args.report_storage:
-        _print_realized_storage(
-            n=n, k=args.sites, distinct=distinct, report=report, index=None,
-        )
-    return 0
-
-
-def _cmd_census(args: argparse.Namespace) -> int:
-    from repro.datasets.io import load_strings, load_vectors, save_permutations
-    from repro.index import DistPermIndex
-
-    if args.chunk_rows is not None:
-        return _cmd_census_streaming(args)
-    if args.kind == "vectors":
-        points = load_vectors(args.input)
-    else:
-        points = load_strings(args.input)
-    if len(points) == 0:
-        print("error: empty database", file=sys.stderr)
-        return 1
-    error = _parallel_flags_error(args)
-    if error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    if args.sites < 1 or args.sites > len(points):
-        print(
-            f"error: need 1 <= sites <= {len(points)}, got {args.sites}",
-            file=sys.stderr,
-        )
-        return 1
-    metric = _METRICS[args.metric]()
-    if args.workers is not None or args.shards is not None:
-        # Parallel census: same site draw as the DistPermIndex build, but
-        # the n x k distance work shards across a process pool and the
-        # partial censuses merge exactly.
-        from repro.core.storage import storage_report
-        from repro.index.pivots import select_pivots
-        from repro.parallel.census import sharded_census
-
-        site_indices = select_pivots(
-            points, metric, args.sites, strategy="random",
-            rng=np.random.default_rng(args.seed),
-        )
-        sites = [points[i] for i in site_indices]
         censuses, permutations = sharded_census(
-            points, sites, metric,
-            workers=args.workers, shards=args.shards,
-            collect_permutations=bool(args.dump),
+            points, [points[i] for i in site_indices], metric,
+            collect_permutations=bool(args.dump), **parallel,
         )
-        distinct = censuses[args.sites].distinct
+        source = ""
         if args.dump:
             save_permutations(args.dump, permutations)
-        report = storage_report(
-            n=len(points), k=args.sites, realized_permutations=distinct
-        )
-    else:
-        index = DistPermIndex(
-            points,
-            metric,
-            n_sites=args.sites,
-            rng=np.random.default_rng(args.seed),
-        )
-        site_indices = index.site_indices
-        distinct = index.unique_permutations()
-        if args.dump:
-            save_permutations(args.dump, index.permutations)
-        report = index.storage()
-    print(f"database: {args.input} ({len(points)} elements, "
-          f"metric {metric.name})")
+    distinct = censuses[args.sites].distinct
+    report = storage_report(n=n, k=args.sites, realized_permutations=distinct)
+    print(f"database: {args.input} ({n} elements, metric {metric.name}"
+          f"{source})")
     print(f"sites (k={args.sites}): indices {site_indices}")
     print(f"unique distance permutations: {distinct} "
           f"(of k! = {math.factorial(args.sites)})")
@@ -541,27 +484,20 @@ def _cmd_census(args: argparse.Namespace) -> int:
           f"naive={report.bits_naive_permutation} "
           f"LAESA={report.bits_laesa}")
     if args.report_storage:
-        _print_realized_storage(
-            n=len(points), k=args.sites, distinct=distinct, report=report,
-            index=None if args.workers is not None or args.shards is not None
-            else index,
-        )
+        _print_realized_storage(n, args.sites, distinct, report)
     if args.dump:
         print(f"permutations written to {args.dump} "
               f"(count them with: sort {args.dump} | uniq | wc -l)")
     return 0
 
 
-def _print_realized_storage(n, k, distinct, report, index=None):
+def _print_realized_storage(n, k, distinct, report):
     """Measured bytes/element next to the reported Corollary-8 bit bounds.
 
-    With a built index (the serial census path) the code payload and the
-    table encoding are actually materialized and measured; the sharded
-    path prints the byte counts the same packing produces by construction
+    The byte counts are the ones the packing produces by construction
     (``ceil(n * bits / 8)`` — :func:`repro.core.bitpack.pack_ids` pads
-    only to the final byte).
+    only to the final byte — plus 8 bytes per table code).
     """
-    from repro.core.bitpack import pack_ids
     from repro.core.permutation import MAX_CODE_SITES
 
     naive_bytes = n * k * 8
@@ -584,12 +520,8 @@ def _print_realized_storage(n, k, distinct, report, index=None):
               f"realizable past k={MAX_CODE_SITES}; row-matrix fallback "
               f"= {matrix_bytes} B ({k * 8 * entry_bytes} bits/elt)")
     else:
-        if index is not None:
-            code_bytes = len(pack_ids(index.codes, bits_code))
-            table_bytes = index.packed().total_bytes()
-        else:
-            code_bytes = (n * bits_code + 7) // 8
-            table_bytes = distinct * 8 + (n * bits_table + 7) // 8
+        code_bytes = (n * bits_code + 7) // 8
+        table_bytes = distinct * 8 + (n * bits_table + 7) // 8
         print(f"  packed codes: reported {bits_code} bits/elt -> realized "
               f"{code_bytes} B ({code_bytes * 8 / max(1, n):.2f} bits/elt)")
     print(f"  permutation table: reported {bits_table} bits/elt "

@@ -21,7 +21,7 @@ from repro.core.arrangement import (
     count_euclidean_cells_arrangement,
     euclidean_bisector_lines,
 )
-from repro.core.bitpack import PackedPermutationStore, pack_ids, unpack_ids
+from repro.core.bitpack import pack_ids, unpack_ids
 from repro.core.constructions import (
     corollary5_path_space,
     theorem6_sites,
@@ -96,7 +96,6 @@ from repro.core.voronoi import (
 __all__ = [
     "EntropyReport",
     "MAX_CODE_SITES",
-    "PackedPermutationStore",
     "StorageReport",
     "StreamingCensus",
     "decode_permutations",

@@ -1,10 +1,14 @@
-"""Bit-packed storage for permutation ids — Corollary 8 made concrete.
+"""Bit-packed fields — Corollary 8 made concrete.
 
 The paper's storage claims are stated in bits; this module actually packs
-an array of permutation-table ids at ``ceil(log2 N)`` bits each into a
+an array of nonnegative integers at a fixed ``bit_width`` each into a
 byte buffer, so index sizes can be *measured* instead of merely computed.
-:class:`PackedPermutationStore` bundles the packed ids with the
-permutation table and reports its true byte footprint.
+The payload writer packs Lehmer codes at ``ceil(log2 k!)`` bits
+(:func:`~repro.core.storage.bits_full_permutation`), and
+:class:`~repro.core.storage.MappedCodeStore` reads them back in place.
+Ids into a table of ``N`` realized permutations — the sorted codes of a
+:class:`~repro.core.estimate.StreamingCensus` — pack the same way at
+:func:`bits_for_count` ``(N) = ceil(log2 N)`` bits.
 
 **Layout and kernel.**  Field ``i`` occupies stream bits
 ``[i * bit_width, (i + 1) * bit_width)``, least significant bit first,
@@ -23,14 +27,11 @@ spills its top bits into the byte after the window.  Nothing of size
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.permutation import decode_permutations, encode_permutations
-
-__all__ = ["bits_for_count", "pack_ids", "unpack_ids", "PackedPermutationStore"]
+__all__ = ["bits_for_count", "pack_ids", "unpack_ids"]
 
 #: Bytes past a lane's first byte that its window (8) and spill byte (1)
 #: may touch: both kernels keep this much slack behind the last group.
@@ -158,101 +159,3 @@ def unpack_ids(data, bit_width: int, count: int) -> np.ndarray:
         tail[: needed - inside * bit_width] = raw[inside * bit_width : needed]
         _unpack_groups(tail, bit_width, out[inside:])
     return out.reshape(-1)[:count]
-
-
-@dataclass
-class PackedPermutationStore:
-    """A permutation-code table plus bit-packed per-element ids.
-
-    This is the index representation the paper's counting results
-    justify: the table holds the Lehmer code
-    (:func:`~repro.core.permutation.encode_permutations`) of each
-    realized permutation once — 8 bytes per realized permutation instead
-    of a ``k``-column row — and elements store only ``ceil(log2 N)``-bit
-    ids into it.  Because Lehmer codes sort lexicographically, the code
-    table enumerates exactly the same order as the old row table.
-    """
-
-    table_codes: np.ndarray  # (N,) sorted codes of the distinct permutations
-    k: int
-    packed: bytes
-    bit_width: int
-    count: int
-
-    @classmethod
-    def from_permutations(cls, perms: np.ndarray) -> "PackedPermutationStore":
-        """Build from an ``(n, k)`` matrix of distance permutations."""
-        perms = np.asarray(perms)
-        if perms.ndim != 2:
-            raise ValueError(f"expected (n, k) matrix, got {perms.shape}")
-        return cls.from_codes(encode_permutations(perms), perms.shape[1])
-
-    @classmethod
-    def from_codes(cls, codes: np.ndarray, k: int) -> "PackedPermutationStore":
-        """Build from already-encoded permutations (the index hot path)."""
-        codes = np.asarray(codes)
-        if codes.ndim != 1:
-            raise ValueError(f"expected a 1-d code array, got {codes.shape}")
-        table_codes, ids = np.unique(codes, return_inverse=True)
-        bit_width = bits_for_count(table_codes.shape[0])
-        return cls(
-            table_codes=table_codes,
-            k=int(k),
-            packed=pack_ids(ids, bit_width),
-            bit_width=bit_width,
-            count=codes.shape[0],
-        )
-
-    @property
-    def table(self) -> np.ndarray:
-        """The decoded ``(N, k)`` table of distinct permutations."""
-        return decode_permutations(self.table_codes, self.k)
-
-    def ids(self) -> np.ndarray:
-        """Recover the per-element table ids."""
-        return unpack_ids(self.packed, self.bit_width, self.count)
-
-    def permutations(self) -> np.ndarray:
-        """Reconstruct the full ``(n, k)`` permutation matrix."""
-        return self.table[self.ids().astype(np.int64)]
-
-    def __getitem__(self, index: int) -> Tuple[int, ...]:
-        """Random access to one element's permutation."""
-        if not 0 <= index < self.count:
-            raise IndexError(index)
-        if self.bit_width == 0:
-            table_id = 0
-        else:
-            start = index * self.bit_width
-            stop = start + self.bit_width
-            first_byte, first_bit = divmod(start, 8)
-            last_byte = (stop + 7) // 8
-            chunk = int.from_bytes(
-                bytes(self.packed[first_byte:last_byte]), byteorder="little"
-            )
-            table_id = (chunk >> first_bit) & ((1 << self.bit_width) - 1)
-        row = decode_permutations(
-            self.table_codes[table_id : table_id + 1], self.k
-        )[0]
-        return tuple(int(v) for v in row)
-
-    def payload_bytes(self) -> int:
-        """Measured bytes for the per-element ids alone."""
-        return len(self.packed)
-
-    def total_bytes(self) -> int:
-        """Measured bytes including the table of realized permutations.
-
-        Inside the uint64 window each table entry is one 8-byte code;
-        past it (object codes have no fixed-width representation) the
-        realizable table is the row matrix at the narrowest integer
-        width, and that is what gets charged.
-        """
-        if self.table_codes.dtype == np.dtype(np.uint64):
-            per_entry = 8
-        else:
-            per_entry = self.k * (1 if self.k <= 1 << 8 else 2)
-        return len(self.packed) + self.table_codes.shape[0] * per_entry
-
-    def __len__(self) -> int:
-        return self.count

@@ -20,6 +20,12 @@ from repro.core.storage import bits_for_count
 __all__ = ["empirical_entropy_bits", "EntropyReport", "entropy_report"]
 
 
+def _entropy_of_counts(counts: np.ndarray) -> float:
+    """Shannon entropy (bits/element) of positive occurrence counts."""
+    probabilities = counts / counts.sum()
+    return float(-(probabilities * np.log2(probabilities)).sum())
+
+
 def empirical_entropy_bits(ids: Sequence[int]) -> float:
     """Shannon entropy (bits/element) of an id sample.
 
@@ -31,8 +37,7 @@ def empirical_entropy_bits(ids: Sequence[int]) -> float:
     if ids.size == 0:
         raise ValueError("need at least one id")
     _, counts = np.unique(ids, return_counts=True)
-    probabilities = counts / counts.sum()
-    return float(-(probabilities * np.log2(probabilities)).sum())
+    return _entropy_of_counts(counts)
 
 
 @dataclass(frozen=True)
@@ -60,13 +65,16 @@ class EntropyReport:
         )
 
 
-def entropy_report(ids: Sequence[int]) -> EntropyReport:
-    """Build an :class:`EntropyReport` for a permutation-id sample."""
-    ids = np.asarray(ids)
-    distinct = int(np.unique(ids).size)
+def entropy_report(counts: Sequence[int]) -> EntropyReport:
+    """Build an :class:`EntropyReport` from per-permutation occurrence
+    counts — a census's ``counts``, so no per-element id array is needed.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    if counts.size == 0 or counts.min() < 1:
+        raise ValueError("need at least one positive count")
     return EntropyReport(
-        n=int(ids.size),
-        distinct=distinct,
-        fixed_bits=bits_for_count(distinct),
-        entropy_bits=empirical_entropy_bits(ids),
+        n=int(counts.sum()),
+        distinct=int(counts.size),
+        fixed_bits=bits_for_count(int(counts.size)),
+        entropy_bits=_entropy_of_counts(counts),
     )

@@ -164,8 +164,8 @@ class MappedCodeStore:
     stage alone and caches nothing: one
     :func:`~repro.core.bitpack.unpack_ids` call on the block's slice of
     the map — read in place, no intermediate copy — plus a range check
-    against ``k!``; the census, ``packed()`` and the load-time probe read
-    codes once and are done.  :meth:`positions_block` adds the Lehmer
+    against ``k!``; the index's census, a RAM load and the load-time
+    probe read codes once and are done.  :meth:`positions_block` adds the Lehmer
     unrank (:func:`~repro.core.permutation.decode_positions`) and is what
     :class:`~repro.index.distperm.DistPermIndex` scans: rank positions of
     a range of blocks, one contiguous row per site, written into the

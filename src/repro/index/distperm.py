@@ -64,9 +64,15 @@ at or under the k-th distance
 (:func:`~repro.index.batching.smallest_k_indices`).  A single query is a
 batch of one row, so both surfaces return the same bits.
 
-This is also the measurement instrument for Tables 2 and 3:
-:meth:`unique_permutations` is the census the paper computes with
-``sort | uniq | wc``.
+The index stores codes and positions only.  Corollary 8's table of the
+``N`` realized permutations is derived on demand: :meth:`census` folds
+the stored codes into a :class:`~repro.core.estimate.StreamingCensus`
+(sorted distinct codes plus their multiplicities), and
+:meth:`unique_permutations`, :meth:`storage` and :meth:`entropy` read
+it.  Tables 2 and 3 themselves run
+:func:`~repro.parallel.census.sharded_census`, which counts the same
+permutations straight from the distance columns without building an
+index.
 """
 
 from __future__ import annotations
@@ -75,8 +81,8 @@ from typing import Any, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.core.bitpack import PackedPermutationStore
 from repro.core.entropy import EntropyReport, entropy_report
+from repro.core.estimate import StreamingCensus
 from repro.core.permutation import (
     compact_footrule_dtype,
     compact_position_dtype,
@@ -228,16 +234,13 @@ class DistPermIndex(Index):
         distances = self.metric.to_sites(self.points, self.sites)
         perms = permutations_from_distances(distances)
         # The code representation: one Lehmer rank per element (uint64
-        # for k <= 20) instead of a k-column row matrix.  Codes sort
-        # lexicographically, so the unique-code table enumerates the same
-        # realized permutations, in the same order, as np.unique(axis=0)
-        # on rows — and `ids` is byte-identical to the row-view build.
+        # for k <= 20) instead of a k-column row matrix.
         self.codes = encode_permutations(perms)
-        self.table_codes, self.ids = np.unique(
-            self.codes, return_inverse=True
-        )
-        self.table = decode_permutations(self.table_codes, perms.shape[1])
-        self._cache_perm_positions(perms)
+        # The row-wise inverse feeds batched footrule against any query
+        # set without re-inverting (see _column_major_positions).
+        self._perm_positions = _column_major_positions(perms)
+        # Scratch buffers the footrule path reuses across queries.
+        self._footrule_workspace: dict = {}
 
     @property
     def backing(self) -> str:
@@ -255,24 +258,39 @@ class DistPermIndex(Index):
         if store is not None:
             store.close()
 
-    def _materialized_codes(self) -> np.ndarray:
-        """The full uint64 code array (streamed out of the store on mmap)."""
-        if self.backing != "mmap":
-            return self.codes
-        store = self._code_store
-        out = np.empty(store.count, dtype=np.uint64)
-        for start, stop, codes in store.iter_blocks():
-            out[start:stop] = codes
-        return out
+    def _code_blocks(self) -> Iterator[Tuple[int, int, np.ndarray]]:
+        """Yield ``(start, stop, codes)`` covering every stored element.
 
-    def _distinct_codes(self) -> np.ndarray:
-        """Sorted distinct codes; streamed set-union on the mmap path."""
-        if self.backing != "mmap":
-            return self.table_codes
-        distinct = np.empty(0, dtype=np.uint64)
-        for _, _, codes in self._code_store.iter_blocks():
-            distinct = np.union1d(distinct, codes)
-        return distinct
+        The one place outside the scan that tells the backings apart:
+        RAM yields the resident code array whole, mmap streams the
+        store's blocks (range-checked, never cached).
+        """
+        if self.backing == "mmap":
+            yield from self._code_store.iter_blocks()
+        else:
+            yield 0, len(self.codes), self.codes
+
+    def _materialized_codes(self) -> np.ndarray:
+        """The full code array: the resident one, or streamed out of the
+        store on mmap."""
+        blocks = [codes for _, _, codes in self._code_blocks()]
+        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+    def census(self) -> StreamingCensus:
+        """The table of realized permutations, with multiplicities.
+
+        A :class:`~repro.core.estimate.StreamingCensus` of the stored
+        Lehmer codes, folded block by block: its sorted distinct
+        ``codes`` are Corollary 8's table (Lehmer codes sort
+        lexicographically, so in the order ``np.unique(axis=0)`` lists
+        the rows) and its ``counts`` say how many elements realize each.
+        Derived on every call, so it can never lag behind
+        :meth:`add_points`.
+        """
+        census = StreamingCensus()
+        for _, _, codes in self._code_blocks():
+            census.update_codes(codes, self.n_sites)
+        return census
 
     @property
     def permutations(self) -> np.ndarray:
@@ -283,33 +301,7 @@ class DistPermIndex(Index):
         exists only while a caller (``--dump``, probe checks, tests)
         actually looks at it.
         """
-        if self.backing == "mmap":
-            return decode_permutations(self._materialized_codes(), self.n_sites)
-        return self.table[self.ids]
-
-    def _cache_perm_positions(
-        self, perms: Optional[np.ndarray] = None
-    ) -> None:
-        """Derive the cached row-wise inverse of the stored permutations.
-
-        The inverse feeds batched footrule against any query set without
-        re-inverting: ``(n, k)`` in the narrowest unsigned dtype
-        (``uint8`` through ``k = 256``) and column-major, so
-        ``footrule_matrix_batch`` never re-casts, re-derives or
-        transposes it.  Shared by :meth:`_build` and the
-        ``load_distperm`` loader, so a deserialized index can never lag
-        behind the build-time caches.
-        """
-        if perms is None:
-            # Restore path: invert only the (small) distinct-permutation
-            # table, then gather each site's row per element — the full
-            # (n, k) row matrix is never materialized.
-            table_columns = _column_major_positions(self.table).T
-            self._perm_positions = np.take(table_columns, self.ids, axis=1).T
-        else:
-            self._perm_positions = _column_major_positions(perms)
-        # Scratch buffers the footrule path reuses across queries.
-        self._footrule_workspace: dict = {}
+        return decode_permutations(self._materialized_codes(), self.n_sites)
 
     @property
     def n_sites(self) -> int:
@@ -332,11 +324,11 @@ class DistPermIndex(Index):
         are fixed at build time: a new element costs exactly its
         ``n_sites`` site distances (charged to ``build_distances``,
         like the original build), one Lehmer encoding, and a row in the
-        rank-position cache.  The realized-permutation table grows by
-        set union with the new codes and the per-element ids are
-        remapped by binary search, so every attribute — codes, table,
-        ids, positions — lands byte-identical to a fresh build of the
-        combined database over the same site set.
+        rank-position cache.  Codes and positions are appended, so both
+        land byte-identical to a fresh build of the combined database
+        over the same site set — and so does :meth:`census`, which is
+        derived from the codes.  A bare string is one point, as a 1-D
+        vector is one row.
 
         The site draw itself is **not** revisited: a growing database
         keeps the permutation space of its original sites, which is the
@@ -348,6 +340,8 @@ class DistPermIndex(Index):
                 "add_points is not supported on an mmap-backed index; "
                 "reload with backing='ram' to append"
             )
+        if isinstance(new_points, str):
+            new_points = [new_points]
         if len(new_points) == 0:
             return
         query_count = self.metric.count
@@ -367,15 +361,6 @@ class DistPermIndex(Index):
         else:
             self.points = list(self.points) + list(new_points)
         self.codes = np.concatenate([self.codes, new_codes])
-        # Table = union of realized codes; np.unique's inverse on a full
-        # rebuild is exactly searchsorted against the sorted uniques, so
-        # remapping old ids this way reproduces the fresh build bit for
-        # bit.
-        self.table_codes = np.unique(
-            np.concatenate([self.table_codes, new_codes])
-        )
-        self.ids = np.searchsorted(self.table_codes, self.codes)
-        self.table = decode_permutations(self.table_codes, self.n_sites)
         # Appending along the transposed (site-major) view keeps every
         # site's column contiguous, as a fresh build lays it out.
         self._perm_positions = np.concatenate(
@@ -391,14 +376,11 @@ class DistPermIndex(Index):
 
     def unique_permutations(self) -> int:
         """The census of Tables 2–3: ``|{Π_y : y in database}|``."""
-        return int(self._distinct_codes().shape[0])
+        return self.census().distinct
 
     def distinct_permutation_set(self) -> Set[Tuple[int, ...]]:
         """The realized permutations themselves."""
-        if self.backing == "mmap":
-            table = decode_permutations(self._distinct_codes(), self.n_sites)
-        else:
-            table = self.table
+        table = decode_permutations(self.census().codes, self.n_sites)
         return {tuple(int(v) for v in row) for row in table}
 
     def storage(self) -> StorageReport:
@@ -409,30 +391,15 @@ class DistPermIndex(Index):
             realized_permutations=self.unique_permutations(),
         )
 
-    def packed(self) -> PackedPermutationStore:
-        """Materialize the bit-packed table encoding (Corollary 8).
-
-        The returned store holds the realized-permutation code table plus
-        per-element ids at ``ceil(log2 N)`` bits each — the
-        representation whose size the paper's counting results bound.
-        Built straight from the stored code array; no row matrix is
-        materialized.
-        """
-        return PackedPermutationStore.from_codes(
-            self._materialized_codes(), self.n_sites
-        )
-
     def entropy(self) -> EntropyReport:
         """Entropy accounting of the permutation-id distribution.
 
         How far below the fixed-width ``ceil(log2 N)`` an entropy code
         could go on this database (the "more sophisticated structure" the
-        paper alludes to for small databases).
+        paper alludes to for small databases), read off the census
+        multiplicities.
         """
-        if self.backing == "mmap":
-            ids = np.searchsorted(self._distinct_codes(), self._materialized_codes())
-            return entropy_report(ids)
-        return entropy_report(self.ids)
+        return entropy_report(self.census().counts)
 
     def _position_tiles(self) -> Iterator[Tuple[int, int, np.ndarray]]:
         """Yield ``(start, stop, columns)`` covering every stored element.

@@ -46,6 +46,7 @@ from repro.core.bitpack import pack_ids
 from repro.core.permutation import (
     compact_position_dtype,
     decode_permutations,
+    decode_positions,
     encode_permutations,
 )
 from repro.core.storage import (
@@ -53,7 +54,7 @@ from repro.core.storage import (
     PayloadCorruptError,
     bits_full_permutation,
 )
-from repro.index.distperm import DistPermIndex
+from repro.index.distperm import DistPermIndex, _column_major_positions
 from repro.index.sharded import ShardedIndex
 from repro.metrics.base import Metric
 
@@ -200,7 +201,6 @@ def _open_codes(
     k: int,
     shard: Optional[str],
     cache_bytes: Optional[int],
-    block_elements: Optional[int],
 ) -> MappedCodeStore:
     """Map one packed code section after checking its pack width."""
     bit_width = int(section["bit_width"])
@@ -211,15 +211,14 @@ def _open_codes(
             f"{expected_width}-bit Corollary-8 width for k={k}",
             shard=shard,
         )
-    if block_elements is None and cache_bytes is not None:
+    store_kwargs: Dict[str, int] = {}
+    if cache_bytes is not None:
         # A tight budget should still retain whole blocks — k position
         # bytes per element — so shrink the block to fit it.
         row_bytes = k * compact_position_dtype(k).itemsize
-        block_elements = max(8, min(8192, int(cache_bytes) // row_bytes // 8 * 8))
-    store_kwargs: Dict[str, int] = {}
-    if block_elements is not None:
-        store_kwargs["block_elements"] = int(block_elements)
-    if cache_bytes is not None:
+        store_kwargs["block_elements"] = max(
+            8, min(8192, int(cache_bytes) // row_bytes // 8 * 8)
+        )
         store_kwargs["cache_bytes"] = int(cache_bytes)
     return MappedCodeStore(
         path,
@@ -265,7 +264,6 @@ def _restore(
     shard: Optional[str],
     backing: str,
     cache_bytes: Optional[int],
-    block_elements: Optional[int],
 ) -> DistPermIndex:
     """Rebuild payload entry ``j`` as a DistPermIndex, without build
     distances.
@@ -307,25 +305,27 @@ def _restore(
     index._site_indices = site_indices
     index.site_indices = list(site_indices)
     index.sites = [points[i] for i in site_indices]
+    index._footrule_workspace = {}
     if "codes" not in entry:
         if backing == "mmap":
             raise ValueError(
                 f"k={k} exceeds the packed-code window; "
                 "matrix payloads load RAM-backed only"
             )
-        perms = _read_matrix(path, header, entry["matrix"], shard)
-        codes = encode_permutations(perms.astype(np.int64))
+        perms = _read_matrix(path, header, entry["matrix"], shard).astype(
+            np.int64
+        )
+        index.codes = encode_permutations(perms)
+        index._perm_positions = _column_major_positions(perms)
     else:
         store = _open_codes(
-            path, header, entry["codes"], count, k, shard,
-            cache_bytes, block_elements,
+            path, header, entry["codes"], count, k, shard, cache_bytes
         )
         if backing == "mmap":
             # The section stays on disk; queries decode it block by
             # block through the store's budgeted position cache.
             index._backing = "mmap"
             index._code_store = store
-            index._footrule_workspace = {}
         else:
             codes = np.empty(count, dtype=np.uint64)
             try:
@@ -333,14 +333,10 @@ def _restore(
                     codes[start:stop] = block
             finally:
                 store.close()
-    if backing == "ram":
-        index.codes = codes
-        index.table_codes, index.ids = np.unique(codes, return_inverse=True)
-        index.table = decode_permutations(index.table_codes, k)
-        # Rebuild the derived caches of _build (the batched knn_approx
-        # path reads _perm_positions; loading must leave no attribute
-        # behind).
-        index._cache_perm_positions()
+            index.codes = codes
+            # The column-major rank positions _build leaves behind,
+            # unranked straight from the codes.
+            index._perm_positions = decode_positions(codes, k)
     # Consistency check: the first site's own permutation must rank that
     # site at distance zero, i.e. begin with the lowest-index zero-distance
     # site — cheap evidence the database matches the payload.  On mmap,
@@ -351,9 +347,9 @@ def _restore(
         derived = index.query_permutation(points[probe])
         if backing == "mmap":
             code = np.asarray([store.element(probe)], dtype=np.uint64)
-            stored = decode_permutations(code, k)[0]
         else:
-            stored = index.table[index.ids[probe]]
+            code = index.codes[probe : probe + 1]
+        stored = decode_permutations(code, k)[0]
         if not np.array_equal(derived, stored):
             raise ValueError(
                 "database does not match payload (permutation probe failed)"
@@ -376,7 +372,6 @@ def load_distperm(
     *,
     backing: str = "ram",
     cache_bytes: Optional[int] = None,
-    block_elements: Optional[int] = None,
 ) -> DistPermIndex:
     """Reconstruct a DistPermIndex from a saved payload.
 
@@ -385,8 +380,9 @@ def load_distperm(
     detected by re-deriving one site permutation and comparing.
 
     ``backing="mmap"`` maps the packed code section instead of decoding
-    it into RAM; ``cache_bytes`` / ``block_elements`` tune the
-    decoded-position cache (:class:`~repro.core.storage.MappedCodeStore`).
+    it into RAM; ``cache_bytes`` budgets the decoded-position cache
+    (:class:`~repro.core.storage.MappedCodeStore`), whose blocks shrink
+    so that a small budget still retains whole ones.
     """
     return _restore(
         path,
@@ -397,7 +393,6 @@ def load_distperm(
         shard=None,
         backing=backing,
         cache_bytes=cache_bytes,
-        block_elements=block_elements,
     )
 
 
@@ -430,14 +425,13 @@ def load_shard(
     *,
     backing: str = "ram",
     cache_bytes: Optional[int] = None,
-    block_elements: Optional[int] = None,
 ) -> DistPermIndex:
     """Load shard ``shard`` of a sharded payload file as its inner index.
 
     The load primitive behind pinned-worker (re)spawns: ``points`` is
     the shard's own slice of the database, and only the header and this
     shard's section are read — never the other shards or the database.
-    ``backing`` / ``cache_bytes`` / ``block_elements`` are those of
+    ``backing`` / ``cache_bytes`` are those of
     :func:`load_sharded`.  Corrupt shard data raises
     :class:`PayloadCorruptError` naming shard ``s<shard>``.
     """
@@ -453,7 +447,6 @@ def load_shard(
         shard=f"s{shard}",
         backing=backing,
         cache_bytes=cache_bytes,
-        block_elements=block_elements,
     )
 
 
@@ -469,7 +462,6 @@ def load_sharded(
     budget_split: str = "auto",
     backing: str = "ram",
     cache_bytes: Optional[int] = None,
-    block_elements: Optional[int] = None,
 ) -> ShardedIndex:
     """Reconstruct a sharded permutation index from a saved payload.
 
@@ -490,7 +482,7 @@ def load_sharded(
     ``backing="mmap"`` maps every shard's code section instead of
     decoding it, and the pinned workers inherit the mode — a respawned
     worker re-maps its shard instead of re-reading it.  ``cache_bytes``
-    / ``block_elements`` tune each shard's decoded-position cache.
+    budgets each shard's decoded-position cache.
     """
     header = _read_header(path, "sharded")
     offsets = [int(v) for v in header["offsets"]]
@@ -511,7 +503,6 @@ def load_sharded(
     index._payload_path = os.fspath(path)
     index._payload_backing = backing
     index._payload_cache_bytes = cache_bytes
-    index._payload_block_elements = block_elements
     index.shard_offsets = offsets
     index.shards = [
         _restore(
@@ -523,7 +514,6 @@ def load_sharded(
             shard=f"s{j}",
             backing=backing,
             cache_bytes=cache_bytes,
-            block_elements=block_elements,
         )
         for j in range(n_shards)
     ]

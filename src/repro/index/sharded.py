@@ -188,7 +188,6 @@ class ShardedIndex(Index):
         #: packed code section: decoded in RAM or memory-mapped.
         self._payload_backing: str = "ram"
         self._payload_cache_bytes: Optional[int] = None
-        self._payload_block_elements: Optional[int] = None
 
     # ------------------------------------------------------------------
     # Build.
@@ -298,7 +297,6 @@ class ShardedIndex(Index):
                     raw_metric,
                     backing=self._payload_backing,
                     cache_bytes=self._payload_cache_bytes,
-                    block_elements=self._payload_block_elements,
                 )
                 for s in range(self.n_shards)
             ]

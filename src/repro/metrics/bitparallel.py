@@ -158,7 +158,7 @@ def _scatter_or(flat_index: np.ndarray, bits: np.ndarray, size: int) -> np.ndarr
     return (hi.astype(np.uint64) << _U32) | lo.astype(np.uint64)
 
 
-def _distinct_codes(flat_codes: np.ndarray) -> np.ndarray:
+def _code_point_alphabet(flat_codes: np.ndarray) -> np.ndarray:
     """Sorted distinct code points of a flat code array.
 
     A presence bitmap below :data:`_LUT_MAX_CODE` (O(chars), sort-free —
@@ -507,7 +507,7 @@ class MyersPatterns:
             if codes.size
             else np.empty(0, dtype=codes.dtype)
         )
-        alphabet = _distinct_codes(flat_codes)
+        alphabet = _code_point_alphabet(flat_codes)
         max_code = int(alphabet[-1]) if alphabet.size else 0
         if max_code < _LUT_MAX_CODE:
             # Lookup-table remap with one sentinel zero entry past the
@@ -679,7 +679,7 @@ class TextColumns:
         )
         self.order = np.argsort(key, kind="stable")
         self.lengths = lengths[self.order]
-        self.alphabet = _distinct_codes(codes.reshape(-1))
+        self.alphabet = _code_point_alphabet(codes.reshape(-1))
         n_syms = self.alphabet.shape[0]
         dtype = np.min_scalar_type(max(n_syms - 1, 0))
         if n_syms and int(self.alphabet[-1]) < _LUT_MAX_CODE:

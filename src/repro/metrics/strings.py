@@ -10,7 +10,10 @@ All three metrics share the :class:`StringMetric` batched-kernel wiring:
 ``pairwise``) encodes each collection once into padded code-point
 matrices (:mod:`repro.metrics.encoding`) and computes whole distance
 matrices vectorized, falling back to the scalar loop only for
-non-string inputs.
+non-string inputs.  The scalar :func:`levenshtein` is one routine: the
+Myers bit-vector recurrence on Python ints after affix stripping, exact
+at every length; the two-row Python DP (``_levenshtein_python``) is kept
+only as the test oracle.
 """
 
 from __future__ import annotations
@@ -40,18 +43,14 @@ __all__ = [
     "HammingDistance",
 ]
 
-#: Beyond one 64-bit word the scalar path would need blocked carries;
-#: the batched kernels cover that shape, so scalar falls back to the
-#: numpy row DP.
-_MYERS_MAX_LEN = 64
-
-
 def _levenshtein_myers(a: str, b: str) -> int:
-    """Single-pair Myers bit-vector DP; ``len(b) <= 64`` (one word).
+    """Single-pair Myers bit-vector DP, exact at any pattern length.
 
     The scalar twin of :mod:`repro.metrics.bitparallel`: the pattern
-    ``b`` lives in one Python int per bitmask and each character of
-    ``a`` advances a whole DP column in ~15 int ops.  Exact for any
+    ``b`` (non-empty) lives in one Python int per bitmask and each
+    character of ``a`` advances a whole DP column in ~15 int ops.  Python
+    ints are arbitrary-precision, so a pattern past one 64-bit word needs
+    no blocked carries — the big-int ops carry for it.  Exact for any
     alphabet — ``Peq`` is a dict keyed by character.
     """
     m = len(b)
@@ -81,8 +80,8 @@ def _levenshtein_myers(a: str, b: str) -> int:
 
 
 def _levenshtein_python(a: str, b: str) -> int:
-    """Classic two-row Wagner–Fischer DP: the reference the fast paths
-    are tested against."""
+    """Classic two-row Wagner–Fischer DP: the oracle the Myers paths are
+    tested against."""
     if len(a) < len(b):
         a, b = b, a
     # b is the shorter string; the DP row has len(b) + 1 entries.
@@ -98,40 +97,14 @@ def _levenshtein_python(a: str, b: str) -> int:
     return previous[-1]
 
 
-def _levenshtein_numpy(a: str, b: str) -> int:
-    """Row-vectorized Wagner–Fischer for long strings (gene sequences).
-
-    The insertion dependency within a row is resolved with the standard
-    prefix-minimum trick: ``row[j] = min_i<=j (t[i] + (j - i))`` equals
-    ``j + cummin(t[i] - i)`` where ``t`` is the row before applying
-    left-to-right insertions.
-    """
-    if len(a) < len(b):
-        a, b = b, a
-    an = np.frombuffer(a.encode("utf-32-le"), dtype=np.uint32)
-    bn = np.frombuffer(b.encode("utf-32-le"), dtype=np.uint32)
-    m = bn.size
-    offsets = np.arange(m + 1, dtype=np.int64)
-    previous = offsets.copy()
-    for i, ca in enumerate(an, start=1):
-        sub = previous[:-1] + (bn != ca)
-        dele = previous[1:] + 1
-        t = np.empty(m + 1, dtype=np.int64)
-        t[0] = i
-        np.minimum(sub, dele, out=t[1:])
-        # Resolve insertions: row[j] = min(t[j], min_{i<j} t[i] + (j-i)).
-        previous = np.minimum.accumulate(t - offsets) + offsets
-    return int(previous[-1])
-
-
 def levenshtein(a: str, b: str, max_distance: Optional[int] = None) -> int:
     """Return the Levenshtein edit distance between two strings.
 
-    Uses the scalar Myers bit-vector DP when the shorter side fits one
-    64-bit word and a numpy-vectorized row DP beyond that, both computing
-    the exact unit-cost insert/delete/substitute distance.  The DP only
-    ever sees the middle of the strings: the common prefix and suffix are
-    stripped first, since an optimal edit script never touches them.
+    Runs the scalar Myers bit-vector DP on Python ints, exact unit-cost
+    insert/delete/substitute distance at any length.  The DP only ever
+    sees the middle of the strings: the common prefix and suffix are
+    stripped first, since an optimal edit script never touches them, and
+    the shorter remainder becomes the pattern.
 
     ``max_distance`` enables the ``|len(a) - len(b)|`` lower-bound
     short-circuit: when the length gap alone exceeds the bound, that gap
@@ -161,9 +134,7 @@ def levenshtein(a: str, b: str, max_distance: Optional[int] = None) -> int:
     if len(b) > len(a):
         a, b = b, a
     # b is now the shorter string — the Myers pattern.
-    if len(b) <= _MYERS_MAX_LEN:
-        return _levenshtein_myers(a, b)
-    return _levenshtein_numpy(a, b)
+    return _levenshtein_myers(a, b)
 
 
 def longest_common_prefix(a: str, b: str) -> int:

@@ -281,7 +281,6 @@ class FileShardSource:
         metric: Any,
         backing: str = "ram",
         cache_bytes: Any = None,
-        block_elements: Any = None,
     ):
         self.path = path
         self.shard = shard
@@ -291,7 +290,6 @@ class FileShardSource:
         self.metric = metric
         self.backing = backing
         self.cache_bytes = cache_bytes
-        self.block_elements = block_elements
 
     def load(self):
         from repro.index.serialize import load_shard
@@ -303,7 +301,6 @@ class FileShardSource:
             self.metric,
             backing=self.backing,
             cache_bytes=self.cache_bytes,
-            block_elements=self.block_elements,
         )
 
 

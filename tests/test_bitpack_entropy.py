@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.bitpack import PackedPermutationStore, pack_ids, unpack_ids
+from repro.core.bitpack import bits_for_count, pack_ids, unpack_ids
 from repro.core.entropy import empirical_entropy_bits, entropy_report
+from repro.core.estimate import StreamingCensus
+from repro.core.permutation import decode_permutations, encode_permutations
 
 
 class TestPackUnpack:
@@ -161,49 +163,49 @@ class TestWordWindowKernels:
 
 
 class TestPackedStore:
+    """Corollary 8's table encoding from its parts: a census's sorted
+    distinct codes are the table, and per-element ids into it pack at
+    ``bits_for_count(N) = ceil(lg N)`` bits."""
+
     @pytest.fixture
     def perms(self, rng):
         return np.array([rng.permutation(6) for _ in range(300)])
 
+    @staticmethod
+    def _table_and_ids(perms):
+        census = StreamingCensus()
+        census.update(perms)
+        ids = np.searchsorted(census.codes, encode_permutations(perms))
+        return census, ids
+
     def test_roundtrip(self, perms):
-        store = PackedPermutationStore.from_permutations(perms)
-        np.testing.assert_array_equal(store.permutations(), perms)
-
-    def test_random_access(self, perms):
-        store = PackedPermutationStore.from_permutations(perms)
-        for i in (0, 7, 150, 299):
-            assert store[i] == tuple(int(v) for v in perms[i])
-
-    def test_index_error(self, perms):
-        store = PackedPermutationStore.from_permutations(perms)
-        with pytest.raises(IndexError):
-            store[300]
+        census, ids = self._table_and_ids(perms)
+        width = bits_for_count(census.distinct)
+        unpacked = unpack_ids(pack_ids(ids, width), width, len(perms))
+        table = decode_permutations(census.codes, perms.shape[1])
+        np.testing.assert_array_equal(table[unpacked.astype(np.int64)], perms)
 
     def test_bit_width_is_log_of_table(self, perms):
-        store = PackedPermutationStore.from_permutations(perms)
+        census, _ = self._table_and_ids(perms)
         n_unique = np.unique(perms, axis=0).shape[0]
-        assert store.bit_width == math.ceil(math.log2(n_unique))
+        assert census.distinct == n_unique
+        assert bits_for_count(census.distinct) == math.ceil(math.log2(n_unique))
 
     def test_single_permutation_database(self):
         perms = np.tile(np.arange(5), (50, 1))
-        store = PackedPermutationStore.from_permutations(perms)
-        assert store.bit_width == 0
-        assert store.payload_bytes() == 0
-        assert store[49] == (0, 1, 2, 3, 4)
-        np.testing.assert_array_equal(store.permutations(), perms)
+        census, ids = self._table_and_ids(perms)
+        width = bits_for_count(census.distinct)
+        assert width == 0
+        assert pack_ids(ids, width) == b""
+        np.testing.assert_array_equal(unpack_ids(b"", 0, 50), np.zeros(50))
+        assert census.counts.tolist() == [50]
 
     def test_payload_smaller_than_naive(self, perms):
-        """The measured packed payload beats byte-per-entry storage."""
-        store = PackedPermutationStore.from_permutations(perms)
+        """The packed ids beat byte-per-entry storage."""
+        census, ids = self._table_and_ids(perms)
+        packed = pack_ids(ids, bits_for_count(census.distinct))
         naive_bytes = perms.size  # one byte per permutation entry
-        assert store.payload_bytes() < naive_bytes
-
-    def test_len(self, perms):
-        assert len(PackedPermutationStore.from_permutations(perms)) == 300
-
-    def test_rejects_bad_shape(self):
-        with pytest.raises(ValueError):
-            PackedPermutationStore.from_permutations(np.arange(5))
+        assert len(packed) < naive_bytes
 
 
 class TestEntropy:
@@ -231,14 +233,22 @@ class TestEntropy:
 
     def test_report_fields(self, rng):
         ids = rng.integers(0, 10, size=500)
-        report = entropy_report(ids)
+        _, counts = np.unique(ids, return_counts=True)
+        report = entropy_report(counts)
         assert report.n == 500
         assert report.distinct == len(np.unique(ids))
+        assert report.entropy_bits == empirical_entropy_bits(ids)
         assert 0.0 <= report.savings_fraction < 1.0
         assert "savings" in report.as_row()
 
+    def test_report_rejects_empty_or_zero_counts(self):
+        with pytest.raises(ValueError):
+            entropy_report([])
+        with pytest.raises(ValueError):
+            entropy_report([3, 0])
+
     def test_report_single_value(self):
-        report = entropy_report([0] * 10)
+        report = entropy_report([10])
         assert report.fixed_bits == 0
         assert report.entropy_bits == 0.0
         assert report.savings_fraction == 0.0

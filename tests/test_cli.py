@@ -254,6 +254,38 @@ class TestParallelFlags:
         parallel = capsys.readouterr().out
         assert serial == parallel
 
+    @pytest.mark.parametrize("kind, metric", [
+        ("vectors", "l1"), ("strings", "levenshtein"),
+    ])
+    def test_census_paths_agree(self, tmp_path, capsys, rng, kind, metric):
+        """Serial, pooled and disk-streamed censuses print the same
+        report; serial and sharded dumps are the same bytes."""
+        path = tmp_path / "db.txt"
+        if kind == "vectors":
+            # An integer grid: heavy distance ties under L1.
+            save_vectors(path, rng.integers(0, 4, size=(900, 3)).astype(float))
+        else:
+            save_strings(path, ["".join("acgt"[i] for i in rng.integers(
+                0, 4, size=rng.integers(2, 7))) for _ in range(600)])
+        argv = ["census", "--input", str(path), "--kind", kind,
+                "--metric", metric, "--sites", "6", "--seed", "3",
+                "--report-storage"]
+        reports = []
+        for flags in ([], ["--workers", "2"], ["--chunk-rows", "170"]):
+            assert main(argv + flags) == 0
+            reports.append(capsys.readouterr().out.splitlines())
+        serial = reports[0]
+        assert "streamed 170 rows/chunk" in reports[2][0]
+        for report in reports[1:]:
+            assert report[1:] == serial[1:]
+        dumps = []
+        for flags in ([], ["--shards", "2"]):
+            dump = tmp_path / f"perms{len(dumps)}.txt"
+            assert main(argv + flags + ["--dump", str(dump)]) == 0
+            capsys.readouterr()
+            dumps.append(dump.read_bytes())
+        assert dumps[0] == dumps[1]
+
     def test_invalid_flags_report_errors(self, tmp_path, capsys, rng):
         path = tmp_path / "vectors.txt"
         save_vectors(path, rng.random((30, 2)))

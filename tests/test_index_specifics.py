@@ -9,11 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.estimate import StreamingCensus
 from repro.core.permutation import (
     compact_footrule_dtype,
     count_distinct_permutations,
+    decode_permutations,
     distance_permutations,
     footrule_matrix_batch,
+    permutation_positions,
     spearman_footrule,
 )
 from repro.index import (
@@ -28,7 +31,9 @@ from repro.index import distperm
 from repro.index.batching import scan_knn, smallest_k_indices, take_points
 from repro.index.distperm import _budget_candidates
 from repro.index.pivots import select_pivots
+from repro.index.serialize import load_distperm, save_distperm
 from repro.metrics import EuclideanDistance, LevenshteinDistance
+from repro.parallel.census import sharded_census
 
 
 @pytest.fixture(scope="module")
@@ -156,10 +161,17 @@ class TestDistPermIndex:
         assert index.n_sites == 3
 
     def test_ids_reconstruct_permutations(self, database):
+        """The census is Corollary 8's table: ids into its sorted codes
+        rebuild every stored permutation, and count its multiplicities."""
         index = DistPermIndex(database, EuclideanDistance(), n_sites=5,
                               rng=np.random.default_rng(7))
+        census = index.census()
+        ids = np.searchsorted(census.codes, index.codes)
+        table = decode_permutations(census.codes, index.n_sites)
+        np.testing.assert_array_equal(table[ids], index.permutations)
+        np.testing.assert_array_equal(np.bincount(ids), census.counts)
         np.testing.assert_array_equal(
-            index.table[index.ids], index.permutations
+            index._perm_positions, permutation_positions(index.permutations)
         )
 
     def test_storage_report_uses_measured_census(self, database):
@@ -485,9 +497,11 @@ class TestDistPermAddPoints:
 
     def _assert_equivalent(self, grown, fresh):
         np.testing.assert_array_equal(grown.codes, fresh.codes)
-        np.testing.assert_array_equal(grown.table_codes, fresh.table_codes)
-        np.testing.assert_array_equal(grown.ids, fresh.ids)
-        np.testing.assert_array_equal(grown.table, fresh.table)
+        grown_census, fresh_census = grown.census(), fresh.census()
+        np.testing.assert_array_equal(grown_census.codes, fresh_census.codes)
+        np.testing.assert_array_equal(
+            grown_census.counts, fresh_census.counts
+        )
         np.testing.assert_array_equal(
             grown._perm_positions, fresh._perm_positions
         )
@@ -519,6 +533,18 @@ class TestDistPermAddPoints:
                               rng=np.random.default_rng(23))
         index.add_points(words[100:])
         fresh = DistPermIndex(words, LevenshteinDistance(),
+                              site_indices=index.site_indices)
+        self._assert_equivalent(index, fresh)
+
+    def test_bare_string_is_one_point(self):
+        words = ["apple", "lime", "lemon", "melon", "grape", "pear"]
+        index = DistPermIndex(words, LevenshteinDistance(), n_sites=3,
+                              rng=np.random.default_rng(29))
+        index.add_points("plum")
+        assert len(index.points) == len(words) + 1
+        assert index.points[-1] == "plum"
+        assert index.codes.shape == (len(words) + 1,)
+        fresh = DistPermIndex(words + ["plum"], LevenshteinDistance(),
                               site_indices=index.site_indices)
         self._assert_equivalent(index, fresh)
 
@@ -569,3 +595,57 @@ class TestDistPermAddPoints:
                               rng=np.random.default_rng(28))
         with pytest.raises(ValueError):
             index.add_points(np.zeros((2, database.shape[1] + 1)))
+
+
+def _census_database(kind):
+    rng = np.random.default_rng(31)
+    if kind == "vectors":
+        return rng.random((500, 3)), EuclideanDistance(), 6
+    words = [
+        "".join("abcd"[i] for i in rng.integers(0, 4, size=length))
+        for length in rng.integers(3, 8, size=300)
+    ]
+    return words, LevenshteinDistance(), 5
+
+
+class TestDistPermCensus:
+    """One census, however the index came to hold its codes, checked
+    against paths that never touch the index."""
+
+    @pytest.mark.parametrize("kind", ["vectors", "strings"])
+    @pytest.mark.parametrize("backing", ["ram", "mmap"])
+    @pytest.mark.parametrize("state", ["fresh", "loaded", "grown"])
+    def test_census_agrees_with_independent_paths(
+        self, tmp_path, kind, backing, state
+    ):
+        points, metric, k = _census_database(kind)
+        cut = len(points) * 2 // 3
+        grown = DistPermIndex(points[:cut], metric, n_sites=k,
+                              rng=np.random.default_rng(32))
+        grown.add_points(points[cut:])
+        fresh = DistPermIndex(points, metric,
+                              site_indices=grown.site_indices)
+        index = {"fresh": fresh, "grown": grown}.get(state)
+        if state == "loaded":
+            save_distperm(tmp_path / "first.rpc", fresh)
+            index = load_distperm(tmp_path / "first.rpc", points, metric)
+        if backing == "mmap":
+            save_distperm(tmp_path / "index.rpc", index)
+            index = load_distperm(tmp_path / "index.rpc", points, metric,
+                                  backing="mmap", cache_bytes=1024)
+        try:
+            assert index.backing == backing
+            census = index.census()
+            oracle = StreamingCensus()
+            oracle.update(index.permutations)
+            np.testing.assert_array_equal(census.codes, oracle.codes)
+            np.testing.assert_array_equal(census.counts, oracle.counts)
+            assert census.total == len(points)
+            (by_distances, _) = sharded_census(
+                points, [points[i] for i in index.site_indices], metric, [k]
+            )
+            assert index.unique_permutations() == by_distances[k].distinct
+            assert index.entropy() == fresh.entropy()
+            assert index.storage() == fresh.storage()
+        finally:
+            index.close()

@@ -16,7 +16,7 @@ from repro.metrics import (
     longest_common_prefix,
     prefix_distance,
 )
-from repro.metrics.strings import _levenshtein_numpy, _levenshtein_python
+from repro.metrics.strings import _levenshtein_myers, _levenshtein_python
 
 short_text = st.text(alphabet="abcd", max_size=12)
 long_text = st.text(alphabet="acgt", min_size=30, max_size=80)
@@ -66,8 +66,9 @@ class TestLevenshtein:
 
     @given(long_text, long_text)
     @settings(max_examples=30, deadline=None)
-    def test_numpy_path_matches_python_path(self, a, b):
-        assert _levenshtein_numpy(a, b) == _levenshtein_python(a, b)
+    def test_myers_path_matches_python_path(self, a, b):
+        # 30-80 symbols: one-word and multi-word big-int patterns alike.
+        assert _levenshtein_myers(a, b) == _levenshtein_python(a, b)
 
     @given(short_text, short_text)
     @settings(max_examples=100, deadline=None)

@@ -546,12 +546,14 @@ class TestDecodeOnceScan:
         save_distperm(path, index)
         return points, path
 
-    def _mapped(self, path, points, **kwargs):
-        kwargs.setdefault("block_elements", self.BLOCK)
-        kwargs.setdefault("cache_bytes", 2 * self.BLOCK_BYTES)
-        return load_distperm(
-            path, points, EuclideanDistance(), backing="mmap", **kwargs
+    def _mapped(self, path, points):
+        # A budget of one block's positions derives blocks of BLOCK codes.
+        mapped = load_distperm(
+            path, points, EuclideanDistance(), backing="mmap",
+            cache_bytes=self.BLOCK_BYTES,
         )
+        assert mapped.code_store.block_elements == self.BLOCK
+        return mapped
 
     def test_flipped_page_raises_on_first_touch_by_a_batch(
         self, tmp_path, rng
@@ -577,11 +579,11 @@ class TestDecodeOnceScan:
             assert str(error).startswith(
                 "corrupt payload [unsharded payload, byte offset 400]"
             )
-            # Reached through the positions path, inside a tile: the two
-            # clean blocks before it were retained, the corrupt one never
+            # Reached through the positions path, inside a tile: the first
+            # clean block before it was retained, the corrupt one never
             # is, so the next batch trips over it again.
             store = mapped.code_store
-            assert store.current_cache_bytes == 2 * self.BLOCK_BYTES
+            assert store.current_cache_bytes == self.BLOCK_BYTES
             with pytest.raises(PayloadCorruptError, match="element 320"):
                 mapped.knn_approx_batch_arrays(points[:3], 2, 50)
             with pytest.raises(PayloadCorruptError, match="element 320"):
@@ -606,7 +608,7 @@ class TestDecodeOnceScan:
         _smash(path, section + 200)  # element 160, block 2
         loaded = load_sharded(
             path, points, metric, resident=True, backing="mmap",
-            cache_bytes=2 * self.BLOCK * 8, block_elements=self.BLOCK,
+            cache_bytes=self.BLOCK_BYTES,
         )
         try:
             with pytest.raises(RuntimeError) as excinfo:
@@ -640,12 +642,12 @@ class TestDecodeOnceScan:
             for batches in (1, 2):
                 got = mapped.knn_approx_batch_arrays(queries, 3, 40)
                 # Sixteen blocks are scanned once per chunk, never once
-                # per query.  The first two fit the cache and are decoded
-                # once in the index's lifetime; the other fourteen are
+                # per query.  The first fits the cache and is decoded
+                # once in the index's lifetime; the other fifteen are
                 # decoded once per chunk.
                 scans = chunks * batches
-                assert store.cache_misses == 2 + 14 * scans
-                assert store.cache_hits == 2 * (scans - 1)
+                assert store.cache_misses == 1 + 15 * scans
+                assert store.cache_hits == scans - 1
                 assert _columns(got) == _columns(
                     ram.knn_approx_batch_arrays(queries, 3, 40)
                 )
@@ -653,7 +655,7 @@ class TestDecodeOnceScan:
                 mapped.query_footrules(queries, 25),
                 ram.query_footrules(queries, 25),
             )
-            assert store.peak_cache_bytes == 2 * self.BLOCK_BYTES
+            assert store.peak_cache_bytes == self.BLOCK_BYTES
             assert store.peak_cache_bytes <= store.cache_bytes
         finally:
             mapped.close()

@@ -434,8 +434,15 @@ class TestCodeBackedSerialization:
         save_distperm(path, index)
         loaded = load_distperm(path, points, EuclideanDistance())
         np.testing.assert_array_equal(loaded.codes, index.codes)
-        np.testing.assert_array_equal(loaded.table_codes, index.table_codes)
-        np.testing.assert_array_equal(loaded.ids, index.ids)
+        assert loaded._perm_positions.tobytes(order="A") == (
+            index._perm_positions.tobytes(order="A")
+        )
+        assert loaded._perm_positions.flags.f_contiguous
+        loaded_census, built_census = loaded.census(), index.census()
+        np.testing.assert_array_equal(loaded_census.codes, built_census.codes)
+        np.testing.assert_array_equal(
+            loaded_census.counts, built_census.counts
+        )
         np.testing.assert_array_equal(loaded.permutations, index.permutations)
 
     def test_payload_hits_corollary8_bits(self, tmp_path, rng):

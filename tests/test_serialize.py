@@ -365,6 +365,11 @@ class TestV2Conversion:
         path = _converted(tmp_path, index)
         loaded = load_distperm(path, points, EuclideanDistance())
         np.testing.assert_array_equal(loaded.permutations, index.permutations)
+        # Positions come from inverting the matrix just read.
+        assert loaded._perm_positions.flags.f_contiguous
+        np.testing.assert_array_equal(
+            loaded._perm_positions, index._perm_positions
+        )
         with pytest.raises(ValueError, match="RAM-backed only"):
             load_distperm(path, points, EuclideanDistance(), backing="mmap")
 
@@ -399,9 +404,10 @@ class TestV3Payloads:
         ram = load_distperm(path, points, EuclideanDistance())
         mapped = load_distperm(
             path, points, EuclideanDistance(), backing="mmap",
-            cache_bytes=4096, block_elements=64,
+            cache_bytes=448,  # 448 B / (7 bytes per element) = 64
         )
         try:
+            assert mapped.code_store.block_elements == 64
             assert mapped.backing == "mmap"
             assert ram.backing == "ram"
             queries = rng.random((6, 3))
@@ -420,7 +426,9 @@ class TestV3Payloads:
                 mapped.permutations, ram.permutations
             )
             assert mapped.unique_permutations() == ram.unique_permutations()
-            assert mapped.packed().packed == ram.packed().packed
+            assert mapped._materialized_codes().tobytes() == (
+                ram.codes.tobytes()
+            )
         finally:
             mapped.close()
 
@@ -430,7 +438,7 @@ class TestV3Payloads:
         save_distperm(path, index)
         mapped = load_distperm(
             path, points, EuclideanDistance(), backing="mmap",
-            cache_bytes=2048, block_elements=64,
+            cache_bytes=2048,
         )
         try:
             store = mapped.code_store
