@@ -23,6 +23,15 @@ metric's ``to_sites_compact`` columns — byte-wide column compares, no
 sort) against the route it replaced, stable argsort +
 ``prefix_permutation_codes``, with identical per-width counts asserted.
 
+A fourth row times how the *index* makes its codes and rank positions
+(``index_codes_speedup``): the pair-compare kernel
+(:func:`~repro.core.permutation.ranks_from_distances`) over the metric's
+``to_sites_compact`` row blocks, the way ``site_ranks`` feeds a
+``DistPermIndex`` build, against the route it replaced — stable argsort
+of the float64 matrix, ``permutation_positions`` into the column-major
+``uint8`` layout, ``encode_permutations`` — with equal positions and
+codes asserted.
+
 Workloads: the paper's headline dictionary-Levenshtein database (n=10k,
 k=8 sites — the acceptance workload) and an 8-d Euclidean control with
 k=12.  Distances and permutations are computed once, untimed: the bench
@@ -34,7 +43,7 @@ isolates census/merge/prefix work from the metric kernels measured by
 
 Whenever both engines run (always), the code engine must win the
 combined census+merge time, restriction must beat the per-width
-``np.unique`` loop, and the from-distances engine must beat argsort +
+``np.unique`` loop, and both from-distances kernels must beat argsort +
 encode, or the bench exits nonzero; the full run additionally asserts
 the >= 5x floor on the dictionary workload.
 """
@@ -56,9 +65,13 @@ import numpy as np  # noqa: E402
 
 from repro.core.estimate import StreamingCensus  # noqa: E402
 from repro.core.permutation import (  # noqa: E402
+    compact_position_dtype,
+    encode_permutations,
+    permutation_positions,
     permutations_from_distances,
     prefix_codes_from_distances,
     prefix_permutation_codes,
+    ranks_from_distances,
 )
 from repro.datasets.dictionaries import synthetic_dictionary  # noqa: E402
 from repro.datasets.vectors import uniform_vectors  # noqa: E402
@@ -202,9 +215,15 @@ def run_workload(name, points, metric, n_sites, rng):
     prefix_ks = list(range(3, n_sites + 1))
 
     # How the codes are made: the census's own input (the metric's
-    # compact site columns) through the sort-free kernel, against a
-    # stable argsort of the float64 matrix + codes from the permutations.
-    compact = metric.to_sites_compact(points, sites)
+    # compact site columns, its row blocks stacked) through the sort-free
+    # kernel, against a stable argsort of the float64 matrix + codes from
+    # the permutations.
+    blocks = list(metric.to_sites_compact(points, sites))
+    compact = (
+        blocks[0][2]
+        if len(blocks) == 1
+        else np.concatenate([block for _, _, block in blocks])
+    )
     argsort_codes, t_argsort_encode = _best_of(
         lambda: prefix_permutation_codes(
             permutations_from_distances(distances), prefix_ks
@@ -219,6 +238,33 @@ def run_workload(name, points, metric, n_sites, rng):
     for k in prefix_ks:
         if not np.array_equal(argsort_codes[k], distance_codes[k]):
             raise AssertionError(f"{name}: code engines disagree at k={k}")
+
+    # How the index makes its codes and positions: the pair kernel over
+    # the metric's row blocks (as site_ranks runs it), against argsort +
+    # inversion into the column-major layout + Lehmer encode.
+    layout = (n_sites, len(points))
+    position_dtype = compact_position_dtype(n_sites)
+
+    def index_by_argsort():
+        perms = permutations_from_distances(distances)
+        positions = np.empty(layout, dtype=position_dtype).T
+        permutation_positions(perms, out=positions)
+        return positions, encode_permutations(perms)
+
+    def index_by_kernel():
+        positions = np.empty(layout, dtype=position_dtype).T
+        codes = np.empty(len(points), dtype=np.uint64)
+        for start, stop, block in blocks:
+            ranks_from_distances(
+                block, positions=positions[start:stop], codes=codes[start:stop]
+            )
+        return positions, codes
+
+    argsort_index, t_index_argsort = _best_of(index_by_argsort, ENGINE_REPEATS)
+    kernel_index, t_index_kernel = _best_of(index_by_kernel, ENGINE_REPEATS)
+    for want, got in zip(argsort_index, kernel_index):
+        if want.dtype != got.dtype or not np.array_equal(want, got):
+            raise AssertionError(f"{name}: index code engines disagree")
 
     row_census, t_row = _best_of(lambda: _fold(RowViewCensus, perms))
     code_census, t_code = _best_of(lambda: _fold(StreamingCensus, perms))
@@ -282,6 +328,12 @@ def run_workload(name, points, metric, n_sites, rng):
         "codes_speedup": round(
             t_argsort_encode / max(1e-12, t_from_distances), 2
         ),
+        "index_codes_blocks": len(blocks),
+        "index_codes_argsort_s": round(t_index_argsort, 5),
+        "index_codes_kernel_s": round(t_index_kernel, 5),
+        "index_codes_speedup": round(
+            t_index_argsort / max(1e-12, t_index_kernel), 2
+        ),
     }
     print(
         f"{name}: census {t_row * 1e3:8.2f} ms rows -> "
@@ -292,7 +344,10 @@ def run_workload(name, points, metric, n_sites, rng):
         f"({result['prefix_restrict_speedup']}x over per-width unique), "
         f"codes {t_argsort_encode * 1e3:.2f} ms argsort+encode -> "
         f"{t_from_distances * 1e3:.2f} ms from distances "
-        f"({result['codes_speedup']}x) "
+        f"({result['codes_speedup']}x), "
+        f"index codes {t_index_argsort * 1e3:.2f} ms argsort+positions+"
+        f"encode -> {t_index_kernel * 1e3:.2f} ms pair kernel "
+        f"({result['index_codes_speedup']}x) "
         f"({result['distinct']} distinct)"
     )
     return result
@@ -384,6 +439,13 @@ def main(argv=None):
                 f"FAIL: {workload['dataset']} codes from distances "
                 f"{workload['codes_speedup']}x is not faster than "
                 f"argsort + encode"
+            )
+            return 1
+        if workload["index_codes_speedup"] <= 1.0:
+            print(
+                f"FAIL: {workload['dataset']} index codes and positions "
+                f"from the pair kernel {workload['index_codes_speedup']}x "
+                f"are not faster than argsort + positions + encode"
             )
             return 1
     if not args.smoke:

@@ -69,6 +69,8 @@ from repro.core.permutation import (
     permutation_unrank,
     prefix_codes_from_distances,
     prefix_permutation_codes,
+    ranks_from_distances,
+    site_ranks,
     spearman_footrule,
     spearman_rho,
 )
@@ -104,6 +106,8 @@ __all__ = [
     "permutation_code_dtype",
     "prefix_codes_from_distances",
     "prefix_permutation_codes",
+    "ranks_from_distances",
+    "site_ranks",
     "chao1_estimate",
     "sampled_census_estimate",
     "arrangement_census",

@@ -21,10 +21,7 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.permutation import (
-    encode_permutations,
-    permutations_from_distances,
-)
+from repro.core.permutation import encode_permutations, site_ranks
 from repro.metrics.base import Metric
 
 __all__ = ["StreamingCensus", "chao1_estimate", "sampled_census_estimate"]
@@ -148,9 +145,14 @@ class StreamingCensus:
     def update_points(
         self, points: Sequence, sites: Sequence, metric: Metric
     ) -> None:
-        """Convenience: compute and fold a batch of database points."""
-        distances = metric.to_sites(points, sites)
-        self.update(permutations_from_distances(distances))
+        """Convenience: compute and fold a batch of database points.
+
+        The Lehmer codes come from the build's rank kernel
+        (:func:`~repro.core.permutation.site_ranks`), one metric row
+        block at a time, so a NaN distance raises ``ValueError``.
+        """
+        codes, _ = site_ranks(points, sites, metric)
+        self.update_codes(codes, len(sites))
 
     def merge(self, other: "StreamingCensus") -> "StreamingCensus":
         """Fold another census into this one, in place; returns ``self``.

@@ -6,30 +6,42 @@ increasing distance from ``y``, breaking ties by lower site index (the
 paper's Section 1 definition).  We represent ``Π_y`` 0-based: ``perm[r]``
 is the index of the ``(r+1)``-th closest site.
 
-Tie-breaking is implemented with a *stable* argsort, which reproduces the
-paper's rule exactly: among equal distances, the lower site index comes
-first.  This matters for discrete metrics such as edit distance where ties
-are pervasive.
+Among equal distances the lower site index comes first.  This matters
+for discrete metrics such as edit distance where ties are pervasive.
+Two routes apply the rule:
+
+- **The pair-compare kernel** (:func:`ranks_from_distances`, and the
+  census's :func:`prefix_codes_from_distances`) is every *bulk* route:
+  one whole-column ``d[s] <= d[m]`` per site pair ``s < m`` — ``<=``
+  against the lower-indexed site *is* the tie-break — and no sort.
+  :func:`site_ranks` feeds it the metric's own row blocks
+  (:meth:`~repro.metrics.base.Metric.to_sites_compact`), which is how
+  the index build, ``add_points``, the census and its ``--dump``
+  payload, and :meth:`~repro.core.estimate.StreamingCensus.update_points`
+  compute ``Π_y``.
+- **A stable argsort** (:func:`permutations_from_distances`) serves
+  small and scalar callers — query permutations, the Voronoi, truncated,
+  figure, pivot and counterexample experiments — and is the test oracle
+  the kernel is checked against.  It sorts NaN last; the kernel raises.
 
 The codec half of this module packs permutations into integer *codes*:
 :func:`encode_permutations` / :func:`decode_permutations` are batch
 Lehmer rank/unrank kernels (one ``uint64`` per permutation for
 ``k <= MAX_CODE_SITES``, since ``20! < 2**64``; exact arbitrary-precision
 Python ints in an object array beyond that), and
-:func:`prefix_codes_from_distances` derives, with no sort at all, an
-injective code for the distance permutation of *every* site prefix at
-once, straight from the distance columns
-(:func:`prefix_permutation_codes` is the same kernel fed with a
-permutation's ranks).  Codes are what the census, the sharded drivers,
-and the serialized index payloads operate on — dedup, merge, and IPC
-become flat 1-D integer operations instead of row-matrix ones.
+:func:`prefix_codes_from_distances` derives an injective code for the
+distance permutation of *every* site prefix at once, straight from the
+distance columns (:func:`prefix_permutation_codes` is the same kernel
+fed with a permutation's ranks).  Codes are what the census, the sharded
+drivers, and the serialized index payloads operate on — dedup, merge,
+and IPC become flat 1-D integer operations instead of row-matrix ones.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import Any, Dict, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterator, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -51,6 +63,8 @@ __all__ = [
     "workspace_buffer",
     "prefix_codes_from_distances",
     "prefix_permutation_codes",
+    "ranks_from_distances",
+    "site_ranks",
     "inverse_permutation",
     "permutation_positions",
     "footrule_matrix",
@@ -73,7 +87,8 @@ def permutations_from_distances(distances: np.ndarray) -> np.ndarray:
     ``distances`` has shape ``(n, k)``: row ``i`` holds the distances from
     point ``i`` to each of the ``k`` sites.  The result has the same shape
     and row ``i`` is ``Π`` for point ``i``.  Stable sorting implements the
-    lower-index tie-break.
+    lower-index tie-break; a NaN distance sorts after every number.
+    Bulk builds take :func:`site_ranks` instead, which never sorts.
     """
     distances = np.asarray(distances)
     if distances.ndim == 1:
@@ -363,6 +378,27 @@ def _rows_contiguous(rows: np.ndarray) -> bool:
     )
 
 
+def _positions_out(out: Optional[np.ndarray], n: int, k: int) -> np.ndarray:
+    """The ``(n, k)`` column-major rank-position target of a kernel call.
+
+    A fresh :func:`compact_position_dtype` matrix when ``out`` is None;
+    otherwise ``out`` itself, after checking the layout contract of
+    :func:`decode_positions`.
+    """
+    if out is None:
+        return np.empty((k, n), dtype=compact_position_dtype(k)).T
+    if out.shape != (n, k):
+        raise ValueError(f"out has shape {out.shape}, expected {(n, k)}")
+    if not _integer_dtype_holds(out.dtype, k - 1):
+        raise ValueError(f"out dtype {out.dtype} cannot hold ranks below {k}")
+    if not _rows_contiguous(out.T):
+        raise ValueError(
+            "out must be column-major: each row of out.T contiguous, "
+            "rows not overlapping"
+        )
+    return out
+
+
 def decode_positions(
     codes: np.ndarray, k: int, *, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
@@ -396,17 +432,7 @@ def decode_positions(
     """
     codes = _checked_codes(codes, k)
     n = codes.shape[0]
-    if out is None:
-        out = np.empty((k, n), dtype=compact_position_dtype(k)).T
-    elif out.shape != (n, k):
-        raise ValueError(f"out has shape {out.shape}, expected {(n, k)}")
-    elif not _integer_dtype_holds(out.dtype, k - 1):
-        raise ValueError(f"out dtype {out.dtype} cannot hold ranks below {k}")
-    elif not _rows_contiguous(out.T):
-        raise ValueError(
-            "out must be column-major: each row of out.T contiguous, "
-            "rows not overlapping"
-        )
+    out = _positions_out(out, n, k)
     if n == 0 or k == 0:
         return out
     if codes.dtype == np.dtype(object):
@@ -431,11 +457,63 @@ def decode_positions(
     return out
 
 
-#: Distance bytes one row block of :func:`prefix_codes_from_distances`
-#: spans: the block's site columns (copied column-contiguous when the
-#: input is not) stay cache-resident across the ``k(k-1)/2`` compare
-#: passes that re-read them.
+#: Distance bytes one row block of the pair-compare kernel spans: the
+#: block's site columns (copied column-contiguous when the input is not)
+#: stay cache-resident across the ``k(k-1)/2`` compare passes that
+#: re-read them.
 _CODE_BLOCK_BYTES = 1 << 20
+
+
+def _column_blocks(
+    distances: np.ndarray, top: int
+) -> Iterator[Tuple[int, int, np.ndarray]]:
+    """Yield ``(start, stop, columns)`` over cache-sized row blocks.
+
+    ``columns`` is the block's first ``top >= 1`` site columns as a
+    ``(top, stop - start)`` matrix with contiguous rows: a slice of
+    column-major input, a transposing copy of anything else.  NaN
+    distances have no rank and raise ``ValueError``.
+    """
+    floats = distances.dtype.kind == "f"
+    rows = max(1, _CODE_BLOCK_BYTES // (top * distances.itemsize))
+    for start in range(0, distances.shape[0], rows):
+        stop = min(start + rows, distances.shape[0])
+        columns = distances[start:stop, :top].T
+        if columns.strides[1] != columns.itemsize:
+            columns = np.ascontiguousarray(columns)
+        if floats and np.isnan(columns.min()):
+            raise ValueError("NaN distances have no rank")
+        yield start, stop, columns
+
+
+def _insertion_digits(
+    columns: np.ndarray,
+    digits: np.ndarray,
+    ranks: Optional[np.ndarray] = None,
+) -> Iterator[int]:
+    """The pair-compare kernel: one ``d[s] <= d[m]`` per site pair ``s < m``.
+
+    For ``m = 1 .. k - 1`` in turn, fills ``digits[m]`` with site ``m``'s
+    insertion digit ``#{s < m : d[s] <= d[m]}`` (its rank among sites
+    ``0..m``) and yields ``m`` once that row is final.  Given ``ranks``,
+    rows initialised to ``k - 1 - s``, the same compare also settles the
+    lower site: ``ranks[s] -= d[s] <= d[m]``, leaving ``ranks[s] =
+    #{m > s : d[m] < d[s]}``.  ``digits[0]`` is never touched.
+    """
+    below = np.empty(columns.shape[1], dtype=np.bool_)
+    flags = below.view(np.uint8)
+    for m in range(1, columns.shape[0]):
+        column = columns[m]
+        digit = digits[m]
+        np.less_equal(columns[0], column, out=digit)
+        if ranks is not None:
+            np.subtract(ranks[0], digit, out=ranks[0])
+        for s in range(1, m):
+            np.less_equal(columns[s], column, out=below)
+            np.add(digit, flags, out=digit)
+            if ranks is not None:
+                np.subtract(ranks[s], flags, out=ranks[s])
+        yield m
 
 
 def prefix_codes_from_distances(
@@ -455,7 +533,8 @@ def prefix_codes_from_distances(
     read straight off the distance columns (``<=`` against a
     lower-indexed site *is* the paper's lower-index tie-break, so no
     stable sort is needed to apply it).  A digit is ``m`` whole-column
-    ``less_equal`` + ``uint8`` add passes, ``k(k-1)/2`` in all, and a
+    ``less_equal`` + ``uint8`` add passes, ``k(k-1)/2`` in all (the pair
+    loop :func:`ranks_from_distances` shares), and a
     code extends from one prefix to the next by a single multiply-add in
     the narrowest word holding ``j!`` — so codes are prefix-monotone,
     ``codes[j] == codes[k] // (k! / j!)`` for ``j <= k`` (what
@@ -490,24 +569,14 @@ def prefix_codes_from_distances(
     out = {j: np.zeros(n, dtype=dtype) for j in widths}
     if top <= 1 or n == 0:
         return out
-    floats = distances.dtype.kind == "f"
-    rows = max(1, _CODE_BLOCK_BYTES // (top * distances.itemsize))
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        columns = distances[start:stop, :top].T
-        if columns.strides[1] != columns.itemsize:
-            columns = np.ascontiguousarray(columns)
-        if floats and np.isnan(columns.min()):
-            raise ValueError("NaN distances have no rank")
-        digit = np.empty(stop - start, dtype=compact_position_dtype(top))
-        below = np.empty(stop - start, dtype=np.bool_)
+    scratch: dict = {}
+    for start, stop, columns in _column_blocks(distances, top):
+        digits = workspace_buffer(
+            scratch, "digits", columns.shape, compact_position_dtype(top)
+        )
         running = np.zeros(stop - start, dtype=np.uint8)
-        for m in range(1, top):
-            column = columns[m]
-            np.less_equal(columns[0], column, out=digit)
-            for s in range(1, m):
-                np.less_equal(columns[s], column, out=below)
-                np.add(digit, below.view(np.uint8), out=digit)
+        for m in _insertion_digits(columns, digits):
+            digit = digits[m]
             if dtype is object:
                 running = running * (m + 1) + digit.astype(object)
             else:
@@ -543,6 +612,131 @@ def prefix_permutation_codes(
     return prefix_codes_from_distances(
         permutation_positions(perms, out=ranks), ks
     )
+
+
+def _lehmer_codes(
+    positions: np.ndarray, digits: np.ndarray, out: np.ndarray
+) -> None:
+    """Lehmer codes of a block from its rank rows and insertion digits.
+
+    Site ``s``'s Lehmer digit — the lower sites ranked after it — is
+    ``s - digits[s]`` (``digits`` is overwritten with it), weighted by
+    ``(k - 1 - positions[s])!``; the code is the sum over sites.  Fixed
+    words sum in the narrowest one holding ``k!`` (``uint32`` through
+    ``k = 12``); an ``object`` ``out`` sums exact Python ints.
+    """
+    k, width = positions.shape
+    weights = [math.factorial(k - 1 - p) for p in range(k)]
+    for s in range(1, k):
+        np.subtract(s, digits[s], out=digits[s])
+    if out.dtype == np.dtype(object):
+        table = np.array(weights, dtype=object)
+        code = np.zeros(width, dtype=object)
+        for s in range(1, k):
+            code += table[positions[s]] * digits[s].astype(object)
+        out[...] = code
+        return
+    word = np.min_scalar_type(math.factorial(k) - 1)
+    table = np.array(weights, dtype=word)
+    code = np.zeros(width, dtype=word)
+    term = np.empty(width, dtype=word)
+    for s in range(1, k):
+        np.take(table, positions[s], out=term, mode="clip")
+        np.multiply(term, digits[s], out=term)
+        np.add(code, term, out=code)
+    out[...] = code
+
+
+def ranks_from_distances(
+    distances: np.ndarray,
+    *,
+    positions: Optional[np.ndarray] = None,
+    codes: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Rank positions and Lehmer codes of every row's distance permutation.
+
+    ``distances`` is an ``(n, k)`` matrix of site distances, any real or
+    integer dtype, any memory order.  Returns ``(positions, codes)``,
+    byte-equal to ``permutation_positions(P)`` and
+    ``encode_permutations(P)`` for ``P =
+    permutations_from_distances(distances)`` — but with no sort, no
+    permutation matrix and no scatter.  It is the pair loop of
+    :func:`prefix_codes_from_distances` with one more update per pair:
+    for sites ``s < m`` one compare ``le = d[s] <= d[m]`` settles both,
+
+    - ``ins[m] += le`` (the census's insertion digit), and
+    - ``rank[s] -= le``, from ``rank[s] = k - 1 - s``,
+
+    and after all pairs ``pos[s] = rank[s] + ins[s]``: the sites ranked
+    before ``s`` are the lower ones at distance ``<= d[s]`` plus the
+    higher ones strictly closer, which is the stable argsort's rank.  The
+    Lehmer code then needs no second pass over the pairs: the digit of
+    site ``s`` is ``s - ins[s]``, weighted by ``(k - 1 - pos[s])!``.
+
+    ``positions`` follows :func:`decode_positions`' layout contract
+    (``(n, k)`` column-major; allocated in :func:`compact_position_dtype`)
+    and ``codes`` is an ``(n,)`` array of :func:`permutation_code_dtype`
+    (``uint64`` through ``k = 20``, exact Python ints in an ``object``
+    array beyond); both are filled in place.  NaN distances have no rank
+    and raise ``ValueError``; ``±inf`` order and tie like any other value.
+    """
+    distances = np.asarray(distances)
+    if distances.ndim != 2:
+        raise ValueError(
+            f"expected (n, k) distance matrix, got {distances.shape}"
+        )
+    n, k = distances.shape
+    positions = _positions_out(positions, n, k)
+    code_dtype = permutation_code_dtype(k)
+    if codes is None:
+        codes = np.empty(n, dtype=code_dtype)
+    elif codes.shape != (n,) or codes.dtype != code_dtype:
+        raise ValueError(f"codes must be an ({n},) {code_dtype} array")
+    if n == 0:
+        return positions, codes
+    if k <= 1:
+        positions[...] = 0
+        codes[...] = 0
+        return positions, codes
+    dtype = compact_position_dtype(k)
+    initial = np.arange(k - 1, -1, -1, dtype=dtype)[:, None]
+    scratch: dict = {}
+    for start, stop, columns in _column_blocks(distances, k):
+        ranks = positions[start:stop].T
+        ranks[...] = initial
+        digits = workspace_buffer(scratch, "digits", columns.shape, dtype)
+        digits[0] = 0
+        for _ in _insertion_digits(columns, digits, ranks):
+            pass
+        np.add(ranks, digits, out=ranks)
+        _lehmer_codes(ranks, digits, codes[start:stop])
+    return positions, codes
+
+
+def site_ranks(
+    points: Sequence[Any], sites: Sequence[Any], metric: Metric
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Lehmer codes and rank positions of every point's ``Π_y``.
+
+    The bulk route from a database to its distance permutations:
+    :func:`ranks_from_distances` consumes the metric's own row blocks
+    (:meth:`~repro.metrics.base.Metric.to_sites_compact`) one at a time
+    and writes each block's slice of the result in place, so no ``(n,
+    k)`` float64 distance matrix is built unless the metric's kernel
+    itself emits one.  Returns ``(codes, positions)``: ``(n,)`` codes of
+    :func:`permutation_code_dtype` and the ``(n, k)`` column-major
+    :func:`compact_position_dtype` ranks the footrule kernel reads.  A
+    :class:`~repro.metrics.base.CountingMetric` charges ``n * k``
+    evaluations, once.
+    """
+    n, k = len(points), len(sites)
+    positions = _positions_out(None, n, k)
+    codes = np.empty(n, dtype=permutation_code_dtype(k))
+    for start, stop, block in metric.to_sites_compact(points, sites):
+        ranks_from_distances(
+            block, positions=positions[start:stop], codes=codes[start:stop]
+        )
+    return codes, positions
 
 
 def permutation_rank(perm: Sequence[int]) -> int:

@@ -9,16 +9,21 @@ realized permutations (``Θ(d log k)`` in ``d``-dimensional Euclidean
 space, Corollary 8).
 
 The in-memory representation is the code engine's: one ``uint64`` Lehmer
-rank per element (:func:`~repro.core.permutation.encode_permutations`,
-exact through ``k = 20``) plus an ``(n, k)`` ``uint8`` rank-position
-matrix held **column-major**, so each site's ranks are one contiguous row
-of the byte-wide footrule kernel
+rank per element (exact through ``k = 20``) plus an ``(n, k)`` ``uint8``
+rank-position matrix held **column-major**, so each site's ranks are one
+contiguous row of the byte-wide footrule kernel
 (:func:`~repro.core.permutation.footrule_matrix_batch`); build, restore,
 :meth:`DistPermIndex.add_points` and the mmap block loop all keep that
-layout.  Footrules stay in the narrowest unsigned dtype that holds
-``floor(k^2 / 2)`` (``uint8`` through ``k = 22``) from the kernel's
-``out=`` buffer through candidate selection; the ``(n, k)`` row matrix
-exists only on demand (:attr:`permutations`).
+layout.  The build and ``add_points`` write both straight from the
+metric's row blocks (:func:`~repro.core.permutation.site_ranks`): one
+``d[s] <= d[m]`` compare per site pair settles the ranks of both sites
+and the insertion digit the Lehmer code is summed from, one block at a
+time, so no ``(n, k)`` float64 distance matrix, no argsort and no
+permutation matrix exist.  A NaN distance raises ``ValueError`` there,
+as it does in the census.  Footrules stay in the narrowest unsigned
+dtype that holds ``floor(k^2 / 2)`` (``uint8`` through ``k = 22``) from
+the kernel's ``out=`` buffer through candidate selection; the ``(n, k)``
+row matrix exists only on demand (:attr:`permutations`).
 
 Search with permutations is *approximate*: candidates are ranked by
 Spearman footrule between their stored permutation and the query's, and
@@ -87,10 +92,9 @@ from repro.core.permutation import (
     compact_footrule_dtype,
     compact_position_dtype,
     decode_permutations,
-    encode_permutations,
     footrule_matrix_batch,
-    permutation_positions,
     permutations_from_distances,
+    site_ranks,
     workspace_buffer,
 )
 from repro.core.storage import MappedCodeStore, StorageReport, storage_report
@@ -106,17 +110,6 @@ from repro.index.pivots import select_pivots
 from repro.metrics.base import Metric
 
 __all__ = ["DistPermIndex"]
-
-
-def _column_major_positions(perms: np.ndarray) -> np.ndarray:
-    """Compact rank positions of ``perms``, each site's column contiguous.
-
-    The layout ``footrule_matrix_batch`` consumes without copying:
-    ``(n, k)`` in :func:`compact_position_dtype`, column-major.
-    """
-    n, k = perms.shape
-    columns = np.empty((k, n), dtype=compact_position_dtype(k))
-    return permutation_positions(perms, out=columns.T)
 
 
 #: Bytes of rank positions one mmap tile spans (:meth:`DistPermIndex.
@@ -231,14 +224,12 @@ class DistPermIndex(Index):
             )
         self.site_indices = list(self._site_indices)
         self.sites = [self.points[i] for i in self.site_indices]
-        distances = self.metric.to_sites(self.points, self.sites)
-        perms = permutations_from_distances(distances)
-        # The code representation: one Lehmer rank per element (uint64
-        # for k <= 20) instead of a k-column row matrix.
-        self.codes = encode_permutations(perms)
-        # The row-wise inverse feeds batched footrule against any query
-        # set without re-inverting (see _column_major_positions).
-        self._perm_positions = _column_major_positions(perms)
+        # One Lehmer rank per element (uint64 for k <= 20) plus the
+        # column-major rank positions batched footrule reads, both read
+        # off the metric's row blocks by the pair-compare kernel.
+        self.codes, self._perm_positions = site_ranks(
+            self.points, self.sites, self.metric
+        )
         # Scratch buffers the footrule path reuses across queries.
         self._footrule_workspace: dict = {}
 
@@ -313,7 +304,13 @@ class DistPermIndex(Index):
         return permutations_from_distances(distances)[0]
 
     def query_permutations(self, queries: Sequence[Any]) -> np.ndarray:
-        """Distance permutations of a whole query set in one ``to_sites`` call."""
+        """Distance permutations of a whole query set in one ``to_sites`` call.
+
+        A stable argsort of the ``(q, k)`` distances, not the build's
+        pair-compare kernel: a few dozen query rows cost less to sort
+        than ``k(k-1)/2`` whole-row passes.  So where the build raises on
+        a NaN distance, a query ranks its NaN sites last, in site order.
+        """
         distances = self.metric.to_sites(queries, self.sites)
         return permutations_from_distances(distances)
 
@@ -323,12 +320,15 @@ class DistPermIndex(Index):
         Online inserts are cheap for this structure because the sites
         are fixed at build time: a new element costs exactly its
         ``n_sites`` site distances (charged to ``build_distances``,
-        like the original build), one Lehmer encoding, and a row in the
-        rank-position cache.  Codes and positions are appended, so both
-        land byte-identical to a fresh build of the combined database
-        over the same site set — and so does :meth:`census`, which is
-        derived from the codes.  A bare string is one point, as a 1-D
-        vector is one row.
+        like the original build) and one pass of the build's rank kernel
+        (:func:`~repro.core.permutation.site_ranks`), which yields its
+        Lehmer code and its entries of the rank-position cache.  Codes and
+        positions are appended, so both land byte-identical to a fresh
+        build of the combined database over the same site set — and so
+        does :meth:`census`, which is derived from the codes.  A NaN
+        distance raises ``ValueError``, as in the build, before anything
+        is appended.  A bare string is one point, as a 1-D vector is one
+        row.
 
         The site draw itself is **not** revisited: a growing database
         keeps the permutation space of its original sites, which is the
@@ -344,28 +344,28 @@ class DistPermIndex(Index):
             new_points = [new_points]
         if len(new_points) == 0:
             return
-        query_count = self.metric.count
-        distances = self.metric.to_sites(new_points, self.sites)
-        new_perms = permutations_from_distances(distances)
-        new_codes = encode_permutations(new_perms)
         if isinstance(self.points, np.ndarray):
-            matrix = np.asarray(new_points, dtype=self.points.dtype)
-            if matrix.ndim == 1:
-                matrix = matrix.reshape(1, -1)
-            if matrix.shape[1] != self.points.shape[1]:
+            new_points = np.asarray(new_points, dtype=self.points.dtype)
+            if new_points.ndim == 1:
+                new_points = new_points.reshape(1, -1)
+            if new_points.shape[1] != self.points.shape[1]:
                 raise ValueError(
-                    f"new points have dimension {matrix.shape[1]}, "
+                    f"new points have dimension {new_points.shape[1]}, "
                     f"index has {self.points.shape[1]}"
                 )
-            self.points = np.concatenate([self.points, matrix])
+        query_count = self.metric.count
+        new_codes, new_positions = site_ranks(
+            new_points, self.sites, self.metric
+        )
+        if isinstance(self.points, np.ndarray):
+            self.points = np.concatenate([self.points, new_points])
         else:
             self.points = list(self.points) + list(new_points)
         self.codes = np.concatenate([self.codes, new_codes])
         # Appending along the transposed (site-major) view keeps every
         # site's column contiguous, as a fresh build lays it out.
         self._perm_positions = np.concatenate(
-            [self._perm_positions.T, _column_major_positions(new_perms).T],
-            axis=1,
+            [self._perm_positions.T, new_positions.T], axis=1
         ).T
         self._footrule_workspace = {}
         # The site evaluations are construction work: move them from the

@@ -48,13 +48,14 @@ from repro.core.permutation import (
     decode_permutations,
     decode_positions,
     encode_permutations,
+    permutation_positions,
 )
 from repro.core.storage import (
     MappedCodeStore,
     PayloadCorruptError,
     bits_full_permutation,
 )
-from repro.index.distperm import DistPermIndex, _column_major_positions
+from repro.index.distperm import DistPermIndex
 from repro.index.sharded import ShardedIndex
 from repro.metrics.base import Metric
 
@@ -316,7 +317,9 @@ def _restore(
             np.int64
         )
         index.codes = encode_permutations(perms)
-        index._perm_positions = _column_major_positions(perms)
+        index._perm_positions = permutation_positions(
+            perms, out=np.empty((k, count), dtype=compact_position_dtype(k)).T
+        )
     else:
         store = _open_codes(
             path, header, entry["codes"], count, k, shard, cache_bytes

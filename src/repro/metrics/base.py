@@ -10,7 +10,7 @@ evaluations so indexes can report that cost faithfully.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Optional, Sequence
+from typing import Any, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -105,18 +105,24 @@ class Metric(ABC):
 
     def to_sites_compact(
         self, points: Sequence[Any], sites: Sequence[Any]
-    ) -> np.ndarray:
-        """:meth:`to_sites` for callers that only *rank* the distances.
+    ) -> Iterator[Tuple[int, int, np.ndarray]]:
+        """:meth:`to_sites` in row blocks, for callers that only *rank*.
 
-        Entry for entry the values of :meth:`to_sites`, but in whatever
-        real dtype and memory order the metric's kernel produces them —
-        the census compares site columns with each other and never does
-        arithmetic on them, so a metric whose kernel emits narrow
-        integer columns (edit distance: one byte per entry, one
-        contiguous row per site) overrides this to skip the ``float64``
-        row-major matrix.  The default is :meth:`to_sites` itself.
+        Yields ``(start, stop, block)`` in row order, covering every
+        point once: ``block`` holds the distances of ``points[start:stop]``
+        to every site, entry for entry the values of :meth:`to_sites`,
+        but in whatever real or integer dtype and memory order the
+        metric's kernel produces them.  The rank kernels
+        (:func:`~repro.core.permutation.site_ranks`, the census) compare
+        site columns with each other and never do arithmetic on them, and
+        consume each block before asking for the next, so a metric whose
+        kernel works in row chunks (the Minkowski family) yields its
+        chunks and the whole ``(n, k)`` float64 matrix never exists,
+        while one whose kernel emits narrow integer columns (edit
+        distance: one byte per entry, one contiguous row per site)
+        yields them whole.  The default is one block, :meth:`to_sites`.
         """
-        return self.to_sites(points, sites)
+        yield 0, len(points), self.to_sites(points, sites)
 
     def pairwise(self, xs: Sequence[Any]) -> np.ndarray:
         """Return the symmetric all-pairs distance matrix of ``xs``.
@@ -200,7 +206,8 @@ class CountingMetric(Metric):
 
     def to_sites_compact(
         self, points: Sequence[Any], sites: Sequence[Any]
-    ) -> np.ndarray:
+    ) -> Iterator[Tuple[int, int, np.ndarray]]:
+        # Charged at the call, once for all blocks, like to_sites.
         self.count += len(points) * len(sites)
         return self.inner.to_sites_compact(points, sites)
 

@@ -75,15 +75,25 @@ class MinkowskiMetric(Metric):
     def matrix(self, xs, ys) -> np.ndarray:
         a = _as_2d(xs)
         b = _as_2d(ys)
+        out = np.empty((a.shape[0], b.shape[0]), dtype=np.float64)
+        for start, stop, block in self._row_blocks(a, b):
+            out[start:stop] = block
+        return out
+
+    def to_sites_compact(self, points, sites):
+        # The chunks matrix() assembles, handed out one at a time: each
+        # equals its rows of to_sites bit for bit.
+        return self._row_blocks(_as_2d(points), _as_2d(sites))
+
+    def _row_blocks(self, a: np.ndarray, b: np.ndarray):
+        """Yield ``(start, stop, distances)`` per ``_CHUNK_ROWS`` rows of ``a``."""
         if a.shape[1] != b.shape[1]:
             raise ValueError(
                 f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}"
             )
-        out = np.empty((a.shape[0], b.shape[0]), dtype=np.float64)
         for start in range(0, a.shape[0], _CHUNK_ROWS):
             stop = min(start + _CHUNK_ROWS, a.shape[0])
-            out[start:stop] = self._block(a[start:stop], b)
-        return out
+            yield start, stop, self._block(a[start:stop], b)
 
     def _block(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Distances for one chunk of rows; ``a`` is small enough to broadcast."""

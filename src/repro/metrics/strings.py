@@ -18,7 +18,7 @@ only as the test oracle.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence, Tuple
+from typing import Any, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -218,11 +218,14 @@ class LevenshteinDistance(StringMetric):
 
     def to_sites_compact(
         self, points: Sequence[Any], sites: Sequence[Any]
-    ) -> np.ndarray:
+    ) -> Iterator[Tuple[int, int, np.ndarray]]:
+        # The lock-step kernel's whole uint8 column-major matrix is one
+        # block: the rank kernels read its site rows in place.
         encoded = self._encode_both(points, sites)
         if encoded is None:
-            return self.to_sites(points, sites)
-        return levenshtein_matrix_compact(*encoded)
+            yield 0, len(points), self.to_sites(points, sites)
+        else:
+            yield 0, len(points), levenshtein_matrix_compact(*encoded)
 
     def batch_distances_within(
         self, queries: Sequence[Any], points: Sequence[Any], radius: float

@@ -7,9 +7,9 @@ any partition of its rows — and each partial census is small, bounded by
 the number of *distinct* permutations ``O(min(n, N_{d,p}(k)))`` (the
 paper's counting results), not by the shard size.
 
-:func:`sharded_census` splits the database into row shards, computes one
-``shard x sites`` distance matrix per shard (through the batched metric
-kernels, in their own narrow column layout:
+:func:`sharded_census` splits the database into row shards, computes the
+``shard x sites`` distances of each shard (through the batched metric
+kernels, in their own row blocks and narrow column layout:
 :meth:`~repro.metrics.base.Metric.to_sites_compact`), and reads one
 insertion code per point at the **widest** requested prefix straight off
 the distance columns via
@@ -22,8 +22,11 @@ and every narrower prefix census follows from the merged run by
 of the first ``j`` sites is the restriction of the full permutation to
 values ``< j``, and insertion codes are prefix-monotone, so ``code_j`` is
 an exact floor division of ``code_k`` and the sorted run stays sorted.
-One sort per census, whatever the number of widths.  Only the ``--dump``
-path (``collect_permutations=True``) argsorts.  Shards run through any
+One sort per census, whatever the number of widths.  The ``--dump``
+path (``collect_permutations=True``) sorts nothing either: the same
+pair-compare kernel reads each point's Lehmer code off the same blocks
+(:func:`~repro.core.permutation.ranks_from_distances`), and a NaN
+distance raises there as it does in the census.  Shards run through any
 :class:`~repro.parallel.executor.Executor`; the database ships to pool
 workers zero-copy via :class:`~repro.parallel.sharedmem.SharedDataset`,
 and everything shipping *back* is 1-D code arrays — one run per shard,
@@ -40,11 +43,10 @@ import numpy as np
 
 from repro.core.estimate import StreamingCensus
 from repro.core.permutation import (
-    MAX_CODE_SITES,
     decode_permutations,
-    encode_permutations,
-    permutations_from_distances,
+    permutation_code_dtype,
     prefix_codes_from_distances,
+    ranks_from_distances,
 )
 from repro.metrics.base import Metric
 from repro.parallel.executor import Executor, get_executor
@@ -80,37 +82,37 @@ def _census_task(
     metric: Metric,
     top: int,
     collect: bool,
-) -> Tuple[StreamingCensus, Optional[Tuple[str, np.ndarray]]]:
+) -> Tuple[StreamingCensus, Optional[np.ndarray]]:
     """Partial census of one row shard at the widest prefix length ``top``.
 
+    For each of the metric's row blocks of the ``shard x len(sites)``
+    distances (:meth:`~repro.metrics.base.Metric.to_sites_compact`),
     :func:`prefix_codes_from_distances` reads one insertion code per
-    point off the ``shard x len(sites)`` distance columns, and one sort
-    folds them into the shard's census of the first ``top`` sites — the
-    one ``(code, count)`` run that travels back; every narrower width is
-    restricted from the merged run by the caller.  The ``--dump``
-    payload — the one consumer of the permutations themselves, hence of
-    an argsort — ships as one Lehmer code per point (matrix fallback past
-    ``MAX_CODE_SITES``).
+    point off the distance columns; one sort then folds the shard's
+    codes into its census of the first ``top`` sites — the one ``(code,
+    count)`` run that travels back; every narrower width is restricted
+    from the merged run by the caller.  The ``--dump`` payload is one
+    Lehmer code per point, read off the same block by
+    :func:`ranks_from_distances` (exact Python ints past
+    ``MAX_CODE_SITES``); like the census, it raises on a NaN distance.
     """
     points = dataset.resolve()
     # A list slice copies every reference; a serial census spans it all.
     if (start, stop) != (0, len(points)):
         points = points[start:stop]
-    distances = metric.to_sites_compact(points, sites)
-    census = StreamingCensus()
-    census.update_codes(
-        prefix_codes_from_distances(distances, [top])[top],
-        top,
-        coding="prefix",
+    prefix = np.empty(len(points), dtype=permutation_code_dtype(top))
+    lehmer = (
+        np.empty(len(points), dtype=permutation_code_dtype(len(sites)))
+        if collect
+        else None
     )
-    payload = None
-    if collect:
-        perms = permutations_from_distances(distances)
-        if len(sites) <= MAX_CODE_SITES:
-            payload = ("codes", encode_permutations(perms))
-        else:
-            payload = ("perms", perms)
-    return census, payload
+    for first, last, distances in metric.to_sites_compact(points, sites):
+        prefix[first:last] = prefix_codes_from_distances(distances, [top])[top]
+        if collect:
+            ranks_from_distances(distances, codes=lehmer[first:last])
+    census = StreamingCensus()
+    census.update_codes(prefix, top, coding="prefix")
+    return census, lehmer
 
 
 def _restrictions(
@@ -196,19 +198,14 @@ def sharded_census(
     )
     permutations = None
     if collect_permutations:
-        width = len(sites)
-        chunks = [part[1] for part in partials]
-        if not chunks:
-            permutations = np.empty((0, width), dtype=np.int64)
-        elif chunks[0][0] == "codes":
-            # Workers shipped one 8-byte Lehmer code per point; decode
-            # the concatenated array once instead of moving (n, k) rows.
-            codes = np.concatenate([chunk[1] for chunk in chunks])
-            permutations = decode_permutations(codes, width)
-        else:
-            permutations = np.concatenate(
-                [chunk[1] for chunk in chunks], axis=0
+        if partials:
+            # Workers shipped one Lehmer code per point; decode the
+            # concatenated array once instead of moving (n, k) rows.
+            permutations = decode_permutations(
+                np.concatenate([part[1] for part in partials]), len(sites)
             )
+        else:
+            permutations = np.empty((0, len(sites)), dtype=np.int64)
     return censuses, permutations
 
 

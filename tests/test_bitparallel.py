@@ -396,7 +396,9 @@ class TestTextColumns:
         sites = points[:7]
         metric = LevenshteinDistance()
         full = metric.to_sites(points, sites)
-        compact = metric.to_sites_compact(points, sites)
+        # The lock-step kernel's matrix is one block, yielded whole.
+        [(start, stop, compact)] = metric.to_sites_compact(points, sites)
+        assert (start, stop) == (0, 500)
         assert full.dtype == np.float64 and full.flags.c_contiguous
         assert compact.dtype == np.uint8 and compact.shape == (500, 7)
         # One contiguous byte row per site.
@@ -404,10 +406,10 @@ class TestTextColumns:
         assert np.array_equal(compact, full)
         assert np.array_equal(full, dp_matrix(points, sites))
         # A single query stays on the per-text driver: int64, same values.
-        single = metric.to_sites_compact(points[:1], sites)
+        [(_, _, single)] = metric.to_sites_compact(points[:1], sites)
         assert np.array_equal(single, full[:1])
-        # Non-string input has no encoded kernel: the hook is to_sites.
-        mixed = metric.to_sites_compact([("a", "b")], [("a",)])
+        # Non-string input has no encoded kernel: the block is to_sites.
+        [(_, _, mixed)] = metric.to_sites_compact([("a", "b")], [("a",)])
         assert mixed.dtype == np.float64 and mixed[0, 0] == 1.0
 
 

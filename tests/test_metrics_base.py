@@ -5,7 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.metrics import CountingMetric, EuclideanDistance, LevenshteinDistance
+from repro.metrics import (
+    CityblockDistance,
+    CountingMetric,
+    EuclideanDistance,
+    LevenshteinDistance,
+)
 from repro.metrics.base import Metric
 
 
@@ -41,10 +46,28 @@ class TestDefaultBatchMethods:
 
     def test_to_sites_compact_defaults_to_to_sites(self):
         metric = _Discrete()
-        np.testing.assert_array_equal(
-            metric.to_sites_compact(list("abcd"), list("ay")),
-            metric.to_sites(list("abcd"), list("ay")),
+        [(start, stop, block)] = metric.to_sites_compact(
+            list("abcd"), list("ay")
         )
+        assert (start, stop) == (0, 4)
+        np.testing.assert_array_equal(
+            block, metric.to_sites(list("abcd"), list("ay"))
+        )
+
+    def test_minkowski_blocks_equal_to_sites_bit_for_bit(self, rng):
+        from repro.metrics.minkowski import _CHUNK_ROWS
+
+        points = rng.random((2 * _CHUNK_ROWS + 5, 3))
+        sites = points[:4]
+        for metric in (EuclideanDistance(), CityblockDistance()):
+            blocks = list(metric.to_sites_compact(points, sites))
+            assert [(start, stop) for start, stop, _ in blocks] == [
+                (0, _CHUNK_ROWS),
+                (_CHUNK_ROWS, 2 * _CHUNK_ROWS),
+                (2 * _CHUNK_ROWS, 2 * _CHUNK_ROWS + 5),
+            ]
+            whole = np.concatenate([block for _, _, block in blocks])
+            assert whole.tobytes() == metric.to_sites(points, sites).tobytes()
 
     def test_callable(self):
         assert _Discrete()("a", "b") == 1.0
@@ -127,7 +150,10 @@ class TestCountingMetric:
 
     def test_counts_to_sites_compact(self):
         counter = CountingMetric(_Discrete())
-        out = counter.to_sites_compact(list("abcd"), list("xyz"))
+        blocks = counter.to_sites_compact(list("abcd"), list("xyz"))
+        # Charged once, at the call, before any block is drawn.
+        assert counter.count == 12
+        [(_, _, out)] = blocks
         assert counter.count == 12 and out.shape == (4, 3)
 
     def test_counts_batch_distances(self):
