@@ -21,17 +21,26 @@ Run from the repo root:
     PYTHONPATH=src python benchmarks/bench_metrics.py            # full
     PYTHONPATH=src python benchmarks/bench_metrics.py --smoke    # CI sizes
 
+A ``refine_pairs`` row times the refine step of a budgeted string query
+on its own: 250 dictionary candidates per query for chunks of 1 and 8
+queries, one ``grouped_distances`` call (the pairwise lock-step Myers
+driver over the resident database encoding) against one
+``batch_distances`` call per query over its gathered candidate strings.
+Both must return the same distances.
+
 The full run asserts the ≥20x ``to_sites`` speedup over the scalar loop
 on the dictionary workload and the ≥5x Myers speedup over the committed
 Wagner–Fischer baselines on both workloads, exiting nonzero if a kernel
 regression loses either.  Smoke mode asserts Myers beats Wagner–Fischer
-outright (the always-armed CI guard).
+outright.  Both modes assert the pair driver beats the per-query route
+at 8 queries (the always-armed CI guards).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import sys
 import time
@@ -46,6 +55,7 @@ from repro.core.estimate import StreamingCensus  # noqa: E402
 from repro.datasets.dictionaries import synthetic_dictionary  # noqa: E402
 from repro.datasets.sequences import genome_prefix_sequences  # noqa: E402
 from repro.index import DistPermIndex  # noqa: E402
+from repro.index.batching import take_points  # noqa: E402
 from repro.metrics import LevenshteinDistance  # noqa: E402
 from repro.metrics.base import Metric  # noqa: E402
 from repro.metrics.encoding import (  # noqa: E402
@@ -65,6 +75,13 @@ REQUIRED_KERNEL_SPEEDUP = 5.0
 
 #: Cold ``to_sites`` repetitions; the minimum is reported.
 COLD_REPS = 5
+
+#: The ``refine_pairs`` row: candidates per query (a served
+#: ``knn_approx`` shard's share of budget 500), query-chunk sizes, and
+#: alternating repetitions per route.
+REFINE_CANDIDATES = 250
+REFINE_QUERIES = (1, 8)
+REFINE_REPS = 31
 
 
 def _timed(fn):
@@ -188,6 +205,84 @@ def run_workload(name, points, n_sites, n_queries, budget, sample_size, rng):
     return result
 
 
+def refine_pairs(points, rng, n_candidates=REFINE_CANDIDATES):
+    """The refine step on its own: pair driver vs the per-query route.
+
+    Each query brings ``n_candidates`` random database ids, as a budgeted
+    ``knn_approx`` refine does.  The pair route is the one
+    ``grouped_distances`` call the index makes per query chunk, reading
+    candidates from the database encoding it holds resident; the
+    per-query route is what refine ran before — one ``batch_distances``
+    call per query over its gathered candidate strings, which re-encodes
+    them and pushes them through the encoding cache.  Every repetition
+    draws fresh queries and candidates, as a server sees them (a repeated
+    candidate list would hit the encoding cache and time a warm path no
+    served query takes); both routes score the same draw, in alternating
+    order, and must agree.  The median of each route is kept.
+    """
+    metric = LevenshteinDistance()
+    resident = metric.encode(points)
+    rows = {}
+    for n_queries in REFINE_QUERIES:
+        offsets = np.arange(n_queries + 1) * n_candidates
+        times = {"pair": [], "looped": []}
+        for rep in range(REFINE_REPS):
+            # Fresh words, as served queries are: not in the database.
+            queries = [
+                points[int(i)] + "e"
+                for i in rng.choice(len(points), n_queries, replace=False)
+            ]
+            ids = np.concatenate(
+                [
+                    rng.choice(len(points), n_candidates, replace=False)
+                    for _ in queries
+                ]
+            )
+            routes = {
+                "pair": lambda: metric.grouped_distances(
+                    queries, resident, ids, offsets
+                ),
+                "looped": lambda: np.concatenate(
+                    [
+                        metric.batch_distances(
+                            [q], take_points(points, ids[a:b])
+                        )[0]
+                        for q, a, b in zip(
+                            queries, offsets[:-1], offsets[1:]
+                        )
+                    ]
+                ),
+            }
+            order = ("pair", "looped") if rep % 2 else ("looped", "pair")
+            results = {}
+            for name in order:
+                results[name], elapsed = _timed(routes[name])
+                times[name].append(elapsed)
+            if not np.array_equal(results["pair"], results["looped"]):
+                raise AssertionError(
+                    "pair driver disagrees with batch_distances"
+                )
+        t_pair = float(np.median(times["pair"]))
+        t_looped = float(np.median(times["looped"]))
+        row = rows[str(n_queries)] = {
+            "pair_us_per_query": round(t_pair / n_queries * 1e6, 1),
+            "looped_us_per_query": round(t_looped / n_queries * 1e6, 1),
+            "speedup": round(t_looped / t_pair, 2),
+        }
+        print(
+            f"refine_pairs: {n_queries} x {n_candidates} candidates: "
+            f"{row['looped_us_per_query']} -> {row['pair_us_per_query']} "
+            f"us/query ({row['speedup']}x)"
+        )
+    return {
+        "dataset": "dictionary-en",
+        "n": len(points),
+        "candidates": n_candidates,
+        "reps": REFINE_REPS,
+        "by_queries": rows,
+    }
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -219,14 +314,17 @@ def main(argv=None):
             run_workload("dictionary-en", dictionary, 12, 200, 500, 500, rng),
             run_workload("gene-sequences", genes, 12, 100, 500, 100, rng),
         ]
+    refine = refine_pairs(dictionary, rng)
 
     report = {
         "bench": "bench_metrics",
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),
+        "cpu_count": os.cpu_count(),
         "smoke": args.smoke,
         "workloads": workloads,
+        "refine_pairs": refine,
     }
     output = args.output
     if output is None and not args.smoke:
@@ -234,6 +332,17 @@ def main(argv=None):
     if output is not None:
         output.write_text(json.dumps(report, indent=2) + "\n")
         print(f"wrote {output}")
+
+    # Always-armed guard: one pair-driver call per 8-query chunk must
+    # beat eight per-query batch_distances calls.
+    refine_speedup = refine["by_queries"]["8"]["speedup"]
+    if refine_speedup <= 1.0:
+        print(
+            f"FAIL: refine_pairs at 8 queries: pair driver is "
+            f"{refine_speedup}x the per-query route, need > 1"
+        )
+        return 1
+    print(f"OK: refine_pairs at 8 queries {refine_speedup}x > 1")
 
     if args.smoke:
         # Always-armed guard: the Myers kernel must beat Wagner–Fischer

@@ -36,7 +36,7 @@ from typing import Any, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.index.base import Neighbor, NeighborArrays
-from repro.metrics.base import Metric
+from repro.metrics.base import Metric, take_points
 
 __all__ = [
     "query_chunks",
@@ -151,13 +151,6 @@ def query_chunks(
     rows = max(1, _TARGET_CHUNK_BYTES // (max(1, n_points) * itemsize))
     for start in range(0, n_queries, rows):
         yield start, min(start + rows, n_queries)
-
-
-def take_points(points: Sequence[Any], indices: np.ndarray) -> Sequence[Any]:
-    """Gather ``points[indices]``, fancy-indexing arrays, looping otherwise."""
-    if isinstance(points, np.ndarray):
-        return points[indices]
-    return [points[int(i)] for i in indices]
 
 
 def smallest_k_indices(

@@ -63,11 +63,21 @@ all for the blocks the cache retained.
 
 *Select.*  :func:`_budget_candidates` finds each row's budget boundary
 without counting the row: a strided sample guesses it and byte-wide
-compares settle it exactly.  *Refine.*  One ``batch_distances`` call per
-query over its candidates, then a top-``k`` that sorts only the entries
-at or under the k-th distance
-(:func:`~repro.index.batching.smallest_k_indices`).  A single query is a
-batch of one row, so both surfaces return the same bits.
+compares settle it exactly.  *Refine.*  One
+:meth:`~repro.metrics.base.Metric.grouped_distances` call per chunk of
+queries (at most :data:`_REFINE_PAIRS` candidates) scores every query
+against its own candidates, then a per-query top-``k`` sorts only the
+entries at or under the k-th distance
+(:func:`~repro.index.batching.smallest_k_indices`).  The database side
+of that call is held resident (:meth:`DistPermIndex._resident_points`):
+the metric's encoding of the points, made once per index.  Vectors take
+the hook's default — one ``batch_distances`` call per query, the same
+arithmetic bit for bit — while edit distance runs every pair of the
+chunk in one lock-step Myers pass over the encoding's narrow symbol
+rows, so no candidate is re-encoded and no candidate list enters the
+encoding cache, where it used to evict the sites' cached layouts.  A
+single query is a batch of one row, so both surfaces return the same
+bits.
 
 The index stores codes and positions only.  Corollary 8's table of the
 ``N`` realized permutations is derived on demand: :meth:`census` folds
@@ -104,7 +114,6 @@ from repro.index.batching import (
     exhaustive_range_batch,
     query_chunks,
     smallest_k_indices,
-    take_points,
 )
 from repro.index.pivots import select_pivots
 from repro.metrics.base import Metric
@@ -121,6 +130,10 @@ _TILE_BYTES = 1 << 20
 
 #: Entries :func:`_budget_candidates` samples to guess a row's boundary.
 _BOUNDARY_SAMPLE = 4096
+
+#: Candidates one refine call scores at most (:func:`_refine_groups`):
+#: 1 MiB of ids plus 1 MiB of distances.
+_REFINE_PAIRS = 1 << 17
 
 
 def _budget_candidates(footrules: np.ndarray, budget: int) -> np.ndarray:
@@ -189,6 +202,22 @@ def _budget_candidates(footrules: np.ndarray, budget: int) -> np.ndarray:
             break
         stop *= 2
     return np.concatenate([strict, ties[:wanted]])
+
+
+def _refine_groups(
+    budgets: np.ndarray, start: int, stop: int
+) -> Iterator[Tuple[int, int]]:
+    """Split queries ``start..stop`` into runs of at most
+    :data:`_REFINE_PAIRS` candidates (one query at least), so one refine
+    call's ids and distances stay small however many queries a footrule
+    chunk holds."""
+    lo, pairs = start, 0
+    for q in range(start, stop):
+        pairs += int(budgets[q])
+        if pairs > _REFINE_PAIRS and q > lo:
+            yield lo, q
+            lo, pairs = q, int(budgets[q])
+    yield lo, stop
 
 
 class DistPermIndex(Index):
@@ -368,6 +397,7 @@ class DistPermIndex(Index):
             [self._perm_positions.T, new_positions.T], axis=1
         ).T
         self._footrule_workspace = {}
+        self._resident = None
         # The site evaluations are construction work: move them from the
         # query account to the build account, as __init__ does.
         delta = self.metric.count - query_count
@@ -488,6 +518,23 @@ class DistPermIndex(Index):
         )[0]
         return np.argsort(footrules, kind="stable")
 
+    def _resident_points(self) -> Any:
+        """The database as refine reads it: the metric's encoding of the
+        points (edit distance: the code matrix, whose narrow symbol rows
+        the pair driver gathers candidates from), or the points themselves
+        for a metric without one.
+
+        Encoded once per index — on the first refine after a build or a
+        load — and held here, so it never churns through the metric's
+        encoding cache; :meth:`add_points` drops it.
+        """
+        resident = getattr(self, "_resident", None)
+        if resident is None:
+            encoded = self.metric.encode(self.points)
+            resident = self.points if encoded is None else encoded
+            self._resident = resident
+        return resident
+
     def _clamp_budget(self, k: int, budget: Optional[int]) -> int:
         n = len(self.points)
         return n if budget is None else max(k, min(budget, n))
@@ -551,17 +598,17 @@ class DistPermIndex(Index):
         self, queries: Sequence[Any], k: int, budget: Budget
     ) -> NeighborArrays:
         n = len(self.points)
-        row_budgets: Optional[np.ndarray] = None
         if isinstance(budget, np.ndarray):
             # Per-query budgets (the sharded global split): spent as
             # allocated — zero-budget rows stay empty, with no k floor,
             # so the global candidate total matches the requested budget.
-            row_budgets = np.minimum(budget, n)
-            if not row_budgets.any():
+            budgets = np.minimum(budget, n)
+            if not budgets.any():
                 return NeighborArrays.empty(len(queries))
         else:
-            budget = self._clamp_budget(k, budget)
+            budgets = np.full(len(queries), self._clamp_budget(k, budget))
         query_perms = self.query_permutations(queries)
+        points = self._resident_points()
         dist_parts: List[np.ndarray] = []
         index_parts: List[np.ndarray] = []
         counts = np.zeros(len(queries), dtype=np.int64)
@@ -569,19 +616,26 @@ class DistPermIndex(Index):
         # itself needs only length-n scratch rows.
         for start, stop in self._query_chunks(len(queries)):
             footrules = self._footrules_matrix(query_perms[start:stop])
-            for offset, row in enumerate(footrules):
-                q = start + offset
-                b = int(row_budgets[q]) if row_budgets is not None else budget
-                candidates = _budget_candidates(row, b)
-                if candidates.shape[0] == 0:
-                    continue
-                distances = self.metric.batch_distances(
-                    [queries[q]], take_points(self.points, candidates)
-                )[0]
-                order = smallest_k_indices(distances, k, candidates)
-                dist_parts.append(distances[order])
-                index_parts.append(candidates[order])
-                counts[q] = order.shape[0]
+            for lo, hi in _refine_groups(budgets, start, stop):
+                candidates = [
+                    _budget_candidates(footrules[q - start], int(budgets[q]))
+                    for q in range(lo, hi)
+                ]
+                offsets = np.zeros(hi - lo + 1, dtype=np.int64)
+                np.cumsum([c.shape[0] for c in candidates], out=offsets[1:])
+                distances = self.metric.grouped_distances(
+                    queries[lo:hi], points, np.concatenate(candidates), offsets
+                )
+                for q, ids, a, b in zip(
+                    range(lo, hi), candidates, offsets[:-1], offsets[1:]
+                ):
+                    if a == b:
+                        continue
+                    row = distances[a:b]
+                    order = smallest_k_indices(row, k, ids)
+                    dist_parts.append(row[order])
+                    index_parts.append(ids[order])
+                    counts[q] = order.shape[0]
         offsets = np.zeros(len(queries) + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
         if not dist_parts:

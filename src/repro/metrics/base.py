@@ -14,7 +14,19 @@ from typing import Any, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["Metric", "CountingMetric"]
+__all__ = ["Metric", "CountingMetric", "take_points"]
+
+
+def take_points(points: Sequence[Any], indices: np.ndarray) -> Sequence[Any]:
+    """Gather ``points[indices]``: fancy-indexing arrays, one row gather
+    for encodings that have one (``EncodedStrings.take``), looping
+    otherwise."""
+    if isinstance(points, np.ndarray):
+        return points[indices]
+    take = getattr(points, "take", None)
+    if take is not None:
+        return take(indices)
+    return [points[int(i)] for i in indices]
 
 
 class Metric(ABC):
@@ -94,6 +106,36 @@ class Metric(ABC):
         keep the scalar loop fallback.
         """
         return self.matrix(queries, points)
+
+    def grouped_distances(
+        self,
+        queries: Sequence[Any],
+        points: Sequence[Any],
+        point_ids: np.ndarray,
+        offsets: np.ndarray,
+    ) -> np.ndarray:
+        """Distances from each query to its own group of points, flat.
+
+        Query ``i``'s group is ``point_ids[offsets[i]:offsets[i + 1]]``
+        (indices into ``points``; ``offsets`` has ``len(queries) + 1``
+        entries), and entry ``j`` of the ``float64`` result is the
+        distance from the query whose group holds ``j`` to
+        ``points[point_ids[j]]`` — the shape of a refine step, where
+        every query of a chunk brings its own candidates.  ``points`` may
+        be the collection or its :meth:`encode` form, which a caller that
+        refines against one database over and over holds resident.  The
+        default is one :meth:`batch_distances` call per non-empty group,
+        so its values are exactly that call's; a metric with a kernel for
+        the whole pair set overrides it (edit distance).
+        """
+        out = np.empty(len(point_ids), dtype=np.float64)
+        for i in range(len(queries)):
+            lo, hi = int(offsets[i]), int(offsets[i + 1])
+            if lo < hi:
+                out[lo:hi] = self.batch_distances(
+                    [queries[i]], take_points(points, point_ids[lo:hi])
+                )[0]
+        return out
 
     def to_sites(self, points: Sequence[Any], sites: Sequence[Any]) -> np.ndarray:
         """Return the ``n x k`` matrix of distances from points to sites.
@@ -182,6 +224,17 @@ class CountingMetric(Metric):
     ) -> np.ndarray:
         self.count += len(queries) * len(points)
         return self.inner.batch_distances(queries, points)
+
+    def grouped_distances(
+        self,
+        queries: Sequence[Any],
+        points: Sequence[Any],
+        point_ids: np.ndarray,
+        offsets: np.ndarray,
+    ) -> np.ndarray:
+        # One evaluation per (query, point) pair, duplicates included.
+        self.count += len(point_ids)
+        return self.inner.grouped_distances(queries, points, point_ids, offsets)
 
     def encode(self, points: Sequence[Any]) -> Any:
         # Encoding is preprocessing, not a distance evaluation.

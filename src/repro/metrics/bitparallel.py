@@ -29,19 +29,28 @@ Two kernels cover the length spectrum:
   word boundaries per column and the ``Eq |= hin_negative`` correction
   applied at every block.
 
-Two *drivers* run the kernels.  :func:`myers_matrix_into` loops over the
-texts one at a time — the right shape when the pattern collection is the
-big side.  :func:`myers_matrix_lockstep_into` is its dual for the repo's
-dominant call shape (a handful of sites against thousands of points):
-every text advances together in ascending length order, column ``j``
-updating only the suffix of texts longer than ``j``, so the numpy call
-count scales with the *longest* text rather than total text characters
-and the expensive per-collection build lands on the tiny site side.
-Its text side is a layout too (:class:`TextColumns`: length order plus a
-column-major matrix of narrow symbol ids), built once per collection, so
-a call does no sort, no gather and no remap of the text matrix — it
-composes one ``len(text alphabet)``-row ``Peq`` table per chunk and
-gathers each column from it with a contiguous byte row.
+Three *drivers* run the kernels.  :func:`myers_matrix_into` loops over
+the texts one at a time — the right shape when the pattern collection is
+the big side.  :func:`myers_matrix_lockstep_into` is its dual for the
+repo's dominant call shape (a handful of sites against thousands of
+points): every text advances together in ascending length order, column
+``j`` updating only the suffix of texts longer than ``j``, so the numpy
+call count scales with the *longest* text rather than total text
+characters and the expensive per-collection build lands on the tiny site
+side.  Its text side is a layout too (:class:`TextColumns`: length order
+plus a column-major matrix of narrow symbol ids), built once per
+collection, so a call does no sort, no gather and no remap of the text
+matrix — it composes one ``len(text alphabet)``-row ``Peq`` table per
+chunk and gathers each column from it with a contiguous byte row.
+:func:`myers_pair_distances` scores the refine shape — each of a few
+queries against its own few hundred candidates, no matrix at all — with
+one ``uint64`` lane per ``(query, candidate)`` pair: the query is the
+lane's pattern (≤ :data:`PAIR_MAX_PATTERN` characters), its candidate
+the text, and all lanes run in lock step in descending text length
+order.  Its text side (:class:`SymbolRows`, row-major narrow symbol ids)
+is cached on the database encoding an index holds, so a refine gathers
+candidate rows and builds nothing but a per-chunk ``Peq`` of the
+queries.
 
 Both layouts end-align each pattern at the top bit of its slot/top word.
 The dead low bits act as a phantom prefix of never-matching characters
@@ -51,9 +60,10 @@ true distance unchanged while the final score sits at a *uniform* bit
 position — the key to vectorizing mixed-length collections.
 
 The per-collection state (dense alphabet remap, chunk layouts, packed
-``Peq`` match tables; the lock-step text columns) is built once and
-cached on the :class:`EncodedStrings` instance itself, so it lives
-exactly as long as the encoding-LRU entry and repeated
+``Peq`` match tables; the lock-step text columns; the pair driver's
+symbol rows) is built once and cached on the :class:`EncodedStrings`
+instance itself, so it lives exactly as long as the encoding does — the
+encoding-LRU entry, or the index holding it — and repeated
 ``to_sites``/census/index calls over one dataset never rebuild it.
 Collections whose alphabet exceeds :data:`DENSE_ALPHABET_MAX` distinct
 symbols report themselves ineligible and the caller falls back to the
@@ -69,14 +79,18 @@ import numpy as np
 __all__ = [
     "DENSE_ALPHABET_MAX",
     "PACKED_MAX_LEN",
+    "PAIR_MAX_PATTERN",
     "MyersPatterns",
     "TextColumns",
+    "SymbolRows",
     "myers_patterns",
     "text_columns",
+    "symbol_rows",
     "myers_eligible",
     "myers_matrix_into",
     "myers_lockstep_eligible",
     "myers_matrix_lockstep_into",
+    "myers_pair_distances",
     "build_count",
 ]
 
@@ -103,6 +117,18 @@ _PRUNE_EVERY = 16
 #: on the 200k dictionary: 2048 / 4096 / 8192 rows -> 55 / 49 / 53 ms) and
 #: lets blocks of short texts stop at their own maximum length.
 _LOCKSTEP_BLOCK_TEXTS = 4096
+
+#: Longest pattern the pair driver (:func:`myers_pair_distances`) holds in
+#: its one ``uint64`` lane per pair; callers route longer ones elsewhere.
+PAIR_MAX_PATTERN = 63
+
+#: Upper bound on one pair-driver ``Peq`` table (patterns x alphabet
+#: words); a bigger pattern set is split into groups of patterns.
+_PAIR_PEQ_BYTES = 1 << 20
+
+#: Upper bound on one lane block's ``(columns, lanes)`` ``Peq`` index
+#: matrix: long texts get fewer lanes per block.
+_PAIR_INDEX_BYTES = 1 << 20
 
 #: Code points below this use a presence-bitmap alphabet + lookup-table
 #: remap (O(chars), sort-free); exotic collections fall back to
@@ -639,19 +665,44 @@ class MyersPatterns:
         whose ``Peq`` row is all-zero (never a match) — exactly the DP
         semantics, so foreign text characters need no fallback.
         """
-        if self.n_syms == 0:
-            return np.zeros(arr.shape, dtype=np.int64)
-        if self._lut is not None:
+        if self._lut is not None and self.n_syms:
             sentinel = self._lut.shape[0] - 1
             return self._lut.take(np.minimum(arr, sentinel))
-        idx = np.searchsorted(self.alphabet, arr)
-        idx[idx == self.n_syms] = 0
-        hit = self.alphabet[idx] == arr
-        return np.where(hit, idx + 1, 0).astype(np.int64)
+        return _dense_symbols(self.alphabet, arr)
 
     def remap_text(self, text_codes: np.ndarray) -> np.ndarray:
         """Map one text's code points into the dense pattern alphabet."""
         return self.remap_codes(text_codes)
+
+
+def _symbol_ids(codes: np.ndarray):
+    """``(alphabet, ids)``: a code matrix's own sorted distinct code points
+    and the matrix of their indices, in the narrowest unsigned dtype.
+
+    Padding cells index code point 0, which therefore may sit in
+    ``alphabet`` without occurring in any string; the drivers never read
+    a cell past its string's length.
+    """
+    alphabet = _code_point_alphabet(codes.reshape(-1))
+    n_syms = alphabet.shape[0]
+    dtype = np.min_scalar_type(max(n_syms - 1, 0))
+    if n_syms and int(alphabet[-1]) < _LUT_MAX_CODE:
+        lut = np.zeros(int(alphabet[-1]) + 1, dtype=dtype)
+        lut[alphabet] = np.arange(n_syms, dtype=dtype)
+        return alphabet, lut[codes]
+    return alphabet, np.searchsorted(alphabet, codes).astype(dtype)
+
+
+def _dense_symbols(alphabet: np.ndarray, arr: np.ndarray) -> np.ndarray:
+    """Ranks ``1..len(alphabet)`` of ``arr``'s code points in the sorted
+    ``alphabet``; 0 for a code point outside it (the never-matching
+    ``Peq`` row)."""
+    if alphabet.shape[0] == 0:
+        return np.zeros(arr.shape, dtype=np.int64)
+    idx = np.searchsorted(alphabet, arr)
+    idx[idx == alphabet.shape[0]] = 0
+    hit = alphabet[idx] == arr
+    return np.where(hit, idx + 1, 0).astype(np.int64)
 
 
 class TextColumns:
@@ -661,15 +712,14 @@ class TextColumns:
     the lengths in that order, ``alphabet`` the collection's own sorted
     distinct code points, and ``symbols`` the ``(max_length, n)``
     C-contiguous matrix of alphabet indices in the narrowest unsigned
-    dtype: row ``j`` is character ``j`` of every text in length order —
-    the contiguous row a lock-step column gathers ``Peq`` with.  Padding
-    cells (never read: column ``j`` only touches texts longer than ``j``)
-    index code point 0, which therefore may sit in ``alphabet`` without
-    occurring in any string.
+    dtype (:func:`_symbol_ids`): row ``j`` is character ``j`` of every
+    text in length order — the contiguous row a lock-step column gathers
+    ``Peq`` with.  Column ``j`` only touches texts longer than ``j``, so
+    padding cells are never read.
     """
 
     def __init__(self, encoded) -> None:
-        codes, lengths = encoded.codes, encoded.lengths
+        lengths = encoded.lengths
         # Radix-sorting a narrow key is ~8x faster than int64 for the
         # short strings every workload has.
         key = (
@@ -679,16 +729,37 @@ class TextColumns:
         )
         self.order = np.argsort(key, kind="stable")
         self.lengths = lengths[self.order]
-        self.alphabet = _code_point_alphabet(codes.reshape(-1))
-        n_syms = self.alphabet.shape[0]
-        dtype = np.min_scalar_type(max(n_syms - 1, 0))
-        if n_syms and int(self.alphabet[-1]) < _LUT_MAX_CODE:
-            lut = np.zeros(int(self.alphabet[-1]) + 1, dtype=dtype)
-            lut[self.alphabet] = np.arange(n_syms, dtype=dtype)
-            ids = lut[codes]
-        else:
-            ids = np.searchsorted(self.alphabet, codes).astype(dtype)
+        self.alphabet, ids = _symbol_ids(encoded.codes)
         self.symbols = np.ascontiguousarray(ids[self.order].T)
+
+
+class SymbolRows:
+    """The cached text-side layout of the pair driver.
+
+    ``alphabet`` is the collection's own sorted distinct code points and
+    ``symbols`` the ``(n, max_length)`` row-major matrix of their indices
+    in the narrowest unsigned dtype (:func:`_symbol_ids`; one byte per
+    character for any dictionary), so a refine's candidates — random
+    rows of a database — are one row gather of a few bytes each, with no
+    re-encode and no remap of code points.
+    """
+
+    def __init__(self, encoded) -> None:
+        self.lengths = encoded.lengths
+        self.alphabet, self.symbols = _symbol_ids(encoded.codes)
+
+
+def symbol_rows(encoded) -> SymbolRows:
+    """The (cached) pair-driver text layout of an encoded collection.
+
+    Attached to the :class:`EncodedStrings` instance beside ``myers`` and
+    ``text_columns``: built on the first pair call that reads candidates
+    from the collection, kept as long as whoever holds the encoding.
+    """
+    layout = encoded.symbol_rows
+    if layout is None:
+        layout = encoded.symbol_rows = SymbolRows(encoded)
+    return layout
 
 
 def text_columns(encoded) -> TextColumns:
@@ -844,6 +915,156 @@ def myers_matrix_lockstep_into(
             )
         for row, distances in zip(order[lo:hi], sorted_out):
             out[row][texts.order] = distances
+
+
+def _pair_peq(patterns_encoded, a: int, b: int, alphabet: np.ndarray):
+    """Flat ``Peq`` of patterns ``a..b``: row ``p``, symbol ``s`` at
+    ``p * (len(alphabet) + 1) + s``, pattern character ``i`` at bit ``i``."""
+    lengths = patterns_encoded.lengths[a:b]
+    codes = patterns_encoded.codes[a:b]
+    real = np.arange(codes.shape[1])[None, :] < lengths[:, None]
+    starts = np.cumsum(lengths) - lengths
+    cols = np.arange(int(lengths.sum())) - np.repeat(starts, lengths)
+    width = alphabet.shape[0] + 1
+    flat = np.repeat(np.arange(b - a) * width, lengths)
+    flat += _dense_symbols(alphabet, codes[real])
+    return _scatter_or(flat, _U1 << cols.astype(np.uint64), (b - a) * width)
+
+
+def myers_pair_distances(
+    patterns_encoded, texts_encoded, text_ids: np.ndarray, offsets: np.ndarray
+) -> np.ndarray:
+    """Distances of query-grouped ``(pattern, text)`` pairs, one lane each.
+
+    Pattern ``p``'s texts are ``text_ids[offsets[p]:offsets[p + 1]]``;
+    entry ``i`` of the ``int64`` result is the distance of pair ``i``.
+    The refine shape — a handful of queries, each against its own few
+    hundred candidates — fits neither matrix driver: every pair gets one
+    ``uint64`` lane holding its pattern (at most :data:`PAIR_MAX_PATTERN`
+    characters, character ``i`` at bit ``i``), and all lanes advance in
+    lock step over their own texts' characters.  Lanes run in descending
+    text length order, so column ``j`` touches the contiguous prefix of
+    lanes longer than ``j``; each column is one ``take`` from the flat
+    ``Peq`` of the patterns (one row per pattern over their joint
+    alphabet) at ``lane_pattern * (S + 1) + symbol`` and the ~16-op
+    Myers step, with the ``+1`` top-row delta shifted in from bit 0.
+    Bits above a pattern's top row compute junk that only ever moves
+    upwards, so no mask is applied until the distance is read off the
+    last column, as the lock-step driver does it:
+    ``len(text) + popcount(VP & mask) - popcount(VN & mask)`` (an empty
+    pattern gives ``len(text)``, an empty text the pattern length).
+
+    Texts come from the collection's cached :class:`SymbolRows`: a block
+    of lanes gathers its candidates' rows of narrow symbol ids and maps
+    them through one small table (text alphabet → pattern symbols,
+    foreign symbols to the never-matching 0).  No text is re-encoded, no
+    layout is built for either side, and nothing enters the encoding
+    cache.
+    """
+    text_ids = np.asarray(text_ids, dtype=np.intp)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    out = np.empty(text_ids.shape[0], dtype=np.int64)
+    if out.shape[0] == 0:
+        return out
+    lengths = patterns_encoded.lengths
+    if int(lengths.max()) > PAIR_MAX_PATTERN:
+        raise ValueError(
+            f"pair driver patterns hold at most {PAIR_MAX_PATTERN} characters"
+        )
+    texts = symbol_rows(texts_encoded)
+    real = np.arange(patterns_encoded.max_length)[None, :] < lengths[:, None]
+    alphabet = _code_point_alphabet(patterns_encoded.codes[real])
+    width = alphabet.shape[0] + 1
+    table = _dense_symbols(alphabet, texts.alphabet).astype(np.intp)
+    masks = (_U1 << lengths.astype(np.uint64)) - _U1
+    # Patterns per Peq table: bounded so a huge alphabet times a huge
+    # query chunk cannot blow up the table.
+    group = max(1, _PAIR_PEQ_BYTES // (8 * width))
+    for a in range(0, lengths.shape[0], group):
+        b = min(a + group, lengths.shape[0])
+        lo, hi = int(offsets[a]), int(offsets[b])
+        if lo < hi:
+            _pair_lanes(
+                _pair_peq(patterns_encoded, a, b, alphabet),
+                width,
+                table,
+                texts,
+                text_ids[lo:hi],
+                np.repeat(np.arange(b - a), np.diff(offsets[a : b + 1])),
+                masks[a:b],
+                out[lo:hi],
+            )
+    return out
+
+
+def _pair_lanes(
+    peq: np.ndarray,
+    width: int,
+    table: np.ndarray,
+    texts: SymbolRows,
+    text_ids: np.ndarray,
+    lane_pattern: np.ndarray,
+    masks: np.ndarray,
+    out: np.ndarray,
+) -> None:
+    """Run the pair lanes of one ``Peq`` table, in blocks of lanes sorted
+    by descending text length."""
+    text_lengths = texts.lengths[text_ids]
+    longest = int(text_lengths.max())
+    # A narrow radix key, ascending = longest text first.
+    key = (longest - text_lengths).astype(np.min_scalar_type(longest))
+    order = np.argsort(key, kind="stable")
+    n = order.shape[0]
+    blk = min(_LOCKSTEP_BLOCK_TEXTS, n)
+    VP, VN, Eq, Xv, Xh, Ph, T, Mask = np.empty((8, blk), dtype=np.uint64)
+    start = 0
+    while start < n:
+        columns = int(text_lengths[order[start]])
+        # Bound the block's (columns, lanes) index matrix too, for long
+        # texts.
+        size = min(blk, max(64, _PAIR_INDEX_BYTES // (8 * max(columns, 1))))
+        lanes = order[start : start + size]
+        start += lanes.shape[0]
+        nb = lanes.shape[0]
+        tlen = text_lengths[lanes]
+        patterns = lane_pattern[lanes]
+        m, vp, vn = Mask[:nb], VP[:nb], VN[:nb]
+        np.take(masks, patterns, out=m)
+        np.copyto(vp, m)
+        vn[:] = 0
+        if columns:
+            idx = table.take(texts.symbols[text_ids[lanes], :columns].T)
+            idx += patterns * width
+            # active[j] = lanes longer than j, a prefix: tlen descends.
+            active = np.searchsorted(-tlen, -np.arange(columns), "left")
+            for j in range(columns):
+                a = active[j]
+                eq, xv, xh, ph, tt = Eq[:a], Xv[:a], Xh[:a], Ph[:a], T[:a]
+                v, w = VP[:a], VN[:a]
+                # mode="clip" skips take's bounce buffer; ids are in
+                # range by construction.
+                np.take(peq, idx[j, :a], out=eq, mode="clip")
+                np.bitwise_or(eq, w, out=xv)
+                np.bitwise_and(eq, v, out=xh)
+                np.add(xh, v, out=xh)
+                np.bitwise_xor(xh, v, out=xh)
+                np.bitwise_or(xh, eq, out=xh)
+                np.bitwise_or(xh, v, out=ph)
+                np.invert(ph, out=ph)
+                np.bitwise_or(ph, w, out=ph)
+                np.bitwise_and(v, xh, out=xh)  # xh now holds Mh
+                np.left_shift(ph, _U1, out=ph)
+                np.bitwise_or(ph, _U1, out=ph)  # top-row delta +1
+                np.left_shift(xh, _U1, out=xh)
+                np.bitwise_or(xv, ph, out=tt)
+                np.invert(tt, out=tt)
+                np.bitwise_or(tt, xh, out=v)
+                np.bitwise_and(ph, xv, out=w)
+        np.bitwise_and(vp, m, out=vp)
+        np.bitwise_and(vn, m, out=vn)
+        d = tlen + np.bitwise_count(vp)
+        d -= np.bitwise_count(vn)
+        out[lanes] = d
 
 
 def _blocked_for_band(layout, lo, hi) -> _BlockedChunk:

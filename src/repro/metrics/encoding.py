@@ -110,14 +110,18 @@ class EncodedStrings:
     holds the true lengths.  Instances are immutable and reusable across
     every kernel call that touches the same collection.  ``myers`` lazily
     holds the collection's bit-parallel layout
-    (:class:`repro.metrics.bitparallel.MyersPatterns`) and
-    ``text_columns`` its lock-step text layout
-    (:class:`repro.metrics.bitparallel.TextColumns`), so the expensive
-    ``Peq`` tables and the length-sorted symbol columns share the
-    encoding cache's LRU lifetime.
+    (:class:`repro.metrics.bitparallel.MyersPatterns`), ``text_columns``
+    its lock-step text layout
+    (:class:`repro.metrics.bitparallel.TextColumns`) and ``symbol_rows``
+    its pair-driver layout (:class:`repro.metrics.bitparallel.SymbolRows`),
+    so the expensive ``Peq`` tables and the narrow symbol matrices live
+    exactly as long as the encoding does.
     """
 
-    __slots__ = ("codes", "lengths", "total_chars", "myers", "text_columns")
+    __slots__ = (
+        "codes", "lengths", "total_chars", "myers", "text_columns",
+        "symbol_rows",
+    )
 
     def __init__(self, codes: np.ndarray, lengths: np.ndarray):
         self.codes = codes
@@ -125,6 +129,7 @@ class EncodedStrings:
         self.total_chars = int(lengths.sum()) if lengths.size else 0
         self.myers = None
         self.text_columns = None
+        self.symbol_rows = None
 
     @classmethod
     def from_strings(cls, strings: Sequence[str]) -> "EncodedStrings":
@@ -163,6 +168,19 @@ class EncodedStrings:
     def row(self, i: int) -> np.ndarray:
         """The code points of string ``i`` without padding."""
         return self.codes[i, : self.lengths[i]]
+
+    def take(self, ids: np.ndarray) -> "EncodedStrings":
+        """Strings ``ids`` as a new encoding: a row gather, no re-encode.
+
+        ``codes[ids]`` trimmed to the longest gathered string and
+        ``lengths[ids]`` — equal to :meth:`from_strings` of the gathered
+        strings, duplicates and empty ``ids`` included.  The result is
+        uncached: it never enters the encoding LRU.
+        """
+        ids = np.asarray(ids, dtype=np.intp)
+        lengths = self.lengths[ids]
+        width = int(lengths.max()) if lengths.size else 0
+        return EncodedStrings(self.codes[ids, :width], lengths)
 
     def __len__(self) -> int:
         return self.lengths.shape[0]

@@ -22,6 +22,7 @@ from typing import Any, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.metrics import bitparallel
 from repro.metrics.base import Metric
 from repro.metrics.encoding import (
     EncodedStrings,
@@ -226,6 +227,45 @@ class LevenshteinDistance(StringMetric):
             yield 0, len(points), self.to_sites(points, sites)
         else:
             yield 0, len(points), levenshtein_matrix_compact(*encoded)
+
+    def grouped_distances(
+        self,
+        queries: Sequence[Any],
+        points: Sequence[Any],
+        point_ids: np.ndarray,
+        offsets: np.ndarray,
+    ) -> np.ndarray:
+        # Every pair of the chunk in one lock-step pass of the pair
+        # driver, candidates read from the (resident) points encoding.
+        # Queries longer than one uint64 lane take the inherited loop.
+        encoded = self._encode_both(queries, points)
+        if encoded is None:
+            return super().grouped_distances(queries, points, point_ids, offsets)
+        queries_encoded, points_encoded = encoded
+        point_ids = np.asarray(point_ids, dtype=np.intp)
+        offsets = np.asarray(offsets, dtype=np.int64)
+        fits = queries_encoded.lengths <= bitparallel.PAIR_MAX_PATTERN
+        if fits.all():
+            return bitparallel.myers_pair_distances(
+                queries_encoded, points_encoded, point_ids, offsets
+            ).astype(np.float64)
+        counts = np.diff(offsets)
+        pair_fits = np.repeat(fits, counts)
+        out = np.empty(point_ids.shape[0], dtype=np.float64)
+        out[pair_fits] = bitparallel.myers_pair_distances(
+            queries_encoded.take(np.flatnonzero(fits)),
+            points_encoded,
+            point_ids[pair_fits],
+            np.concatenate([[0], np.cumsum(counts[fits])]),
+        )
+        long_rows = np.flatnonzero(~fits)
+        out[~pair_fits] = super().grouped_distances(
+            [queries[int(i)] for i in long_rows],
+            points_encoded,
+            point_ids[~pair_fits],
+            np.concatenate([[0], np.cumsum(counts[long_rows])]),
+        )
+        return out
 
     def batch_distances_within(
         self, queries: Sequence[Any], points: Sequence[Any], radius: float
