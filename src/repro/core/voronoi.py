@@ -20,7 +20,6 @@ import itertools
 from typing import Optional, Sequence, Set, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.core.permutation import permutations_from_distances
 from repro.metrics.base import Metric
@@ -129,6 +128,10 @@ def _chain_is_feasible(sites: np.ndarray, perm: Sequence[int], tol: float) -> bo
     ``2 (b - a) . z + t <= |b|^2 - |a|^2`` and ``t <= 1``: the open region
     is nonempty iff the optimum has ``t > 0``.
     """
+    # Deferred: scipy.optimize costs ≈ 0.6 s and ≈ 43 MB per process,
+    # and this LP is its only user, so ``import repro`` stays scipy-free.
+    from scipy.optimize import linprog
+
     d = sites.shape[1]
     rows = []
     rhs = []

@@ -32,8 +32,11 @@ best-ranked candidates, so ``budget = n`` is the exact answer and smaller
 budgets trade recall for distance evaluations (the regime in which the
 permutation index competes with LAESA at a fraction of the storage).
 ``knn_query`` / ``range_query`` remain exact by evaluating every
-candidate (permutations admit no correct exclusion bound); the
-interesting trade-off is :meth:`~repro.index.base.Index.knn_approx`'s
+candidate.  A stored permutation does give an exclusion bound once the
+query's site distances are known — if ``x`` ranks site ``a`` before
+``b``, then ``d(q, x) >= (d(q, a) - d(q, b)) / 2``, the
+generalized-hyperplane bound — but the exact paths do not use it yet;
+the interesting trade-off is :meth:`~repro.index.base.Index.knn_approx`'s
 recall-vs-budget curve, exercised by the search benchmark.
 
 There is one query path, the batched one, and it is one loop — scan,
@@ -539,10 +542,11 @@ class DistPermIndex(Index):
         n = len(self.points)
         return n if budget is None else max(k, min(budget, n))
 
-    # Exact search must verify every candidate (permutations admit no
-    # exclusion bound), so the proximity-preserving order is irrelevant
-    # there: scan exhaustively without spending the k site evaluations a
-    # query permutation would cost.
+    # Exact search verifies every candidate: the exact paths do not yet
+    # prune with the generalized-hyperplane bound a stored permutation
+    # gives (see the module docstring), so the proximity-preserving order
+    # is irrelevant there: scan exhaustively without spending the k site
+    # evaluations a query permutation would cost.
 
     def _range_batch_impl(
         self, queries: Sequence[Any], radius: float

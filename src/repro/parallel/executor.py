@@ -107,7 +107,10 @@ def _default_context() -> multiprocessing.context.BaseContext:
         context = multiprocessing.get_context("forkserver")
         # Preload the package (and transitively numpy) into the fork
         # server once, so each forked worker starts warm instead of
-        # re-importing numpy per pool.
+        # re-importing numpy per pool.  The forkserver pays for this
+        # import serially before the first worker exists, and every
+        # worker inherits its modules in RSS, so ``import repro`` must
+        # stay lean: tests/test_import_graph.py keeps scipy off it.
         context.set_forkserver_preload(["repro"])
         return context
     except ValueError:  # pragma: no cover - non-POSIX platforms

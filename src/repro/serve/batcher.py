@@ -16,9 +16,14 @@ a window fills to ``max_batch`` before its deadline, the window shrinks
 (halves, floored at ``min_wait_ms``) so the next batch dispatches
 sooner; when a window expires less than half full, it grows back
 (doubles, capped at ``max_wait_ms``).  While the engine thread is busy,
-arrivals pile into the next window for free — at saturation the engine
-latency itself is the batching clock and the timer barely matters
-(continuous batching).
+arrivals pile into the next window for free, but the timer still runs:
+with fewer than ``max_batch / 2`` rows queued every window expires less
+than half full, so the window stays at ``max_wait_ms`` and each one
+waits out the full timer even when requests are already queued.  With
+16 closed-loop callers on a string index (2 vCPUs) that is ≈ 2 ms of
+every ≈ 16 ms window.  Dispatching at once when requests are already
+queued fragments the windows into smaller batches, which measured
+slower, so the timer stays.
 
 **Grouping.**  Requests in one window coalesce into a single engine
 call when the merged call provably returns byte-identical rows for

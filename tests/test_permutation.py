@@ -18,6 +18,7 @@ from repro.core.permutation import (
     distance_permutation,
     distance_permutations,
     distinct_permutations,
+    encode_permutations,
     footrule_matrix,
     footrule_matrix_batch,
     permutation_positions,
@@ -459,3 +460,106 @@ class TestFootruleDisplacementOracle:
         np.testing.assert_array_equal(
             np.bincount(footrules // 2, minlength=len(counts)), counts
         )
+
+
+def _displacement_counts(k):
+    """Permutations of ``S_k`` by total displacement, as a weighted Motzkin
+    path over ``m``, the arcs left open (arXiv 1606.05538).
+
+    Step ``i`` matches position ``i`` and value ``i``: both stay open
+    (``m -> m + 1``, weight 1), one closes an earlier arc or the two pair
+    up (``m -> m``, weight ``2m + 1``), or both close earlier arcs
+    (``m -> m - 1``, weight ``m^2``).  Every arc still open after the
+    step is one unit longer on each side, adding ``2m`` to the total.
+    Returns the counts at displacements 0, 2, 4, ...
+    """
+    paths = {(0, 0): 1}
+    for _ in range(k):
+        stepped: dict = {}
+        for (m, total), count in paths.items():
+            for after, weight in ((m + 1, 1), (m, 2 * m + 1), (m - 1, m * m)):
+                if weight:
+                    key = (after, total + 2 * after)
+                    stepped[key] = stepped.get(key, 0) + count * weight
+        paths = stepped
+    closed = {total: count for (m, total), count in paths.items() if m == 0}
+    return tuple(closed.get(total, 0) for total in range(0, max(closed) + 1, 2))
+
+
+def _identity_ball(k, radius):
+    """Every permutation of ``S_k`` within footrule ``radius`` of the
+    identity, depth first.  A value ``v`` left unplaced below the next
+    position ``i`` still costs at least ``i - v``, which prunes early."""
+    rows = []
+    row = [0] * k
+    used = [False] * k
+
+    def place(i, spent):
+        if i == k:
+            rows.append(row.copy())
+            return
+        for value in range(k):
+            if used[value]:
+                continue
+            cost = spent + abs(value - i)
+            used[value] = True
+            owed = sum(i + 1 - v for v in range(i + 1) if not used[v])
+            if cost + owed <= radius:
+                row[i] = value
+                place(i + 1, cost)
+            used[value] = False
+
+    place(0, 0)
+    return np.array(rows, dtype=np.int64)
+
+
+class TestFootruleBallOracle:
+    """The displacement oracle at ``k = 12``, where ``S_k`` is too large to
+    enumerate: the footrule ball of radius 8 (2 050 permutations) against
+    counts from the Motzkin-path recurrence."""
+
+    K = 12
+    RADIUS = 8
+
+    @pytest.mark.parametrize("k", sorted(_TOTAL_DISPLACEMENT_COUNTS))
+    def test_recurrence_matches_the_table(self, k):
+        assert _displacement_counts(k) == _TOTAL_DISPLACEMENT_COUNTS[k]
+
+    def test_recurrence_at_k12(self):
+        counts = _displacement_counts(self.K)
+        assert sum(counts) == math.factorial(self.K)
+        assert len(counts) == self.K * self.K // 4 + 1
+        ball_sizes = [sum(counts[: radius // 2 + 1]) for radius in (4, 8, 12, 16)]
+        assert ball_sizes == [87, 2050, 24854, 188505]
+
+    @pytest.fixture(scope="class")
+    def ball(self):
+        """The ball around a seeded ``sigma``: relabelling sites by
+        ``sigma`` preserves the footrule, so ``sigma[row]`` is as far from
+        ``sigma`` as ``row`` is from the identity."""
+        rows = _identity_ball(self.K, self.RADIUS)
+        sigma = np.random.default_rng(12).permutation(self.K)
+        return sigma[rows], sigma
+
+    def _assert_histogram(self, footrules):
+        counts = _displacement_counts(self.K)[: self.RADIUS // 2 + 1]
+        assert (footrules % 2 == 0).all()
+        assert footrules.max() == self.RADIUS
+        np.testing.assert_array_equal(np.bincount(footrules // 2), counts)
+
+    def test_ball_enumeration(self, ball):
+        rows, _ = ball
+        assert rows.shape == (2050, self.K)
+        assert len(np.unique(encode_permutations(rows))) == len(rows)
+
+    def test_histogram_from_rows(self, ball):
+        rows, sigma = ball
+        self._assert_histogram(footrule_matrix_batch(rows, sigma[None, :])[0])
+
+    def test_histogram_from_decoded_positions(self, ball):
+        rows, sigma = ball
+        positions = decode_positions(encode_permutations(rows), self.K)
+        footrules = footrule_matrix_batch(
+            None, sigma[None, :], positions=positions
+        )[0]
+        self._assert_histogram(footrules)
