@@ -20,8 +20,8 @@ the cold figure (pool spawn + publication inside the call) beside it.
 
 The dictionary workload additionally records a recall-versus-budget
 curve for ``knn_approx`` — unsharded versus both sharded budget splits
-(per-shard proportional and global footrule), quantifying what each
-split costs in recall at equal total budget.
+(per-shard proportional and global footrule), averaged over several site
+draws, with the distance evaluations per query each one spends.
 
 Results go to ``BENCH_parallel.json`` with the machine's CPU count
 recorded alongside: the committed file must come from a machine with at
@@ -77,6 +77,8 @@ SHARDS = 4
 CENSUS_WORKERS = max(2, min(4, CPUS))
 #: Timed warm batches per engine (after one untimed warm-up each).
 ROUNDS = 3
+#: Site draws the knn_approx recall curve averages over.
+RECALL_DRAWS = 4
 #: Budgets for the knn_approx recall-versus-budget curve.
 RECALL_BUDGETS = (100, 250, 500, 1000, 2000)
 RECALL_BUDGETS_SMOKE = (25, 50, 100, 200)
@@ -215,54 +217,80 @@ def _bench_census(points, metric, sites):
     }
 
 
+def _draw_factory(draw):
+    """Inner DistPerm factory of site draw ``draw``.
+
+    Draw 0 takes the first 12 elements of each shard; every later draw
+    samples 12 sites at random from a generator seeded with the draw
+    number.  Called once per index, so the shards of one sharded index
+    take successive samples.
+    """
+    if draw == 0:
+        return partial(DistPermIndex, n_sites=12, site_strategy="first")
+    return partial(
+        DistPermIndex, n_sites=12, site_strategy="random",
+        rng=np.random.default_rng(draw),
+    )
+
+
 def _bench_recall(points, metric, queries, exact_results, k, budgets):
     """Recall-versus-budget for ``knn_approx``: unsharded vs both splits.
 
-    The sharded index can split each query's budget proportionally
-    across its shards (ceil per shard), which changes the candidate set
-    and hence the recall/budget trade-off relative to one global
-    footrule ranking over the whole database — ``recall_sharded``
-    quantifies that cost.  ``recall_sharded_global`` measures the
-    global-footrule split (``budget_split="global"``), which merges the
-    per-shard footrule rankings in the supervisor and allocates the
-    budget to the globally best candidates; it should sit between the
-    proportional and unsharded curves, recovering most of the gap.
+    ``recall_sharded`` is the proportional split (each shard ranks its
+    own candidates and keeps a size-proportional share of the budget);
+    ``recall_sharded_global`` is the global footrule split
+    (``budget_split="global"``), which merges the per-shard footrule
+    rankings in the supervisor and allocates the budget to the globally
+    best candidates.  Each recall is the mean over :data:`RECALL_DRAWS`
+    site draws, because the ranking of the splits changes from draw to
+    draw, and ``evals_*`` beside it is the mean distance evaluations per
+    query, site distances included — the global split pays every
+    shard's ``to_sites`` twice.  ``per_draw`` keeps each draw's figures.
     Recall is measured against the exact kNN answer; shards run
     in-process (recall depends on the shard layout, not the engine).
     """
     exact_ids = [{neighbor.index for neighbor in row} for row in exact_results]
-    inner = partial(DistPermIndex, n_sites=12, site_strategy="first")
-    unsharded = DistPermIndex(points, metric, n_sites=12,
-                              site_strategy="first")
+    fields = ("unsharded", "sharded", "sharded_global")
 
-    def mean_recall(results):
+    def measure(index, budget):
+        index.reset_stats()
+        results = index.knn_approx_batch(queries, k, budget=budget)
         hits = [
             len({neighbor.index for neighbor in row} & ids) / max(1, len(ids))
             for row, ids in zip(results, exact_ids)
         ]
-        return round(float(np.mean(hits)), 4)
+        return float(np.mean(hits)), index.stats.distances_per_query
+
+    per_draw = {budget: [] for budget in budgets}
+    for draw in range(RECALL_DRAWS):
+        unsharded = _draw_factory(draw)(points, metric)
+        with ShardedIndex(
+            points, metric, _draw_factory(draw), n_shards=SHARDS,
+            workers=None, budget_split="proportional",
+        ) as sharded, ShardedIndex(
+            points, metric, _draw_factory(draw), n_shards=SHARDS,
+            workers=None, budget_split="global",
+        ) as sharded_global:
+            for budget in budgets:
+                point = {"draw": draw}
+                for field, index in zip(
+                    fields, (unsharded, sharded, sharded_global)
+                ):
+                    recall, evals = measure(index, budget)
+                    point[f"recall_{field}"] = round(recall, 4)
+                    point[f"evals_{field}"] = round(evals, 1)
+                per_draw[budget].append(point)
 
     curve = []
-    with ShardedIndex(
-        points, metric, inner, n_shards=SHARDS, workers=None,
-        budget_split="proportional",
-    ) as sharded, ShardedIndex(
-        points, metric, inner, n_shards=SHARDS, workers=None,
-        budget_split="global",
-    ) as sharded_global:
-        for budget in budgets:
-            curve.append({
-                "budget": budget,
-                "recall_unsharded": mean_recall(
-                    unsharded.knn_approx_batch(queries, k, budget=budget)
-                ),
-                "recall_sharded": mean_recall(
-                    sharded.knn_approx_batch(queries, k, budget=budget)
-                ),
-                "recall_sharded_global": mean_recall(
-                    sharded_global.knn_approx_batch(queries, k, budget=budget)
-                ),
-            })
+    for budget in budgets:
+        draws = per_draw[budget]
+        point = {"budget": budget}
+        for field in fields:
+            for key in (f"recall_{field}", f"evals_{field}"):
+                mean = float(np.mean([d[key] for d in draws]))
+                point[key] = round(mean, 4 if key.startswith("recall") else 1)
+        point["per_draw"] = draws
+        curve.append(point)
     return curve
 
 
@@ -335,6 +363,7 @@ def run_dictionary_workload(n, n_queries, census_n, rng, recall_budgets):
         "configs": configs,
         "census": _bench_census(census_words, metric, sites),
         "recall_shards": SHARDS,
+        "recall_draws": RECALL_DRAWS,
         "recall_curve": _bench_recall(
             words, metric, queries, exact_results, 10, recall_budgets
         ),
@@ -476,10 +505,14 @@ def main(argv=None):
             )
         for point in workload.get("recall_curve", ()):
             print(
-                f"{workload['dataset']}/recall@budget={point['budget']}: "
-                f"unsharded {point['recall_unsharded']}, "
-                f"sharded {point['recall_sharded']}, "
-                f"global split {point['recall_sharded_global']}"
+                f"{workload['dataset']}/recall@budget={point['budget']} "
+                f"(mean of {RECALL_DRAWS} site draws, evals/query): "
+                f"unsharded {point['recall_unsharded']} "
+                f"({point['evals_unsharded']}), "
+                f"proportional {point['recall_sharded']} "
+                f"({point['evals_sharded']}), "
+                f"global split {point['recall_sharded_global']} "
+                f"({point['evals_sharded_global']})"
             )
 
     if not guards_skipped:

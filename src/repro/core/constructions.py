@@ -19,7 +19,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.core.permutation import permutations_from_distances
+from repro.core.permutation import ranked_permutations
 from repro.metrics.minkowski import MinkowskiMetric
 from repro.metrics.trees import TreeMetric, path_tree_metric
 
@@ -126,9 +126,7 @@ def _witnesses_recursive(
             point = base.copy()
             point[-1] = z
             distances = metric.to_sites(point.reshape(1, -1), sites)
-            return tuple(
-                int(v) for v in permutations_from_distances(distances)[0]
-            )
+            return tuple(int(v) for v in ranked_permutations(distances)[0])
 
         swept = _sweep_witnesses(
             perm_at, -epsilon / 2.0, 3.0 * epsilon / 4.0, samples

@@ -144,8 +144,8 @@ class StreamingCensus:
 
     def update_points(
         self, points: Sequence, sites: Sequence, metric: Metric
-    ) -> None:
-        """Convenience: compute and fold a batch of database points.
+    ) -> "StreamingCensus":
+        """Compute and fold a batch of database points; returns ``self``.
 
         The Lehmer codes come from the build's rank kernel
         (:func:`~repro.core.permutation.site_ranks`), one metric row
@@ -153,6 +153,7 @@ class StreamingCensus:
         """
         codes, _ = site_ranks(points, sites, metric)
         self.update_codes(codes, len(sites))
+        return self
 
     def merge(self, other: "StreamingCensus") -> "StreamingCensus":
         """Fold another census into this one, in place; returns ``self``.
@@ -347,8 +348,7 @@ def sampled_census_estimate(
     rng = rng if rng is not None else np.random.default_rng()
     chosen = rng.choice(n, size=sample_size, replace=False)
     sample = [points[int(i)] for i in chosen]
-    census = StreamingCensus()
-    census.update_points(sample, sites, metric)
+    census = StreamingCensus().update_points(sample, sites, metric)
     return SampledCensus(
         sample_size=sample_size,
         observed=census.distinct,

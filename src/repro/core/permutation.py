@@ -8,21 +8,20 @@ is the index of the ``(r+1)``-th closest site.
 
 Among equal distances the lower site index comes first.  This matters
 for discrete metrics such as edit distance where ties are pervasive.
-Two routes apply the rule:
-
-- **The pair-compare kernel** (:func:`ranks_from_distances`, and the
-  census's :func:`prefix_codes_from_distances`) is every *bulk* route:
-  one whole-column ``d[s] <= d[m]`` per site pair ``s < m`` — ``<=``
-  against the lower-indexed site *is* the tie-break — and no sort.
-  :func:`site_ranks` feeds it the metric's own row blocks
-  (:meth:`~repro.metrics.base.Metric.to_sites_compact`), which is how
-  the index build, ``add_points``, the census and its ``--dump``
-  payload, and :meth:`~repro.core.estimate.StreamingCensus.update_points`
-  compute ``Π_y``.
-- **A stable argsort** (:func:`permutations_from_distances`) serves
-  small and scalar callers — query permutations, the Voronoi, truncated,
-  figure, pivot and counterexample experiments — and is the test oracle
-  the kernel is checked against.  It sorts NaN last; the kernel raises.
+Library routes apply the rule with the pair-compare kernel
+(:func:`ranks_from_distances`; the census's
+:func:`prefix_codes_from_distances`): one whole-column ``d[s] <= d[m]``
+per site pair ``s < m``, where ``<=`` against the lower-indexed site
+*is* the tie-break.  :func:`site_ranks` feeds it the metric's row blocks
+(:meth:`~repro.metrics.base.Metric.to_sites_compact`) for the index
+build, ``add_points``, the census and every distinct-permutation count.
+Callers that hold a distance matrix (queries, the pivot table, the
+constructions) take :func:`ranked_permutations`: a stable argsort for a
+few rows, the kernel beyond.  A NaN distance raises ``ValueError`` on
+every route.  :func:`permutations_from_distances` (a stable argsort,
+NaN last), :func:`count_distinct_permutations` and
+:func:`distinct_permutations` are the reference the kernels are tested
+against; no library route calls them.
 
 The codec half of this module packs permutations into integer *codes*:
 :func:`encode_permutations` / :func:`decode_permutations` are batch
@@ -51,6 +50,7 @@ __all__ = [
     "MAX_CODE_SITES",
     "distance_permutation",
     "distance_permutations",
+    "ranked_permutations",
     "permutations_from_distances",
     "count_distinct_permutations",
     "distinct_permutations",
@@ -82,13 +82,12 @@ MAX_CODE_SITES = 20
 
 
 def permutations_from_distances(distances: np.ndarray) -> np.ndarray:
-    """Return distance permutations for a matrix of site distances.
+    """Reference distance permutations: a stable argsort of each row.
 
     ``distances`` has shape ``(n, k)``: row ``i`` holds the distances from
     point ``i`` to each of the ``k`` sites.  The result has the same shape
     and row ``i`` is ``Π`` for point ``i``.  Stable sorting implements the
     lower-index tie-break; a NaN distance sorts after every number.
-    Bulk builds take :func:`site_ranks` instead, which never sorts.
     """
     distances = np.asarray(distances)
     if distances.ndim == 1:
@@ -96,18 +95,49 @@ def permutations_from_distances(distances: np.ndarray) -> np.ndarray:
     return np.argsort(distances, axis=1, kind="stable")
 
 
+#: Rows up to which :func:`ranked_permutations` argsorts: one stable sort
+#: beats the pair kernel's ``k(k-1)/2`` passes plus a decode below ≈ 4k
+#: rows at ``k = 4..12`` (2-vCPU x86-64).
+_ARGSORT_ROWS = 4096
+
+
+def _reject_nan(distances: np.ndarray) -> None:
+    """Raise ``ValueError`` if a float ``distances`` array holds a NaN."""
+    if (
+        distances.dtype.kind == "f"
+        and distances.size
+        and math.isnan(distances.min())
+    ):
+        raise ValueError("NaN distances have no rank")
+
+
+def ranked_permutations(distances: np.ndarray) -> np.ndarray:
+    """:func:`permutations_from_distances` for library callers.
+
+    A stable argsort up to :data:`_ARGSORT_ROWS` rows, the pair-compare
+    kernel and a Lehmer decode beyond; ``int64`` rows either way, and a
+    NaN distance raises ``ValueError`` on both routes.
+    """
+    distances = np.asarray(distances)
+    if distances.ndim == 1:
+        distances = distances.reshape(1, -1)
+    _reject_nan(distances)
+    if distances.shape[0] <= _ARGSORT_ROWS:
+        return np.argsort(distances, axis=1, kind="stable")
+    _, codes = ranks_from_distances(distances)
+    return decode_permutations(codes, distances.shape[1])
+
+
 def distance_permutation(point: Any, sites: Sequence[Any], metric: Metric) -> Tuple[int, ...]:
     """Return ``Π_y`` for one point as a tuple of 0-based site indices."""
-    distances = metric.to_sites([point], sites)[0]
-    return tuple(int(i) for i in permutations_from_distances(distances)[0])
+    return tuple(distance_permutations([point], sites, metric)[0].tolist())
 
 
 def distance_permutations(
     points: Sequence[Any], sites: Sequence[Any], metric: Metric
 ) -> np.ndarray:
     """Return the ``(n, k)`` matrix of distance permutations for ``points``."""
-    distances = metric.to_sites(points, sites)
-    return permutations_from_distances(distances)
+    return ranked_permutations(metric.to_sites(points, sites))
 
 
 def count_distinct_permutations(perms: np.ndarray) -> int:
@@ -151,33 +181,6 @@ def permutation_code_dtype(k: int) -> np.dtype:
     arbitrary-precision fallback.
     """
     return np.dtype(np.uint64) if k <= MAX_CODE_SITES else np.dtype(object)
-
-
-def _earlier_smaller_counts(
-    block: np.ndarray, values_below: int
-) -> np.ndarray:
-    """``C[r, i] = #{j < i : block[r, j] < block[r, i]}``, no per-row loops.
-
-    The Lehmer digits of :func:`encode_permutations`' arbitrary-precision
-    path.  A running per-row bitmask of seen values makes this ``k``
-    passes of O(n) work: the count is the popcount of the mask below the
-    current value.  ``values_below`` bounds the entries (exclusive);
-    beyond 64 the column-at-a-time comparison loop takes over.
-    """
-    n, k = block.shape
-    counts = np.empty_like(block)
-    if values_below <= 64:
-        seen = np.zeros(n, dtype=np.uint64)
-        one = np.uint64(1)
-        for i in range(k):
-            bit = one << block[:, i].astype(np.uint64)
-            counts[:, i] = np.bitwise_count(seen & (bit - one))
-            seen |= bit
-        return counts
-    counts[:, :1] = 0
-    for i in range(1, k):
-        counts[:, i] = (block[:, :i] < block[:, i : i + 1]).sum(axis=1)
-    return counts
 
 
 def encode_permutations(
@@ -241,11 +244,10 @@ def encode_permutations(
             codes -= np.bitwise_count(seen & (bit - one))
             seen |= bit
         return codes
-    digits = block - _earlier_smaller_counts(block, k)
-    codes = np.zeros(n, dtype=object)
-    for i in range(k):
-        codes = codes * (k - i) + digits[:, i].astype(object)
-    return codes
+    # Exact Python ints: the rank kernel, fed each site's rank as its
+    # distance, sorts back to ``perms`` and sums the same Lehmer code.
+    _, codes = ranks_from_distances(permutation_positions(block))
+    return codes.astype(object)
 
 
 def _checked_codes(codes: np.ndarray, k: int) -> np.ndarray:
@@ -474,15 +476,13 @@ def _column_blocks(
     column-major input, a transposing copy of anything else.  NaN
     distances have no rank and raise ``ValueError``.
     """
-    floats = distances.dtype.kind == "f"
     rows = max(1, _CODE_BLOCK_BYTES // (top * distances.itemsize))
     for start in range(0, distances.shape[0], rows):
         stop = min(start + rows, distances.shape[0])
         columns = distances[start:stop, :top].T
         if columns.strides[1] != columns.itemsize:
             columns = np.ascontiguousarray(columns)
-        if floats and np.isnan(columns.min()):
-            raise ValueError("NaN distances have no rank")
+        _reject_nan(columns)
         yield start, stop, columns
 
 

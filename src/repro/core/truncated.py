@@ -11,6 +11,10 @@ The count of length-``m`` prefixes is the number of cells of the
 (``m = 1``: at most ``k`` cells) and the full diagram (``m = k``, the
 paper's object); the census curve over ``m`` shows where the information
 in the permutation saturates.
+
+:func:`prefix_census_curve` takes one census of Lehmer codes: a code is
+the lexicographic rank, so ``code // (k - m)!`` is its first ``m`` ranks
+and the ``N`` distinct codes yield every truncation width.
 """
 
 from __future__ import annotations
@@ -20,7 +24,8 @@ from typing import Dict, Sequence
 
 import numpy as np
 
-from repro.core.permutation import permutations_from_distances
+from repro.core.estimate import StreamingCensus
+from repro.core.permutation import encode_permutations
 from repro.core.storage import bits_for_count
 from repro.metrics.base import Metric
 
@@ -44,9 +49,15 @@ def truncate_permutations(perms: np.ndarray, m: int) -> np.ndarray:
 
 
 def count_distinct_prefixes(perms: np.ndarray, m: int) -> int:
-    """Count distinct length-``m`` prefixes (ordered)."""
-    prefixes = truncate_permutations(perms, m)
-    return int(np.unique(prefixes, axis=0).shape[0])
+    """Count distinct length-``m`` prefixes (ordered) of permutation rows."""
+    perms = np.asarray(perms)
+    truncate_permutations(perms, m)  # the shape and width checks
+    return _distinct_heads(encode_permutations(perms), perms.shape[1], m)
+
+
+def _distinct_heads(codes: np.ndarray, k: int, m: int) -> int:
+    """Distinct length-``m`` prefixes among width-``k`` Lehmer codes."""
+    return int(np.unique(codes // math.factorial(k - m)).shape[0])
 
 
 def max_prefixes_unrestricted(k: int, m: int) -> int:
@@ -68,14 +79,12 @@ def prefix_census_curve(
 ) -> Dict[int, int]:
     """Distinct-prefix counts for every ``m = 1..k`` on one site set.
 
-    One distance matrix is computed; each prefix length reuses it.  The
+    One census of the full permutations serves every prefix length.  The
     curve is monotone nondecreasing in ``m`` by construction and its
     flattening point is where extra permutation positions stop adding
     information (the storage-versus-selectivity trade-off knob).
     """
-    distances = metric.to_sites(points, sites)
-    perms = permutations_from_distances(distances)
-    return {
-        m: count_distinct_prefixes(perms, m)
-        for m in range(1, perms.shape[1] + 1)
-    }
+    k = len(sites)
+    census = StreamingCensus().update_points(points, sites, metric)
+    codes = census.codes if census.distinct else np.empty(0, np.uint64)
+    return {m: _distinct_heads(codes, k, m) for m in range(1, k + 1)}

@@ -7,7 +7,9 @@ engines are provided:
 - a metric-agnostic **grid census** that samples the plane (or ``R^d``) on
   progressively finer grids until the set of realized permutations
   stabilizes — works for every ``L_p`` including the kinked L1/L∞
-  bisectors of Figure 4;
+  bisectors of Figure 4.  Its grids fold Lehmer codes into a
+  :class:`~repro.core.estimate.StreamingCensus` — the census engine of
+  Tables 2–3 — and only the ``N`` distinct codes are decoded;
 - an **exact Euclidean census** that tests each candidate permutation's
   cell (an open polyhedron defined by the chain of halfspace constraints
   ``d(z, x_{π(1)}) < ... < d(z, x_{π(k)})``) for nonempty interior with a
@@ -21,7 +23,8 @@ from typing import Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.core.permutation import permutations_from_distances
+from repro.core.estimate import StreamingCensus
+from repro.core.permutation import decode_permutations
 from repro.metrics.base import Metric
 
 __all__ = [
@@ -66,6 +69,32 @@ def _default_bounds(
     return tuple((float(l) - pad, float(h) + pad) for l, h in zip(lo, hi))
 
 
+def _grid_permutations(
+    sites,
+    metric: Metric,
+    bounds: Optional[Sequence[Tuple[float, float]]],
+    resolution: int,
+    margin: float,
+    max_refinements: int,
+) -> np.ndarray:
+    """The ``(N, k)`` distinct permutations realized on a stabilizing grid.
+
+    Every refinement's grid folds into one census, and the loop stops
+    once a grid adds no distinct code; only the ``N`` codes are decoded.
+    """
+    sites = np.asarray(sites, dtype=np.float64)
+    if bounds is None:
+        bounds = _default_bounds(sites, margin)
+    census = StreamingCensus()
+    for _ in range(max_refinements + 1):
+        before = census.distinct
+        census.update_points(_grid_points(bounds, resolution), sites, metric)
+        if census.distinct == before:
+            break
+        resolution *= 2
+    return decode_permutations(census.codes, len(sites))
+
+
 def realized_permutations_grid(
     sites,
     metric: Metric,
@@ -81,20 +110,10 @@ def realized_permutations_grid(
     doubles in resolution until two consecutive refinements find no new
     permutation, or ``max_refinements`` is exhausted.
     """
-    sites = np.asarray(sites, dtype=np.float64)
-    if bounds is None:
-        bounds = _default_bounds(sites, margin)
-    found: Set[Tuple[int, ...]] = set()
-    for _ in range(max_refinements + 1):
-        points = _grid_points(bounds, resolution)
-        distances = metric.to_sites(points, sites)
-        perms = permutations_from_distances(distances)
-        new = {tuple(int(v) for v in row) for row in np.unique(perms, axis=0)}
-        if new <= found:
-            break
-        found |= new
-        resolution *= 2
-    return found
+    perms = _grid_permutations(
+        sites, metric, bounds, resolution, margin, max_refinements
+    )
+    return {tuple(row) for row in perms.tolist()}
 
 
 def count_cells_grid(
@@ -106,16 +125,9 @@ def count_cells_grid(
     max_refinements: int = 3,
 ) -> int:
     """Count generalized Voronoi cells (distinct permutations) on a grid."""
-    return len(
-        realized_permutations_grid(
-            sites,
-            metric,
-            bounds=bounds,
-            resolution=resolution,
-            margin=margin,
-            max_refinements=max_refinements,
-        )
-    )
+    return len(_grid_permutations(
+        sites, metric, bounds, resolution, margin, max_refinements
+    ))
 
 
 def _chain_is_feasible(sites: np.ndarray, perm: Sequence[int], tol: float) -> bool:
@@ -198,14 +210,7 @@ def count_order_cells_grid(
     two nearest sites (Figure 2).  Counted as distinct ``order``-subsets
     realized over the sampled region.
     """
-    sites = np.asarray(sites, dtype=np.float64)
-    k = sites.shape[0]
-    if not 1 <= order <= k:
-        raise ValueError(f"order must be in 1..{k}")
-    if bounds is None:
-        bounds = _default_bounds(sites, margin)
-    points = _grid_points(bounds, resolution)
-    distances = metric.to_sites(points, sites)
-    perms = permutations_from_distances(distances)
-    prefixes = np.sort(perms[:, :order], axis=1)
-    return int(np.unique(prefixes, axis=0).shape[0])
+    if not 1 <= order <= len(sites):
+        raise ValueError(f"order must be in 1..{len(sites)}")
+    perms = _grid_permutations(sites, metric, bounds, resolution, margin, 0)
+    return len({frozenset(row) for row in perms[:, :order].tolist()})

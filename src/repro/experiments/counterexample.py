@@ -17,10 +17,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.core.counting import euclidean_permutation_count
-from repro.core.permutation import (
-    count_distinct_permutations,
-    permutations_from_distances,
-)
+from repro.core.estimate import StreamingCensus
 from repro.metrics.minkowski import MinkowskiMetric
 
 __all__ = [
@@ -93,15 +90,12 @@ def counterexample_census(
     metric = MinkowskiMetric(p)
     rng = np.random.default_rng(seed)
     points = rng.random((n_points, d))
-    distances = metric.to_sites(points, sites)
-    observed = count_distinct_permutations(
-        permutations_from_distances(distances)
-    )
+    census = StreamingCensus().update_points(points, sites, metric)
     return CounterexampleResult(
         d=d,
         k=k,
         p=p,
-        observed=observed,
+        observed=census.distinct,
         euclidean_limit=euclidean_permutation_count(d, k),
     )
 

@@ -22,10 +22,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.permutation import (
-    count_distinct_permutations,
-    permutations_from_distances,
-)
+from repro.core.estimate import StreamingCensus
 from repro.core.voronoi import (
     count_order_cells_grid,
     realized_permutations_euclidean_exact,
@@ -132,9 +129,8 @@ def cells_hit_experiment(
     hits: Dict[int, int] = {}
     for size in sizes:
         points = lo + (hi - lo) * rng.random((size, sites.shape[1]))
-        distances = metric.to_sites(points, sites)
-        perms = permutations_from_distances(distances)
-        hits[size] = count_distinct_permutations(perms)
+        census = StreamingCensus().update_points(points, sites, metric)
+        hits[size] = census.distinct
     return CellsHitResult(
         realizable_in_space=len(space_perms),
         realizable_in_box=len(box_perms),

@@ -20,10 +20,11 @@ metric's row blocks (:func:`~repro.core.permutation.site_ranks`): one
 and the insertion digit the Lehmer code is summed from, one block at a
 time, so no ``(n, k)`` float64 distance matrix, no argsort and no
 permutation matrix exist.  A NaN distance raises ``ValueError`` there,
-as it does in the census.  Footrules stay in the narrowest unsigned
-dtype that holds ``floor(k^2 / 2)`` (``uint8`` through ``k = 22``) from
-the kernel's ``out=`` buffer through candidate selection; the ``(n, k)``
-row matrix exists only on demand (:attr:`permutations`).
+as it does in the census and in a query's permutation.  Footrules stay
+in the narrowest unsigned dtype that holds ``floor(k^2 / 2)`` (``uint8``
+through ``k = 22``) from the kernel's ``out=`` buffer through candidate
+selection; the ``(n, k)`` row matrix exists only on demand
+(:attr:`permutations`).
 
 Search with permutations is *approximate*: candidates are ranked by
 Spearman footrule between their stored permutation and the query's, and
@@ -106,7 +107,7 @@ from repro.core.permutation import (
     compact_position_dtype,
     decode_permutations,
     footrule_matrix_batch,
-    permutations_from_distances,
+    ranked_permutations,
     site_ranks,
     workspace_buffer,
 )
@@ -332,19 +333,15 @@ class DistPermIndex(Index):
 
     def query_permutation(self, query: Any) -> np.ndarray:
         """Compute the query's distance permutation (k metric evaluations)."""
-        distances = self.metric.to_sites([query], self.sites)
-        return permutations_from_distances(distances)[0]
+        return self.query_permutations([query])[0]
 
     def query_permutations(self, queries: Sequence[Any]) -> np.ndarray:
         """Distance permutations of a whole query set in one ``to_sites`` call.
 
-        A stable argsort of the ``(q, k)`` distances, not the build's
-        pair-compare kernel: a few dozen query rows cost less to sort
-        than ``k(k-1)/2`` whole-row passes.  So where the build raises on
-        a NaN distance, a query ranks its NaN sites last, in site order.
+        Ranked by :func:`~repro.core.permutation.ranked_permutations`, so
+        a NaN distance raises ``ValueError``, as it does in the build.
         """
-        distances = self.metric.to_sites(queries, self.sites)
-        return permutations_from_distances(distances)
+        return ranked_permutations(self.metric.to_sites(queries, self.sites))
 
     def add_points(self, new_points: Sequence[Any]) -> None:
         """Append elements to the index without a full rebuild.
@@ -516,9 +513,7 @@ class DistPermIndex(Index):
         first.  The stable sort runs on the narrow footrule dtype (a
         radix sort for one- and two-byte rows).
         """
-        footrules = self._footrules_matrix(
-            self.query_permutation(query).reshape(1, -1)
-        )[0]
+        footrules = self._footrules_matrix(self.query_permutations([query]))[0]
         return np.argsort(footrules, kind="stable")
 
     def _resident_points(self) -> Any:
@@ -574,7 +569,8 @@ class DistPermIndex(Index):
         the method computes anyway) cancels that per-site-set shift
         while preserving the within-shard ordering, so the merged values
         rank candidates by how unusually close they sit in their own
-        shard's permutation space.  Costs one ``to_sites`` call
+        shard's permutation space (over site draws, no more recall than
+        the proportional split).  Costs one ``to_sites`` call
         (``n_sites`` evaluations per query) — the same site distances a
         subsequent :meth:`knn_approx_batch` pays again, so in-process
         and pooled execution charge identically.

@@ -14,6 +14,7 @@ from typing import Any, List, Optional, Sequence
 
 import numpy as np
 
+from repro.core.permutation import footrule_matrix, ranked_permutations
 from repro.index.base import Index, Neighbor
 from repro.metrics.base import Metric
 
@@ -113,9 +114,7 @@ class PivotIndex(Index):
         if self.candidate_order == "permutation":
             # Distance permutations of the pivots, derived from the table
             # at no metric cost (the paper's on-demand computation).
-            from repro.core.permutation import permutations_from_distances
-
-            self.pivot_permutations = permutations_from_distances(self.table)
+            self.pivot_permutations = ranked_permutations(self.table)
 
     def _query_pivot_distances(self, query: Any) -> np.ndarray:
         pivot_points = [self.points[i] for i in self.pivot_indices]
@@ -162,12 +161,7 @@ class PivotIndex(Index):
             # Proximity-preserving order: likely-close candidates first,
             # shrinking the k-th distance early.  Bounds are not sorted,
             # so candidates are skipped (not break) when they fail.
-            from repro.core.permutation import (
-                footrule_matrix,
-                permutations_from_distances,
-            )
-
-            query_perm = permutations_from_distances(query_distances)[0]
+            query_perm = ranked_permutations(query_distances)[0]
             footrules = footrule_matrix(self.pivot_permutations, query_perm)
             order = np.argsort(footrules, kind="stable")
             early_exit = False

@@ -37,7 +37,6 @@ handle whose ``stop()`` performs the same graceful drain.
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 import signal
 import threading
@@ -341,6 +340,8 @@ class QueryServer:
                     f"query vectors have dimension "
                     f"{request.queries.shape[1]}, index has {width}"
                 )
+            if not np.isfinite(request.queries).all():
+                return "query vectors must be finite"
         return None
 
 

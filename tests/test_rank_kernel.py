@@ -11,13 +11,16 @@ The oracle is the route they replaced: a stable argsort
 output must equal it byte for byte, dtype for dtype, on heavy ties,
 duplicate sites, ``±inf``, both sides of the kernel's row-block boundary,
 both code paths (``uint64`` through ``k = 20``, Python ints beyond) and
-every input layout; and a NaN distance must raise on every bulk path.
+every input layout; and a NaN distance must raise on every bulk path
+and on every query surface, as it does on both routes of the row front
+end (:func:`ranked_permutations`).
 """
 
 from __future__ import annotations
 
 import hashlib
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -33,11 +36,12 @@ from repro.core.permutation import (
     permutations_from_distances,
     prefix_codes_from_distances,
     prefix_permutation_codes,
+    ranked_permutations,
     ranks_from_distances,
     site_ranks,
 )
 from repro.datasets.dictionaries import synthetic_dictionary
-from repro.index import DistPermIndex, distperm
+from repro.index import DistPermIndex, PivotIndex, ShardedIndex, distperm
 from repro.index.serialize import save_distperm
 from repro.metrics import CountingMetric, EuclideanDistance, LevenshteinDistance
 from repro.parallel.census import sharded_census
@@ -162,6 +166,16 @@ class TestKernelEqualsArgsortOracle:
             ranks_from_distances(distances, codes=np.empty(9, dtype=np.uint64))
         with pytest.raises(ValueError, match="distance matrix"):
             ranks_from_distances(rng.random(5))
+
+    @pytest.mark.parametrize("route", ["argsort", "kernel"])
+    @pytest.mark.parametrize("values", VALUES)
+    def test_ranked_permutations_on_both_routes(self, rng, route, values):
+        rows = permutation._ARGSORT_ROWS + (route == "kernel")
+        distances = _distances(rng, rows, 12, values)
+        _assert_same_array(
+            ranked_permutations(distances),
+            permutations_from_distances(distances),
+        )
 
     def test_nan_raises_in_any_row_block(self, rng):
         k = 12
@@ -321,12 +335,69 @@ class TestNaNContract:
                 poisoned, poisoned[[0, 5, 9]], EuclideanDistance()
             )
 
-    def test_query_permutations_rank_nan_last(self):
-        points = np.random.default_rng(5).random((40, 2))
+
+class TestQueryNaNContract:
+    """Queries keep the build's contract: a NaN site distance raises on
+    every surface, on both routes of the row front end."""
+
+    NAN_QUERY = np.array([[np.nan, 0.5]])
+
+    @pytest.fixture(scope="class")
+    def points(self):
+        return np.random.default_rng(5).random((300, 2))
+
+    @pytest.mark.parametrize("route", ["argsort", "kernel"])
+    def test_ranked_permutations_raise_on_both_routes(self, route):
+        rows = 2 if route == "argsort" else permutation._ARGSORT_ROWS + 1
+        distances = np.random.default_rng(7).random((rows, 6))
+        distances[-1, 3] = np.nan
+        with pytest.raises(ValueError, match="NaN distances have no rank"):
+            ranked_permutations(distances)
+
+    @pytest.mark.parametrize(
+        "surface",
+        ["query_permutation", "query_permutations", "candidate_order",
+         "knn_approx", "knn_approx_batch"],
+    )
+    def test_distperm_query_surfaces_raise(self, points, surface):
         index = DistPermIndex(points, EuclideanDistance(), n_sites=4,
                               rng=np.random.default_rng(6))
-        query = np.array([[np.nan, 0.5]])
-        # Every site is NaN away: the argsort keeps them in site order.
-        np.testing.assert_array_equal(
-            index.query_permutations(query), [[0, 1, 2, 3]]
-        )
+        batch = np.vstack([points[:3], self.NAN_QUERY])
+        calls = {
+            "query_permutation": lambda: index.query_permutation(
+                self.NAN_QUERY[0]
+            ),
+            "query_permutations": lambda: index.query_permutations(batch),
+            "candidate_order": lambda: index.candidate_order(
+                self.NAN_QUERY[0]
+            ),
+            "knn_approx": lambda: index.knn_approx(
+                self.NAN_QUERY[0], 3, budget=40
+            ),
+            "knn_approx_batch": lambda: index.knn_approx_batch(
+                batch, 3, budget=40
+            ),
+        }
+        with pytest.raises(ValueError, match="NaN distances have no rank"):
+            calls[surface]()
+
+    def test_pivot_index_in_permutation_order_raises(self, points):
+        index = PivotIndex(points, EuclideanDistance(), n_pivots=4,
+                           candidate_order="permutation",
+                           rng=np.random.default_rng(8))
+        assert len(index.knn_query(points[7], 3)) == 3
+        with pytest.raises(ValueError, match="NaN distances have no rank"):
+            index.knn_query(self.NAN_QUERY[0], 3)
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_sharded_index_raises_in_process_and_pooled(self, points, workers):
+        inner = partial(DistPermIndex, n_sites=4, site_strategy="first")
+        batch = np.vstack([points[:3], self.NAN_QUERY])
+        with ShardedIndex(points, EuclideanDistance(), inner, n_shards=2,
+                          workers=workers) as index:
+            # Pooled, the worker's ValueError arrives as its traceback.
+            with pytest.raises(Exception, match="NaN distances have no rank"):
+                index.knn_approx_batch(batch, 3, budget=40)
+            # The index keeps answering clean queries afterwards.
+            rows = index.knn_approx_batch(points[:3], 3, budget=40)
+            assert [len(row) for row in rows] == [3, 3, 3]

@@ -567,6 +567,39 @@ class TestServerEndToEnd:
                 # The connection survives every rejected request.
                 assert client.knn(vectors[:1], 1).rows.n_queries == 1
 
+    def test_non_finite_query_errors_alone_in_its_window(
+        self, vectors, vec_queries, sock
+    ):
+        """A NaN query is refused before admission, so the coalesced
+        engine call its window-mates share never sees it."""
+        index = DistPermIndex(vectors, EuclideanDistance(), n_sites=6,
+                              site_strategy="first")
+        parts = [vec_queries[i:i + 3] for i in range(0, 12, 3)]
+        poisoned = vec_queries[12:15].copy()
+        poisoned[1, 2] = np.nan
+        sent = parts[:2] + [poisoned] + parts[2:]
+
+        async def main():
+            async with await AsyncClient.connect(unix_path=sock) as client:
+                return await asyncio.gather(
+                    *(client.knn_approx(part, 3, budget=60) for part in sent),
+                    return_exceptions=True,
+                )
+
+        config = BatchConfig(max_batch=64, max_wait_ms=20.0)
+        with serve_in_thread(
+            index, unix_path=sock, config=config, close_index=False
+        ):
+            answers = asyncio.run(main())
+        assert isinstance(answers[2], ServerError)
+        assert "finite" in str(answers[2])
+        for part, result in zip(parts, answers[:2] + answers[3:]):
+            assert_rows_equal(
+                result.rows,
+                index.knn_approx_batch_arrays(part, 3, budget=60),
+                exact=False,
+            )
+
     def test_concurrent_async_clients_match_serial_batches(
         self, vectors, vec_queries, sock
     ):
