@@ -8,20 +8,18 @@ is the index of the ``(r+1)``-th closest site.
 
 Among equal distances the lower site index comes first.  This matters
 for discrete metrics such as edit distance where ties are pervasive.
-Library routes apply the rule with the pair-compare kernel
-(:func:`ranks_from_distances`; the census's
-:func:`prefix_codes_from_distances`): one whole-column ``d[s] <= d[m]``
-per site pair ``s < m``, where ``<=`` against the lower-indexed site
-*is* the tie-break.  :func:`site_ranks` feeds it the metric's row blocks
-(:meth:`~repro.metrics.base.Metric.to_sites_compact`) for the index
-build, ``add_points``, the census and every distinct-permutation count.
-Callers that hold a distance matrix (queries, the pivot table, the
-constructions) take :func:`ranked_permutations`: a stable argsort for a
-few rows, the kernel beyond.  A NaN distance raises ``ValueError`` on
-every route.  :func:`permutations_from_distances` (a stable argsort,
-NaN last), :func:`count_distinct_permutations` and
-:func:`distinct_permutations` are the reference the kernels are tested
-against; no library route calls them.
+Bulk routes apply the rule with the pair-compare kernel
+(:func:`ranks_from_distances`, :func:`prefix_codes_from_distances`): one
+whole-column ``d[s] <= d[m]`` per site pair ``s < m`` — ``<=`` against
+the lower-indexed site *is* the tie-break.  :func:`site_ranks` feeds it
+the metric's row blocks for the index build, ``add_points``, the census
+and every distinct-permutation count.  Callers holding a distance
+matrix (queries, the pivot table, the constructions) take
+:func:`ranked_permutations`, a stable argsort.  A NaN distance raises
+``ValueError`` on every route; only the test reference
+:func:`permutations_from_distances` (with
+:func:`count_distinct_permutations` and :func:`distinct_permutations`)
+ranks it last.
 
 The codec half of this module packs permutations into integer *codes*:
 :func:`encode_permutations` / :func:`decode_permutations` are batch
@@ -95,37 +93,19 @@ def permutations_from_distances(distances: np.ndarray) -> np.ndarray:
     return np.argsort(distances, axis=1, kind="stable")
 
 
-#: Rows up to which :func:`ranked_permutations` argsorts: one stable sort
-#: beats the pair kernel's ``k(k-1)/2`` passes plus a decode below ≈ 4k
-#: rows at ``k = 4..12`` (2-vCPU x86-64).
-_ARGSORT_ROWS = 4096
-
-
 def _reject_nan(distances: np.ndarray) -> None:
     """Raise ``ValueError`` if a float ``distances`` array holds a NaN."""
-    if (
-        distances.dtype.kind == "f"
-        and distances.size
-        and math.isnan(distances.min())
-    ):
+    if distances.dtype.kind == "f" and np.isnan(distances.min(initial=0.0)):
         raise ValueError("NaN distances have no rank")
 
 
 def ranked_permutations(distances: np.ndarray) -> np.ndarray:
-    """:func:`permutations_from_distances` for library callers.
-
-    A stable argsort up to :data:`_ARGSORT_ROWS` rows, the pair-compare
-    kernel and a Lehmer decode beyond; ``int64`` rows either way, and a
-    NaN distance raises ``ValueError`` on both routes.
-    """
+    """:func:`permutations_from_distances`, raising on a NaN distance."""
     distances = np.asarray(distances)
     if distances.ndim == 1:
         distances = distances.reshape(1, -1)
     _reject_nan(distances)
-    if distances.shape[0] <= _ARGSORT_ROWS:
-        return np.argsort(distances, axis=1, kind="stable")
-    _, codes = ranks_from_distances(distances)
-    return decode_permutations(codes, distances.shape[1])
+    return np.argsort(distances, axis=1, kind="stable")
 
 
 def distance_permutation(point: Any, sites: Sequence[Any], metric: Metric) -> Tuple[int, ...]:
@@ -181,6 +161,33 @@ def permutation_code_dtype(k: int) -> np.dtype:
     arbitrary-precision fallback.
     """
     return np.dtype(np.uint64) if k <= MAX_CODE_SITES else np.dtype(object)
+
+
+def _earlier_smaller_counts(
+    block: np.ndarray, values_below: int
+) -> np.ndarray:
+    """``C[r, i] = #{j < i : block[r, j] < block[r, i]}``, no per-row loops.
+
+    The Lehmer digits of :func:`encode_permutations`' arbitrary-precision
+    path.  A running per-row bitmask of seen values makes this ``k``
+    passes of O(n) work: the count is the popcount of the mask below the
+    current value.  ``values_below`` bounds the entries (exclusive);
+    beyond 64 the column-at-a-time comparison loop takes over.
+    """
+    n, k = block.shape
+    counts = np.empty_like(block)
+    if values_below <= 64:
+        seen = np.zeros(n, dtype=np.uint64)
+        one = np.uint64(1)
+        for i in range(k):
+            bit = one << block[:, i].astype(np.uint64)
+            counts[:, i] = np.bitwise_count(seen & (bit - one))
+            seen |= bit
+        return counts
+    counts[:, :1] = 0
+    for i in range(1, k):
+        counts[:, i] = (block[:, :i] < block[:, i : i + 1]).sum(axis=1)
+    return counts
 
 
 def encode_permutations(
@@ -244,10 +251,11 @@ def encode_permutations(
             codes -= np.bitwise_count(seen & (bit - one))
             seen |= bit
         return codes
-    # Exact Python ints: the rank kernel, fed each site's rank as its
-    # distance, sorts back to ``perms`` and sums the same Lehmer code.
-    _, codes = ranks_from_distances(permutation_positions(block))
-    return codes.astype(object)
+    digits = block - _earlier_smaller_counts(block, k)
+    codes = np.zeros(n, dtype=object)
+    for i in range(k):
+        codes = codes * (k - i) + digits[:, i].astype(object)
+    return codes
 
 
 def _checked_codes(codes: np.ndarray, k: int) -> np.ndarray:

@@ -12,9 +12,9 @@ The count of length-``m`` prefixes is the number of cells of the
 paper's object); the census curve over ``m`` shows where the information
 in the permutation saturates.
 
-:func:`prefix_census_curve` takes one census of Lehmer codes: a code is
-the lexicographic rank, so ``code // (k - m)!`` is its first ``m`` ranks
-and the ``N`` distinct codes yield every truncation width.
+:func:`prefix_census_curve` takes one census of Lehmer codes: a
+code's first ``m`` ranks are ``code // (k - m)!``, so the ``N`` distinct
+codes serve every ``m``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from typing import Dict, Sequence
 import numpy as np
 
 from repro.core.estimate import StreamingCensus
-from repro.core.permutation import encode_permutations
 from repro.core.storage import bits_for_count
 from repro.metrics.base import Metric
 
@@ -49,15 +48,9 @@ def truncate_permutations(perms: np.ndarray, m: int) -> np.ndarray:
 
 
 def count_distinct_prefixes(perms: np.ndarray, m: int) -> int:
-    """Count distinct length-``m`` prefixes (ordered) of permutation rows."""
-    perms = np.asarray(perms)
-    truncate_permutations(perms, m)  # the shape and width checks
-    return _distinct_heads(encode_permutations(perms), perms.shape[1], m)
-
-
-def _distinct_heads(codes: np.ndarray, k: int, m: int) -> int:
-    """Distinct length-``m`` prefixes among width-``k`` Lehmer codes."""
-    return int(np.unique(codes // math.factorial(k - m)).shape[0])
+    """Count distinct length-``m`` prefixes (ordered)."""
+    prefixes = truncate_permutations(perms, m)
+    return int(np.unique(prefixes, axis=0).shape[0])
 
 
 def max_prefixes_unrestricted(k: int, m: int) -> int:
@@ -87,4 +80,7 @@ def prefix_census_curve(
     k = len(sites)
     census = StreamingCensus().update_points(points, sites, metric)
     codes = census.codes if census.distinct else np.empty(0, np.uint64)
-    return {m: _distinct_heads(codes, k, m) for m in range(1, k + 1)}
+    return {
+        m: int(np.unique(codes // math.factorial(k - m)).shape[0])
+        for m in range(1, k + 1)
+    }

@@ -115,6 +115,24 @@ class TestCodecRoundTrip:
         with pytest.raises(ValueError):
             encode_permutations(np.array([[-1, 0]]))
 
+    @pytest.mark.parametrize("k", [20, 22])
+    def test_duplicate_values_encode_deterministically(self, k):
+        # Duplicates go undetected, but the code is still a function of
+        # the row: digit i is perm[i] minus the distinct smaller values
+        # before it, on the uint64 and the object path alike.
+        row = list(range(k))
+        row[3] = row[7]
+        want = 0
+        for i, value in enumerate(row):
+            smaller = {v for v in row[:i] if v < value}
+            want = want * (k - i) + value - len(smaller)
+        perms = np.array([row] * 3)
+        for _ in range(3):
+            codes = encode_permutations(perms, dtype=object)
+            assert codes.tolist() == [want] * 3
+        if k <= 20:
+            assert encode_permutations(perms).tolist() == [want] * 3
+
     @given(
         st.integers(min_value=1, max_value=12).flatmap(
             lambda k: st.lists(

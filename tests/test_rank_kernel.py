@@ -12,8 +12,8 @@ output must equal it byte for byte, dtype for dtype, on heavy ties,
 duplicate sites, ``±inf``, both sides of the kernel's row-block boundary,
 both code paths (``uint64`` through ``k = 20``, Python ints beyond) and
 every input layout; and a NaN distance must raise on every bulk path
-and on every query surface, as it does on both routes of the row front
-end (:func:`ranked_permutations`).
+and on every query surface, row front end
+(:func:`ranked_permutations`) included.
 """
 
 from __future__ import annotations
@@ -167,11 +167,9 @@ class TestKernelEqualsArgsortOracle:
         with pytest.raises(ValueError, match="distance matrix"):
             ranks_from_distances(rng.random(5))
 
-    @pytest.mark.parametrize("route", ["argsort", "kernel"])
     @pytest.mark.parametrize("values", VALUES)
-    def test_ranked_permutations_on_both_routes(self, rng, route, values):
-        rows = permutation._ARGSORT_ROWS + (route == "kernel")
-        distances = _distances(rng, rows, 12, values)
+    def test_ranked_permutations_equal_the_oracle(self, rng, values):
+        distances = _distances(rng, 300, 12, values)
         _assert_same_array(
             ranked_permutations(distances),
             permutations_from_distances(distances),
@@ -338,7 +336,7 @@ class TestNaNContract:
 
 class TestQueryNaNContract:
     """Queries keep the build's contract: a NaN site distance raises on
-    every surface, on both routes of the row front end."""
+    every surface."""
 
     NAN_QUERY = np.array([[np.nan, 0.5]])
 
@@ -346,10 +344,8 @@ class TestQueryNaNContract:
     def points(self):
         return np.random.default_rng(5).random((300, 2))
 
-    @pytest.mark.parametrize("route", ["argsort", "kernel"])
-    def test_ranked_permutations_raise_on_both_routes(self, route):
-        rows = 2 if route == "argsort" else permutation._ARGSORT_ROWS + 1
-        distances = np.random.default_rng(7).random((rows, 6))
+    def test_ranked_permutations_raise(self):
+        distances = np.random.default_rng(7).random((2, 6))
         distances[-1, 3] = np.nan
         with pytest.raises(ValueError, match="NaN distances have no rank"):
             ranked_permutations(distances)
