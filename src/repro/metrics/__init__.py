@@ -12,7 +12,6 @@ from repro.metrics.documents import AngularDistance, CosineDissimilarity
 from repro.metrics.encoding import (
     EncodedStrings,
     encode_strings,
-    levenshtein_kernel_plan,
 )
 from repro.metrics.matrixmetric import (
     MatrixMetric,
@@ -69,7 +68,6 @@ __all__ = [
     "encode_strings",
     "hamming",
     "levenshtein",
-    "levenshtein_kernel_plan",
     "longest_common_prefix",
     "metric_closure",
     "minkowski_distance",

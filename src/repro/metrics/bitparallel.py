@@ -1,14 +1,13 @@
 """Myers bit-parallel Levenshtein kernels over :class:`EncodedStrings`.
 
-The PR-2 batched Wagner–Fischer DP still performs O(m·n) cell work per
-string pair.  Myers' 1999 bit-vector algorithm packs an entire DP column
-into machine words — each text character advances the whole column with a
-constant number of word operations — for O(m·⌈n/64⌉) work.  This module
+The Wagner–Fischer DP performs O(m·n) cell work per string pair.
+Myers' 1999 bit-vector algorithm packs an entire DP column into machine
+words — each text character advances the whole column with a constant
+number of word operations — for O(m·⌈n/64⌉) work.  This module
 implements that algorithm as pure-numpy ``uint64`` array kernels,
 vectorized across a whole *pattern collection* at once: the collection is
 the bit-packed side, and the loop runs over the characters of the other
-(shorter) side, exactly mirroring the orientation logic of the
-Wagner–Fischer kernel it replaces.
+(text) side; the caller's cost model decides which side plays which.
 
 Two kernels cover the length spectrum:
 
@@ -66,8 +65,9 @@ instance itself, so it lives exactly as long as the encoding does — the
 encoding-LRU entry, or the index holding it — and repeated
 ``to_sites``/census/index calls over one dataset never rebuild it.
 Collections whose alphabet exceeds :data:`DENSE_ALPHABET_MAX` distinct
-symbols report themselves ineligible and the caller falls back to the
-Wagner–Fischer kernel.
+symbols report themselves ineligible: the caller makes the other side
+the patterns, and falls back to the Wagner–Fischer kernel only when that
+side is ineligible too.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ __all__ = [
 DENSE_ALPHABET_MAX = 512
 
 #: Upper bound on bytes across a collection's ``Peq`` tables; beyond it
-#: the collection reports itself ineligible (Wagner–Fischer fallback).
+#: the collection reports itself ineligible.
 _PEQ_MAX_BYTES = 64 << 20
 
 #: Patterns at most this long enter the packed kernel (slot width
@@ -509,7 +509,8 @@ class MyersPatterns:
     Holds the dense alphabet remap, the length-sorted order, and one
     packed or blocked chunk per merged length band.  ``eligible`` is
     False when the alphabet or ``Peq`` footprint exceeds the dense-remap
-    budget; callers then use the Wagner–Fischer kernel.
+    budget; callers then make the other side the patterns, and use the
+    Wagner–Fischer kernel only when that side is ineligible too.
     """
 
     def __init__(self, encoded) -> None:

@@ -8,19 +8,15 @@ a padded ``uint32`` code-point matrix plus a length vector
 (:class:`EncodedStrings`), caches the encoding per collection, and
 computes whole distance *matrices* from the encoded form:
 
-- :func:`levenshtein_matrix` picks between two vectorized kernels per
-  call with an overhead-aware cost model (:func:`levenshtein_kernel_plan`):
-  the Myers bit-parallel kernels of :mod:`repro.metrics.bitparallel`
-  (O(m·⌈n/64⌉): the whole DP column lives in uint64 words, one numpy
-  step per text character) whenever the vectorized side's alphabet
-  admits a dense remap, and the Wagner–Fischer row DP (transposed
-  ``(m + 1, batch)`` rows, sequential insertion pass) otherwise.  Both
-  orientations of both kernels are costed; the Wagner–Fischer path
-  additionally re-chooses its loop side per length-sorted target chunk,
-  so bimodal-length collections cannot lock every chunk into one bad
-  orientation.  An optional ``max_distance`` adds an
-  ``|len(a) - len(b)|`` lower-bound prefilter and early-exit pruning
-  for range queries on either kernel.
+- :func:`levenshtein_matrix` runs the Myers bit-parallel kernels of
+  :mod:`repro.metrics.bitparallel` (O(m·⌈n/64⌉): the whole DP column
+  lives in uint64 words, one numpy step per text character) whenever
+  either side's alphabet admits a dense remap; a small cost model picks
+  which side is the bit-packed pattern collection and which driver
+  walks the texts.  Only when neither side fits does the Wagner–Fischer
+  row DP (transposed ``(m + 1, batch)`` rows, sequential insertion pass)
+  run.  An optional ``max_distance`` lets the Myers kernels skip
+  out-of-range length bands and exit early for range queries.
 - :func:`hamming_matrix` and :func:`lcp_matrix` /
   :func:`prefix_distance_matrix` are fully vectorized broadcasts over the
   code matrices.
@@ -46,7 +42,6 @@ __all__ = [
     "clear_encoding_cache",
     "levenshtein_matrix",
     "levenshtein_matrix_compact",
-    "levenshtein_kernel_plan",
     "hamming_matrix",
     "lcp_matrix",
     "prefix_distance_matrix",
@@ -66,24 +61,13 @@ _TARGET_DP_CELLS = 1 << 22
 #: LCP kernels.
 _TARGET_BROADCAST_CELLS = 1 << 24
 
-#: How many DP rows run between early-exit pruning passes when
-#: ``max_distance`` is set.
-_PRUNE_EVERY = 16
-
-#: Fixed per-DP-row cost expressed in cell-equivalents: a row is ~6 numpy
-#: calls (a few microseconds) regardless of width, which matches the
-#: throughput of roughly this many int32 cells.  Entering the orientation
-#: model, it steers narrow-batch orientations (many short queries against
-#: a handful of sites) toward looping the handful.
-_ROW_OVERHEAD_CELLS = 1 << 14
-
-#: Myers cost-model constants in the same cell-equivalent currency as
-#: :data:`_ROW_OVERHEAD_CELLS` (calibrated against benchmark timings of
-#: both kernels on the dictionary and gene workloads): fixed numpy-call
-#: overhead per text column, cell-equivalents per packed uint64 word per
-#: column, and the one-time ``Peq`` build cost per pattern character —
-#: charged only while the pattern side's layout is uncached, which steers
-#: small one-shot batches (tree frontiers) away from pointless builds.
+#: Myers cost-model constants in cell-equivalents (the throughput of one
+#: int32 DP cell; calibrated against benchmark timings on the dictionary
+#: and gene workloads): fixed numpy-call overhead per text column,
+#: cell-equivalents per packed uint64 word per column, and the one-time
+#: ``Peq`` build cost per pattern character — charged only while the
+#: pattern side's layout is uncached, which steers small one-shot batches
+#: (tree frontiers) away from pointless builds.
 _MYERS_COL_OVERHEAD_CELLS = 1 << 13
 _MYERS_WORD_CELLS = 4
 _MYERS_BUILD_CELLS = 32
@@ -290,65 +274,6 @@ def _levenshtein_one_vs_many(
     return previous[lengths, np.arange(batch)]
 
 
-def _levenshtein_one_vs_many_bounded(
-    query: np.ndarray,
-    codes_t: np.ndarray,
-    lengths: np.ndarray,
-    max_distance: int,
-) -> np.ndarray:
-    """Range-query variant: exact up to ``max_distance``, pruned beyond.
-
-    Targets whose length difference already exceeds the bound never enter
-    the DP (the length gap is a valid Levenshtein lower bound), and every
-    :data:`_PRUNE_EVERY` rows targets whose running row minimum has
-    crossed the bound are finalized at that minimum — row minima are
-    non-decreasing in the row index and lower-bound the final distance, so
-    any reported value ``> max_distance`` certifies the true distance is
-    too.  Entries with true distance ``<= max_distance`` are exact.
-    """
-    out = np.abs(lengths - query.shape[0]).astype(np.int32)
-    active = np.flatnonzero(out <= max_distance)
-    if query.shape[0] == 0 or active.shape[0] == 0:
-        return out
-    if active.shape[0] < lengths.shape[0]:
-        codes_t = np.ascontiguousarray(codes_t[:, active])
-        lengths = lengths[active]
-    m = codes_t.shape[0]
-    previous = np.broadcast_to(
-        np.arange(m + 1, dtype=np.int32)[:, None], (m + 1, codes_t.shape[1])
-    ).copy()
-    current = np.empty_like(previous)
-    cost = np.empty(codes_t.shape, dtype=np.int32)
-    bump = np.empty(codes_t.shape[1], dtype=np.int32)
-    for i, ca in enumerate(query, start=1):
-        np.not_equal(codes_t, ca, out=cost)
-        cost += previous[:-1]
-        np.add(previous[1:], 1, out=current[1:])
-        np.minimum(cost, current[1:], out=current[1:])
-        current[0] = i
-        for j in range(1, m + 1):
-            np.add(current[j - 1], 1, out=bump)
-            np.minimum(current[j], bump, out=current[j])
-        previous, current = current, previous
-        if i % _PRUNE_EVERY == 0 and i < query.shape[0]:
-            row_min = previous.min(axis=0)
-            alive = row_min <= max_distance
-            if not alive.all():
-                dead = ~alive
-                out[active[dead]] = row_min[dead]
-                active = active[alive]
-                if active.shape[0] == 0:
-                    return out
-                codes_t = np.ascontiguousarray(codes_t[:, alive])
-                lengths = lengths[alive]
-                previous = np.ascontiguousarray(previous[:, alive])
-                current = np.empty_like(previous)
-                cost = np.empty(codes_t.shape, dtype=np.int32)
-                bump = np.empty(codes_t.shape[1], dtype=np.int32)
-    out[active] = previous[lengths, np.arange(active.shape[0])]
-    return out
-
-
 def _myers_words_estimate(lengths: np.ndarray) -> float:
     """Estimate uint64 words per text column for a pattern side.
 
@@ -399,133 +324,56 @@ def _myers_cost_mode(
     return cost, mode
 
 
-def levenshtein_kernel_plan(
-    xs: EncodedStrings,
-    ys: EncodedStrings,
-    kernel: Optional[str] = None,
-    bounded: bool = False,
-) -> Tuple[str, str]:
-    """Choose ``(kernel, loop_side)`` for one Levenshtein matrix call.
+def _myers_plan(
+    xs: EncodedStrings, ys: EncodedStrings, bounded: bool
+) -> Optional[Tuple[str, str]]:
+    """Choose the Myers orientation and driver for one matrix call.
 
-    Returns ``("myers" | "wagner-fischer", "x" | "y")`` where the loop
-    side is the one whose characters drive the sequential loop; the other
-    side is fully vectorized (and, for Myers, is the pattern collection
-    whose ``Peq`` layout gets built and cached).  All four combinations
-    are costed in cell-equivalents — Wagner–Fischer pays
-    ``total_chars * (row_overhead + batch * width)``, Myers pays
-    ``total_chars * (column_overhead + cells_per_word * words)`` (or the
-    lock-step driver's cheaper column bill when it applies) plus a
-    one-time build charge while the pattern layout is uncached — and the
-    cheapest eligible plan wins.  ``bounded`` tells the model a
-    ``max_distance`` pass is coming (the lock-step driver has no bounded
-    variant).  ``kernel`` forces one family: ``"myers"`` raises
-    :class:`ValueError` when neither orientation's alphabet fits the
-    dense-remap budget.
+    Returns ``(loop_side, mode)``: ``loop_side`` (``"x"`` or ``"y"``) is
+    the text side, whose characters drive the loop; the other side is the
+    bit-packed pattern collection whose ``Peq`` layout gets built and
+    cached; ``mode`` is the driver :func:`_myers_cost_mode` priced.  The
+    cheaper orientation wins unless its pattern side is ineligible;
+    ``None`` when neither side is Myers-eligible.  ``bounded`` tells the
+    model a ``max_distance`` pass is coming.
     """
-    wf = [
-        (
-            xs.total_chars
-            * (_ROW_OVERHEAD_CELLS + max(1, len(ys)) * (ys.max_length + 1)),
-            "wagner-fischer",
-            "x",
-        ),
-        (
-            ys.total_chars
-            * (_ROW_OVERHEAD_CELLS + max(1, len(xs)) * (xs.max_length + 1)),
-            "wagner-fischer",
-            "y",
-        ),
+    plans = [
+        (*_myers_cost_mode(texts, patterns, bounded), side, patterns)
+        for side, texts, patterns in (("x", xs, ys), ("y", ys, xs))
     ]
-    my = [
-        (_myers_cost_mode(xs, ys, bounded)[0], "myers", "x"),
-        (_myers_cost_mode(ys, xs, bounded)[0], "myers", "y"),
-    ]
-    if kernel == "wagner-fischer":
-        candidates = wf
-    elif kernel == "myers":
-        candidates = my
-    elif kernel in (None, "auto"):
-        candidates = wf + my
-    else:
-        raise ValueError(f"unknown Levenshtein kernel {kernel!r}")
-    for cost, name, side in sorted(candidates, key=lambda c: c[0]):
-        if name == "myers":
-            patterns = ys if side == "x" else xs
-            if not bitparallel.myers_eligible(patterns):
-                continue
-        return name, side
-    raise ValueError(
-        "kernel='myers' requested but neither side fits the dense-remap "
-        f"budget ({bitparallel.DENSE_ALPHABET_MAX} symbols)"
-    )
+    for _, mode, side, patterns in sorted(plans, key=lambda plan: plan[0]):
+        if bitparallel.myers_eligible(patterns):
+            return side, mode
+    return None
 
 
 def _wf_matrix_into(
-    queries: EncodedStrings,
-    targets: EncodedStrings,
-    out: np.ndarray,
-    max_distance: Optional[int],
+    xs: EncodedStrings, ys: EncodedStrings, out: np.ndarray
 ) -> None:
-    """Wagner–Fischer path: loop the queries over length-sorted target chunks.
+    """Wagner–Fischer fallback: fill ``out[i, j] = d(xs[i], ys[j])`` exactly.
 
-    Targets are processed in length-sorted chunks (bounding the DP
-    working set *and* trimming each chunk's rows to its own longest
-    string, which skips most padding work on natural length
-    distributions), transposed once per chunk and reused across every
-    query.  Each chunk re-checks the loop orientation against its own
-    width: under a bimodal target-length distribution the global choice
-    is wrong for one of the modes, so a chunk of giants amid short
-    targets flips to looping *its* strings against the full query side
-    instead of dragging every query through its width.
+    Runs only when neither side is Myers-eligible.  The side needing
+    fewer insertion steps (its characters x the other side's width) is
+    looped; the other is vectorized in length-sorted chunks, each trimmed
+    to its own longest string and transposed once.
     """
-    order = np.argsort(targets.lengths, kind="stable")
-    chunk = max(1, _TARGET_DP_CELLS // (targets.max_length + 1))
-    n_q = len(queries)
-    q_codes_t = None
-    q_lengths = None
-    for start in range(0, len(targets), chunk):
+    if xs.total_chars * ys.max_length > ys.total_chars * xs.max_length:
+        xs, ys, out = ys, xs, out.T
+    order = np.argsort(ys.lengths, kind="stable")
+    chunk = max(1, _TARGET_DP_CELLS // (ys.max_length + 1))
+    for start in range(0, len(ys), chunk):
         idx = order[start : start + chunk]
-        lengths = targets.lengths[idx].astype(np.int32)
-        width = int(lengths[-1])  # sorted: the chunk's longest string
-        cost_loop_queries = queries.total_chars * (
-            _ROW_OVERHEAD_CELLS + idx.shape[0] * (width + 1)
-        )
-        cost_loop_chunk = int(lengths.sum()) * (
-            _ROW_OVERHEAD_CELLS + n_q * (queries.max_length + 1)
-        )
-        if cost_loop_chunk < cost_loop_queries:
-            if q_codes_t is None:
-                q_codes_t = np.ascontiguousarray(queries.codes.T)
-                q_lengths = queries.lengths.astype(np.int32)
-            for t in idx:
-                trow = targets.row(int(t))
-                if max_distance is None:
-                    out[:, t] = _levenshtein_one_vs_many(
-                        trow, q_codes_t, q_lengths
-                    )
-                else:
-                    out[:, t] = _levenshtein_one_vs_many_bounded(
-                        trow, q_codes_t, q_lengths, max_distance
-                    )
-            continue
-        codes_t = np.ascontiguousarray(targets.codes[idx, :width].T)
-        for i in range(n_q):
-            query = queries.row(i)
-            if max_distance is None:
-                out[i, idx] = _levenshtein_one_vs_many(
-                    query, codes_t, lengths
-                )
-            else:
-                out[i, idx] = _levenshtein_one_vs_many_bounded(
-                    query, codes_t, lengths, max_distance
-                )
+        lengths = ys.lengths[idx].astype(np.int32)
+        # sorted: the chunk's last string is its longest
+        codes_t = np.ascontiguousarray(ys.codes[idx, : lengths[-1]].T)
+        for i in range(len(xs)):
+            out[i, idx] = _levenshtein_one_vs_many(xs.row(i), codes_t, lengths)
 
 
 def levenshtein_matrix_compact(
     xs: EncodedStrings,
     ys: EncodedStrings,
     max_distance: Optional[int] = None,
-    kernel: Optional[str] = None,
 ) -> np.ndarray:
     """:func:`levenshtein_matrix` in the kernel's own dtype and layout.
 
@@ -541,33 +389,24 @@ def levenshtein_matrix_compact(
     """
     if len(xs) == 0 or len(ys) == 0:
         return np.empty((len(xs), len(ys)), dtype=np.int64)
-    bounded = max_distance is not None
-    name, side = levenshtein_kernel_plan(
-        xs, ys, kernel=kernel, bounded=bounded
-    )
-    if name == "myers":
-        patterns, texts = (ys, xs) if side == "x" else (xs, ys)
-        _, mode = _myers_cost_mode(texts, patterns, bounded)
-        if mode == "lockstep" and bitparallel.myers_lockstep_eligible(
-            patterns
-        ):
-            out = np.empty(
-                (len(patterns), len(texts)),
-                dtype=np.min_scalar_type(
-                    max(xs.max_length, ys.max_length)
-                ),
-            )
-            bitparallel.myers_matrix_lockstep_into(patterns, texts, out)
-            return out.T if side == "x" else out
-    out = np.empty((len(xs), len(ys)), dtype=np.int64)
-    if name == "myers":
-        bitparallel.myers_matrix_into(
-            patterns, texts, out.T if side == "x" else out, max_distance
+    plan = _myers_plan(xs, ys, bounded=max_distance is not None)
+    if plan is None:
+        out = np.empty((len(xs), len(ys)), dtype=np.int64)
+        _wf_matrix_into(xs, ys, out)
+        return out
+    side, mode = plan
+    patterns, texts = (ys, xs) if side == "x" else (xs, ys)
+    if mode == "lockstep" and bitparallel.myers_lockstep_eligible(patterns):
+        out = np.empty(
+            (len(patterns), len(texts)),
+            dtype=np.min_scalar_type(max(xs.max_length, ys.max_length)),
         )
-    elif side == "x":
-        _wf_matrix_into(xs, ys, out, max_distance)
-    else:
-        _wf_matrix_into(ys, xs, out.T, max_distance)
+        bitparallel.myers_matrix_lockstep_into(patterns, texts, out)
+        return out.T if side == "x" else out
+    out = np.empty((len(xs), len(ys)), dtype=np.int64)
+    bitparallel.myers_matrix_into(
+        patterns, texts, out.T if side == "x" else out, max_distance
+    )
     return out
 
 
@@ -575,26 +414,24 @@ def levenshtein_matrix(
     xs: EncodedStrings,
     ys: EncodedStrings,
     max_distance: Optional[int] = None,
-    kernel: Optional[str] = None,
 ) -> np.ndarray:
     """The ``len(xs) x len(ys)`` Levenshtein matrix from encoded inputs.
 
-    The kernel and orientation come from :func:`levenshtein_kernel_plan`:
-    the Myers bit-parallel kernels when the vectorized side's alphabet
-    admits a dense remap and the cost model favors them, the batched
-    Wagner–Fischer row DP otherwise (``kernel`` forces either family).
-    Both answers are exact and identical; only the cost differs.
+    The Myers bit-parallel kernels run whenever either side is
+    Myers-eligible (:func:`repro.metrics.bitparallel.myers_eligible`), in
+    the cheaper orientation; the batched Wagner–Fischer row DP runs only
+    when neither side is.  Both are exact and identical.
 
     With ``max_distance`` set, entries whose true distance exceeds it may
-    be reported as any lower bound that also exceeds it (length-gap
-    prefilters and mid-DP early exits in both kernels); entries at or
-    under the bound are exact either way.
+    be reported as any lower bound that also exceeds it (the Myers
+    kernels' length-gap band skips and mid-DP early exits); entries at
+    or under the bound are exact.
 
     Always a C-ordered ``int64`` matrix;
     :func:`levenshtein_matrix_compact` skips that widening.
     """
     return levenshtein_matrix_compact(
-        xs, ys, max_distance=max_distance, kernel=kernel
+        xs, ys, max_distance=max_distance
     ).astype(np.int64, order="C", copy=False)
 
 

@@ -44,6 +44,7 @@ never unpickle — one function for both would branch on its caller.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
@@ -234,12 +235,16 @@ def _unpack_arrays(
             offset += 8 * ndim
             if any(dim < 0 for dim in shape):
                 raise ProtocolError(f"negative array dimension in {shape}")
-            nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-            if nbytes < 0 or offset + nbytes > len(payload):
+            # Python ints cannot wrap, and numpy refuses any shape whose
+            # nonzero extents overflow — even at zero elements — so both
+            # products are bounded before a single byte is read.
+            count = math.prod(shape)
+            nbytes = count * dtype.itemsize
+            extent = math.prod(max(dim, 1) for dim in shape) * dtype.itemsize
+            if offset + nbytes > len(payload) or extent > MAX_FRAME_BYTES:
                 raise ProtocolError("array section overruns the frame")
             array = np.frombuffer(
-                payload, dtype=dtype, count=int(np.prod(shape, dtype=np.int64)),
-                offset=offset,
+                payload, dtype=dtype, count=count, offset=offset
             ).reshape(shape)
             offset += nbytes
             arrays.append(array)
@@ -310,6 +315,8 @@ def _decode_queries(
             raise ProtocolError("string lengths fall outside the code matrix")
         if codes.size == 0 and lengths.size and lengths.max() > 0:
             raise ProtocolError("string lengths fall outside the code matrix")
+        if codes.size and int(codes.max()) > 0x10FFFF:
+            raise ProtocolError("string code point above U+10FFFF")
         return decode_strings(codes, lengths)
     raise ProtocolError(f"unknown query payload kind {kind}")
 
@@ -452,7 +459,10 @@ def decode_response(payload: bytes) -> Response:
         offset += _U32.size
         if offset + length > len(payload):
             raise ProtocolError("message overruns the frame")
-        message = payload[offset : offset + length].decode("utf-8")
+        try:
+            message = payload[offset : offset + length].decode("utf-8")
+        except UnicodeDecodeError as error:
+            raise ProtocolError(f"message is not UTF-8: {error}") from None
         return Response(
             request_id=request_id, status=status, flags=flags, message=message
         )

@@ -17,13 +17,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.datasets.dictionaries import synthetic_dictionary
+from repro.datasets.sequences import genome_prefix_sequences
 from repro.metrics import LevenshteinDistance, levenshtein
-from repro.metrics import bitparallel
+from repro.metrics import bitparallel, encoding
 from repro.metrics.encoding import (
     _myers_cost_mode,
+    _myers_plan,
     clear_encoding_cache,
     encode_strings,
-    levenshtein_kernel_plan,
     levenshtein_matrix,
 )
 from repro.metrics.strings import _levenshtein_python
@@ -56,10 +58,45 @@ def _dp(a, b):
     return previous[-1]
 
 
-def forced_myers(xs, ys, **kwargs):
-    return levenshtein_matrix(
-        encode_strings(xs), encode_strings(ys), kernel="myers", **kwargs
-    )
+def myers_routes(xs, ys, max_distance=None):
+    """The ``len(xs) x len(ys)`` matrix from every Myers route.
+
+    The per-text driver in both orientations, plus the lock-step driver
+    in each orientation whose pattern side it accepts (unbounded calls
+    only); an ineligible pattern side contributes no route.
+    """
+    ex, ey = encode_strings(xs), encode_strings(ys)
+    routes = []
+    for patterns, texts, flip in ((ex, ey, False), (ey, ex, True)):
+        if not bitparallel.myers_eligible(patterns):
+            continue
+        out = np.empty((len(patterns), len(texts)), dtype=np.int64)
+        bitparallel.myers_matrix_into(patterns, texts, out, max_distance)
+        routes.append(out.T if flip else out)
+        if max_distance is None and bitparallel.myers_lockstep_eligible(
+            patterns
+        ):
+            lock = np.empty_like(out)
+            bitparallel.myers_matrix_lockstep_into(patterns, texts, lock)
+            routes.append(lock.T if flip else lock)
+    assert routes, "neither side is Myers-eligible"
+    return routes
+
+
+def forced_myers(xs, ys):
+    """The Myers matrix, asserted identical across every route."""
+    first, *rest = myers_routes(xs, ys)
+    for other in rest:
+        assert np.array_equal(other, first)
+    return first
+
+
+def assert_certified(banded, true, radius):
+    """Exact within ``radius``; beyond it, lower bounds that exceed it."""
+    inside = true <= radius
+    assert np.array_equal(banded <= radius, inside)
+    assert np.array_equal(banded[inside], true[inside])
+    assert (banded <= true).all()
 
 
 class TestMyersEqualsScalar:
@@ -119,20 +156,34 @@ class TestFallbacks:
         xs = ["".join(chr(0x4E00 + i) for i in range(j, j + 4)) for j in range(0, n, 4)]
         encoded = encode_strings(xs)
         assert not bitparallel.myers_eligible(encoded)
-        ys = ["".join(chr(0x4E00 + i) for i in (1, 3, 5)), "ab"]
-        # The auto plan skips the ineligible orientation (it may still
-        # pick Myers with ys as patterns); the matrix stays exact.
+        ys = ["".join(chr(0x4E00 + i) for i in (1, 3, 5)), "ab", ""]
+        ey = encode_strings(ys)
+        # One eligible side is enough: the plan makes ys the patterns in
+        # either argument order, bounded or not, and stays exact.
+        assert _myers_plan(encoded, ey, bounded=False)[0] == "x"
+        assert _myers_plan(ey, encoded, bounded=True)[0] == "y"
+        true = dp_matrix(xs, ys)
+        assert np.array_equal(levenshtein_matrix(encoded, ey), true)
         assert np.array_equal(
-            levenshtein_matrix(encoded, encode_strings(ys)), dp_matrix(xs, ys)
+            levenshtein_matrix(ey, encoded, max_distance=9), true.T
         )
 
-    def test_forced_myers_raises_when_neither_side_fits(self):
+    def test_neither_side_fits_falls_back_to_exact_wagner_fischer(self):
+        # > 512 symbols on both sides: no Myers plan, and the Wagner–
+        # Fischer fallback answers exactly, max_distance or not.
         n = bitparallel.DENSE_ALPHABET_MAX + 8
         xs = ["".join(chr(0x4E00 + i) for i in range(j, j + 4)) for j in range(0, n, 4)]
         ys = ["".join(chr(0xA000 + i) for i in range(j, j + 4)) for j in range(0, n, 4)]
-        with pytest.raises(ValueError):
-            levenshtein_kernel_plan(
-                encode_strings(xs), encode_strings(ys), kernel="myers"
+        xs += ["", ys[0], ys[1][:2] + xs[3]]
+        ex, ey = encode_strings(xs), encode_strings(ys)
+        assert _myers_plan(ex, ey, bounded=False) is None
+        assert _myers_plan(ex, ey, bounded=True) is None
+        true = dp_matrix(xs, ys)
+        assert np.array_equal(levenshtein_matrix(ex, ey), true)
+        assert np.array_equal(levenshtein_matrix(ey, ex), true.T)
+        for radius in (0, 2, 5):
+            assert np.array_equal(
+                levenshtein_matrix(ex, ey, max_distance=radius), true
             )
 
     def test_packed_capacity_overflow_falls_back_to_blocked(self):
@@ -150,6 +201,45 @@ class TestFallbacks:
         assert np.array_equal(out, dp_matrix(xs, ys))
 
 
+class TestDispatch:
+    """Myers answers whenever either side is eligible; the Wagner–Fischer
+    fallback is patched to raise, so reaching it fails the test."""
+
+    @pytest.fixture(autouse=True)
+    def _no_wagner_fischer(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("Wagner–Fischer ran on a Myers-eligible call")
+
+        monkeypatch.setattr(encoding, "_wf_matrix_into", refuse)
+
+    @staticmethod
+    def _assert_answers(queries, targets, radius):
+        # Cold layouts on both sides: the shape the cost model once
+        # handed to Wagner–Fischer.
+        clear_encoding_cache()
+        got = levenshtein_matrix(
+            encode_strings(queries), encode_strings(targets),
+            max_distance=radius,
+        )
+        true = dp_matrix(queries, targets)
+        assert_certified(got, true, np.inf if radius is None else radius)
+
+    @pytest.mark.parametrize("n_words", [200, 2000])
+    @pytest.mark.parametrize("radius", [None, 1])
+    def test_single_dictionary_query(self, n_words, radius):
+        words = synthetic_dictionary(
+            "English", n_words, np.random.default_rng(35)
+        )
+        for query in ("helo", words[3] + "x", ""):
+            self._assert_answers([query], words, radius)
+
+    @pytest.mark.parametrize("radius", [None, 10])
+    def test_gene_queries(self, radius):
+        genes = genome_prefix_sequences(200, rng=np.random.default_rng(35))
+        for queries in (["acgt"], ["acgtacgtac"], ["acgt", genes[7][:40]]):
+            self._assert_answers(queries, genes, radius)
+
+
 class TestBounded:
     @given(
         xs=st.lists(unicode_text, min_size=1, max_size=6),
@@ -159,21 +249,16 @@ class TestBounded:
     @settings(max_examples=100, deadline=None)
     def test_certified_lower_bounds(self, xs, ys, radius):
         true = dp_matrix(xs, ys)
-        banded = forced_myers(xs, ys, max_distance=radius)
-        inside = true <= radius
-        assert np.array_equal(banded <= radius, inside)
-        assert np.array_equal(banded[inside], true[inside])
-        assert (banded <= true).all()
+        for banded in myers_routes(xs, ys, max_distance=radius):
+            assert_certified(banded, true, radius)
 
     def test_long_strings_hit_pruning_passes(self):
         xs = ["a" * 90, "a" * 45 + "b" * 45, "c" * 20]
         ys = ["a" * 90, "b" * 90, "a" * 89 + "c", "c" * 60]
         true = dp_matrix(xs, ys)
         for radius in (0, 1, 5, 60):
-            banded = forced_myers(xs, ys, max_distance=radius)
-            inside = true <= radius
-            assert np.array_equal(banded <= radius, inside)
-            assert np.array_equal(banded[inside], true[inside])
+            for banded in myers_routes(xs, ys, max_distance=radius):
+                assert_certified(banded, true, radius)
 
     def test_metric_banded_path_on_myers(self):
         metric = LevenshteinDistance()

@@ -26,6 +26,7 @@ from repro.metrics import encoding
 from repro.metrics.base import Metric
 from repro.metrics.encoding import (
     EncodedStrings,
+    _wf_matrix_into,
     clear_encoding_cache,
     encode_strings,
     levenshtein_matrix,
@@ -218,12 +219,11 @@ class TestLevenshteinBanded:
         assert np.array_equal(levenshtein_matrix(ex, ey), expected)
         assert np.array_equal(levenshtein_matrix(ey, ex), expected.T)
 
-    def test_bimodal_lengths_per_chunk_orientation(self):
-        # Adversarial shape for the Wagner–Fischer dispatch: many short
-        # targets plus a few giants.  A single global orientation choice
-        # drags every query through the giants' width; the fix re-checks
-        # orientation per length-sorted chunk.  Answers must be exact
-        # either way — this pins the dispatch path with a forced kernel.
+    def test_bimodal_lengths_wagner_fischer_fallback(self):
+        # Many short targets plus a few giants: the fallback's
+        # length-sorted chunks trim each chunk to its own width, and
+        # either loop side must answer exactly.  Called directly — these
+        # small alphabets plan Myers — in both orientations.
         rng = np.random.default_rng(13)
         letters = "abc"
         shorts = [
@@ -236,21 +236,15 @@ class TestLevenshteinBanded:
         ]
         xs = shorts[:12]
         ys = shorts[12:] + giants
-        metric = LevenshteinDistance()
-        expected = scalar_matrix(metric, xs, ys)
+        expected = scalar_matrix(LevenshteinDistance(), xs, ys)
         ex, ey = encode_strings(xs), encode_strings(ys)
-        got = levenshtein_matrix(ex, ey, kernel="wagner-fischer")
+        got = np.empty((len(xs), len(ys)), dtype=np.int64)
+        _wf_matrix_into(ex, ey, got)
         assert np.array_equal(got, expected)
-        assert np.array_equal(
-            levenshtein_matrix(ey, ex, kernel="wagner-fischer"), expected.T
-        )
-        # The banded variant walks the same per-chunk dispatch.
-        banded = levenshtein_matrix(
-            ex, ey, max_distance=2, kernel="wagner-fischer"
-        )
-        inside = expected <= 2
-        assert np.array_equal(banded <= 2, inside)
-        assert np.array_equal(banded[inside], expected[inside])
+        got_t = np.empty((len(ys), len(xs)), dtype=np.int64)
+        _wf_matrix_into(ey, ex, got_t)
+        assert np.array_equal(got_t, expected.T)
+        assert np.array_equal(levenshtein_matrix(ex, ey), expected)
 
 
 class TestCountingThroughEncodedPath:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import asyncio
 import os
+import socket
 import struct
 import subprocess
 import time
@@ -117,6 +118,49 @@ def _payload(frame: bytes) -> bytes:
     """Strip a frame's length prefix, checking it for consistency."""
     assert protocol.frame_length(frame[:4]) == len(frame) - 4
     return frame[4:]
+
+
+def _array_section(tag: int, shape) -> bytes:
+    """A one-array section header claiming ``shape``, with no data."""
+    return struct.pack(
+        f"<BBB{len(shape)}q", 1, tag, len(shape), *shape
+    )
+
+
+#: Request frames that decode past the head and then break the wire
+#: format in ways numpy and ``chr`` notice before the framing does.
+HOSTILE_REQUESTS = {
+    # int64 element count 2**64 wraps to 0, so "0 bytes" fit the frame.
+    "shape-count-wraps": protocol.pack_frame(
+        struct.pack("<BQqdqB", protocol.OP_KNN, 7, 1, 0.0, -1,
+                    protocol.KIND_VECTORS)
+        + _array_section(0, (2**32, 2**32))
+    ),
+    # Zero elements, but an extent numpy refuses to reshape to.
+    "zero-size-huge-extent": protocol.pack_frame(
+        struct.pack("<BQqdqB", protocol.OP_KNN, 8, 1, 0.0, -1,
+                    protocol.KIND_VECTORS)
+        + _array_section(0, (0, 2**62))
+    ),
+    "code-point-past-unicode": protocol.encode_request(
+        protocol.OP_KNN, 9, k=1,
+        queries=(
+            np.array([[ord("a"), 0x110000]], dtype=np.uint32),
+            np.array([2], dtype=np.int64),
+        ),
+        kind=protocol.KIND_STRINGS,
+    ),
+}
+
+
+def _non_utf8_error(request_id: int) -> bytes:
+    """An ERROR response frame whose message ends in byte ``0xff``."""
+    message = b"bad \xff"
+    return protocol.pack_frame(
+        struct.pack("<QBBI", request_id, protocol.STATUS_ERROR, 0,
+                    len(message))
+        + message
+    )
 
 
 #: Two-query answers that each break the CSR column contract one way.
@@ -290,6 +334,15 @@ class TestProtocol:
             protocol.decode_request(struct.pack("<BQ", 42, 1))
         with pytest.raises(protocol.ProtocolError):
             protocol.decode_response(struct.pack("<QBB", 1, 99, 0))
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE_REQUESTS))
+    def test_hostile_request_is_a_protocol_error(self, name):
+        with pytest.raises(protocol.ProtocolError):
+            protocol.decode_request(_payload(HOSTILE_REQUESTS[name]))
+
+    def test_non_utf8_message_is_a_protocol_error(self):
+        with pytest.raises(protocol.ProtocolError, match="UTF-8"):
+            protocol.decode_response(_payload(_non_utf8_error(3)))
 
     def test_oversized_length_prefix_rejected(self):
         header = struct.pack("<I", protocol.MAX_FRAME_BYTES + 1)
@@ -566,6 +619,60 @@ class TestServerEndToEnd:
                     client.knn(np.zeros((1, 7)), 1)
                 # The connection survives every rejected request.
                 assert client.knn(vectors[:1], 1).rows.n_queries == 1
+
+    def test_hostile_frames_answer_error_and_keep_serving(
+        self, words, sock
+    ):
+        """Each hostile frame gets STATUS_ERROR within the timeout; the
+        same connection then still answers PING."""
+
+        def read_response(conn):
+            def exactly(n):
+                data = b""
+                while len(data) < n:
+                    chunk = conn.recv(n - len(data))
+                    assert chunk, "server closed the connection"
+                    data += chunk
+                return data
+
+            length = protocol.frame_length(exactly(4))
+            return protocol.decode_response(exactly(length))
+
+        index = LinearScan(words, LevenshteinDistance())
+        with serve_in_thread(index, unix_path=sock, close_index=False):
+            with socket.socket(socket.AF_UNIX) as conn:
+                conn.settimeout(5.0)
+                conn.connect(sock)
+                for frame in HOSTILE_REQUESTS.values():
+                    conn.sendall(frame)
+                    assert read_response(conn).status == protocol.STATUS_ERROR
+                conn.sendall(protocol.encode_request(protocol.OP_PING, 11))
+                pong = read_response(conn)
+        assert (pong.request_id, pong.status) == (11, protocol.STATUS_PONG)
+
+    def test_non_utf8_response_fails_waiters(self, sock):
+        """A response the client cannot decode fails its waiter with
+        ConnectionError instead of killing the reader and hanging."""
+
+        async def reply(reader, writer):
+            header = await reader.readexactly(4)
+            request = protocol.decode_request(
+                await reader.readexactly(protocol.frame_length(header))
+            )
+            writer.write(_non_utf8_error(request.request_id))
+            await writer.drain()
+
+        async def main():
+            server = await asyncio.start_unix_server(reply, path=sock)
+            try:
+                async with await AsyncClient.connect(unix_path=sock) as client:
+                    with pytest.raises(ConnectionError, match="UTF-8"):
+                        await asyncio.wait_for(client.ping(), timeout=5.0)
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        asyncio.run(main())
 
     def test_non_finite_query_errors_alone_in_its_window(
         self, vectors, vec_queries, sock
