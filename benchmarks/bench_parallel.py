@@ -2,7 +2,7 @@
 
 :class:`~repro.index.sharded.ShardedIndex` has two engines — the
 in-process loop and the supervised pool of one pinned worker per shard
-(``workers=N`` / ``resident=True``) — and this bench compares them on
+(``resident=True``) — and this bench compares them on
 the paper's headline dictionary-Levenshtein workload and an 8-d
 Euclidean control: sharded index *builds* and warm batched
 fan-out/merge *queries* (exact kNN through a VP-tree, budgeted kNN
@@ -125,7 +125,7 @@ def _bench_sharded(
     ))
     pooled, build_pooled = _timed(lambda: ShardedIndex(
         points, metric, inner_factory, n_shards=ENGINE_SHARDS,
-        workers=ENGINE_SHARDS,
+        resident=True,
     ))
 
     def run(index):
@@ -266,10 +266,10 @@ def _bench_recall(points, metric, queries, exact_results, k, budgets):
         unsharded = _draw_factory(draw)(points, metric)
         with ShardedIndex(
             points, metric, _draw_factory(draw), n_shards=SHARDS,
-            workers=None, budget_split="proportional",
+            budget_split="proportional",
         ) as sharded, ShardedIndex(
             points, metric, _draw_factory(draw), n_shards=SHARDS,
-            workers=None, budget_split="global",
+            budget_split="global",
         ) as sharded_global:
             for budget in budgets:
                 point = {"draw": draw}

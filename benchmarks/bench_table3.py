@@ -1,7 +1,8 @@
 """Bench: regenerate Table 3 — permutation counts for uniform vectors.
 
 The paper ran 10^6 points and 100 site draws per cell; the default here is
-scaled (env ``REPRO_TABLE3_N`` / ``REPRO_TABLE3_RUNS`` restore any scale).
+scaled to 20 000 points and 5 draws (``table3_rows(n_points=..., n_runs=...)``
+or ``repro table3 --n / --runs`` restore any scale).
 Shape criteria asserted:
 
 - the d = 1 row equals ``C(k,2) + 1`` exactly: 7 / 29 / 67;

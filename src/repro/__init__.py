@@ -27,7 +27,6 @@ from repro.core import (
     count_euclidean_cells_exact,
     distance_permutation,
     distance_permutations,
-    distinct_permutations,
     euclidean_permutation_count,
     euclidean_table,
     intrinsic_dimensionality,
@@ -49,7 +48,6 @@ __all__ = [
     "count_euclidean_cells_exact",
     "distance_permutation",
     "distance_permutations",
-    "distinct_permutations",
     "euclidean_permutation_count",
     "euclidean_table",
     "intrinsic_dimensionality",

@@ -17,7 +17,7 @@ Examples::
     python -m repro search --input vectors.txt --kind vectors --metric l2 \\
         --index distperm --mode knn-approx --k 10 --budget 200
     python -m repro search --input words.txt --kind strings \\
-        --metric levenshtein --index vptree --shards 4 --workers 4
+        --metric levenshtein --index vptree --shards 4 --resident
     python -m repro search --input words.txt --kind strings \\
         --metric levenshtein --shards 4 --resident \\
         --deadline 0.5 --retries 2 --on-partial degrade
@@ -30,15 +30,14 @@ one call and the report shows queries per second alongside the
 literature's distance-evaluations-per-query cost (``--no-batch`` loops
 the single-query API instead, for comparison).
 
-The census subcommand and the table generators take the library-wide
-``--shards`` / ``--workers`` flags (:mod:`repro.parallel`): the database
-splits into shards whose partial censuses a ``--workers``-sized task
-pool computes and merges exactly.  ``search`` and ``serve`` take the
-same two flags plus the resilience flags (one shared engine-options
-group): there ``--workers N`` (any N > 0) and ``--resident`` are two
-spellings of one switch — serve every shard from its own supervised,
-pinned worker process — and without either the shards run in-process.
-Answers and censuses are identical to the serial run for every setting.
+The census subcommand and the table generators take ``--shards`` /
+``--workers`` (:mod:`repro.parallel`): the database splits into shards
+whose partial censuses a ``--workers``-sized task pool computes and
+merges exactly.  ``search`` and ``serve`` take ``--shards`` plus the
+engine flags (one shared group): ``--resident`` serves every shard from
+its own supervised, pinned worker process, as does any resilience flag,
+and without them the shards run in-process.  Answers and censuses are
+identical to the serial run for every setting.
 """
 
 from __future__ import annotations
@@ -68,13 +67,10 @@ _INDEXES = ("aesa", "distperm", "iaesa", "laesa", "linear", "vptree")
 
 
 def _add_parallel_flags(parser: argparse.ArgumentParser) -> None:
-    """The library-wide multi-core flags (see :mod:`repro.parallel`)."""
+    """The census task-pool flags (see :mod:`repro.parallel`)."""
     parser.add_argument("--workers", type=int, default=None,
-                        help="run on worker processes (default: in-process; "
-                             "results are identical either way).  Census "
-                             "and table commands size their task pool with "
-                             "it; search/serve run one pinned worker per "
-                             "shard for any N > 0")
+                        help="size of the census task pool (default: "
+                             "in-process; results are identical either way)")
     parser.add_argument("--shards", type=int, default=None,
                         help="database shards (default: worker count)")
 
@@ -82,15 +78,15 @@ def _add_parallel_flags(parser: argparse.ArgumentParser) -> None:
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     """The query-engine flags of ``search`` and ``serve``.
 
-    ``--workers/--shards`` plus the resilience flags of the pinned
-    worker pool; any resilience flag selects the pool, as ``--workers
-    N`` does.
+    ``--shards`` plus ``--resident`` and the resilience flags of the
+    pinned worker pool; any resilience flag selects the pool, as
+    ``--resident`` does.
     """
-    _add_parallel_flags(parser)
+    parser.add_argument("--shards", type=int, default=None,
+                        help="database shards (default: unsharded)")
     parser.add_argument("--resident", action="store_true",
                         help="serve each shard from its own supervised "
-                             "pinned worker process (same engine as "
-                             "--workers N; requires --shards/--workers)")
+                             "pinned worker process (requires --shards)")
     parser.add_argument("--deadline", type=float, default=None,
                         help="per-query fan-out deadline in seconds "
                              "(pinned workers; default: unbounded)")
@@ -130,8 +126,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     table3.add_argument("--dims", type=int, nargs="*", default=None)
     table3.add_argument("--ks", type=int, nargs="*", default=(4, 8, 12))
-    table3.add_argument("--n", type=int, default=None)
-    table3.add_argument("--runs", type=int, default=None)
+    table3.add_argument("--n", type=int, default=20000,
+                        help="database size per cell (default 20000)")
+    table3.add_argument("--runs", type=int, default=5,
+                        help="site draws per cell (default 5)")
     table3.add_argument("--seed", type=int, default=20080411,
                         help="site-draw / database seed (default 20080411)")
     _add_parallel_flags(table3)
@@ -294,24 +292,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parallel_flags_error(args: argparse.Namespace) -> Optional[str]:
-    """Validate --workers/--shards; returns an error message or None."""
-    if args.workers is not None and args.workers < 0:
-        return "--workers must be >= 0"
+def _shards_error(args: argparse.Namespace) -> Optional[str]:
+    """Validate --shards; returns an error message or None."""
     if args.shards is not None and args.shards < 1:
         return "--shards must be >= 1"
     return None
 
 
-def _is_sharded(args: argparse.Namespace) -> bool:
-    return args.workers is not None or args.shards is not None
+def _parallel_flags_error(args: argparse.Namespace) -> Optional[str]:
+    """Validate --workers/--shards; returns an error message or None."""
+    if args.workers is not None and args.workers < 0:
+        return "--workers must be >= 0"
+    return _shards_error(args)
 
 
 def _wants_pool(args: argparse.Namespace) -> bool:
     """Whether the engine flags select the pinned worker pool."""
     return bool(
         args.resident
-        or args.workers
         or args.deadline is not None
         or args.retries is not None
         or args.on_partial is not None
@@ -320,12 +318,12 @@ def _wants_pool(args: argparse.Namespace) -> bool:
 
 def _engine_flags_error(args: argparse.Namespace) -> Optional[str]:
     """Validate the engine-options group; an error message or None."""
-    error = _parallel_flags_error(args)
+    error = _shards_error(args)
     if error:
         return error
-    if _wants_pool(args) and not _is_sharded(args):
+    if _wants_pool(args) and args.shards is None:
         return ("--resident/--deadline/--retries/--on-partial need "
-                "sharded execution; add --shards (or --workers)")
+                "sharded execution; add --shards")
     if args.deadline is not None and args.deadline <= 0:
         return "--deadline must be > 0"
     if args.retries is not None and args.retries < 0:
@@ -340,7 +338,6 @@ def _sharded_index(args: argparse.Namespace, points, metric, *,
     from repro.parallel.workerpool import QueryPolicy
 
     engine = dict(
-        workers=args.workers,
         resident=_wants_pool(args),
         policy=QueryPolicy(
             deadline=args.deadline,
@@ -353,9 +350,8 @@ def _sharded_index(args: argparse.Namespace, points, metric, *,
 
         return load_sharded(load_path, points, metric, backing=backing,
                             cache_bytes=cache_bytes, **engine)
-    n_shards = args.shards if args.shards is not None else args.workers
     return ShardedIndex(points, metric, _index_factory(args),
-                        n_shards=max(1, n_shards or 1), **engine)
+                        n_shards=args.shards, **engine)
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
@@ -626,7 +622,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 1
     metric = _METRICS[args.metric]()
-    sharded = _is_sharded(args)
+    sharded = args.shards is not None
     if (args.save_index or args.load_index) and args.index != "distperm":
         print("error: --save-index/--load-index support --index distperm "
               "payloads only", file=sys.stderr)
@@ -773,7 +769,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 1
     metric = _METRICS[args.metric]()
-    if _is_sharded(args):
+    if args.shards is not None:
         index = _sharded_index(args, points, metric)
     else:
         index = _index_factory(args)(points, metric)

@@ -29,7 +29,6 @@ from repro.core.constructions import (
 )
 from repro.core.entropy import (
     EntropyReport,
-    empirical_entropy_bits,
     entropy_report,
 )
 from repro.core.estimate import (
@@ -60,19 +59,13 @@ from repro.core.permutation import (
     decode_positions,
     distance_permutation,
     distance_permutations,
-    distinct_permutations,
     encode_permutations,
-    inverse_permutation,
-    kendall_tau,
     permutation_code_dtype,
-    permutation_rank,
-    permutation_unrank,
     prefix_codes_from_distances,
     prefix_permutation_codes,
     ranks_from_distances,
     site_ranks,
     spearman_footrule,
-    spearman_rho,
 )
 from repro.core.storage import (
     StorageReport,
@@ -82,13 +75,9 @@ from repro.core.storage import (
     storage_report,
 )
 from repro.core.truncated import (
-    count_distinct_prefixes,
-    max_prefixes_unrestricted,
     prefix_census_curve,
-    truncate_permutations,
 )
 from repro.core.voronoi import (
-    bisector_sign,
     count_euclidean_cells_exact,
     count_order_cells_grid,
     realized_permutations_euclidean_exact,
@@ -111,21 +100,16 @@ __all__ = [
     "chao1_estimate",
     "sampled_census_estimate",
     "arrangement_census",
-    "bisector_sign",
     "bits_for_count",
     "bits_full_permutation",
     "bits_laesa_element",
     "cake_number",
     "count_arrangement_cells",
-    "count_distinct_prefixes",
     "count_euclidean_cells_arrangement",
-    "empirical_entropy_bits",
     "entropy_report",
     "euclidean_bisector_lines",
-    "max_prefixes_unrestricted",
     "pack_ids",
     "prefix_census_curve",
-    "truncate_permutations",
     "unpack_ids",
     "corollary5_path_space",
     "count_distinct_permutations",
@@ -133,25 +117,19 @@ __all__ = [
     "count_order_cells_grid",
     "distance_permutation",
     "distance_permutations",
-    "distinct_permutations",
     "euclidean_leading_term",
     "euclidean_permutation_count",
     "euclidean_table",
     "intrinsic_dimensionality",
-    "inverse_permutation",
-    "kendall_tau",
     "l1_hyperplanes_per_bisector",
     "linf_hyperplanes_per_bisector",
     "lp_permutation_bound",
     "max_permutations",
     "permutation_dimension",
-    "permutation_rank",
-    "permutation_unrank",
     "realized_permutations_euclidean_exact",
     "realized_permutations_grid",
     "sample_distances",
     "spearman_footrule",
-    "spearman_rho",
     "storage_report",
     "theorem6_sites",
     "theorem6_witnesses",

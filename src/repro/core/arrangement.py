@@ -34,7 +34,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Line",
-    "line_through",
     "perpendicular_bisector",
     "intersection",
     "count_arrangement_cells",
@@ -86,18 +85,6 @@ class Line:
         if value > 0:
             return 1
         return 0
-
-
-def line_through(p: Point, q: Point) -> Line:
-    """Return the line through two distinct rational points."""
-    px, py = Fraction(p[0]), Fraction(p[1])
-    qx, qy = Fraction(q[0]), Fraction(q[1])
-    if (px, py) == (qx, qy):
-        raise ValueError("need two distinct points")
-    a = qy - py
-    b = px - qx
-    c = a * px + b * py
-    return Line.make(a, b, c)
 
 
 def perpendicular_bisector(p: Point, q: Point) -> Line:

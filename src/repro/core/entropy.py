@@ -17,27 +17,13 @@ import numpy as np
 
 from repro.core.storage import bits_for_count
 
-__all__ = ["empirical_entropy_bits", "EntropyReport", "entropy_report"]
+__all__ = ["EntropyReport", "entropy_report"]
 
 
 def _entropy_of_counts(counts: np.ndarray) -> float:
     """Shannon entropy (bits/element) of positive occurrence counts."""
     probabilities = counts / counts.sum()
     return float(-(probabilities * np.log2(probabilities)).sum())
-
-
-def empirical_entropy_bits(ids: Sequence[int]) -> float:
-    """Shannon entropy (bits/element) of an id sample.
-
-    ``0 <= H <= log2(#distinct)``, with equality on the right for a
-    uniform distribution — the regime where the fixed-width table
-    encoding is already optimal.
-    """
-    ids = np.asarray(ids)
-    if ids.size == 0:
-        raise ValueError("need at least one id")
-    _, counts = np.unique(ids, return_counts=True)
-    return _entropy_of_counts(counts)
 
 
 @dataclass(frozen=True)

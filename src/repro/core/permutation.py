@@ -16,10 +16,9 @@ the metric's row blocks for the index build, ``add_points``, the census
 and every distinct-permutation count.  Callers holding a distance
 matrix (queries, the pivot table, the constructions) take
 :func:`ranked_permutations`, a stable argsort.  A NaN distance raises
-``ValueError`` on every route; only the test reference
+``ValueError`` on every route; only the reference
 :func:`permutations_from_distances` (with
-:func:`count_distinct_permutations` and :func:`distinct_permutations`)
-ranks it last.
+:func:`count_distinct_permutations`) ranks it last.
 
 The codec half of this module packs permutations into integer *codes*:
 :func:`encode_permutations` / :func:`decode_permutations` are batch
@@ -38,7 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Any, Dict, Iterator, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,7 +50,6 @@ __all__ = [
     "ranked_permutations",
     "permutations_from_distances",
     "count_distinct_permutations",
-    "distinct_permutations",
     "encode_permutations",
     "decode_permutations",
     "decode_positions",
@@ -63,16 +61,10 @@ __all__ = [
     "prefix_permutation_codes",
     "ranks_from_distances",
     "site_ranks",
-    "inverse_permutation",
     "permutation_positions",
     "footrule_matrix",
     "footrule_matrix_batch",
-    "permutation_rank",
-    "permutation_unrank",
     "spearman_footrule",
-    "spearman_rho",
-    "kendall_tau",
-    "is_permutation",
 ]
 
 #: Largest ``k`` whose Lehmer ranks fit a ``uint64``: ``20! < 2**64 <= 21!``.
@@ -134,25 +126,6 @@ def count_distinct_permutations(perms: np.ndarray) -> int:
     return int(np.unique(perms, axis=0).shape[0])
 
 
-def distinct_permutations(perms: np.ndarray) -> Set[Tuple[int, ...]]:
-    """Return the set of distinct permutations (as tuples) in a matrix."""
-    perms = np.asarray(perms)
-    return {tuple(int(v) for v in row) for row in np.unique(perms, axis=0)}
-
-
-def is_permutation(perm: Sequence[int]) -> bool:
-    """Return True if ``perm`` is a permutation of ``0..len(perm)-1``."""
-    return sorted(perm) == list(range(len(perm)))
-
-
-def inverse_permutation(perm: Sequence[int]) -> Tuple[int, ...]:
-    """Return the inverse: ``inv[site] = rank`` of that site in ``perm``."""
-    inv = [0] * len(perm)
-    for rank, site in enumerate(perm):
-        inv[site] = rank
-    return tuple(inv)
-
-
 def permutation_code_dtype(k: int) -> np.dtype:
     """The dtype :func:`encode_permutations` emits for width ``k``.
 
@@ -195,9 +168,8 @@ def encode_permutations(
 ) -> np.ndarray:
     """Batch Lehmer rank: one integer code per row of ``(n, k)`` ``perms``.
 
-    Codes are the lexicographic ranks in ``0 .. k!-1`` — exactly
-    :func:`permutation_rank` per row, vectorized with no per-row Python
-    loops, and therefore *order-preserving*: sorting codes sorts the
+    Codes are the lexicographic ranks in ``0 .. k!-1``, vectorized with
+    no per-row Python loops, and therefore *order-preserving*: sorting codes sorts the
     permutations lexicographically.  For ``k <= MAX_CODE_SITES`` the
     result is a ``uint64`` array; beyond that an ``object`` array of
     exact Python ints (the transparent fallback).  Passing
@@ -747,41 +719,6 @@ def site_ranks(
     return codes, positions
 
 
-def permutation_rank(perm: Sequence[int]) -> int:
-    """Return the lexicographic rank (Lehmer code) of a permutation.
-
-    The rank is in ``0 .. k!-1``; together with :func:`permutation_unrank`
-    it gives the ``ceil(log2 k!)``-bit packing used as the storage baseline
-    against which the paper's permutation-table encoding is compared.
-    Delegates to the vectorized codec (:func:`encode_permutations`), so
-    the result is an exact Python int at every ``k`` — ``uint64``
-    arithmetic while ranks fit, arbitrary precision beyond.
-    """
-    perm = list(perm)
-    k = len(perm)
-    if not is_permutation(perm):
-        raise ValueError(f"{perm!r} is not a permutation of 0..{k - 1}")
-    return int(encode_permutations(np.asarray(perm, dtype=np.int64))[0])
-
-
-def permutation_unrank(rank: int, k: int) -> Tuple[int, ...]:
-    """Return the permutation of ``0..k-1`` with the given lexicographic rank.
-
-    Delegates to :func:`decode_permutations` — the ``uint64`` kernel for
-    ``k <= MAX_CODE_SITES``, the arbitrary-precision object path beyond —
-    so large ranks never silently overflow.
-    """
-    rank = int(rank)
-    if not 0 <= rank < math.factorial(k):
-        raise ValueError(f"rank {rank} out of range for k={k}")
-    codes = (
-        np.array([rank], dtype=np.uint64)
-        if k <= MAX_CODE_SITES
-        else np.array([rank], dtype=object)
-    )
-    return tuple(int(v) for v in decode_permutations(codes, k)[0])
-
-
 def _positions(perm: Sequence[int]) -> np.ndarray:
     perm = np.asarray(perm)
     pos = np.empty_like(perm)
@@ -800,29 +737,6 @@ def spearman_footrule(perm_a: Sequence[int], perm_b: Sequence[int]) -> int:
     if len(perm_a) != len(perm_b):
         raise ValueError("permutations must have the same length")
     return int(np.abs(_positions(perm_a) - _positions(perm_b)).sum())
-
-
-def spearman_rho(perm_a: Sequence[int], perm_b: Sequence[int]) -> float:
-    """Spearman rho: Euclidean distance between position vectors."""
-    if len(perm_a) != len(perm_b):
-        raise ValueError("permutations must have the same length")
-    diff = _positions(perm_a) - _positions(perm_b)
-    return float(np.sqrt(np.sum(diff.astype(np.float64) ** 2)))
-
-
-def kendall_tau(perm_a: Sequence[int], perm_b: Sequence[int]) -> int:
-    """Kendall tau: number of discordant site pairs between two permutations."""
-    if len(perm_a) != len(perm_b):
-        raise ValueError("permutations must have the same length")
-    pos_a = _positions(perm_a)
-    pos_b = _positions(perm_b)
-    k = len(pos_a)
-    discordant = 0
-    for i in range(k):
-        for j in range(i + 1, k):
-            if (pos_a[i] - pos_a[j]) * (pos_b[i] - pos_b[j]) < 0:
-                discordant += 1
-    return discordant
 
 
 def permutation_positions(

@@ -29,35 +29,9 @@ from repro.core.storage import bits_for_count
 from repro.metrics.base import Metric
 
 __all__ = [
-    "truncate_permutations",
-    "count_distinct_prefixes",
     "prefix_census_curve",
-    "max_prefixes_unrestricted",
     "prefix_storage_bits",
 ]
-
-
-def truncate_permutations(perms: np.ndarray, m: int) -> np.ndarray:
-    """Return the length-``m`` prefixes of the permutation rows."""
-    perms = np.asarray(perms)
-    if perms.ndim != 2:
-        raise ValueError(f"expected (n, k) matrix, got {perms.shape}")
-    if not 1 <= m <= perms.shape[1]:
-        raise ValueError(f"need 1 <= m <= {perms.shape[1]}, got {m}")
-    return perms[:, :m]
-
-
-def count_distinct_prefixes(perms: np.ndarray, m: int) -> int:
-    """Count distinct length-``m`` prefixes (ordered)."""
-    prefixes = truncate_permutations(perms, m)
-    return int(np.unique(prefixes, axis=0).shape[0])
-
-
-def max_prefixes_unrestricted(k: int, m: int) -> int:
-    """Number of possible length-``m`` prefixes: ``k! / (k-m)!``."""
-    if not 1 <= m <= k:
-        raise ValueError(f"need 1 <= m <= k, got m={m}, k={k}")
-    return math.perm(k, m)
 
 
 def prefix_storage_bits(count: int) -> int:

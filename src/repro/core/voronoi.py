@@ -28,27 +28,11 @@ from repro.core.permutation import decode_permutations
 from repro.metrics.base import Metric
 
 __all__ = [
-    "bisector_sign",
     "realized_permutations_grid",
-    "count_cells_grid",
     "realized_permutations_euclidean_exact",
     "count_euclidean_cells_exact",
     "count_order_cells_grid",
 ]
-
-
-def bisector_sign(point, site_a, site_b, metric: Metric, tol: float = 0.0) -> int:
-    """Return -1, 0, or +1 as ``point`` is nearer ``site_a``, equidistant, or nearer ``site_b``.
-
-    The zero set over all points is the bisector ``site_a | site_b`` of
-    Definition 1.
-    """
-    delta = metric.distance(site_a, point) - metric.distance(site_b, point)
-    if delta < -tol:
-        return -1
-    if delta > tol:
-        return 1
-    return 0
 
 
 def _grid_points(bounds: Sequence[Tuple[float, float]], resolution: int) -> np.ndarray:
@@ -114,20 +98,6 @@ def realized_permutations_grid(
         sites, metric, bounds, resolution, margin, max_refinements
     )
     return {tuple(row) for row in perms.tolist()}
-
-
-def count_cells_grid(
-    sites,
-    metric: Metric,
-    bounds: Optional[Sequence[Tuple[float, float]]] = None,
-    resolution: int = 256,
-    margin: float = 3.0,
-    max_refinements: int = 3,
-) -> int:
-    """Count generalized Voronoi cells (distinct permutations) on a grid."""
-    return len(_grid_permutations(
-        sites, metric, bounds, resolution, margin, max_refinements
-    ))
 
 
 def _chain_is_feasible(sites: np.ndarray, perm: Sequence[int], tol: float) -> bool:

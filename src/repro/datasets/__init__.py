@@ -26,7 +26,6 @@ from repro.datasets.sequences import (
 )
 from repro.datasets.sisap import DATABASE_NAMES, Database, load_database
 from repro.datasets.vectors import (
-    clustered_vectors,
     gaussian_vectors,
     latent_manifold_vectors,
     uniform_vectors,
@@ -37,7 +36,6 @@ __all__ = [
     "Database",
     "LANGUAGES",
     "LanguageModel",
-    "clustered_vectors",
     "gaussian_vectors",
     "genome_prefix_sequences",
     "latent_manifold_vectors",

@@ -14,7 +14,6 @@ import numpy as np
 __all__ = [
     "uniform_vectors",
     "gaussian_vectors",
-    "clustered_vectors",
     "latent_manifold_vectors",
 ]
 
@@ -57,22 +56,6 @@ def gaussian_vectors(
             raise ValueError(f"spectrum must have length {d}")
         points *= scales[None, :]
     return points
-
-
-def clustered_vectors(
-    n: int,
-    d: int,
-    n_clusters: int = 10,
-    spread: float = 0.05,
-    rng: Optional[np.random.Generator] = None,
-) -> np.ndarray:
-    """Return points drawn around ``n_clusters`` uniform cluster centres."""
-    if n_clusters < 1:
-        raise ValueError("need at least one cluster")
-    generator = _rng(rng)
-    centres = generator.random((n_clusters, d))
-    assignment = generator.integers(0, n_clusters, size=n)
-    return centres[assignment] + spread * generator.standard_normal((n, d))
 
 
 def latent_manifold_vectors(

@@ -14,7 +14,6 @@ from repro.experiments.figures import (
 from repro.experiments.harness import (
     format_table,
     permutation_count_trials,
-    unique_permutation_count,
 )
 from repro.experiments.scaling import ScalingResult, census_scaling
 from repro.experiments.table1 import format_table1, generate_table1
@@ -37,13 +36,6 @@ __all__ = [
     "paperlike_sites",
     "permutation_count_trials",
     "search_counterexamples",
-    "table1_rows",
     "table2_rows",
     "table3_rows",
-    "unique_permutation_count",
 ]
-
-
-def table1_rows():
-    """Alias for :func:`repro.experiments.table1.generate_table1`."""
-    return generate_table1()

@@ -7,11 +7,13 @@ comparisons, the looped single-query API) and both cost measures are
 reported — distance evaluations per query, the literature's metric, and
 queries per second, the production measure the batch engine optimizes.
 
-Every entry point takes the library-wide ``workers=`` / ``shards=``
-parameters (:mod:`repro.parallel`): censuses shard the database and merge
-exact partial counts; the workload runner can wrap any index in a
-:class:`~repro.index.sharded.ShardedIndex` for fan-out/merge execution.
-Results are identical for every ``workers`` / ``shards`` combination.
+The census trials take ``workers=`` / ``shards=``
+(:mod:`repro.parallel`): they shard the database over a task pool and
+merge exact partial counts.  The workload runner takes ``shards=`` and
+``resident=``: it can wrap any index in a
+:class:`~repro.index.sharded.ShardedIndex` for fan-out/merge execution,
+in-process or on pinned shard workers.  Results are identical for every
+setting.
 """
 
 from __future__ import annotations
@@ -32,33 +34,12 @@ from repro.parallel.executor import get_executor
 from repro.parallel.sharedmem import SharedDataset
 
 __all__ = [
-    "unique_permutation_count",
     "permutation_count_trials",
     "TrialResult",
     "QueryWorkloadReport",
     "run_query_workload",
     "format_table",
 ]
-
-
-def unique_permutation_count(
-    points: Sequence[Any],
-    sites: Sequence[Any],
-    metric: Metric,
-    *,
-    workers: Optional[int] = None,
-    shards: Optional[int] = None,
-) -> int:
-    """Count distinct distance permutations of ``points`` w.r.t. ``sites``.
-
-    The census shards over the database rows and merges exact partial
-    counts (:func:`repro.parallel.census.sharded_census`); the result is
-    identical for every ``workers`` / ``shards`` setting.
-    """
-    censuses, _ = sharded_census(
-        points, sites, metric, workers=workers, shards=shards
-    )
-    return censuses[len(sites)].distinct
 
 
 @dataclass(frozen=True)
@@ -195,7 +176,6 @@ def run_query_workload(
     radius: float = 1.0,
     budget: Optional[int] = None,
     batched: bool = True,
-    workers: Optional[int] = None,
     shards: Optional[int] = None,
     inner_factory: Optional[Callable[[Sequence[Any], Metric], Index]] = None,
     resident: bool = False,
@@ -210,34 +190,31 @@ def run_query_workload(
     benchmarked against.  The index's query stats are reset first so the
     report reflects exactly this workload.
 
-    ``shards`` / ``workers`` run the workload through the sharded
-    execution layer: unless ``index`` already is a
+    ``shards`` runs the workload through the sharded execution layer:
+    unless ``index`` already is a
     :class:`~repro.index.sharded.ShardedIndex`, it is wrapped via
     :func:`~repro.index.sharded.shard_index` (rebuilding per-shard inner
     indexes of the same type, or of ``inner_factory``; the rebuild cost
     is not part of the report).  Exact answers are identical either way;
     the wrapper's pool and shared memory are released before returning.
-    A positive ``workers`` or ``resident=True`` (two spellings of one
-    switch) runs the wrapper on the supervised pinned-worker pool, one
-    process per shard (see :mod:`repro.parallel.workerpool`) — the
-    factory must then be picklable — and ``policy`` configures its
+    ``resident=True`` runs the wrapper on the supervised pinned-worker
+    pool, one process per shard (see :mod:`repro.parallel.workerpool`) —
+    the factory must then be picklable — and ``policy`` configures its
     deadlines and retries; after the workload, inspect
     ``index.stats.degraded`` / ``shards_answered`` for whether any
     answer was partial.
     """
     if kind not in ("knn", "range", "knn-approx"):
         raise ValueError(f"unknown workload kind {kind!r}")
-    if (resident or policy is not None) and (
-        shards is None and workers is None
-    ) and not isinstance(index, ShardedIndex):
-        raise ValueError(
-            "resident/policy require sharded execution: pass shards= "
-            "(or workers=), or a pooled ShardedIndex"
-        )
-    wrapped: Optional[ShardedIndex] = None
-    if (shards is not None or workers is not None) and not isinstance(
+    if (resident or policy is not None) and shards is None and not isinstance(
         index, ShardedIndex
     ):
+        raise ValueError(
+            "resident/policy require sharded execution: pass shards=, "
+            "or a pooled ShardedIndex"
+        )
+    wrapped: Optional[ShardedIndex] = None
+    if shards is not None and not isinstance(index, ShardedIndex):
         if inner_factory is None:
             # type(index)(points, metric) drops any constructor
             # configuration (site counts, pivot counts, seeds) the passed
@@ -263,8 +240,7 @@ def run_query_workload(
                 )
         wrapped = shard_index(
             index,
-            n_shards=shards if shards is not None else max(1, workers or 1),
-            workers=workers,
+            n_shards=shards,
             inner_factory=inner_factory,
             resident=resident,
             policy=policy,

@@ -4,14 +4,13 @@ For each metric in {L1, L2, L∞}, dimension ``d = 1..10`` and permutation
 length ``k`` in {4, 8, 12}, draw a uniform database in the unit cube,
 repeat the census over fresh random site draws, and report mean and max —
 the paper used ``n = 10^6`` points and 100 runs; the defaults here are
-scaled down (environment variables ``REPRO_TABLE3_N`` / ``REPRO_TABLE3_RUNS``
-or keyword arguments restore full scale).
+scaled down to ``n = 20000`` and 5 runs (``n_points`` / ``n_runs``, or
+``repro table3 --n / --runs``, restore full scale).
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -24,17 +23,10 @@ from repro.metrics.minkowski import MinkowskiMetric
 from repro.parallel.executor import get_executor
 from repro.parallel.sharedmem import SharedDataset
 
-__all__ = ["Table3Row", "table3_rows", "format_table3", "default_scale"]
+__all__ = ["Table3Row", "table3_rows", "format_table3"]
 
 #: Table 3 metrics in paper order.
 METRIC_PS: Tuple[float, ...] = (1.0, 2.0, math.inf)
-
-
-def default_scale() -> Tuple[int, int]:
-    """Return ``(n_points, n_runs)`` from the environment or scaled defaults."""
-    n = int(os.environ.get("REPRO_TABLE3_N", "20000"))
-    runs = int(os.environ.get("REPRO_TABLE3_RUNS", "5"))
-    return n, runs
 
 
 @dataclass
@@ -56,8 +48,8 @@ def table3_rows(
     dims: Iterable[int] = range(1, 11),
     ks: Sequence[int] = (4, 8, 12),
     ps: Sequence[float] = METRIC_PS,
-    n_points: Optional[int] = None,
-    n_runs: Optional[int] = None,
+    n_points: int = 20000,
+    n_runs: int = 5,
     seed: int = 20080411,
     workers: Optional[int] = None,
     shards: Optional[int] = None,
@@ -68,9 +60,6 @@ def table3_rows(
     (:mod:`repro.parallel`); site draws and counts are identical to the
     serial run.
     """
-    env_n, env_runs = default_scale()
-    n_points = n_points if n_points is not None else env_n
-    n_runs = n_runs if n_runs is not None else env_runs
     rows = []
     # One pool serves every (metric, d, k) cell; each dimension's database
     # is published to the workers once, not once per cell.

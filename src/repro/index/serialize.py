@@ -23,8 +23,8 @@ section per shard (plus the shard offsets) into one file, and
 :class:`~repro.index.sharded.ShardedIndex` whose inner
 :class:`~repro.index.distperm.DistPermIndex` shards are reconstructed
 without recomputing any of the ``n x k`` build distances — the loaded
-index answers queries (serially or across a worker pool, per the
-``workers`` argument) exactly like the one that was saved.
+index answers queries (in-process or from pinned workers, per the
+``resident`` argument) exactly like the one that was saved.
 :func:`load_shard` loads one shard, as a pinned worker does on every
 (re)spawn.
 
@@ -458,7 +458,6 @@ def load_sharded(
     points: Sequence,
     metric: Metric,
     *,
-    workers: Optional[int] = None,
     resident: bool = False,
     policy=None,
     faults=None,
@@ -471,10 +470,9 @@ def load_sharded(
     ``points`` must be the database the index was built on; each shard is
     restored against its own contiguous slice (with the same probe check
     as :func:`load_distperm`) and no build distances are recomputed.
-    ``workers`` / ``resident`` select the loaded index's engine,
-    independent of how the saved index ran: a positive ``workers`` or
-    ``resident=True`` (two spellings of one switch) serves it from one
-    pinned worker per shard, spawned lazily on the first query;
+    ``resident`` selects the loaded index's engine, independent of how
+    the saved index ran: ``resident=True`` serves it from one pinned
+    worker per shard, spawned lazily on the first query;
     ``policy`` / ``faults`` / ``budget_split`` configure that runtime
     and the ``knn_approx`` budget division exactly as on
     :class:`~repro.index.sharded.ShardedIndex`.  The workers of a
@@ -502,7 +500,7 @@ def load_sharded(
     index.points = points
     index.metric = CountingMetric(metric)
     index.stats = SearchStats()
-    index._init_runtime(workers, resident, policy, faults, budget_split)
+    index._init_runtime(resident, policy, faults, budget_split)
     index._payload_path = os.fspath(path)
     index._payload_backing = backing
     index._payload_cache_bytes = cache_bytes

@@ -40,19 +40,18 @@ boundary — inline for small replies, via one-shot shared-memory
 segments for large ones — so no pickled ``Neighbor`` list ever crosses
 the query path.
 
-Execution has two engines, chosen by one derived predicate
-(``pooled = resident or not serial_workers(workers)``).  *In-process*
-builds and queries the shards in order in the owner — zero overhead,
-the reference semantics.  *Pooled* is the supervised worker runtime
-(:mod:`repro.parallel.workerpool`): one pinned process per shard builds
-its shard from a zero-copy shared-memory view of the database, holds it
-resident, and answers under the index's
-:class:`~repro.parallel.workerpool.QueryPolicy` (deadlines, crash
-detection, respawn-and-retry, visible partial answers).  ``workers=N``
-and ``resident=True`` are two spellings of it: the pool is one process
-per shard, so ``workers`` sizes nothing here.  Both engines run each
-per-shard op through one dispatch (``workerpool._run_shard_op``) and
-merge in shard order, so answers are identical across engines.
+Execution has two engines, chosen by one switch (``resident``).
+*In-process* builds and queries the shards in order in the owner —
+zero overhead, the reference semantics.  *Pooled* (``resident=True``)
+is the supervised worker runtime (:mod:`repro.parallel.workerpool`):
+one pinned process per shard builds its shard from a zero-copy
+shared-memory view of the database, holds it resident, and answers
+under the index's :class:`~repro.parallel.workerpool.QueryPolicy`
+(deadlines, crash detection, respawn-and-retry, visible partial
+answers).  The pool is one process per shard, so there is no worker
+count to size.  Both engines run each per-shard op through one dispatch
+(``workerpool._run_shard_op``) and merge in shard order, so answers are
+identical across engines.
 
 Inner factories of a pooled index are shipped to its workers: they must
 be picklable (a class, ``functools.partial``, or module-level function,
@@ -75,7 +74,6 @@ from repro.index.base import Budget, Index, NeighborArrays
 from repro.index.linear import LinearScan
 from repro.metrics.base import Metric
 from repro.parallel.census import shard_ranges
-from repro.parallel.executor import serial_workers
 from repro.parallel.faults import FaultSpec
 from repro.parallel.sharedmem import SharedDataset
 from repro.parallel.workerpool import (
@@ -107,13 +105,10 @@ class ShardedIndex(Index):
     (default: :class:`~repro.index.linear.LinearScan`); ``n_shards``
     bounds the shard count (capped at ``len(points)``).
 
-    ``workers`` and ``resident`` are two spellings of one switch: serial
-    ``workers`` (``None``/``0``/``"serial"``) with ``resident=False``
-    runs in-process; a positive ``workers`` or ``resident=True`` runs
+    ``resident=False`` (default) runs in-process; ``resident=True`` runs
     one supervised, pinned worker process per shard (see
-    :mod:`repro.parallel.workerpool`), whatever the value of
-    ``workers``, and ``inner_factory`` must then be picklable
-    (``TypeError`` otherwise).  ``policy`` is the
+    :mod:`repro.parallel.workerpool`), and ``inner_factory`` must then
+    be picklable (``TypeError`` otherwise).  ``policy`` is the
     :class:`~repro.parallel.workerpool.QueryPolicy` pooled fan-outs
     enforce (default: unbounded deadline, one retry, exact answers) and
     ``faults`` injects deterministic worker failures for tests and
@@ -138,13 +133,12 @@ class ShardedIndex(Index):
         inner_factory: InnerFactory = LinearScan,
         *,
         n_shards: int = 4,
-        workers: Optional[int] = None,
         resident: bool = False,
         policy: Optional[QueryPolicy] = None,
         faults: Optional[Sequence[FaultSpec]] = None,
         budget_split: str = "auto",
     ):
-        self._init_runtime(workers, resident, policy, faults, budget_split)
+        self._init_runtime(resident, policy, faults, budget_split)
         if n_shards < 1:
             raise ValueError(f"need n_shards >= 1, got {n_shards}")
         self._inner_factory = inner_factory
@@ -159,8 +153,7 @@ class ShardedIndex(Index):
             raise
 
     def _init_runtime(
-        self, workers, resident=False, policy=None, faults=None,
-        budget_split="auto",
+        self, resident=False, policy=None, faults=None, budget_split="auto"
     ) -> None:
         """Set the execution-state attributes (also used by the loader)."""
         # What close() reads comes first, before any check can raise:
@@ -170,7 +163,7 @@ class ShardedIndex(Index):
         self._worker_pool: Optional[WorkerPool] = None
         self._points_payload: Optional[SharedDataset] = None
         #: The one engine switch: pinned worker pool, or in-process.
-        self._pooled = not serial_workers(workers) or bool(resident)
+        self._pooled = bool(resident)
         if policy is not None and not isinstance(policy, QueryPolicy):
             raise TypeError(
                 f"policy must be a QueryPolicy, got {type(policy).__name__}"
@@ -239,8 +232,8 @@ class ShardedIndex(Index):
         except (pickle.PicklingError, AttributeError, TypeError) as error:
             raise TypeError(
                 f"inner_factory {self._inner_factory!r} cannot be pickled "
-                f"({error}); a pooled ShardedIndex (workers=N or "
-                "resident=True) ships its factory to the shard workers, "
+                f"({error}); a pooled ShardedIndex (resident=True) ships "
+                "its factory to the shard workers, "
                 "so it must be a class, a functools.partial, or a "
                 "module-level function, not a lambda or a local function"
             ) from error
@@ -653,7 +646,6 @@ def shard_index(
     index: Index,
     *,
     n_shards: int,
-    workers: Optional[int] = None,
     inner_factory: Optional[InnerFactory] = None,
     resident: bool = False,
     policy: Optional[QueryPolicy] = None,
@@ -667,8 +659,8 @@ def shard_index(
     more than ``(points, metric)`` — pivot counts, site counts, seeds —
     should pass an explicit ``inner_factory`` (e.g. a
     ``functools.partial``) to control those parameters per shard.
-    ``workers`` / ``resident`` (two spellings of the pooled engine, which
-    needs a picklable factory), ``policy`` / ``faults`` and
+    ``resident`` (the pooled engine, which needs a picklable factory),
+    ``policy`` / ``faults`` and
     ``budget_split`` mean exactly what they do on :class:`ShardedIndex`.
     """
     factory = inner_factory if inner_factory is not None else type(index)
@@ -677,7 +669,6 @@ def shard_index(
         index.metric.inner,
         factory,
         n_shards=n_shards,
-        workers=workers,
         resident=resident,
         policy=policy,
         faults=faults,

@@ -219,12 +219,6 @@ class CountingMetric(Metric):
         self.count += len(xs) * len(ys)
         return self.inner.matrix(xs, ys)
 
-    def batch_distances(
-        self, queries: Sequence[Any], points: Sequence[Any]
-    ) -> np.ndarray:
-        self.count += len(queries) * len(points)
-        return self.inner.batch_distances(queries, points)
-
     def grouped_distances(
         self,
         queries: Sequence[Any],
@@ -253,14 +247,10 @@ class CountingMetric(Metric):
         self.count += len(queries) * len(points)
         return self.inner.batch_distances_within(queries, points, radius)
 
-    def to_sites(self, points: Sequence[Any], sites: Sequence[Any]) -> np.ndarray:
-        self.count += len(points) * len(sites)
-        return self.inner.to_sites(points, sites)
-
     def to_sites_compact(
         self, points: Sequence[Any], sites: Sequence[Any]
     ) -> Iterator[Tuple[int, int, np.ndarray]]:
-        # Charged at the call, once for all blocks, like to_sites.
+        # Charged at the call, once for all blocks, like matrix.
         self.count += len(points) * len(sites)
         return self.inner.to_sites_compact(points, sites)
 

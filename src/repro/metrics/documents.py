@@ -4,8 +4,7 @@ The SISAP sample databases ``long`` and ``short`` hold feature vectors
 extracted from news articles, compared by the angle between vectors.  The
 angular distance ``arccos(cos_similarity)`` is a true metric on the unit
 sphere (it is the geodesic distance), unlike raw cosine dissimilarity
-``1 - cos`` which violates the triangle inequality; both are provided, and
-the experiments use the angular form.
+``1 - cos``, which violates the triangle inequality.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import numpy as np
 
 from repro.metrics.base import Metric
 
-__all__ = ["AngularDistance", "CosineDissimilarity"]
+__all__ = ["AngularDistance"]
 
 
 def _cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -44,19 +43,3 @@ class AngularDistance(Metric):
         out = 0.5 * (out + out.T)
         np.fill_diagonal(out, 0.0)
         return out
-
-
-class CosineDissimilarity(Metric):
-    """``1 - cos(x, y)``; *not* a metric — kept as a baseline comparator.
-
-    :func:`repro.metrics.validation.check_triangle_inequality` demonstrates
-    the violation; the experiments use :class:`AngularDistance` instead.
-    """
-
-    name = "cosine"
-
-    def distance(self, x, y) -> float:
-        return float(1.0 - _cosine_matrix(x, y)[0, 0])
-
-    def matrix(self, xs, ys) -> np.ndarray:
-        return 1.0 - _cosine_matrix(xs, ys)

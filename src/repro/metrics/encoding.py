@@ -17,9 +17,8 @@ computes whole distance *matrices* from the encoded form:
   row DP (transposed ``(m + 1, batch)`` rows, sequential insertion pass)
   run.  An optional ``max_distance`` lets the Myers kernels skip
   out-of-range length bands and exit early for range queries.
-- :func:`hamming_matrix` and :func:`lcp_matrix` /
-  :func:`prefix_distance_matrix` are fully vectorized broadcasts over the
-  code matrices.
+- :func:`lcp_matrix` / :func:`prefix_distance_matrix` are fully
+  vectorized broadcasts over the code matrices.
 
 Padding never contaminates results: DP cell ``(i, j)`` depends only on
 target positions ``< j``, so reading the answer at column ``length``
@@ -42,7 +41,6 @@ __all__ = [
     "clear_encoding_cache",
     "levenshtein_matrix",
     "levenshtein_matrix_compact",
-    "hamming_matrix",
     "lcp_matrix",
     "prefix_distance_matrix",
 ]
@@ -57,8 +55,7 @@ _CACHE_SIZE = 8
 #: many entries live at once, so the working set stays under ~50 MB).
 _TARGET_DP_CELLS = 1 << 22
 
-#: Upper bound on boolean broadcast elements per chunk in the Hamming and
-#: LCP kernels.
+#: Upper bound on boolean broadcast elements per chunk in the LCP kernel.
 _TARGET_BROADCAST_CELLS = 1 << 24
 
 #: Myers cost-model constants in cell-equivalents (the throughput of one
@@ -433,30 +430,6 @@ def levenshtein_matrix(
     return levenshtein_matrix_compact(
         xs, ys, max_distance=max_distance
     ).astype(np.int64, order="C", copy=False)
-
-
-def hamming_matrix(xs: EncodedStrings, ys: EncodedStrings) -> np.ndarray:
-    """The Hamming matrix from encoded inputs (uniform lengths required)."""
-    out = np.empty((len(xs), len(ys)), dtype=np.int64)
-    if len(xs) == 0 or len(ys) == 0:
-        return out
-    all_lengths = np.concatenate([xs.lengths, ys.lengths])
-    if (all_lengths != all_lengths[0]).any():
-        raise ValueError(
-            "Hamming distance requires equal lengths, got lengths "
-            f"{sorted(set(int(v) for v in all_lengths))}"
-        )
-    width = int(all_lengths[0])
-    if width == 0:
-        out[:] = 0
-        return out
-    chunk = max(1, _TARGET_BROADCAST_CELLS // (len(ys) * width))
-    for start in range(0, len(xs), chunk):
-        stop = min(start + chunk, len(xs))
-        out[start:stop] = (
-            xs.codes[start:stop, None, :width] != ys.codes[None, :, :width]
-        ).sum(axis=2)
-    return out
 
 
 def lcp_matrix(xs: EncodedStrings, ys: EncodedStrings) -> np.ndarray:

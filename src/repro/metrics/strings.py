@@ -1,11 +1,11 @@
-"""String metrics: Levenshtein edit distance, prefix distance, Hamming.
+"""String metrics: Levenshtein edit distance and prefix distance.
 
 The paper's experiments run on dictionaries and gene sequences under the
 Levenshtein edit distance, and Section 3 introduces the *prefix metric* —
 a tree metric on strings where an edit may only add or remove a letter at
 the right-hand end (Definition 3).
 
-All three metrics share the :class:`StringMetric` batched-kernel wiring:
+Both metrics share the :class:`StringMetric` batched-kernel wiring:
 ``matrix`` (and therefore ``to_sites``, ``batch_distances``, and
 ``pairwise``) encodes each collection once into padded code-point
 matrices (:mod:`repro.metrics.encoding`) and computes whole distance
@@ -27,7 +27,6 @@ from repro.metrics.base import Metric
 from repro.metrics.encoding import (
     EncodedStrings,
     encode_strings,
-    hamming_matrix,
     levenshtein_matrix,
     levenshtein_matrix_compact,
     prefix_distance_matrix,
@@ -37,11 +36,9 @@ __all__ = [
     "levenshtein",
     "prefix_distance",
     "longest_common_prefix",
-    "hamming",
     "StringMetric",
     "LevenshteinDistance",
     "PrefixDistance",
-    "HammingDistance",
 ]
 
 def _levenshtein_myers(a: str, b: str) -> int:
@@ -155,15 +152,6 @@ def prefix_distance(a: str, b: str) -> int:
     the common prefix, then extend to ``b``.
     """
     return len(a) + len(b) - 2 * longest_common_prefix(a, b)
-
-
-def hamming(a: str, b: str) -> int:
-    """Return the Hamming distance between equal-length strings."""
-    if len(a) != len(b):
-        raise ValueError(
-            f"Hamming distance requires equal lengths, got {len(a)} and {len(b)}"
-        )
-    return sum(ca != cb for ca, cb in zip(a, b))
 
 
 class StringMetric(Metric):
@@ -295,17 +283,3 @@ class PrefixDistance(StringMetric):
         return prefix_distance_matrix(xs_encoded, ys_encoded).astype(
             np.float64
         )
-
-
-class HammingDistance(StringMetric):
-    """Hamming distance on equal-length strings."""
-
-    name = "hamming"
-
-    def distance(self, x: str, y: str) -> float:
-        return float(hamming(x, y))
-
-    def matrix_encoded(
-        self, xs_encoded: EncodedStrings, ys_encoded: EncodedStrings
-    ) -> np.ndarray:
-        return hamming_matrix(xs_encoded, ys_encoded).astype(np.float64)

@@ -2,18 +2,19 @@
 
 Every layer above the metrics parallelizes through this package:
 
-- :mod:`repro.parallel.executor` — the ``workers=`` convention
-  (``serial_workers``) and the census/trial ``map`` seam: a
-  deterministic serial backend and an order-preserving task pool;
+- :mod:`repro.parallel.executor` — the ``workers=`` convention of the
+  censuses and the table generators (``serial_workers``) and their
+  ``map`` seam: a deterministic serial backend and an order-preserving
+  task pool;
 - :mod:`repro.parallel.sharedmem` — zero-copy publication of vector
   matrices, encoded string collections, and arbitrary payloads to
   worker processes via :mod:`multiprocessing.shared_memory`;
 - :mod:`repro.parallel.census` — the sharded, exactly-mergeable
   permutation census behind Tables 2–3 and ``repro census``;
 - :mod:`repro.parallel.workerpool` — the one multi-process *query*
-  engine: pinned worker-per-shard processes that build and hold their
-  shard, with per-query deadlines, crash detection, and
-  respawn-with-backoff recovery;
+  engine (``resident=True`` on a sharded index): pinned worker-per-shard
+  processes that build and hold their shard, with per-query deadlines,
+  crash detection, and respawn-with-backoff recovery;
 - :mod:`repro.parallel.faults` — deterministic fault injection (kill /
   stall / corrupt-reply) for rehearsing the supervision paths.
 

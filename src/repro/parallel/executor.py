@@ -3,8 +3,7 @@ process-pool backend.
 
 The census and trial loops (Tables 2-3, ``repro census``) parallelize
 through this seam — queries do not: a sharded index runs on the pinned
-worker pool of :mod:`repro.parallel.workerpool` and takes from here
-only :func:`serial_workers`, the meaning of ``workers=``.  A
+worker pool of :mod:`repro.parallel.workerpool` (``resident=True``).  A
 caller splits its work into an *ordered* list of tasks and calls
 :meth:`Executor.map`, which always returns results in task order.  The
 serial backend runs tasks inline in submission order — the reference
@@ -15,8 +14,7 @@ every worker count.
 
 Worker-count convention, used by every ``workers=`` parameter in the
 library: ``None``, ``0``, or ``"serial"`` select the serial backend;
-a positive integer selects a process pool — of that size here, of one
-pinned worker per shard on a ``ShardedIndex``.  Task functions
+a positive integer selects a process pool of that size.  Task functions
 and arguments must be picklable for the pool backend (module-level
 functions, classes, ``functools.partial`` — not lambdas); big arrays
 ship zero-copy through :mod:`repro.parallel.sharedmem` descriptors

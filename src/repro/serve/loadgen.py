@@ -177,8 +177,3 @@ async def run_open_loop(
         for client in clients:
             await client.close()
     return report
-
-
-def run_open_loop_sync(**kwargs) -> LoadReport:
-    """Run :func:`run_open_loop` on a fresh event loop (bench drivers)."""
-    return asyncio.run(run_open_loop(**kwargs))

@@ -127,7 +127,14 @@ _TAG_DTYPES = {tag: dtype for dtype, tag in _DTYPE_TAGS.items()}
 
 
 class ProtocolError(ValueError):
-    """A frame violated the wire format (truncated, oversized, bad tag)."""
+    """A frame violated the wire format (truncated, oversized, bad tag).
+
+    ``request_id`` names the request whose frame failed once its head
+    parsed, so the server can answer the client waiting on that id; it
+    is 0 when no head parsed.
+    """
+
+    request_id = 0
 
 
 @dataclass(frozen=True)
@@ -357,11 +364,23 @@ def encode_request(
 
 
 def decode_request(payload: bytes) -> Request:
-    """Decode one request payload (frame length already stripped)."""
+    """Decode one request payload (frame length already stripped).
+
+    A :class:`ProtocolError` past a parsed head carries its
+    ``request_id``.
+    """
     try:
         op, request_id = _REQ_HEAD.unpack_from(payload, 0)
     except struct.error as error:
         raise ProtocolError(f"truncated request head: {error}") from None
+    try:
+        return _decode_request_body(payload, op, request_id)
+    except ProtocolError as error:
+        error.request_id = request_id
+        raise
+
+
+def _decode_request_body(payload: bytes, op: int, request_id: int) -> Request:
     offset = _REQ_HEAD.size
     if op in (OP_PING, OP_STATS):
         return Request(op=op, request_id=request_id)

@@ -261,7 +261,8 @@ class QueryServer:
             await self._send(
                 writer, write_lock,
                 protocol.encode_response(
-                    0, protocol.STATUS_ERROR, message=str(error)
+                    error.request_id, protocol.STATUS_ERROR,
+                    message=str(error),
                 ),
             )
             return

@@ -16,7 +16,6 @@ from repro.core.arrangement import (
     count_euclidean_cells_arrangement,
     euclidean_bisector_lines,
     intersection,
-    line_through,
     perpendicular_bisector,
 )
 from repro.core.counting import cake_number, euclidean_permutation_count
@@ -44,15 +43,6 @@ class TestLine:
         assert line.side((Fraction(1), Fraction(5))) == 1
         assert line.side((Fraction(0), Fraction(7))) == 0
 
-    def test_line_through(self):
-        line = line_through((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1)))
-        assert line.side((Fraction(2), Fraction(2))) == 0
-        assert line.side((Fraction(0), Fraction(1))) != 0
-
-    def test_line_through_identical_rejected(self):
-        with pytest.raises(ValueError):
-            line_through((Fraction(1), Fraction(1)), (Fraction(1), Fraction(1)))
-
 
 class TestIntersection:
     def test_crossing(self):
@@ -66,8 +56,8 @@ class TestIntersection:
         assert intersection(a, b) is None
 
     def test_intersection_exactness(self):
-        a = line_through((Fraction(0), Fraction(0)), (Fraction(1), Fraction(3)))
-        b = line_through((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)))
+        a = Line.make(Fraction(3), Fraction(-1), Fraction(0))  # y = 3x
+        b = Line.make(Fraction(1), Fraction(1), Fraction(1))  # x + y = 1
         point = intersection(a, b)
         assert point == (Fraction(1, 4), Fraction(3, 4))
 

@@ -26,7 +26,6 @@ from repro.index import (
 )
 from repro.metrics import (
     EuclideanDistance,
-    HammingDistance,
     LevenshteinDistance,
     PrefixDistance,
 )
@@ -73,36 +72,27 @@ def string_setup():
     return words, queries, LevenshteinDistance
 
 
-def _string_database(metric_cls):
-    """A tie-heavy word database and queries suited to the metric.
+def _string_database():
+    """A tie-heavy, mixed-length word database and queries.
 
-    Hamming needs uniform lengths; the edit metrics get the mixed-length
-    set so the Levenshtein banded range path and prefix LCP both see
-    length variation.
+    The lengths vary so the Levenshtein banded range path and prefix LCP
+    both see length variation.
     """
     rng = np.random.default_rng(78)
     letters = "abc"
-    if metric_cls is HammingDistance:
-        words = list({
-            "".join(letters[i] for i in rng.integers(0, 3, size=5))
-            for _ in range(150)
-        })
-        queries = ["ababa", "ccccc", "abcab", "bbbbb"]
-    else:
-        words = list({
-            "".join(
-                letters[i] for i in rng.integers(0, 3, size=rng.integers(2, 7))
-            )
-            for _ in range(150)
-        })
-        queries = ["ab", "cba", "aaaa", "bc"]
+    words = list({
+        "".join(
+            letters[i] for i in rng.integers(0, 3, size=rng.integers(2, 7))
+        )
+        for _ in range(150)
+    })
+    queries = ["ab", "cba", "aaaa", "bc"]
     return words, queries
 
 
 STRING_METRICS = {
     "levenshtein": LevenshteinDistance,
     "prefix": PrefixDistance,
-    "hamming": HammingDistance,
 }
 
 
@@ -168,7 +158,7 @@ class TestTieHeavyMetricEquivalence:
 
     def test_batch_matches_loop(self, name, metric_name):
         metric_cls = STRING_METRICS[metric_name]
-        words, queries = _string_database(metric_cls)
+        words, queries = _string_database()
         _assert_batch_matches_loop(
             INDEX_FACTORIES[name], words, queries, metric_cls,
             k=9, radius=2,
@@ -329,7 +319,7 @@ class TestBKTreeBatchFallback:
     @pytest.mark.parametrize("metric_name", STRING_METRICS)
     def test_batch_matches_loop(self, metric_name):
         metric_cls = STRING_METRICS[metric_name]
-        words, queries = _string_database(metric_cls)
+        words, queries = _string_database()
         _assert_batch_matches_loop(
             lambda pts, m: BKTree(pts, m), words, queries, metric_cls,
             k=5, radius=1,

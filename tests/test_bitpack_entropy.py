@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import empirical_entropy_bits
+
 from repro.core.bitpack import bits_for_count, pack_ids, unpack_ids
-from repro.core.entropy import empirical_entropy_bits, entropy_report
+from repro.core.entropy import entropy_report
 from repro.core.estimate import StreamingCensus
 from repro.core.permutation import decode_permutations, encode_permutations
 

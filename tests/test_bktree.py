@@ -9,7 +9,6 @@ from repro.datasets.dictionaries import synthetic_dictionary
 from repro.index import BKTree, LinearScan
 from repro.metrics import (
     EuclideanDistance,
-    HammingDistance,
     LevenshteinDistance,
     PrefixDistance,
 )
@@ -58,12 +57,6 @@ class TestExactness:
             got = [(n.index, n.distance) for n in tree.range_query("ab", radius)]
             want = [(n.index, n.distance) for n in oracle.range_query("ab", radius)]
             assert got == want
-
-    def test_hamming_metric_supported(self):
-        words = ["0000", "0001", "0011", "1111", "1010"]
-        tree = BKTree(words, HammingDistance())
-        result = tree.range_query("0000", 1)
-        assert {n.index for n in result} == {0, 1}
 
 
 class TestCostAndValidation:

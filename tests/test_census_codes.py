@@ -19,6 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import clustered_vectors
+
 from repro.core import permutation
 from repro.core.counting import max_permutations
 from repro.core.estimate import StreamingCensus
@@ -30,7 +32,7 @@ from repro.core.permutation import (
 )
 from repro.datasets.dictionaries import synthetic_dictionary
 from repro.datasets.sequences import mutation_cascade_sequences
-from repro.datasets.vectors import clustered_vectors, uniform_vectors
+from repro.datasets.vectors import uniform_vectors
 from repro.metrics import CountingMetric, EuclideanDistance, LevenshteinDistance
 from repro.parallel.census import sharded_census, streaming_census
 

@@ -228,7 +228,7 @@ class TestOtherCommands:
 
 
 class TestParallelFlags:
-    """--workers / --shards wiring plus the table3 --seed flag."""
+    """--workers / --shards / --resident wiring plus the table3 --seed flag."""
 
     def test_table3_seed_changes_draws(self, capsys):
         argv = ["table3", "--dims", "1", "--ks", "4", "--n", "1500",
@@ -293,8 +293,6 @@ class TestParallelFlags:
                 "--metric", "l2", "--index", "linear", "--n-queries", "3"]
         assert main(base + ["--shards", "0"]) == 1
         assert "--shards must be >= 1" in capsys.readouterr().err
-        assert main(base + ["--workers", "-1"]) == 1
-        assert "--workers must be >= 0" in capsys.readouterr().err
         argv = ["census", "--input", str(path), "--kind", "vectors",
                 "--metric", "l2", "--sites", "3", "--workers", "-2"]
         assert main(argv) == 1
@@ -311,13 +309,12 @@ class TestParallelFlags:
                 "--k", "4", "--n-queries", "6", "--show", "6"]
         assert main(argv) == 0
         plain = capsys.readouterr().out
-        assert main(argv + ["--shards", "3", "--workers", "2"]) == 0
+        assert main(argv + ["--shards", "3", "--resident"]) == 0
         sharded = capsys.readouterr().out
         answers = lambda text: [  # noqa: E731
             line for line in text.splitlines() if line.startswith("query")
         ]
         assert answers(plain) == answers(sharded)
-        # --workers N is the pooled engine, whatever N.
         assert "3 shards x pinned workers" in sharded
         assert "all 3 shards answered" in sharded
         assert main(argv + ["--shards", "3"]) == 0
@@ -367,7 +364,10 @@ class TestResilienceFlags:
             (["--shards", "2", "--deadline", "-1"], "--deadline must be > 0"),
             (["--shards", "2", "--retries", "-1"], "--retries must be >= 0"),
             (["--shards", "0"], "--shards must be >= 1"),
-            (["--workers", "-1"], "--workers must be >= 0"),
         ):
             assert main(base + flags) == 1, flags
             assert f"error: {message}" in capsys.readouterr().err, flags
+        # --workers sizes the census task pool only; the query engine's
+        # one pool switch is --resident.
+        with pytest.raises(SystemExit):
+            main(base + ["--shards", "2", "--workers", "2"])

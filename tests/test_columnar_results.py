@@ -12,8 +12,8 @@ merge's ``(distance, index)`` tie-break order, the global-footrule
 budget split (including its degrade-mode budget redistribution, checked
 against the committed ``BENCH_resilience.json`` curve), the pooled
 build path, and the ``reply_bytes`` observability of the array-reply
-IPC format — each pooled case under both spellings of the one
-multi-process engine (``workers=N`` / ``resident=True``).
+IPC format — each pooled case on the multi-process engine
+(``resident=True``).
 """
 
 from __future__ import annotations
@@ -64,10 +64,9 @@ INDEX_FACTORIES = {
 }
 
 
-#: Both spellings of ShardedIndex's one pooled engine.
+#: ShardedIndex's pooled engine.
 POOLED = pytest.mark.parametrize(
-    "pooled", [{"resident": True}, {"workers": 2}],
-    ids=["resident", "workers"],
+    "pooled", [{"resident": True}], ids=["resident"]
 )
 
 
@@ -178,7 +177,7 @@ class TestShardedMergeTieBreak:
         metric = LevenshteinDistance()
         reference = LinearScan(words, metric)
         with ShardedIndex(
-            words, metric, LinearScan, n_shards=4, workers=None
+            words, metric, LinearScan, n_shards=4
         ) as sharded:
             for k in (1, 5, 20):
                 assert _signature_rows(
@@ -192,7 +191,7 @@ class TestShardedMergeTieBreak:
         words, queries = self._setup()
         metric = LevenshteinDistance()
         with ShardedIndex(
-            words, metric, LinearScan, n_shards=4, workers=None
+            words, metric, LinearScan, n_shards=4
         ) as sharded:
             rows = sharded.knn_batch(queries, 25)
         saw_cross_shard_tie = False
@@ -235,7 +234,6 @@ class TestGlobalBudgetSplit:
         words, _ = split_setup
         with ShardedIndex(
             words, LevenshteinDistance(), self.INNER, n_shards=3,
-            workers=None,
         ) as index:
             assert index._budget_split == "auto"
             assert index._use_global_split(50)
@@ -246,7 +244,7 @@ class TestGlobalBudgetSplit:
         with pytest.raises(TypeError, match="footrule"):
             ShardedIndex(
                 words, LevenshteinDistance(), LinearScan, n_shards=3,
-                workers=None, budget_split="global",
+                budget_split="global",
             )
 
     def test_unknown_split_rejected(self, split_setup):
@@ -254,7 +252,7 @@ class TestGlobalBudgetSplit:
         with pytest.raises(ValueError, match="budget_split"):
             ShardedIndex(
                 words, LevenshteinDistance(), self.INNER, n_shards=3,
-                workers=None, budget_split="sideways",
+                budget_split="sideways",
             )
 
     def test_global_allocation_sums_to_budget(self, split_setup):
@@ -264,7 +262,7 @@ class TestGlobalBudgetSplit:
         budget = 60
         with ShardedIndex(
             words, LevenshteinDistance(), self.INNER, n_shards=3,
-            workers=None, budget_split="global",
+            budget_split="global",
         ) as index:
             footrules = [
                 shard.query_footrules(queries, budget)
@@ -284,7 +282,7 @@ class TestGlobalBudgetSplit:
         words, queries = split_setup
         metric = LevenshteinDistance()
         with ShardedIndex(
-            words, metric, self.INNER, n_shards=3, workers=None,
+            words, metric, self.INNER, n_shards=3,
             budget_split="global",
         ) as serial:
             expected = _signature_rows(
@@ -303,7 +301,6 @@ class TestGlobalBudgetSplit:
         words, queries = split_setup
         with ShardedIndex(
             words, LevenshteinDistance(), self.INNER, n_shards=3,
-            workers=None,
         ) as index:
             with pytest.raises(TypeError, match="per-query budget"):
                 index.knn_approx_batch(
@@ -389,7 +386,7 @@ class TestResidentBuild:
         metric = LevenshteinDistance()
         inner = partial(DistPermIndex, n_sites=8, site_strategy="first")
         with ShardedIndex(
-            words, metric, inner, n_shards=3, workers=None
+            words, metric, inner, n_shards=3
         ) as serial:
             expected = _signature_rows(serial.knn_batch(queries, 5))
             expected_build = serial.stats.build_distances
@@ -414,7 +411,7 @@ class TestResidentBuild:
             second = _signature_rows(faulted.knn_batch(queries, 5))
             assert faulted._worker_pool.respawns == 1
         with ShardedIndex(
-            words, metric, LinearScan, n_shards=3, workers=None
+            words, metric, LinearScan, n_shards=3
         ) as serial:
             expected = _signature_rows(serial.knn_batch(queries, 5))
         assert first == expected
@@ -454,8 +451,7 @@ class TestReplyBytesObservability:
         words, queries = split_setup
         metric = LevenshteinDistance()
         with ShardedIndex(
-            words, metric, LinearScan, n_shards=3, workers=2,
-            resident=True,
+            words, metric, LinearScan, n_shards=3, resident=True,
         ) as index:
             index.reset_stats()
             index.knn_batch(queries, 10)
@@ -474,7 +470,6 @@ class TestReplyBytesObservability:
         words, queries = split_setup
         with ShardedIndex(
             words, LevenshteinDistance(), LinearScan, n_shards=3,
-            workers=None,
         ) as index:
             index.knn_batch(queries, 5)
             assert index.stats.reply_bytes == 0

@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import clustered_vectors
+
 from repro.datasets.vectors import (
-    clustered_vectors,
     gaussian_vectors,
     latent_manifold_vectors,
     uniform_vectors,

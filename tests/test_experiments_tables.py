@@ -16,16 +16,17 @@ from repro.experiments import (
     permutation_count_trials,
     table2_rows,
     table3_rows,
-    unique_permutation_count,
 )
 from repro.metrics import EuclideanDistance
+from repro.parallel.census import sharded_census
 
 
 class TestHarness:
     def test_unique_count(self, rng):
         points = rng.random((100, 2))
         sites = rng.random((4, 2))
-        count = unique_permutation_count(points, sites, EuclideanDistance())
+        censuses, _ = sharded_census(points, sites, EuclideanDistance())
+        count = censuses[len(sites)].distinct
         assert 1 <= count <= 24
 
     def test_trials_mean_max_consistent(self, rng):

@@ -16,21 +16,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import (
+    MatrixMetric,
+    check_metric_axioms,
+    is_permutation,
+    kendall_tau,
+    metric_closure,
+    random_metric_space,
+)
+
 from repro.core.counting import tree_permutation_bound
 from repro.core.permutation import (
     count_distinct_permutations,
     distance_permutations,
-    is_permutation,
-    kendall_tau,
     spearman_footrule,
 )
 from repro.index import AESA, LinearScan, PivotIndex
-from repro.metrics import (
-    MatrixMetric,
-    check_metric_axioms,
-    metric_closure,
-    random_metric_space,
-)
 
 seeds = st.integers(0, 10_000)
 sizes = st.integers(3, 24)

@@ -7,12 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from repro.metrics import (
-    AngularDistance,
-    CosineDissimilarity,
-    check_metric_axioms,
-    check_triangle_inequality,
-)
+from oracles import check_metric_axioms
+
+from repro.metrics import AngularDistance
 
 
 class TestAngularDistance:
@@ -65,23 +62,3 @@ class TestAngularDistance:
         np.testing.assert_allclose(matrix, matrix.T)
         np.testing.assert_array_equal(np.diag(matrix), np.zeros(12))
 
-
-class TestCosineDissimilarity:
-    def test_is_not_a_metric(self):
-        """The library keeps 1 - cos only as a counterexample baseline;
-        this documents the triangle violation that justifies using the
-        angular form in experiments."""
-        metric = CosineDissimilarity()
-        # Classic violation: two nearly-orthogonal vectors through an
-        # intermediate bisecting direction.
-        x = np.array([1.0, 0.0])
-        y = np.array([1.0, 1.0])
-        z = np.array([0.0, 1.0])
-        violation = check_triangle_inequality(metric, [x, y, z])
-        assert violation is not None
-
-    def test_range(self, rng):
-        metric = CosineDissimilarity()
-        x = rng.random(4) + 0.01
-        y = rng.random(4) + 0.01
-        assert 0.0 <= metric.distance(x, y) <= 2.0

@@ -1,7 +1,7 @@
 """Property tests for the batched string-metric kernels.
 
 The contract of :mod:`repro.metrics.encoding` is entry-for-entry equality
-with the scalar DP: every batched Levenshtein/Hamming/prefix matrix must
+with the scalar DP: every batched Levenshtein/prefix matrix must
 equal the scalar double loop on arbitrary unicode strings (empty strings,
 equal strings, heavy ties, NUL characters that collide with the pad
 value), and :class:`~repro.metrics.base.CountingMetric` accounting must be
@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from repro.metrics import (
     CountingMetric,
-    HammingDistance,
     LevenshteinDistance,
     PrefixDistance,
     levenshtein,
@@ -142,37 +141,6 @@ class TestMatrixEqualsScalar:
         assert np.array_equal(result, scalar_matrix(metric, xs, xs[:1]))
 
 
-class TestHammingMatrix:
-    @given(
-        xs=st.lists(
-            st.text(alphabet="ab\x00c", min_size=4, max_size=4),
-            min_size=1,
-            max_size=10,
-        ),
-        ys=st.lists(
-            st.text(alphabet="ab\x00c", min_size=4, max_size=4),
-            min_size=1,
-            max_size=10,
-        ),
-    )
-    @settings(max_examples=75, deadline=None)
-    def test_equals_scalar(self, xs, ys):
-        metric = HammingDistance()
-        assert np.array_equal(
-            metric.matrix(xs, ys), scalar_matrix(metric, xs, ys)
-        )
-
-    def test_length_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            HammingDistance().matrix(["ab", "cd"], ["abc"])
-
-    def test_empty_strings(self):
-        metric = HammingDistance()
-        assert np.array_equal(
-            metric.matrix(["", ""], [""]), np.zeros((2, 1))
-        )
-
-
 class TestLevenshteinBanded:
     @given(
         xs=st.lists(unicode_text, min_size=1, max_size=6),
@@ -250,15 +218,9 @@ class TestLevenshteinBanded:
 class TestCountingThroughEncodedPath:
     """The cost model is one evaluation per matrix entry, encoded or not."""
 
-    @pytest.mark.parametrize(
-        "metric_cls", [LevenshteinDistance, PrefixDistance, HammingDistance]
-    )
+    @pytest.mark.parametrize("metric_cls", [LevenshteinDistance, PrefixDistance])
     def test_counts_match_scalar_loop(self, metric_cls):
-        words = (
-            ["abcd", "abce", "wxyz", "abcd", "bcda"]
-            if metric_cls is HammingDistance
-            else ["", "a", "abc", "abc", "xyzzy"]
-        )
+        words = ["", "a", "abc", "abc", "xyzzy"]
         queries = words[:2]
         encoded_metric = CountingMetric(metric_cls())
         matrix = encoded_metric.matrix(queries, words)

@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.spatial.distance import cdist
 
+from oracles import check_metric_axioms
+
 from repro.metrics import (
     ChebyshevDistance,
     CityblockDistance,
     EuclideanDistance,
     MinkowskiMetric,
-    check_metric_axioms,
     minkowski_distance,
 )
 

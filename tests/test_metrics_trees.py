@@ -6,9 +6,10 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from oracles import check_metric_axioms
+
 from repro.metrics import (
     TreeMetric,
-    check_metric_axioms,
     path_tree_metric,
     random_tree_metric,
 )

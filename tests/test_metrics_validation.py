@@ -4,14 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.metrics import (
-    EuclideanDistance,
+from oracles import (
     MetricViolation,
     check_identity,
     check_metric_axioms,
     check_symmetry,
     check_triangle_inequality,
 )
+
+from repro.metrics import EuclideanDistance
 from repro.metrics.base import Metric
 
 

@@ -328,12 +328,12 @@ class TestIndexRefineParity:
             save_sharded(path, index)
         with ShardedIndex(
             words, LevenshteinDistance(), factory, n_shards=2,
-            budget_split=split, workers=2,
+            budget_split=split, resident=True,
         ) as pooled:
             assert _columns(pooled, queries) == expected
         with load_sharded(
             path, words, LevenshteinDistance(), backing="mmap",
-            budget_split=split, workers=2,
+            budget_split=split, resident=True,
         ) as pooled_mmap:
             assert _columns(pooled_mmap, queries) == expected
 

@@ -13,10 +13,7 @@ import pytest
 
 from repro.core.estimate import StreamingCensus
 from repro.core.permutation import permutations_from_distances
-from repro.experiments.harness import (
-    permutation_count_trials,
-    unique_permutation_count,
-)
+from repro.experiments.harness import permutation_count_trials
 from repro.metrics import EuclideanDistance, LevenshteinDistance
 from repro.parallel import (
     ProcessExecutor,
@@ -317,14 +314,6 @@ class TestShardedCensus:
         points, sites, metric = vector_data
         with pytest.raises(ValueError):
             sharded_census(points, sites, metric, ks=[len(sites) + 1])
-
-    def test_unique_permutation_count_wrapper(self, string_data, pool):
-        points, sites, metric = string_data
-        serial = unique_permutation_count(points, sites, metric)
-        sharded = unique_permutation_count(
-            points, sites, metric, workers=2, shards=3
-        )
-        assert serial == sharded
 
 
 class TestPermutationCountTrials:

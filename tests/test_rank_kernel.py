@@ -385,12 +385,12 @@ class TestQueryNaNContract:
         with pytest.raises(ValueError, match="NaN distances have no rank"):
             index.knn_query(self.NAN_QUERY[0], 3)
 
-    @pytest.mark.parametrize("workers", [None, 2])
-    def test_sharded_index_raises_in_process_and_pooled(self, points, workers):
+    @pytest.mark.parametrize("resident", [False, True])
+    def test_sharded_index_raises_in_process_and_pooled(self, points, resident):
         inner = partial(DistPermIndex, n_sites=4, site_strategy="first")
         batch = np.vstack([points[:3], self.NAN_QUERY])
         with ShardedIndex(points, EuclideanDistance(), inner, n_shards=2,
-                          workers=workers) as index:
+                          resident=resident) as index:
             # Pooled, the worker's ValueError arrives as its traceback.
             with pytest.raises(Exception, match="NaN distances have no rank"):
                 index.knn_approx_batch(batch, 3, budget=40)

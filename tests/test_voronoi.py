@@ -8,8 +8,6 @@ import pytest
 
 from repro.core.counting import euclidean_permutation_count
 from repro.core.voronoi import (
-    bisector_sign,
-    count_cells_grid,
     count_euclidean_cells_exact,
     count_order_cells_grid,
     realized_permutations_euclidean_exact,
@@ -19,25 +17,6 @@ from repro.metrics import (
     CityblockDistance,
     EuclideanDistance,
 )
-
-
-class TestBisectorSign:
-    def test_signs(self):
-        metric = EuclideanDistance()
-        a = np.array([0.0, 0.0])
-        b = np.array([2.0, 0.0])
-        assert bisector_sign(np.array([0.5, 0.0]), a, b, metric) == -1
-        assert bisector_sign(np.array([1.5, 0.0]), a, b, metric) == 1
-        assert bisector_sign(np.array([1.0, 3.0]), a, b, metric, tol=1e-12) == 0
-
-    def test_l1_kinked_bisector(self):
-        """L1 bisectors contain 2-d regions in degenerate layouts; sample
-        a point on the diagonal kink."""
-        metric = CityblockDistance()
-        a = np.array([0.0, 0.0])
-        b = np.array([2.0, 2.0])
-        # Any point with coordinate sum 2 between the sites is equidistant.
-        assert bisector_sign(np.array([0.5, 1.5]), a, b, metric, tol=1e-12) == 0
 
 
 class TestExactEuclideanCensus:
@@ -103,24 +82,17 @@ class TestGridCensus:
         )
         assert grid == exact
 
-    def test_count_matches_set(self, rng):
-        sites = rng.random((3, 2))
-        metric = CityblockDistance()
-        assert count_cells_grid(sites, metric, resolution=96) == len(
-            realized_permutations_grid(sites, metric, resolution=96)
-        )
-
     def test_l1_counterexample_exceeds_euclidean(self):
         """The Eq. 12 sites must beat N_{3,2}(5) = 96 on a grid census."""
         from repro.experiments.counterexample import PAPER_COUNTEREXAMPLE_SITES
 
-        count = count_cells_grid(
+        count = len(realized_permutations_grid(
             PAPER_COUNTEREXAMPLE_SITES,
             CityblockDistance(),
             bounds=[(0.0, 1.0)] * 3,
             resolution=96,
             max_refinements=1,
-        )
+        ))
         assert count > 96
 
     def test_explicit_bounds_respected(self, rng):
@@ -139,7 +111,9 @@ class TestGridCensus:
 
     def test_one_dimensional_grid(self):
         sites = np.array([[0.0], [0.3], [0.9]])
-        count = count_cells_grid(sites, EuclideanDistance(), resolution=512)
+        count = len(realized_permutations_grid(
+            sites, EuclideanDistance(), resolution=512
+        ))
         assert count == 4  # C(3,2) + 1 on the line
 
 

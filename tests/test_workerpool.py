@@ -10,9 +10,8 @@ identical to the unsharded index, recovery well under two seconds) and
 *visible* under ``on_partial="degrade"`` (``stats.degraded``,
 ``shards_answered == S-1``, return within the deadline) — with no hung
 call, orphan process, or leaked ``/dev/shm`` segment either way.
-``workers=N`` and ``resident=True`` are two spellings of this one
-engine, so every fault scenario runs under both (the ``pooled``
-fixture).
+Every fault scenario runs on the pooled engine (``resident=True``, the
+``pooled`` fixture).
 """
 
 from __future__ import annotations
@@ -55,11 +54,9 @@ def _repro_segments():
         return set()
 
 
-@pytest.fixture(
-    params=[{"resident": True}, {"workers": 2}], ids=["resident", "workers"]
-)
+@pytest.fixture(params=[{"resident": True}], ids=["resident"])
 def pooled(request):
-    """Both spellings of the one pooled engine."""
+    """The pooled engine's constructor arguments."""
     return request.param
 
 
@@ -508,9 +505,9 @@ class TestLifecycle:
         with pytest.raises(RuntimeError, match="closed"):
             index.knn_batch(queries, 3)
 
-    @pytest.mark.parametrize("workers,shards", [(1, 2), (2, 2), (2, 4)])
+    @pytest.mark.parametrize("shards", [2, 4])
     def test_failed_build_leaves_no_orphans(
-        self, vector_setup, workers, shards, leak_check
+        self, vector_setup, shards, leak_check
     ):
         # The factory runs inside the pinned workers, so a raising
         # factory is a worker that dies on load, twice (one respawn):
@@ -520,16 +517,12 @@ class TestLifecycle:
         with pytest.raises(ShardCrashError):
             ShardedIndex(
                 points, metric, _failing_factory,
-                n_shards=shards, workers=workers,
+                n_shards=shards, resident=True,
             )
         # leak_check asserts: no live children, no new /dev/shm segments.
 
-    @pytest.mark.parametrize(
-        "spelling", [{"resident": True}, {"workers": 2}],
-        ids=["resident", "workers"],
-    )
     def test_unpicklable_factory_fails_before_any_spawn(
-        self, vector_setup, spelling, leak_check, monkeypatch
+        self, vector_setup, pooled, leak_check, monkeypatch
     ):
         points, _, metric = vector_setup
         spawned = []
@@ -539,7 +532,7 @@ class TestLifecycle:
         with pytest.raises(TypeError, match="inner_factory.*lambda") as info:
             ShardedIndex(
                 points, metric, lambda p, m: LinearScan(p, m),
-                n_shards=2, **spelling,
+                n_shards=2, **pooled,
             )
         assert "functools.partial" in str(info.value)
         assert spawned == []
