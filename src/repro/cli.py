@@ -248,31 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "of adapting to load")
     _add_engine_flags(serve)
 
-    bench_serve = commands.add_parser(
-        "bench-serve",
-        help="offer open-loop Poisson load to a running query server",
-    )
-    bench_serve.add_argument("--input", required=True,
-                             help="query-pool file (same formats as serve)")
-    bench_serve.add_argument("--kind", choices=("vectors", "strings"),
-                             required=True)
-    bench_serve.add_argument("--unix-socket", default=None)
-    bench_serve.add_argument("--host", default=None)
-    bench_serve.add_argument("--port", type=int, default=None)
-    bench_serve.add_argument("--op", choices=("knn", "range", "knn-approx"),
-                             default="knn")
-    bench_serve.add_argument("--k", type=int, default=5)
-    bench_serve.add_argument("--radius", type=float, default=1.0)
-    bench_serve.add_argument("--budget", type=int, default=None)
-    bench_serve.add_argument("--qps", type=float, default=100.0,
-                             help="offered arrival rate (default 100)")
-    bench_serve.add_argument("--duration", type=float, default=5.0,
-                             help="seconds of offered load (default 5)")
-    bench_serve.add_argument("--connections", type=int, default=1)
-    bench_serve.add_argument("--seed", type=int, default=0)
-    bench_serve.add_argument("--json", action="store_true",
-                             help="print the report as one JSON object")
-
     counter = commands.add_parser(
         "counterexample", help="re-run the Eq. 12 census (Section 5)"
     )
@@ -753,6 +728,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.host is not None and args.port is None:
         print("error: --host needs --port", file=sys.stderr)
         return 1
+    try:
+        config = BatchConfig(
+            max_batch=args.max_batch,
+            max_wait_ms=args.max_wait_ms,
+            min_wait_ms=args.min_wait_ms,
+            adaptive=not args.no_adaptive,
+            max_queue=args.max_queue,
+        )
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
     from repro.datasets.io import load_strings, load_vectors
 
     load = load_vectors if args.kind == "vectors" else load_strings
@@ -773,13 +759,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         index = _sharded_index(args, points, metric)
     else:
         index = _index_factory(args)(points, metric)
-    config = BatchConfig(
-        max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
-        min_wait_ms=args.min_wait_ms,
-        adaptive=not args.no_adaptive,
-        max_queue=args.max_queue,
-    )
 
     async def _serve() -> None:
         server = QueryServer(
@@ -803,57 +782,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("drained; all accepted requests answered", flush=True)
 
     asyncio.run(_serve())
-    return 0
-
-
-def _cmd_bench_serve(args: argparse.Namespace) -> int:
-    import asyncio
-    import json
-
-    from repro.datasets.io import load_strings, load_vectors
-    from repro.serve.loadgen import run_open_loop
-
-    if (args.unix_socket is None) == (args.host is None):
-        print("error: pass exactly one of --unix-socket or --host/--port",
-              file=sys.stderr)
-        return 1
-    load = load_vectors if args.kind == "vectors" else load_strings
-    try:
-        queries = load(args.input)
-    except OSError as error:
-        print(f"error: cannot read {args.input}: {error}", file=sys.stderr)
-        return 1
-    report = asyncio.run(run_open_loop(
-        unix_path=args.unix_socket,
-        host=args.host,
-        port=args.port,
-        queries=queries,
-        op=args.op,
-        k=args.k,
-        radius=args.radius,
-        budget=args.budget,
-        qps=args.qps,
-        duration_s=args.duration,
-        seed=args.seed,
-        connections=args.connections,
-    ))
-    payload = report.to_dict()
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(f"offered {payload['offered_qps']:.1f} qps for "
-              f"{payload['duration_s']:.2f}s: achieved "
-              f"{payload['achieved_qps']:.1f} qps "
-              f"({payload['answered']} answered, "
-              f"{payload['rejected']} rejected, "
-              f"{payload['errored']} errored, "
-              f"{payload['degraded']} degraded)")
-        if payload["p50_s"] is not None:
-            print(f"latency: p50 {payload['p50_s'] * 1e3:.2f} ms, "
-                  f"p99 {payload['p99_s'] * 1e3:.2f} ms, "
-                  f"p999 {payload['p999_s'] * 1e3:.2f} ms "
-                  f"(from each request's due time; generator lateness "
-                  f"p99 {payload['lateness_p99_s'] * 1e3:.2f} ms)")
     return 0
 
 
@@ -906,7 +834,6 @@ _COMMANDS = {
     "census": _cmd_census,
     "search": _cmd_search,
     "serve": _cmd_serve,
-    "bench-serve": _cmd_bench_serve,
     "counterexample": _cmd_counterexample,
     "figures": _cmd_figures,
     "bound": _cmd_bound,

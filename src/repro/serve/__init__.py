@@ -5,10 +5,8 @@ service: an asyncio socket server (:mod:`repro.serve.server`) coalesces
 concurrent clients' requests into batching windows
 (:mod:`repro.serve.batcher`) so the batch kernels' throughput applies
 to online traffic, a binary length-prefixed protocol ships results as
-raw ``NeighborArrays`` columns (:mod:`repro.serve.protocol`), async and
-sync clients multiplex requests (:mod:`repro.serve.client`), and an
-open-loop Poisson load generator measures sustainable qps at a latency
-SLO (:mod:`repro.serve.loadgen`).
+raw ``NeighborArrays`` columns (:mod:`repro.serve.protocol`), and
+async and sync clients multiplex requests (:mod:`repro.serve.client`).
 """
 
 from repro.serve.batcher import BatchConfig, MicroBatcher, RejectedError
@@ -20,14 +18,12 @@ from repro.serve.client import (
     ServerError,
     SyncClient,
 )
-from repro.serve.loadgen import LoadReport, run_open_loop
 from repro.serve.server import QueryServer, ServerHandle, serve_in_thread
 from repro.serve.stats import ServerStats
 
 __all__ = [
     "AsyncClient",
     "BatchConfig",
-    "LoadReport",
     "MicroBatcher",
     "Pong",
     "QueryServer",
@@ -38,6 +34,5 @@ __all__ = [
     "ServerHandle",
     "ServerStats",
     "SyncClient",
-    "run_open_loop",
     "serve_in_thread",
 ]

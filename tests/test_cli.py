@@ -17,6 +17,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
 
+    def test_bench_serve_is_gone(self, tmp_path):
+        """The open-loop load generator is not a subcommand."""
+        with pytest.raises(SystemExit) as info:
+            main(["bench-serve", "--input", str(tmp_path / "q.txt"),
+                  "--kind", "vectors", "--unix-socket",
+                  str(tmp_path / "r.sock"), "--qps", "10"])
+        assert info.value.code == 2
+
 
 class TestTable1:
     def test_default(self, capsys):
@@ -371,3 +379,30 @@ class TestResilienceFlags:
         # one pool switch is --resident.
         with pytest.raises(SystemExit):
             main(base + ["--shards", "2", "--workers", "2"])
+
+
+class TestServeFlags:
+    @pytest.mark.parametrize("flags, message", [
+        (["--max-batch", "0"], "max_batch must be >= 1, got 0"),
+        (["--min-wait-ms", "5", "--max-wait-ms", "1"],
+         "min_wait_ms 5.0 exceeds max_wait_ms 1.0"),
+        (["--max-queue", "0", "--shards", "2", "--resident"],
+         "max_queue must be >= 1, got 0"),
+    ])
+    def test_batching_flags_rejected_before_any_work(
+        self, flags, message, tmp_path, capsys, rng, monkeypatch
+    ):
+        """A bad batching window fails like every other flag: one
+        ``error:`` line and exit 1, before the index (or a worker) is
+        built."""
+        def never(args):
+            raise AssertionError("the index was built before validation")
+
+        monkeypatch.setattr("repro.cli._index_factory", never)
+        path = tmp_path / "vectors.txt"
+        save_vectors(path, rng.random((30, 2)))
+        argv = ["serve", "--input", str(path), "--kind", "vectors",
+                "--metric", "l2", "--unix-socket",
+                str(tmp_path / "never-bound.sock"), *flags]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"

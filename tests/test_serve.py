@@ -49,7 +49,6 @@ from repro.serve.client import (
     ServerError,
     SyncClient,
 )
-from repro.serve.loadgen import run_open_loop
 from repro.serve.server import QueryServer, serve_in_thread
 
 # ----------------------------------------------------------------------
@@ -155,6 +154,62 @@ HOSTILE_REQUESTS = {
         kind=protocol.KIND_STRINGS,
     ),
 }
+
+
+#: Valid frames for the bit-flip and truncation sweep, each with the
+#: decoder that reads it.
+_VALID_FRAMES = {
+    "request-knn-vectors": (protocol.decode_request, protocol.encode_request(
+        protocol.OP_KNN, 31, k=3,
+        queries=(protocol.encode_vector_queries(
+            np.arange(6, dtype=np.float64).reshape(2, 3) / 7
+        ),),
+        kind=protocol.KIND_VECTORS,
+    )),
+    "request-knn-approx-strings": (
+        protocol.decode_request,
+        protocol.encode_request(
+            protocol.OP_KNN_APPROX, 32, k=2, budget=40,
+            queries=protocol.encode_string_queries(["ab", "cab", ""]),
+            kind=protocol.KIND_STRINGS,
+        ),
+    ),
+    "request-range": (protocol.decode_request, protocol.encode_request(
+        protocol.OP_RANGE, 33, radius=0.75,
+        queries=(protocol.encode_vector_queries(np.array([[0.5, 0.25]])),),
+        kind=protocol.KIND_VECTORS,
+    )),
+    "response-ok-columns": (protocol.decode_response, protocol.encode_response(
+        34, protocol.STATUS_OK, flags=protocol.FLAG_DEGRADED,
+        arrays=(
+            np.array([0.5, 1.5, 2.5]),
+            np.array([3, 1, 2], dtype=np.int64),
+            np.array([0, 2, 3], dtype=np.int64),
+        ),
+    )),
+    "response-error": (protocol.decode_response, protocol.encode_response(
+        35, protocol.STATUS_ERROR, message="k must be >= 1"
+    )),
+    "response-rejected": (protocol.decode_response, protocol.encode_response(
+        36, protocol.STATUS_REJECTED, retry_after=0.125
+    )),
+}
+
+
+def _read_response(conn: socket.socket) -> protocol.Response:
+    """Read and decode one response frame from a raw blocking socket."""
+
+    def exactly(n):
+        data = b""
+        while len(data) < n:
+            chunk = conn.recv(n - len(data))
+            assert chunk, "server closed the connection"
+            data += chunk
+        return data
+
+    return protocol.decode_response(
+        exactly(protocol.frame_length(exactly(4)))
+    )
 
 
 def _non_utf8_error(request_id: int) -> bytes:
@@ -346,6 +401,27 @@ class TestProtocol:
             protocol.decode_request(payload)
         # The head parsed, so the error names the request it answers.
         assert info.value.request_id == struct.unpack_from("<BQ", payload)[1]
+
+    @pytest.mark.parametrize("name", sorted(_VALID_FRAMES))
+    def test_flipped_and_truncated_payloads_decode_or_protocol_error(
+        self, name
+    ):
+        """Every single-bit flip and every truncation of a valid payload
+        either decodes or raises ``ProtocolError`` — no other exception
+        type escapes the decoder."""
+        decode, frame = _VALID_FRAMES[name]
+        payload = _payload(frame)
+        decode(payload)
+        mutants = [payload[:cut] for cut in range(len(payload))]
+        for bit in range(8 * len(payload)):
+            flipped = bytearray(payload)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            mutants.append(bytes(flipped))
+        for mutant in mutants:
+            try:
+                decode(mutant)
+            except protocol.ProtocolError:
+                pass
 
     def test_non_utf8_message_is_a_protocol_error(self):
         with pytest.raises(protocol.ProtocolError, match="UTF-8"):
@@ -633,19 +709,6 @@ class TestServerEndToEnd:
         """Each hostile frame gets STATUS_ERROR within the timeout, under
         the request id its head carried (0 when no head parses); the
         same connection then still answers PING."""
-
-        def read_response(conn):
-            def exactly(n):
-                data = b""
-                while len(data) < n:
-                    chunk = conn.recv(n - len(data))
-                    assert chunk, "server closed the connection"
-                    data += chunk
-                return data
-
-            length = protocol.frame_length(exactly(4))
-            return protocol.decode_response(exactly(length))
-
         frames = [
             (frame, struct.unpack_from("<BQ", _payload(frame))[1])
             for frame in HOSTILE_REQUESTS.values()
@@ -658,13 +721,70 @@ class TestServerEndToEnd:
                 conn.connect(sock)
                 for frame, request_id in frames:
                     conn.sendall(frame)
-                    reply = read_response(conn)
+                    reply = _read_response(conn)
                     assert (reply.request_id, reply.status) == (
                         request_id, protocol.STATUS_ERROR
                     )
                 conn.sendall(protocol.encode_request(protocol.OP_PING, 11))
-                pong = read_response(conn)
+                pong = _read_response(conn)
         assert (pong.request_id, pong.status) == (11, protocol.STATUS_PONG)
+
+    def test_pipelined_frames_split_across_writes(self, words, sock):
+        """Three requests pipelined on one connection and written in
+        small uneven chunks, cut inside headers and bodies: each answers
+        under its own id with the serial batch API's columns."""
+        index = LinearScan(words, LevenshteinDistance())
+        queries = words[:4]
+        strings = protocol.encode_string_queries(queries)
+        requests = {
+            41: (protocol.encode_request(
+                protocol.OP_KNN, 41, k=3, queries=strings,
+                kind=protocol.KIND_STRINGS,
+            ), index.knn_batch_arrays(queries, 3)),
+            42: (protocol.encode_request(
+                protocol.OP_RANGE, 42, radius=1.0, queries=strings,
+                kind=protocol.KIND_STRINGS,
+            ), index.range_batch_arrays(queries, 1.0)),
+            43: (protocol.encode_request(
+                protocol.OP_KNN_APPROX, 43, k=2, budget=40, queries=strings,
+                kind=protocol.KIND_STRINGS,
+            ), index.knn_approx_batch_arrays(queries, 2, budget=40)),
+        }
+        stream = b"".join(frame for frame, _ in requests.values())
+        sizes = (1, 3, 7, 2, 11, 5)
+        cuts, at = [], 0
+        while at < len(stream):
+            at = min(len(stream), at + sizes[len(cuts) % len(sizes)])
+            cuts.append(at)
+        # Some cut lands inside each frame's length prefix + request head
+        # and some inside each body.
+        start = 0
+        for frame, _ in requests.values():
+            head = start + 4 + struct.calcsize("<BQ")
+            end = start + len(frame)
+            assert any(start < cut < head for cut in cuts)
+            assert any(head < cut < end for cut in cuts)
+            start = end
+        with serve_in_thread(index, unix_path=sock, close_index=False):
+            with socket.socket(socket.AF_UNIX) as conn:
+                conn.settimeout(5.0)
+                conn.connect(sock)
+                begin = 0
+                for cut in cuts:
+                    conn.sendall(stream[begin:cut])
+                    begin = cut
+                    time.sleep(0.001)
+                replies = [_read_response(conn) for _ in requests]
+        assert sorted(reply.request_id for reply in replies) == sorted(
+            requests
+        )
+        for reply in replies:
+            assert reply.status == protocol.STATUS_OK
+            distances, indices, offsets = reply.arrays
+            want = requests[reply.request_id][1]
+            assert distances.tobytes() == want.distances.tobytes()
+            assert indices.tobytes() == want.indices.tobytes()
+            assert offsets.tobytes() == want.offsets.tobytes()
 
     def test_non_utf8_response_fails_waiters(self, sock):
         """A response the client cannot decode fails its waiter with
@@ -727,7 +847,9 @@ class TestServerEndToEnd:
         self, vectors, vec_queries, sock
     ):
         """The property test: many clients, mixed ops, interleaved
-        windows — every answer equals its serial batch-API result."""
+        windows — every answer equals its serial batch-API result, with
+        coalescing windows and with batching disabled (one request per
+        engine call) alike."""
         index = LinearScan(vectors, EuclideanDistance())
         n_clients, per_client = 6, 6
 
@@ -755,12 +877,6 @@ class TestServerEndToEnd:
                 *(one_client(c) for c in range(n_clients))
             )
 
-        config = BatchConfig(max_batch=16, max_wait_ms=2.0)
-        with serve_in_thread(
-            index, unix_path=sock, config=config, close_index=False
-        ):
-            answers = asyncio.run(main())
-
         serial = {
             "knn": lambda q, k: index.knn_batch_arrays(q, k),
             "range_search": lambda q, radius: (
@@ -770,14 +886,26 @@ class TestServerEndToEnd:
                 index.knn_approx_batch_arrays(q, k, budget=budget)
             ),
         }
-        for c in range(n_clients):
-            for i in range(per_client):
-                op, part, kwargs = plan(c, i)
-                result = answers[c][i]
-                assert not result.degraded
-                assert_rows_equal(
-                    result.rows, serial[op](part, **kwargs), exact=False
-                )
+        for config in (
+            BatchConfig(max_batch=16, max_wait_ms=2.0),
+            BatchConfig(max_batch=1, max_wait_ms=0.0),
+        ):
+            with serve_in_thread(
+                index, unix_path=sock, config=config, close_index=False
+            ) as handle:
+                answers = asyncio.run(main())
+                stats = handle.stats()
+            assert stats.requests_answered == n_clients * per_client
+            if config.max_batch == 1:
+                assert stats.batches_executed == stats.requests_answered
+            for c in range(n_clients):
+                for i in range(per_client):
+                    op, part, kwargs = plan(c, i)
+                    result = answers[c][i]
+                    assert not result.degraded
+                    assert_rows_equal(
+                        result.rows, serial[op](part, **kwargs), exact=False
+                    )
 
     def test_backpressure_rejects_overflow_explicitly(self, vectors, sock):
         """Past ``max_queue`` the server answers REJECTED with a
@@ -1009,66 +1137,3 @@ class TestServerSharded:
         assert index.knn_batch_arrays(words[:3], 2).n_queries == 3
         index.close()
         index.close()
-
-
-# ----------------------------------------------------------------------
-# Open-loop load generator.
-# ----------------------------------------------------------------------
-
-
-class TestOpenLoopLoadgen:
-    def test_latency_runs_from_due_time_across_a_stall(self, sock):
-        """A stall delays the arrivals behind it; their wait must count.
-
-        The fake server shares the generator's event loop and blocks it
-        once, so ~80 of the ~300 scheduled arrivals come due while
-        nothing can be sent.  Timed from task start (the old stamp) only
-        the one request in flight sees the stall, and p99 misses it.
-        """
-        stall_s = 0.4
-        seen = []
-        answer = (
-            np.array([0.0]),
-            np.array([0], dtype=np.int64),
-            np.array([0, 1], dtype=np.int64),
-        )
-
-        async def handle(reader, writer):
-            try:
-                while True:
-                    header = await reader.readexactly(4)
-                    request = protocol.decode_request(
-                        await reader.readexactly(protocol.frame_length(header))
-                    )
-                    seen.append(request.request_id)
-                    if len(seen) == 20:
-                        time.sleep(stall_s)
-                    writer.write(protocol.encode_response(
-                        request.request_id, protocol.STATUS_OK, arrays=answer
-                    ))
-                    await writer.drain()
-            except asyncio.IncompleteReadError:
-                pass
-            finally:
-                writer.close()
-
-        async def main():
-            server = await asyncio.start_unix_server(handle, path=sock)
-            try:
-                return await run_open_loop(
-                    unix_path=sock, queries=np.zeros((4, 2)), op="knn", k=1,
-                    qps=200.0, duration_s=1.5, seed=3,
-                )
-            finally:
-                server.close()
-                await server.wait_closed()
-
-        report = asyncio.run(main())
-        assert report.sent == report.answered == len(seen) > 100
-        assert len(report.lateness_s) == report.sent
-        assert report.percentile_s(99.0) >= 0.8 * stall_s
-        # The generator could not send on time either, and says so.
-        assert 0.5 * stall_s <= report.lateness_p99_s <= report.percentile_s(99.9)
-        assert report.to_dict()["lateness_p99_s"] == report.lateness_p99_s
-        # Outside the stall, requests are sent when due.
-        assert np.median(report.lateness_s) < 0.05
