@@ -9,7 +9,7 @@ vectorized across a whole *pattern collection* at once: the collection is
 the bit-packed side, and the loop runs over the characters of the other
 (text) side; the caller's cost model decides which side plays which.
 
-Two kernels cover the length spectrum:
+Three packings cover the length spectrum:
 
 - :class:`_PackedChunk` — patterns of length ≤ 30 are packed several per
   word in end-aligned slots of width ``W = max_len + 2``.  Two guard
@@ -20,9 +20,15 @@ Two kernels cover the length spectrum:
   recomputed to 1 every column).  One guard bit is *not* enough: a carry
   landing on it suppresses that column's boundary delta.  The per-text
   driver accumulates scores in matching packed ``W``-bit counters (two
-  mask-shift-add ops per column); the lock-step driver keeps no score at
-  all and reads each distance off the final column's vertical deltas
-  with two popcounts.
+  mask-shift-add ops per column).
+- :class:`_Lanes` — the same patterns for the lock-step driver, which
+  keeps no score at all and reads each distance off the final column's
+  vertical deltas with two popcounts.  Without a counter to hold, each
+  pattern takes a lane of its own width, ``len + 2`` bits (``len + 1``
+  for a word's first lane, whose bit 0 never receives a carry), packed
+  first-fit-decreasing: a dictionary's 12 sites take 2 words in two
+  draws of three and 3 in the rest, where ``max_len + 2`` slots need 3
+  or 4.
 - :class:`_BlockedChunk` — longer patterns get ⌈m/64⌉ words each
   (Hyyrö's blocked variant), with the horizontal delta carried across
   word boundaries per column and the ``Eq |= hin_negative`` correction
@@ -36,11 +42,15 @@ points): every text advances together in ascending length order, column
 ``j`` updating only the suffix of texts longer than ``j``, so the numpy
 call count scales with the *longest* text rather than total text
 characters and the expensive per-collection build lands on the tiny site
-side.  Its text side is a layout too (:class:`TextColumns`: length order
-plus a column-major matrix of narrow symbol ids), built once per
-collection, so a call does no sort, no gather and no remap of the text
-matrix — it composes one ``len(text alphabet)``-row ``Peq`` table per
-chunk and gathers each column from it with a contiguous byte row.
+side.  Its text side is a layout too (:class:`TextColumns`: length order,
+a column-major matrix of narrow symbol ids, and the trie of the prefixes
+many texts share), built once per collection, so a call does no sort, no
+gather and no remap of the text matrix — it composes one
+``len(text alphabet)``-row ``Peq`` table and gathers each column from it
+with a contiguous byte row.  A DP column depends only on the prefix of
+the text, so each shared prefix is stepped once, and every text starts
+from the column of its longest shared prefix: about a third of a
+dictionary's text columns are never stepped.
 :func:`myers_pair_distances` scores the refine shape — each of a few
 queries against its own few hundred candidates, no matrix at all — with
 one ``uint64`` lane per ``(query, candidate)`` pair: the query is the
@@ -51,19 +61,21 @@ is cached on the database encoding an index holds, so a refine gathers
 candidate rows and builds nothing but a per-chunk ``Peq`` of the
 queries.
 
-Both layouts end-align each pattern at the top bit of its slot/top word.
-The dead low bits act as a phantom prefix of never-matching characters
-whose column-0 vertical deltas are 0; such phantom rows provably hold the
-value ``j`` in every column ``j``, so the real pattern rows compute the
-true distance unchanged while the final score sits at a *uniform* bit
-position — the key to vectorizing mixed-length collections.
+The per-text layouts end-align each pattern at the top bit of its
+slot/top word.  The dead low bits act as a phantom prefix of
+never-matching characters whose column-0 vertical deltas are 0; such
+phantom rows provably hold the value ``j`` in every column ``j``, so the
+real pattern rows compute the true distance unchanged while the final
+score sits at a *uniform* bit position — the key to vectorizing
+mixed-length collections.
 
 The per-collection state (dense alphabet remap, chunk layouts, packed
-``Peq`` match tables; the lock-step text columns; the pair driver's
-symbol rows) is built once and cached on the :class:`EncodedStrings`
-instance itself, so it lives exactly as long as the encoding does — the
-encoding-LRU entry, or the index holding it — and repeated
-``to_sites``/census/index calls over one dataset never rebuild it.
+``Peq`` match tables, lock-step lanes; the lock-step text columns and
+prefix levels; the pair driver's symbol rows) is built once and cached
+on the :class:`EncodedStrings` instance itself, so it lives exactly as
+long as the encoding does — the encoding-LRU entry, or the index holding
+it — and repeated ``to_sites``/census/index calls over one dataset never
+rebuild it.
 Collections whose alphabet exceeds :data:`DENSE_ALPHABET_MAX` distinct
 symbols report themselves ineligible: the caller makes the other side
 the patterns, and falls back to the Wagner–Fischer kernel only when that
@@ -112,15 +124,38 @@ PACKED_MAX_LEN = 30
 _PRUNE_EVERY = 16
 
 #: Text rows per lock-step block: keeps the 8 live state buffers of
-#: :meth:`_PackedChunk.distances_lockstep` inside the L2 cache (measurably
-#: faster per character than one pass over a 10k-text batch; re-measured
-#: on the 200k dictionary: 2048 / 4096 / 8192 rows -> 55 / 49 / 53 ms) and
-#: lets blocks of short texts stop at their own maximum length.
-_LOCKSTEP_BLOCK_TEXTS = 4096
+#: :func:`myers_matrix_lockstep_into` (2 words a row for 12 dictionary
+#: sites) inside the L2 cache and lets blocks of short texts stop at their
+#: own maximum length.  200k-word dictionary x 12 sites, median of 24
+#: interleaved calls on 2 vCPUs: 2048 / 4096 / 8192 / 16384 rows -> 47 /
+#: 37 / 36 / 39 ms.
+_LOCKSTEP_BLOCK_TEXTS = 8192
+
+#: A text collection shares DP columns across its prefixes of depth
+#: ``1, 2, …`` up to the first depth with more than ``n / _PREFIX_SHARE``
+#: distinct prefixes.  The 200k-word dictionary has 26 / 662 / 12 254 /
+#: 89 640 prefixes of depth 1-4; same set-up as the block size: sharing
+#: off / n/32 (depth 2) / n/8 (depth 3) / n/2 (depth 4) -> 42 / 36 / 34 /
+#: 36 ms per call, and the levels add 6 ms to the cached layout's build.
+_PREFIX_SHARE = 8
+
+#: Upper bound on one shared-prefix level's bucket table
+#: (``len(alphabet) ** depth`` presence flags): the levels stop before a
+#: deeper one would need more.
+_PREFIX_BUCKETS = 1 << 20
 
 #: Longest pattern the pair driver (:func:`myers_pair_distances`) holds in
 #: its one ``uint64`` lane per pair; callers route longer ones elsewhere.
 PAIR_MAX_PATTERN = 63
+
+#: Lanes per pair-driver block (:func:`_pair_lanes`): its 8 state
+#: buffers of one word per lane stay in the L1/L2 cache.  Its own
+#: constant, so retuning the lock-step block cannot move the served
+#: refine.  8 / 32 queries x 250 candidates of a 50k-word dictionary, 2
+#: vCPUs: 2048 / 4096 / 8192 lanes -> 1.25 / 1.23 / 1.14 ms and 3.58 /
+#: 3.21 / 3.14 ms — flat within noise, so it stays at the 4096 the
+#: ``serve_strings`` refine was measured with.
+_PAIR_BLOCK_LANES = 4096
 
 #: Upper bound on one pair-driver ``Peq`` table (patterns x alphabet
 #: words); a bigger pattern set is split into groups of patterns.
@@ -321,91 +356,6 @@ class _PackedChunk:
                     return
         self._unpack_scores(score, out)
 
-    #: State buffers one lock-step call needs (rows of the scratch pool).
-    LOCKSTEP_BUFFERS = 8
-
-    def distances_lockstep(
-        self,
-        peq: np.ndarray,
-        tsyms: np.ndarray,
-        tlen: np.ndarray,
-        out: np.ndarray,
-        scratch: np.ndarray,
-    ) -> None:
-        """Distances from every pattern to a whole length-sorted text batch.
-
-        ``tsyms`` is the batch's slice of a :class:`TextColumns` symbol
-        matrix — row ``j`` holds character ``j`` of every text, texts in
-        *ascending length order* — ``tlen`` the matching lengths, and
-        ``peq`` this chunk's match table re-indexed by those text symbol
-        ids.  All texts advance in lock step, column ``j`` updating the
-        contiguous suffix of texts longer than ``j``, so finished texts
-        simply stop being touched and keep the vertical deltas of their
-        own last column.  Nothing is scored per column: the deltas of a
-        DP column sum to its bottom cell, so once per batch
-
-            ``d = len(text) + popcount(VP & slot) - popcount(VN & slot)``
-
-        (phantom rows carry delta 0; a text of length 0 reads the initial
-        ``VP``, i.e. the pattern length).  ``out[r, t]`` receives pattern
-        ``r`` of the chunk against text ``t`` of the batch, in ``out``'s
-        own unsigned dtype — the sum wraps mod ``2**bits`` on the way and
-        lands exact because the distance itself fits.
-
-        ``scratch`` is a ``(LOCKSTEP_BUFFERS, >= n_t, n_words)`` uint64
-        pool reused across batches: one allocation instead of eight per
-        call keeps cold runs from spending more time page-faulting fresh
-        buffers than computing.
-        """
-        n_t = tlen.shape[0]
-        nw = self.n_words
-        VP, VN, Eq, Xv, Xh, Ph, t, valid = scratch[:, :n_t, :]
-        # Materialized (not broadcast) mask: broadcasting a (nw,) row
-        # against the (n_t, nw) state costs several times a same-shape op
-        # at these sizes.
-        np.copyto(VP, self.valid)
-        VN[:] = 0
-        np.copyto(valid, self.valid)
-        columns = int(tlen[-1])
-        first_active = np.searchsorted(tlen, np.arange(1, columns + 1))
-        for j in range(columns):
-            s = first_active[j]
-            eq = Eq[s:]
-            # mode="clip" skips take's bounce buffer; ids are in range
-            # by construction.
-            np.take(peq, tsyms[j, s:], axis=0, out=eq, mode="clip")
-            vp, vn, xv = VP[s:], VN[s:], Xv[s:]
-            xh, ph, tt = Xh[s:], Ph[s:], t[s:]
-            np.bitwise_or(eq, vn, out=xv)
-            np.bitwise_and(eq, vp, out=xh)
-            np.add(xh, vp, out=xh)
-            np.bitwise_xor(xh, vp, out=xh)
-            np.bitwise_or(xh, eq, out=xh)
-            np.bitwise_or(xh, vp, out=ph)
-            np.invert(ph, out=ph)
-            np.bitwise_or(ph, vn, out=ph)
-            np.bitwise_and(vp, xh, out=xh)  # xh now holds Mh
-            np.left_shift(ph, _U1, out=ph)
-            np.left_shift(xh, _U1, out=xh)
-            np.bitwise_or(xv, ph, out=tt)
-            np.invert(tt, out=tt)
-            np.bitwise_or(tt, xh, out=tt)
-            np.bitwise_and(ph, xv, out=vn)
-            np.bitwise_and(tt, valid[s:], out=vp)
-        base = tlen.astype(out.dtype)[:, None]
-        slot_bits = np.uint64(self.capacity)
-        for sl in range(self.per_word):
-            a = sl * nw
-            if a >= self.n:
-                break
-            b = min(a + nw, self.n)
-            slot = slot_bits << np.uint64(sl * self.width)
-            np.bitwise_and(VP, slot, out=Xv)
-            np.bitwise_and(VN, slot, out=Xh)
-            vals = base + np.bitwise_count(Xv)
-            vals -= np.bitwise_count(Xh)
-            out[a:b] = vals[:, : b - a].T
-
 
 class _BlockedChunk:
     """One pattern per lane, ``B = ⌈max_len/64⌉`` uint64 blocks each."""
@@ -503,6 +453,134 @@ class _BlockedChunk:
         np.copyto(out[: self.n], score)
 
 
+class _Lanes:
+    """The lock-step driver's packing: each pattern in a lane of its own width.
+
+    The lock-step keeps no score counter, so a lane needs no room for
+    one.  The non-empty patterns (all ≤ :data:`PACKED_MAX_LEN`) are
+    packed first-fit-decreasing into ``n_words`` uint64 words, pattern
+    character ``i`` at bit ``start + i``.  A word's first lane is
+    ``len + 1`` bits: bit 0 never receives a carry, so a single guard
+    bit below the pattern has ``VP = VN = Eq = 0`` and ``Ph = 1`` every
+    column, and shifting it up injects the top-row ``+1``.  Every later
+    lane takes ``len + 2`` bits: its lower guard bit absorbs the carry
+    and the shifted deltas leaving the lane below, and its upper one
+    regenerates the ``+1`` (the two guards of :class:`_PackedChunk`).
+
+    ``grid`` holds the lane masks, one row per word and one column per
+    lane slot (0 where a word has fewer lanes); ``cell[i]`` is the flat
+    grid cell of the ``i``-th non-empty pattern of the layout's length
+    order.  ``valid`` ORs the masks per word, and ``peq`` is the match
+    table over the layout's dense symbols.
+    """
+
+    def __init__(self, layout: "MyersPatterns") -> None:
+        rows, cols, _, syms = layout._flat
+        lengths = layout.sorted_lengths[layout.n_empty :]
+        n = lengths.shape[0]
+        word = np.empty(n, dtype=np.intp)
+        slot = np.empty(n, dtype=np.intp)
+        start = np.empty(n, dtype=np.int64)
+        free = np.empty(0, dtype=np.int64)  # unused top bits per word
+        used = np.empty(0, dtype=np.intp)  # lanes per word
+        # Widest first.  Among equal widths first-fit fills the open words
+        # in order, then opens new ones, so each width is one vector step.
+        edges = [0, *(np.flatnonzero(np.diff(lengths)) + 1).tolist(), n]
+        for lo, hi in reversed(list(zip(edges[:-1], edges[1:]))):
+            m = int(lengths[lo])
+            need = m + 2
+            room = free // need
+            fits = np.cumsum(room)
+            placed = min(hi - lo, int(fits[-1]) if fits.size else 0)
+            t = np.arange(placed)
+            w = np.searchsorted(fits, t, side="right")
+            k = t - fits[w] + room[w]  # lanes this width already put in w
+            word[lo : lo + placed] = w
+            slot[lo : lo + placed] = used[w] + k
+            start[lo : lo + placed] = 66 - free[w] + k * need
+            added = np.bincount(w, minlength=free.shape[0])
+            free = free - need * added
+            used = used + added
+            rest = hi - lo - placed
+            per_word = 1 + (63 - m) // need
+            t = np.arange(rest)
+            word[lo + placed : hi] = free.shape[0] + t // per_word
+            slot[lo + placed : hi] = t % per_word
+            start[lo + placed : hi] = 1 + (t % per_word) * need
+            filled = np.minimum(per_word, rest - np.arange(0, rest, per_word))
+            free = np.concatenate([free, 63 - m - (filled - 1) * need])
+            used = np.concatenate([used, filled])
+        self.n_words = free.shape[0]
+        self.n_slots = int(used.max()) if n else 0
+        self.cell = word * self.n_slots + slot
+        ones = (_U1 << lengths.astype(np.uint64)) - _U1
+        mask = ones << start.astype(np.uint64)
+        self.grid = np.zeros((self.n_words, self.n_slots), dtype=np.uint64)
+        self.grid[word, slot] = mask
+        self.valid = _scatter_or(word, mask, self.n_words)
+        lane = rows - layout.n_empty
+        self.peq = _scatter_or(
+            syms * self.n_words + word[lane],
+            _U1 << (start[lane] + cols).astype(np.uint64),
+            (layout.n_syms + 1) * self.n_words,
+        ).reshape(layout.n_syms + 1, self.n_words)
+
+    def read_scratch(self, rows: int, dtype) -> tuple:
+        """Buffers for :meth:`read` of up to ``rows`` texts."""
+        cells = (self.n_words, self.n_slots, rows)
+        return (
+            np.empty((self.n_words, rows), dtype=np.uint64),
+            np.empty(cells, dtype=np.uint64),
+            np.empty(cells, dtype=np.uint8),
+            np.empty(cells, dtype=dtype),
+        )
+
+    def read(self, VP, VN, lengths, scratch) -> np.ndarray:
+        """``(patterns, rows)`` distances of texts of ``lengths`` whose
+        final DP columns are the rows of ``VP``/``VN``.
+
+        The vertical deltas of a DP column sum to its bottom cell, so
+        ``d = len(text) + popcount(VP & lane) - popcount(VN & lane)``, in
+        ``lengths``' own unsigned dtype: the sum wraps mod ``2**bits`` on
+        the way and lands exact because the distance itself fits.  The
+        state is transposed first so that every op runs along the texts,
+        over every cell of ``grid``; ``scratch`` comes from
+        :meth:`read_scratch`.
+        """
+        r = lengths.shape[0]
+        words, bits, count, cells = (buf[..., :r] for buf in scratch)
+
+        def lane_popcounts(state):
+            np.copyto(words, state.T)
+            np.bitwise_and(words[:, None, :], self.grid[:, :, None], out=bits)
+            return np.bitwise_count(bits, out=count)
+
+        np.add(lengths, lane_popcounts(VP), out=cells)
+        np.subtract(cells, lane_popcounts(VN), out=cells)
+        return cells.reshape(-1, r)[self.cell]
+
+
+def _lockstep_step(eq, vp, vn, valid, xv, xh, ph, t) -> None:
+    """One Myers column on same-shape views, updating ``vp``/``vn`` in
+    place; ``valid`` clears the guard bits between lanes."""
+    np.bitwise_or(eq, vn, out=xv)
+    np.bitwise_and(eq, vp, out=xh)
+    np.add(xh, vp, out=xh)
+    np.bitwise_xor(xh, vp, out=xh)
+    np.bitwise_or(xh, eq, out=xh)
+    np.bitwise_or(xh, vp, out=ph)
+    np.invert(ph, out=ph)
+    np.bitwise_or(ph, vn, out=ph)
+    np.bitwise_and(vp, xh, out=xh)  # xh now holds Mh
+    np.left_shift(ph, _U1, out=ph)
+    np.left_shift(xh, _U1, out=xh)
+    np.bitwise_or(xv, ph, out=t)
+    np.invert(t, out=t)
+    np.bitwise_or(t, xh, out=t)
+    np.bitwise_and(ph, xv, out=vn)
+    np.bitwise_and(t, valid, out=vp)
+
+
 class MyersPatterns:
     """The cached bit-parallel state of one pattern collection.
 
@@ -555,6 +633,7 @@ class MyersPatterns:
         self.eligible = self.n_syms <= DENSE_ALPHABET_MAX
         self._flat = None
         self._char_starts = None
+        self._lanes = None
         if not self.eligible or n == 0:
             return
         counts = sorted_lengths
@@ -659,6 +738,12 @@ class MyersPatterns:
                 total += chunk.blocks * chunk.n
         return max(total, 1)
 
+    def lockstep_lanes(self) -> _Lanes:
+        """The (cached) own-width lane packing the lock-step driver runs."""
+        if self._lanes is None:
+            self._lanes = _Lanes(self)
+        return self._lanes
+
     def remap_codes(self, arr: np.ndarray) -> np.ndarray:
         """Map code points into dense symbols ``1..n_syms`` (0 = foreign).
 
@@ -709,14 +794,25 @@ def _dense_symbols(alphabet: np.ndarray, arr: np.ndarray) -> np.ndarray:
 class TextColumns:
     """The cached text-side layout of the lock-step driver.
 
-    ``order`` sorts the collection by ascending length, ``lengths`` are
-    the lengths in that order, ``alphabet`` the collection's own sorted
-    distinct code points, and ``symbols`` the ``(max_length, n)``
-    C-contiguous matrix of alphabet indices in the narrowest unsigned
-    dtype (:func:`_symbol_ids`): row ``j`` is character ``j`` of every
-    text in length order — the contiguous row a lock-step column gathers
-    ``Peq`` with.  Column ``j`` only touches texts longer than ``j``, so
-    padding cells are never read.
+    ``rank[i]`` is text ``i``'s position in ascending length order,
+    ``lengths`` are the lengths in that order, ``alphabet`` the
+    collection's own sorted distinct code points, and ``symbols`` the
+    ``(max_length, n)`` C-contiguous matrix of alphabet indices in the
+    narrowest unsigned dtype (:func:`_symbol_ids`): row ``j`` is
+    character ``j`` of every text in length order — the contiguous row a
+    lock-step column gathers ``Peq`` with.  Column ``j`` only touches
+    texts longer than ``j``, so padding cells are never read.
+
+    A DP column depends only on the prefix of the text, so the layout
+    also records the distinct prefixes of depth ``1 .. depth`` as a trie
+    the driver steps once per node.  Node 0 is the empty prefix; the
+    nodes of depth ``d`` are ``levels[d]:levels[d + 1]``, each with its
+    ``parent`` node and ``last`` symbol.  ``node[t]`` is text ``t``'s
+    node at depth ``min(lengths[t], depth)``: where a short text is
+    scored, and where a longer one starts its columns.  Levels are found
+    by bucket presence over ``len(alphabet) ** d`` prefix keys (no sort)
+    and stop at the first depth with more than ``n / _PREFIX_SHARE``
+    nodes, or whose table would pass :data:`_PREFIX_BUCKETS`.
     """
 
     def __init__(self, encoded) -> None:
@@ -728,10 +824,50 @@ class TextColumns:
             if encoded.max_length < (1 << 15)
             else lengths
         )
-        self.order = np.argsort(key, kind="stable")
-        self.lengths = lengths[self.order]
+        order = np.argsort(key, kind="stable")
+        self.rank = np.empty_like(order)
+        self.rank[order] = np.arange(order.shape[0])
+        self.lengths = lengths[order]
         self.alphabet, ids = _symbol_ids(encoded.codes)
-        self.symbols = np.ascontiguousarray(ids[self.order].T)
+        self.symbols = np.ascontiguousarray(ids[order].T)
+        del ids, order  # freed before the prefix levels are built
+        self._share_prefixes()
+
+    def _share_prefixes(self) -> None:
+        n = self.lengths.shape[0]
+        base = max(self.alphabet.shape[0], 1)
+        levels = [0, 1]
+        parents = [np.zeros(1, dtype=np.int32)]
+        lasts = [np.zeros(1, dtype=self.symbols.dtype)]
+        self.node = np.zeros(n, dtype=np.int32)
+        key_node = np.zeros(1, dtype=np.int32)  # of each depth-(d-1) key
+        keys = np.zeros(n, dtype=np.intp)
+        first, buckets = 0, 1
+        for d in range(1, self.symbols.shape[0] + 1):
+            buckets *= base
+            if buckets > _PREFIX_BUCKETS:
+                break
+            # Texts reaching depth d are a suffix of the length order.
+            top = int(np.searchsorted(self.lengths, d))
+            keys = keys[top - first :] * base + self.symbols[d - 1, top:]
+            first = top
+            present = np.zeros(buckets, dtype=bool)
+            present[keys] = True
+            if np.count_nonzero(present) * _PREFIX_SHARE > n:
+                break
+            ids = np.flatnonzero(present)
+            parents.append(key_node[ids // base])
+            lasts.append((ids % base).astype(self.symbols.dtype))
+            key_node = np.zeros(buckets, dtype=np.int32)
+            key_node[ids] = np.arange(
+                levels[-1], levels[-1] + ids.shape[0], dtype=np.int32
+            )
+            self.node[top:] = key_node[keys]
+            levels.append(levels[-1] + ids.shape[0])
+        self.depth = len(levels) - 2
+        self.levels = levels
+        self.parent = np.concatenate(parents)
+        self.last = np.concatenate(lasts)
 
 
 class SymbolRows:
@@ -868,16 +1004,19 @@ def myers_matrix_lockstep_into(
 
     The dual of :func:`myers_matrix_into` for the repo's dominant call
     shape — a handful of packed patterns (sites) against a large text
-    batch (points).  Texts advance together in ascending length order
+    batch (points).  The patterns sit in lanes of their own width
+    (:class:`_Lanes`, cached with their layout).  The text side's own
+    layout (:func:`text_columns`) is cached with its encoding: first
+    every shared prefix node advances once, level by level, and texts
+    that end inside the shared depth are scored from their node.  Then
+    the longer texts advance together in ascending length order, each
+    block starting from its nodes' states with one gather and running on
     with a shrinking active suffix, so numpy-call overhead scales with
-    the longest text while element work stays ``Σ len(text) · words``,
-    and the one-time layout build lands on the tiny pattern side.  The
-    text side's own layout (:func:`text_columns`) is cached with its
-    encoding; per call only a ``len(text alphabet)``-row match table is
-    composed per chunk.  Distances are produced pattern-major in the
-    narrowest unsigned dtype holding the longest string and scattered
-    back to the caller's text order once per pattern row; ``out`` may be
-    any integer array (or view) wide enough for that.  Unbounded only;
+    the longest text.  Per call only a ``len(text alphabet)``-row match
+    table is composed.  Distances are produced pattern-major in the
+    narrowest unsigned dtype holding the longest string and gathered
+    back into the caller's text order once per pattern row; ``out`` may
+    be any integer array (or view) wide enough for that.  Unbounded only;
     callers gate on :func:`myers_lockstep_eligible`.
     """
     layout = myers_patterns(patterns_encoded)
@@ -889,33 +1028,69 @@ def myers_matrix_lockstep_into(
     n_texts = len(texts_encoded)
     if n_texts == 0 or not layout.chunks:
         return
+    lanes = layout.lockstep_lanes()
     texts = text_columns(texts_encoded)
-    table = layout.remap_codes(texts.alphabet)
-    longest = max(patterns_encoded.max_length, texts_encoded.max_length)
+    peq = lanes.peq[layout.remap_codes(texts.alphabet)]
+    dtype = np.min_scalar_type(
+        max(patterns_encoded.max_length, texts_encoded.max_length)
+    )
+    nw = lanes.n_words
     blk = min(_LOCKSTEP_BLOCK_TEXTS, n_texts)
-    for chunk, (lo, hi) in zip(layout.chunks, layout.chunk_bounds):
-        peq = chunk.peq[table]
-        sorted_out = np.empty(
-            (hi - lo, n_texts), dtype=np.min_scalar_type(longest)
-        )
-        # One scratch pool per chunk, reused across every block: fresh
-        # per-block buffers would spend more cold time page-faulting
-        # than computing.
-        scratch = np.empty(
-            (_PackedChunk.LOCKSTEP_BUFFERS, blk, chunk.n_words),
-            dtype=np.uint64,
-        )
-        for start in range(0, n_texts, _LOCKSTEP_BLOCK_TEXTS):
-            stop = min(start + _LOCKSTEP_BLOCK_TEXTS, n_texts)
-            chunk.distances_lockstep(
-                peq,
-                texts.symbols[:, start:stop],
-                texts.lengths[start:stop],
-                sorted_out[:, start:stop],
-                scratch,
+    # One scratch pool reused by every level and block: fresh buffers
+    # would spend more cold time page-faulting than computing.
+    # ``valid`` is materialized: broadcasting a (words,) row against the
+    # state costs several times a same-shape op at these sizes.
+    VP, VN, Eq, Xv, Xh, Ph, T, valid = np.empty((8, blk, nw), dtype=np.uint64)
+    np.copyto(valid, lanes.valid)
+    read_scratch = lanes.read_scratch(blk, dtype)
+    # Shared prefixes: every node advances once from its parent's column.
+    levels = texts.levels
+    node_vp = np.empty((levels[-1], nw), dtype=np.uint64)
+    node_vn = np.zeros_like(node_vp)
+    node_vp[0] = lanes.valid
+    for d in range(1, texts.depth + 1):
+        for a in range(levels[d], levels[d + 1], blk):
+            b = min(a + blk, levels[d + 1])
+            r = b - a
+            # mode="clip" skips take's bounce buffer; ids are in range by
+            # construction.
+            np.take(node_vp, texts.parent[a:b], axis=0, out=VP[:r], mode="clip")
+            np.take(node_vn, texts.parent[a:b], axis=0, out=VN[:r], mode="clip")
+            np.take(peq, texts.last[a:b], axis=0, out=Eq[:r], mode="clip")
+            _lockstep_step(
+                Eq[:r], VP[:r], VN[:r], valid[:r],
+                Xv[:r], Xh[:r], Ph[:r], T[:r],
             )
-        for row, distances in zip(order[lo:hi], sorted_out):
-            out[row][texts.order] = distances
+            node_vp[a:b] = VP[:r]
+            node_vn[a:b] = VN[:r]
+    # Every text starts from its node: a text ending inside the shared
+    # depth is already done, a longer one runs on from column ``depth``.
+    lengths = texts.lengths.astype(dtype)
+    sorted_out = np.empty((lanes.cell.shape[0], n_texts), dtype=dtype)
+    for start in range(0, n_texts, blk):
+        stop = min(start + blk, n_texts)
+        r = stop - start
+        nodes = texts.node[start:stop]
+        np.take(node_vp, nodes, axis=0, out=VP[:r], mode="clip")
+        np.take(node_vn, nodes, axis=0, out=VN[:r], mode="clip")
+        tlen = texts.lengths[start:stop]
+        first_active = np.searchsorted(
+            tlen, np.arange(texts.depth + 1, int(tlen[-1]) + 1)
+        )
+        for j, s in enumerate(first_active.tolist(), start=texts.depth):
+            np.take(
+                peq, texts.symbols[j, start + s : stop], axis=0,
+                out=Eq[s:r], mode="clip",
+            )
+            _lockstep_step(
+                Eq[s:r], VP[s:r], VN[s:r], valid[s:r],
+                Xv[s:r], Xh[s:r], Ph[s:r], T[s:r],
+            )
+        sorted_out[:, start:stop] = lanes.read(
+            VP[:r], VN[:r], lengths[start:stop], read_scratch
+        )
+    for row, distances in zip(order[layout.n_empty :], sorted_out):
+        out[row] = distances.take(texts.rank)
 
 
 def _pair_peq(patterns_encoded, a: int, b: int, alphabet: np.ndarray):
@@ -1016,7 +1191,7 @@ def _pair_lanes(
     key = (longest - text_lengths).astype(np.min_scalar_type(longest))
     order = np.argsort(key, kind="stable")
     n = order.shape[0]
-    blk = min(_LOCKSTEP_BLOCK_TEXTS, n)
+    blk = min(_PAIR_BLOCK_LANES, n)
     VP, VN, Eq, Xv, Xh, Ph, T, Mask = np.empty((8, blk), dtype=np.uint64)
     start = 0
     while start < n:

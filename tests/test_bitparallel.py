@@ -426,11 +426,217 @@ class TestLockstepDriver:
         assert np.array_equal(out, dp_matrix(sites, points))
 
 
+def _lanes(sites):
+    """The lock-step lane packing of a site list."""
+    return bitparallel.myers_patterns(encode_strings(sites)).lockstep_lanes()
+
+
+def _reference_words(lengths):
+    """First-fit-decreasing word count, one site at a time: a word's first
+    lane takes ``len + 1`` bits, every later one ``len + 2``."""
+    free = []
+    for m in sorted(lengths, reverse=True):
+        for w, room in enumerate(free):
+            if room >= m + 2:
+                free[w] -= m + 2
+                break
+        else:
+            free.append(63 - m)
+    return len(free)
+
+
+def _check_lanes(lanes, lengths):
+    """Disjoint lanes of the right widths, each with the guard bits its
+    slot needs below it, counted as the reference packing counts."""
+    masks = lanes.grid[lanes.cell // lanes.n_slots, lanes.cell % lanes.n_slots]
+    assert sorted(int(m).bit_count() for m in masks) == sorted(lengths)
+    assert lanes.n_words == _reference_words(lengths)
+    for w in range(lanes.n_words):
+        row = [int(m) for m in lanes.grid[w] if m]
+        union = 0
+        for m in row:
+            assert not union & m
+            union |= m
+        assert int(lanes.valid[w]) == union
+        starts = sorted((m & -m).bit_length() - 1 for m in row)
+        assert starts[0] >= 1
+        for m in row:
+            low = (m & -m).bit_length() - 1
+            below = (1 << low) - 1
+            guard = below ^ (below >> (1 if low == starts[0] else 2))
+            assert not guard & int(lanes.valid[w])
+
+
+#: Every stem with every tail, the whole list repeated: many texts per
+#: distinct prefix, so the lock-step driver shares prefix columns.
+prefix_heavy = st.builds(
+    lambda stems, tails, copies: [s + t for s in stems for t in tails] * copies,
+    st.lists(st.text(alphabet="ab", max_size=4), min_size=1, max_size=4),
+    st.lists(st.text(alphabet="abz", max_size=6), min_size=1, max_size=8),
+    st.integers(1, 8),
+)
+
+
+class TestSharedPrefixLockstep:
+    """The lock-step driver over texts that share prefixes: each shared
+    node's column is stepped once and every text starts from its node."""
+
+    @given(
+        texts=prefix_heavy,
+        sites=st.lists(
+            st.text(alphabet="abq", max_size=30), min_size=1, max_size=6
+        ),
+        block=st.sampled_from([1, 3, 16, 8192]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_equals_scalar_dp(self, texts, sites, block):
+        # Texts from a few stems over "ab" plus tails with a symbol the
+        # sites lack ("z"); sites carry one the texts lack ("q"), may be
+        # empty, and reach the 30-character lane limit.  Small blocks
+        # split the levels and the texts into many blocks.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bitparallel, "_LOCKSTEP_BLOCK_TEXTS", block)
+            out = np.empty((len(sites), len(texts)), dtype=np.int64)
+            bitparallel.myers_matrix_lockstep_into(
+                encode_strings(sites), encode_strings(texts), out
+            )
+        assert np.array_equal(out, dp_matrix(sites, texts))
+
+    def test_texts_around_the_shared_depth(self):
+        # All 64 words of length 6 over "ab" share depths 1..3 (8 nodes
+        # at depth 3 <= 71 / 8); the extra texts end before, at and after
+        # the shared depth, and "c" is foreign to the sites.
+        words = [
+            "".join("ab"[(i >> b) & 1] for b in range(6)) for i in range(64)
+        ]
+        texts = words + ["", "a", "ab", "aba", "abab", "b" * 9, "ababc"]
+        encoded = encode_strings(texts)
+        layout = bitparallel.text_columns(encoded)
+        assert layout.depth == 3
+        assert np.diff(layout.levels).tolist() == [1, 2, 4, 8]
+        sites = ["", "abba", "b" * 30, "a", "zzab"]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bitparallel, "_LOCKSTEP_BLOCK_TEXTS", 5)
+            out = np.empty((len(sites), len(texts)), dtype=np.uint8)
+            bitparallel.myers_matrix_lockstep_into(
+                encode_strings(sites), encoded, out
+            )
+        assert np.array_equal(out, dp_matrix(sites, texts))
+
+    def test_sharing_stops_at_one_eighth_of_the_texts(self):
+        # 64 texts: depth 3 has 8 nodes (kept), depth 4 has 16 (> 8).
+        words = [
+            "".join("ab"[(i >> b) & 1] for b in range(6)) for i in range(64)
+        ]
+        layout = bitparallel.text_columns(encode_strings(words))
+        assert layout.depth == 3
+        # One text fewer: depth 3's 8 nodes now exceed 63 / 8.
+        layout = bitparallel.text_columns(encode_strings(words[:63]))
+        assert layout.depth == 2
+        # Every text at depth <= 3 sits on the node of its own prefix.
+        for t, word in enumerate(words[:63]):
+            node = int(layout.node[layout.rank[t]])
+            path = []
+            while node:
+                path.append(chr(int(layout.alphabet[layout.last[node]])))
+                node = int(layout.parent[node])
+            assert "".join(reversed(path)) == word[: layout.depth]
+
+    def test_sharing_stops_at_the_bucket_cap(self):
+        # 1100 symbols: a depth-2 table needs 1101**2 > 2**20 buckets, so
+        # sharing stops at depth 1 although depth 2 has a single node.
+        texts = ["ab" + chr(0x4E00 + i) for i in range(1100)]
+        encoded = encode_strings(texts)
+        layout = bitparallel.text_columns(encoded)
+        assert layout.alphabet.shape[0] ** 2 > bitparallel._PREFIX_BUCKETS
+        assert layout.depth == 1 and layout.levels == [0, 1, 2]
+        sites = ["ab", "b" + chr(0x4E00), ""]
+        out = np.empty((3, len(texts)), dtype=np.int64)
+        bitparallel.myers_matrix_lockstep_into(
+            encode_strings(sites), encoded, out
+        )
+        per_text = np.empty_like(out)
+        bitparallel.myers_matrix_into(encode_strings(sites), encoded, per_text)
+        assert np.array_equal(out, per_text)
+        assert np.array_equal(out[:, :50], dp_matrix(sites, texts[:50]))
+
+    def test_a_few_strings_share_nothing(self):
+        layout = bitparallel.text_columns(encode_strings(["ab", "abc", "abd"]))
+        assert layout.depth == 0 and layout.levels == [0, 1]
+        assert layout.node.tolist() == [0, 0, 0]
+
+
+class TestLanePacking:
+    def test_a_30_character_site_in_a_first_slot(self):
+        site = "abcdefghijklmnopqrstuvwxyzabcd"
+        lanes = _lanes([site])
+        assert lanes.n_words == 1
+        assert int(lanes.valid[0]) == ((1 << 30) - 1) << 1  # one guard bit
+        # Two fit one word: 31 + 32 bits.
+        lanes = _lanes([site, site[::-1]])
+        assert lanes.n_words == 1
+        _check_lanes(lanes, [30, 30])
+        texts = ["", site, site[:29] + "z", "x" * 40, site[::-1]]
+        out = np.empty((2, len(texts)), dtype=np.int64)
+        bitparallel.myers_matrix_lockstep_into(
+            encode_strings([site, site[::-1]]), encode_strings(texts), out
+        )
+        assert np.array_equal(out, dp_matrix([site, site[::-1]], texts))
+
+    @pytest.mark.parametrize(
+        "lengths", [[3] * 13, [21, 19, 19], [1] * 21, [1] * 22]
+    )
+    def test_widths_that_fill_a_word(self, lengths):
+        # 4 + 12 * 5 = 22 + 21 + 21 = 64 bits: the top lane ends at bit
+        # 63.  Twenty-one 1-character sites fill 2 + 20 * 3 = 62 bits, the
+        # most lanes a word holds; a 22nd opens a second word.
+        rng = np.random.default_rng(sum(lengths))
+        sites = ["".join(rng.choice(list("abc"), size=m)) for m in lengths]
+        lanes = _lanes(sites)
+        _check_lanes(lanes, lengths)
+        if sum(lengths) + 2 * len(lengths) - 1 == 64:
+            assert lanes.n_words == 1 and int(lanes.valid[0]) >> 63 == 1
+        texts = [
+            "".join(rng.choice(list("abcd"), size=m))
+            for m in rng.integers(0, 30, size=60)
+        ]
+        out = np.empty((len(sites), len(texts)), dtype=np.int64)
+        bitparallel.myers_matrix_lockstep_into(
+            encode_strings(sites), encode_strings(texts), out
+        )
+        assert np.array_equal(out, dp_matrix(sites, texts))
+
+    @pytest.mark.parametrize("n_sites", range(1, 41))
+    def test_one_to_forty_sites(self, n_sites):
+        rng = np.random.default_rng(n_sites)
+        letters = list("abcde")
+        sites = [
+            "".join(rng.choice(letters, size=m))
+            for m in rng.integers(1, 31, size=n_sites)
+        ]
+        lanes = _lanes(sites)
+        _check_lanes(lanes, [len(s) for s in sites])
+        texts = [
+            "".join(rng.choice(letters, size=m))
+            for m in rng.integers(0, 35, size=25)
+        ]
+        out = np.empty((n_sites, len(texts)), dtype=np.int64)
+        bitparallel.myers_matrix_lockstep_into(
+            encode_strings(sites), encode_strings(texts), out
+        )
+        assert np.array_equal(out, dp_matrix(sites, texts))
+
+    def test_built_once_per_pattern_layout(self):
+        layout = bitparallel.myers_patterns(encode_strings(["abc", "de"]))
+        assert layout.lockstep_lanes() is layout.lockstep_lanes()
+
+
 class TestTextColumns:
     def test_layout_shape_and_content(self):
         points = ["abc", "", "ca", "b"]
         layout = bitparallel.text_columns(encode_strings(points))
-        assert layout.order.tolist() == [1, 3, 2, 0]  # stable by length
+        # Stable by length: text i sits at rank[i] of the length order.
+        assert layout.rank.tolist() == [3, 0, 2, 1]
         assert layout.lengths.tolist() == [0, 1, 2, 3]
         # NUL pads the code matrix, so it joins the alphabet unread.
         assert layout.alphabet.tolist() == [0, ord("a"), ord("b"), ord("c")]
@@ -459,17 +665,23 @@ class TestTextColumns:
         encoded = encode_strings(points)
         layout = encoded.text_columns
         assert layout is not None
+        # 2000 words over 9 letters share their prefixes to depth 2
+        # (81 nodes; depth 3's 729 exceed 2000 / 8).
+        assert layout.depth == 2
+        parent = layout.parent
         # New sites, fresh list object: the encoding cache hits and the
         # text layout rides along — same object, no rebuild.
         second = metric.to_sites(list(points), ["gama", "delt", "x"])
         assert encode_strings(points).text_columns is layout
+        assert layout.parent is parent
         assert np.array_equal(first, dp_matrix(points, ["alpa", "beat"]))
         assert np.array_equal(second, dp_matrix(points, ["gama", "delt", "x"]))
         alive = weakref.ref(layout)
-        del layout, encoded
+        levels_alive = weakref.ref(parent)
+        del layout, encoded, parent
         clear_encoding_cache()
         gc.collect()
-        assert alive() is None
+        assert alive() is None and levels_alive() is None
 
     def test_compact_hook_equals_to_sites(self):
         rng = np.random.default_rng(5)
