@@ -59,11 +59,7 @@ from repro.index import (  # noqa: E402
     VPTree,
 )
 from repro.metrics import EuclideanDistance, LevenshteinDistance  # noqa: E402
-from repro.parallel import (  # noqa: E402
-    SharedDataset,
-    get_executor,
-    sharded_census,
-)
+from repro.parallel import get_executor, sharded_census  # noqa: E402
 
 CPUS = os.cpu_count() or 1
 #: Shards (= pinned workers) of the timed engine cells: one per core up
@@ -186,16 +182,14 @@ def _bench_census(points, metric, sites):
         for _ in range(ROUNDS)
     )
     (cold, _), cold_s = _timed(lambda: sharded_census(
-        points, sites, metric,
-        workers=CENSUS_WORKERS, shards=CENSUS_WORKERS,
+        points, sites, metric, workers=CENSUS_WORKERS,
     ))
     with get_executor(CENSUS_WORKERS) as executor, \
-            SharedDataset.publish(points) as dataset:
+            executor.share(points) as dataset:
 
         def reused_census():
             return sharded_census(
-                points, sites, metric, executor=executor,
-                shards=CENSUS_WORKERS, dataset=dataset,
+                points, sites, metric, executor=executor, dataset=dataset,
             )
 
         (reused, _), _ = _timed(reused_census)  # workers attach once

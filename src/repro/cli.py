@@ -30,14 +30,14 @@ one call and the report shows queries per second alongside the
 literature's distance-evaluations-per-query cost (``--no-batch`` loops
 the single-query API instead, for comparison).
 
-The census subcommand and the table generators take ``--shards`` /
-``--workers`` (:mod:`repro.parallel`): the database splits into shards
-whose partial censuses a ``--workers``-sized task pool computes and
-merges exactly.  ``search`` and ``serve`` take ``--shards`` plus the
-engine flags (one shared group): ``--resident`` serves every shard from
-its own supervised, pinned worker process, as does any resilience flag,
-and without them the shards run in-process.  Answers and censuses are
-identical to the serial run for every setting.
+The census subcommand and the table generators take ``--workers``
+(:mod:`repro.parallel`): the database splits into one row shard per
+worker of a task pool, whose partial censuses merge exactly.  ``search``
+and ``serve`` take ``--shards`` plus the engine flags (one shared
+group): ``--resident`` serves every shard from its own supervised,
+pinned worker process, as does any resilience flag, and without them
+the shards run in-process.  Answers and censuses are identical to the
+serial run for every setting.
 """
 
 from __future__ import annotations
@@ -66,13 +66,12 @@ _METRICS = {
 _INDEXES = ("aesa", "distperm", "iaesa", "laesa", "linear", "vptree")
 
 
-def _add_parallel_flags(parser: argparse.ArgumentParser) -> None:
-    """The census task-pool flags (see :mod:`repro.parallel`)."""
+def _add_workers_flag(parser: argparse.ArgumentParser) -> None:
+    """The census task-pool flag (see :mod:`repro.parallel`)."""
     parser.add_argument("--workers", type=int, default=None,
-                        help="size of the census task pool (default: "
-                             "in-process; results are identical either way)")
-    parser.add_argument("--shards", type=int, default=None,
-                        help="database shards (default: worker count)")
+                        help="size of the census task pool, one database "
+                             "shard per worker (default: in-process; "
+                             "results are identical either way)")
 
 
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
@@ -119,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     table2.add_argument("--n", type=int, default=0,
                         help="override database size (default: fast preset)")
     table2.add_argument("--seed", type=int, default=20080411)
-    _add_parallel_flags(table2)
+    _add_workers_flag(table2)
 
     table3 = commands.add_parser(
         "table3", help="census of uniform random vectors (Table 3)"
@@ -132,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="site draws per cell (default 5)")
     table3.add_argument("--seed", type=int, default=20080411,
                         help="site-draw / database seed (default 20080411)")
-    _add_parallel_flags(table3)
+    _add_workers_flag(table3)
 
     census = commands.add_parser(
         "census",
@@ -158,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "encodings occupy (what pack_ids writes, plus "
                              "8 B per table code) next to the reported "
                              "Corollary-8 bit bounds")
-    _add_parallel_flags(census)
+    _add_workers_flag(census)
 
     search = commands.add_parser(
         "search",
@@ -237,15 +236,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="query rows per batching window (default 64)")
     serve.add_argument("--max-wait-ms", type=float, default=2.0,
                        help="longest batching window in ms (default 2.0)")
-    serve.add_argument("--min-wait-ms", type=float, default=0.0,
-                       help="adaptive window floor in ms (default 0)")
     serve.add_argument("--max-queue", type=int, default=4096,
                        help="admission bound in query rows; past it "
                             "requests are rejected with retry-after "
                             "(default 4096)")
-    serve.add_argument("--no-adaptive", action="store_true",
-                       help="freeze the window at --max-wait-ms instead "
-                            "of adapting to load")
     _add_engine_flags(serve)
 
     counter = commands.add_parser(
@@ -267,18 +261,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _shards_error(args: argparse.Namespace) -> Optional[str]:
-    """Validate --shards; returns an error message or None."""
-    if args.shards is not None and args.shards < 1:
-        return "--shards must be >= 1"
-    return None
-
-
-def _parallel_flags_error(args: argparse.Namespace) -> Optional[str]:
-    """Validate --workers/--shards; returns an error message or None."""
+def _workers_error(args: argparse.Namespace) -> Optional[str]:
+    """Validate --workers; returns an error message or None."""
     if args.workers is not None and args.workers < 0:
         return "--workers must be >= 0"
-    return _shards_error(args)
+    return None
 
 
 def _wants_pool(args: argparse.Namespace) -> bool:
@@ -293,9 +280,8 @@ def _wants_pool(args: argparse.Namespace) -> bool:
 
 def _engine_flags_error(args: argparse.Namespace) -> Optional[str]:
     """Validate the engine-options group; an error message or None."""
-    error = _shards_error(args)
-    if error:
-        return error
+    if args.shards is not None and args.shards < 1:
+        return "--shards must be >= 1"
     if _wants_pool(args) and args.shards is None:
         return ("--resident/--deadline/--retries/--on-partial need "
                 "sharded execution; add --shards")
@@ -337,15 +323,36 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     return 0
 
 
+def _table2_error(args: argparse.Namespace) -> Optional[str]:
+    """Validate the table2 sizes before any database is drawn."""
+    from repro.experiments.table2 import PAPER_KS
+
+    if args.n != 0 and args.n < max(PAPER_KS):
+        return (f"--n must be 0 (the preset size) or >= {max(PAPER_KS)}, "
+                "the widest site draw")
+    return _workers_error(args)
+
+
+def _table3_error(args: argparse.Namespace) -> Optional[str]:
+    """Validate the table3 sizes before any database is drawn."""
+    if args.runs < 1:
+        return "--runs must be >= 1"
+    if args.dims is not None and any(d < 1 for d in args.dims):
+        return "--dims must be >= 1"
+    if not args.ks or any(not 2 <= k <= args.n for k in args.ks):
+        return f"--ks must lie in [2, --n] = [2, {args.n}]"
+    return _workers_error(args)
+
+
 def _cmd_table2(args: argparse.Namespace) -> int:
     from repro.experiments.table2 import format_table2, table2_rows
 
-    error = _parallel_flags_error(args)
+    error = _table2_error(args)
     if error:
         print(f"error: {error}", file=sys.stderr)
         return 1
     rows = table2_rows(names=args.names, n=args.n, seed=args.seed,
-                       workers=args.workers, shards=args.shards)
+                       workers=args.workers)
     print(format_table2(rows))
     return 0
 
@@ -353,14 +360,18 @@ def _cmd_table2(args: argparse.Namespace) -> int:
 def _cmd_table3(args: argparse.Namespace) -> int:
     from repro.experiments.table3 import format_table3, table3_rows
 
-    error = _parallel_flags_error(args)
+    error = _table3_error(args)
     if error:
         print(f"error: {error}", file=sys.stderr)
         return 1
     dims = args.dims if args.dims else range(1, 11)
-    rows = table3_rows(dims=dims, ks=tuple(args.ks), n_points=args.n,
-                       n_runs=args.runs, seed=args.seed,
-                       workers=args.workers, shards=args.shards)
+    try:
+        rows = table3_rows(dims=dims, ks=tuple(args.ks), n_points=args.n,
+                           n_runs=args.runs, seed=args.seed,
+                           workers=args.workers)
+    except ValueError as error:  # e.g. too few points for a rho estimate
+        print(f"error: {error}", file=sys.stderr)
+        return 1
     print(format_table3(rows, ks=tuple(args.ks)))
     return 0
 
@@ -371,10 +382,11 @@ def _cmd_census(args: argparse.Namespace) -> int:
     One site draw (the ``"random"`` strategy touches only ``len()`` and
     the drawn indices, so a row-count proxy draws the same sites as the
     loaded database), then :func:`~repro.parallel.census.sharded_census`
-    over the loaded rows — serial without ``--workers/--shards`` — or,
-    with ``--chunk-rows``, :func:`~repro.parallel.census.streaming_census`
-    over bounded chunks read from disk twice (one counting pass, one
-    census pass).  Counts are identical for every flag combination.
+    over the loaded rows — serial without ``--workers``, else one row
+    shard per worker — or, with ``--chunk-rows``,
+    :func:`~repro.parallel.census.streaming_census` over bounded chunks
+    read from disk twice (one counting pass, one census pass).  Counts
+    are identical for every flag combination.
     """
     from repro.core.storage import storage_report
     from repro.datasets.io import (
@@ -398,7 +410,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
         print("error: --dump needs the in-memory census (it materializes "
               "every permutation); drop --chunk-rows", file=sys.stderr)
         return 1
-    error = _parallel_flags_error(args)
+    error = _workers_error(args)
     if error:
         print(f"error: {error}", file=sys.stderr)
         return 1
@@ -428,18 +440,17 @@ def _cmd_census(args: argparse.Namespace) -> int:
         range(n), metric, args.sites, strategy="random",
         rng=np.random.default_rng(args.seed),
     )
-    parallel = dict(workers=args.workers, shards=args.shards)
     if streamed:
         censuses = streaming_census(
             iter_chunks(args.input, args.chunk_rows),
             read_rows(args.input, site_indices), metric, [args.sites],
-            **parallel,
+            workers=args.workers,
         )
         source = f", streamed {args.chunk_rows} rows/chunk"
     else:
         censuses, permutations = sharded_census(
             points, [points[i] for i in site_indices], metric,
-            collect_permutations=bool(args.dump), **parallel,
+            collect_permutations=bool(args.dump), workers=args.workers,
         )
         source = ""
         if args.dump:
@@ -732,8 +743,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         config = BatchConfig(
             max_batch=args.max_batch,
             max_wait_ms=args.max_wait_ms,
-            min_wait_ms=args.min_wait_ms,
-            adaptive=not args.no_adaptive,
             max_queue=args.max_queue,
         )
     except ValueError as error:

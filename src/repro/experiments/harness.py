@@ -7,27 +7,24 @@ comparisons, the looped single-query API) and both cost measures are
 reported — distance evaluations per query, the literature's metric, and
 queries per second, the production measure the batch engine optimizes.
 
-The census trials take ``workers=`` / ``shards=``
-(:mod:`repro.parallel`): they shard the database over a task pool and
-merge exact partial counts.  The workload runner takes ``shards=`` and
-``resident=``: it can wrap any index in a
-:class:`~repro.index.sharded.ShardedIndex` for fan-out/merge execution,
-in-process or on pinned shard workers.  Results are identical for every
-setting.
+The census trials take ``workers=`` (:mod:`repro.parallel`): they shard
+the database over a task pool, one shard per worker, and merge exact
+partial counts.  The workload runner drives whatever index it is given;
+to run sharded, in-process or on pinned shard workers, pass a
+:class:`~repro.index.sharded.ShardedIndex`.  Results are identical for
+every setting.
 """
 
 from __future__ import annotations
 
-import inspect
 import time
-import warnings
+from contextlib import ExitStack
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence, Tuple
+from typing import Any, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.index.base import Index, Neighbor
-from repro.index.sharded import ShardedIndex, shard_index
 from repro.metrics.base import Metric
 from repro.parallel.census import sharded_census
 from repro.parallel.executor import get_executor
@@ -69,7 +66,6 @@ def permutation_count_trials(
     rng: Optional[np.random.Generator] = None,
     *,
     workers: Optional[int] = None,
-    shards: Optional[int] = None,
     executor=None,
     dataset: Optional[SharedDataset] = None,
 ) -> TrialResult:
@@ -81,47 +77,35 @@ def permutation_count_trials(
 
     With ``workers`` the trial censuses run on a process pool: every
     trial's site draw happens up front (so draws match the serial order
-    exactly), the database is published to shared memory once, and each
-    trial's census shards over the rows and merges.  Counts are identical
-    for every ``workers`` / ``shards`` setting.  Callers looping many
-    cells over one pool (Table 3) pass ``executor=`` (and optionally a
-    pre-published ``dataset=``) to amortize pool startup and dataset
-    publication; both stay owned by the caller.
+    exactly), the database is shared with the pool once, and each trial's
+    census shards over the rows and merges.  Counts are identical for
+    every ``workers`` setting.  Callers looping many cells over one pool
+    (Table 3) pass ``executor=`` (and optionally the executor's
+    :meth:`~repro.parallel.executor.Executor.share` of ``points`` as
+    ``dataset=``) to amortize pool startup and dataset publication; both
+    stay owned by the caller.
     """
     n = len(points)
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= {n}, got k={k}")
+    if n_trials < 1:
+        raise ValueError(f"need n_trials >= 1, got {n_trials}")
     rng = rng if rng is not None else np.random.default_rng()
     trial_sites = [
         [points[int(i)] for i in rng.choice(n, size=k, replace=False)]
         for _ in range(n_trials)
     ]
     counts = []
-    own_executor = executor is None
-    executor = executor if executor is not None else get_executor(workers)
-    own_dataset = dataset is None
-    if dataset is None:
-        dataset = (
-            SharedDataset.publish(points)
-            if executor.workers
-            else SharedDataset.local(points)
-        )
-    try:
+    with ExitStack() as owned:
+        if executor is None:
+            executor = owned.enter_context(get_executor(workers))
+        if dataset is None:
+            dataset = owned.enter_context(executor.share(points))
         for sites in trial_sites:
             censuses, _ = sharded_census(
-                points,
-                sites,
-                metric,
-                executor=executor,
-                shards=shards,
-                dataset=dataset,
+                points, sites, metric, executor=executor, dataset=dataset,
             )
             counts.append(censuses[k].distinct)
-    finally:
-        if own_dataset:
-            dataset.unlink()
-        if own_executor:
-            executor.close()
     return TrialResult(tuple(counts))
 
 
@@ -176,10 +160,6 @@ def run_query_workload(
     radius: float = 1.0,
     budget: Optional[int] = None,
     batched: bool = True,
-    shards: Optional[int] = None,
-    inner_factory: Optional[Callable[[Sequence[Any], Metric], Index]] = None,
-    resident: bool = False,
-    policy=None,
 ) -> QueryWorkloadReport:
     """Drive a query set through an index and report both cost measures.
 
@@ -188,84 +168,13 @@ def run_query_workload(
     answers the whole set in one call; with ``batched=False`` the
     single-query API is looped — the baseline the batch engine is
     benchmarked against.  The index's query stats are reset first so the
-    report reflects exactly this workload.
-
-    ``shards`` runs the workload through the sharded execution layer:
-    unless ``index`` already is a
-    :class:`~repro.index.sharded.ShardedIndex`, it is wrapped via
-    :func:`~repro.index.sharded.shard_index` (rebuilding per-shard inner
-    indexes of the same type, or of ``inner_factory``; the rebuild cost
-    is not part of the report).  Exact answers are identical either way;
-    the wrapper's pool and shared memory are released before returning.
-    ``resident=True`` runs the wrapper on the supervised pinned-worker
-    pool, one process per shard (see :mod:`repro.parallel.workerpool`) —
-    the factory must then be picklable — and ``policy`` configures its
-    deadlines and retries; after the workload, inspect
-    ``index.stats.degraded`` / ``shards_answered`` for whether any
-    answer was partial.
+    report reflects exactly this workload.  A pooled
+    :class:`~repro.index.sharded.ShardedIndex` reports whether any answer
+    was partial (``degraded`` / ``shards_answered``) and its reply
+    volume; the index stays open for the caller to close.
     """
     if kind not in ("knn", "range", "knn-approx"):
         raise ValueError(f"unknown workload kind {kind!r}")
-    if (resident or policy is not None) and shards is None and not isinstance(
-        index, ShardedIndex
-    ):
-        raise ValueError(
-            "resident/policy require sharded execution: pass shards=, "
-            "or a pooled ShardedIndex"
-        )
-    wrapped: Optional[ShardedIndex] = None
-    if shards is not None and not isinstance(index, ShardedIndex):
-        if inner_factory is None:
-            # type(index)(points, metric) drops any constructor
-            # configuration (site counts, pivot counts, seeds) the passed
-            # index was built with — loud is better than silently
-            # measuring a differently-configured index.
-            extra = [
-                parameter.name
-                for parameter in list(
-                    inspect.signature(type(index).__init__).parameters.values()
-                )[3:]
-                if parameter.kind
-                not in (
-                    inspect.Parameter.VAR_POSITIONAL,
-                    inspect.Parameter.VAR_KEYWORD,
-                )
-            ]
-            if extra:
-                warnings.warn(
-                    f"run_query_workload rebuilds {type(index).__name__} "
-                    f"shards with default {', '.join(extra)}; pass "
-                    "inner_factory= to preserve the index configuration",
-                    stacklevel=2,
-                )
-        wrapped = shard_index(
-            index,
-            n_shards=shards,
-            inner_factory=inner_factory,
-            resident=resident,
-            policy=policy,
-        )
-        index = wrapped
-    try:
-        return _run_workload(
-            index, queries, kind=kind, k=k, radius=radius,
-            budget=budget, batched=batched,
-        )
-    finally:
-        if wrapped is not None:
-            wrapped.close()
-
-
-def _run_workload(
-    index: Index,
-    queries: Sequence[Any],
-    *,
-    kind: str,
-    k: int,
-    radius: float,
-    budget: Optional[int],
-    batched: bool,
-) -> QueryWorkloadReport:
     index.reset_stats()
     start = time.perf_counter()
     if batched:

@@ -22,6 +22,9 @@ from repro.parallel.executor import get_executor
 
 __all__ = ["Table2Row", "table2_rows", "format_table2"]
 
+#: Prefix lengths of the paper's Table 2; a database needs ``max`` rows.
+PAPER_KS = tuple(range(3, 13))
+
 
 @dataclass
 class Table2Row:
@@ -41,7 +44,6 @@ def _census_by_prefix(
     metric,
     site_indices: Sequence[int],
     ks: Sequence[int],
-    shards: Optional[int] = None,
     executor=None,
 ) -> Dict[int, int]:
     """Unique-permutation counts for every prefix length in ``ks``.
@@ -50,32 +52,30 @@ def _census_by_prefix(
     the count for each smaller ``k`` uses the first ``k`` sites, so all
     counts describe nested site sets (monotone nondecreasing in ``k`` by
     construction).  Sharded partial censuses merge exactly, so counts are
-    identical for every ``workers`` / ``shards`` setting.
+    identical for every ``workers`` setting.
     """
     sites = [points[i] for i in site_indices]
     censuses, _ = sharded_census(
-        points, sites, metric, ks=ks, shards=shards, executor=executor
+        points, sites, metric, ks=ks, executor=executor
     )
     return {k: censuses[k].distinct for k in ks}
 
 
 def table2_rows(
     names: Optional[Iterable[str]] = None,
-    ks: Sequence[int] = tuple(range(3, 13)),
+    ks: Sequence[int] = PAPER_KS,
     n: int = 0,
     scale: float = 0.0,
     seed: int = 20080411,
     rho_pairs: int = 2000,
     workers: Optional[int] = None,
-    shards: Optional[int] = None,
 ) -> List[Table2Row]:
     """Regenerate Table 2 rows over the database analogues.
 
     ``n`` / ``scale`` are forwarded to
     :func:`repro.datasets.sisap.load_database`; the default keeps each
-    analogue at a laptop-fast size.  ``workers`` / ``shards`` parallelize
-    each database's census (:mod:`repro.parallel`) without changing any
-    count.
+    analogue at a laptop-fast size.  ``workers`` parallelizes each
+    database's census (:mod:`repro.parallel`) without changing any count.
     """
     names = list(names) if names is not None else list(DATABASE_NAMES)
     k_max = max(ks)
@@ -93,7 +93,7 @@ def table2_rows(
             ]
             counts = _census_by_prefix(
                 database.points, database.metric, site_indices, list(ks),
-                shards=shards, executor=executor,
+                executor=executor,
             )
             rho = estimate_rho(
                 database.points,
@@ -118,7 +118,7 @@ def table2_rows(
     return rows
 
 
-def format_table2(rows: List[Table2Row], ks: Sequence[int] = tuple(range(3, 13))) -> str:
+def format_table2(rows: List[Table2Row], ks: Sequence[int] = PAPER_KS) -> str:
     """Render measured rows in the paper's Table 2 layout."""
     headers = ["Database", "n", "rho"] + [f"k={k}" for k in ks]
     body = [

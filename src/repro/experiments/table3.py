@@ -21,7 +21,6 @@ from repro.datasets.vectors import uniform_vectors
 from repro.experiments.harness import format_table, permutation_count_trials
 from repro.metrics.minkowski import MinkowskiMetric
 from repro.parallel.executor import get_executor
-from repro.parallel.sharedmem import SharedDataset
 
 __all__ = ["Table3Row", "table3_rows", "format_table3"]
 
@@ -52,11 +51,10 @@ def table3_rows(
     n_runs: int = 5,
     seed: int = 20080411,
     workers: Optional[int] = None,
-    shards: Optional[int] = None,
 ) -> List[Table3Row]:
     """Regenerate Table 3 (optionally restricted to fewer cells).
 
-    ``workers`` / ``shards`` parallelize each cell's census trials
+    ``workers`` parallelizes each cell's census trials
     (:mod:`repro.parallel`); site draws and counts are identical to the
     serial run.
     """
@@ -83,24 +81,16 @@ def table3_rows(
                     ]
                 )
                 rho = intrinsic_dimensionality(sample)
-                dataset = (
-                    SharedDataset.publish(points)
-                    if executor.workers
-                    else SharedDataset.local(points)
-                )
                 mean_counts: Dict[int, float] = {}
                 max_counts: Dict[int, int] = {}
-                try:
+                with executor.share(points) as dataset:
                     for k in ks:
                         result = permutation_count_trials(
                             points, metric, k, n_trials=n_runs, rng=rng,
-                            shards=shards, executor=executor,
-                            dataset=dataset,
+                            executor=executor, dataset=dataset,
                         )
                         mean_counts[k] = result.mean
                         max_counts[k] = result.max
-                finally:
-                    dataset.unlink()
                 rows.append(Table3Row(p, d, rho, mean_counts, max_counts))
     return rows
 

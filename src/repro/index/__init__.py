@@ -16,7 +16,7 @@ from repro.index.iaesa import IAESA
 from repro.index.linear import LinearScan
 from repro.index.listclusters import ListOfClusters
 from repro.index.pivots import PivotIndex, select_pivots
-from repro.index.sharded import ShardedIndex, shard_index
+from repro.index.sharded import ShardedIndex
 from repro.index.vptree import VPTree
 
 __all__ = [
@@ -34,5 +34,4 @@ __all__ = [
     "ShardedIndex",
     "VPTree",
     "select_pivots",
-    "shard_index",
 ]

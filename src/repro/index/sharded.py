@@ -84,7 +84,7 @@ from repro.parallel.workerpool import (
     _run_shard_op,
 )
 
-__all__ = ["ShardedIndex", "shard_index"]
+__all__ = ["ShardedIndex"]
 
 InnerFactory = Callable[[Sequence[Any], Metric], Index]
 
@@ -641,36 +641,3 @@ class ShardedIndex(Index):
             f"inner={inner}, engine={engine})"
         )
 
-
-def shard_index(
-    index: Index,
-    *,
-    n_shards: int,
-    inner_factory: Optional[InnerFactory] = None,
-    resident: bool = False,
-    policy: Optional[QueryPolicy] = None,
-    faults: Optional[Sequence[FaultSpec]] = None,
-    budget_split: str = "auto",
-) -> ShardedIndex:
-    """Wrap an existing index's database in a :class:`ShardedIndex`.
-
-    Rebuilds per-shard indexes of ``type(index)`` (or ``inner_factory``)
-    over the same points and metric.  Index types whose constructors need
-    more than ``(points, metric)`` — pivot counts, site counts, seeds —
-    should pass an explicit ``inner_factory`` (e.g. a
-    ``functools.partial``) to control those parameters per shard.
-    ``resident`` (the pooled engine, which needs a picklable factory),
-    ``policy`` / ``faults`` and
-    ``budget_split`` mean exactly what they do on :class:`ShardedIndex`.
-    """
-    factory = inner_factory if inner_factory is not None else type(index)
-    return ShardedIndex(
-        index.points,
-        index.metric.inner,
-        factory,
-        n_shards=n_shards,
-        resident=resident,
-        policy=policy,
-        faults=faults,
-        budget_split=budget_split,
-    )

@@ -2,10 +2,11 @@
 
 Every layer above the metrics parallelizes through this package:
 
-- :mod:`repro.parallel.executor` — the ``workers=`` convention of the
-  censuses and the table generators (``serial_workers``) and their
-  ``map`` seam: a deterministic serial backend and an order-preserving
-  task pool;
+- :mod:`repro.parallel.executor` — the ``workers=`` task pool of the
+  censuses and the table generators (``None``/``0``: serial; ``n``: a
+  pool of ``n`` processes and one row shard per process) and their
+  ``map`` seam: a deterministic serial backend, an order-preserving
+  task pool, and ``share`` for the database the tasks read;
 - :mod:`repro.parallel.sharedmem` — zero-copy publication of vector
   matrices, encoded string collections, and arbitrary payloads to
   worker processes via :mod:`multiprocessing.shared_memory`;
@@ -28,7 +29,6 @@ from repro.parallel.executor import (
     ProcessExecutor,
     SerialExecutor,
     get_executor,
-    serial_workers,
 )
 from repro.parallel.faults import FaultSpec, faults_from_env, parse_faults
 from repro.parallel.sharedmem import (
@@ -61,7 +61,6 @@ __all__ = [
     "faults_from_env",
     "get_executor",
     "parse_faults",
-    "serial_workers",
     "shard_ranges",
     "sharded_census",
     "streaming_census",

@@ -27,16 +27,17 @@ path (``collect_permutations=True``) sorts nothing either: the same
 pair-compare kernel reads each point's Lehmer code off the same blocks
 (:func:`~repro.core.permutation.ranks_from_distances`), and a NaN
 distance raises there as it does in the census.  Shards run through any
-:class:`~repro.parallel.executor.Executor`; the database ships to pool
-workers zero-copy via :class:`~repro.parallel.sharedmem.SharedDataset`,
-and everything shipping *back* is 1-D code arrays — one run per shard,
-and on the ``--dump`` path 8 bytes per point instead of ``k`` ``int64``
-columns.  Results are identical for every ``workers``/``shards``
-combination.
+:class:`~repro.parallel.executor.Executor`, one shard per pool worker
+(one in all on the serial backend); the database ships to pool workers
+zero-copy via :class:`~repro.parallel.sharedmem.SharedDataset`, and
+everything shipping *back* is 1-D code arrays — one run per shard, and
+on the ``--dump`` path 8 bytes per point instead of ``k`` ``int64``
+columns.  Results are identical for every worker count.
 """
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -138,7 +139,6 @@ def sharded_census(
     ks: Optional[Sequence[int]] = None,
     *,
     workers: Optional[int] = None,
-    shards: Optional[int] = None,
     executor: Optional[Executor] = None,
     dataset: Optional[SharedDataset] = None,
     collect_permutations: bool = False,
@@ -153,46 +153,34 @@ def sharded_census(
 
     ``executor`` overrides ``workers`` and is left open for the caller to
     reuse; otherwise an executor is built from ``workers`` and closed
-    before returning.  ``dataset`` may supply an already-published
-    :class:`SharedDataset` of ``points`` (callers looping many censuses
-    over one database publish once); its lifetime stays with the caller.
-    ``shards`` defaults to the worker count (serial runs use one shard).
-    Counts are exact and identical for every ``workers``/``shards``
-    combination: each shard ships one run at ``max(ks)``, the runs merge,
-    and every width in ``ks`` is restricted from the merged run.
+    before returning.  ``dataset`` may supply the executor's
+    :meth:`~repro.parallel.executor.Executor.share` of ``points``
+    (callers looping many censuses over one database share once); its
+    lifetime stays with the caller.  The rows split into one shard per
+    pool worker (one shard on the serial backend).  Counts are exact and
+    identical for every worker count: each shard ships one run at
+    ``max(ks)``, the runs merge, and every width in ``ks`` is restricted
+    from the merged run.
     """
     ks = list(ks) if ks is not None else [len(sites)]
     if any(not 0 <= k <= len(sites) for k in ks):
         raise ValueError(f"prefix lengths must lie in [0, {len(sites)}]")
     top = max(ks, default=0)
-    own_executor = executor is None
-    executor = executor if executor is not None else get_executor(workers)
-    if shards is None:
-        shards = max(1, executor.workers)
-    ranges = shard_ranges(len(points), shards)
-    own_dataset = dataset is None
-    if dataset is None:
-        # Serial execution resolves in-process: no shared-memory segment
-        # (and no /dev/shm requirement) unless a pool will read it.
-        dataset = (
-            SharedDataset.publish(points)
-            if executor.workers
-            else SharedDataset.local(points)
-        )
-    try:
+    with ExitStack() as owned:
+        if executor is None:
+            executor = owned.enter_context(get_executor(workers))
+        if dataset is None:
+            dataset = owned.enter_context(executor.share(points))
         partials = executor.map(
             _census_task,
             [
                 (dataset, start, stop, list(sites), metric, top,
                  collect_permutations)
-                for start, stop in ranges
+                for start, stop in shard_ranges(
+                    len(points), max(1, executor.workers)
+                )
             ],
         )
-    finally:
-        if own_dataset:
-            dataset.unlink()
-        if own_executor:
-            executor.close()
     censuses = _restrictions(
         StreamingCensus.merged(part[0] for part in partials), ks
     )
@@ -216,7 +204,6 @@ def streaming_census(
     ks: Optional[Sequence[int]] = None,
     *,
     workers: Optional[int] = None,
-    shards: Optional[int] = None,
     executor: Optional[Executor] = None,
 ) -> Dict[int, StreamingCensus]:
     """Census of a database consumed as an iterable of row chunks.
@@ -225,7 +212,7 @@ def streaming_census(
     database (e.g. :func:`repro.datasets.io.iter_vector_chunks` over a
     file larger than RAM) and only one chunk — never the database — is
     resident at a time.  Each chunk runs through :func:`sharded_census`
-    (so ``workers``/``shards`` parallelism applies within every chunk)
+    (so ``workers`` parallelism applies within every chunk)
     at the widest width ``max(ks)`` only, and those partial censuses
     merge in chunk order, which is exact: the census is a multiset count,
     so any partition of the rows merges to the same counts as the
@@ -239,21 +226,13 @@ def streaming_census(
     """
     ks = list(ks) if ks is not None else [len(sites)]
     top = max(ks, default=0)
-    own_executor = executor is None
-    executor = executor if executor is not None else get_executor(workers)
     merged = StreamingCensus()
-    try:
+    with ExitStack() as owned:
+        if executor is None:
+            executor = owned.enter_context(get_executor(workers))
         for chunk in chunks:
             partial, _ = sharded_census(
-                chunk,
-                sites,
-                metric,
-                [top],
-                shards=shards,
-                executor=executor,
+                chunk, sites, metric, [top], executor=executor
             )
             merged.merge(partial[top])
-    finally:
-        if own_executor:
-            executor.close()
     return _restrictions(merged, ks)

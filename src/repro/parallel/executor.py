@@ -13,12 +13,12 @@ deterministic reduction over the results is itself deterministic for
 every worker count.
 
 Worker-count convention, used by every ``workers=`` parameter in the
-library: ``None``, ``0``, or ``"serial"`` select the serial backend;
-a positive integer selects a process pool of that size.  Task functions
-and arguments must be picklable for the pool backend (module-level
-functions, classes, ``functools.partial`` — not lambdas); big arrays
-ship zero-copy through :mod:`repro.parallel.sharedmem` descriptors
-instead of pickling.
+library: ``None`` or ``0`` select the serial backend; a positive integer
+selects a process pool of that size.  Task functions and arguments must
+be picklable for the pool backend (module-level functions, classes,
+``functools.partial`` — not lambdas); the database ships zero-copy
+through the :class:`~repro.parallel.sharedmem.SharedDataset` that
+:meth:`Executor.share` returns instead of pickling.
 
 The pool uses the ``forkserver`` start method where available (children
 fork from a clean, preloaded server process: no copy of the parent's
@@ -31,29 +31,16 @@ from __future__ import annotations
 import concurrent.futures
 import multiprocessing
 import os
-from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, List, Optional, Sequence, Tuple
+
+from repro.parallel.sharedmem import SharedDataset
 
 __all__ = [
     "Executor",
     "SerialExecutor",
     "ProcessExecutor",
     "get_executor",
-    "serial_workers",
 ]
-
-WorkerSpec = Union[None, int, str]
-
-
-def serial_workers(workers: WorkerSpec) -> bool:
-    """True when a ``workers=`` value selects the serial backend."""
-    if workers is None or workers == "serial":
-        return True
-    if isinstance(workers, bool) or not isinstance(workers, int):
-        raise ValueError(f"workers must be None, 'serial', or an int >= 0, "
-                         f"got {workers!r}")
-    if workers < 0:
-        raise ValueError(f"workers must be >= 0, got {workers}")
-    return workers == 0
 
 
 class Executor:
@@ -67,6 +54,17 @@ class Executor:
     ) -> List[Any]:
         """Run ``fn(*task)`` for every task, results in task order."""
         raise NotImplementedError
+
+    def share(self, points: Any) -> SharedDataset:
+        """``points`` as this executor's tasks read them; the caller unlinks.
+
+        A pool gets one published shared-memory copy; the serial backend
+        gets a local wrapper, so a serial run allocates no segment (and
+        needs no ``/dev/shm`` space).
+        """
+        if self.workers:
+            return SharedDataset.publish(points)
+        return SharedDataset.local(points)
 
     def close(self) -> None:
         """Release pool resources (idempotent)."""
@@ -162,12 +160,18 @@ class ProcessExecutor(Executor):
         return f"ProcessExecutor(workers={self.workers})"
 
 
-def get_executor(workers: WorkerSpec) -> Executor:
+def get_executor(workers: Optional[int]) -> Executor:
     """Build the executor a ``workers=`` value selects.
 
-    ``None`` / ``0`` / ``"serial"`` give :class:`SerialExecutor`; a
-    positive integer gives a :class:`ProcessExecutor` of that size.
+    ``None`` / ``0`` give :class:`SerialExecutor`; a positive integer
+    gives a :class:`ProcessExecutor` of that size.
     """
-    if serial_workers(workers):
+    if workers is not None and (
+        isinstance(workers, bool) or not isinstance(workers, int)
+        or workers < 0
+    ):
+        raise ValueError(f"workers must be None or an int >= 0, "
+                         f"got {workers!r}")
+    if not workers:
         return SerialExecutor()
-    return ProcessExecutor(int(workers))
+    return ProcessExecutor(workers)

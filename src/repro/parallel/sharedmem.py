@@ -21,9 +21,12 @@ the pinned shard workers and the census tasks) and large worker
 *replies* (one-shot segments, :func:`consume_array`).  Queries ride the
 worker pipes; built shards live only inside their worker.
 
-Descriptors are picklable and resolve through a per-process attachment
-cache, so a worker maps each segment a single time no matter how many
-tasks touch it.  The publishing process owns the segments: call
+Descriptors are picklable and resolve through a per-process cache that
+holds one dataset: a worker maps the segments of the dataset it serves a
+single time no matter how many tasks touch it, and resolving a different
+dataset first unmaps the last one, so a long-lived census pool holds one
+database, not every database it ever counted (a pinned shard worker
+resolves only its own).  The publishing process owns the segments: call
 :meth:`SharedDataset.unlink` (or use the context manager) when the
 workers are done.  In the publishing process itself ``resolve()``
 returns the original object — the serial executor never touches shared
@@ -62,7 +65,8 @@ __all__ = [
 #: Per-process cache of attached segments: name -> (SharedMemory, ndarray).
 _ATTACHED: Dict[str, Tuple[shared_memory.SharedMemory, np.ndarray]] = {}
 
-#: Per-process cache of resolved datasets: lead segment name -> points.
+#: Per-process cache of the resolved dataset: lead segment name -> points
+#: (at most one entry; see :meth:`SharedDataset.resolve`).
 _RESOLVED: Dict[str, Any] = {}
 
 #: Segments this process published and has not yet unlinked.
@@ -163,6 +167,21 @@ def _attach(name: str, dtype: str, shape: Tuple[int, ...]) -> np.ndarray:
     array.flags.writeable = False
     _ATTACHED[name] = (shm, array)
     return array
+
+
+def _release_attached() -> None:
+    """Forget the resolved dataset and unmap every attached segment.
+
+    A mapping that some live view still exports cannot be closed here;
+    dropping the cache's references leaves it to go with that view.
+    """
+    _RESOLVED.clear()
+    while _ATTACHED:
+        shm, _ = _ATTACHED.popitem()[1]
+        try:
+            shm.close()
+        except BufferError:
+            pass
 
 
 def _read_once(name: str, dtype: str, shape: Tuple[int, ...]) -> np.ndarray:
@@ -389,13 +408,18 @@ class SharedDataset:
 
     def resolve(self) -> Any:
         """Return the database: the original in the owner, a shared view
-        (or per-worker reconstruction) elsewhere."""
+        (or per-worker reconstruction) elsewhere.
+
+        A worker keeps only the dataset it resolved last: resolving
+        another one unmaps the previous dataset's segments first.
+        """
         if self._local is not None:
             return self._local
         token = self.arrays[0].name
         cached = _RESOLVED.get(token)
         if cached is not None:
             return cached
+        _release_attached()
         points = self._materialize([a.array() for a in self.arrays])
         _RESOLVED[token] = points
         return points

@@ -13,9 +13,9 @@ lists, no per-request engine calls.
 
 **Adaptive window.**  Under load the window is pure added latency: when
 a window fills to ``max_batch`` before its deadline, the window shrinks
-(halves, floored at ``min_wait_ms``) so the next batch dispatches
-sooner; when a window expires less than half full, it grows back
-(doubles, capped at ``max_wait_ms``).  While the engine thread is busy,
+(halves, down to no wait at all) so the next batch dispatches sooner;
+when a window expires less than half full, it grows back (doubles,
+capped at ``max_wait_ms``).  While the engine thread is busy,
 arrivals pile into the next window for free, but the timer still runs:
 with fewer than ``max_batch / 2`` rows queued every window expires less
 than half full, so the window stays at ``max_wait_ms`` and each one
@@ -78,28 +78,20 @@ class BatchConfig:
     ``max_batch`` caps the query rows per batching window (a full
     window dispatches immediately); ``max_wait_ms`` is the longest a
     lone request waits for company and the ceiling of the adaptive
-    window; ``min_wait_ms`` is the adaptive floor (0: a saturated
-    server dispatches without any timer wait); ``adaptive=False`` pins
-    the window at ``max_wait_ms``.  ``max_queue`` bounds admitted query
-    rows (queued + in-flight) — the backpressure limit.
+    window, whose floor is 0 (a saturated server dispatches without any
+    timer wait).  ``max_queue`` bounds admitted query rows (queued +
+    in-flight) — the backpressure limit.
     """
 
     max_batch: int = 64
     max_wait_ms: float = 2.0
-    min_wait_ms: float = 0.0
-    adaptive: bool = True
     max_queue: int = 4096
 
     def __post_init__(self):
         if self.max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.max_wait_ms < 0 or self.min_wait_ms < 0:
+        if self.max_wait_ms < 0:
             raise ValueError("window bounds must be >= 0")
-        if self.min_wait_ms > self.max_wait_ms:
-            raise ValueError(
-                f"min_wait_ms {self.min_wait_ms} exceeds max_wait_ms "
-                f"{self.max_wait_ms}"
-            )
         if self.max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {self.max_queue}")
 
@@ -325,12 +317,9 @@ class MicroBatcher:
             await self._dispatch(batch)
 
     def _adapt_window(self, filled_early: bool) -> None:
-        if not self.config.adaptive:
-            return
-        floor = self.config.min_wait_ms / 1000.0
         ceiling = self.config.max_wait_ms / 1000.0
         if filled_early:
-            self._window = max(floor, self._window / 2.0)
+            self._window /= 2.0
         elif self._pending_queries < self.config.max_batch / 2:
             self._window = min(ceiling, max(self._window * 2.0, 1e-4))
         self.stats.current_window_s = self._window

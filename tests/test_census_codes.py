@@ -34,7 +34,8 @@ from repro.datasets.dictionaries import synthetic_dictionary
 from repro.datasets.sequences import mutation_cascade_sequences
 from repro.datasets.vectors import uniform_vectors
 from repro.metrics import CountingMetric, EuclideanDistance, LevenshteinDistance
-from repro.parallel.census import sharded_census, streaming_census
+from repro.parallel.census import shard_ranges, sharded_census, streaming_census
+from repro.parallel.executor import get_executor
 
 #: (distances of one point to sites 0.., {width: insertion code}).  The
 #: digit of site m is its rank among sites 0..m, ties to the lower index;
@@ -361,7 +362,7 @@ class TestRestriction:
         sites = points[:5]
         metric = EuclideanDistance()
         ks = [1, 3, 5]
-        empty, _ = sharded_census(points[:0], sites, metric, ks, shards=3)
+        empty, _ = sharded_census(points[:0], sites, metric, ks)
         assert sorted(empty) == ks
         assert all(empty[j].total == empty[j].distinct == 0 for j in ks)
         whole, _ = sharded_census(points, sites, metric, ks)
@@ -410,10 +411,22 @@ class TestCensusAnswersIdentical:
         "workers,shards", [(0, None), (0, 4), (2, 2), (2, 4)]
     )
     def test_dictionary_every_engine(self, dictionary, workers, shards):
+        # ``shards`` row ranges (None: the whole list), each counted on
+        # the engine ``workers`` selects, merge to the argsort census.
         words, sites, metric, expected = dictionary
-        censuses, _ = sharded_census(
-            words, sites, metric, self.KS, workers=workers, shards=shards
-        )
+        ranges = shard_ranges(len(words), shards or 1)
+        with get_executor(workers) as executor:
+            parts = [
+                sharded_census(
+                    words[start:stop], sites, metric, self.KS,
+                    executor=executor,
+                )[0]
+                for start, stop in ranges
+            ]
+        censuses = {
+            k: StreamingCensus.merged(part[k] for part in parts)
+            for k in self.KS
+        }
         _assert_census_equals(censuses, expected)
 
     def test_dictionary_streamed_in_32768_row_chunks(self, dictionary):
@@ -440,7 +453,7 @@ class TestCensusAnswersIdentical:
         sites = genes[::57][:6]
         metric = LevenshteinDistance()
         ks = [2, 4, 0, 6, 1, 4]  # trivial widths and a repeat, unsorted
-        censuses, _ = sharded_census(genes, sites, metric, ks, shards=3)
+        censuses, _ = sharded_census(genes, sites, metric, ks)
         _assert_census_equals(censuses, _argsort_census(genes, sites, metric, ks))
 
     def test_uniform_vectors(self):
@@ -449,7 +462,7 @@ class TestCensusAnswersIdentical:
         sites = points[rng.choice(len(points), 12, replace=False)]
         metric = EuclideanDistance()
         ks = [3, 7, 12]
-        censuses, _ = sharded_census(points, sites, metric, ks, shards=2)
+        censuses, _ = sharded_census(points, sites, metric, ks)
         _assert_census_equals(censuses, _argsort_census(points, sites, metric, ks))
 
     def test_digests_recorded_at_the_argsort_commit(self):

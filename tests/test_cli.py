@@ -234,6 +234,36 @@ class TestOtherCommands:
         assert code == 0
         assert "long" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv, message", [
+        (["table3", "--runs", "0"], "--runs must be >= 1"),
+        (["table3", "--n", "3", "--ks", "4"],
+         "--ks must lie in [2, --n] = [2, 3]"),
+        (["table3", "--ks", "1"], "--ks must lie in [2, --n]"),
+        (["table3", "--dims", "0"], "--dims must be >= 1"),
+        (["table2", "--n", "5"],
+         "--n must be 0 (the preset size) or >= 12"),
+    ])
+    def test_table_sizes_rejected_before_any_database(
+        self, argv, message, capsys, monkeypatch
+    ):
+        """A size no census can run on fails like every other flag: one
+        ``error:`` line and exit 1, before any database is drawn."""
+        def never(*args, **kwargs):
+            raise AssertionError("a database was drawn before validation")
+
+        monkeypatch.setattr("repro.experiments.table3.uniform_vectors", never)
+        monkeypatch.setattr("repro.experiments.table2.load_database", never)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert err.count("\n") == 1
+
+    def test_table3_too_few_points_for_rho_exits_cleanly(self, capsys):
+        # Two points give one sampled pair: no rho estimate.
+        assert main(["table3", "--n", "2", "--ks", "2", "--dims", "1",
+                     "--runs", "1"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestParallelFlags:
     """--workers / --shards / --resident wiring plus the table3 --seed flag."""
@@ -258,7 +288,7 @@ class TestParallelFlags:
                 "--metric", "levenshtein", "--sites", "3", "--seed", "4"]
         assert main(argv) == 0
         serial = capsys.readouterr().out
-        assert main(argv + ["--workers", "2", "--shards", "3"]) == 0
+        assert main(argv + ["--workers", "2"]) == 0
         parallel = capsys.readouterr().out
         assert serial == parallel
 
@@ -267,7 +297,7 @@ class TestParallelFlags:
     ])
     def test_census_paths_agree(self, tmp_path, capsys, rng, kind, metric):
         """Serial, pooled and disk-streamed censuses print the same
-        report; serial and sharded dumps are the same bytes."""
+        report; serial and pooled dumps are the same bytes."""
         path = tmp_path / "db.txt"
         if kind == "vectors":
             # An integer grid: heavy distance ties under L1.
@@ -287,7 +317,7 @@ class TestParallelFlags:
         for report in reports[1:]:
             assert report[1:] == serial[1:]
         dumps = []
-        for flags in ([], ["--shards", "2"]):
+        for flags in ([], ["--workers", "2"]):
             dump = tmp_path / f"perms{len(dumps)}.txt"
             assert main(argv + flags + ["--dump", str(dump)]) == 0
             capsys.readouterr()
@@ -306,8 +336,11 @@ class TestParallelFlags:
         assert main(argv) == 1
         assert "--workers must be >= 0" in capsys.readouterr().err
         assert main(["table3", "--dims", "1", "--ks", "4", "--n", "100",
-                     "--runs", "1", "--shards", "0"]) == 1
-        assert "--shards must be >= 1" in capsys.readouterr().err
+                     "--runs", "1", "--workers", "-1"]) == 1
+        assert "--workers must be >= 0" in capsys.readouterr().err
+        # The census row shards follow the pool size; there is no flag.
+        with pytest.raises(SystemExit):
+            main(argv + ["--shards", "2"])
 
     def test_search_sharded_matches_unsharded(self, tmp_path, capsys, rng):
         path = tmp_path / "vectors.txt"
@@ -384,8 +417,7 @@ class TestResilienceFlags:
 class TestServeFlags:
     @pytest.mark.parametrize("flags, message", [
         (["--max-batch", "0"], "max_batch must be >= 1, got 0"),
-        (["--min-wait-ms", "5", "--max-wait-ms", "1"],
-         "min_wait_ms 5.0 exceeds max_wait_ms 1.0"),
+        (["--max-wait-ms", "-1"], "window bounds must be >= 0"),
         (["--max-queue", "0", "--shards", "2", "--resident"],
          "max_queue must be >= 1, got 0"),
     ])

@@ -43,6 +43,12 @@ class TestHarness:
         with pytest.raises(ValueError):
             permutation_count_trials(rng.random((10, 2)), EuclideanDistance(), k=11)
 
+    def test_trials_reject_no_trials(self, rng):
+        with pytest.raises(ValueError, match="n_trials"):
+            permutation_count_trials(
+                rng.random((10, 2)), EuclideanDistance(), k=3, n_trials=0
+            )
+
     def test_format_table_alignment(self):
         text = format_table(["a", "b"], [[1, 22], [333, 4]])
         lines = text.splitlines()

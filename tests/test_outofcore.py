@@ -474,7 +474,7 @@ class TestStreamingCensus:
         chunks = [points[i:i + 48] for i in range(0, 200, 48)]
         serial = streaming_census(iter(chunks), sites, metric, ks=[4])
         parallel = streaming_census(
-            iter(chunks), sites, metric, ks=[4], workers=2, shards=4
+            iter(chunks), sites, metric, ks=[4], workers=2
         )
         _census_equal(parallel, serial)
 

@@ -1,7 +1,7 @@
 """Tests for the multi-core execution layer (:mod:`repro.parallel`).
 
 The contract under test everywhere: results are *identical* for every
-``workers`` / ``shards`` combination — the serial backend defines the
+worker count and every row partition — the serial backend defines the
 semantics and the process pool must reproduce them exactly, including
 census counts, frequency-of-frequency spectra, and site-draw order.
 """
@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.estimate import StreamingCensus
 from repro.core.permutation import permutations_from_distances
@@ -22,7 +24,6 @@ from repro.parallel import (
     SharedDataset,
     decode_strings,
     get_executor,
-    serial_workers,
     shard_ranges,
     sharded_census,
 )
@@ -45,19 +46,14 @@ def _fail(x):
 
 class TestExecutor:
     def test_worker_spec(self):
-        assert serial_workers(None)
-        assert serial_workers(0)
-        assert serial_workers("serial")
-        assert not serial_workers(1)
-        with pytest.raises(ValueError):
-            serial_workers(-1)
-        with pytest.raises(ValueError):
-            serial_workers("four")
+        # Serial is None or 0; nothing else spells it.
+        for bad in (-1, "serial", "four", True, 2.0):
+            with pytest.raises(ValueError, match="workers must be"):
+                get_executor(bad)
 
     def test_get_executor_kinds(self):
         assert isinstance(get_executor(None), SerialExecutor)
         assert isinstance(get_executor(0), SerialExecutor)
-        assert isinstance(get_executor("serial"), SerialExecutor)
         with get_executor(1) as executor:
             assert isinstance(executor, ProcessExecutor)
             assert executor.workers == 1
@@ -97,6 +93,13 @@ def _resolve_remote(dataset):
     return list(points)
 
 
+def _attached_segments():
+    """The shared-memory segments this worker process still maps."""
+    from repro.parallel import sharedmem
+
+    return sorted(sharedmem._ATTACHED)
+
+
 class TestSharedMemory:
     def test_array_roundtrip_owner(self):
         array = np.arange(12, dtype=np.float64).reshape(3, 4)
@@ -133,6 +136,20 @@ class TestSharedMemory:
                 [result] = pool.map(_resolve_remote, [(dataset,)])
                 assert check(result)
 
+    def test_worker_keeps_only_the_dataset_it_serves(self):
+        # A reused pool must not pin every database it ever resolved:
+        # resolving another dataset unmaps the last one's segments.
+        rng = np.random.default_rng(5)
+        databases = [rng.random((64, 2)), ["ab", "", "abc"], rng.random((9, 3))]
+        with ProcessExecutor(1) as executor:
+            for points in databases:
+                with executor.share(points) as dataset:
+                    [resolved] = executor.map(_resolve_remote, [(dataset,)])
+                    assert np.array_equal(resolved, points)
+                    names = sorted(a.name for a in dataset.arrays)
+                [attached] = executor.map(_attached_segments, [()])
+                assert attached == names
+
     def test_decode_strings_inverse(self):
         from repro.metrics.encoding import EncodedStrings
 
@@ -163,9 +180,7 @@ class TestSharedMemory:
         )
         points = rng.random((50, 2))
         sites = [points[0], points[1], points[2]]
-        censuses, _ = sharded_census(
-            points, sites, EuclideanDistance(), shards=3
-        )
+        censuses, _ = sharded_census(points, sites, EuclideanDistance())
         assert censuses[3].total == 50
         trials = permutation_count_trials(
             points, EuclideanDistance(), k=3, n_trials=2,
@@ -215,6 +230,43 @@ class TestStreamingCensusMerge:
             == whole.frequency_of_frequencies()
         )
         assert merged.chao1() == whole.chao1()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(0, 120),
+        splits=st.integers(1, 7),
+        seed=st.integers(0, 2**16),
+    )
+    def test_merged_over_shard_ranges_equals_whole(self, n, splits, seed):
+        # A census is exactly mergeable over any row partition, which is
+        # why the shard count is the pool size and not a setting.
+        rng = np.random.default_rng(seed)
+        # An integer grid: heavy distance ties, many repeated codes.
+        points = rng.integers(0, 3, size=(n, 3)).astype(float)
+        sites = rng.integers(0, 3, size=(5, 3)).astype(float)
+        metric = EuclideanDistance()
+        ks = [2, 5]
+        whole, perms = sharded_census(
+            points, sites, metric, ks, collect_permutations=True
+        )
+        parts = [
+            sharded_census(
+                points[start:stop], sites, metric, ks,
+                collect_permutations=True,
+            )
+            for start, stop in shard_ranges(n, splits)
+        ]
+        for k in ks:
+            merged = StreamingCensus.merged(part[0][k] for part in parts)
+            assert (merged.total, merged.distinct) == (
+                whole[k].total, whole[k].distinct
+            )
+            np.testing.assert_array_equal(merged.codes, whole[k].codes)
+            np.testing.assert_array_equal(merged.counts, whole[k].counts)
+        if parts:
+            np.testing.assert_array_equal(
+                np.concatenate([part[1] for part in parts]), perms
+            )
 
     def test_merged_single_partial_is_a_copy(self, rng):
         # One non-empty partial (every serial census) is already sorted
@@ -281,32 +333,30 @@ class TestShardedCensus:
     def test_invariance_across_workers_and_shards(
         self, fixture, request, pool
     ):
+        # The serial run is one shard; the pool splits the rows into one
+        # shard per worker and ships the Lehmer codes back across IPC.
         points, sites, metric = request.getfixturevalue(fixture)
         ks = [2, len(sites)]
         reference, ref_perms = sharded_census(
             points, sites, metric, ks=ks, collect_permutations=True
         )
-        for shards in (1, 4):
-            for executor in (None, pool):
-                censuses, perms = sharded_census(
-                    points, sites, metric, ks=ks, shards=shards,
-                    executor=executor, collect_permutations=True,
-                )
-                for k in ks:
-                    assert censuses[k].distinct == reference[k].distinct
-                    assert (
-                        censuses[k].frequency_of_frequencies()
-                        == reference[k].frequency_of_frequencies()
-                    )
-                assert np.array_equal(perms, ref_perms)
+        censuses, perms = sharded_census(
+            points, sites, metric, ks=ks, executor=pool,
+            collect_permutations=True,
+        )
+        for k in ks:
+            assert censuses[k].distinct == reference[k].distinct
+            assert (
+                censuses[k].frequency_of_frequencies()
+                == reference[k].frequency_of_frequencies()
+            )
+        assert np.array_equal(perms, ref_perms)
 
     def test_prefix_is_recomputed_not_sliced(self, vector_data):
         # The permutation of a site prefix is not a prefix of the full
         # permutation; a k-prefix census can never exceed k!.
         points, sites, metric = vector_data
-        censuses, _ = sharded_census(
-            points, sites, metric, ks=[2, 3], shards=3
-        )
+        censuses, _ = sharded_census(points, sites, metric, ks=[2, 3])
         assert censuses[2].distinct <= 2
         assert censuses[3].distinct <= 6
 
@@ -317,10 +367,8 @@ class TestShardedCensus:
 
 
 class TestPermutationCountTrials:
-    @pytest.mark.parametrize("workers,shards", [
-        (None, None), (None, 4), (1, 1), (2, 4),
-    ])
-    def test_invariance(self, workers, shards):
+    @pytest.mark.parametrize("workers", [None, 1, 2])
+    def test_invariance(self, workers):
         rng = np.random.default_rng(2008)
         points = np.random.default_rng(9).random((100, 2))
         metric = EuclideanDistance()
@@ -330,6 +378,6 @@ class TestPermutationCountTrials:
         )
         result = permutation_count_trials(
             points, metric, k=4, n_trials=3, rng=rng,
-            workers=workers, shards=shards,
+            workers=workers,
         )
         assert result.counts == reference.counts

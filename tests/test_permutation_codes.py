@@ -41,7 +41,8 @@ from repro.metrics import (
     LevenshteinDistance,
     PrefixDistance,
 )
-from repro.parallel.census import sharded_census
+from repro.parallel.census import shard_ranges, sharded_census
+from repro.parallel.executor import get_executor
 
 
 def _random_perms(rng, n, k):
@@ -422,14 +423,24 @@ class TestShardMergeGrid:
     @pytest.mark.parametrize("workers", [0, 2])
     @pytest.mark.parametrize("shards", [1, 3, 4])
     def test_equals_whole_database_census(self, rng, workers, shards):
+        # ``shards`` row ranges, each counted on the engine ``workers``
+        # selects, merge to the census of the whole database.
         points = rng.random((240, 3))
         sites = [points[i] for i in range(6)]
         metric = EuclideanDistance()
         reference, _ = sharded_census(points, sites, metric, ks=[3, 6])
-        censuses, _ = sharded_census(
-            points, sites, metric, ks=[3, 6],
-            workers=workers, shards=shards,
-        )
+        with get_executor(workers) as executor:
+            parts = [
+                sharded_census(
+                    points[start:stop], sites, metric, ks=[3, 6],
+                    executor=executor,
+                )[0]
+                for start, stop in shard_ranges(len(points), shards)
+            ]
+        censuses = {
+            k: StreamingCensus.merged(part[k] for part in parts)
+            for k in (3, 6)
+        }
         for k in (3, 6):
             assert censuses[k].distinct == reference[k].distinct
             assert censuses[k].total == reference[k].total

@@ -27,11 +27,11 @@ from repro.index import (
     LinearScan,
     ShardedIndex,
     VPTree,
-    shard_index,
 )
 from repro.index.serialize import load_sharded, save_sharded
 from repro.metrics import EuclideanDistance, LevenshteinDistance
-from repro.parallel.workerpool import WorkerPool
+from repro.parallel.faults import FaultSpec
+from repro.parallel.workerpool import QueryPolicy, WorkerPool
 
 RESIDENT_GRID = [False, True]
 SHARD_GRID = [1, 4]
@@ -288,12 +288,16 @@ class TestBuild:
             ShardedIndex(points, metric, LinearScan, n_shards=0)
 
     def test_wrap_existing_index(self, vector_setup):
+        # Sharding a built index: a ShardedIndex over its database with
+        # its type (or a partial carrying its configuration) as factory.
         points, queries, metric = vector_setup
         base = LinearScan(points, metric)
-        wrapped = shard_index(base, n_shards=4)
-        assert _signature(wrapped.knn_batch(queries, 5)) == _signature(
-            base.knn_batch(queries, 5)
-        )
+        with ShardedIndex(
+            base.points, metric, type(base), n_shards=4
+        ) as wrapped:
+            assert _signature(wrapped.knn_batch(queries, 5)) == _signature(
+                base.knn_batch(queries, 5)
+            )
 
     def test_close_idempotent(self, vector_setup):
         points, queries, metric = vector_setup
@@ -348,24 +352,39 @@ class TestShardedSerialization:
 
 class TestWorkloadRunner:
     def test_workload_shards_and_workers(self, string_setup):
+        # Sharded workloads run through a ShardedIndex, on either engine;
+        # the pooled one reports its resilience and reply-volume fields.
         words, queries, metric = string_setup
         base = LinearScan(words, metric)
         reference = run_query_workload(base, queries, kind="knn", k=4)
         for resident in RESIDENT_GRID:
-            report = run_query_workload(
-                base, queries, kind="knn", k=4, shards=4, resident=resident,
-            )
+            with ShardedIndex(
+                words, metric, LinearScan, n_shards=4, resident=resident
+            ) as index:
+                report = run_query_workload(index, queries, kind="knn", k=4)
             assert report.results == reference.results
             assert (
                 report.distance_evaluations == reference.distance_evaluations
             )
             assert report.n_queries == reference.n_queries
+            assert not report.degraded
+            if resident:
+                assert report.shards_answered == 4
+                assert report.reply_bytes > 0
+                assert len(report.shard_reply_bytes) == 4
 
-    def test_workload_warns_on_lossy_default_rebuild(self, string_setup):
+    def test_workload_reports_a_partial_pooled_answer(self, string_setup):
         words, queries, metric = string_setup
-        base = DistPermIndex(words, metric, n_sites=4, site_strategy="first")
-        with pytest.warns(UserWarning, match="inner_factory"):
-            run_query_workload(base, queries, kind="knn", k=3, shards=2)
+        with ShardedIndex(
+            words, metric, LinearScan, n_shards=3, resident=True,
+            policy=QueryPolicy(retries=0, on_partial="degrade"),
+            faults=[FaultSpec("kill", shard=1, request=1)],
+        ) as index:
+            report = run_query_workload(index, queries, kind="knn", k=4)
+        assert report.degraded
+        assert report.shards_answered == 2
+        assert report.shard_reply_bytes[1] is None
+        assert report.reply_bytes > 0
 
     def test_workload_accepts_prebuilt_sharded(self, string_setup):
         words, queries, metric = string_setup
@@ -373,6 +392,6 @@ class TestWorkloadRunner:
         reference = run_query_workload(base, queries, kind="range", radius=2.0)
         with ShardedIndex(words, metric, LinearScan, n_shards=3) as index:
             report = run_query_workload(
-                index, queries, kind="range", radius=2.0, shards=3
+                index, queries, kind="range", radius=2.0
             )
             assert report.results == reference.results
