@@ -27,8 +27,9 @@ and costs:
   produce counts identical to the in-memory sharded census.
 
 The guards are armed in *every* mode, including ``--smoke`` (CI):
-byte-identical mmap answers, the residency bound, and census equality
-all assert before any JSON is written.
+byte-identical mmap answers — batches, and single queries on the
+partial cache, which take the bounded scan — the residency bound, and
+census equality all assert before any JSON is written.
 
     PYTHONPATH=src python benchmarks/bench_outofcore.py           # full
     PYTHONPATH=src python benchmarks/bench_outofcore.py --smoke   # CI
@@ -56,6 +57,7 @@ from benchmarks.e2e.machine import peak_rss_mb  # noqa: E402
 from repro.core.permutation import compact_position_dtype  # noqa: E402
 from repro.datasets.io import iter_vector_chunks, save_vectors  # noqa: E402
 from repro.index import DistPermIndex, distperm  # noqa: E402
+from repro.index.base import NeighborArrays  # noqa: E402
 from repro.index.serialize import load_distperm, save_distperm  # noqa: E402
 from repro.metrics import EuclideanDistance  # noqa: E402
 from repro.parallel.census import sharded_census, streaming_census  # noqa: E402
@@ -214,6 +216,14 @@ def _measure_inprocess(points, payload, backing, cache_bytes):
             "qps": round(N_QUERIES / elapsed, 2) if elapsed > 0 else None,
             "digest": _digest(answers[0]),
         }
+        if backing == "mmap" and not fits:
+            # One query at a time is a chunk the bounded scan takes (it
+            # decodes only codes whose prefix bound reaches the budget);
+            # the caller checks its rows against the RAM batch.
+            result["single_digest"] = _digest(NeighborArrays.concat([
+                index.knn_approx_batch_arrays(query[None], KNN, budget=BUDGET)
+                for query in queries
+            ]))
         if fits:
             # (No RSS here: this process holds the RAM index too.)
             result["paired_ram_qps"] = round(
@@ -307,6 +317,11 @@ def bench_throughput_curve(sizes, workdir, *, subprocesses):
         if mapped["digest"] != ram["digest"]:
             raise AssertionError(
                 f"n={n}: mmap answers diverge from the RAM path"
+            )
+        if mapped["single_digest"] != ram["digest"]:
+            raise AssertionError(
+                f"n={n}: single mmap queries (the bounded scan) diverge "
+                f"from the RAM batch"
             )
         curve.append({
             "n": n,

@@ -262,9 +262,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _workers_error(args: argparse.Namespace) -> Optional[str]:
-    """Validate --workers; returns an error message or None."""
+    """Validate --workers and --seed (numpy seeds from nonnegative ints)
+    of a census command; returns an error message or None."""
     if args.workers is not None and args.workers < 0:
         return "--workers must be >= 0"
+    if args.seed < 0:
+        return "--seed must be >= 0"
     return None
 
 
@@ -324,9 +327,13 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 
 def _table2_error(args: argparse.Namespace) -> Optional[str]:
-    """Validate the table2 sizes before any database is drawn."""
+    """Validate the table2 names and sizes before any database is drawn."""
+    from repro.datasets.sisap import DATABASE_NAMES
     from repro.experiments.table2 import PAPER_KS
 
+    unknown = " ".join(sorted(set(args.names or ()) - set(DATABASE_NAMES)))
+    if unknown:
+        return f"unknown --names {unknown}; choose from {' '.join(DATABASE_NAMES)}"
     if args.n != 0 and args.n < max(PAPER_KS):
         return (f"--n must be 0 (the preset size) or >= {max(PAPER_KS)}, "
                 "the widest site draw")

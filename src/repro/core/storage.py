@@ -20,6 +20,7 @@ straight into the scan's tile.  The class docstring says why for both.
 
 from __future__ import annotations
 
+import itertools
 import math
 import mmap as _mmap
 import os
@@ -165,9 +166,9 @@ class MappedCodeStore:
     :func:`~repro.core.bitpack.unpack_ids` call on the block's slice of
     the map — read in place, no intermediate copy — plus a range check
     against ``k!``; the index's census, a RAM load and the load-time
-    probe read codes once and are done.  :meth:`positions_block` adds the Lehmer
-    unrank (:func:`~repro.core.permutation.decode_positions`) and is what
-    :class:`~repro.index.distperm.DistPermIndex` scans: rank positions of
+    probe read codes once.  :meth:`positions_block` adds the Lehmer unrank
+    (:func:`~repro.core.permutation.decode_positions`; :meth:`scan_blocks`
+    skips it past the cache) and is what the index scans: rank positions of
     a range of blocks, one contiguous row per site, written into the
     caller's ``(k, width)`` tile.  The uncached blocks of the range are
     decoded a *run* at a time — one unpack, one range check and one
@@ -378,25 +379,62 @@ class MappedCodeStore:
             block = run
         return out
 
+    def _missed_run(self, first: int, stop: int) -> Tuple[np.ndarray, int]:
+        """Codes of blocks ``[first, stop)`` and the index of the first
+        outside ``[0, k!)`` (else ``len(codes)``); a miss per block read."""
+        start = first * self.block_elements
+        codes = self._unpacked(start, self.block_range(stop - 1)[1])
+        bad = self._first_out_of_range(codes)
+        self.cache_misses += min(stop - first, bad // self.block_elements + 1)
+        return codes, bad
+
     def _decode_run(self, first: int, stop: int, out: np.ndarray) -> None:
         """Decode blocks ``[first, stop)`` into ``out``, exactly their
         columns, and retain each block that fits."""
         block_elements = self.block_elements
-        start = first * block_elements
-        codes = self._unpacked(start, start + out.shape[1])
-        bad = self._first_out_of_range(codes)
-        clean = stop
-        if bad < codes.shape[0]:
-            clean = first + bad // block_elements
+        codes, bad = self._missed_run(first, stop)
+        clean = stop if bad == codes.shape[0] else first + bad // block_elements
         width = min(codes.shape[0], (clean - first) * block_elements)
-        self.cache_misses += clean - first
         decode_positions(codes[:width], self.k, out=out[:, :width].T)
         for block in range(first, clean):
             lo = (block - first) * block_elements
             self._retain(block, out[:, lo : lo + block_elements])
-        if clean < stop:
-            self.cache_misses += 1
-            raise self._corrupt(start + bad)
+        if bad < codes.shape[0]:
+            raise self._corrupt(first * block_elements + bad)
+
+    def scan_blocks(
+        self,
+    ) -> Iterator[Tuple[int, int, Optional[np.ndarray], Optional[np.ndarray]]]:
+        """Read every block once, unranking only what the cache holds.
+
+        Yields ``(start, stop, positions, codes)`` per maximal run of
+        blocks, in order, one of the two arrays set: the ``(k, width)``
+        positions of a run the cache holds (retained blocks, and blocks
+        that fit and are retained on this first touch), read through
+        :meth:`positions_block`; else the run's range-checked uint64
+        codes, not unranked.  Hits, misses, retention and
+        :class:`PayloadCorruptError` offsets are :meth:`positions_block`'s.
+        """
+        self.advise("sequential")
+        room = self.cache_bytes - self.current_cache_bytes
+        row_bytes = self.k * compact_position_dtype(self.k).itemsize
+        held = []
+        for block in range(self.n_blocks):
+            nbytes = (self.block_range(block)[1] - block * self.block_elements) * row_bytes
+            fits = block not in self._blocks and nbytes <= room
+            room -= nbytes * fits
+            held.append(fits or block in self._blocks)
+        for kept, run in itertools.groupby(range(self.n_blocks), held.__getitem__):
+            blocks = list(run)
+            first, end = blocks[0], blocks[-1] + 1
+            start, stop = first * self.block_elements, self.block_range(end - 1)[1]
+            if kept:
+                yield start, stop, self.positions_block(first, end), None
+                continue
+            codes, bad = self._missed_run(first, end)
+            if bad < codes.shape[0]:
+                raise self._corrupt(start + bad)
+            yield start, stop, None, codes
 
     def _retain(self, block: int, positions: np.ndarray) -> None:
         """Cache a read-only copy of ``positions`` if it fits the budget."""

@@ -57,13 +57,17 @@ the fill: blocks the store's cache of decoded *positions* retained are
 copied in, and each run of the others is unpacked and Lehmer-unranked
 (:func:`~repro.core.permutation.decode_positions`) in one pass straight
 into the tile.  On a 2-vCPU x86-64 box at ``k = 12`` that costs
-≈ 23 ns per code, and a single query against 200k mapped points with 4
-of their 25 blocks cached takes ≈ 5 ms, nearly all of it decoding.  Chunks
-are sized in bytes of the footrule matrix (32 MiB, see
-:func:`~repro.index.batching.query_chunks`; 167 queries against 200k
-points at one byte per entry) and every chunk walks all blocks once, so
-the decode cost is per block per chunk, not per query, and nothing at
-all for the blocks the cache retained.
+≈ 23 ns per code.  Chunks are sized in bytes of the footrule matrix
+(32 MiB, see :func:`~repro.index.batching.query_chunks`; 167 queries
+against 200k points at one byte per entry) and every chunk walks all
+blocks once, so the decode cost is per block per chunk, not per query,
+and nothing at all for the blocks the cache retained.
+
+A chunk of at most :data:`_BOUNDED_QUERIES` queries decodes fewer codes
+instead (:meth:`DistPermIndex._bounded_candidates`): a code's first sites
+bound its footrule, and only codes whose bound can reach the budget
+boundary are unranked.  A single query against 200k mapped points with
+4 of 25 blocks cached takes ≈ 4–5 ms, against ≈ 7–8 ms decoding them all.
 
 *Select.*  :func:`_budget_candidates` finds each row's budget boundary
 without counting the row: a strided sample guesses it and byte-wide
@@ -106,7 +110,9 @@ from repro.core.permutation import (
     compact_footrule_dtype,
     compact_position_dtype,
     decode_permutations,
+    decode_positions,
     footrule_matrix_batch,
+    footrule_prefix_bounds,
     ranked_permutations,
     site_ranks,
     workspace_buffer,
@@ -134,6 +140,13 @@ _TILE_BYTES = 1 << 20
 
 #: Entries :func:`_budget_candidates` samples to guess a row's boundary.
 _BOUNDARY_SAMPLE = 4096
+
+#: Largest query chunk an mmap index whose cache cannot hold every block
+#: scores by :meth:`DistPermIndex._bounded_candidates` (decodes per query).
+#: On 200k x 8-d points, k = 12, 4 of 25 blocks cached, budget 2000
+#: (2-vCPU x86-64), chunks of 1 / 2 / 3 / 4 / 8 queries took 0.59 / 0.78 /
+#: 1.0 / 1.1 / 1.45 of the time of the decode larger chunks share.
+_BOUNDED_QUERIES = 2
 
 #: Candidates one refine call scores at most (:func:`_refine_groups`):
 #: 1 MiB of ids plus 1 MiB of distances.
@@ -594,6 +607,72 @@ class DistPermIndex(Index):
                 out[q] -= counts @ values / n
         return out
 
+    def _bounded_candidates(
+        self, query_perms: np.ndarray, budgets: np.ndarray
+    ) -> List[np.ndarray]:
+        """:func:`_budget_candidates` of each footrule row of an mmap index
+        whose cache cannot hold every block, decoding only codes whose
+        prefix bound ``L <= F`` is at most ``t``.
+
+        ``t`` starts one above the boundary a sample of exact footrules
+        suggests and widens by 2 (footrules are even) until ``budget``
+        entries are ``<= t``.  The row then holds ``F`` where ``F <= t``
+        and an ``L > t`` elsewhere, and its boundary is at most ``t``: each
+        compare :func:`_budget_candidates` makes reads as on the exact row.
+        """
+        k, n = self.n_sites, len(self.points)
+        workspace = self._footrule_workspace
+        dtype = compact_footrule_dtype(k)
+        rows = workspace_buffer(workspace, "footrules", (len(query_perms), n), dtype)
+        held, runs, parts = [], [], []
+        for start, stop, positions, codes in self._code_store.scan_blocks():
+            if codes is not None:
+                runs.append(start)
+                parts.append(codes)
+            else:
+                held.append(rows[:, start:stop])
+                footrule_matrix_batch(None, query_perms, positions=positions.T,
+                                      workspace=workspace, out=held[-1])
+        codes = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        # Code i of ``codes`` from run r (ends[r - 1] <= i < ends[r]) is
+        # column i + shift[r] of the row.
+        ends = np.cumsum([len(part) for part in parts])
+        shift = np.array(runs) - ends + [len(part) for part in parts]
+        tables, divisor = footrule_prefix_bounds(query_perms, k)
+        # Prefixes are below 2**14: viewed as intp, no gather re-casts them.
+        prefixes = (codes // np.uint64(divisor)).view(np.intp)
+        bounds = np.empty(len(codes), dtype)
+        if held:
+            samples = np.concatenate(held, axis=1)
+        else:
+            picked = codes[:: max(1, len(codes) // _BOUNDARY_SAMPLE)]
+            samples = footrule_matrix_batch(
+                None, query_perms, positions=decode_positions(picked, k)
+            )
+        candidates = []
+        for q, budget in enumerate(budgets):
+            row, budget = rows[q], int(budget)
+            if 0 < budget < n:
+                np.take(tables[q], prefixes, out=bounds)
+                for first, part in zip(runs, np.split(bounds, ends[:-1])):
+                    row[first : first + len(part)] = part
+                sampled = np.cumsum(np.bincount(samples[q]))
+                t = 1 + int(np.searchsorted(sampled, budget * samples.shape[1] / n))
+                seen = False
+                while True:
+                    reach = bounds <= dtype.type(t)
+                    fresh = np.flatnonzero(reach > seen)
+                    run = np.searchsorted(ends, fresh, "right")
+                    row[fresh + shift[run]] = footrule_matrix_batch(
+                        None, query_perms[q : q + 1], workspace=workspace,
+                        positions=decode_positions(codes[fresh], k),
+                    )[0]
+                    if np.count_nonzero(row <= dtype.type(t)) >= budget:
+                        break
+                    seen, t = reach, t + 2
+            candidates.append(_budget_candidates(row, budget))
+        return candidates
+
     def _knn_approx_batch_impl(
         self, queries: Sequence[Any], k: int, budget: Budget
     ) -> NeighborArrays:
@@ -614,13 +693,18 @@ class DistPermIndex(Index):
         counts = np.zeros(len(queries), dtype=np.int64)
         # Chunking bounds the (queries x n) footrule matrix; the kernel
         # itself needs only length-n scratch rows.
+        store = self.code_store
         for start, stop in self._query_chunks(len(queries)):
-            footrules = self._footrules_matrix(query_perms[start:stop])
+            perms, chunk = query_perms[start:stop], budgets[start:stop]
+            if stop - start <= _BOUNDED_QUERIES and store is not None and (
+                store.decoded_bytes_total() > store.cache_bytes
+            ):
+                chunk = self._bounded_candidates(perms, chunk)
+            else:
+                footrules = self._footrules_matrix(perms)
+                chunk = [_budget_candidates(r, int(b)) for r, b in zip(footrules, chunk)]
             for lo, hi in _refine_groups(budgets, start, stop):
-                candidates = [
-                    _budget_candidates(footrules[q - start], int(budgets[q]))
-                    for q in range(lo, hi)
-                ]
+                candidates = chunk[lo - start : hi - start]
                 offsets = np.zeros(hi - lo + 1, dtype=np.int64)
                 np.cumsum([c.shape[0] for c in candidates], out=offsets[1:])
                 distances = self.metric.grouped_distances(

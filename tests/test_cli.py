@@ -99,6 +99,24 @@ class TestCensus:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_negative_seed_rejected_before_reading(self, tmp_path, capsys,
+                                                    monkeypatch, rng):
+        """``--seed -1`` is one ``error:`` line and exit 1, not numpy's
+        traceback, and no row of the database is read."""
+        path = tmp_path / "vectors.txt"
+        save_vectors(path, rng.random((20, 2)))
+
+        def never(*args, **kwargs):
+            raise AssertionError("the database was read before validation")
+
+        monkeypatch.setattr("repro.datasets.io.load_vectors", never)
+        code = main([
+            "census", "--input", str(path), "--kind", "vectors",
+            "--metric", "l2", "--sites", "3", "--seed", "-1",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "error: --seed must be >= 0\n"
+
     def test_empty_database(self, tmp_path, capsys):
         path = tmp_path / "empty.txt"
         path.write_text("")
@@ -186,6 +204,24 @@ class TestSearch:
 
         assert extract(batched) == extract(looped)
 
+    def test_negative_seed_rejected_before_reading(self, tmp_path, capsys,
+                                                    monkeypatch, rng):
+        """``--seed -1`` is one ``error:`` line and exit 1, not numpy's
+        traceback, and no row of the database is read."""
+        path = tmp_path / "vectors.txt"
+        save_vectors(path, rng.random((20, 2)))
+
+        def never(*args, **kwargs):
+            raise AssertionError("the database was read before validation")
+
+        monkeypatch.setattr("repro.datasets.io.load_vectors", never)
+        code = main([
+            "census", "--input", str(path), "--kind", "vectors",
+            "--metric", "l2", "--sites", "3", "--seed", "-1",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "error: --seed must be >= 0\n"
+
     def test_empty_database(self, tmp_path, capsys):
         path = tmp_path / "empty.txt"
         path.write_text("")
@@ -242,6 +278,8 @@ class TestOtherCommands:
         (["table3", "--dims", "0"], "--dims must be >= 1"),
         (["table2", "--n", "5"],
          "--n must be 0 (the preset size) or >= 12"),
+        (["table2", "--names", "long", "bogus"], "unknown --names bogus;"),
+        (["table2", "--seed", "-1"], "--seed must be >= 0"),
     ])
     def test_table_sizes_rejected_before_any_database(
         self, argv, message, capsys, monkeypatch

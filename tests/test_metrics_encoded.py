@@ -70,6 +70,8 @@ class TestEncodedStrings:
         first = encode_strings(words)
         assert encode_strings(words) is first
         assert encode_strings(list(words)) is first  # same contents
+        assert encode_strings(tuple(words)) is first  # any sequence
+        assert encode_strings(words[:2]) is not first  # shorter: a miss
 
     def test_cache_misses_a_list_mutated_in_place(self):
         clear_encoding_cache()
@@ -93,6 +95,7 @@ class TestEncodedStrings:
         assert encode_strings(["w1"]) is not second
 
     def test_metric_encode_falls_back_to_none(self):
+        encode_strings(["abc", "de", "f"])  # three strings, as rows below
         metric = LevenshteinDistance()
         assert metric.encode([("not", "strings")]) is None
         assert metric.encode(np.ones((3, 2))) is None
