@@ -235,7 +235,14 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-batch", type=int, default=64,
                        help="query rows per batching window (default 64)")
     serve.add_argument("--max-wait-ms", type=float, default=2.0,
-                       help="longest batching window in ms (default 2.0)")
+                       help="cap on a batching window's wait in ms "
+                            "(default 2.0); a window closes earlier once "
+                            "the rows the previous batch answered plus "
+                            "those queued meanwhile are pending, so "
+                            "closed-loop callers, out-of-phase groups "
+                            "included, go as soon as they are back, and "
+                            "busy open-loop arrivals fall back to this "
+                            "timer")
     serve.add_argument("--max-queue", type=int, default=4096,
                        help="admission bound in query rows; past it "
                             "requests are rejected with retry-after "
@@ -293,6 +300,18 @@ def _engine_flags_error(args: argparse.Namespace) -> Optional[str]:
     if args.retries is not None and args.retries < 0:
         return "--retries must be >= 0"
     return None
+
+
+def _index_flags_error(args: argparse.Namespace) -> Optional[str]:
+    """Validate the index and engine flags ``search`` and ``serve``
+    share, before any database is read; an error message or None."""
+    if args.index == "distperm" and args.sites < 1:
+        return "--sites must be >= 1"
+    if args.index == "laesa" and args.pivots < 1:
+        return "--pivots must be >= 1"
+    if args.seed < 0:
+        return "--seed must be >= 0"
+    return _engine_flags_error(args)
 
 
 def _sharded_index(args: argparse.Namespace, points, metric, *,
@@ -432,7 +451,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
         else:
             points = load(args.input)
             n = len(points)
-    except OSError as error:
+    except (OSError, ValueError) as error:
         print(f"error: cannot read {args.input}: {error}", file=sys.stderr)
         return 1
     if n == 0:
@@ -448,11 +467,16 @@ def _cmd_census(args: argparse.Namespace) -> int:
         rng=np.random.default_rng(args.seed),
     )
     if streamed:
-        censuses = streaming_census(
-            iter_chunks(args.input, args.chunk_rows),
-            read_rows(args.input, site_indices), metric, [args.sites],
-            workers=args.workers,
-        )
+        try:
+            censuses = streaming_census(
+                iter_chunks(args.input, args.chunk_rows),
+                read_rows(args.input, site_indices), metric, [args.sites],
+                workers=args.workers,
+            )
+        except ValueError as error:
+            print(f"error: cannot read {args.input}: {error}",
+                  file=sys.stderr)
+            return 1
         source = f", streamed {args.chunk_rows} rows/chunk"
     else:
         censuses, permutations = sharded_census(
@@ -564,14 +588,31 @@ def _index_factory(args: argparse.Namespace):
                    pivots=args.pivots, seed=args.seed)
 
 
+def _search_flags_error(args: argparse.Namespace) -> Optional[str]:
+    """Validate the search flags before any database is read."""
+    if args.mode != "range" and args.k < 1:
+        return "k must be >= 1"
+    if args.mode == "range" and args.radius < 0:
+        return "radius must be nonnegative"
+    if args.budget is not None and args.budget < 0:
+        return "--budget must be >= 0"
+    if args.n_queries < 0:
+        return "--n-queries must be >= 0"
+    return _index_flags_error(args)
+
+
 def _cmd_search(args: argparse.Namespace) -> int:
     from repro.datasets.io import load_strings, load_vectors
     from repro.experiments.harness import run_query_workload
 
+    error = _search_flags_error(args)
+    if error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
     load = load_vectors if args.kind == "vectors" else load_strings
     try:
         points = load(args.input)
-    except OSError as error:
+    except (OSError, ValueError) as error:
         print(f"error: cannot read {args.input}: {error}", file=sys.stderr)
         return 1
     if len(points) == 0:
@@ -580,7 +621,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     if args.queries is not None:
         try:
             queries = load(args.queries)
-        except OSError as error:
+        except (OSError, ValueError) as error:
             print(f"error: cannot read {args.queries}: {error}",
                   file=sys.stderr)
             return 1
@@ -598,22 +639,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
             queries = points[picks]
         else:
             queries = [points[int(i)] for i in picks]
-    if args.mode != "range" and args.k < 1:
-        print("error: k must be >= 1", file=sys.stderr)
-        return 1
-    if args.mode == "range" and args.radius < 0:
-        print("error: radius must be nonnegative", file=sys.stderr)
-        return 1
-    if args.index == "distperm" and args.sites < 1:
-        print("error: --sites must be >= 1", file=sys.stderr)
-        return 1
-    if args.index == "laesa" and args.pivots < 1:
-        print("error: --pivots must be >= 1", file=sys.stderr)
-        return 1
-    error = _engine_flags_error(args)
-    if error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
     metric = _METRICS[args.metric]()
     sharded = args.shards is not None
     if (args.save_index or args.load_index) and args.index != "distperm":
@@ -746,6 +771,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.host is not None and args.port is None:
         print("error: --host needs --port", file=sys.stderr)
         return 1
+    if args.port is not None and not 0 <= args.port <= 65535:
+        print("error: --port must be in 0..65535", file=sys.stderr)
+        return 1
     try:
         config = BatchConfig(
             max_batch=args.max_batch,
@@ -755,20 +783,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
+    error = _index_flags_error(args)
+    if error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
     from repro.datasets.io import load_strings, load_vectors
 
     load = load_vectors if args.kind == "vectors" else load_strings
     try:
         points = load(args.input)
-    except OSError as error:
+    except (OSError, ValueError) as error:
         print(f"error: cannot read {args.input}: {error}", file=sys.stderr)
         return 1
     if len(points) == 0:
         print("error: empty database", file=sys.stderr)
-        return 1
-    error = _engine_flags_error(args)
-    if error:
-        print(f"error: {error}", file=sys.stderr)
         return 1
     metric = _METRICS[args.metric]()
     if args.shards is not None:
@@ -804,6 +832,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_counterexample(args: argparse.Namespace) -> int:
     from repro.experiments.counterexample import counterexample_census
 
+    if args.points < 0:
+        print("error: --points must be >= 0", file=sys.stderr)
+        return 1
+    if args.seed < 0:
+        print("error: --seed must be >= 0", file=sys.stderr)
+        return 1
     result = counterexample_census(n_points=args.points, seed=args.seed)
     print("Eq. 12 sites, 3-d L1, uniform database:")
     print(f"  points: {args.points}")
@@ -829,9 +863,11 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 def _cmd_bound(args: argparse.Namespace) -> int:
     from repro.core.counting import max_permutations
 
-    p = math.inf if args.p in ("inf", "Inf", "INF") else float(args.p)
-    if p != math.inf and p == int(p):
-        p = int(p)
+    p = {"1": 1, "2": 2, "inf": math.inf}.get(args.p.lower())
+    if p is None:
+        print(f"error: --p must be 1, 2 or inf, got {args.p}",
+              file=sys.stderr)
+        return 1
     try:
         value = max_permutations(args.d, args.k, p)
     except ValueError as error:

@@ -27,9 +27,11 @@ spills its top bits into the byte after the window.  Nothing of size
 from __future__ import annotations
 
 import math
-from typing import Iterator, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.core.permutation import workspace_buffer
 
 __all__ = ["bits_for_count", "pack_ids", "unpack_ids"]
 
@@ -114,12 +116,17 @@ def pack_ids(ids: Sequence[int], bit_width: int) -> bytes:
     return raw[: (n * bit_width + 7) // 8].tobytes()
 
 
-def _unpack_groups(raw: np.ndarray, bit_width: int, out: np.ndarray) -> None:
+def _unpack_groups(
+    raw: np.ndarray,
+    bit_width: int,
+    out: np.ndarray,
+    workspace: Optional[dict] = None,
+) -> None:
     """Fill ``out`` (``(groups, 8)`` uint64) from the groups leading ``raw``:
     lanes go to contiguous scratch rows, then one transposing copy (twice
     as fast as shifting into ``out``'s strided columns)."""
     mask = np.uint64((1 << bit_width) - 1)
-    rows = np.empty((8, out.shape[0]), dtype=np.uint64)
+    rows = workspace_buffer(workspace, "lanes", (8, out.shape[0]), np.uint64)
     for j, window, shift, spill in _lanes(raw, bit_width, 8, out.shape[0]):
         lane = rows[j]
         np.right_shift(window, np.uint64(shift), out=lane)
@@ -131,13 +138,19 @@ def _unpack_groups(raw: np.ndarray, bit_width: int, out: np.ndarray) -> None:
     out[...] = rows.T
 
 
-def unpack_ids(data, bit_width: int, count: int) -> np.ndarray:
+def unpack_ids(
+    data, bit_width: int, count: int, workspace: Optional[dict] = None
+) -> np.ndarray:
     """Inverse of :func:`pack_ids`: recover ``count`` ids as ``uint64``.
 
     ``data`` is any object exposing a contiguous buffer — ``bytes``, a
     ``memoryview``, a ``uint8`` array, a slice of an ``np.memmap`` — and is
     read in place: only the last few groups, whose windows would reach
     past the end of the buffer, are copied (into a zero-padded scratch).
+    With a ``workspace`` dict (see
+    :func:`~repro.core.permutation.workspace_buffer`) the ids and the lane
+    scratch live in its reused buffers, so the result is valid until the
+    next call with that workspace.
     """
     _check_width(bit_width)
     if count < 0:
@@ -151,15 +164,15 @@ def unpack_ids(data, bit_width: int, count: int) -> np.ndarray:
             f"buffer holds {raw.shape[0] * 8} bits, need {count * bit_width}"
         )
     groups = (count + 7) // 8
-    out = np.empty((groups, 8), dtype=np.uint64)
+    out = workspace_buffer(workspace, "unpacked", (groups, 8), np.uint64)
     # Groups whose last lane's window and spill byte stay inside `raw`
     # are read where they lie; the rest go through a padded copy.
     reach = bit_width * 7 // 8 + _WINDOW_REACH
     inside = min(groups, max(0, (raw.shape[0] - reach) // bit_width + 1))
     if inside:
-        _unpack_groups(raw, bit_width, out[:inside])
+        _unpack_groups(raw, bit_width, out[:inside], workspace)
     if inside < groups:
         tail = np.zeros((groups - inside) * bit_width + reach, dtype=np.uint8)
         tail[: needed - inside * bit_width] = raw[inside * bit_width : needed]
-        _unpack_groups(tail, bit_width, out[inside:])
+        _unpack_groups(tail, bit_width, out[inside:], workspace)
     return out.reshape(-1)[:count]

@@ -160,6 +160,6 @@ def max_permutations(d: int, k: int, p: Union[int, float] = 2) -> int:
     ``p in {1, inf}``; always capped at ``k!`` and achieving ``k!`` for
     ``d >= k - 1`` (Theorem 6).
     """
-    if d >= k - 1:
+    if 1 <= k <= d + 1:
         return math.factorial(k)
     return lp_permutation_bound(d, k, p)

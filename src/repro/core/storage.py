@@ -283,16 +283,21 @@ class MappedCodeStore:
 
     # -- decoding -----------------------------------------------------
 
-    def _unpacked(self, start: int, stop: int) -> np.ndarray:
+    def _unpacked(
+        self, start: int, stop: int, workspace: Optional[dict] = None
+    ) -> np.ndarray:
         """Unchecked uint64 codes of elements ``[start, stop)``; ``start``
-        is a block boundary, hence a byte boundary."""
+        is a block boundary, hence a byte boundary.  With a ``workspace``
+        they live in its reused buffer (see
+        :func:`~repro.core.bitpack.unpack_ids`)."""
         if self._closed:
             raise ValueError("MappedCodeStore is closed")
         first_byte = start * self.bit_width // 8
         last_byte = (stop * self.bit_width + 7) // 8
         try:
             return unpack_ids(
-                self._packed[first_byte:last_byte], self.bit_width, stop - start
+                self._packed[first_byte:last_byte], self.bit_width,
+                stop - start, workspace,
             )
         except ValueError as exc:  # pragma: no cover - guarded at __init__
             raise PayloadCorruptError(
@@ -379,11 +384,13 @@ class MappedCodeStore:
             block = run
         return out
 
-    def _missed_run(self, first: int, stop: int) -> Tuple[np.ndarray, int]:
+    def _missed_run(
+        self, first: int, stop: int, workspace: Optional[dict] = None
+    ) -> Tuple[np.ndarray, int]:
         """Codes of blocks ``[first, stop)`` and the index of the first
         outside ``[0, k!)`` (else ``len(codes)``); a miss per block read."""
         start = first * self.block_elements
-        codes = self._unpacked(start, self.block_range(stop - 1)[1])
+        codes = self._unpacked(start, self.block_range(stop - 1)[1], workspace)
         bad = self._first_out_of_range(codes)
         self.cache_misses += min(stop - first, bad // self.block_elements + 1)
         return codes, bad
@@ -403,7 +410,7 @@ class MappedCodeStore:
             raise self._corrupt(first * block_elements + bad)
 
     def scan_blocks(
-        self,
+        self, workspace: Optional[dict] = None
     ) -> Iterator[Tuple[int, int, Optional[np.ndarray], Optional[np.ndarray]]]:
         """Read every block once, unranking only what the cache holds.
 
@@ -414,6 +421,8 @@ class MappedCodeStore:
         :meth:`positions_block`; else the run's range-checked uint64
         codes, not unranked.  Hits, misses, retention and
         :class:`PayloadCorruptError` offsets are :meth:`positions_block`'s.
+        With a ``workspace`` the codes are unpacked into its reused buffers
+        and valid until the next run is drawn.
         """
         self.advise("sequential")
         room = self.cache_bytes - self.current_cache_bytes
@@ -431,7 +440,7 @@ class MappedCodeStore:
             if kept:
                 yield start, stop, self.positions_block(first, end), None
                 continue
-            codes, bad = self._missed_run(first, end)
+            codes, bad = self._missed_run(first, end, workspace)
             if bad < codes.shape[0]:
                 raise self._corrupt(start + bad)
             yield start, stop, None, codes

@@ -624,24 +624,31 @@ class DistPermIndex(Index):
         workspace = self._footrule_workspace
         dtype = compact_footrule_dtype(k)
         rows = workspace_buffer(workspace, "footrules", (len(query_perms), n), dtype)
-        held, runs, parts = [], [], []
-        for start, stop, positions, codes in self._code_store.scan_blocks():
-            if codes is not None:
+        # Every array the size of the unretained codes is a reused
+        # workspace buffer: fresh ones would fault their pages in anew on
+        # each call once the heap is trimmed between single queries.
+        codes = workspace_buffer(workspace, "codes", (n,), np.uint64)
+        held, runs, ends, shift = [], [], [], []
+        for start, stop, positions, run in self._code_store.scan_blocks(workspace):
+            if run is not None:
+                # Code i of run r (ends[r - 1] <= i < ends[r]) is column
+                # i + shift[r] of the row; ``run`` lasts until the next draw.
+                first = ends[-1] if ends else 0
+                codes[first : first + len(run)] = run
                 runs.append(start)
-                parts.append(codes)
+                ends.append(first + len(run))
+                shift.append(start - first)
             else:
                 held.append(rows[:, start:stop])
                 footrule_matrix_batch(None, query_perms, positions=positions.T,
                                       workspace=workspace, out=held[-1])
-        codes = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        # Code i of ``codes`` from run r (ends[r - 1] <= i < ends[r]) is
-        # column i + shift[r] of the row.
-        ends = np.cumsum([len(part) for part in parts])
-        shift = np.array(runs) - ends + [len(part) for part in parts]
+        codes, ends, shift = codes[: ends[-1]], np.array(ends), np.array(shift)
         tables, divisor = footrule_prefix_bounds(query_perms, k)
         # Prefixes are below 2**14: viewed as intp, no gather re-casts them.
-        prefixes = (codes // np.uint64(divisor)).view(np.intp)
-        bounds = np.empty(len(codes), dtype)
+        prefixes = workspace_buffer(workspace, "prefixes", codes.shape, np.uint64)
+        np.floor_divide(codes, np.uint64(divisor), out=prefixes)
+        prefixes = prefixes.view(np.intp)
+        bounds = workspace_buffer(workspace, "bounds", codes.shape, dtype)
         if held:
             samples = np.concatenate(held, axis=1)
         else:

@@ -4,26 +4,30 @@ The batch engine is 15–25x faster than looped single queries on the
 tree indexes and ~7x on the permutation index, but only if someone
 actually *forms* batches.  :class:`MicroBatcher` is that someone: every
 admitted request joins the current **batching window**, and when the
-window closes — ``max_wait_ms`` elapsed since the window opened, or
-``max_batch`` query rows accumulated, whichever first — the whole
+window closes — its company target of query rows pending (see below),
+or ``max_wait_ms`` elapsed since it opened, whichever first — the whole
 window is dispatched as a handful of ``*_batch_arrays`` engine calls
 (one per compatible *group*, see below), and the result columns scatter
 back to per-request futures as CSR slices: no per-row ``Neighbor``
 lists, no per-request engine calls.
 
-**Adaptive window.**  Under load the window is pure added latency: when
-a window fills to ``max_batch`` before its deadline, the window shrinks
-(halves, down to no wait at all) so the next batch dispatches sooner;
-when a window expires less than half full, it grows back (doubles,
-capped at ``max_wait_ms``).  While the engine thread is busy,
-arrivals pile into the next window for free, but the timer still runs:
-with fewer than ``max_batch / 2`` rows queued every window expires less
-than half full, so the window stays at ``max_wait_ms`` and each one
-waits out the full timer even when requests are already queued.  With
-16 closed-loop callers on a string index (2 vCPUs) that is ≈ 2 ms of
-every ≈ 16 ms window.  Dispatching at once when requests are already
-queued fragments the windows into smaller batches, which measured
-slower, so the timer stays.
+**Population window.**  Each window has a company target: the query
+rows the previous dispatch answered plus the rows queued when it
+returned (admitted while it ran), capped at ``max_batch``.  The window
+closes as soon as that many rows are pending, or ``max_wait_ms`` after
+it opened, whichever comes first; before the first dispatch the target
+is ``max_batch``, so a fresh batcher's first window waits out the timer
+unless it fills.  Under closed-loop load that count is the population:
+the callers just answered can come back, the queued ones are already
+here, so each window dispatches the moment its callers are back instead
+of idling on the timer (a lone sequential caller waits for nobody).
+Out-of-phase caller groups do not fragment: a group that arrived while
+the other's batch ran is in the target, so the next window waits for
+both.  Under open-loop arrivals answered callers do not come back: a
+sparse stream has targets of a row or two and dispatches on arrival, and
+as the rate rises each target (the last batch plus what queued during
+its dispatch) outgrows what one window collects, so ``max_wait_ms``
+closes the windows as a plain timer would.
 
 **Grouping.**  Requests in one window coalesce into a single engine
 call when the merged call provably returns byte-identical rows for
@@ -75,11 +79,13 @@ __all__ = ["BatchConfig", "RejectedError", "MicroBatcher"]
 class BatchConfig:
     """Tuning knobs of the micro-batching scheduler.
 
-    ``max_batch`` caps the query rows per batching window (a full
-    window dispatches immediately); ``max_wait_ms`` is the longest a
-    lone request waits for company and the ceiling of the adaptive
-    window, whose floor is 0 (a saturated server dispatches without any
-    timer wait).  ``max_queue`` bounds admitted query rows (queued +
+    ``max_batch`` caps the query rows per batching window and each
+    window's company target (the rows the previous dispatch answered
+    plus those queued when it returned, so closed-loop callers dispatch
+    as soon as they are all back, out-of-phase groups included);
+    ``max_wait_ms`` caps any window's wait: the fallback that closes
+    windows under busy open-loop arrivals, whose answered callers never
+    come back.  ``max_queue`` bounds admitted query rows (queued +
     in-flight) — the backpressure limit.
     """
 
@@ -176,13 +182,13 @@ class MicroBatcher:
         self._pending: List[_PendingRequest] = []
         self._pending_queries = 0
         self._inflight_queries = 0
-        self._window = self.config.max_wait_ms / 1000.0
-        self._engine_latency_s = max(self._window, 1e-3)
+        self._max_wait_s = self.config.max_wait_ms / 1000.0
+        self._engine_latency_s = max(self._max_wait_s, 1e-3)
         self._draining = False
         self._wake: Optional[asyncio.Event] = None
         self._scheduler: Optional[asyncio.Task] = None
         self._engine: Optional[ThreadPoolExecutor] = None
-        self.stats.current_window_s = self._window
+        self.stats.current_window_s = self._max_wait_s
 
     # ------------------------------------------------------------------
     # Lifecycle.
@@ -235,7 +241,7 @@ class MicroBatcher:
     def _retry_after(self) -> float:
         """Estimated seconds until the backlog clears one window's worth."""
         backlog_windows = self.queue_depth / self.config.max_batch
-        return max(self._window, backlog_windows * self._engine_latency_s)
+        return max(self._max_wait_s, backlog_windows * self._engine_latency_s)
 
     async def submit(
         self,
@@ -290,6 +296,7 @@ class MicroBatcher:
 
     async def _run(self) -> None:
         loop = asyncio.get_running_loop()
+        target = self.config.max_batch
         while True:
             # Wait for the first arrival (or drain of an empty queue).
             while not self._pending:
@@ -297,32 +304,23 @@ class MicroBatcher:
                     return
                 self._wake.clear()
                 await self._wake.wait()
-            # The batching window: collect company for the batch until
-            # the window deadline or a full batch, whichever first.
-            deadline = loop.time() + self._window
-            filled_early = False
-            while self._pending_queries < self.config.max_batch:
+            # The batching window: collect company until the target
+            # population is pending or the wait cap runs out.
+            deadline = loop.time() + self._max_wait_s
+            while self._pending_queries < target and not self._draining:
                 remaining = deadline - loop.time()
-                if remaining <= 0 or self._draining:
+                if remaining <= 0:
                     break
                 self._wake.clear()
                 try:
                     await asyncio.wait_for(self._wake.wait(), remaining)
                 except asyncio.TimeoutError:
                     break
-            else:
-                filled_early = loop.time() < deadline
-            self._adapt_window(filled_early)
             batch = self._take_batch()
             await self._dispatch(batch)
-
-    def _adapt_window(self, filled_early: bool) -> None:
-        ceiling = self.config.max_wait_ms / 1000.0
-        if filled_early:
-            self._window /= 2.0
-        elif self._pending_queries < self.config.max_batch / 2:
-            self._window = min(ceiling, max(self._window * 2.0, 1e-4))
-        self.stats.current_window_s = self._window
+            answered = sum(request.n_queries for request in batch)
+            target = min(self.config.max_batch,
+                         answered + self._pending_queries)
 
     def _take_batch(self) -> List[_PendingRequest]:
         """Pop whole requests off the queue, up to ``max_batch`` rows.

@@ -54,7 +54,13 @@ class ServerStats:
         self.queue_depth_peak = 0
         #: Per-window batch-size histogram: batch size -> windows.
         self.batch_size_histogram: Dict[int, int] = {}
-        #: Current adaptive batching window, seconds (batcher-owned).
+        #: Cap on any batching window's wait, seconds (``max_wait_ms``;
+        #: batcher-owned).  A window closes earlier once its company
+        #: target — the rows the previous dispatch answered plus those
+        #: queued when it returned — is pending, so closed-loop callers
+        #: (out-of-phase groups included) dispatch as soon as they are
+        #: back; under busy open-loop arrivals, whose answered callers
+        #: never come back, this cap closes the windows.
         self.current_window_s = 0.0
         #: Result bytes shipped by the index engine since the server
         #: started (columnar reply payloads; for sharded indexes this is

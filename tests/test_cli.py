@@ -58,6 +58,56 @@ class TestBound:
         assert "error" in capsys.readouterr().err
 
 
+_VECTOR_FLAGS = ["--input", "{vectors}", "--kind", "vectors", "--metric", "l2"]
+
+
+class TestNoTraceback:
+    """Bad input never reaches a traceback: one ``error:`` line, exit 1."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["census", "--input", "{words}", "--kind", "vectors",
+          "--metric", "l2"], "cannot read {words}: could not convert"),
+        (["census", "--input", "{words}", "--kind", "vectors",
+          "--metric", "l2", "--sites", "2", "--chunk-rows", "1"],
+         "cannot read {words}: could not convert"),
+        (["search", "--input", "{words}", "--kind", "vectors",
+          "--metric", "l2"], "cannot read {words}: could not convert"),
+        (["search", *_VECTOR_FLAGS, "--n-queries", "-2"],
+         "--n-queries must be >= 0"),
+        (["search", *_VECTOR_FLAGS, "--seed", "-1"], "--seed must be >= 0"),
+        (["search", *_VECTOR_FLAGS, "--index", "distperm", "--mode",
+          "knn-approx", "--budget", "-1"], "--budget must be >= 0"),
+        (["counterexample", "--points", "-1"], "--points must be >= 0"),
+        (["counterexample", "--seed", "-1"], "--seed must be >= 0"),
+        (["serve", *_VECTOR_FLAGS, "--host", "127.0.0.1", "--port", "-1"],
+         "--port must be in 0..65535"),
+        (["serve", *_VECTOR_FLAGS, "--index", "distperm", "--sites", "0",
+          "--unix-socket", "{sock}"], "--sites must be >= 1"),
+        (["serve", *_VECTOR_FLAGS, "--seed", "-1", "--unix-socket",
+          "{sock}"], "--seed must be >= 0"),
+        (["bound", "2", "3", "--p", "0"], "--p must be 1, 2 or inf, got 0"),
+        (["bound", "2", "3", "--p", "7"], "--p must be 1, 2 or inf, got 7"),
+        (["bound", "2", "-1"], "bound requires d >= 0, k >= 1"),
+        (["bound", "-1", "3"], "bound requires d >= 0, k >= 1"),
+    ])
+    def test_bad_input_prints_one_error_line(
+        self, argv, message, tmp_path, capsys, rng
+    ):
+        paths = {
+            "vectors": tmp_path / "vectors.txt",
+            "words": tmp_path / "words.txt",
+            "sock": tmp_path / "never-bound.sock",
+        }
+        save_vectors(paths["vectors"], rng.random((30, 2)))
+        save_strings(paths["words"], ["alpha", "beta", "gamma"])
+        fill = {name: str(path) for name, path in paths.items()}
+        assert main([arg.format(**fill) for arg in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message.format(**fill)}")
+        assert err.count("\n") == 1
+        assert not paths["sock"].exists()
+
+
 class TestCensus:
     def test_vector_census(self, tmp_path, capsys, rng):
         path = tmp_path / "vectors.txt"

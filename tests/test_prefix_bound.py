@@ -286,6 +286,33 @@ class TestBoundedCandidates:
             bounded.close()
             shared.close()
 
+    def test_consecutive_singles_reuse_the_workspace(self, payloads):
+        """The code-sized arrays of the bounded scan (unpacked codes, lane
+        scratch, the codes of every run, prefixes, bounds) live in the
+        index's workspace: a second single query writes the same buffers
+        and answers as the first and as the RAM index do."""
+        points, path, ram = payloads[12]
+        mapped = _mapped(points, path, cache_blocks=3, touched=(7, 2))
+        keys = ("unpacked", "lanes", "codes", "prefixes", "bounds")
+        query = np.random.default_rng(9).random(4)
+        try:
+            answers, buffers = [], []
+            for _ in range(2):
+                answers.append(
+                    _columns(mapped.knn_approx_batch_arrays(query[None], 5, 90))
+                )
+                workspace = mapped._footrule_workspace
+                buffers.append({
+                    key: workspace[key].__array_interface__["data"][0]
+                    for key in keys
+                })
+            assert buffers[0] == buffers[1]
+            assert answers[0] == answers[1] == _columns(
+                ram.knn_approx_batch_arrays(query[None], 5, 90)
+            )
+        finally:
+            mapped.close()
+
     def test_scan_takes_only_small_chunks_on_a_partial_cache(
         self, payloads, monkeypatch
     ):

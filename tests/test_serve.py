@@ -22,6 +22,7 @@ import os
 import socket
 import struct
 import subprocess
+import threading
 import time
 from functools import partial
 from multiprocessing import resource_tracker, shared_memory
@@ -528,21 +529,109 @@ class TestMicroBatcher:
                 exact=True,
             )
 
-    def test_adaptive_window_shrinks_then_recovers(self, vectors):
-        """A window filled early halves; a sparse expiry doubles back."""
+    def test_fresh_batcher_coalesces_concurrent_submits(self, vectors):
+        """With no dispatch history the target is ``max_batch``: requests
+        submitted together share one window (as the timer made them)."""
         index = LinearScan(vectors, EuclideanDistance())
-        config = BatchConfig(max_batch=4, max_wait_ms=40.0)
-        queries = vectors[:4]
+        config = BatchConfig(max_batch=64, max_wait_ms=200.0)
 
         async def body(batcher):
-            await batcher.submit("knn", queries, k=1)  # fills the window
-            shrunk = batcher.stats.current_window_s
-            await batcher.submit("knn", queries[:1], k=1)  # sparse expiry
-            return shrunk, batcher.stats.current_window_s
+            await asyncio.gather(*(
+                batcher.submit("knn", vectors[i : i + 1], k=1)
+                for i in range(5)
+            ))
+            return batcher.stats
 
-        shrunk, recovered = _run_batcher(index, config, body)
-        assert shrunk == pytest.approx(0.020)
-        assert recovered == pytest.approx(0.040)
+        stats = _run_batcher(index, config, body)
+        assert stats.batch_size_histogram == {5: 1}
+        assert stats.current_window_s == pytest.approx(0.2)
+
+    def test_lone_sequential_caller_skips_the_timer(self, vectors):
+        """After its first answer a lone caller is the whole population:
+        its next requests dispatch on arrival, not after ``max_wait_ms``."""
+        index = LinearScan(vectors, EuclideanDistance())
+        config = BatchConfig(max_batch=64, max_wait_ms=500.0)
+
+        async def body(batcher):
+            await batcher.submit("knn", vectors[:1], k=1)  # waits 500 ms
+            started = time.monotonic()
+            for i in range(1, 6):
+                await batcher.submit("knn", vectors[i : i + 1], k=1)
+            return time.monotonic() - started
+
+        assert _run_batcher(index, config, body) < 0.25
+
+    @pytest.mark.parametrize("callers", [2, 5])
+    def test_closed_loop_callers_form_full_windows(self, vectors, callers):
+        """N closed-loop callers make windows of N rows that close as soon
+        as the last caller is back, far below the timer cap."""
+        index = LinearScan(vectors, EuclideanDistance())
+        config = BatchConfig(max_batch=64, max_wait_ms=500.0)
+        rounds = 6
+
+        async def caller(batcher, c):
+            for r in range(rounds):
+                row = (c * rounds + r) % len(vectors)
+                await batcher.submit("knn", vectors[row : row + 1], k=2)
+
+        async def body(batcher):
+            await asyncio.gather(*(
+                batcher.submit("knn", vectors[c : c + 1], k=2)
+                for c in range(callers)
+            ))  # the first window waits out the timer
+            stats = batcher.stats
+            waited = stats.coalesce_latency_mean_s * callers
+            await asyncio.gather(*(caller(batcher, c) for c in range(callers)))
+            later = stats.coalesce_latency_mean_s * callers * (rounds + 1)
+            return stats.batch_size_histogram, (later - waited) / (
+                callers * rounds
+            )
+
+        histogram, mean_wait = _run_batcher(index, config, body)
+        assert histogram == {callers: rounds + 1}
+        assert mean_wait < 0.05
+
+    def test_out_of_phase_groups_merge_into_one_window(self, vectors):
+        """A group that arrives while another group's batch runs is in the
+        next window's target, so both groups ride one window from then
+        on instead of alternating half-size windows."""
+        joined = threading.Event()
+
+        class HeldScan(LinearScan):
+            def knn_batch_arrays(self, queries, k):
+                joined.wait(timeout=10.0)  # the first batch runs until then
+                return super().knn_batch_arrays(queries, k)
+
+        index = HeldScan(vectors, EuclideanDistance())
+        config = BatchConfig(max_batch=64, max_wait_ms=200.0)
+        group, rounds = 3, 4
+
+        async def caller(batcher, c):
+            for r in range(rounds):
+                await batcher.submit("knn", vectors[c : c + 1], k=1)
+
+        async def late_group(batcher):
+            # Join while the first group's first batch is in the engine.
+            while not batcher.stats.batches_executed:
+                await asyncio.sleep(0.001)
+            late = asyncio.gather(*(
+                caller(batcher, c) for c in range(group, 2 * group)
+            ))
+            await asyncio.sleep(0)  # every late caller has submitted
+            joined.set()
+            await late
+
+        async def body(batcher):
+            await asyncio.gather(
+                late_group(batcher),
+                *(caller(batcher, c) for c in range(group)),
+            )
+            return batcher.stats.batch_size_histogram
+
+        # The early group's first window and the late group's last one
+        # ride alone; every window between carries both groups.
+        histogram = _run_batcher(index, config, body)
+        assert histogram == {group: 2, 2 * group: rounds - 1}
 
     def test_admission_bound_rejects_with_retry_after(self, vectors):
         index = LinearScan(vectors, EuclideanDistance())
