@@ -16,11 +16,10 @@ which traversal each index keeps.  Public API only — ``knn_query(q, k)``
 against ``knn_batch([q], k)`` and the range / ``knn_approx`` equivalents
 — so the identical script runs at any commit.  Per index and dataset it
 prints the median milliseconds of one single-query call and of one
-batch-of-one call, and for the two indexes whose batch traversal is not
-simply faster (``AESA``, ``ListOfClusters``) the total time of a
-single-query loop against one batch call at growing batch sizes.  Every
-row asserts equal answers and equal ``stats.query_distances`` on both
-surfaces.  ``IAESA`` and ``PivotIndex`` have one traversal and no twin to
+batch-of-one call, and for the index whose batch traversal is not
+simply faster (``AESA``) the total time of a single-query loop against
+one batch call at growing batch sizes.  Every row asserts equal answers
+and equal ``stats.query_distances`` on both surfaces.  ``IAESA`` and ``PivotIndex`` have one traversal and no twin to
 compare, so they are not listed.
 
     PYTHONPATH=src python benchmarks/bench_batch.py --single          # full
@@ -42,11 +41,8 @@ from repro.datasets.vectors import uniform_vectors
 from repro.experiments.harness import run_query_workload
 from repro.index import (
     AESA,
-    BKTree,
     DistPermIndex,
-    GHTree,
     LinearScan,
-    ListOfClusters,
     VPTree,
 )
 from repro.metrics import EuclideanDistance, LevenshteinDistance
@@ -228,23 +224,16 @@ def _loop_vs_batch(name, index, queries, k, radius, sizes):
 
 def _ladder_dataset(title, points, small, queries, metric, k, radius,
                     budget, n_timed, sizes):
-    """One dataset's rows: every index, then the two loop-vs-batch ones."""
+    """One dataset's rows: every index, then AESA's loop-vs-batch ladder."""
     factories = {
         "DistPermIndex": lambda: DistPermIndex(
             points, metric(), n_sites=12, rng=np.random.default_rng(1)),
         "VPTree": lambda: VPTree(
             points, metric(), rng=np.random.default_rng(2)),
-        "GHTree": lambda: GHTree(
-            points, metric(), rng=np.random.default_rng(3)),
-        "BKTree": lambda: BKTree(points, metric()),
         "LinearScan": lambda: LinearScan(points, metric()),
-        "ListOfClusters": lambda: ListOfClusters(
-            points, metric(), bucket_size=16, rng=np.random.default_rng(4)),
         # Quadratic storage: AESA gets a sample of the database.
         "AESA": lambda: AESA(small, metric()),
     }
-    if metric is not LevenshteinDistance:
-        del factories["BKTree"]  # integer metrics only
     lines = [
         f"{title}: n={len(points)} (AESA n={len(small)}), k={k}, "
         f"radius={radius}, knn_approx budget={budget}; median of "
@@ -257,7 +246,7 @@ def _ladder_dataset(title, points, small, queries, metric, k, radius,
             name, index, queries[:n_timed], k, radius,
             budget if name == "DistPermIndex" else None,
         )
-        if name in ("AESA", "ListOfClusters"):
+        if name == "AESA":
             ladders += _loop_vs_batch(name, index, queries, k, radius, sizes)
     lines.append(f"{title}: single-query loop vs one batch call of B rows")
     return lines + ladders

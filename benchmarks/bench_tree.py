@@ -8,19 +8,18 @@
   string data.
 
 **Standalone tree-index benchmark** (run directly): build and
-batched-query throughput of the four tree *indexes* (BK, VP, GH, List of
-Clusters) on their array-backed substrate, versus looping the
-single-query API — the paper's classic baselines on the dictionary
-Levenshtein workload and an 8-d Euclidean workload.  BK, VP and GH have
-one traversal (a single query is a batch of one row), so their looped
-column measures what one call amortises over a batch; List of Clusters
-keeps a scalar scan, so its columns compare two traversals.  Results go
-to ``BENCH_trees.json``; the full run asserts that one batch call is
-never slower than the loop, and that the looped single-query throughput
-of BK/VP/GH has not fallen below what their deleted scalar traversals
-reached on the same box (``*_looped_qps_parent``) — reported but not
-enforced on the four radius-1 dictionary cells where the scalar
-traversal was at parity or ahead (``SCALAR_AT_PARITY``).
+batched-query throughput of the VP-tree, the one tree *index*, on its
+array-backed substrate, versus looping the single-query API — the
+paper's classic baseline on the dictionary Levenshtein workload and an
+8-d Euclidean workload.  The VP-tree has one traversal (a single query
+is a batch of one row), so the looped column measures what one call
+amortises over a batch.  Results go to ``BENCH_trees.json``; the full
+run asserts that one batch call is never slower than the loop, and that
+the looped single-query throughput has not fallen below what the
+deleted scalar traversal reached on the same box
+(``*_looped_qps_parent``) — reported but not enforced on the radius-1
+dictionary range cell, where the scalar traversal was at parity
+(``SCALAR_AT_PARITY``).
 
     PYTHONPATH=src python benchmarks/bench_tree.py            # full
     PYTHONPATH=src python benchmarks/bench_tree.py --smoke    # CI sizes
@@ -30,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import sys
 import time
@@ -48,7 +48,7 @@ from repro.core.permutation import (  # noqa: E402
     distance_permutations,
 )
 from repro.datasets.dictionaries import synthetic_dictionary  # noqa: E402
-from repro.index import BKTree, GHTree, ListOfClusters, VPTree  # noqa: E402
+from repro.index import VPTree  # noqa: E402
 from repro.metrics import (  # noqa: E402
     EuclideanDistance,
     LevenshteinDistance,
@@ -122,33 +122,26 @@ def test_prefix_metric_achieves_bound(benchmark, results_dir):
 # Standalone tree-index benchmark (python benchmarks/bench_tree.py).
 # ----------------------------------------------------------------------
 
-#: Looped single-query q/s (range, kNN) of the scalar traversals BK, VP
-#: and GH had until a single query became a batch of one — measured at
+#: Looped single-query q/s (range, kNN) of the scalar traversal the
+#: VP-tree had until a single query became a batch of one — measured at
 #: commit 6ad1b35 on the box that recorded the committed
 #: ``BENCH_trees.json``.  The full run fails when today's looped figure
-#: falls below them: deleting those traversals must not cost
-#: single-query throughput.  Re-measure at that commit before
-#: re-recording on another box.
+#: falls below them: deleting that traversal must not cost single-query
+#: throughput.  Re-measure at that commit before re-recording on another
+#: box.
 PARENT_LOOPED_QPS = {
-    ("dictionary-levenshtein", "bktree"): (307.8, 25.1),
     ("dictionary-levenshtein", "vptree"): (106.8, 36.8),
-    ("dictionary-levenshtein", "ghtree"): (49.2, 32.6),
     ("euclidean-8d", "vptree"): (107.2, 61.5),
-    ("euclidean-8d", "ghtree"): (38.8, 38.7),
 }
 
 #: Cells where that comparison is reported but not enforced, because the
-#: scalar traversal was at parity or ahead there when it was deleted
-#: (commit 6ad1b35, 100 queries, scalar time / batch-of-one time: BK
-#: range 0.72, GH range 0.83, GH kNN 0.97, VP range 1.02).  A radius-1
-#: dictionary query meets ~50 strings per level, and the string
+#: scalar traversal was at parity there when it was deleted (commit
+#: 6ad1b35, 100 queries, scalar time / batch-of-one time: 1.02).  A
+#: radius-1 dictionary query meets ~50 strings per level, and the string
 #: kernels' per-call set-up cancels what vectorising so few saves.  The
-#: traversals went anyway: every other cell, and these at radius >= 2,
-#: are 1.5-10x faster as a batch of one.
+#: traversal went anyway: every other cell, and this one at radius >= 2,
+#: is 1.5-10x faster as a batch of one.
 SCALAR_AT_PARITY = {
-    ("dictionary-levenshtein", "bktree", "range"),
-    ("dictionary-levenshtein", "ghtree", "range"),
-    ("dictionary-levenshtein", "ghtree", "knn"),
     ("dictionary-levenshtein", "vptree", "range"),
 }
 
@@ -203,11 +196,9 @@ def _bench_index(name, factory, queries, radius, k, loop_sample, parent):
         "knn_batched_qps": round(n_queries / t_knn_batch, 1),
         "knn_looped_qps": round(n_queries / t_knn_loop, 1),
         "knn_speedup": round(t_knn_loop / t_knn_batch, 1),
+        "range_looped_qps_parent": parent[0],
+        "knn_looped_qps_parent": parent[1],
     }
-    if parent is not None:
-        result["range_looped_qps_parent"], result["knn_looped_qps_parent"] = (
-            parent
-        )
     print(
         f"  {name:12s} build {t_build * 1e3:8.1f} ms | "
         f"range {result['range_looped_qps']:8.1f} -> "
@@ -228,54 +219,31 @@ def run_dictionary_workload(n, n_queries, loop_sample, rng):
         for i in rng.choice(len(words), size=n_queries, replace=False)
     ]
     print(f"dictionary-levenshtein: n={len(words)}, {n_queries} queries")
-    metric = LevenshteinDistance
-    factories = {
-        "bktree": lambda: BKTree(words, metric()),
-        "vptree": lambda: VPTree(
-            words, metric(), rng=np.random.default_rng(1)
+    row = _bench_index(
+        "vptree",
+        lambda: VPTree(
+            words, LevenshteinDistance(), rng=np.random.default_rng(1)
         ),
-        "ghtree": lambda: GHTree(
-            words, metric(), rng=np.random.default_rng(2)
-        ),
-        "listclusters": lambda: ListOfClusters(
-            words, metric(), bucket_size=16, rng=np.random.default_rng(3)
-        ),
-    }
-    results = [
-        _bench_index(
-            name, factory, queries, 1, 10, loop_sample,
-            PARENT_LOOPED_QPS.get(("dictionary-levenshtein", name)),
-        )
-        for name, factory in factories.items()
-    ]
-    return {"dataset": "dictionary-levenshtein", "n": n, "indexes": results}
+        queries, 1, 10, loop_sample,
+        PARENT_LOOPED_QPS[("dictionary-levenshtein", "vptree")],
+    )
+    return {"dataset": "dictionary-levenshtein", "n": n, "indexes": [row]}
 
 
 def run_euclidean_workload(n, n_queries, loop_sample, rng):
-    """An 8-d uniform vector workload under L2 (no BK: non-integer)."""
+    """An 8-d uniform vector workload under L2."""
     points = rng.random((n, 8))
     queries = rng.random((n_queries, 8))
     print(f"euclidean-8d: n={n}, {n_queries} queries")
-    metric = EuclideanDistance
-    factories = {
-        "vptree": lambda: VPTree(
-            points, metric(), rng=np.random.default_rng(4)
+    row = _bench_index(
+        "vptree",
+        lambda: VPTree(
+            points, EuclideanDistance(), rng=np.random.default_rng(4)
         ),
-        "ghtree": lambda: GHTree(
-            points, metric(), rng=np.random.default_rng(5)
-        ),
-        "listclusters": lambda: ListOfClusters(
-            points, metric(), bucket_size=16, rng=np.random.default_rng(6)
-        ),
-    }
-    results = [
-        _bench_index(
-            name, factory, queries, 0.45, 10, loop_sample,
-            PARENT_LOOPED_QPS.get(("euclidean-8d", name)),
-        )
-        for name, factory in factories.items()
-    ]
-    return {"dataset": "euclidean-8d", "n": n, "indexes": results}
+        queries, 0.45, 10, loop_sample,
+        PARENT_LOOPED_QPS[("euclidean-8d", "vptree")],
+    )
+    return {"dataset": "euclidean-8d", "n": n, "indexes": [row]}
 
 
 def _guard_failures(workloads):
@@ -291,9 +259,7 @@ def _guard_failures(workloads):
                         f"{cell} {op}: one batch call "
                         f"{row[f'{op}_batched_qps']} q/s < looped {looped}"
                     )
-                parent = row.get(f"{op}_looped_qps_parent")
-                if parent is None:
-                    continue
+                parent = row[f"{op}_looped_qps_parent"]
                 verdict = f"{cell} {op}: looped {looped} q/s vs parent {parent}"
                 if (workload["dataset"], row["index"], op) in SCALAR_AT_PARITY:
                     print(f"  not enforced (scalar was at parity): {verdict}")
@@ -309,7 +275,7 @@ def main(argv=None):
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="tiny sizes for CI: exercises every tree's batched build "
+        help="tiny sizes for CI: exercises the VP-tree's batched build "
         "and query paths, skips the throughput guards, writes no JSON "
         "unless --output is given",
     )
@@ -338,6 +304,7 @@ def main(argv=None):
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),
+        "cpu_count": os.cpu_count(),
         "smoke": args.smoke,
         "workloads": workloads,
     }
@@ -355,8 +322,8 @@ def main(argv=None):
             return 1
         print(
             "OK: one batch call >= the single-query loop on every row; "
-            "BK/VP/GH looped q/s >= the deleted scalar traversals' on "
-            "every enforced cell"
+            "VP looped q/s >= the deleted scalar traversal's on every "
+            "enforced cell"
         )
     return 0
 

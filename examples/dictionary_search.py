@@ -2,7 +2,7 @@
 """Dictionary workload: edit-distance search over a synthetic word list.
 
 The Table 2 dictionaries are the paper's discrete-metric workload.  This
-example builds a BK-tree, LAESA, and the permutation index over one
+example builds a VP-tree, LAESA, and the permutation index over one
 synthetic dictionary and runs spelling-correction-style queries,
 reporting distance evaluations — plus the permutation census that makes
 the dictionaries "effectively high-dimensional".
@@ -18,7 +18,7 @@ import numpy as np
 
 from repro import permutation_dimension
 from repro.datasets import synthetic_dictionary
-from repro.index import BKTree, DistPermIndex, LinearScan, PivotIndex
+from repro.index import DistPermIndex, LinearScan, PivotIndex, VPTree
 from repro.metrics import LevenshteinDistance
 
 
@@ -39,7 +39,7 @@ def main() -> None:
 
     indexes = {
         "LinearScan": LinearScan(words, metric),
-        "BKTree": BKTree(words, metric),
+        "VPTree": VPTree(words, metric, rng=np.random.default_rng(2)),
         "LAESA (12 pivots)": PivotIndex(words, metric, n_pivots=12,
                                         rng=np.random.default_rng(1)),
     }

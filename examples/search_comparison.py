@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Proximity search: comparing every index in the library.
 
-Builds all seven index structures on one database and reports the number
+Builds all six index structures on one database and reports the number
 of distance evaluations per 5-NN query — the cost model of the similarity
 search literature — plus the permutation index's recall/budget trade-off.
 
@@ -16,7 +16,6 @@ from repro.datasets.vectors import uniform_vectors
 from repro.index import (
     AESA,
     DistPermIndex,
-    GHTree,
     IAESA,
     LinearScan,
     PivotIndex,
@@ -35,7 +34,6 @@ def main() -> None:
     indexes = {
         "LinearScan": LinearScan(points, metric),
         "VPTree": VPTree(points, metric, rng=np.random.default_rng(1)),
-        "GHTree": GHTree(points, metric, rng=np.random.default_rng(2)),
         "LAESA (16 pivots)": PivotIndex(points, metric, n_pivots=16,
                                         rng=np.random.default_rng(3)),
         "AESA": AESA(points, metric),

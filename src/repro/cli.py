@@ -62,6 +62,9 @@ _METRICS = {
     "angular": lambda: __import__("repro.metrics", fromlist=["x"]).AngularDistance(),
 }
 
+#: The metrics of string databases; every other one needs ``--kind vectors``.
+_STRING_METRICS = ("levenshtein", "prefix")
+
 #: Indexes the ``search`` subcommand can build (see :mod:`repro.index`).
 _INDEXES = ("aesa", "distperm", "iaesa", "laesa", "linear", "vptree")
 
@@ -278,6 +281,14 @@ def _workers_error(args: argparse.Namespace) -> Optional[str]:
     return None
 
 
+def _metric_kind_error(args: argparse.Namespace) -> Optional[str]:
+    """A ``--metric`` that does not fit ``--kind``; an error or None."""
+    kind = "strings" if args.metric in _STRING_METRICS else "vectors"
+    if args.kind != kind:
+        return f"--metric {args.metric} needs --kind {kind}"
+    return None
+
+
 def _wants_pool(args: argparse.Namespace) -> bool:
     """Whether the engine flags select the pinned worker pool."""
     return bool(
@@ -305,6 +316,9 @@ def _engine_flags_error(args: argparse.Namespace) -> Optional[str]:
 def _index_flags_error(args: argparse.Namespace) -> Optional[str]:
     """Validate the index and engine flags ``search`` and ``serve``
     share, before any database is read; an error message or None."""
+    error = _metric_kind_error(args)
+    if error:
+        return error
     if args.index == "distperm" and args.sites < 1:
         return "--sites must be >= 1"
     if args.index == "laesa" and args.pivots < 1:
@@ -436,7 +450,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
         print("error: --dump needs the in-memory census (it materializes "
               "every permutation); drop --chunk-rows", file=sys.stderr)
         return 1
-    error = _workers_error(args)
+    error = _workers_error(args) or _metric_kind_error(args)
     if error:
         print(f"error: {error}", file=sys.stderr)
         return 1

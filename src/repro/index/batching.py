@@ -15,9 +15,9 @@ space.  The budget is in bytes, so a caller whose matrix is narrower than
 ``float64`` (the ``uint8`` footrule matrix of the permutation index) gets
 proportionally more rows per chunk for the same memory.
 
-The tree indexes (BK, VP, GH, List of Clusters) have a different shape of
-batch work: a *sparse frontier* of surviving (query, vantage) pairs per
-traversal level rather than a dense block.  :func:`frontier_distances`
+The VP-tree has a different shape of batch work: a *sparse frontier* of
+surviving (query, vantage) pairs per traversal level rather than a dense
+block.  :func:`frontier_distances`
 evaluates such a frontier by grouping pairs on whichever side has fewer
 distinct members — one ``batch_distances`` call per group, so vectorized
 metric kernels fire while the evaluation count charged to
@@ -42,7 +42,6 @@ __all__ = [
     "query_chunks",
     "scan_knn",
     "offer",
-    "heap_radius",
     "heap_neighbors",
     "heaps_to_arrays",
     "smallest_k_indices",
@@ -71,11 +70,6 @@ def offer(heap: List[tuple], k: int, distance: float, index: int) -> None:
         heapq.heappush(heap, item)
     elif item > heap[0]:
         heapq.heapreplace(heap, item)
-
-
-def heap_radius(heap: List[tuple], k: int) -> float:
-    """Current pruning radius: the k-th best distance, or inf if unfilled."""
-    return -heap[0][0] if len(heap) == k else float("inf")
 
 
 def heap_neighbors(heap: List[tuple]) -> List[Neighbor]:
@@ -188,7 +182,7 @@ def rows_from_pairs(
 ) -> NeighborArrays:
     """Group flat ``(query, database, distance)`` triplets into CSR rows.
 
-    The tree range traversals accumulate hits level by level as parallel
+    The VP-tree range traversal accumulates hits level by level as parallel
     arrays in no particular order; this groups them by query with one
     stable argsort.  Rows come back unsorted within — the public API's
     ``sorted_rows`` pass imposes the ``(distance, index)`` order.

@@ -1,33 +1,34 @@
 """Micro-batching scheduler: coalesce concurrent requests into engine calls.
 
-The batch engine is 15–25x faster than looped single queries on the
-tree indexes and ~7x on the permutation index, but only if someone
-actually *forms* batches.  :class:`MicroBatcher` is that someone: every
-admitted request joins the current **batching window**, and when the
-window closes — its company target of query rows pending (see below),
-or ``max_wait_ms`` elapsed since it opened, whichever first — the whole
-window is dispatched as a handful of ``*_batch_arrays`` engine calls
+One batch call answers many queries for the per-call cost of one, but
+only if someone actually *forms* batches.  :class:`MicroBatcher` is that
+someone: every admitted request joins the current **batching window**,
+and when the window closes — its company target of requests pending
+(see below), ``max_batch`` query rows pending, or ``max_wait_ms``
+elapsed since it opened, whichever first — the whole window is
+dispatched as a handful of ``*_batch_arrays`` engine calls
 (one per compatible *group*, see below), and the result columns scatter
 back to per-request futures as CSR slices: no per-row ``Neighbor``
 lists, no per-request engine calls.
 
-**Population window.**  Each window has a company target: the query
-rows the previous dispatch answered plus the rows queued when it
-returned (admitted while it ran), capped at ``max_batch``.  The window
-closes as soon as that many rows are pending, or ``max_wait_ms`` after
-it opened, whichever comes first; before the first dispatch the target
-is ``max_batch``, so a fresh batcher's first window waits out the timer
-unless it fills.  Under closed-loop load that count is the population:
-the callers just answered can come back, the queued ones are already
-here, so each window dispatches the moment its callers are back instead
-of idling on the timer (a lone sequential caller waits for nobody).
+**Population window.**  Each window has a company target: the requests
+the previous dispatch answered plus the requests queued when it returned
+(admitted while it ran).  The window closes as soon as that many
+requests are pending, ``max_batch`` query rows are pending, or
+``max_wait_ms`` after it opened, whichever comes first; before the first
+dispatch only the rows and the timer close it, so a fresh batcher's
+first window waits out the timer unless it fills.  Under closed-loop
+load that count is the population: the callers just answered can come
+back, the queued ones are already here, so each window dispatches the
+moment its callers are back instead of idling on the timer (a lone
+sequential caller waits for nobody, whatever its requests' sizes).
 Out-of-phase caller groups do not fragment: a group that arrived while
 the other's batch ran is in the target, so the next window waits for
 both.  Under open-loop arrivals answered callers do not come back: a
-sparse stream has targets of a row or two and dispatches on arrival, and
-as the rate rises each target (the last batch plus what queued during
-its dispatch) outgrows what one window collects, so ``max_wait_ms``
-closes the windows as a plain timer would.
+sparse stream has targets of a request or two and dispatches on
+arrival, and as the rate rises each target (the last batch plus what
+queued during its dispatch) outgrows what one window collects, so
+``max_wait_ms`` closes the windows as a plain timer would.
 
 **Grouping.**  Requests in one window coalesce into a single engine
 call when the merged call provably returns byte-identical rows for
@@ -79,13 +80,13 @@ __all__ = ["BatchConfig", "RejectedError", "MicroBatcher"]
 class BatchConfig:
     """Tuning knobs of the micro-batching scheduler.
 
-    ``max_batch`` caps the query rows per batching window and each
-    window's company target (the rows the previous dispatch answered
-    plus those queued when it returned, so closed-loop callers dispatch
-    as soon as they are all back, out-of-phase groups included);
-    ``max_wait_ms`` caps any window's wait: the fallback that closes
-    windows under busy open-loop arrivals, whose answered callers never
-    come back.  ``max_queue`` bounds admitted query rows (queued +
+    ``max_batch`` caps the query rows per batching window; a window also
+    closes at its company target (the requests the previous dispatch
+    answered plus those queued when it returned, so closed-loop callers
+    dispatch as soon as they are all back, out-of-phase groups
+    included).  ``max_wait_ms`` caps any window's wait: the fallback
+    that closes windows under busy open-loop arrivals, whose answered
+    callers never come back.  ``max_queue`` bounds admitted query rows (queued +
     in-flight) — the backpressure limit.
     """
 
@@ -296,7 +297,11 @@ class MicroBatcher:
 
     async def _run(self) -> None:
         loop = asyncio.get_running_loop()
-        target = self.config.max_batch
+        max_batch = self.config.max_batch
+        # The company target, in requests.  Before the first dispatch
+        # only the rows and the timer close a window: max_batch requests
+        # carry at least max_batch rows.
+        target = max_batch
         while True:
             # Wait for the first arrival (or drain of an empty queue).
             while not self._pending:
@@ -305,9 +310,14 @@ class MicroBatcher:
                 self._wake.clear()
                 await self._wake.wait()
             # The batching window: collect company until the target
-            # population is pending or the wait cap runs out.
+            # population (or a full batch of rows) is pending or the
+            # wait cap runs out.
             deadline = loop.time() + self._max_wait_s
-            while self._pending_queries < target and not self._draining:
+            while (
+                len(self._pending) < target
+                and self._pending_queries < max_batch
+                and not self._draining
+            ):
                 remaining = deadline - loop.time()
                 if remaining <= 0:
                     break
@@ -318,9 +328,7 @@ class MicroBatcher:
                     break
             batch = self._take_batch()
             await self._dispatch(batch)
-            answered = sum(request.n_queries for request in batch)
-            target = min(self.config.max_batch,
-                         answered + self._pending_queries)
+            target = len(batch) + len(self._pending)
 
     def _take_batch(self) -> List[_PendingRequest]:
         """Pop whole requests off the queue, up to ``max_batch`` rows.

@@ -56,8 +56,8 @@ class ServerStats:
         self.batch_size_histogram: Dict[int, int] = {}
         #: Cap on any batching window's wait, seconds (``max_wait_ms``;
         #: batcher-owned).  A window closes earlier once its company
-        #: target — the rows the previous dispatch answered plus those
-        #: queued when it returned — is pending, so closed-loop callers
+        #: target — the requests the previous dispatch answered plus
+        #: those queued when it returned — is pending, so closed-loop callers
         #: (out-of-phase groups included) dispatch as soon as they are
         #: back; under busy open-loop arrivals, whose answered callers
         #: never come back, this cap closes the windows.

@@ -15,12 +15,9 @@ import pytest
 
 from repro.index import (
     AESA,
-    BKTree,
     DistPermIndex,
-    GHTree,
     IAESA,
     LinearScan,
-    ListOfClusters,
     PivotIndex,
     VPTree,
 )
@@ -41,10 +38,6 @@ INDEX_FACTORIES = {
         pts, m, n_sites=6, rng=np.random.default_rng(2)
     ),
     "vptree": lambda pts, m: VPTree(pts, m, rng=np.random.default_rng(3)),
-    "ghtree": lambda pts, m: GHTree(pts, m, rng=np.random.default_rng(4)),
-    "listclusters": lambda pts, m: ListOfClusters(
-        pts, m, bucket_size=12, rng=np.random.default_rng(5)
-    ),
 }
 
 
@@ -311,16 +304,3 @@ class TestDistPermBudgetedBatch:
         per_query = (20 + index.n_sites) * len(queries)
         assert index.stats.query_distances == per_query
 
-
-class TestBKTreeBatchFallback:
-    """BKTree has no vectorized override: the generic fallback must still
-    satisfy the batch contract on its native discrete-metric workload."""
-
-    @pytest.mark.parametrize("metric_name", STRING_METRICS)
-    def test_batch_matches_loop(self, metric_name):
-        metric_cls = STRING_METRICS[metric_name]
-        words, queries = _string_database()
-        _assert_batch_matches_loop(
-            lambda pts, m: BKTree(pts, m), words, queries, metric_cls,
-            k=5, radius=1,
-        )

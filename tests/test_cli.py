@@ -61,6 +61,14 @@ class TestBound:
 _VECTOR_FLAGS = ["--input", "{vectors}", "--kind", "vectors", "--metric", "l2"]
 
 
+#: The subcommands that read a database of one ``--kind``.
+_KIND_COMMANDS = (
+    ("census", ()),
+    ("search", ()),
+    ("serve", ("--unix-socket", "{sock}")),
+)
+
+
 class TestNoTraceback:
     """Bad input never reaches a traceback: one ``error:`` line, exit 1."""
 
@@ -89,6 +97,20 @@ class TestNoTraceback:
         (["bound", "2", "3", "--p", "7"], "--p must be 1, 2 or inf, got 7"),
         (["bound", "2", "-1"], "bound requires d >= 0, k >= 1"),
         (["bound", "-1", "3"], "bound requires d >= 0, k >= 1"),
+        *(
+            ([command, "--input", "{vectors}", "--kind", "vectors",
+              "--metric", metric, *extra],
+             f"--metric {metric} needs --kind strings")
+            for command, extra in _KIND_COMMANDS
+            for metric in ("levenshtein", "prefix")
+        ),
+        *(
+            ([command, "--input", "{words}", "--kind", "strings",
+              "--metric", metric, *extra],
+             f"--metric {metric} needs --kind vectors")
+            for command, extra in _KIND_COMMANDS
+            for metric in ("l1", "l2", "linf", "angular")
+        ),
     ])
     def test_bad_input_prints_one_error_line(
         self, argv, message, tmp_path, capsys, rng

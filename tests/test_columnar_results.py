@@ -28,12 +28,9 @@ import pytest
 
 from repro.index import (
     AESA,
-    BKTree,
     DistPermIndex,
-    GHTree,
     IAESA,
     LinearScan,
-    ListOfClusters,
     PivotIndex,
     ShardedIndex,
     VPTree,
@@ -56,11 +53,6 @@ INDEX_FACTORIES = {
         pts, m, n_sites=6, rng=np.random.default_rng(2)
     ),
     "vptree": lambda pts, m: VPTree(pts, m, rng=np.random.default_rng(3)),
-    "bktree": lambda pts, m: BKTree(pts, m),
-    "ghtree": lambda pts, m: GHTree(pts, m, rng=np.random.default_rng(4)),
-    "listclusters": lambda pts, m: ListOfClusters(
-        pts, m, bucket_size=12, rng=np.random.default_rng(5)
-    ),
 }
 
 
@@ -137,8 +129,6 @@ class TestArraysMatchLists:
     """The property grid: every index x metric x op, single + batch."""
 
     def test_vector_metric(self, name, vector_setup):
-        if name == "bktree":
-            pytest.skip("BKTree requires an integer-valued metric")
         points, queries, metric_cls = vector_setup
         index = INDEX_FACTORIES[name](points, metric_cls())
         _assert_arrays_match_lists(

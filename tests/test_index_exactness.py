@@ -13,10 +13,8 @@ import pytest
 from repro.index import (
     AESA,
     DistPermIndex,
-    GHTree,
     IAESA,
     LinearScan,
-    ListOfClusters,
     PivotIndex,
     VPTree,
 )
@@ -32,10 +30,6 @@ INDEX_FACTORIES = {
         pts, m, n_sites=6, rng=np.random.default_rng(2)
     ),
     "vptree": lambda pts, m: VPTree(pts, m, rng=np.random.default_rng(3)),
-    "ghtree": lambda pts, m: GHTree(pts, m, rng=np.random.default_rng(4)),
-    "listclusters": lambda pts, m: ListOfClusters(
-        pts, m, bucket_size=12, rng=np.random.default_rng(5)
-    ),
 }
 
 

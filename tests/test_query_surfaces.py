@@ -17,15 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.index
+from repro.cli import _INDEXES, _sharded_inner
 from repro.index import (
     AESA,
-    BKTree,
     DistPermIndex,
-    GHTree,
     IAESA,
     Index,
     LinearScan,
-    ListOfClusters,
     PivotIndex,
     ShardedIndex,
     VPTree,
@@ -38,10 +36,9 @@ INDEX_CLASSES = [
     if isinstance(cls, type) and issubclass(cls, Index) and cls is not Index
 ]
 
-#: The only classes allowed a traversal on both surfaces, and why.
+#: The only class allowed a traversal on both surfaces, and why.
 BOTH_HOOKS = {
     LinearScan: "the scalar loop is the oracle exactness tests compare against",
-    ListOfClusters: "measured: scalar wins a batch of one, batched wins 256",
 }
 
 
@@ -51,8 +48,18 @@ def _overridden(cls, name):
 
 class TestHookStructure:
     def test_table_covers_every_exported_index(self):
-        assert len(INDEX_CLASSES) == 10
+        assert len(INDEX_CLASSES) == 7
         assert set(BOTH_HOOKS) <= set(INDEX_CLASSES)
+
+    def test_every_exported_index_is_built_by_the_cli(self):
+        # An index no `--index` choice builds carries lines nothing runs;
+        # ShardedIndex wraps whichever one the CLI picks.
+        points = np.random.default_rng(0).random((12, 2))
+        built = {
+            type(_sharded_inner(points, EuclideanDistance(), name))
+            for name in _INDEXES
+        }
+        assert set(INDEX_CLASSES) - built == {ShardedIndex}
 
     @pytest.mark.parametrize("cls", INDEX_CLASSES, ids=lambda c: c.__name__)
     def test_one_hook_per_operation(self, cls):
@@ -105,12 +112,7 @@ FACTORIES = {
         pts, m, n_sites=3, rng=np.random.default_rng(2)
     ),
     "vptree": lambda pts, m: VPTree(pts, m, rng=np.random.default_rng(3)),
-    "ghtree": lambda pts, m: GHTree(pts, m, rng=np.random.default_rng(4)),
-    "listclusters": lambda pts, m: ListOfClusters(
-        pts, m, bucket_size=3, rng=np.random.default_rng(5)
-    ),
     "sharded": lambda pts, m: ShardedIndex(pts, m, n_shards=2),
-    "bktree": lambda pts, m: BKTree(pts, m),
 }
 
 # Coordinates on a dyadic grid: plenty of duplicates and exact distance
@@ -190,8 +192,6 @@ def test_surfaces_agree_on_euclidean(case):
     points = np.asarray(database, dtype=np.float64)
     rows = [np.asarray(q, dtype=np.float64) for q in queries]
     for name, factory in FACTORIES.items():
-        if name == "bktree":
-            continue  # integer metrics only
         index = factory(points, EuclideanDistance())
         try:
             # Radius 0 leaves most rows empty; 0.25 and 0.5 are tie radii.

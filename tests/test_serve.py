@@ -561,6 +561,24 @@ class TestMicroBatcher:
 
         assert _run_batcher(index, config, body) < 0.25
 
+    def test_target_counts_callers_not_rows(self, vectors):
+        """A multi-row request is one caller: after a 16-row ``knn`` the
+        same lone caller's singles still dispatch on arrival."""
+        index = LinearScan(vectors, EuclideanDistance())
+        config = BatchConfig(max_batch=64, max_wait_ms=500.0)
+
+        async def body(batcher):
+            started = time.monotonic()
+            await batcher.submit("knn", vectors[:16], k=1)  # waits 500 ms
+            first = time.monotonic()
+            for i in range(5):
+                await batcher.submit("knn", vectors[i : i + 1], k=1)
+            return time.monotonic() - first, first - started
+
+        singles, first_window = _run_batcher(index, config, body)
+        assert first_window >= 0.4  # a fresh batcher's window, unfilled
+        assert singles < 0.25
+
     @pytest.mark.parametrize("callers", [2, 5])
     def test_closed_loop_callers_form_full_windows(self, vectors, callers):
         """N closed-loop callers make windows of N rows that close as soon
