@@ -238,8 +238,10 @@ def _bench_recall(points, metric, queries, exact_results, k, budgets):
     best candidates.  Each recall is the mean over :data:`RECALL_DRAWS`
     site draws, because the ranking of the splits changes from draw to
     draw, and ``evals_*`` beside it is the mean distance evaluations per
-    query, site distances included — the global split pays every
-    shard's ``to_sites`` twice.  ``per_draw`` keeps each draw's figures.
+    query, site distances included — the global split refines each
+    shard's first ``min(budget, shard size)`` candidates, not only its
+    share, to answer in one round trip.  ``per_draw`` keeps each draw's
+    figures.
     Recall is measured against the exact kNN answer; shards run
     in-process (recall depends on the shard layout, not the engine).
     """

@@ -152,17 +152,19 @@ def bench_degraded_recall(words, metric, queries, exact_ids, budgets, smoke):
     killed shard's budget share is redistributed to the survivors by
     the merged ranking; ``committed_recall_sharded`` carries the
     committed *proportional*-split full-shard recall from
-    ``BENCH_parallel.json`` for comparison across PRs.  The kill lands
-    on the footrule phase (request 1 of each batch), so the dead shard
-    is excluded from the allocation and exactly one worker generation
-    burns per budget point.
+    ``BENCH_parallel.json`` for comparison across PRs.  A batch is one
+    fan-out, so one request per worker: generation ``g`` of shard 0 dies
+    on its first request, budget point ``g``'s batch, which leaves the
+    shard out of that batch's allocation and burns exactly one worker
+    generation per budget point.
     """
     inner = partial(DistPermIndex, n_sites=12, site_strategy="first")
     # The committed curve was measured at full size; comparing smoke's
     # tiny dataset against it would just mislead.
     committed = {} if smoke else _committed_sharded_curve()
-    # One generation-g kill per budget point: every batch loses shard 0,
-    # freshly respawned between batches.
+    # One generation-g kill per budget point, on the generation's first
+    # request: every batch (one fan-out) loses shard 0, freshly respawned
+    # between batches.
     faults = [
         FaultSpec("kill", shard=0, request=1, generation=g)
         for g in range(len(budgets))

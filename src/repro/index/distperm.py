@@ -566,46 +566,72 @@ class DistPermIndex(Index):
     ) -> NeighborArrays:
         return exhaustive_knn_batch(self.metric, queries, self.points, k)
 
+    def _ranked_rows(
+        self, queries: Sequence[Any], limit: int
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(footrules, means, ids)``: each query's first ``limit`` (capped
+        at ``n``) ids in ``(footrule, id)`` order as an ``int32`` row, their
+        footrules in :func:`compact_footrule_dtype`, and the query's mean
+        footrule over all points.
+
+        One ``to_sites`` call and one footrule scan per query chunk.  A
+        length-``b`` prefix of a row of ``ids`` is the set
+        ``_budget_candidates(row, b)`` selects, which lists the ids below
+        its boundary, then the boundary ties, each in id order; a stable
+        sort by footrule therefore orders it by ``(footrule, id)``.
+        """
+        n, n_queries = len(self.points), len(queries)
+        limit = max(0, min(int(limit), n))
+        footrules = np.empty((n_queries, limit), compact_footrule_dtype(self.n_sites))
+        means, ids = np.empty(n_queries), np.empty((n_queries, limit), np.int32)
+        if limit and n_queries:
+            query_perms = self.query_permutations(queries)
+            for start, stop in self._query_chunks(n_queries):
+                matrix = self._footrules_matrix(query_perms[start:stop])
+                for q, row in enumerate(matrix, start):
+                    ranked = _budget_candidates(row, limit)
+                    ids[q] = ranked[np.argsort(row[ranked], kind="stable")]
+                    footrules[q], means[q] = row[ids[q]], row.sum(dtype=np.int64) / n
+        return footrules, means, ids
+
     def query_footrules(
         self, queries: Sequence[Any], limit: int
     ) -> np.ndarray:
         """Each query's ``limit`` smallest *centered* footrules, ascending.
 
-        The per-shard half of the sharded global-footrule budget split:
-        the supervisor merges these value columns across shards to decide
-        how many candidates each shard deserves per query.  Raw footrule
-        values are not comparable across shards — each shard ranks
-        against its own site set, so a lucky site draw shifts a shard's
-        whole distribution low and would hoard the merged budget on
-        noise.  Centering every row by the query's mean footrule over
-        *all* points of this index (a statistic of the full distribution
-        the method computes anyway) cancels that per-site-set shift
-        while preserving the within-shard ordering, so the merged values
-        rank candidates by how unusually close they sit in their own
-        shard's permutation space (over site draws, no more recall than
-        the proportional split).  Costs one ``to_sites`` call
-        (``n_sites`` evaluations per query) — the same site distances a
-        subsequent :meth:`knn_approx_batch` pays again, so in-process
-        and pooled execution charge identically.
+        What the sharded global-footrule budget split ranks by, for
+        callers that replay it (:meth:`ranked_candidates` ships the raw
+        values and the mean instead).  Raw footrule values are not
+        comparable across shards — each shard ranks against its own site
+        set, so a lucky site draw shifts a shard's whole distribution low
+        and would hoard the merged budget on noise.  Centering every row
+        by the query's mean footrule over *all* points of this index
+        cancels that per-site-set shift while preserving the within-shard
+        ordering, so the merged values rank candidates by how unusually
+        close they sit in their own shard's permutation space (over site
+        draws, no more recall than the proportional split).  Costs one
+        ``to_sites`` call (``n_sites`` evaluations per query).
         """
-        n = len(self.points)
-        limit = max(0, min(int(limit), n))
-        out = np.empty((len(queries), limit), dtype=np.float64)
-        if limit == 0 or len(queries) == 0:
-            return out
-        query_perms = self.query_permutations(queries)
-        values = np.arange(self.n_sites**2 // 2 + 1)
-        for start, stop in self._query_chunks(len(queries)):
-            footrules = self._footrules_matrix(query_perms[start:stop])
-            for q, row in enumerate(footrules, start):
-                # A footrule takes one of floor(k^2 / 2) + 1 values, so
-                # the row's histogram gives its smallest entries in order
-                # and its exact mean without sorting it.
-                counts = np.bincount(row, minlength=values.shape[0])
-                taken = np.diff(np.minimum(np.cumsum(counts), limit), prepend=0)
-                out[q] = np.repeat(values, taken)
-                out[q] -= counts @ values / n
-        return out
+        footrules, means, _ = self._ranked_rows(queries, limit)
+        return footrules - means[:, None]
+
+    def ranked_candidates(
+        self, queries: Sequence[Any], limit: int
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The shard side of the sharded global-footrule budget split:
+        :meth:`_ranked_rows` plus the candidates' ``float64`` distances
+        from one :meth:`~repro.metrics.base.Metric.grouped_distances`
+        call.  The top ``k`` of a row's first ``b`` entries is
+        :meth:`knn_approx_batch`'s answer at that query's budget ``b``, so
+        the supervisor allocates and selects from one round trip, at the
+        price of refining all ``limit`` candidates.
+        """
+        footrules, means, ids = self._ranked_rows(queries, limit)
+        offsets = np.arange(len(queries) + 1) * ids.shape[1]
+        distances = self.metric.grouped_distances(
+            queries, self._resident_points(), ids.reshape(-1), offsets
+        )
+        return footrules, means, ids, distances.reshape(ids.shape)
 
     def _bounded_candidates(
         self, query_perms: np.ndarray, budgets: np.ndarray
@@ -622,33 +648,38 @@ class DistPermIndex(Index):
         """
         k, n = self.n_sites, len(self.points)
         workspace = self._footrule_workspace
-        dtype = compact_footrule_dtype(k)
+        dtype, position_dtype = compact_footrule_dtype(k), compact_position_dtype(k)
         rows = workspace_buffer(workspace, "footrules", (len(query_perms), n), dtype)
         # Every array the size of the unretained codes is a reused
         # workspace buffer: fresh ones would fault their pages in anew on
         # each call once the heap is trimmed between single queries.
         codes = workspace_buffer(workspace, "codes", (n,), np.uint64)
-        held, runs, ends, shift = [], [], [], []
+        held, runs, ends = [], [], [0]
         for start, stop, positions, run in self._code_store.scan_blocks(workspace):
             if run is not None:
-                # Code i of run r (ends[r - 1] <= i < ends[r]) is column
-                # i + shift[r] of the row; ``run`` lasts until the next draw.
-                first = ends[-1] if ends else 0
-                codes[first : first + len(run)] = run
+                # Codes ends[r] .. ends[r + 1] are columns runs[r] .. of the
+                # row; ``run`` lasts until the next draw.
+                codes[ends[-1] : ends[-1] + len(run)] = run
                 runs.append(start)
-                ends.append(first + len(run))
-                shift.append(start - first)
+                ends.append(ends[-1] + len(run))
             else:
                 held.append(rows[:, start:stop])
                 footrule_matrix_batch(None, query_perms, positions=positions.T,
                                       workspace=workspace, out=held[-1])
-        codes, ends, shift = codes[: ends[-1]], np.array(ends), np.array(shift)
+        codes = codes[: ends[-1]]
+        spans = list(zip(runs, ends, ends[1:]))
         tables, divisor = footrule_prefix_bounds(query_perms, k)
         # Prefixes are below 2**14: viewed as intp, no gather re-casts them.
         prefixes = workspace_buffer(workspace, "prefixes", codes.shape, np.uint64)
         np.floor_divide(codes, np.uint64(divisor), out=prefixes)
         prefixes = prefixes.view(np.intp)
         bounds = workspace_buffer(workspace, "bounds", codes.shape, dtype)
+        # So are each round's masks and (sized to the round) its survivors'
+        # codes, positions and exact footrules.  Their indices are not:
+        # ``np.compress`` into a buffer costs more than the pages it saves.
+        reach, seen, fresh = (workspace_buffer(workspace, key, codes.shape, np.bool_)
+                              for key in ("reach", "seen", "fresh"))
+        hits = workspace_buffer(workspace, "hits", (n,), np.bool_)
         if held:
             samples = np.concatenate(held, axis=1)
         else:
@@ -661,22 +692,34 @@ class DistPermIndex(Index):
             row, budget = rows[q], int(budget)
             if 0 < budget < n:
                 np.take(tables[q], prefixes, out=bounds)
-                for first, part in zip(runs, np.split(bounds, ends[:-1])):
-                    row[first : first + len(part)] = part
+                for first, lo, hi in spans:
+                    row[first : first + hi - lo] = bounds[lo:hi]
                 sampled = np.cumsum(np.bincount(samples[q]))
                 t = 1 + int(np.searchsorted(sampled, budget * samples.shape[1] / n))
-                seen = False
+                seen.fill(False)
                 while True:
-                    reach = bounds <= dtype.type(t)
-                    fresh = np.flatnonzero(reach > seen)
-                    run = np.searchsorted(ends, fresh, "right")
-                    row[fresh + shift[run]] = footrule_matrix_batch(
-                        None, query_perms[q : q + 1], workspace=workspace,
-                        positions=decode_positions(codes[fresh], k),
-                    )[0]
-                    if np.count_nonzero(row <= dtype.type(t)) >= budget:
+                    np.less_equal(bounds, dtype.type(t), out=reach)
+                    np.greater(reach, seen, out=fresh)
+                    fresh_ids = np.flatnonzero(fresh)
+                    m = len(fresh_ids)
+                    survivors = np.take(codes, fresh_ids, out=workspace_buffer(
+                        workspace, "survivors", (m,), np.uint64))
+                    decoded = decode_positions(survivors, k, out=workspace_buffer(
+                        workspace, "survivor_positions", (k, m), position_dtype).T)
+                    scores = footrule_matrix_batch(
+                        None, query_perms[q : q + 1], positions=decoded,
+                        workspace=workspace,
+                        out=workspace_buffer(workspace, "exact", (1, m), dtype))[0]
+                    # ``fresh_ids`` is sorted: shift each run's share in place
+                    # from code positions to row columns.
+                    cuts = np.searchsorted(fresh_ids, ends)
+                    for (first, lo, _), a, b in zip(spans, cuts, cuts[1:]):
+                        fresh_ids[a:b] += first - lo
+                    row[fresh_ids] = scores
+                    np.less_equal(row, dtype.type(t), out=hits)
+                    if np.count_nonzero(hits) >= budget:
                         break
-                    seen, t = reach, t + 2
+                    reach, seen, t = seen, reach, t + 2
             candidates.append(_budget_candidates(row, budget))
         return candidates
 
@@ -685,9 +728,10 @@ class DistPermIndex(Index):
     ) -> NeighborArrays:
         n = len(self.points)
         if isinstance(budget, np.ndarray):
-            # Per-query budgets (the sharded global split): spent as
-            # allocated — zero-budget rows stay empty, with no k floor,
-            # so the global candidate total matches the requested budget.
+            # Per-query budgets (a replay of the sharded global split, as
+            # the e2e probe and the tests run it): spent as allocated —
+            # zero-budget rows stay empty, with no k floor, so the global
+            # candidate total matches the requested budget.
             budgets = np.minimum(budget, n)
             if not budgets.any():
                 return NeighborArrays.empty(len(queries))

@@ -28,12 +28,17 @@ each shard keeping at least ``k``), or — for distance-permutation
 inners — a *global footrule split* that merges every shard's candidate
 ranks into one ordering and budgets each shard exactly its share of the
 global top (see :meth:`ShardedIndex._global_fanout`).  Averaged over
-four site draws the two splits reach recall within 0.004 of each other,
-and the global one pays every shard's site distances twice
-(``BENCH_parallel.json``).
+four site draws the two splits reach recall within 0.004 of each other
+(``BENCH_parallel.json``); the global one answers in one round trip by
+refining each shard's first ``min(budget, shard size)`` candidates, not
+only its share.  So on a *float* metric its distances can differ in the
+last ulp from a replay of the split that refines only the allocation:
+Euclidean's ``a @ b.T`` rounding depends on how many candidates one
+``batch_distances`` call scores (2 of 4000 distances, by at most 7e-16,
+over 40 random 2–9-d draws).  Discrete metrics are exact either way.
 
 Answers move as columns, not objects: every shard returns a
-:class:`~repro.index.base.NeighborArrays` (or a footrule-rank matrix),
+:class:`~repro.index.base.NeighborArrays` (or its ranked candidates),
 the merge is a vectorized CSR scatter with one scalar index rebase per
 shard, and resident workers ship those same arrays across the process
 boundary — inline for small replies, via one-shot shared-memory
@@ -71,6 +76,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.index.base import Budget, Index, NeighborArrays
+from repro.index.batching import smallest_k_indices
 from repro.index.linear import LinearScan
 from repro.metrics.base import Metric
 from repro.parallel.census import shard_ranges
@@ -87,15 +93,6 @@ from repro.parallel.workerpool import (
 __all__ = ["ShardedIndex"]
 
 InnerFactory = Callable[[Sequence[Any], Metric], Index]
-
-
-def _combine(a: Optional[float], b: Optional[float]) -> Optional[float]:
-    """Sum two optional per-shard figures across fan-out phases."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a + b
 
 
 class ShardedIndex(Index):
@@ -122,7 +119,7 @@ class ShardedIndex(Index):
     distance-permutation footrule in one merged ordering and budgets
     each shard its share of the global top (see :meth:`_global_fanout`),
     and ``"auto"`` (default) uses the global split whenever every inner
-    index supports it (exposes ``query_footrules``) and falls back to
+    index supports it (exposes ``ranked_candidates``) and falls back to
     proportional otherwise; it is no recall gain (module docstring).
     """
 
@@ -202,14 +199,9 @@ class ShardedIndex(Index):
         # Charge aggregate shard build cost to this index's own counter,
         # which Index.__init__ is about to read into stats.
         self.metric.count += sum(s.stats.build_distances for s in self.shards)
-        if self._budget_split == "global" and not all(
-            hasattr(shard, "query_footrules") for shard in self.shards
-        ):
-            raise TypeError(
-                "budget_split='global' needs inner indexes that expose "
-                "query_footrules() (distance-permutation indexes); got "
-                f"{type(self.shards[0]).__name__}"
-            )
+        # budget_split='global' over inners that cannot rank raises now,
+        # not at the first budgeted query.
+        self._use_global_split(0)
 
     def _build_resident(
         self, ranges: Sequence[Tuple[int, int]], raw_metric: Metric
@@ -321,36 +313,29 @@ class ShardedIndex(Index):
         queries: Sequence[Any],
         arg: Any,
         budgets: Sequence[Budget],
-        active: Optional[Sequence[bool]] = None,
     ) -> Tuple[
         List[Optional[Any]],
         Optional[List[Optional[float]]],
         Optional[List[Optional[int]]],
     ]:
-        """Run one batched op on the (active) shards through the engine.
+        """Run one batched op on every shard through the engine.
 
         Returns ``(per_shard, latencies, reply_bytes)``.  ``per_shard``
-        holds shard-local column results — ``None`` for shards masked
-        out by ``active`` and, in pooled degrade mode, shards that
-        failed past the policy's bounds.  ``latencies`` / ``reply_bytes``
-        are per-shard lists from the pool and ``None`` for the
-        in-process engine (which has no wire).  Evaluation deltas from
+        holds shard-local results — ``None``, in pooled degrade mode, for
+        shards that failed past the policy's bounds.  ``latencies`` /
+        ``reply_bytes`` are per-shard lists from the pool and ``None`` for
+        the in-process engine (which has no wire).  Evaluation deltas from
         every shard are charged to this index's counter.
         """
-        if active is None:
-            active = [True] * self.n_shards
         if self._pooled:
             pool = self._ensure_worker_pool()
             per_shard, deltas, latencies, reply_bytes = pool.query(
-                op, queries, arg, budgets, self._policy, active=active
+                op, queries, arg, budgets, self._policy
             )
             self.metric.count += sum(deltas)
             return per_shard, latencies, reply_bytes
         per_shard = []
         for s, shard in enumerate(self.shards):
-            if not active[s]:
-                per_shard.append(None)
-                continue
             before = shard.metric.count
             per_shard.append(
                 _run_shard_op(shard, op, queries, arg, budgets[s])
@@ -450,13 +435,13 @@ class ShardedIndex(Index):
         if budget is None or self._budget_split == "proportional":
             return False
         supported = all(
-            hasattr(shard, "query_footrules") for shard in self.shards
+            hasattr(shard, "ranked_candidates") for shard in self.shards
         )
         if self._budget_split == "global":
             if not supported:
                 raise TypeError(
-                    "budget_split='global' needs inner indexes that "
-                    "expose query_footrules() (distance-permutation "
+                    "budget_split='global' needs inner indexes that rank "
+                    "candidates by footrule (distance-permutation "
                     f"indexes); got {type(self.shards[0]).__name__}"
                 )
             return True
@@ -475,16 +460,16 @@ class ShardedIndex(Index):
         footrule values (see ``DistPermIndex.query_footrules`` for why
         centering makes the values comparable across shards' distinct
         site sets); concatenating them and keeping the ``cap`` smallest
-        per query yields the global candidate set this fan-out may
-        evaluate.  Exact value ties resolve by the stable sort to the
+        per query yields the global candidate set the answer is drawn
+        from.  Exact value ties resolve by the stable sort to the
         lower shard id and lower within-shard rank — a fixed total
         order, so the allocation is deterministic across engines.  A
         shard's allocation is the number of its candidates in that set,
-        a per-query int array it spends exactly.  Shards that failed
-        the footrule phase are absent from the merge, so their share
-        flows to the survivors — degrade-mode budget redistribution
-        falls out of the ranking rather than needing a separate code
-        path.
+        a per-query int array: the prefix of its ranked candidates the
+        answer reads.  Shards that failed the fan-out are absent from the
+        merge, so their share flows to the survivors — degrade-mode
+        budget redistribution falls out of the ranking rather than
+        needing a separate code path.
         """
         allocations: Dict[int, np.ndarray] = {}
         if not survivors:
@@ -513,20 +498,19 @@ class ShardedIndex(Index):
     ) -> NeighborArrays:
         """Budgeted ``knn_approx`` under the global footrule split.
 
-        Two supervised phases over the same engine.  Phase one asks
-        every shard for its per-query ascending *centered* footrule
-        values of its best ``min(budget', shard size)`` candidates
-        (``budget'`` is the usual clamp ``max(k, min(budget, n))``);
-        the owner merges those value arrays into one global ordering
-        and allocates each shard the portion of the top ``budget'``
-        candidates that live in it.
-        Phase two runs the ordinary budgeted scan with those per-query
-        per-shard budgets.  Shards whose global allocation is zero for
-        every query are skipped outright (their honest answer is empty);
-        shards that failed phase one are excluded from phase two and the
-        merge, and — because the allocation ranks only surviving shards'
-        candidates — their budget share automatically redistributes to
-        the survivors.
+        One supervised fan-out of the ``"ranked"`` op: every shard ships,
+        per query, its first ``min(budget', shard size)`` candidates in
+        footrule order with their raw footrules, the query's mean
+        footrule and the candidates' refined distances (``budget'`` is
+        the usual clamp ``max(k, min(budget, n))``).  The owner centers
+        the footrules, merges them into one global ordering and
+        allocates each shard the portion of the top ``budget'``
+        candidates that live in it (:meth:`_allocate_budget`); a shard's
+        answer is then the top ``k`` of its allocated prefix — exactly
+        its budgeted scan with that per-query budget.  A shard that
+        failed the fan-out is absent from the ranking, so its budget
+        share redistributes to the survivors, whose replies already hold
+        every candidate that share can reach.
         """
         n_queries = len(queries)
         cap = max(k, min(int(budget), len(self.points)))
@@ -534,29 +518,28 @@ class ShardedIndex(Index):
             min(cap, self.shard_offsets[s + 1] - self.shard_offsets[s])
             for s in range(self.n_shards)
         ]
-        footrules, lat1, rb1 = self._execute(
-            "footrules", queries, None, limits
+        replies, latencies, reply_bytes = self._execute(
+            "ranked", queries, None, limits
         )
-        survivors = [
-            s for s in range(self.n_shards) if footrules[s] is not None
-        ]
-        allocations = self._allocate_budget(
-            footrules, survivors, cap, n_queries
-        )
-        active = [False] * self.n_shards
-        budgets: List[Budget] = [None] * self.n_shards
+        survivors = [s for s, reply in enumerate(replies) if reply is not None]
+        centered = [None if r is None else r[0] - r[1][:, None] for r in replies]
+        allocations = self._allocate_budget(centered, survivors, cap, n_queries)
+        per_shard: List[Optional[NeighborArrays]] = [None] * self.n_shards
         for s in survivors:
-            budgets[s] = allocations[s]
-            active[s] = bool(allocations[s].any())
-        per_shard, lat2, rb2 = self._execute(
-            "knn-approx", queries, k, budgets, active
-        )
-        for s in survivors:
-            if not active[s]:
-                per_shard[s] = NeighborArrays.empty(n_queries)
-        if lat1 is not None:
-            latencies = [_combine(a, b) for a, b in zip(lat1, lat2)]
-            reply_bytes = [_combine(a, b) for a, b in zip(rb1, rb2)]
+            _, _, ids, distances = replies[s]
+            # The top k of each row's allocated prefix: one selection per
+            # query, the refine step's own tie rule.
+            picks = [
+                smallest_k_indices(row[:b], k, row_ids[:b])
+                for row, row_ids, b in zip(distances, ids, allocations[s])
+            ]
+            offsets = np.cumsum([0, *map(len, picks)], dtype=np.int64)
+            rows = np.repeat(np.arange(n_queries), np.diff(offsets))
+            cols = np.concatenate([*picks, offsets[:0]])
+            per_shard[s] = NeighborArrays(
+                distances[rows, cols], ids[rows, cols].astype(np.int64), offsets
+            )
+        if latencies is not None:
             self._note_resident(per_shard, latencies, reply_bytes)
         return self._merge_columns(per_shard, n_queries)
 

@@ -41,16 +41,16 @@ one-shot shared-memory segments (descriptors on the pipe, payload in
 each op's exact shape contract (:func:`_validate_arrays`; the column
 check is shared with the query socket, the codec deliberately is not —
 see :mod:`repro.serve.protocol`) and accounts the shipped bytes per
-shard into ``SearchStats.reply_bytes``.  Two non-query ops ride the
-same wire:
-``"footrules"`` ships the per-query centered footrule matrix that feeds
-``ShardedIndex``'s global budget split — the supervisor merges every
-shard's centered values into one ranking and allocates each shard
-exactly its share of the global top-``budget``, which is also how a dead
-shard's budget share flows to the survivors under
-``on_partial="degrade"`` — and ``"state"`` ships a freshly built shard's
-pickled state back to the owner, so a pooled index builds its shards
-*in* the pinned workers.
+shard into ``SearchStats.reply_bytes``.  Two more ops ride the same
+wire: ``"ranked"`` answers ``ShardedIndex``'s global budget split in one
+round trip — each query's first ``limit`` candidates in footrule order,
+their raw footrules plus the query's mean footrule, and their refined
+distances, from which the supervisor ranks every shard's centered
+values, allocates each shard its share of the global top-``budget`` and
+keeps that share's best ``k`` (a dead shard is left out of the ranking,
+so its share flows to the survivors under ``on_partial="degrade"``) —
+and ``"state"`` ships a freshly built shard's pickled state back to the
+owner, so a pooled index builds its shards *in* the pinned workers.
 
 Heartbeats ride the same wire: :meth:`WorkerPool.ping` round-trips a
 tiny message through every worker, and :meth:`WorkerPool.check`
@@ -166,17 +166,23 @@ def _discard_payload(reply: Any) -> None:
 
 
 def _validate_arrays(
-    op: str, n_queries: int, arrays: Tuple[np.ndarray, ...]
+    op: str,
+    n_queries: int,
+    arrays: Tuple[np.ndarray, ...],
+    budget: Any,
+    size: int,
 ) -> Optional[Any]:
     """Check a decoded payload against the op's shape contract.
 
     Query ops must ship the three result columns
     (:func:`~repro.index.base.csr_columns_error`, ``n_queries`` known);
-    ``footrules`` one float64 matrix with a row per query (centered
-    footrule values, ascending within each row); ``state`` one uint8
+    ``ranked`` an unsigned footrule matrix, a float64 mean per query, an
+    int32 id matrix whose ids lie in the shard's ``[0, size)`` and a
+    float64 distance matrix, every matrix ``(n_queries, limit)`` with
+    ``limit`` the request's (the ``budget`` slot); ``state`` one uint8
     blob.  Returns the materialized result (``NeighborArrays``, the
-    matrix, or the blob) or ``None`` on any mismatch — the caller treats
-    ``None`` as a corrupt reply.
+    ``ranked`` tuple, or the blob) or ``None`` on any mismatch — the
+    caller treats ``None`` as a corrupt reply.
     """
     from repro.index.base import NeighborArrays, csr_columns_error
 
@@ -184,17 +190,16 @@ def _validate_arrays(
         if csr_columns_error(arrays, n_queries) is not None:
             return None
         return NeighborArrays(*arrays)
-    if op == "footrules":
-        if len(arrays) != 1:
+    if op == "ranked":
+        shape = (n_queries, budget)
+        if [a.shape for a in arrays] != [shape, shape[:1], shape, shape]:
             return None
-        matrix = arrays[0]
-        if (
-            matrix.dtype != np.float64
-            or matrix.ndim != 2
-            or matrix.shape[0] != n_queries
-        ):
+        footrules, means, ids, distances = arrays
+        if footrules.dtype.kind != "u" or ids.dtype != np.int32 or not (
+            means.dtype == distances.dtype == np.float64
+        ) or (ids.size and (ids.min() < 0 or ids.max() >= size)):
             return None
-        return matrix
+        return arrays
     if op == "state":
         if len(arrays) != 1:
             return None
@@ -345,8 +350,8 @@ def _run_shard_op(
 
     The single dispatch of both engines (``ShardedIndex``'s in-process
     loop and every pinned worker): :class:`~repro.index.base.NeighborArrays`
-    for the query ops, the footrule matrix for ``"footrules"`` (whose
-    per-shard candidate limit rides the budget slot).
+    for the query ops, the array tuple of ``DistPermIndex.ranked_candidates``
+    for ``"ranked"`` (whose per-shard candidate limit rides the budget slot).
     """
     if op == "range":
         return shard.range_batch_arrays(queries, arg)
@@ -354,8 +359,8 @@ def _run_shard_op(
         return shard.knn_batch_arrays(queries, arg)
     if op == "knn-approx":
         return shard.knn_approx_batch_arrays(queries, arg, budget=budget)
-    if op == "footrules":
-        return shard.query_footrules(queries, budget)
+    if op == "ranked":
+        return shard.ranked_candidates(queries, budget)
     raise ValueError(f"unknown shard op {op!r}")
 
 
@@ -425,8 +430,8 @@ def _worker_main(conn, shard_id, source, fault_specs, generation) -> None:
             else:
                 result = _run_shard_op(index, op, queries, arg, budget)
                 arrays = (
-                    (result,)
-                    if op == "footrules"
+                    result
+                    if op == "ranked"
                     else (result.distances, result.indices, result.offsets)
                 )
             payload, reply_bytes = _ship_arrays(arrays)
@@ -466,7 +471,8 @@ class WorkerPool:
     """One supervised, pinned worker process per shard.
 
     ``sources[s].load()`` reconstructs shard ``s``'s index inside its
-    worker (and inside every respawn).  ``faults`` takes
+    worker (and inside every respawn); its ``start`` / ``stop`` give the
+    shard size a reply's ids are checked against.  ``faults`` takes
     :class:`~repro.parallel.faults.FaultSpec` items for deterministic
     failure injection; when omitted, specs are read from the
     ``REPRO_FAULTS`` environment variable.  The pool must be
@@ -639,33 +645,28 @@ class WorkerPool:
         arg: Any,
         budgets: Sequence[Any],
         policy: QueryPolicy,
-        active: Optional[Sequence[bool]] = None,
     ) -> Tuple[
         List[Optional[Any]],
         List[int],
         List[Optional[float]],
         List[Optional[int]],
     ]:
-        """Fan one batched operation out to the active shards, supervised.
+        """Fan one batched operation out to every shard, supervised.
 
         Returns ``(results, deltas, latencies, reply_bytes)``, one entry
-        per shard; a shard that failed past the policy's bounds — or was
-        masked out by ``active`` — has ``None`` results (failures leave
-        ``None`` only with ``on_partial="degrade"``; the ``"raise"``
-        policy raises instead, after respawning the failed worker so the
-        pool stays serviceable).  Query-op results come back as
-        :class:`~repro.index.base.NeighborArrays` columns, ``footrules``
-        as one float64 matrix, ``state`` as one uint8 blob; every reply
-        crosses the process boundary as arrays (inline or through a
+        per shard; a shard that failed past the policy's bounds has
+        ``None`` results (only with ``on_partial="degrade"``; the
+        ``"raise"`` policy raises instead, after respawning the failed
+        worker so the pool stays serviceable).  Query-op results come
+        back as :class:`~repro.index.base.NeighborArrays` columns,
+        ``ranked`` as its four arrays, ``state`` as one uint8 blob; every
+        reply crosses the process boundary as arrays (inline or through a
         one-shot shared-memory segment), never as pickled ``Neighbor``
         lists.  ``reply_bytes`` is each shard's payload size.
 
         ``budgets`` is per-shard and op-specific: the ``knn-approx``
-        budget (a scalar or a per-query int array), or the ``footrules``
-        candidate limit.  ``active`` masks shards out of the fan-out
-        entirely — the global budget split uses it to skip shards whose
-        allocation is zero and shards that already failed its first
-        phase.
+        budget (a scalar or a per-query int array), or the ``ranked``
+        candidate limit.
         """
         if self._closed:
             raise RuntimeError("worker pool is closed")
@@ -683,10 +684,7 @@ class WorkerPool:
         request_ids = [0] * n
         started = [0.0] * n
         attempts = [0] * n
-        pending = {
-            shard for shard in range(n)
-            if active is None or active[shard]
-        }
+        pending = set(range(n))
 
         def send(shard: int) -> bool:
             attempts[shard] += 1
@@ -804,7 +802,10 @@ class WorkerPool:
                 decoded = (
                     None
                     if arrays is None
-                    else _validate_arrays(op, n_queries, arrays)
+                    else _validate_arrays(
+                        op, n_queries, arrays, budgets[shard],
+                        self._sources[shard].stop - self._sources[shard].start,
+                    )
                 )
                 if decoded is None:
                     fail(

@@ -2,7 +2,8 @@
 
 Nothing in ``src/`` calls these.  Each is a plain, loop-level
 restatement of a definition (metric axioms, Kendall tau, permutation
-inverses, distinct rows and prefixes, Shannon entropy) or a data
+inverses, distinct rows and prefixes, Shannon entropy, the sharded
+global budget split) or a data
 generator only tests need: explicit-matrix metric spaces with no vector
 or string structure (the paper's general-metric setting, where all
 ``k!`` permutations can occur) and clustered vectors.  Keeping them
@@ -251,6 +252,62 @@ def count_distinct_prefixes(perms: np.ndarray, m: int) -> int:
     """Count distinct length-``m`` prefixes (ordered)."""
     prefixes = truncate_permutations(perms, m)
     return int(np.unique(prefixes, axis=0).shape[0])
+
+
+# ----------------------------------------------------------------------
+# The sharded global budget split.
+# ----------------------------------------------------------------------
+
+
+def replay_global_split(
+    shards: Sequence[Any],
+    shard_offsets: Sequence[int],
+    queries: Sequence[Any],
+    k: int,
+    budget: int,
+    alive: Optional[Sequence[int]] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``knn_approx`` under the global footrule split, in two phases.
+
+    The split as first described: every live shard ranks its candidates
+    (``query_footrules``: its ``min(cap, shard size)`` smallest centered
+    footrules per query); a stable sort of those values, shard after
+    shard, keeps the ``cap`` smallest per query, and each shard's
+    per-query allocation is the number of its values in that cut; each
+    shard then answers a budgeted scan with that allocation
+    (``knn_approx_batch_arrays`` with a per-query budget array), and the
+    answers merge by ``(distance, global index)``, ``k`` per query.
+    ``alive`` lists the shards that answer (default: all).  Returns the
+    ``(distances, indices, offsets)`` columns.
+    """
+    alive = list(range(len(shards)) if alive is None else alive)
+    k = min(k, shard_offsets[-1])
+    cap = max(k, min(budget, shard_offsets[-1]))
+    rows: list = [[] for _ in queries]
+    if alive:
+        footrules = [
+            shards[s].query_footrules(queries, min(cap, len(shards[s].points)))
+            for s in alive
+        ]
+        values = np.concatenate(footrules, axis=1)
+        labels = np.concatenate(
+            [np.full(f.shape[1], s) for s, f in zip(alive, footrules)]
+        )
+        chosen = labels[np.argsort(values, axis=1, kind="stable")[:, :cap]]
+        for s in alive:
+            allocation = (chosen == s).sum(axis=1).astype(np.int64)
+            answer = shards[s].knn_approx_batch_arrays(queries, k, budget=allocation)
+            for q in range(len(queries)):
+                lo, hi = answer.offsets[q], answer.offsets[q + 1]
+                for distance, index in zip(
+                    answer.distances[lo:hi], answer.indices[lo:hi]
+                ):
+                    rows[q].append((float(distance), int(index) + shard_offsets[s]))
+    merged = [sorted(row)[:k] for row in rows]
+    offsets = np.cumsum([0] + [len(row) for row in merged])
+    distances = np.array([d for row in merged for d, _ in row], dtype=np.float64)
+    indices = np.array([i for row in merged for _, i in row], dtype=np.int64)
+    return distances, indices, offsets.astype(np.int64)
 
 
 # ----------------------------------------------------------------------

@@ -347,6 +347,7 @@ class TestDegradeBudgetRedistribution:
                 for row, ids in zip(rows, exact_ids)
             ]))
 
+        # Request 1 is the batch's one fan-out, under either split.
         faults = [FaultSpec("kill", shard=0, request=1, generation=0)]
         policy = QueryPolicy(retries=0, on_partial="degrade")
         recalls = {}

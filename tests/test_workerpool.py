@@ -19,6 +19,7 @@ from __future__ import annotations
 import os
 import subprocess
 import time
+from functools import partial
 from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
@@ -27,6 +28,7 @@ import pytest
 from repro.index import DistPermIndex, LinearScan, ShardedIndex
 from repro.index.serialize import load_sharded, save_sharded
 from repro.metrics import EuclideanDistance, LevenshteinDistance
+from repro.parallel import workerpool
 from repro.parallel.executor import ProcessExecutor, get_executor
 from repro.parallel.faults import FaultInjector, FaultSpec, parse_faults
 from repro.parallel.sharedmem import (
@@ -314,6 +316,85 @@ class TestCorruptReplies:
                 index.knn_batch(queries, 4)
 
 
+def _ranked_hostile(kind):
+    """Turn a well-formed ``"ranked"`` reply (footrules, means, ids,
+    distances) into one that breaks its contract in one way."""
+
+    def mangle(arrays):
+        footrules, means, ids, distances = (a.copy() for a in arrays)
+        if kind == "dtype":
+            return footrules, means, ids, distances.astype(np.float32)
+        if kind == "ids_dtype":
+            return footrules, means, ids.astype(np.int64), distances
+        if kind == "rows":
+            return footrules[:-1], means[:-1], ids[:-1], distances[:-1]
+        if kind == "row_length":
+            return footrules[:, :-1], means, ids[:, :-1], distances[:, :-1]
+        if kind == "id_range":
+            ids[0, 0] = 10_000
+            return footrules, means, ids, distances
+        if kind == "arity":
+            return footrules, means, ids
+        raise AssertionError(kind)
+
+    return mangle
+
+
+class TestRankedReplies:
+    """Every broken ``"ranked"`` reply is a corrupt reply: the worker is
+    respawned and the request retried, and the answer is the in-process
+    one."""
+
+    INNER = staticmethod(partial(DistPermIndex, n_sites=4, site_strategy="first"))
+
+    def _expected(self, words, queries, metric):
+        with ShardedIndex(words, metric, self.INNER, n_shards=2) as serial:
+            return serial.knn_approx_batch_arrays(queries, 4, 30)
+
+    @pytest.mark.parametrize(
+        "kind", ["dtype", "ids_dtype", "rows", "row_length", "id_range", "arity"]
+    )
+    def test_hostile_reply_is_retried(
+        self, string_setup, monkeypatch, leak_check, kind
+    ):
+        words, queries, metric = string_setup
+        expected = self._expected(words, queries, metric)
+        consume = workerpool._consume_payload
+        mangled = []
+
+        def hostile(payload):
+            arrays = consume(payload)
+            if not mangled and arrays is not None and len(arrays) == 4:
+                mangled.append(kind)
+                return _ranked_hostile(kind)(arrays)
+            return arrays
+
+        monkeypatch.setattr(workerpool, "_consume_payload", hostile)
+        with ShardedIndex(
+            words, metric, self.INNER, n_shards=2, resident=True,
+            policy=QueryPolicy(retries=1),
+        ) as index:
+            got = index.knn_approx_batch_arrays(queries, 4, 30)
+            assert mangled == [kind]
+            assert index._worker_pool.respawns == 1
+            assert index.stats.degraded is False
+        for column in ("distances", "indices", "offsets"):
+            assert getattr(got, column).tobytes() == getattr(expected, column).tobytes()
+
+    def test_corrupt_injector_on_ranked_op(self, string_setup, leak_check):
+        words, queries, metric = string_setup
+        expected = self._expected(words, queries, metric)
+        with ShardedIndex(
+            words, metric, self.INNER, n_shards=2, resident=True,
+            policy=QueryPolicy(retries=1),
+            faults=[FaultSpec("corrupt", shard=1, request=1)],
+        ) as index:
+            got = index.knn_approx_batch_arrays(queries, 4, 30)
+            assert index._worker_pool.respawns == 1
+        assert got.indices.tobytes() == expected.indices.tobytes()
+        assert got.distances.tobytes() == expected.distances.tobytes()
+
+
 class TestWorkerPoolDirect:
     """Pool-level behaviors below the index surface."""
 
@@ -437,8 +518,6 @@ class TestFileBackedResident:
     def test_loaded_index_recovers_from_payload_file(
         self, tmp_path, string_setup, pooled, leak_check
     ):
-        from functools import partial
-
         words, queries, metric = string_setup
         factory = partial(DistPermIndex, n_sites=4, site_strategy="first")
         with ShardedIndex(words, metric, factory, n_shards=3) as index:
@@ -474,8 +553,6 @@ class TestLifecycle:
     def test_unqueried_pooled_close(
         self, tmp_path, string_setup, pooled, leak_check
     ):
-        from functools import partial
-
         words, _, metric = string_setup
         factory = partial(DistPermIndex, n_sites=4, site_strategy="first")
         # A fresh pooled index spawns at build: its workers built it.
