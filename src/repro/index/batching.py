@@ -44,7 +44,6 @@ __all__ = [
     "offer",
     "heap_neighbors",
     "heaps_to_arrays",
-    "smallest_k_indices",
     "top_k_arrays",
     "range_arrays",
     "rows_from_pairs",
@@ -147,33 +146,6 @@ def query_chunks(
         yield start, min(start + rows, n_queries)
 
 
-def smallest_k_indices(
-    values: np.ndarray, k: int, ids: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Positions of the ``k`` lexicographically smallest ``(value, id)``.
-
-    ``ids`` names each entry (the candidate ids of a refine step, in
-    whatever order they were gathered); by default an entry's id is its
-    position.  ``np.argpartition`` alone breaks ties at the k-th value
-    arbitrarily; the repair step collects *every* entry at or below the
-    partition boundary and sorts only that set, ties resolved by lower
-    id, matching the ``sorted(Neighbor)`` order of the single-query API
-    — and ``np.lexsort((ids, values))[:k]`` — exactly.  The result
-    indexes ``values`` and is sorted by ``(value, id)``.
-    """
-    n = values.shape[0]
-    if k >= n:
-        reach = np.arange(n)
-    else:
-        part = np.argpartition(values, k - 1)[:k]
-        boundary = values[part].max()
-        # "Not above" rather than "at or below": NaNs sort last in both
-        # lexsort and argpartition, and this keeps them reachable.
-        reach = np.flatnonzero(~(values > boundary))
-    tiebreak = reach if ids is None else ids[reach]
-    return reach[np.lexsort((tiebreak, values[reach]))[:k]]
-
-
 def rows_from_pairs(
     n_queries: int,
     query_ids: np.ndarray,
@@ -199,37 +171,83 @@ def rows_from_pairs(
     )
 
 
-def top_k_arrays(distances: np.ndarray, k: int) -> NeighborArrays:
+def top_k_arrays(
+    distances: np.ndarray,
+    k: int,
+    ids: Optional[np.ndarray] = None,
+    lengths: Optional[np.ndarray] = None,
+) -> NeighborArrays:
     """Per-row exact top-k of a distance matrix, as sorted columns.
 
-    The vectorized, all-rows-at-once counterpart of
-    :func:`smallest_k_indices` with identical semantics: per row, the
-    ``k`` lexicographically smallest ``(value, column)`` pairs sorted by
-    ``(value, column)``, boundary ties resolved by lower column.
+    Per row, the ``k`` lexicographically smallest ``(value, id)`` pairs,
+    sorted by ``(value, id)`` — ``np.lexsort((ids, values))[:k]`` on each
+    row, NaNs last as there.  ``ids`` (the shape of ``distances``) names
+    each entry: the candidate ids of a refine step, in whatever order
+    they were gathered; by default an entry's id is its column.  Only the
+    first ``lengths[r]`` entries of row ``r`` take part (default: all),
+    so ragged candidate rows can share one padded matrix.
+
+    ``np.argpartition`` finds each row's k-th value but breaks ties at it
+    arbitrarily.  A row whose (k + 1)-th value is above its k-th (the
+    usual case for real distances) keeps the partition's ``k`` picks; the
+    others — boundary ties, NaNs, rows shorter than ``k`` — collect
+    *every* entry not above the boundary and sort only that set.
     """
-    n_queries, n = distances.shape
-    if n_queries == 0:
+    n_rows, n = distances.shape
+    if n_rows == 0:
         return NeighborArrays.empty(0)
-    if k >= n:
-        rows = np.repeat(np.arange(n_queries, dtype=np.int64), n)
-        cols = np.tile(np.arange(n, dtype=np.int64), n_queries)
-        vals = distances.ravel()
+    if ids is None:
+        ids = np.broadcast_to(np.arange(n), distances.shape)
+    valid = None
+    if lengths is not None:
+        valid = np.arange(n) < np.asarray(lengths)[:, None]
+        # Padding sorts after every real value but NaN, so it never sets
+        # a boundary below a real entry.
+        distances = np.where(valid, distances, np.inf)
+    width = min(k, n)
+    rows = np.arange(n_rows)[:, None]
+    if k < n:
+        # Partitioned at column k, the first k columns are each row's k
+        # smallest values and column k its (k + 1)-th: the picks are the
+        # row's whole top k unless that next value ties the boundary (or
+        # either is a NaN, or the boundary is a pad's inf).
+        part = np.argpartition(distances, k, axis=1)
+        picks = part[:, :k]
+        vals, names = distances[rows, picks], ids[rows, picks]
+        boundary = vals.max(axis=1)
+        order = np.lexsort((names, vals), axis=1)
+        vals, names = vals[rows, order], names[rows, order]
+        clear = distances[rows[:, 0], part[:, k]] > boundary
+        if clear.all():
+            return NeighborArrays(vals, names, np.arange(n_rows + 1) * width)
+        rest = np.flatnonzero(~clear)
+        # "Not above" rather than "at or below": NaNs sort last in both
+        # lexsort and argpartition, and this keeps them reachable.
+        reach = ~(distances[rest] > boundary[rest, None])
     else:
-        part = np.argpartition(distances, k - 1, axis=1)[:, :k]
-        boundary = np.take_along_axis(distances, part, axis=1).max(axis=1)
-        rows, cols = np.nonzero(distances <= boundary[:, None])
-        vals = distances[rows, cols]
-    order = np.lexsort((cols, vals, rows))
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    counts = np.bincount(rows, minlength=n_queries)
-    rank = np.arange(rows.shape[0], dtype=np.int64)
-    starts = np.zeros(n_queries, dtype=np.int64)
-    np.cumsum(counts[:-1], out=starts[1:])
-    rank -= np.repeat(starts, counts)
-    keep = rank < k
-    offsets = np.zeros(n_queries + 1, dtype=np.int64)
-    np.cumsum(np.minimum(counts, k), out=offsets[1:])
-    return NeighborArrays(vals[keep], cols[keep], offsets)
+        vals = np.empty((n_rows, width), dtype=np.float64)
+        names = np.empty((n_rows, width), dtype=ids.dtype)
+        rest, reach = rows[:, 0], np.ones(distances.shape, dtype=bool)
+    if valid is not None:
+        reach &= valid[rest]
+    hit, cols = np.nonzero(reach)
+    hit_vals, hit_names = distances[rest[hit], cols], ids[rest[hit], cols]
+    order = np.lexsort((hit_names, hit_vals, hit))
+    hit = hit[order]
+    found = np.bincount(hit, minlength=rest.shape[0])
+    starts = np.zeros(rest.shape[0], dtype=np.int64)
+    np.cumsum(found[:-1], out=starts[1:])
+    rank = np.arange(hit.shape[0], dtype=np.int64) - np.repeat(starts, found)
+    keep = rank < width
+    target = rest[hit[keep]], rank[keep]
+    vals[target] = hit_vals[order][keep]
+    names[target] = hit_names[order][keep]
+    counts = np.full(n_rows, width, dtype=np.int64)
+    counts[rest] = np.minimum(found, width)
+    offsets = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    cells = np.arange(width) < counts[:, None]
+    return NeighborArrays(vals[cells], names[cells], offsets)
 
 
 def range_arrays(distances: np.ndarray, radius: float) -> NeighborArrays:

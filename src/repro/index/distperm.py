@@ -74,14 +74,17 @@ without counting the row: a strided sample guesses it and byte-wide
 compares settle it exactly.  *Refine.*  One
 :meth:`~repro.metrics.base.Metric.grouped_distances` call per chunk of
 queries (at most :data:`_REFINE_PAIRS` candidates) scores every query
-against its own candidates, then a per-query top-``k`` sorts only the
-entries at or under the k-th distance
-(:func:`~repro.index.batching.smallest_k_indices`).  The database side
-of that call is held resident (:meth:`DistPermIndex._resident_points`):
-the metric's encoding of the points, made once per index.  Vectors take
-the hook's default — one ``batch_distances`` call per query, the same
-arithmetic bit for bit — while edit distance runs every pair of the
-chunk in one lock-step Myers pass over the encoding's narrow symbol
+against its own candidates, then one batched top-``k`` over the whole
+group sorts only the entries at or under each row's k-th distance
+(:func:`~repro.index.batching.top_k_arrays`).  The database side of
+that call is held resident (:meth:`DistPermIndex._resident_points`):
+the metric's encoding of the points, made once per index.  ``L_2``
+vectors hold their rows with each row's squared norm, so a query costs
+one row gather and one ``(1, d) @ (d, m)`` product, the arithmetic of
+``batch_distances`` bit for bit with the norms looked up instead of
+summed again; other vectors take the hook's default, one
+``batch_distances`` call per query.  Edit distance runs every pair of
+the chunk in one lock-step Myers pass over the encoding's narrow symbol
 rows, so no candidate is re-encoded and no candidate list enters the
 encoding cache, where it used to evict the sites' cached layouts.  A
 single query is a batch of one row, so both surfaces return the same
@@ -123,7 +126,7 @@ from repro.index.batching import (
     exhaustive_knn_batch,
     exhaustive_range_batch,
     query_chunks,
-    smallest_k_indices,
+    top_k_arrays,
 )
 from repro.index.pivots import select_pivots
 from repro.metrics.base import Metric
@@ -149,8 +152,9 @@ _BOUNDARY_SAMPLE = 4096
 _BOUNDED_QUERIES = 2
 
 #: Candidates one refine call scores at most (:func:`_refine_groups`):
-#: 1 MiB of ids plus 1 MiB of distances.
-_REFINE_PAIRS = 1 << 17
+#: 512 KiB of ids plus 512 KiB of distances, and as much again for each
+#: group-sized scratch array of the ``L_2`` refine and the batched top-k.
+_REFINE_PAIRS = 1 << 16
 
 
 def _budget_candidates(footrules: np.ndarray, budget: int) -> np.ndarray:
@@ -237,6 +241,21 @@ def _refine_groups(
     yield lo, stop
 
 
+def _group_top_k(
+    distances: np.ndarray, ids: np.ndarray, lengths: np.ndarray, k: int
+) -> NeighborArrays:
+    """One refine group's answers: :func:`~repro.index.batching.top_k_arrays`
+    over its queries' candidate rows, laid end to end in ``distances`` and
+    ``ids`` (``lengths`` per query) and padded to one width when ragged."""
+    shape = (lengths.shape[0], int(lengths.max()))
+    if (lengths == shape[1]).all():
+        return top_k_arrays(distances.reshape(shape), k, ids.reshape(shape))
+    cells = np.arange(shape[1]) < lengths[:, None]
+    padded, padded_ids = np.zeros(shape), np.zeros(shape, dtype=ids.dtype)
+    padded[cells], padded_ids[cells] = distances, ids
+    return top_k_arrays(padded, k, padded_ids, lengths)
+
+
 class DistPermIndex(Index):
     """Distance-permutation index over ``k`` sites."""
 
@@ -290,7 +309,9 @@ class DistPermIndex(Index):
         return getattr(self, "_code_store", None)
 
     def close(self) -> None:
-        """Release the mapped code section (no-op for RAM backing)."""
+        """Release the mapped code section (RAM backing has none) and the
+        refine encoding, which a later refine would rebuild."""
+        self._resident = None
         store = getattr(self, "_code_store", None)
         if store is not None:
             store.close()
@@ -532,12 +553,15 @@ class DistPermIndex(Index):
     def _resident_points(self) -> Any:
         """The database as refine reads it: the metric's encoding of the
         points (edit distance: the code matrix, whose narrow symbol rows
-        the pair driver gathers candidates from), or the points themselves
-        for a metric without one.
+        the pair driver gathers candidates from; ``L_2``: the rows with
+        their squared norms, :class:`~repro.metrics.minkowski.
+        EncodedVectors`), or the points themselves for a metric without
+        one.
 
         Encoded once per index — on the first refine after a build or a
         load — and held here, so it never churns through the metric's
-        encoding cache; :meth:`add_points` drops it.
+        encoding cache; :meth:`add_points` drops it.  It is derived state:
+        never saved, nor shipped in a pooled shard's state.
         """
         resident = getattr(self, "_resident", None)
         if resident is None:
@@ -739,9 +763,7 @@ class DistPermIndex(Index):
             budgets = np.full(len(queries), self._clamp_budget(k, budget))
         query_perms = self.query_permutations(queries)
         points = self._resident_points()
-        dist_parts: List[np.ndarray] = []
-        index_parts: List[np.ndarray] = []
-        counts = np.zeros(len(queries), dtype=np.int64)
+        parts: List[NeighborArrays] = []
         # Chunking bounds the (queries x n) footrule matrix; the kernel
         # itself needs only length-n scratch rows.
         store = self.code_store
@@ -756,27 +778,12 @@ class DistPermIndex(Index):
                 chunk = [_budget_candidates(r, int(b)) for r, b in zip(footrules, chunk)]
             for lo, hi in _refine_groups(budgets, start, stop):
                 candidates = chunk[lo - start : hi - start]
+                lengths = np.array([c.shape[0] for c in candidates], dtype=np.int64)
                 offsets = np.zeros(hi - lo + 1, dtype=np.int64)
-                np.cumsum([c.shape[0] for c in candidates], out=offsets[1:])
+                np.cumsum(lengths, out=offsets[1:])
+                ids = np.concatenate(candidates)
                 distances = self.metric.grouped_distances(
-                    queries[lo:hi], points, np.concatenate(candidates), offsets
+                    queries[lo:hi], points, ids, offsets
                 )
-                for q, ids, a, b in zip(
-                    range(lo, hi), candidates, offsets[:-1], offsets[1:]
-                ):
-                    if a == b:
-                        continue
-                    row = distances[a:b]
-                    order = smallest_k_indices(row, k, ids)
-                    dist_parts.append(row[order])
-                    index_parts.append(ids[order])
-                    counts[q] = order.shape[0]
-        offsets = np.zeros(len(queries) + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        if not dist_parts:
-            return NeighborArrays.empty(len(queries))
-        return NeighborArrays(
-            np.concatenate(dist_parts),
-            np.concatenate(index_parts).astype(np.int64),
-            offsets,
-        )
+                parts.append(_group_top_k(distances, ids, lengths, k))
+        return NeighborArrays.concat(parts)

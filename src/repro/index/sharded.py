@@ -76,7 +76,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.index.base import Budget, Index, NeighborArrays
-from repro.index.batching import smallest_k_indices
+from repro.index.batching import top_k_arrays
 from repro.index.linear import LinearScan
 from repro.metrics.base import Metric
 from repro.parallel.census import shard_ranges
@@ -527,18 +527,9 @@ class ShardedIndex(Index):
         per_shard: List[Optional[NeighborArrays]] = [None] * self.n_shards
         for s in survivors:
             _, _, ids, distances = replies[s]
-            # The top k of each row's allocated prefix: one selection per
-            # query, the refine step's own tie rule.
-            picks = [
-                smallest_k_indices(row[:b], k, row_ids[:b])
-                for row, row_ids, b in zip(distances, ids, allocations[s])
-            ]
-            offsets = np.cumsum([0, *map(len, picks)], dtype=np.int64)
-            rows = np.repeat(np.arange(n_queries), np.diff(offsets))
-            cols = np.concatenate([*picks, offsets[:0]])
-            per_shard[s] = NeighborArrays(
-                distances[rows, cols], ids[rows, cols].astype(np.int64), offsets
-            )
+            # The top k of each row's allocated prefix, the refine step's
+            # own selection and tie rule.
+            per_shard[s] = top_k_arrays(distances, k, ids, allocations[s])
         if latencies is not None:
             self._note_resident(per_shard, latencies, reply_bytes)
         return self._merge_columns(per_shard, n_queries)

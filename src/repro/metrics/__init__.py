@@ -16,6 +16,7 @@ from repro.metrics.encoding import (
 from repro.metrics.minkowski import (
     ChebyshevDistance,
     CityblockDistance,
+    EncodedVectors,
     EuclideanDistance,
     MinkowskiMetric,
     minkowski_distance,
@@ -36,6 +37,7 @@ __all__ = [
     "CityblockDistance",
     "CountingMetric",
     "EncodedStrings",
+    "EncodedVectors",
     "EuclideanDistance",
     "LevenshteinDistance",
     "Metric",

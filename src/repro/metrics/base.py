@@ -63,9 +63,12 @@ class Metric(ABC):
         encoded, cached form of the collection that
         :meth:`matrix_encoded` consumes; encoding a collection once and
         reusing it across every matrix call is what makes index builds,
-        censuses, and batched queries on discrete data cheap.  The
-        default returns ``None``: no encoded path, scalar or
-        ndarray-vectorized ``matrix`` applies.  Encodings must support
+        censuses, and batched queries on discrete data cheap.  ``L_2``
+        returns its rows with their squared norms
+        (:class:`~repro.metrics.minkowski.EncodedVectors`), which only its
+        :meth:`grouped_distances` reads: the form a refine caller holds
+        resident.  The default returns ``None``: no encoded path, scalar
+        or ndarray-vectorized ``matrix`` applies.  Encodings must support
         ``len()`` so instrumentation can count matrix entries.
         """
         return None
@@ -127,7 +130,9 @@ class Metric(ABC):
         refines against one database over and over holds resident.  The
         default is one :meth:`batch_distances` call per non-empty group,
         so its values are exactly that call's; a metric with a kernel for
-        the whole pair set overrides it (edit distance).
+        the whole pair set overrides it (edit distance), as does ``L_2``,
+        which reads its rows' norms from the encoding with the same
+        values.
         """
         out = np.empty(len(point_ids), dtype=np.float64)
         for i in range(len(queries)):

@@ -18,6 +18,7 @@ from repro.metrics.base import Metric
 
 __all__ = [
     "MinkowskiMetric",
+    "EncodedVectors",
     "CityblockDistance",
     "EuclideanDistance",
     "ChebyshevDistance",
@@ -55,6 +56,36 @@ def _as_2d(points: Union[np.ndarray, Sequence]) -> np.ndarray:
     return arr
 
 
+class EncodedVectors:
+    """A vector database as ``L_2`` refine reads it: the ``float64`` rows
+    and each row's squared norm.
+
+    The norms are the ``np.sum(rows * rows, axis=1)`` values the ``L_2``
+    kernel would compute for any gather of these rows, summed once per
+    :data:`_CHUNK_ROWS` rows (8 bytes per point), so a refine that looks
+    them up returns the same bits as one that recomputes them.
+    """
+
+    __slots__ = ("rows", "norms")
+
+    def __init__(self, rows: np.ndarray):
+        self.rows = rows
+        self.norms = np.empty(rows.shape[0], dtype=np.float64)
+        for start in range(0, rows.shape[0], _CHUNK_ROWS):
+            block = rows[start : start + _CHUNK_ROWS]
+            self.norms[start : start + block.shape[0]] = np.sum(
+                block * block, axis=1
+            )
+
+    def __len__(self) -> int:
+        return self.rows.shape[0]
+
+    def take(self, ids: np.ndarray) -> np.ndarray:
+        """The rows ``ids``, as :func:`~repro.metrics.base.take_points`
+        gathers them from an array."""
+        return np.take(self.rows, ids, axis=0)
+
+
 class MinkowskiMetric(Metric):
     """The ``L_p`` metric on ``R^d`` for ``p >= 1`` (``p = math.inf`` allowed)."""
 
@@ -79,6 +110,50 @@ class MinkowskiMetric(Metric):
         for start, stop, block in self._row_blocks(a, b):
             out[start:stop] = block
         return out
+
+    def encode(self, points):
+        """``L_2``: the rows with their squared norms held beside them
+        (:class:`EncodedVectors`), which :meth:`grouped_distances` reads
+        instead of summing every candidate's norm again; other ``p`` have
+        no encoded form."""
+        if self.p != 2:
+            return None
+        if isinstance(points, EncodedVectors):
+            return points
+        return EncodedVectors(np.ascontiguousarray(_as_2d(points)))
+
+    def grouped_distances(self, queries, points, point_ids, offsets):
+        if not isinstance(points, EncodedVectors):
+            return super().grouped_distances(queries, points, point_ids, offsets)
+        a = _as_2d(queries)
+        if len(point_ids) and a.shape[1] != points.rows.shape[1]:
+            raise ValueError(
+                f"dimension mismatch: {a.shape[1]} vs {points.rows.shape[1]}"
+            )
+        # Per query, the row gather and the (1, d) @ (d, m) product of
+        # batch_distances([query], rows), on a fresh query row as that
+        # call makes; the rest of _block's L_2 arm is elementwise, so it
+        # runs once over the whole group, in place, with the rows' norms
+        # looked up.
+        a_norms = np.sum(a * a, axis=1)
+        norms = np.take(points.norms, point_ids)
+        sq = np.empty(len(point_ids), dtype=np.float64)
+        for i in range(a.shape[0]):
+            lo, hi = int(offsets[i]), int(offsets[i + 1])
+            if lo < hi:
+                rows = points.take(point_ids[lo:hi])
+                sq[lo:hi] = (a[i : i + 1].copy() @ rows.T)[0]
+                norms[lo:hi] += a_norms[i]
+        sq *= 2.0
+        np.subtract(norms, sq, out=sq)
+        np.maximum(sq, 0.0, out=sq)
+        norms *= 1e-10
+        suspect = np.flatnonzero(sq <= norms)
+        if suspect.shape[0]:
+            owner = np.searchsorted(offsets, suspect, side="right") - 1
+            diff = a[owner] - points.take(point_ids[suspect])
+            sq[suspect] = np.sum(diff * diff, axis=1)
+        return np.sqrt(sq, out=sq)
 
     def to_sites_compact(self, points, sites):
         # The chunks matrix() assembles, handed out one at a time: each

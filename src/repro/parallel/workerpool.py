@@ -365,9 +365,15 @@ def _run_shard_op(
 
 
 def _state_blob(index: Any) -> np.ndarray:
-    """A built shard minus its points, pickled into a uint8 array."""
+    """A built shard minus its points, pickled into a uint8 array.
+
+    The points' refine encoding (``_resident``) stays behind too: it is
+    derived from the points and rebuilt on the first refine.
+    """
     state = {
-        key: value for key, value in index.__dict__.items() if key != "points"
+        key: value
+        for key, value in index.__dict__.items()
+        if key not in ("points", "_resident")
     }
     blob = pickle.dumps((type(index), state), protocol=pickle.HIGHEST_PROTOCOL)
     return np.frombuffer(blob, dtype=np.uint8)

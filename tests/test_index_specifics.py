@@ -28,7 +28,7 @@ from repro.index import (
     VPTree,
 )
 from repro.index import distperm
-from repro.index.batching import scan_knn, smallest_k_indices, take_points
+from repro.index.batching import scan_knn, take_points, top_k_arrays
 from repro.index.distperm import _budget_candidates
 from repro.index.pivots import select_pivots
 from repro.index.serialize import load_distperm, save_distperm
@@ -358,8 +358,16 @@ class TestBudgetCandidates:
         )
 
 
+def smallest_k_indices(values, k, ids=None):
+    """One row of :func:`top_k_arrays`, as positions into ``values``."""
+    names = np.arange(len(values)) if ids is None else np.asarray(ids)
+    picked = top_k_arrays(values[None, :], k, names[None, :]).indices
+    order = np.argsort(names)
+    return order[np.searchsorted(names, picked, sorter=order)]
+
+
 class TestRefineTopK:
-    """``smallest_k_indices`` with an id tiebreak is the refine step's
+    """The batched top-k with an id tiebreak is the refine step's
     ``np.lexsort((candidates, distances))[:k]`` without the full sort."""
 
     @given(

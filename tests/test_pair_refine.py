@@ -37,7 +37,12 @@ from repro.index.serialize import (
     save_distperm,
     save_sharded,
 )
-from repro.metrics import EuclideanDistance, LevenshteinDistance
+from repro.metrics import (
+    CityblockDistance,
+    EncodedVectors,
+    EuclideanDistance,
+    LevenshteinDistance,
+)
 from repro.metrics import bitparallel
 from repro.metrics.base import CountingMetric
 from repro.metrics.encoding import EncodedStrings, encode_strings
@@ -381,7 +386,17 @@ class TestEncodeCacheChurn:
         assert index._resident_points() is resident
         index.add_points(words[150:])
         assert len(index._resident_points()) == 200
-        # Vectors have no encoding: the points are the resident form.
+        # L2 vectors hold their rows and squared norms, held until
+        # add_points drops them; L1 has no encoding, so the points are
+        # the resident form.
         points = np.random.default_rng(1).random((50, 3))
         vectors = DistPermIndex(points, EuclideanDistance(), n_sites=4)
-        assert vectors._resident_points() is vectors.points
+        resident = vectors._resident_points()
+        assert isinstance(resident, EncodedVectors)
+        assert vectors._resident_points() is resident
+        np.testing.assert_array_equal(resident.rows, points)
+        vectors.add_points(points[:5])
+        grown = vectors._resident_points()
+        assert grown is not resident and len(grown) == 55
+        cityblock = DistPermIndex(points, CityblockDistance(), n_sites=4)
+        assert cityblock._resident_points() is cityblock.points
