@@ -303,13 +303,13 @@ def _engine_flags_error(args: argparse.Namespace) -> Optional[str]:
     """Validate the engine-options group; an error message or None."""
     if args.shards is not None and args.shards < 1:
         return "--shards must be >= 1"
-    if _wants_pool(args) and args.shards is None:
-        return ("--resident/--deadline/--retries/--on-partial need "
-                "sharded execution; add --shards")
     if args.deadline is not None and args.deadline <= 0:
         return "--deadline must be > 0"
     if args.retries is not None and args.retries < 0:
         return "--retries must be >= 0"
+    if _wants_pool(args) and args.shards is None:
+        return ("--resident/--deadline/--retries/--on-partial need "
+                "sharded execution; add --shards")
     return None
 
 
@@ -319,9 +319,9 @@ def _index_flags_error(args: argparse.Namespace) -> Optional[str]:
     error = _metric_kind_error(args)
     if error:
         return error
-    if args.index == "distperm" and args.sites < 1:
+    if args.sites < 1:
         return "--sites must be >= 1"
-    if args.index == "laesa" and args.pivots < 1:
+    if args.pivots < 1:
         return "--pivots must be >= 1"
     if args.seed < 0:
         return "--seed must be >= 0"
@@ -354,6 +354,9 @@ def _sharded_index(args: argparse.Namespace, points, metric, *,
 def _cmd_table1(args: argparse.Namespace) -> int:
     from repro.experiments.table1 import format_table1
 
+    if args.max_d < 1 or args.max_k < 2:
+        print("error: need --max-d >= 1 and --max-k >= 2", file=sys.stderr)
+        return 1
     print(format_table1(dims=range(1, args.max_d + 1),
                         ks=range(2, args.max_k + 1)))
     return 0
@@ -584,9 +587,7 @@ def _sharded_inner(points, metric, name: str = "linear", sites: int = 8,
     if name == "vptree":
         return VPTree(points, metric, rng=rng)
     if name == "laesa":
-        return PivotIndex(
-            points, metric, n_pivots=min(pivots, len(points)), rng=rng
-        )
+        return PivotIndex(points, metric, n_pivots=pivots, rng=rng)
     if name == "distperm":
         return DistPermIndex(
             points, metric, n_sites=min(sites, len(points)), rng=rng
@@ -612,6 +613,8 @@ def _search_flags_error(args: argparse.Namespace) -> Optional[str]:
         return "--budget must be >= 0"
     if args.n_queries < 0:
         return "--n-queries must be >= 0"
+    if args.show < 0:
+        return "--show must be >= 0"
     return _index_flags_error(args)
 
 

@@ -62,7 +62,6 @@ __all__ = [
     "ranks_from_distances",
     "site_ranks",
     "permutation_positions",
-    "footrule_matrix",
     "footrule_matrix_batch",
     "footrule_prefix_bounds",
     "spearman_footrule",
@@ -768,13 +767,6 @@ def permutation_positions(
     rows = np.arange(n)[:, None]
     out[rows, perms] = np.arange(k, dtype=out.dtype)[None, :]
     return out
-
-
-def footrule_matrix(perms: np.ndarray, query_perm: Sequence[int]) -> np.ndarray:
-    """Vectorized footrule of every row of ``perms`` against one permutation."""
-    positions = permutation_positions(perms)
-    query_positions = _positions(query_perm)[None, :]
-    return np.abs(positions - query_positions).sum(axis=1)
 
 
 def _integer_dtype_holds(dtype: np.dtype, bound: int) -> bool:

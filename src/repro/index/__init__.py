@@ -5,8 +5,11 @@ and reports the number of distance evaluations spent — the cost measure of
 the similarity-search literature.  The paper's ``distperm`` index type
 (:class:`~repro.index.distperm.DistPermIndex`) additionally exposes the
 permutation census that Tables 2 and 3 are built from.  The baselines are
-the ones ``repro search --index`` builds: the linear scan, the pivot
-tables (AESA, iAESA, LAESA) and the VP-tree, the one tree index.
+the ones ``repro search --index`` builds: the linear scan, the VP-tree
+(the one tree index) and the pivot tables, one
+:class:`~repro.index.pivots.PivotTable` family — AESA, iAESA (AESA's
+loop, its own next-pivot rule) and LAESA, whose ``k`` distances per
+element a distance permutation replaces with ``O(k log k)`` bits.
 :class:`~repro.index.sharded.ShardedIndex` splits any of them into shards.
 """
 

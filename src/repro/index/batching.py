@@ -119,11 +119,11 @@ def scan_knn(
         offer(heap, k, metric.distance(query, point), i)
     return heap_neighbors(heap)
 
-#: Float-safety slack for tree prune bounds, as in AESA: build-time
-#: distances now come from vectorized kernels whose last-ulp rounding can
-#: differ from the scalar query-time formula, so comparisons against
-#: stored radii get ``PRUNE_SAFETY * (1 + bound)`` of slack.  Slack only
-#: ever admits extra candidates; results stay exact.
+#: Float-safety slack for prune bounds (VP-tree balls, pivot tables):
+#: build-time distances come from vectorized kernels whose last-ulp
+#: rounding can differ from the scalar query-time formula, so comparisons
+#: against stored distances get ``PRUNE_SAFETY * (1 + bound)`` of slack.
+#: Slack only ever admits extra candidates; results stay exact.
 PRUNE_SAFETY = 1e-9
 
 #: Upper bound on the bytes of query-by-point matrix materialized per

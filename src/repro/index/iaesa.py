@@ -1,107 +1,44 @@
 """iAESA: AESA with permutation-based pivot selection (Figueroa et al.).
 
-Identical storage and elimination rule to AESA, but the *next* candidate
-to evaluate is chosen by the similarity (Spearman footrule) between the
-candidate's distance permutation of the already-evaluated pivots and the
+Identical storage, elimination loop and results to AESA; only the *next*
+candidate to evaluate differs.  It is the one whose distance permutation
+of the already-evaluated pivots is closest (Spearman footrule) to the
 query's — the paper notes this pivot-selection idea is the part of iAESA
-that would apply even to LAESA.  Fewer distance evaluations than AESA on
-average; same exact results.
+that would apply even to LAESA.  Figueroa et al. report fewer distance
+evaluations than AESA; on this repository's uniform-vector fixtures it
+spends more (``benchmarks/bench_search.py``, 5-NN over 2000 4-d points:
+18.7 distances per query against AESA's 12.8).
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Any, List
+from typing import List
 
 import numpy as np
 
-from repro.index.base import Index, Neighbor
+from repro.core.permutation import permutation_positions
+from repro.index.aesa import AESA
 
 __all__ = ["IAESA"]
 
-#: Same float-safety slack as AESA: never trust an elimination bound to
-#: the last ulp.  Slack only admits extra candidates; results stay exact.
-_SAFETY = 1e-9
 
-
-class IAESA(Index):
+class IAESA(AESA):
     """Improved AESA: permutation-similarity pivot selection."""
 
-    def _build(self) -> None:
-        self.matrix = self.metric.pairwise(self.points)
-
-    def _select_next(
-        self,
-        alive: np.ndarray,
-        lower: np.ndarray,
-        used: List[int],
-        query_distances: List[float],
-    ) -> int:
-        candidates = np.flatnonzero(alive)
+    def _select_next(self, alive: np.ndarray, lower: np.ndarray,
+                     used: List[int], query_distances: List[float]) -> int:
         if len(used) < 2:
             # Not enough pivots for a meaningful permutation; fall back to
             # the AESA rule (smallest lower bound).
-            return int(candidates[np.argmin(lower[candidates])])
-        pivot_array = np.asarray(used)
-        query_order = np.argsort(
-            np.asarray(query_distances), kind="stable"
+            return super()._select_next(alive, lower, used, query_distances)
+        candidates = np.flatnonzero(alive)
+        # One 2-D pass: footrule_matrix_batch loops over the sites, ≈ 2x
+        # slower here once dozens of pivots are used.
+        positions = permutation_positions(np.argsort(
+            self.matrix[np.ix_(candidates, used)], axis=1, kind="stable"
+        ))
+        query_positions = permutation_positions(
+            np.argsort(query_distances, kind="stable")
         )
-        # Rank position of each used pivot in the query's permutation.
-        query_positions = np.empty(len(used), dtype=np.int64)
-        query_positions[query_order] = np.arange(len(used))
-        candidate_distances = self.matrix[np.ix_(candidates, pivot_array)]
-        candidate_orders = np.argsort(candidate_distances, axis=1, kind="stable")
-        positions = np.empty_like(candidate_orders)
-        rows = np.arange(len(candidates))[:, None]
-        positions[rows, candidate_orders] = np.arange(len(used))[None, :]
-        footrules = np.abs(positions - query_positions[None, :]).sum(axis=1)
+        footrules = np.abs(positions - query_positions).sum(axis=1)
         return int(candidates[np.argmin(footrules)])
-
-    def _range_impl(self, query: Any, radius: float) -> List[Neighbor]:
-        n = len(self.points)
-        lower = np.zeros(n)
-        alive = np.ones(n, dtype=bool)
-        used: List[int] = []
-        query_distances: List[float] = []
-        results: List[Neighbor] = []
-        threshold = radius + _SAFETY * (1.0 + radius)
-        while alive.any():
-            pivot = self._select_next(alive, lower, used, query_distances)
-            alive[pivot] = False
-            d = self.metric.distance(query, self.points[pivot])
-            used.append(pivot)
-            query_distances.append(d)
-            if d <= radius:
-                results.append(Neighbor(d, pivot))
-            np.maximum(lower, np.abs(d - self.matrix[pivot]), out=lower)
-            alive &= lower <= threshold
-        return results
-
-    def _knn_impl(self, query: Any, k: int) -> List[Neighbor]:
-        n = len(self.points)
-        lower = np.zeros(n)
-        alive = np.ones(n, dtype=bool)
-        used: List[int] = []
-        query_distances: List[float] = []
-        heap: List[tuple] = []
-        while alive.any():
-            pivot = self._select_next(alive, lower, used, query_distances)
-            alive[pivot] = False
-            d = self.metric.distance(query, self.points[pivot])
-            used.append(pivot)
-            query_distances.append(d)
-            item = (-d, -pivot)
-            if len(heap) < k:
-                heapq.heappush(heap, item)
-            elif item > heap[0]:
-                heapq.heapreplace(heap, item)
-            np.maximum(lower, np.abs(d - self.matrix[pivot]), out=lower)
-            if len(heap) == k:
-                kth = -heap[0][0]
-                alive &= lower <= kth + _SAFETY * (1.0 + kth)
-        return [Neighbor(-nd, -ni) for nd, ni in heap]
-
-    def storage_floats(self) -> int:
-        """Stored scalars: the full matrix, as for AESA."""
-        n = len(self.points)
-        return n * (n - 1) // 2

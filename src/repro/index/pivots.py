@@ -5,25 +5,26 @@ Stores the distances from every database element to ``k`` chosen pivots
 inequality gives the lower bound ``max_i |d(q, p_i) - d(x, p_i)| <=
 d(q, x)``, and any element whose bound exceeds the radius is skipped
 without evaluating the metric.
+
+The table is the ``k`` columns its maxmin pivot selection computes
+anyway, so a build costs ``n * k`` evaluations.  :class:`PivotTable`
+holds what LAESA shares with AESA and iAESA (:mod:`repro.index.aesa`):
+range and kNN search as two uses of one elimination loop.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Any, List, Optional, Sequence
+import math
+from abc import abstractmethod
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.permutation import footrule_matrix, ranked_permutations
 from repro.index.base import Index, Neighbor
+from repro.index.batching import PRUNE_SAFETY, heap_neighbors, offer
 from repro.metrics.base import Metric
 
-__all__ = ["PivotIndex", "select_pivots"]
-
-#: Float-safety slack on pruning: stored table entries and fresh query
-#: distances may disagree in the last ulp.  Slack only admits extra
-#: candidates; results stay exact.
-_SAFETY = 1e-9
+__all__ = ["PivotIndex", "PivotTable", "select_pivots"]
 
 
 def select_pivots(
@@ -50,34 +51,86 @@ def select_pivots(
         return [int(i) for i in rng.choice(n, size=k, replace=False)]
     if strategy != "maxmin":
         raise ValueError(f"unknown strategy {strategy!r}")
+    return _maxmin_pivots(points, metric, k, rng)[0]
+
+
+def _maxmin_pivots(
+    points: Sequence[Any],
+    metric: Metric,
+    k: int,
+    rng: np.random.Generator,
+) -> Tuple[List[int], np.ndarray]:
+    """Maxmin pivots and the ``(n, k)`` table of distances to them.
+
+    The first pivot is drawn at random; each next one is the element
+    farthest from the pivots so far.  Every pivot costs one
+    ``metric.matrix(points, [pivot])`` column, and column ``j`` of the
+    table is pivot ``j``'s.
+    """
+    n = len(points)
+    table = np.empty((n, k))
     pivots = [int(rng.integers(0, n))]
-    minimum_distance = np.array(
-        [metric.distance(points[pivots[0]], x) for x in points]
-    )
-    while len(pivots) < k:
-        candidate = int(np.argmax(minimum_distance))
-        pivots.append(candidate)
-        new_distances = np.array(
-            [metric.distance(points[candidate], x) for x in points]
-        )
-        np.minimum(minimum_distance, new_distances, out=minimum_distance)
-    return pivots
+    table[:, 0] = metric.matrix(points, [points[pivots[0]]])[:, 0]
+    minimum_distance = table[:, 0].copy()
+    for j in range(1, k):
+        pivots.append(int(np.argmax(minimum_distance)))
+        table[:, j] = metric.matrix(points, [points[pivots[j]]])[:, 0]
+        np.minimum(minimum_distance, table[:, j], out=minimum_distance)
+    return pivots, table
 
 
-class PivotIndex(Index):
+class PivotTable(Index):
+    """Exact search by triangle-inequality elimination over stored
+    distances: the AESA / iAESA / LAESA family.
+
+    A subclass supplies :meth:`_eliminate`; range and kNN search differ
+    only in what they do with an evaluated candidate and in the bound
+    past which the rest are skipped.
+    """
+
+    @abstractmethod
+    def _eliminate(
+        self,
+        query: Any,
+        visit: Callable[[float, int], None],
+        bound: Callable[[], float],
+    ) -> None:
+        """Pass each evaluated candidate to ``visit(distance, index)``
+        and never evaluate an element whose lower bound exceeds
+        ``bound()``, read afresh after every visit."""
+
+    def _range_impl(self, query: Any, radius: float) -> List[Neighbor]:
+        results: List[Neighbor] = []
+
+        def visit(d: float, index: int) -> None:
+            if d <= radius:
+                results.append(Neighbor(d, index))
+
+        # Stored and fresh distances may differ in the last ulp; slack
+        # only admits extra candidates, so results stay exact.
+        threshold = radius + PRUNE_SAFETY * (1.0 + radius)
+        self._eliminate(query, visit, lambda: threshold)
+        return results
+
+    def _knn_impl(self, query: Any, k: int) -> List[Neighbor]:
+        heap: List[tuple] = []
+
+        def bound() -> float:
+            if len(heap) < k:
+                return math.inf
+            kth = -heap[0][0]
+            return kth + PRUNE_SAFETY * (1.0 + kth)
+
+        self._eliminate(query, lambda d, i: offer(heap, k, d, i), bound)
+        return heap_neighbors(heap)
+
+
+class PivotIndex(PivotTable):
     """LAESA pivot table supporting exact range and kNN queries.
 
-    ``candidate_order`` selects the kNN evaluation order:
-
-    - ``"lower_bound"`` (classic LAESA): ascending triangle-inequality
-      bound, which also enables early loop exit;
-    - ``"permutation"``: ascending Spearman footrule between each
-      element's distance permutation *of the pivots* (free from the
-      stored table) and the query's — the paper's observation that
-      iAESA's "enhanced pivot selection ... seems applicable even to the
-      older LAESA data structure by computing the distance permutations
-      on demand".  Results stay exact; only the evaluation order (and
-      hence the pruning rate) changes.
+    Candidates are evaluated in ascending lower-bound order, so the
+    first bound past the search radius (for kNN, the current k-th
+    distance) ends the scan.
     """
 
     def __init__(
@@ -85,103 +138,32 @@ class PivotIndex(Index):
         points: Sequence[Any],
         metric: Metric,
         n_pivots: int = 8,
-        pivot_strategy: str = "maxmin",
-        candidate_order: str = "lower_bound",
         rng: Optional[np.random.Generator] = None,
     ):
         if n_pivots < 1:
             raise ValueError("need at least one pivot")
-        if candidate_order not in ("lower_bound", "permutation"):
-            raise ValueError(
-                f"unknown candidate_order {candidate_order!r}"
-            )
         self.n_pivots = min(n_pivots, len(points))
-        self.candidate_order = candidate_order
-        self._pivot_strategy = pivot_strategy
-        self._rng = rng
+        self._rng = rng if rng is not None else np.random.default_rng()
         super().__init__(points, metric)
 
     def _build(self) -> None:
-        self.pivot_indices = select_pivots(
-            self.points,
-            self.metric,
-            self.n_pivots,
-            strategy=self._pivot_strategy,
-            rng=self._rng,
+        self.pivot_indices, self.table = _maxmin_pivots(
+            self.points, self.metric, self.n_pivots, self._rng
         )
-        pivot_points = [self.points[i] for i in self.pivot_indices]
-        self.table = self.metric.matrix(self.points, pivot_points)
-        if self.candidate_order == "permutation":
-            # Distance permutations of the pivots, derived from the table
-            # at no metric cost (the paper's on-demand computation).
-            self.pivot_permutations = ranked_permutations(self.table)
 
-    def _query_pivot_distances(self, query: Any) -> np.ndarray:
-        pivot_points = [self.points[i] for i in self.pivot_indices]
-        return self.metric.matrix([query], pivot_points)[0]
-
-    def _lower_bounds(self, query_distances: np.ndarray) -> np.ndarray:
-        return np.abs(self.table - query_distances[None, :]).max(axis=1)
-
-    def _range_impl(self, query: Any, radius: float) -> List[Neighbor]:
-        query_distances = self._query_pivot_distances(query)
-        bounds = self._lower_bounds(query_distances)
-        results = []
-        for pivot_rank, i in enumerate(self.pivot_indices):
-            # Pivot distances are already known exactly; reuse them.
-            if query_distances[pivot_rank] <= radius:
-                results.append(Neighbor(float(query_distances[pivot_rank]), i))
+    def _eliminate(self, query: Any, visit: Callable[[float, int], None],
+                   bound: Callable[[], float]) -> None:
+        pivots = [self.points[i] for i in self.pivot_indices]
+        query_distances = self.metric.matrix([query], pivots)[0]
+        for d, i in zip(query_distances, self.pivot_indices):
+            visit(float(d), i)  # pivot distances are already known
+        bounds = np.abs(self.table - query_distances).max(axis=1)
         pivot_set = set(self.pivot_indices)
-        threshold = radius + _SAFETY * (1.0 + radius)
-        for i in range(len(self.points)):
-            if i in pivot_set or bounds[i] > threshold:
-                continue
-            d = self.metric.distance(query, self.points[i])
-            if d <= radius:
-                results.append(Neighbor(d, i))
-        return results
-
-    def _knn_impl(self, query: Any, k: int) -> List[Neighbor]:
-        query_distances = self._query_pivot_distances(query)
-        bounds = self._lower_bounds(query_distances)
-        # Seed the result heap with the pivots (their distances are free).
-        heap: List[tuple] = []
-
-        def offer(distance: float, index: int) -> None:
-            item = (-distance, -index)
-            if len(heap) < k:
-                heapq.heappush(heap, item)
-            elif item > heap[0]:
-                heapq.heapreplace(heap, item)
-
-        for pivot_rank, i in enumerate(self.pivot_indices):
-            offer(float(query_distances[pivot_rank]), i)
-        pivot_set = set(self.pivot_indices)
-        if self.candidate_order == "permutation":
-            # Proximity-preserving order: likely-close candidates first,
-            # shrinking the k-th distance early.  Bounds are not sorted,
-            # so candidates are skipped (not break) when they fail.
-            query_perm = ranked_permutations(query_distances)[0]
-            footrules = footrule_matrix(self.pivot_permutations, query_perm)
-            order = np.argsort(footrules, kind="stable")
-            early_exit = False
-        else:
-            # Classic LAESA: ascending lower bound; once the bound exceeds
-            # the current k-th distance, nothing later can qualify.
-            order = np.argsort(bounds, kind="stable")
-            early_exit = True
-        for i in order:
+        # Iterated lazily: the scan usually stops long before the end.
+        for i in np.argsort(bounds, kind="stable"):
             i = int(i)
             if i in pivot_set:
                 continue
-            kth = -heap[0][0] if len(heap) == k else float("inf")
-            if bounds[i] > kth + _SAFETY * (1.0 + kth):
-                if early_exit:
-                    break
-                continue
-            offer(self.metric.distance(query, self.points[i]), i)
-        return [Neighbor(-nd, -ni) for nd, ni in heap]
-
-    def storage_floats(self) -> int:
-        """Stored scalars: the ``n x k`` pivot-distance table."""
-        return self.table.size
+            if bounds[i] > bound():
+                break
+            visit(self.metric.distance(query, self.points[i]), i)

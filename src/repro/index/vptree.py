@@ -52,12 +52,8 @@ class VPTree(Index):
         self,
         points: Sequence[Any],
         metric: Metric,
-        leaf_size: int = 1,
         rng: Optional[np.random.Generator] = None,
     ):
-        if leaf_size < 1:
-            raise ValueError("leaf_size must be >= 1")
-        self.leaf_size = leaf_size
         self._rng = rng if rng is not None else np.random.default_rng(0)
         super().__init__(points, metric)
 

@@ -10,7 +10,7 @@ latency percentiles (p50/p99/p999) over a bounded ring of recent
 requests.  ``snapshot()`` renders everything as one JSON-friendly dict;
 the server ships it verbatim on the ``STATS`` op.
 
-Latencies live in a fixed-size ring (default: the most recent 65536
+Latencies live in a fixed-size ring (the most recent 65536
 requests), so a long-running server's stats cost constant memory and
 percentiles reflect recent behavior rather than the whole lifetime.
 """
@@ -26,12 +26,14 @@ import numpy as np
 __all__ = ["ServerStats"]
 
 
+#: Requests in the latency ring.
+LATENCY_WINDOW = 65536
+
+
 class ServerStats:
     """Counters, histograms, and latency percentiles for one server."""
 
-    def __init__(self, latency_window: int = 65536):
-        if latency_window < 1:
-            raise ValueError("latency_window must be >= 1")
+    def __init__(self):
         self.started_at = time.monotonic()
         #: Requests admitted to the batching queue.
         self.requests_admitted = 0
@@ -73,7 +75,7 @@ class ServerStats:
         self.shard_reply_bytes: Optional[Tuple[Optional[int], ...]] = None
         self._coalesce_sum = 0.0
         self._coalesce_count = 0
-        self._latencies = np.zeros(latency_window, dtype=np.float64)
+        self._latencies = np.zeros(LATENCY_WINDOW, dtype=np.float64)
         self._latency_pos = 0
         self._latency_count = 0
 

@@ -111,6 +111,8 @@ class TestNoTraceback:
             for command, extra in _KIND_COMMANDS
             for metric in ("l1", "l2", "linf", "angular")
         ),
+        (["table1", "--max-d", "0"], "need --max-d >= 1 and --max-k >= 2"),
+        (["table1", "--max-k", "1"], "need --max-d >= 1 and --max-k >= 2"),
     ])
     def test_bad_input_prints_one_error_line(
         self, argv, message, tmp_path, capsys, rng
@@ -548,3 +550,72 @@ class TestServeFlags:
                 str(tmp_path / "never-bound.sock"), *flags]
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+#: The valid required arguments of each subcommand: options first, then
+#: positionals by ``dest`` (a case on a positional replaces its value).
+_REQUIRED_ARGS = {
+    "census": (_VECTOR_FLAGS, {}),
+    "search": (_VECTOR_FLAGS, {}),
+    "serve": ([*_VECTOR_FLAGS, "--unix-socket", "{sock}"], {}),
+    "bound": ([], {"d": "2", "k": "3"}),
+}
+
+#: Integer options for which -1 is a valid value, with the reason.  None
+#: is today: every count, size, seed and index the CLI takes is >= 0.
+_NEGATIVE_ONE_VALID: dict = {}
+
+
+def _integer_option_cases():
+    """``(command, option)`` for every ``type=int`` argument of every
+    subcommand; ``option`` is the flag, or the ``dest`` of a positional."""
+    import argparse
+
+    subcommands = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return [
+        (command, action.option_strings[0] if action.option_strings
+         else action.dest)
+        for command, parser in sorted(subcommands.choices.items())
+        for action in parser._actions
+        if action.type is int
+    ]
+
+
+class TestNegativeIntegers:
+    """Every integer option rejects -1 the same way: one ``error:`` line
+    and exit 1, never a traceback, an empty report or a started server."""
+
+    @pytest.mark.parametrize("command, option", [
+        case for case in _integer_option_cases()
+        if case not in _NEGATIVE_ONE_VALID
+    ])
+    def test_minus_one_is_one_error_line(
+        self, command, option, tmp_path, capsys, rng
+    ):
+        paths = {
+            "vectors": tmp_path / "vectors.txt",
+            "sock": tmp_path / "never-bound.sock",
+        }
+        save_vectors(paths["vectors"], rng.random((30, 2)))
+        flags, positionals = _REQUIRED_ARGS.get(command, ([], {}))
+        fill = {name: str(path) for name, path in paths.items()}
+        argv = [command, *(arg.format(**fill) for arg in flags)]
+        if option.startswith("-"):
+            argv += [*positionals.values(), option, "-1"]
+        else:
+            argv += [{**positionals, option: "-1"}[dest]
+                     for dest in positionals]
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: "), (argv, captured.err)
+        assert captured.err.count("\n") == 1, (argv, captured.err)
+        assert "Traceback" not in captured.err
+        assert not paths["sock"].exists()
+
+    def test_every_subcommand_with_integer_options_is_walked(self):
+        commands = {command for command, _ in _integer_option_cases()}
+        assert commands == {"bound", "census", "counterexample", "search",
+                            "serve", "table1", "table2", "table3"}

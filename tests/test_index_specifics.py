@@ -114,13 +114,29 @@ class TestSearchCost:
 
     def test_laesa_build_cost_linear_in_pivots(self, database):
         metric = EuclideanDistance()
-        index = PivotIndex(database[:100], metric, n_pivots=4,
-                           pivot_strategy="first")
+        index = PivotIndex(database[:100], metric, n_pivots=4)
         assert index.stats.build_distances == 100 * 4
 
+    def test_laesa_table_is_the_maxmin_selection(self, database):
+        """The build's only evaluations are the maxmin selection's
+        columns: ``n * n_pivots`` of them, and the pivots are the ones
+        ``select_pivots`` draws from the same seed."""
+        metric = EuclideanDistance()
+        index = PivotIndex(database, metric, n_pivots=8,
+                           rng=np.random.default_rng(9))
+        assert index.stats.build_distances == len(database) * 8
+        assert index.pivot_indices == select_pivots(
+            database, metric, 8, "maxmin", np.random.default_rng(9)
+        )
+        pivots = [database[i] for i in index.pivot_indices]
+        np.testing.assert_allclose(
+            index.table, metric.matrix(database, pivots), rtol=0, atol=1e-12
+        )
+
     def test_iaesa_competitive_with_aesa(self, database, queries):
-        """iAESA's permutation-based pivot choice should be in the same
-        cost regime as AESA (the paper reports it beating AESA on average)."""
+        """iAESA's permutation-based pivot choice stays in AESA's cost
+        regime.  Figueroa et al. report it beating AESA on average; on
+        these uniform vectors it spends more, within 2x."""
         metric = EuclideanDistance()
         aesa = AESA(database, metric)
         iaesa = IAESA(database, metric)

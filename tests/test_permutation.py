@@ -26,7 +26,6 @@ from repro.core.permutation import (
     distance_permutation,
     distance_permutations,
     encode_permutations,
-    footrule_matrix,
     footrule_matrix_batch,
     permutation_positions,
     permutations_from_distances,
@@ -217,12 +216,12 @@ class TestDissimilarities:
         footrule = spearman_footrule(perm, other)
         assert tau <= footrule <= 2 * tau
 
-    def test_footrule_matrix_matches_scalar(self, rng):
+    def test_footrule_matrix_matches_scalar(self):
         perms = np.array([np.random.default_rng(i).permutation(5) for i in range(10)])
-        query = tuple(np.random.default_rng(99).permutation(5))
-        vectorized = footrule_matrix(perms, query)
+        query = np.random.default_rng(99).permutation(5)
+        row = footrule_matrix_batch(perms, query[None, :])[0]
         for i in range(10):
-            assert vectorized[i] == spearman_footrule(tuple(perms[i]), query)
+            assert row[i] == spearman_footrule(tuple(perms[i]), tuple(query))
 
     def test_footrule_matrix_batch_matches_single(self):
         perms = np.array(
@@ -235,8 +234,12 @@ class TestDissimilarities:
         assert batched.shape == (7, 12)
         for qi in range(7):
             np.testing.assert_array_equal(
-                batched[qi], footrule_matrix(perms, query_perms[qi])
+                batched[qi], footrule_matrix_batch(perms, query_perms[qi:qi + 1])[0]
             )
+            for i in range(12):
+                assert batched[qi, i] == spearman_footrule(
+                    tuple(perms[i]), tuple(query_perms[qi])
+                )
 
     def test_footrule_matrix_batch_accepts_cached_positions(self):
         perms = np.array(

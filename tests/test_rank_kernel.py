@@ -41,7 +41,7 @@ from repro.core.permutation import (
     site_ranks,
 )
 from repro.datasets.dictionaries import synthetic_dictionary
-from repro.index import DistPermIndex, PivotIndex, ShardedIndex, distperm
+from repro.index import DistPermIndex, ShardedIndex, distperm
 from repro.index.serialize import save_distperm
 from repro.metrics import CountingMetric, EuclideanDistance, LevenshteinDistance
 from repro.parallel.census import sharded_census
@@ -376,14 +376,6 @@ class TestQueryNaNContract:
         }
         with pytest.raises(ValueError, match="NaN distances have no rank"):
             calls[surface]()
-
-    def test_pivot_index_in_permutation_order_raises(self, points):
-        index = PivotIndex(points, EuclideanDistance(), n_pivots=4,
-                           candidate_order="permutation",
-                           rng=np.random.default_rng(8))
-        assert len(index.knn_query(points[7], 3)) == 3
-        with pytest.raises(ValueError, match="NaN distances have no rank"):
-            index.knn_query(self.NAN_QUERY[0], 3)
 
     @pytest.mark.parametrize("resident", [False, True])
     def test_sharded_index_raises_in_process_and_pooled(self, points, resident):
