@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -289,6 +290,14 @@ def _metric_kind_error(args: argparse.Namespace) -> Optional[str]:
     return None
 
 
+def _output_error(path: Optional[str]) -> Optional[str]:
+    """An output path (file or socket) whose directory does not exist;
+    checked before any database is read."""
+    if path is not None and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        return f"cannot write {path}: no such directory"
+    return None
+
+
 def _wants_pool(args: argparse.Namespace) -> bool:
     """Whether the engine flags select the pinned worker pool."""
     return bool(
@@ -453,7 +462,8 @@ def _cmd_census(args: argparse.Namespace) -> int:
         print("error: --dump needs the in-memory census (it materializes "
               "every permutation); drop --chunk-rows", file=sys.stderr)
         return 1
-    error = _workers_error(args) or _metric_kind_error(args)
+    error = (_workers_error(args) or _metric_kind_error(args)
+             or _output_error(args.dump))
     if error:
         print(f"error: {error}", file=sys.stderr)
         return 1
@@ -611,11 +621,11 @@ def _search_flags_error(args: argparse.Namespace) -> Optional[str]:
         return "radius must be nonnegative"
     if args.budget is not None and args.budget < 0:
         return "--budget must be >= 0"
-    if args.n_queries < 0:
-        return "--n-queries must be >= 0"
+    if args.n_queries < 1:
+        return "--n-queries must be >= 1"
     if args.show < 0:
         return "--show must be >= 0"
-    return _index_flags_error(args)
+    return _index_flags_error(args) or _output_error(args.save_index)
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
@@ -800,7 +810,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
-    error = _index_flags_error(args)
+    error = _index_flags_error(args) or _output_error(args.unix_socket)
     if error:
         print(f"error: {error}", file=sys.stderr)
         return 1
@@ -849,8 +859,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_counterexample(args: argparse.Namespace) -> int:
     from repro.experiments.counterexample import counterexample_census
 
-    if args.points < 0:
-        print("error: --points must be >= 0", file=sys.stderr)
+    if args.points < 1:
+        print("error: --points must be >= 1", file=sys.stderr)
         return 1
     if args.seed < 0:
         print("error: --seed must be >= 0", file=sys.stderr)

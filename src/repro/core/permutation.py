@@ -835,13 +835,14 @@ def footrule_matrix_batch(
     **Kernel.**  One pass per site over *column-contiguous* rank
     positions: ``|pos[:, s] - q[s]|`` as a signed narrow subtract and
     ``abs``, added into a narrow unsigned accumulator row — three
-    contiguous SIMD passes per site, no ``(q, n, k)`` intermediate and
-    no short-axis reduction.  Ranks are ``< k`` and a footrule is at most
-    ``floor(k^2 / 2)``, which fixes the widths: differences are the
-    narrowest signed dtype holding ``k - 1`` (``int8`` through
-    ``k = 128``, ``int16`` through 32768), the accumulator is
-    :func:`compact_footrule_dtype` (``uint8`` through ``k = 22``,
-    ``uint16`` through 362).
+    contiguous SIMD passes per site (the first site's add and the fill
+    are dropped: its magnitudes start the row), no ``(q, n, k)``
+    intermediate and no short-axis reduction.  Ranks are ``< k`` and a
+    footrule is at most ``floor(k^2 / 2)``, which fixes the widths:
+    differences are the narrowest signed dtype holding ``k - 1``
+    (``int8`` through ``k = 128``, ``int16`` through 32768), the
+    accumulator is :func:`compact_footrule_dtype` (``uint8`` through
+    ``k = 22``, ``uint16`` through 362).
 
     **Layout.**  Pass a precomputed ``positions =
     permutation_positions(perms)`` to skip re-inverting the stored
@@ -907,9 +908,15 @@ def footrule_matrix_batch(
     for q in range(n_queries):
         if in_place:
             row = out[q]
-        row.fill(0)
         ranks = query_positions[q]
-        for s in range(k):
+        # The first site's magnitudes start the row: no fill pass, and no
+        # add when the accumulator is as wide as the differences.
+        lead = row.view(signed) if row.itemsize == signed.itemsize else diff
+        np.subtract(columns[0], ranks[0], out=lead, dtype=signed)
+        np.abs(lead, out=lead)
+        if lead is diff:
+            np.copyto(row, magnitude)
+        for s in range(1, k):
             np.subtract(columns[s], ranks[s], out=diff, dtype=signed)
             np.abs(diff, out=diff)
             np.add(row, magnitude, out=row)

@@ -132,16 +132,21 @@ _TARGET_CHUNK_BYTES = 1 << 25
 
 
 def query_chunks(
-    n_queries: int, n_points: int, itemsize: int = 8
+    n_queries: int,
+    n_points: int,
+    itemsize: int = 8,
+    chunk_bytes: Optional[int] = None,
 ) -> Iterator[Tuple[int, int]]:
     """Yield ``(start, stop)`` query ranges bounding matrix-chunk memory.
 
     A chunk's ``rows x n_points`` matrix of ``itemsize``-byte entries
-    stays within ``_TARGET_CHUNK_BYTES`` (one row at least).  The default
-    ``itemsize`` is a ``float64`` distance; pass the matrix dtype's own
-    when it is narrower.
+    stays within ``chunk_bytes`` (default ``_TARGET_CHUNK_BYTES``; one row
+    at least).  The default ``itemsize`` is a ``float64`` distance; pass
+    the matrix dtype's own when it is narrower.
     """
-    rows = max(1, _TARGET_CHUNK_BYTES // (max(1, n_points) * itemsize))
+    if chunk_bytes is None:
+        chunk_bytes = _TARGET_CHUNK_BYTES
+    rows = max(1, chunk_bytes // (max(1, n_points) * itemsize))
     for start in range(0, n_queries, rows):
         yield start, min(start + rows, n_queries)
 
@@ -189,61 +194,60 @@ def top_k_arrays(
 
     ``np.argpartition`` finds each row's k-th value but breaks ties at it
     arbitrarily.  A row whose (k + 1)-th value is above its k-th (the
-    usual case for real distances) keeps the partition's ``k`` picks; the
-    others — boundary ties, NaNs, rows shorter than ``k`` — collect
-    *every* entry not above the boundary and sort only that set.
+    usual case for real distances) keeps the partition's ``k`` picks,
+    all rows at once.  The others — boundary ties (the usual case for
+    integer distances), NaNs, rows of at most ``k`` entries — are each
+    sorted alone, over only the entries not above the row's boundary, so
+    their cost grows with the rows that tie and the entries that reach,
+    not with the matrix.
     """
     n_rows, n = distances.shape
     if n_rows == 0:
         return NeighborArrays.empty(0)
     if ids is None:
         ids = np.broadcast_to(np.arange(n), distances.shape)
-    valid = None
-    if lengths is not None:
-        valid = np.arange(n) < np.asarray(lengths)[:, None]
-        # Padding sorts after every real value but NaN, so it never sets
-        # a boundary below a real entry.
-        distances = np.where(valid, distances, np.inf)
     width = min(k, n)
-    rows = np.arange(n_rows)[:, None]
     if k < n:
+        rows = np.arange(n_rows)[:, None]
+        if lengths is not None and (np.asarray(lengths) < n).any():
+            # Padding sorts after every real value but NaN, so it never
+            # sets a boundary below a real entry.
+            valid = np.arange(n) < np.asarray(lengths)[:, None]
+            distances = np.where(valid, distances, np.inf)
         # Partitioned at column k, the first k columns are each row's k
         # smallest values and column k its (k + 1)-th: the picks are the
         # row's whole top k unless that next value ties the boundary (or
         # either is a NaN, or the boundary is a pad's inf).
-        part = np.argpartition(distances, k, axis=1)
+        part = distances.argpartition(k, axis=1)
         picks = part[:, :k]
         vals, names = distances[rows, picks], ids[rows, picks]
         boundary = vals.max(axis=1)
-        order = np.lexsort((names, vals), axis=1)
-        vals, names = vals[rows, order], names[rows, order]
-        clear = distances[rows[:, 0], part[:, k]] > boundary
-        if clear.all():
-            return NeighborArrays(vals, names, np.arange(n_rows + 1) * width)
-        rest = np.flatnonzero(~clear)
-        # "Not above" rather than "at or below": NaNs sort last in both
-        # lexsort and argpartition, and this keeps them reachable.
-        reach = ~(distances[rest] > boundary[rest, None])
+        tied = (~(distances[rows[:, 0], part[:, k]] > boundary)).nonzero()[0]
+        if tied.shape[0] < n_rows:
+            order = np.lexsort((names, vals), axis=1)
+            vals, names = vals[rows, order], names[rows, order]
     else:
         vals = np.empty((n_rows, width), dtype=np.float64)
         names = np.empty((n_rows, width), dtype=ids.dtype)
-        rest, reach = rows[:, 0], np.ones(distances.shape, dtype=bool)
-    if valid is not None:
-        reach &= valid[rest]
-    hit, cols = np.nonzero(reach)
-    hit_vals, hit_names = distances[rest[hit], cols], ids[rest[hit], cols]
-    order = np.lexsort((hit_names, hit_vals, hit))
-    hit = hit[order]
-    found = np.bincount(hit, minlength=rest.shape[0])
-    starts = np.zeros(rest.shape[0], dtype=np.int64)
-    np.cumsum(found[:-1], out=starts[1:])
-    rank = np.arange(hit.shape[0], dtype=np.int64) - np.repeat(starts, found)
-    keep = rank < width
-    target = rest[hit[keep]], rank[keep]
-    vals[target] = hit_vals[order][keep]
-    names[target] = hit_names[order][keep]
-    counts = np.full(n_rows, width, dtype=np.int64)
-    counts[rest] = np.minimum(found, width)
+        tied = range(n_rows)
+    counts = None
+    for r in tied:
+        stop = n if lengths is None else lengths[r]
+        row, row_ids = distances[r, :stop], ids[r, :stop]
+        if k < n:
+            # "Not above" rather than "at or below": NaNs sort last in
+            # both lexsort and argpartition, and this keeps them reachable.
+            reach = (~(row > boundary[r])).nonzero()[0]
+            row, row_ids = row[reach], row_ids[reach]
+        order = np.lexsort((row_ids, row))[:width]
+        found = order.shape[0]
+        vals[r, :found], names[r, :found] = row[order], row_ids[order]
+        if found < width:
+            if counts is None:
+                counts = np.full(n_rows, width, dtype=np.int64)
+            counts[r] = found
+    if counts is None:
+        return NeighborArrays(vals, names, np.arange(n_rows + 1) * width)
     offsets = np.zeros(n_rows + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
     cells = np.arange(width) < counts[:, None]

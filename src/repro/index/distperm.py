@@ -44,11 +44,15 @@ There is one query path, the batched one, and it is one loop — scan,
 select, refine — whatever holds the codes:
 
 *Scan.*  One ``to_sites`` call for the whole query set, then the
-footrule matrix of a chunk of queries, filled tile by tile
-(:meth:`DistPermIndex._position_tiles`).  A tile is a ``(k, width)``
-block of rank positions, one contiguous row per site.  With RAM backing
-the resident matrix is the only tile.  With ``backing="mmap"`` the
-codes stay bit-packed on disk and a tile is several blocks of the
+footrule rows of one chunk of queries at a time
+(:meth:`DistPermIndex._query_chunks`), each filled tile of positions by
+tile (:meth:`DistPermIndex._position_tiles`).  A tile is a ``(k,
+width)`` block of rank positions, one contiguous row per site.  With
+RAM backing the resident matrix is the only tile, and nothing is shared
+between queries, so a chunk is three :data:`_TILE_BYTES` of footrule
+rows (15 queries against 200k points; see :meth:`DistPermIndex.
+_query_chunks`) and no ``(queries x n)`` matrix exists.  With ``backing="mmap"``
+the codes stay bit-packed on disk and a tile is several blocks of the
 mapped store (:class:`~repro.core.storage.MappedCodeStore`) filled side
 by side into a reused workspace — about 1 MiB of positions, so the
 byte-wide kernel runs on rows of tens of kilobytes instead of paying
@@ -57,11 +61,13 @@ the fill: blocks the store's cache of decoded *positions* retained are
 copied in, and each run of the others is unpacked and Lehmer-unranked
 (:func:`~repro.core.permutation.decode_positions`) in one pass straight
 into the tile.  On a 2-vCPU x86-64 box at ``k = 12`` that costs
-≈ 23 ns per code.  Chunks are sized in bytes of the footrule matrix
-(32 MiB, see :func:`~repro.index.batching.query_chunks`; 167 queries
-against 200k points at one byte per entry) and every chunk walks all
-blocks once, so the decode cost is per block per chunk, not per query,
-and nothing at all for the blocks the cache retained.
+≈ 23 ns per code.  A store whose cache cannot hold every block decodes
+on every scan, so there a chunk shares one decode among as many queries
+as 32 MiB of footrules hold (see :func:`~repro.index.batching.
+query_chunks`; 167 queries against 200k points at one byte per entry):
+the decode cost is per block per chunk, not per query, and nothing at
+all for the blocks the cache retained.  A store whose cache holds every
+block decodes nothing after its first scan and tiles as RAM does.
 
 A chunk of at most :data:`_BOUNDED_QUERIES` queries decodes fewer codes
 instead (:meth:`DistPermIndex._bounded_candidates`): a code's first sites
@@ -70,10 +76,12 @@ boundary are unranked.  A single query against 200k mapped points with
 4 of 25 blocks cached takes ≈ 4–5 ms, against ≈ 7–8 ms decoding them all.
 
 *Select.*  :func:`_budget_candidates` finds each row's budget boundary
-without counting the row: a strided sample guesses it and byte-wide
-compares settle it exactly.  *Refine.*  One
-:meth:`~repro.metrics.base.Metric.grouped_distances` call per chunk of
-queries (at most :data:`_REFINE_PAIRS` candidates) scores every query
+without counting the row: a strided sample guesses it, one byte-wide
+compare into the index's reused mask collects the ids below the guess,
+and work past it is the size of the output.  *Refine.*  One
+:meth:`~repro.metrics.base.Metric.grouped_distances` call per group of
+queries (at most :data:`_REFINE_PAIRS` candidates, spanning scan
+chunks, so tiling adds no refine call) scores every query
 against its own candidates, then one batched top-``k`` over the whole
 group sorts only the entries at or under each row's k-th distance
 (:func:`~repro.index.batching.top_k_arrays`).  The database side of
@@ -103,6 +111,7 @@ index.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Any, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -138,7 +147,9 @@ __all__ = ["DistPermIndex"]
 #: _position_tiles`): ten 8192-element blocks at ``k = 12``, so the
 #: footrule kernel's rows are ~80 KB — long enough to amortise numpy's
 #: per-call overhead, short enough that a tile, the kernel's scratch row
-#: and an output row stay in L2 together.
+#: and an output row stay in L2 together.  Three of them are the bytes
+#: of footrule rows a scan that decodes nothing scores at once
+#: (:meth:`DistPermIndex._query_chunks`).
 _TILE_BYTES = 1 << 20
 
 #: Entries :func:`_budget_candidates` samples to guess a row's boundary.
@@ -157,7 +168,9 @@ _BOUNDED_QUERIES = 2
 _REFINE_PAIRS = 1 << 16
 
 
-def _budget_candidates(footrules: np.ndarray, budget: int) -> np.ndarray:
+def _budget_candidates(
+    footrules: np.ndarray, budget: int, workspace: Optional[dict] = None
+) -> np.ndarray:
     """Candidate set of one query: the ``budget`` best footrule ranks.
 
     Matches the prefix of a *stable* argsort exactly: every index whose
@@ -165,80 +178,76 @@ def _budget_candidates(footrules: np.ndarray, budget: int) -> np.ndarray:
     value), then the lowest-numbered indices at the boundary until the
     budget is filled.
 
-    The boundary ``b`` is the value with ``count(row < b) < budget <=
-    count(row <= b)``.  One- and two-byte rows — every ``k <= 362`` —
-    never histogram or sort the row to find it: a strided sample's
-    histogram *guesses* it, and byte-wide compares with
-    ``np.count_nonzero`` *settle* it, stepping the guess by one until the
-    invariant holds (two or three probes when the sample is
-    representative; the sample decides only how many, never the
-    result).  Wider rows take it from ``np.partition``, which the same
-    probes then merely confirm.  A footrule takes at most
-    ``floor(k^2 / 2) + 1`` values and the budget sits in the thin lower
-    tail of their distribution, which shapes the collection: the
-    strictly-below mask is sparse (fewer than ``budget`` set bytes — the
-    case ``np.flatnonzero`` scans fastest), while boundary ties are dense
-    but wanted only from the front, so they are read off a prefix of the
-    row sized from their density and doubled on a shortfall.
+    The row is never counted, histogrammed or sorted.  A guess ``g`` of
+    the boundary costs one compare and one ``np.flatnonzero``: the ids
+    below ``g``, sparse because the budget sits in the thin lower tail of
+    the footrule distribution.  The ties at ``g`` are dense but wanted
+    only from the front, so they are read off a prefix of the row sized
+    from their density and doubled on a shortfall.  A guess too high
+    leaves ``budget`` or more ids below it, and a ``bincount`` of their
+    values finds the boundary among them; one too low runs out of ties
+    and moves on.  So past the compare, work and memory are the size of
+    the output, and the guess sets the cost, never the result.  One- and
+    two-byte rows (every ``k <= 362``) guess from a strided sample's
+    histogram, then every later value it holds, then the dtype's maximum;
+    wider rows take the boundary from ``np.partition``.  The compares
+    write the ``"mask"`` buffer of ``workspace`` (fresh without one).
     """
     n = footrules.shape[0]
     if budget <= 0:
         return np.empty(0, dtype=np.int64)
     if budget >= n:
         return np.arange(n)
-    # Compared as the row's own scalar type so every probe stays a
-    # byte-wide SIMD compare instead of promoting the row.
+    mask = workspace_buffer(workspace, "mask", (n,), np.bool_)
+    # Compared as the row's own scalar type so every compare stays a
+    # byte-wide SIMD pass instead of promoting the row.
     scalar = footrules.dtype.type
-    if footrules.dtype.kind != "u" or footrules.dtype.itemsize > 2:
-        boundary = np.partition(footrules, budget - 1)[budget - 1]
-    else:
+    if footrules.dtype.kind == "u" and footrules.dtype.itemsize <= 2:
         sample = footrules[:: max(1, n // _BOUNDARY_SAMPLE)]
-        sampled = np.cumsum(np.bincount(sample))
-        boundary = int(np.searchsorted(sampled, budget * sample.shape[0] / n))
-    below = footrules < scalar(boundary)
-    n_below = np.count_nonzero(below)
-    reach = footrules <= scalar(boundary)
-    n_reach = np.count_nonzero(reach)
-    # At most one of the two loops runs.  count(row < 0) = 0 < budget
-    # stops the descent; at the dtype's maximum the reach is the whole
-    # row (n > budget), which stops the ascent.
-    while n_below >= budget:
-        boundary -= 1
-        reach, n_reach = below, n_below
-        below = footrules < scalar(boundary)
-        n_below = np.count_nonzero(below)
-    while n_reach < budget:
-        boundary += 1
-        below, n_below = reach, n_reach
-        reach = footrules <= scalar(boundary)
-        n_reach = np.count_nonzero(reach)
-    strict = np.flatnonzero(below)
-    wanted = budget - n_below
-    # Ties fill (n_reach - n_below) / n of the row; a prefix holding
-    # twice the wanted number on average rarely comes up short.
-    stop = 2 * wanted * n // (n_reach - n_below) + 64
-    while True:
-        ties = np.flatnonzero(footrules[:stop] == scalar(boundary))
-        if ties.shape[0] >= wanted or stop >= n:
+        counts, sampled = np.bincount(sample), sample.shape[0]
+        first = int(np.searchsorted(np.cumsum(counts), budget * sampled / n))
+        later = np.flatnonzero(counts[first + 1 :]) + first + 1
+        guesses = [first, *later.tolist(), np.iinfo(footrules.dtype).max]
+    else:
+        counts, sampled = np.zeros(0, np.intp), n
+        guesses = [np.partition(footrules, budget - 1)[budget - 1]]
+    for boundary in guesses:
+        strict = np.flatnonzero(np.less(footrules, scalar(boundary), out=mask))
+        if strict.shape[0] >= budget:
+            values = footrules[strict]
+            boundary = np.searchsorted(np.cumsum(np.bincount(values)), budget)
+            ties = strict[values == scalar(boundary)]
+            strict = strict[values < scalar(boundary)]
             break
-        stop *= 2
-    return np.concatenate([strict, ties[:wanted]])
+        wanted = budget - strict.shape[0]
+        # Ties fill about counts[boundary] / sampled of the row; a prefix
+        # holding twice the wanted number on average rarely comes up short.
+        seen = counts[boundary] if 0 <= boundary < counts.shape[0] else 0
+        stop = 2 * wanted * sampled // max(1, seen) + 64
+        while True:
+            ties = np.flatnonzero(
+                np.equal(footrules[:stop], scalar(boundary), out=mask[:stop])
+            )
+            if ties.shape[0] >= wanted or stop >= n:
+                break
+            stop *= 2
+        if ties.shape[0] >= wanted:
+            break
+    return np.concatenate([strict, ties[: budget - strict.shape[0]]])
 
 
-def _refine_groups(
-    budgets: np.ndarray, start: int, stop: int
-) -> Iterator[Tuple[int, int]]:
-    """Split queries ``start..stop`` into runs of at most
-    :data:`_REFINE_PAIRS` candidates (one query at least), so one refine
-    call's ids and distances stay small however many queries a footrule
-    chunk holds."""
-    lo, pairs = start, 0
-    for q in range(start, stop):
-        pairs += int(budgets[q])
+def _refine_groups(budgets: np.ndarray) -> Iterator[Tuple[int, int]]:
+    """Split a call's queries into runs of at most :data:`_REFINE_PAIRS`
+    candidates (one query at least), so one refine call's ids and
+    distances stay small however many queries the call holds.  Runs span
+    footrule tiles: tiling the scan adds no refine or top-k call."""
+    lo, pairs = 0, 0
+    for q, budget in enumerate(budgets):
+        pairs += int(budget)
         if pairs > _REFINE_PAIRS and q > lo:
             yield lo, q
-            lo, pairs = q, int(budgets[q])
-    yield lo, stop
+            lo, pairs = q, int(budget)
+    yield lo, len(budgets)
 
 
 def _group_top_k(
@@ -506,10 +515,9 @@ class DistPermIndex(Index):
         the next footrule call on this index.  Each tile of
         :meth:`_position_tiles` is scored against *every* query row into
         its own columns of the matrix, so with mmap backing a block is
-        fetched once per chunk of :meth:`_query_chunks` — once per batch
-        of up to ``32 MiB / n`` queries at the footrule dtype's byte
-        width.  Footrule is per-column-independent integer math, so the
-        matrix is byte-identical however the columns were tiled.
+        fetched once per chunk of :meth:`_query_chunks`.  Footrule is
+        per-column-independent integer math, so the matrix is
+        byte-identical however the columns were tiled.
         """
         workspace = self._footrule_workspace
         out = workspace_buffer(
@@ -528,16 +536,22 @@ class DistPermIndex(Index):
             )
         return out
 
+    def _scan_decodes(self) -> bool:
+        """Whether a scan decodes: an mmap store whose cache cannot hold
+        every block."""
+        store = self.code_store
+        return store is not None and store.decoded_bytes_total() > store.cache_bytes
+
     def _query_chunks(self, n_queries: int):
-        """Query ranges whose footrule matrix stays within the chunk
-        budget of :func:`~repro.index.batching.query_chunks`, counted at
-        the footrule dtype's width (one byte per entry through ``k = 22``).
-        """
-        return query_chunks(
-            n_queries,
-            len(self.points),
-            compact_footrule_dtype(self.n_sites).itemsize,
-        )
+        """Query ranges scored by one footrule matrix: as many as 32 MiB
+        of rows hold (:func:`~repro.index.batching.query_chunks`) when the
+        chunk shares a decode, else three :data:`_TILE_BYTES` of rows (15
+        queries at n = 200k).  One tile peaked no lower and made rebuilds
+        25 % slower: glibc trims the heap between the build's 1.5 MB
+        blocks unless a freed buffer of a few MB raised its threshold."""
+        itemsize = compact_footrule_dtype(self.n_sites).itemsize
+        tile = None if self._scan_decodes() else 3 * _TILE_BYTES
+        return query_chunks(n_queries, len(self.points), itemsize, tile)
 
     def candidate_order(self, query: Any) -> np.ndarray:
         """Database indices ordered by footrule to the query's permutation.
@@ -613,7 +627,7 @@ class DistPermIndex(Index):
             for start, stop in self._query_chunks(n_queries):
                 matrix = self._footrules_matrix(query_perms[start:stop])
                 for q, row in enumerate(matrix, start):
-                    ranked = _budget_candidates(row, limit)
+                    ranked = _budget_candidates(row, limit, self._footrule_workspace)
                     ids[q] = ranked[np.argsort(row[ranked], kind="stable")]
                     footrules[q], means[q] = row[ids[q]], row.sum(dtype=np.int64) / n
         return footrules, means, ids
@@ -703,7 +717,8 @@ class DistPermIndex(Index):
         # ``np.compress`` into a buffer costs more than the pages it saves.
         reach, seen, fresh = (workspace_buffer(workspace, key, codes.shape, np.bool_)
                               for key in ("reach", "seen", "fresh"))
-        hits = workspace_buffer(workspace, "hits", (n,), np.bool_)
+        # The mask _budget_candidates reuses once the rounds are done.
+        hits = workspace_buffer(workspace, "mask", (n,), np.bool_)
         if held:
             samples = np.concatenate(held, axis=1)
         else:
@@ -744,8 +759,22 @@ class DistPermIndex(Index):
                     if np.count_nonzero(hits) >= budget:
                         break
                     reach, seen, t = seen, reach, t + 2
-            candidates.append(_budget_candidates(row, budget))
+            candidates.append(_budget_candidates(row, budget, workspace))
         return candidates
+
+    def _candidate_rows(
+        self, query_perms: np.ndarray, budgets: np.ndarray
+    ) -> Iterator[np.ndarray]:
+        """Each query's :func:`_budget_candidates`, in query order, scored
+        one chunk of :meth:`_query_chunks` at a time."""
+        bounded = self._scan_decodes()
+        for start, stop in self._query_chunks(len(query_perms)):
+            perms, chunk = query_perms[start:stop], budgets[start:stop]
+            if bounded and stop - start <= _BOUNDED_QUERIES:
+                yield from self._bounded_candidates(perms, chunk)
+                continue
+            for row, budget in zip(self._footrules_matrix(perms), chunk):
+                yield _budget_candidates(row, int(budget), self._footrule_workspace)
 
     def _knn_approx_batch_impl(
         self, queries: Sequence[Any], k: int, budget: Budget
@@ -761,29 +790,17 @@ class DistPermIndex(Index):
                 return NeighborArrays.empty(len(queries))
         else:
             budgets = np.full(len(queries), self._clamp_budget(k, budget))
-        query_perms = self.query_permutations(queries)
+        rows = self._candidate_rows(self.query_permutations(queries), budgets)
         points = self._resident_points()
         parts: List[NeighborArrays] = []
-        # Chunking bounds the (queries x n) footrule matrix; the kernel
-        # itself needs only length-n scratch rows.
-        store = self.code_store
-        for start, stop in self._query_chunks(len(queries)):
-            perms, chunk = query_perms[start:stop], budgets[start:stop]
-            if stop - start <= _BOUNDED_QUERIES and store is not None and (
-                store.decoded_bytes_total() > store.cache_bytes
-            ):
-                chunk = self._bounded_candidates(perms, chunk)
-            else:
-                footrules = self._footrules_matrix(perms)
-                chunk = [_budget_candidates(r, int(b)) for r, b in zip(footrules, chunk)]
-            for lo, hi in _refine_groups(budgets, start, stop):
-                candidates = chunk[lo - start : hi - start]
-                lengths = np.array([c.shape[0] for c in candidates], dtype=np.int64)
-                offsets = np.zeros(hi - lo + 1, dtype=np.int64)
-                np.cumsum(lengths, out=offsets[1:])
-                ids = np.concatenate(candidates)
-                distances = self.metric.grouped_distances(
-                    queries[lo:hi], points, ids, offsets
-                )
-                parts.append(_group_top_k(distances, ids, lengths, k))
+        for lo, hi in _refine_groups(budgets):
+            candidates = list(islice(rows, hi - lo))
+            lengths = np.array([c.shape[0] for c in candidates], dtype=np.int64)
+            offsets = np.zeros(hi - lo + 1, dtype=np.int64)
+            np.cumsum(lengths, out=offsets[1:])
+            ids = np.concatenate(candidates)
+            distances = self.metric.grouped_distances(
+                queries[lo:hi], points, ids, offsets
+            )
+            parts.append(_group_top_k(distances, ids, lengths, k))
         return NeighborArrays.concat(parts)

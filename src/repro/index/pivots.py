@@ -9,7 +9,9 @@ without evaluating the metric.
 The table is the ``k`` columns its maxmin pivot selection computes
 anyway, so a build costs ``n * k`` evaluations.  :class:`PivotTable`
 holds what LAESA shares with AESA and iAESA (:mod:`repro.index.aesa`):
-range and kNN search as two uses of one elimination loop.
+range and kNN search as two uses of one elimination loop.  LAESA's range
+bound never shrinks, so its range search evaluates the loop's survivors
+in one ``batch_distances`` call instead.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from repro.index.base import Index, Neighbor
 from repro.index.batching import PRUNE_SAFETY, heap_neighbors, offer
-from repro.metrics.base import Metric
+from repro.metrics.base import Metric, take_points
 
 __all__ = ["PivotIndex", "PivotTable", "select_pivots"]
 
@@ -128,9 +130,10 @@ class PivotTable(Index):
 class PivotIndex(PivotTable):
     """LAESA pivot table supporting exact range and kNN queries.
 
-    Candidates are evaluated in ascending lower-bound order, so the
-    first bound past the search radius (for kNN, the current k-th
-    distance) ends the scan.
+    kNN candidates are evaluated in ascending lower-bound order, so the
+    first bound past the current k-th distance ends the scan; a range
+    query evaluates every element whose bound is within the radius at
+    once.
     """
 
     def __init__(
@@ -151,13 +154,31 @@ class PivotIndex(PivotTable):
             self.points, self.metric, self.n_pivots, self._rng
         )
 
-    def _eliminate(self, query: Any, visit: Callable[[float, int], None],
-                   bound: Callable[[], float]) -> None:
+    def _pivot_bounds(self, query: Any) -> Tuple[np.ndarray, np.ndarray]:
+        """The query's pivot distances and every element's lower bound."""
         pivots = [self.points[i] for i in self.pivot_indices]
         query_distances = self.metric.matrix([query], pivots)[0]
+        return query_distances, np.abs(self.table - query_distances).max(axis=1)
+
+    def _range_impl(self, query: Any, radius: float) -> List[Neighbor]:
+        # The bound never shrinks, so the survivors the elimination loop
+        # would visit one by one take one batch call: same set, same count.
+        query_distances, bounds = self._pivot_bounds(query)
+        bounds[self.pivot_indices] = np.inf  # already evaluated
+        ids = np.flatnonzero(bounds <= radius + PRUNE_SAFETY * (1.0 + radius))
+        found = self.metric.batch_distances([query], take_points(self.points, ids))
+        return [
+            Neighbor(float(d), int(i))
+            for d, i in zip(np.r_[query_distances, found[0]],
+                            np.r_[self.pivot_indices, ids])
+            if d <= radius
+        ]
+
+    def _eliminate(self, query: Any, visit: Callable[[float, int], None],
+                   bound: Callable[[], float]) -> None:
+        query_distances, bounds = self._pivot_bounds(query)
         for d, i in zip(query_distances, self.pivot_indices):
             visit(float(d), i)  # pivot distances are already known
-        bounds = np.abs(self.table - query_distances).max(axis=1)
         pivot_set = set(self.pivot_indices)
         # Iterated lazily: the scan usually stops long before the end.
         for i in np.argsort(bounds, kind="stable"):

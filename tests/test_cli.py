@@ -81,11 +81,11 @@ class TestNoTraceback:
         (["search", "--input", "{words}", "--kind", "vectors",
           "--metric", "l2"], "cannot read {words}: could not convert"),
         (["search", *_VECTOR_FLAGS, "--n-queries", "-2"],
-         "--n-queries must be >= 0"),
+         "--n-queries must be >= 1"),
         (["search", *_VECTOR_FLAGS, "--seed", "-1"], "--seed must be >= 0"),
         (["search", *_VECTOR_FLAGS, "--index", "distperm", "--mode",
           "knn-approx", "--budget", "-1"], "--budget must be >= 0"),
-        (["counterexample", "--points", "-1"], "--points must be >= 0"),
+        (["counterexample", "--points", "-1"], "--points must be >= 1"),
         (["counterexample", "--seed", "-1"], "--seed must be >= 0"),
         (["serve", *_VECTOR_FLAGS, "--host", "127.0.0.1", "--port", "-1"],
          "--port must be in 0..65535"),
@@ -584,36 +584,166 @@ def _integer_option_cases():
     ]
 
 
+#: Integer options for which 0 is a valid value, with the reason.
+_ZERO_VALID = {
+    ("bound", "d"): "the zero-dimensional space is one point",
+    **{(command, "--seed"): "0 seeds numpy like any other integer"
+       for command in ("census", "counterexample", "search", "serve",
+                       "table2", "table3")},
+    **{(command, "--workers"): "0 workers is the in-process census"
+       for command in ("census", "table2", "table3")},
+    ("search", "--budget"): "a budget is raised to k; 0 asks for the least",
+    ("search", "--show"): "the default: print no answer rows",
+    ("serve", "--port"): "port 0 is a kernel-assigned port",
+    ("table2", "--n"): "the default: each dataset's fast-preset size",
+}
+
+#: Path options: an input must exist, an output needs its directory.
+_INPUT_PATHS = {"--input", "--queries", "--load-index"}
+_OUTPUT_PATHS = {"--dump", "--save-index", "--unix-socket"}
+
+#: Options that name one of a fixed set without argparse ``choices``
+#: (datasets, norms), with a name that is none of them.
+_UNKNOWN_NAMES = {"--names": "Bogus", "--p": "bogus"}
+
+#: String options no sweep runs, with the reason.
+_STRING_UNSWEPT = {
+    "--host": "an unknown host name is looked up on the network",
+}
+
+#: Flags a path case needs so that its path is the first thing checked.
+_PATH_CONTEXT = {
+    "--load-index": ["--index", "distperm"],
+    "--save-index": ["--index", "distperm"],
+}
+
+
+def _string_option_cases():
+    """``(command, option, choices)`` for every option of every
+    subcommand that takes a string value."""
+    import argparse
+
+    subcommands = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return [
+        (command, action.option_strings[0], action.choices)
+        for command, parser in sorted(subcommands.choices.items())
+        for action in parser._actions
+        if action.option_strings and action.type is None
+        and action.nargs != 0
+    ]
+
+
+def _run_one_error_line(argv, capsys, sock):
+    """``main(argv)`` exits 1 with one ``error:`` line, no traceback and
+    no socket; returns that line."""
+    assert main(argv) == 1, argv
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: "), (argv, captured.err)
+    assert captured.err.count("\n") == 1, (argv, captured.err)
+    assert "Traceback" not in captured.err
+    assert not sock.exists()
+    return captured.err
+
+
 class TestNegativeIntegers:
     """Every integer option rejects -1 the same way: one ``error:`` line
-    and exit 1, never a traceback, an empty report or a started server."""
+    and exit 1, never a traceback, an empty report or a started server.
+    The same walk covers 0 where 0 is invalid, unknown names and
+    missing paths."""
+
+    @staticmethod
+    def _argv(command, option, value, paths, extra=()):
+        flags, positionals = _REQUIRED_ARGS.get(command, ([], {}))
+        fill = {name: str(path) for name, path in paths.items()}
+        argv = [command, *(arg.format(**fill) for arg in flags), *extra]
+        if option.startswith("-"):
+            return argv + [*positionals.values(), option, value]
+        return argv + [{**positionals, option: value}[dest]
+                       for dest in positionals]
+
+    @pytest.fixture
+    def paths(self, tmp_path, rng):
+        paths = {
+            "vectors": tmp_path / "vectors.txt",
+            "sock": tmp_path / "never-bound.sock",
+        }
+        save_vectors(paths["vectors"], rng.random((30, 2)))
+        return paths
 
     @pytest.mark.parametrize("command, option", [
         case for case in _integer_option_cases()
         if case not in _NEGATIVE_ONE_VALID
     ])
     def test_minus_one_is_one_error_line(
-        self, command, option, tmp_path, capsys, rng
+        self, command, option, paths, capsys
     ):
-        paths = {
-            "vectors": tmp_path / "vectors.txt",
-            "sock": tmp_path / "never-bound.sock",
-        }
-        save_vectors(paths["vectors"], rng.random((30, 2)))
-        flags, positionals = _REQUIRED_ARGS.get(command, ([], {}))
-        fill = {name: str(path) for name, path in paths.items()}
-        argv = [command, *(arg.format(**fill) for arg in flags)]
-        if option.startswith("-"):
-            argv += [*positionals.values(), option, "-1"]
-        else:
-            argv += [{**positionals, option: "-1"}[dest]
-                     for dest in positionals]
-        assert main(argv) == 1, argv
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error: "), (argv, captured.err)
-        assert captured.err.count("\n") == 1, (argv, captured.err)
-        assert "Traceback" not in captured.err
-        assert not paths["sock"].exists()
+        argv = self._argv(command, option, "-1", paths)
+        _run_one_error_line(argv, capsys, paths["sock"])
+
+    @pytest.mark.parametrize("command, option", [
+        case for case in _integer_option_cases() if case not in _ZERO_VALID
+    ])
+    def test_zero_is_one_error_line(self, command, option, paths, capsys):
+        argv = self._argv(command, option, "0", paths)
+        _run_one_error_line(argv, capsys, paths["sock"])
+
+    def test_zero_allowlist_names_real_options(self):
+        assert set(_ZERO_VALID) <= set(_integer_option_cases())
+
+    @pytest.mark.parametrize("command, option", [
+        (command, option) for command, option, choices
+        in _string_option_cases() if option in _UNKNOWN_NAMES
+    ])
+    def test_unknown_name_is_one_error_line(
+        self, command, option, paths, capsys
+    ):
+        name = _UNKNOWN_NAMES[option]
+        argv = self._argv(command, option, name, paths)
+        assert name in _run_one_error_line(argv, capsys, paths["sock"])
+
+    @pytest.mark.parametrize("command, option", [
+        (command, option) for command, option, choices
+        in _string_option_cases() if choices is not None
+    ])
+    def test_unknown_choice_is_refused_by_the_parser(
+        self, command, option, paths, capsys
+    ):
+        """Metrics, kinds, indexes and modes are argparse ``choices``: an
+        unknown one is refused before any command runs, with the exit
+        status 2 and usage line every parse error has (``TestParser``)."""
+        with pytest.raises(SystemExit) as info:
+            main(self._argv(command, option, "bogus", paths))
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {option}" in err and "invalid choice" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, option", [
+        (command, option) for command, option, _ in _string_option_cases()
+        if option in _INPUT_PATHS | _OUTPUT_PATHS
+    ])
+    def test_missing_path_is_one_error_line(
+        self, command, option, paths, capsys, tmp_path
+    ):
+        """An input that does not exist, or an output (a payload, a dump,
+        a socket) in a directory that does not, is refused before the
+        index is built or a server is started."""
+        missing = tmp_path / "missing" / "file"
+        argv = self._argv(command, option, str(missing), paths,
+                          _PATH_CONTEXT.get(option, ()))
+        err = _run_one_error_line(argv, capsys, paths["sock"])
+        assert str(missing) in err
+        assert not missing.parent.exists()
+
+    def test_every_string_option_is_walked(self):
+        options = {option for _, option, choices in _string_option_cases()
+                   if choices is None}
+        swept = _INPUT_PATHS | _OUTPUT_PATHS | set(_UNKNOWN_NAMES)
+        assert options == swept | set(_STRING_UNSWEPT)
+        assert not swept & set(_STRING_UNSWEPT)
 
     def test_every_subcommand_with_integer_options_is_walked(self):
         commands = {command for command, _ in _integer_option_cases()}

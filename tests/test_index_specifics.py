@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -291,6 +292,11 @@ def _property_row(shape, rng, n, dtype, stride):
         row = np.where(rng.random(n) < 0.8, 0, rng.integers(0, top + 1, size=n))
     elif shape == "boundary_at_max":
         row = np.where(rng.random(n) < 0.8, top, rng.integers(0, top + 1, size=n))
+    elif shape in ("sorted", "sorted_descending"):
+        # A strided sample of a sorted row sees every value in its own
+        # proportion only up to a stride: the guess lands a value off.
+        row = np.sort(rng.integers(0, rng.integers(1, top + 1) + 1, size=n))
+        row = row[::-1] if shape == "sorted_descending" else row
     else:  # "sample_lies": the strided sample sees only the extreme value
         seen, rest = (0, top) if shape == "sample_lies_low" else (top, 0)
         row = np.full(n, rest)
@@ -304,10 +310,11 @@ class TestBudgetCandidates:
 
     @given(
         seed=st.integers(0, 2**32 - 1),
-        dtype=st.sampled_from([np.uint8, np.uint16, np.int64]),
+        dtype=st.sampled_from([np.uint8, np.uint16, np.uint32, np.int64]),
         shape=st.sampled_from([
             "spread", "few_values", "all_equal", "boundary_at_zero",
             "boundary_at_max", "sample_lies_low", "sample_lies_high",
+            "sorted", "sorted_descending",
         ]),
         sample=st.sampled_from([1, 5, 64, 4096]),
         data=st.data(),
@@ -318,8 +325,12 @@ class TestBudgetCandidates:
     ):
         n = data.draw(st.integers(1, 600))
         budget = data.draw(
-            st.sampled_from([0, 1, n - 1, n, n + 1]) | st.integers(0, n + 1)
+            st.sampled_from([0, 1, n - 1, n, n + 1]) | st.integers(0, n + 5)
         )
+        # The mask comes from a workspace, fresh or left larger by a
+        # longer row, or is allocated per call.
+        workspace = data.draw(st.sampled_from([None, {}, {"mask": np.ones(
+            700, dtype=np.bool_)}]))
         # A sample of 1 leaves n below the stride; 4096 samples every
         # entry of these rows, so the guess is exact; in between, the
         # guess is off and the settle loop has to walk.
@@ -328,7 +339,7 @@ class TestBudgetCandidates:
             shape, np.random.default_rng(seed), n, dtype, stride
         )
         with mock.patch.object(distperm, "_BOUNDARY_SAMPLE", sample):
-            got = _budget_candidates(row, budget)
+            got = _budget_candidates(row, budget, workspace)
         np.testing.assert_array_equal(got, _stable_prefix(row, budget))
         assert got.dtype.kind == "i"
 
@@ -363,6 +374,19 @@ class TestBudgetCandidates:
                 got, _stable_prefix(row, budget), err_msg=f"budget={budget}"
             )
             assert got.dtype.kind == "i"
+
+    def test_a_guess_too_high_resolves_inside_the_strict_subset(self):
+        # A one-entry sample sees row[0] = 0.  Past the hundred zeros the
+        # guess moves on to the dtype's maximum, where the strict subset
+        # is the whole row and its histogram finds the boundary.
+        row = np.full(20_000, 9, dtype=np.uint8)
+        row[:900] = np.arange(900) % 9
+        with mock.patch.object(distperm, "_BOUNDARY_SAMPLE", 1):
+            for budget in (1, 99, 100, 101, 555, 899):
+                np.testing.assert_array_equal(
+                    _budget_candidates(row, budget, {}),
+                    _stable_prefix(row, budget),
+                )
 
     def test_per_row_budgets_of_zero_stay_empty(self, database, queries):
         index = DistPermIndex(database, EuclideanDistance(), n_sites=8,
@@ -673,3 +697,59 @@ class TestDistPermCensus:
             assert index.storage() == fresh.storage()
         finally:
             index.close()
+
+
+class TestSelectionWorkingSet:
+    """What one query's scan and selection allocate on a RAM index: the
+    selection's mask is the index's reused workspace, so a row costs
+    memory the size of its budget, and a batch scores a few tiles of
+    footrule rows at a time instead of a (queries x n) matrix."""
+
+    N = 200_000
+
+    @pytest.fixture(scope="class")
+    def warm(self):
+        rng = np.random.default_rng(77)
+        index = DistPermIndex(rng.random((self.N, 8)), EuclideanDistance(),
+                              n_sites=12, rng=np.random.default_rng(78))
+        queries = rng.random((80, 8))
+        index.knn_approx_batch_arrays(queries, 10, 2000)
+        return index, queries
+
+    @staticmethod
+    def _peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("budget", [10, 500, 2000])
+    def test_one_row_allocates_its_budget_not_the_row(self, warm, budget):
+        index, queries = warm
+        perms = index.query_permutations(queries[:1])
+        row = index._footrules_matrix(perms)[0].copy()
+        workspace = index._footrule_workspace
+        expected = _budget_candidates(row, budget, workspace)
+        np.testing.assert_array_equal(expected, _stable_prefix(row, budget))
+        peak = self._peak(lambda: _budget_candidates(row, budget, workspace))
+        # The sample's histogram (at most 2 * _BOUNDARY_SAMPLE int64
+        # entries) plus a few int64 id arrays of the budget's size; the
+        # row itself is 200 KB and its mask as many bytes.
+        assert peak < 16 * distperm._BOUNDARY_SAMPLE + 32 * budget
+
+    def test_a_batch_allocates_no_query_by_point_matrix(self, warm):
+        index, queries = warm
+        expected = index.knn_approx_batch_arrays(queries, 10, 2000)
+        index._footrule_workspace.clear()  # the tile is allocated afresh
+        peak = self._peak(
+            lambda: index.knn_approx_batch_arrays(queries, 10, 2000)
+        )
+        assert peak < len(queries) * self.N // 2
+        assert index._footrule_workspace["footrules"].nbytes <= (
+            3 * distperm._TILE_BYTES
+        )
+        got = index.knn_approx_batch_arrays(queries, 10, 2000)
+        np.testing.assert_array_equal(got.indices, expected.indices)
+        np.testing.assert_array_equal(got.distances, expected.distances)

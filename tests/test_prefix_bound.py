@@ -289,14 +289,15 @@ class TestBoundedCandidates:
     def test_consecutive_singles_reuse_the_workspace(self, payloads):
         """The code-sized arrays of the bounded scan (unpacked codes, lane
         scratch, the codes of every run, prefixes, bounds, each round's
-        masks and its survivors' codes, positions and footrules) live in
-        the index's workspace: a second single query writes the same
+        masks and its survivors' codes, positions and footrules, and the
+        selection mask the last round shares with ``_budget_candidates``)
+        live in the index's workspace: a second single query writes the same
         buffers and answers as the first and as the RAM index do."""
         points, path, ram = payloads[12]
         mapped = _mapped(points, path, cache_blocks=3, touched=(7, 2))
         keys = ("unpacked", "lanes", "codes", "prefixes", "bounds", "reach",
                 "seen", "fresh", "survivors", "survivor_positions", "exact",
-                "hits")
+                "mask")
         query = np.random.default_rng(9).random(4)
         try:
             answers, buffers = [], []
