@@ -218,7 +218,11 @@ def run_workload(name, points, metric, n_sites, rng):
     # compact site columns, its row blocks stacked) through the sort-free
     # kernel, against a stable argsort of the float64 matrix + codes from
     # the permutations.
-    blocks = list(metric.to_sites_compact(points, sites))
+    # Each block lasts until the next is drawn: keep a copy.
+    blocks = [
+        (start, stop, block.copy(order="K"))
+        for start, stop, block in metric.to_sites_compact(points, sites)
+    ]
     compact = (
         blocks[0][2]
         if len(blocks) == 1

@@ -41,7 +41,7 @@ from typing import Any, Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.metrics.base import Metric
+from repro.metrics.base import Metric, workspace_buffer
 
 __all__ = [
     "MAX_CODE_SITES",
@@ -447,21 +447,26 @@ _CODE_BLOCK_BYTES = 1 << 20
 
 
 def _column_blocks(
-    distances: np.ndarray, top: int
+    distances: np.ndarray, top: int, workspace: Optional[dict] = None
 ) -> Iterator[Tuple[int, int, np.ndarray]]:
     """Yield ``(start, stop, columns)`` over cache-sized row blocks.
 
     ``columns`` is the block's first ``top >= 1`` site columns as a
     ``(top, stop - start)`` matrix with contiguous rows: a slice of
-    column-major input, a transposing copy of anything else.  NaN
-    distances have no rank and raise ``ValueError``.
+    column-major input, a transposing copy of anything else (into
+    ``workspace``'s ``"columns"`` buffer, valid until the next block is
+    drawn).  NaN distances have no rank and raise ``ValueError``.
     """
     rows = max(1, _CODE_BLOCK_BYTES // (top * distances.itemsize))
     for start in range(0, distances.shape[0], rows):
         stop = min(start + rows, distances.shape[0])
         columns = distances[start:stop, :top].T
         if columns.strides[1] != columns.itemsize:
-            columns = np.ascontiguousarray(columns)
+            copy = workspace_buffer(
+                workspace, "columns", columns.shape, columns.dtype
+            )
+            np.copyto(copy, columns)
+            columns = copy
         _reject_nan(columns)
         yield start, stop, columns
 
@@ -660,6 +665,18 @@ def ranks_from_distances(
     array beyond); both are filled in place.  NaN distances have no rank
     and raise ``ValueError``; ``±inf`` order and tie like any other value.
     """
+    return _ranks_into(distances, positions, codes, None)
+
+
+def _ranks_into(
+    distances: np.ndarray,
+    positions: Optional[np.ndarray],
+    codes: Optional[np.ndarray],
+    workspace: Optional[dict],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`ranks_from_distances`, its block scratch (site columns,
+    digits) drawn from ``workspace`` (fresh when None), so a caller that
+    ranks block after block reuses one set of buffers."""
     distances = np.asarray(distances)
     if distances.ndim != 2:
         raise ValueError(
@@ -680,8 +697,8 @@ def ranks_from_distances(
         return positions, codes
     dtype = compact_position_dtype(k)
     initial = np.arange(k - 1, -1, -1, dtype=dtype)[:, None]
-    scratch: dict = {}
-    for start, stop, columns in _column_blocks(distances, k):
+    scratch = {} if workspace is None else workspace
+    for start, stop, columns in _column_blocks(distances, k, scratch):
         ranks = positions[start:stop].T
         ranks[...] = initial
         digits = workspace_buffer(scratch, "digits", columns.shape, dtype)
@@ -712,10 +729,11 @@ def site_ranks(
     n, k = len(points), len(sites)
     positions = _positions_out(None, n, k)
     codes = np.empty(n, dtype=permutation_code_dtype(k))
+    # One set of block buffers for the whole build: a fresh one per
+    # block re-faulted its pages whenever the allocator had trimmed them.
+    workspace: dict = {}
     for start, stop, block in metric.to_sites_compact(points, sites):
-        ranks_from_distances(
-            block, positions=positions[start:stop], codes=codes[start:stop]
-        )
+        _ranks_into(block, positions[start:stop], codes[start:stop], workspace)
     return codes, positions
 
 
@@ -801,22 +819,10 @@ def compact_footrule_dtype(k: int) -> np.dtype:
     return np.min_scalar_type(k * k // 2)
 
 
-def workspace_buffer(
-    workspace: Optional[dict], key: str, shape: Tuple[int, ...], dtype
-) -> np.ndarray:
-    """A reusable C-ordered scratch array; fresh when ``workspace`` is None.
-
-    The dict keeps one flat grow-only buffer per key and hands out a
-    reshaped prefix, so alternating call shapes (a 20-query chunk, then a
-    single query) reuse one allocation instead of replacing it each time.
-    """
-    if workspace is None:
-        return np.empty(shape, dtype)
-    size = math.prod(shape)
-    flat = workspace.get(key)
-    if flat is None or flat.dtype != dtype or flat.size < size:
-        flat = workspace[key] = np.empty(size, dtype)
-    return flat[:size].reshape(shape)
+#: Bytes of differences one pass of :func:`footrule_matrix_batch` covers:
+#: as many query rows as fit (two at n = 200k with ``int8`` differences),
+#: so each numpy call is long enough for another thread to run meanwhile.
+_FOOTRULE_PASS_BYTES = 1 << 19
 
 
 def footrule_matrix_batch(
@@ -837,7 +843,11 @@ def footrule_matrix_batch(
     ``abs``, added into a narrow unsigned accumulator row — three
     contiguous SIMD passes per site (the first site's add and the fill
     are dropped: its magnitudes start the row), no ``(q, n, k)``
-    intermediate and no short-axis reduction.  Ranks are ``< k`` and a
+    intermediate and no short-axis reduction.  Each pass covers as many
+    query rows as :data:`_FOOTRULE_PASS_BYTES` of differences hold,
+    broadcasting the column against their ranks: the bytes are the same,
+    and one numpy call is long enough that a second scan thread runs
+    while it holds no interpreter lock.  Ranks are ``< k`` and a
     footrule is at most ``floor(k^2 / 2)``, which fixes the widths:
     differences are the narrowest signed dtype holding ``k - 1``
     (``int8`` through ``k = 128``, ``int16`` through 32768), the
@@ -900,28 +910,38 @@ def footrule_matrix_batch(
         # on the way in.
         columns = columns.view(signed)
     query_positions = query_positions.astype(signed, copy=False)
-    diff = workspace_buffer(workspace, "footrule_diff", (n,), signed)
-    magnitude = diff.view(np.dtype(f"u{signed.itemsize}"))
     in_place = out.dtype == accumulator
-    if not in_place:
-        row = workspace_buffer(workspace, "footrule_row", (n,), accumulator)
-    for q in range(n_queries):
-        if in_place:
-            row = out[q]
-        ranks = query_positions[q]
-        # The first site's magnitudes start the row: no fill pass, and no
+    rows = max(1, _FOOTRULE_PASS_BYTES // (n * signed.itemsize))
+    for lo in range(0, n_queries, rows):
+        hi = min(lo + rows, n_queries)
+        diff = workspace_buffer(workspace, "footrule_diff", (hi - lo, n), signed)
+        block = (
+            out[lo:hi]
+            if in_place
+            else workspace_buffer(
+                workspace, "footrule_row", (hi - lo, n), accumulator
+            )
+        )
+        if hi - lo == 1:
+            # One row: flat passes against scalar ranks, numpy's fastest
+            # loop (a broadcast column costs a single query ≈ 5 %).
+            diff, target, ranks = diff[0], block[0], query_positions[lo]
+        else:
+            target, ranks = block, query_positions[lo:hi].T[:, :, None]
+        magnitude = diff.view(np.dtype(f"u{signed.itemsize}"))
+        # The first site's magnitudes start the rows: no fill pass, and no
         # add when the accumulator is as wide as the differences.
-        lead = row.view(signed) if row.itemsize == signed.itemsize else diff
+        lead = target.view(signed) if target.itemsize == signed.itemsize else diff
         np.subtract(columns[0], ranks[0], out=lead, dtype=signed)
         np.abs(lead, out=lead)
         if lead is diff:
-            np.copyto(row, magnitude)
+            np.copyto(target, magnitude)
         for s in range(1, k):
             np.subtract(columns[s], ranks[s], out=diff, dtype=signed)
             np.abs(diff, out=diff)
-            np.add(row, magnitude, out=row)
+            np.add(target, magnitude, out=target)
         if not in_place:
-            out[q] = row
+            out[lo:hi] = block
     return out
 
 

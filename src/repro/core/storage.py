@@ -24,6 +24,7 @@ import itertools
 import math
 import mmap as _mmap
 import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, Optional, Tuple, Union
@@ -256,6 +257,8 @@ class MappedCodeStore:
         self.peak_cache_bytes = 0
         self.cache_hits = 0
         self.cache_misses = 0
+        # Scan threads fill their tiles one at a time (positions_block).
+        self._fill_lock = threading.Lock()
         self._closed = False
 
     # -- geometry -----------------------------------------------------
@@ -346,10 +349,12 @@ class MappedCodeStore:
         :func:`~repro.core.permutation.compact_position_dtype` is
         returned.
 
-        Retained blocks are copied in, one hit each.  Each maximal run of
-        the others is unpacked, range-checked and unranked by one call
-        per stage, straight into ``out``; every block of the run counts
-        one miss and is copied into the cache if it still fits.  A code
+        Calls are serialised, so scan threads may fill their own tiles
+        from one store.  Retained blocks are copied in, one hit each.
+        Each maximal run of the others is unpacked, range-checked and
+        unranked by one call per stage, straight into ``out``; every
+        block of the run counts one miss and is copied into the cache if
+        it still fits.  A code
         outside ``[0, k!)`` raises :class:`PayloadCorruptError`, but only
         after the clean blocks in front of it are decoded, counted and
         retained; nothing of its own block is cached.
@@ -367,21 +372,22 @@ class MappedCodeStore:
         elif out.shape != shape:
             raise ValueError(f"out has shape {out.shape}, expected {shape}")
         block = first
-        while block < stop:
-            cached = self._blocks.get(block)
-            if cached is not None:
-                self.cache_hits += 1
-                lo, hi = self.block_range(block)
-                out[:, lo - start : hi - start] = cached
-                block += 1
-                continue
-            run = block + 1
-            while run < stop and run not in self._blocks:
-                run += 1
-            lo = block * self.block_elements - start
-            hi = self.block_range(run - 1)[1] - start
-            self._decode_run(block, run, out[:, lo:hi])
-            block = run
+        with self._fill_lock:
+            while block < stop:
+                cached = self._blocks.get(block)
+                if cached is not None:
+                    self.cache_hits += 1
+                    lo, hi = self.block_range(block)
+                    out[:, lo - start : hi - start] = cached
+                    block += 1
+                    continue
+                run = block + 1
+                while run < stop and run not in self._blocks:
+                    run += 1
+                lo = block * self.block_elements - start
+                hi = self.block_range(run - 1)[1] - start
+                self._decode_run(block, run, out[:, lo:hi])
+                block = run
         return out
 
     def _missed_run(

@@ -3,9 +3,9 @@
 Stores all ``n(n-1)/2`` pairwise distances.  At query time candidates are
 eliminated through the triangle-inequality lower bound
 ``lb(x) = max_used |d(q, c) - d(c, x)|``; the next candidate evaluated is
-the one :meth:`AESA._select_next` picks — for AESA, the one with the
-smallest bound (iAESA, :mod:`repro.index.iaesa`, overrides only that
-rule).  Search cost per query is famously close to constant — paid for
+the one the query's :meth:`AESA._selector` picks — for AESA, the one
+with the smallest bound (iAESA, :mod:`repro.index.iaesa`, overrides only
+that rule).  Search cost per query is famously close to constant — paid for
 with quadratic storage, which is why the paper calls pure AESA
 impractical and why LAESA and permutation indexes exist.
 
@@ -28,12 +28,21 @@ from repro.index.pivots import PivotTable
 
 __all__ = ["AESA"]
 
+#: A query's next-candidate rule: ``(alive, lower, used, query_distances)``
+#: to the element to evaluate next.
+Selector = Callable[[np.ndarray, np.ndarray, List[int], List[float]], int]
+
 
 class AESA(PivotTable):
     """Approximating–Eliminating Search Algorithm with full distance matrix."""
 
     def _build(self) -> None:
         self.matrix = self.metric.pairwise(self.points)
+
+    def _selector(self) -> Selector:
+        """A fresh next-candidate rule for one query (iAESA's keeps state
+        from one pick to the next)."""
+        return self._select_next
 
     def _select_next(
         self,
@@ -54,8 +63,9 @@ class AESA(PivotTable):
         alive = np.ones(n, dtype=bool)
         used: List[int] = []
         query_distances: List[float] = []
+        select = self._selector()
         while alive.any():
-            pivot = self._select_next(alive, lower, used, query_distances)
+            pivot = select(alive, lower, used, query_distances)
             alive[pivot] = False
             d = self.metric.distance(query, self.points[pivot])
             used.append(pivot)

@@ -196,17 +196,24 @@ def top_k_arrays(
     arbitrarily.  A row whose (k + 1)-th value is above its k-th (the
     usual case for real distances) keeps the partition's ``k`` picks,
     all rows at once.  The others — boundary ties (the usual case for
-    integer distances), NaNs, rows of at most ``k`` entries — are each
-    sorted alone, over only the entries not above the row's boundary, so
-    their cost grows with the rows that tie and the entries that reach,
-    not with the matrix.
+    integer distances), NaNs, rows of at most ``k`` entries — are sorted
+    together by one lexsort keyed on ``(row, value, id)`` over only
+    their entries not above the row's boundary, so their cost grows with
+    the entries that reach, not with the matrix or the count of such
+    rows.  A single row (every single query's refine) skips the matrix
+    bookkeeping: one partition for its boundary, one lexsort of what
+    reaches it.
     """
     n_rows, n = distances.shape
     if n_rows == 0:
         return NeighborArrays.empty(0)
     if ids is None:
         ids = np.broadcast_to(np.arange(n), distances.shape)
+    if n_rows == 1:
+        stop = n if lengths is None else int(lengths[0])
+        return _top_k_row(distances[0, :stop], k, ids[0, :stop])
     width = min(k, n)
+    boundary = None
     if k < n:
         rows = np.arange(n_rows)[:, None]
         if lengths is not None and (np.asarray(lengths) < n).any():
@@ -229,29 +236,79 @@ def top_k_arrays(
     else:
         vals = np.empty((n_rows, width), dtype=np.float64)
         names = np.empty((n_rows, width), dtype=ids.dtype)
-        tied = range(n_rows)
+        tied = np.arange(n_rows)
     counts = None
-    for r in tied:
-        stop = n if lengths is None else lengths[r]
-        row, row_ids = distances[r, :stop], ids[r, :stop]
-        if k < n:
-            # "Not above" rather than "at or below": NaNs sort last in
-            # both lexsort and argpartition, and this keeps them reachable.
-            reach = (~(row > boundary[r])).nonzero()[0]
-            row, row_ids = row[reach], row_ids[reach]
-        order = np.lexsort((row_ids, row))[:width]
-        found = order.shape[0]
-        vals[r, :found], names[r, :found] = row[order], row_ids[order]
-        if found < width:
-            if counts is None:
-                counts = np.full(n_rows, width, dtype=np.int64)
-            counts[r] = found
+    if tied.shape[0]:
+        found = _sort_tied(distances, ids, lengths, tied, boundary, vals, names)
+        if (found < width).any():
+            counts = np.full(n_rows, width, dtype=np.int64)
+            counts[tied] = found
     if counts is None:
         return NeighborArrays(vals, names, np.arange(n_rows + 1) * width)
     offsets = np.zeros(n_rows + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
     cells = np.arange(width) < counts[:, None]
     return NeighborArrays(vals[cells], names[cells], offsets)
+
+
+def _top_k_row(row: np.ndarray, k: int, row_ids: np.ndarray) -> NeighborArrays:
+    """:func:`top_k_arrays` of one row: the entries not above its k-th
+    value (NaNs last, so a NaN boundary keeps them all), sorted by
+    ``(value, id)``."""
+    if k < row.shape[0]:
+        boundary = np.partition(row, k - 1)[k - 1]
+        reach = (~(row > boundary)).nonzero()[0]
+        row, row_ids = row[reach], row_ids[reach]
+    order = np.lexsort((row_ids, row))[:k]
+    return NeighborArrays(
+        row[order], row_ids[order], np.array([0, order.shape[0]])
+    )
+
+
+def _sort_tied(
+    distances: np.ndarray,
+    ids: np.ndarray,
+    lengths: Optional[np.ndarray],
+    tied: np.ndarray,
+    boundary: Optional[np.ndarray],
+    vals: np.ndarray,
+    names: np.ndarray,
+) -> np.ndarray:
+    """Fill rows ``tied`` of ``vals`` and ``names`` by one segmented sort.
+
+    A row's entries take part up to its length and, given ``boundary``,
+    when not above it ("not above" rather than "at or below": NaNs sort
+    last in both lexsort and argpartition, and this keeps them
+    reachable).  One lexsort keyed on ``(row, value, id)`` orders them
+    all; each row keeps its first ``vals.shape[1]``.  Returns how many
+    each tied row found.
+    """
+    width, n_tied = vals.shape[1], tied.shape[0]
+    block = distances[tied]
+    row_length = block.shape[1]
+    if boundary is None:
+        cells = np.ones(block.shape, dtype=bool)
+    else:
+        cells = ~(block > boundary[tied][:, None])
+    if lengths is not None:
+        cells &= np.arange(row_length) < np.asarray(lengths)[tied][:, None]
+    flat = np.flatnonzero(cells)
+    # Ascending, as flatnonzero lists them: the sort permutes entries
+    # within a row only, so ``segment`` is also the sorted entries' row.
+    segment = flat // row_length
+    values, entry_ids = block.ravel()[flat], ids[tied].ravel()[flat]
+    # A narrow row key sorts by radix: the lexsort's first pass is cheap.
+    order = np.lexsort(
+        (entry_ids, values, segment.astype(np.min_scalar_type(n_tied)))
+    )
+    found = np.bincount(segment, minlength=n_tied)
+    starts = np.zeros(n_tied, dtype=np.int64)
+    np.cumsum(found[:-1], out=starts[1:])
+    rank = np.arange(flat.shape[0]) - starts[segment]
+    keep = (rank < width).nonzero()[0]
+    rows, rank, order = tied[segment[keep]], rank[keep], order[keep]
+    vals[rows, rank], names[rows, rank] = values[order], entry_ids[order]
+    return np.minimum(found, width)
 
 
 def range_arrays(distances: np.ndarray, radius: float) -> NeighborArrays:

@@ -16,8 +16,7 @@ from typing import List
 
 import numpy as np
 
-from repro.core.permutation import permutation_positions
-from repro.index.aesa import AESA
+from repro.index.aesa import AESA, Selector
 
 __all__ = ["IAESA"]
 
@@ -25,20 +24,77 @@ __all__ = ["IAESA"]
 class IAESA(AESA):
     """Improved AESA: permutation-similarity pivot selection."""
 
-    def _select_next(self, alive: np.ndarray, lower: np.ndarray,
-                     used: List[int], query_distances: List[float]) -> int:
+    def _selector(self) -> Selector:
+        return _PivotRanks(self.matrix, self._select_next).select
+
+
+class _PivotRanks:
+    """One query's iAESA rule, with the rank positions it keeps.
+
+    Each alive candidate holds the rank of every used pivot in its own
+    distance order (stable: a tie ranks the earlier pivot first), as does
+    the query.  A new pivot is one insertion: it ranks after the pivots
+    not farther than it, and each pivot farther than it moves back one.
+    So a pick costs one compare, one add and the footrule over the alive
+    candidates, where sorting every candidate's pivots anew cost an
+    argsort of the whole alive x used submatrix.  Both tables are held
+    pivot-major, one contiguous row per pivot, so every pass runs along
+    the candidates.
+    """
+
+    def __init__(self, matrix: np.ndarray, fallback: Selector):
+        self.matrix = matrix
+        self.fallback = fallback
+        self.ids: np.ndarray  # alive candidates, ascending
+        self.distances: np.ndarray  # (pivot, candidate) distances
+        self.ranks: np.ndarray  # and each pivot's rank for the candidate
+        self.query_ranks: List[int] = []
+
+    def select(self, alive: np.ndarray, lower: np.ndarray,
+               used: List[int], query_distances: List[float]) -> int:
         if len(used) < 2:
             # Not enough pivots for a meaningful permutation; fall back to
             # the AESA rule (smallest lower bound).
-            return super()._select_next(alive, lower, used, query_distances)
-        candidates = np.flatnonzero(alive)
-        # One 2-D pass: footrule_matrix_batch loops over the sites, ≈ 2x
-        # slower here once dozens of pivots are used.
-        positions = permutation_positions(np.argsort(
-            self.matrix[np.ix_(candidates, used)], axis=1, kind="stable"
-        ))
-        query_positions = permutation_positions(
-            np.argsort(query_distances, kind="stable")
-        )
-        footrules = np.abs(positions - query_positions).sum(axis=1)
-        return int(candidates[np.argmin(footrules)])
+            return self.fallback(alive, lower, used, query_distances)
+        if not self.query_ranks:
+            self.ids = np.flatnonzero(alive)
+            self.distances = np.empty((0, self.ids.shape[0]))
+            self.ranks = np.empty((0, self.ids.shape[0]), dtype=np.int32)
+        else:
+            keep = alive[self.ids]
+            if not keep.all():
+                self.ids = self.ids[keep]
+                self.distances = self.distances[:, keep]
+                self.ranks = self.ranks[:, keep]
+        for j in range(len(self.query_ranks), len(used)):
+            self._insert(j, used[j], query_distances)
+        m = len(used)
+        query = np.array(self.query_ranks)[:, None]
+        footrules = np.abs(self.ranks[:m] - query).sum(axis=0)
+        return int(self.ids[np.argmin(footrules)])
+
+    def _reserve(self, pivots: int) -> None:
+        """Room for ``pivots`` rows, doubling the capacity as it fills."""
+        have = self.ranks.shape[0]
+        if pivots <= have:
+            return
+        height = max(pivots, 2 * have)
+        columns = self.ids.shape[0]
+        distances = np.empty((height, columns))
+        ranks = np.empty((height, columns), dtype=np.int32)
+        distances[:have], ranks[:have] = self.distances, self.ranks
+        self.distances, self.ranks = distances, ranks
+
+    def _insert(self, j: int, pivot: int, query_distances: List[float]) -> None:
+        """Pivot ``j`` (``used[j]``) into every alive candidate and the query."""
+        self._reserve(j + 1)
+        # Row ``pivot`` of the symmetric table: a contiguous gather.
+        row = np.take(self.matrix[pivot], self.ids)
+        farther = self.distances[:j] > row
+        self.ranks[:j] += farther
+        self.ranks[j] = j - farther.sum(axis=0)
+        self.distances[j] = row
+        d = query_distances[j]
+        behind = [int(earlier > d) for earlier in query_distances[:j]]
+        self.query_ranks = [r + b for r, b in zip(self.query_ranks, behind)]
+        self.query_ranks.append(j - sum(behind))

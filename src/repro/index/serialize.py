@@ -307,6 +307,7 @@ def _restore(
     index.site_indices = list(site_indices)
     index.sites = [points[i] for i in site_indices]
     index._footrule_workspace = {}
+    index._scan_workspaces = []
     if "codes" not in entry:
         if backing == "mmap":
             raise ValueError(

@@ -9,12 +9,18 @@ evaluations so indexes can report that cost faithfully.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from typing import Any, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["Metric", "CountingMetric", "take_points"]
+__all__ = [
+    "Metric",
+    "CountingMetric",
+    "take_points",
+    "workspace_buffer",
+]
 
 
 def take_points(points: Sequence[Any], indices: np.ndarray) -> Sequence[Any]:
@@ -28,6 +34,24 @@ def take_points(points: Sequence[Any], indices: np.ndarray) -> Sequence[Any]:
     if take is not None:
         return take(indices)
     return [points[int(i)] for i in indices]
+
+
+def workspace_buffer(
+    workspace: Optional[dict], key: str, shape: Tuple[int, ...], dtype
+) -> np.ndarray:
+    """A reusable C-ordered scratch array; fresh when ``workspace`` is None.
+
+    The dict keeps one flat grow-only buffer per key and hands out a
+    reshaped prefix, so alternating call shapes (a 20-query chunk, then a
+    single query) reuse one allocation instead of replacing it each time.
+    """
+    if workspace is None:
+        return np.empty(shape, dtype)
+    size = math.prod(shape)
+    flat = workspace.get(key)
+    if flat is None or flat.dtype != dtype or flat.size < size:
+        flat = workspace[key] = np.empty(size, dtype)
+    return flat[:size].reshape(shape)
 
 
 class Metric(ABC):

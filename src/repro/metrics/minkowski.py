@@ -10,11 +10,11 @@ that a million-point database against a dozen sites never materializes an
 from __future__ import annotations
 
 import math
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from repro.metrics.base import Metric
+from repro.metrics.base import Metric, workspace_buffer
 
 __all__ = [
     "MinkowskiMetric",
@@ -157,10 +157,14 @@ class MinkowskiMetric(Metric):
 
     def to_sites_compact(self, points, sites):
         # The chunks matrix() assembles, handed out one at a time: each
-        # equals its rows of to_sites bit for bit.
-        return self._row_blocks(_as_2d(points), _as_2d(sites))
+        # equals its rows of to_sites bit for bit.  They share one set of
+        # block buffers, so a block lasts until the next is drawn and the
+        # blocks after the first fault no fresh pages in.
+        return self._row_blocks(_as_2d(points), _as_2d(sites), {})
 
-    def _row_blocks(self, a: np.ndarray, b: np.ndarray):
+    def _row_blocks(
+        self, a: np.ndarray, b: np.ndarray, workspace: Optional[dict] = None
+    ):
         """Yield ``(start, stop, distances)`` per ``_CHUNK_ROWS`` rows of ``a``."""
         if a.shape[1] != b.shape[1]:
             raise ValueError(
@@ -168,34 +172,53 @@ class MinkowskiMetric(Metric):
             )
         for start in range(0, a.shape[0], _CHUNK_ROWS):
             stop = min(start + _CHUNK_ROWS, a.shape[0])
-            yield start, stop, self._block(a[start:stop], b)
+            yield start, stop, self._block(a[start:stop], b, workspace)
 
-    def _block(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Distances for one chunk of rows; ``a`` is small enough to broadcast."""
+    def _block(
+        self, a: np.ndarray, b: np.ndarray, workspace: Optional[dict] = None
+    ) -> np.ndarray:
+        """Distances for one chunk of rows; ``a`` is small enough to broadcast.
+
+        With a ``workspace`` the result and the ``L_2`` arm's row-block
+        temporaries live in its buffers; the bits are the same.
+        """
+        shape = (a.shape[0], b.shape[0])
+        out = workspace_buffer(workspace, "distances", shape, np.float64)
         if self.p == 2:
             # ||a-b||^2 = ||a||^2 + ||b||^2 - 2 a.b avoids the n*m*d blow-up.
-            norms = (
-                np.sum(a * a, axis=1)[:, None]
-                + np.sum(b * b, axis=1)[None, :]
+            squares = np.multiply(
+                a, a, out=workspace_buffer(workspace, "squares", a.shape, np.float64)
             )
-            sq = norms - 2.0 * (a @ b.T)
+            norms = np.add(
+                np.sum(squares, axis=1)[:, None],
+                np.sum(b * b, axis=1)[None, :],
+                out=workspace_buffer(workspace, "norms", shape, np.float64),
+            )
+            sq = np.matmul(a, b.T, out=out)
+            sq *= 2.0
+            np.subtract(norms, sq, out=sq)
             np.maximum(sq, 0.0, out=sq)
             # The subtraction cancels catastrophically when the points
             # (nearly) coincide — a self-distance comes out ~1e-8 instead
             # of 0.  Recompute the few suspect entries directly so batch
             # results match the scalar path exactly there.
-            suspect = sq <= 1e-10 * norms
+            norms *= 1e-10
+            suspect = np.less_equal(
+                sq, norms, out=workspace_buffer(workspace, "suspect", shape, np.bool_)
+            )
             if np.any(suspect):
                 rows, cols = np.nonzero(suspect)
                 diff = a[rows] - b[cols]
                 sq[rows, cols] = np.sum(diff * diff, axis=1)
-            return np.sqrt(sq)
+            return np.sqrt(sq, out=sq)
+        # The (rows, sites, d) differences stay a fresh temporary, d times
+        # the size of the block.
         diff = np.abs(a[:, None, :] - b[None, :, :])
         if self.p == math.inf:
-            return diff.max(axis=2)
+            return np.max(diff, axis=2, out=out)
         if self.p == 1:
-            return diff.sum(axis=2)
-        return np.sum(diff**self.p, axis=2) ** (1.0 / self.p)
+            return np.sum(diff, axis=2, out=out)
+        return np.power(np.sum(diff**self.p, axis=2, out=out), 1.0 / self.p, out=out)
 
     def pairwise(self, xs) -> np.ndarray:
         a = _as_2d(xs)

@@ -742,14 +742,18 @@ class TestSelectionWorkingSet:
     def test_a_batch_allocates_no_query_by_point_matrix(self, warm):
         index, queries = warm
         expected = index.knn_approx_batch_arrays(queries, 10, 2000)
-        index._footrule_workspace.clear()  # the tile is allocated afresh
+        # The tiles are allocated afresh: the calling thread's, or one per
+        # scan thread when the batch is scored on the pool.
+        index._footrule_workspace.clear()
+        index._scan_workspaces.clear()
         peak = self._peak(
             lambda: index.knn_approx_batch_arrays(queries, 10, 2000)
         )
         assert peak < len(queries) * self.N // 2
-        assert index._footrule_workspace["footrules"].nbytes <= (
-            3 * distperm._TILE_BYTES
-        )
+        workspaces = [index._footrule_workspace, *index._scan_workspaces]
+        tiles = [w["footrules"].nbytes for w in workspaces if "footrules" in w]
+        assert tiles and max(tiles) <= 3 * distperm._TILE_BYTES
+        assert len(index._scan_workspaces) <= distperm._scan_threads()
         got = index.knn_approx_batch_arrays(queries, 10, 2000)
         np.testing.assert_array_equal(got.indices, expected.indices)
         np.testing.assert_array_equal(got.distances, expected.distances)

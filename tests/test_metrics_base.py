@@ -60,7 +60,11 @@ class TestDefaultBatchMethods:
         points = rng.random((2 * _CHUNK_ROWS + 5, 3))
         sites = points[:4]
         for metric in (EuclideanDistance(), CityblockDistance()):
-            blocks = list(metric.to_sites_compact(points, sites))
+            # A block lasts until the next is drawn: keep a copy of each.
+            blocks = [
+                (start, stop, block.copy())
+                for start, stop, block in metric.to_sites_compact(points, sites)
+            ]
             assert [(start, stop) for start, stop, _ in blocks] == [
                 (0, _CHUNK_ROWS),
                 (_CHUNK_ROWS, 2 * _CHUNK_ROWS),

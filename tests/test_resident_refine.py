@@ -189,6 +189,36 @@ class TestBatchedTopK:
                 got.distances[lo:hi], np.asarray(row, dtype=np.float64)[order]
             )
 
+    @given(
+        rows=st.lists(
+            st.lists(st.one_of(st.integers(0, 5).map(float), st.just(np.nan)),
+                     min_size=0, max_size=16),
+            min_size=1, max_size=20,
+        ),
+        k=st.integers(1, 18),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_tied_integer_rows_equal_lexsort(self, rows, k, seed):
+        # Integer distances (edit distance) tie at most boundaries, so the
+        # rows go through the segmented sort together; a call of one row
+        # takes the single-row path.
+        rng = np.random.default_rng(seed)
+        width = max(1, max(len(row) for row in rows))
+        lengths = np.array([len(row) for row in rows])
+        distances = rng.integers(0, 6, (len(rows), width)).astype(np.float64)
+        for r, row in enumerate(rows):
+            distances[r, : len(row)] = row
+        ids = rng.integers(0, 1000, (len(rows), width))
+        got = top_k_arrays(distances, k, ids, lengths)
+        assert got.n_queries == len(rows)
+        for r, row in enumerate(rows):
+            values, names = np.asarray(row, dtype=np.float64), ids[r, : len(row)]
+            order = np.lexsort((names, values))[:k]
+            lo, hi = got.offsets[r], got.offsets[r + 1]
+            np.testing.assert_array_equal(got.indices[lo:hi], names[order])
+            np.testing.assert_array_equal(got.distances[lo:hi], values[order])
+
     def test_nan_rows_keep_their_values(self):
         got = top_k_arrays(np.array([[0.5, np.nan, 0.2, np.nan]]), 3)
         np.testing.assert_array_equal(got.indices, [2, 0, 1])
